@@ -332,13 +332,14 @@ func keyedBenchPipeline(seed int64) *core.Pipeline {
 }
 
 // BenchmarkShardedKeyed measures the hash-sharded keyed execution path
-// at increasing shard counts (shards=1 is the shared sequential code
-// path). Output is identical at every degree; only wall-clock changes.
-// Arena mode clones each tuple into recycled per-shard value blocks, so
-// the shared tuple slice needs no defensive Clone stage and the steady
-// state allocates nothing per tuple. The scaling-curve perf gate
-// (cmd/perf gate -scaling-bench) enforces speedup(shards=N) on this
-// family's recorded numbers.
+// at increasing shard counts. Output is identical at every degree; only
+// wall-clock changes. The sharded runner clones each tuple into
+// recycled per-shard value blocks, so the shared tuple slice needs no
+// defensive Clone stage and the steady state allocates nothing per
+// tuple; shards=1 is the sequential engine, which pollutes in place, so
+// that anchor point gets the equivalent pooled clone stage. The
+// scaling-curve perf gate (cmd/perf gate -scaling-bench) enforces
+// speedup(shards=N) on this family's recorded numbers.
 func BenchmarkShardedKeyed(b *testing.B) {
 	schema, tuples := benchKeyedStream(20000, 64)
 	for _, shards := range []int{1, 2, 4, 8} {
@@ -348,12 +349,19 @@ func BenchmarkShardedKeyed(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				proc := core.NewProcess(keyedBenchPipeline(1))
 				proc.DisableLog = true
-				src := stream.NewSliceSource(schema, tuples)
-				out, _, err := proc.RunStreamSharded(src, 1, core.ShardConfig{
-					KeyAttr: "sensor", Shards: shards, Arena: true,
-				})
+				var src stream.Source = stream.NewSliceSource(schema, tuples)
+				var pool *stream.TuplePool
+				if shards == 1 {
+					pool = stream.NewTuplePoolFor(schema)
+					src = stream.Map(src, nil, stream.PooledClone(pool))
+				}
+				run, err := proc.Stream(src, core.StreamSpec{Shards: shards, ShardKey: "sensor"})
 				if err != nil {
 					b.Fatal(err)
+				}
+				out := run.Source
+				if pool != nil {
+					out = stream.Recycle(out, pool)
 				}
 				if _, err := stream.Copy(stream.DiscardSink{}, out); err != nil {
 					b.Fatal(err)
@@ -362,56 +370,10 @@ func BenchmarkShardedKeyed(b *testing.B) {
 			b.SetBytes(20000)
 		})
 	}
-}
-
-// BenchmarkShardedKeyedRelaxed measures the same workload under
-// OrderRelaxed, which skips the sequence merge's ordering stalls —
-// the headroom left above the strict merge. A separate benchmark
-// family keeps the scaling gate's strict curve uncontaminated.
-func BenchmarkShardedKeyedRelaxed(b *testing.B) {
-	schema, tuples := benchKeyedStream(20000, 64)
-	for _, shards := range []int{1, 8} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				proc := core.NewProcess(keyedBenchPipeline(1))
-				proc.DisableLog = true
-				src := stream.NewSliceSource(schema, tuples)
-				out, _, err := proc.RunStreamSharded(src, 1, core.ShardConfig{
-					KeyAttr: "sensor", Shards: shards, Arena: true, Order: core.OrderRelaxed,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := stream.Copy(stream.DiscardSink{}, out); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(20000)
-		})
-	}
-}
-
-// BenchmarkPollutionMicroBatch measures the batch execution path
-// (materialise, clone, pollute, sort) on the same workload.
-func BenchmarkPollutionMicroBatch(b *testing.B) {
-	schema, tuples := benchStream(10000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		proc := core.NewProcess(noisePipe(int64(i)))
-		proc.KeepClean = false
-		proc.DisableLog = true
-		if _, err := proc.Run(stream.NewSliceSource(schema, tuples)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(10000)
 }
 
 // BenchmarkPollutionColumnar measures the columnar end-to-end hot path
-// on the same workload as BenchmarkPollutionTupleWise/MicroBatch:
+// on the same workload as BenchmarkPollutionTupleWise:
 // batch-native ingest (the source serves column batches directly),
 // conditions and error functions as vectorised sweeps over column
 // slices with batched RNG draw-ahead, and batch-native emission via the
@@ -420,9 +382,14 @@ func BenchmarkPollutionMicroBatch(b *testing.B) {
 // the path byte-identical to the tuple-wise runner.
 func BenchmarkPollutionColumnar(b *testing.B) {
 	schema, tuples := benchStream(10000)
-	batches, err := stream.BatchColumnar(stream.NewSliceSource(schema, tuples), 256)
-	if err != nil {
-		b.Fatal(err)
+	var batches []*stream.ColumnBatch
+	for i, t := range tuples {
+		if i%256 == 0 {
+			batches = append(batches, stream.NewColumnBatch(schema, 256))
+		}
+		if err := batches[i/256].AppendTuple(t); err != nil {
+			b.Fatal(err)
+		}
 	}
 	out := stream.NewColumnBatch(schema, 256)
 	b.ReportAllocs()

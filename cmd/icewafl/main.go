@@ -66,11 +66,10 @@ func main() {
 	meta := flag.Bool("meta", false, "emit Algorithm 1's (_id, _substream, …) columns in the outputs")
 	reportOut := flag.String("report", "", "optional Markdown report output documenting the run")
 	streaming := flag.Bool("stream", false, "tuple-wise constant-memory execution for unbounded inputs (no -clean-out/-report; bounded reordering)")
-	columnar := flag.Bool("columnar", false, "streaming mode: batch-native columnar execution of the pollution hot path (requires -stream; single pipeline; incompatible with -shards and -checkpoint)")
+	columnar := flag.Bool("columnar", false, "streaming mode: batch-native columnar execution of the pollution hot path (single pipeline; which of -reorder/-shards/-columnar/-checkpoint combine: core.StreamSpec, DESIGN.md §6)")
 	reorder := flag.Int("reorder", 64, "streaming mode: bounded reordering window in tuples")
-	shards := flag.Int("shards", 1, "streaming mode: partition the keyed hot path across N parallel workers (requires -shard-key)")
-	shardKey := flag.String("shard-key", "", "attribute whose value routes tuples to shards (required with -shards > 1)")
-	shardOrder := flag.String("shard-order", "strict", "sharded merge order: strict (byte-identical to sequential) or relaxed (per-key order only)")
+	shards := flag.Int("shards", 1, "streaming mode: partition the keyed hot path across N parallel workers, routed by -shard-key")
+	shardKey := flag.String("shard-key", "", "attribute whose value routes tuples to shards")
 	checkpointPath := flag.String("checkpoint", "", "streaming mode: checkpoint file; the run snapshots its state periodically so it can be resumed")
 	resume := flag.Bool("resume", false, "continue an interrupted run from the -checkpoint file")
 	checkpointEvery := flag.Int("checkpoint-interval", 0, "tuples between checkpoints (0 = fault_policy's checkpoint_interval, default 5000)")
@@ -104,9 +103,6 @@ func main() {
 	if *traceSample > 0 && *metricsOut == "" {
 		fatalUsage("-trace-sample requires -metrics")
 	}
-	if *checkpointPath != "" && !*streaming {
-		fatalUsage("-checkpoint requires -stream")
-	}
 	if *resume && *checkpointPath == "" {
 		fatalUsage("-resume requires -checkpoint")
 	}
@@ -116,31 +112,14 @@ func main() {
 	if *shards < 1 {
 		fatalUsage("-shards must be at least 1, got %d", *shards)
 	}
-	order, err := core.ParseOrderPolicy(*shardOrder)
-	if err != nil {
+	// The execution shape is validated by the one rulebook, still before
+	// any I/O; the shard key's schema membership is re-checked by Stream.
+	shape := core.StreamSpec{Reorder: *reorder, Shards: *shards, ShardKey: *shardKey, Columnar: *columnar, Checkpoint: *checkpointPath != ""}
+	if !*streaming && (shape.Shards > 1 || shape.Columnar || shape.Checkpoint) {
+		fatalUsage("-shards, -columnar and -checkpoint require -stream")
+	}
+	if err := shape.Validate(nil); err != nil {
 		fatalUsage("%v", err)
-	}
-	if *shards > 1 {
-		if !*streaming {
-			fatalUsage("-shards requires -stream")
-		}
-		if *checkpointPath != "" {
-			fatalUsage("-shards is incompatible with -checkpoint; checkpoints cover the sequential path only")
-		}
-		if *shardKey == "" {
-			fatalUsage("-shards requires -shard-key")
-		}
-	}
-	if *columnar {
-		if !*streaming {
-			fatalUsage("-columnar requires -stream")
-		}
-		if *shards > 1 {
-			fatalUsage("-columnar is incompatible with -shards; the columnar engine is sequential")
-		}
-		if *checkpointPath != "" {
-			fatalUsage("-columnar is incompatible with -checkpoint; checkpoints cover the tuple-wise path only")
-		}
 	}
 
 	schema, err := schemafile.Load(*schemaPath)
@@ -197,13 +176,13 @@ func main() {
 	src := withRetry(reader, doc, metrics.registry())
 
 	if *streaming {
-		if *checkpointPath != "" {
+		metrics.start()
+		if shape.Checkpoint {
 			interval := *checkpointEvery
 			if interval <= 0 {
 				interval = doc.Fault.Interval()
 			}
-			metrics.start()
-			runCheckpointed(proc, src, schema, checkpointedRun{
+			runCheckpointed(proc, src, schema, shape, checkpointedRun{
 				outPath:  *outPath,
 				logOut:   *logOut,
 				deadOut:  *deadOut,
@@ -211,14 +190,10 @@ func main() {
 				ckptPath: *checkpointPath,
 				resume:   *resume,
 				interval: interval,
-				reorder:  *reorder,
 			})
-			metrics.finish()
-			return
+		} else {
+			runStreaming(proc, src, schema, shape, *outPath, *logOut, *deadOut, *meta)
 		}
-		metrics.start()
-		runStreaming(proc, src, schema, *outPath, *logOut, *deadOut, *meta, *columnar, *reorder,
-			core.ShardConfig{KeyAttr: *shardKey, Shards: *shards, Order: order, Arena: true})
 		metrics.finish()
 		return
 	}
@@ -390,31 +365,16 @@ func writeDeadLetters(path string, letters []stream.DeadLetter) error {
 	return f.Close()
 }
 
-// runStreaming executes the constant-memory tuple-wise path: tuples are
-// polluted and written as they arrive, with only the bounded reordering
-// window buffered. With sharding.Shards > 1 the keyed hot path is
-// partitioned across parallel workers; the CLI always runs the sharded
-// path in arena mode, which is safe because the sinks below never hold
-// a tuple across Next calls. With columnar the pollution hot path runs
-// on the columnar engine (batch kernels over column batches), emitting
-// a stream byte-identical to the tuple-wise runner.
-func runStreaming(proc *core.Process, reader stream.Source, schema *stream.Schema, outPath, logOut, deadOut string, meta, columnar bool, reorder int, sharding core.ShardConfig) {
-	var (
-		src  stream.Source
-		plog *core.Log
-		err  error
-	)
-	switch {
-	case sharding.Shards > 1:
-		src, plog, err = proc.RunStreamSharded(reader, reorder, sharding)
-	case columnar:
-		src, plog, err = proc.RunStreamColumnar(reader, reorder)
-	default:
-		src, plog, err = proc.RunStreamMulti(reader, reorder)
-	}
+// runStreaming executes the constant-memory streaming path in the given
+// execution shape: tuples are polluted and written as they arrive, with
+// only the bounded reordering window buffered. The sinks below never
+// hold a tuple across Next calls, as Stream's loan contract asks.
+func runStreaming(proc *core.Process, reader stream.Source, schema *stream.Schema, shape core.StreamSpec, outPath, logOut, deadOut string, meta bool) {
+	run, err := proc.Stream(reader, shape)
 	if err != nil {
 		log.Fatal(err)
 	}
+	src, plog := run.Source, run.Log
 	out := os.Stdout
 	if outPath != "-" {
 		out, err = os.Create(outPath)
@@ -443,11 +403,17 @@ func runStreaming(proc *core.Process, reader stream.Source, schema *stream.Schem
 			log.Fatal(err)
 		}
 	}
+	streamSummary(proc, plog, n, deadOut, "")
+}
+
+// streamSummary writes the dead letters, when asked for, and logs the
+// one-line summary of a streaming run.
+func streamSummary(proc *core.Process, plog *core.Log, n int, deadOut, suffix string) {
 	quarantined := 0
-	if proc.Fault.DLQ != nil {
-		quarantined = proc.Fault.DLQ.Len()
+	if dlq := proc.Fault.DLQ; dlq != nil {
+		quarantined = dlq.Len()
 		if deadOut != "" {
-			if err := writeDeadLetters(deadOut, proc.Fault.DLQ.Letters()); err != nil {
+			if err := writeDeadLetters(deadOut, dlq.Letters()); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -456,7 +422,7 @@ func runStreaming(proc *core.Process, reader stream.Source, schema *stream.Schem
 	if plog != nil {
 		errs = plog.Len()
 	}
-	log.Printf("streamed %d tuples (%d errors injected, %d quarantined)", n, errs, quarantined)
+	log.Printf("streamed %d tuples (%d errors injected, %d quarantined%s)", n, errs, quarantined, suffix)
 }
 
 // checkpointedRun bundles the parameters of a checkpointed streaming run.
@@ -468,7 +434,6 @@ type checkpointedRun struct {
 	ckptPath string
 	resume   bool
 	interval int
-	reorder  int
 }
 
 // resumableSink is the writer contract checkpointing needs: flushing to
@@ -485,22 +450,19 @@ type resumableSink interface {
 // file. With opt.resume the previous run's files are truncated to the
 // checkpointed offsets and the run continues exactly where the snapshot
 // was taken.
-func runCheckpointed(proc *core.Process, reader stream.Source, schema *stream.Schema, opt checkpointedRun) {
+func runCheckpointed(proc *core.Process, reader stream.Source, schema *stream.Schema, shape core.StreamSpec, opt checkpointedRun) {
 	if opt.outPath == "-" {
 		log.Fatal("-checkpoint requires a real -out file (offsets must be truncatable on resume)")
 	}
-	if opt.reorder > 1 {
-		log.Fatal("-checkpoint requires -reorder 1: checkpoints cannot cover tuples buffered in the reordering window")
-	}
 
-	var ckpt *core.Checkpoint
 	if opt.resume {
 		var err error
-		ckpt, err = core.ReadCheckpoint(opt.ckptPath)
+		shape.Resume, err = core.ReadCheckpoint(opt.ckptPath)
 		if err != nil {
 			log.Fatal(err)
 		}
 	}
+	ckpt := shape.Resume
 
 	outF := openResumable(opt.outPath, opt.resume, ckpt, "out_bytes")
 	defer outF.Close()
@@ -510,10 +472,11 @@ func runCheckpointed(proc *core.Process, reader stream.Source, schema *stream.Sc
 		defer logF.Close()
 	}
 
-	src, plog, ck, err := proc.RunStreamCheckpointed(reader, ckpt)
+	run, err := proc.Stream(reader, shape)
 	if err != nil {
 		log.Fatal(err)
 	}
+	src, plog, ck := run.Source, run.Log, run.Checkpointer
 
 	var sink resumableSink = csvio.NewWriter(outF, schema)
 	if opt.meta {
@@ -580,21 +543,7 @@ func runCheckpointed(proc *core.Process, reader stream.Source, schema *stream.Sc
 	if err := capture(); err != nil {
 		log.Fatal(err)
 	}
-	quarantined := 0
-	if dlq := ck.DeadLetters(); dlq != nil {
-		quarantined = dlq.Len()
-		if opt.deadOut != "" {
-			if err := writeDeadLetters(opt.deadOut, dlq.Letters()); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	errs := 0
-	if plog != nil {
-		errs = plog.Len()
-	}
-	log.Printf("streamed %d tuples (%d errors injected, %d quarantined, checkpoint %s)",
-		n, errs, quarantined, opt.ckptPath)
+	streamSummary(proc, plog, n, opt.deadOut, ", checkpoint "+opt.ckptPath)
 }
 
 // openResumable opens path for appending output. On resume the file is

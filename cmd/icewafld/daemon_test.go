@@ -313,6 +313,8 @@ func TestDaemonUsageErrors(t *testing.T) {
 		{"negative wal segment", append(base, "-wal-segment-bytes", "-1"), "-wal-segment-bytes must be positive"},
 		{"negative restart budget", append(base, "-restart-budget", "-1"), "-restart-budget must be positive"},
 		{"negative checkpoint every", append(base, "-checkpoint-every", "-1"), "-checkpoint-every must be positive"},
+		// The shape rules are core.StreamSpec's; the daemon surfaces them.
+		{"invalid shape", append(base, "-columnar", "-shards", "4", "-shard-key", "BPM"), "core: columnar execution is incompatible with shards > 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -16,7 +16,8 @@
 // -columnar-batch rows, one frame per sequence number — which clients
 // (netstream.ClientSource) transparently explode back into tuples. The
 // served stream is byte-identical to tuple-wise serving; only the frame
-// granularity changes. Incompatible with -shards and -checkpoint.
+// granularity changes. Which of -reorder, -shards, -columnar and
+// -checkpoint combine is core.StreamSpec's call.
 //
 // With -wal the replay ring is backed by a segmented, checksummed
 // write-ahead log: from_seq resume survives daemon restarts, and a
@@ -61,7 +62,6 @@ import (
 	"time"
 
 	"icewafl/internal/config"
-	"icewafl/internal/core"
 	"icewafl/internal/csvio"
 	"icewafl/internal/netstream"
 	"icewafl/internal/obs"
@@ -91,8 +91,7 @@ func main() {
 	replay := flag.Int("replay", 0, "frames retained per channel for late subscribers (default from serve block)")
 	reorder := flag.Int("reorder", 0, "bounded reordering window in tuples (default from serve block)")
 	shards := flag.Int("shards", 0, "partition the keyed hot path across N parallel workers (default from serve block, 1)")
-	shardKey := flag.String("shard-key", "", "attribute routing tuples to shards (default from serve block; required with shards > 1)")
-	shardOrder := flag.String("shard-order", "", "sharded merge order: strict or relaxed (default from serve block, strict)")
+	shardKey := flag.String("shard-key", "", "attribute routing tuples to shards (default from serve block)")
 	columnar := flag.Bool("columnar", false, "serve the dirty channel as columnar micro-batches (colbatch frames; default from serve block)")
 	columnarBatch := flag.Int("columnar-batch", 0, "rows per colbatch frame (default from serve block, 256)")
 	drain := flag.Duration("drain-timeout", 0, "graceful-drain bound on shutdown (default from serve block)")
@@ -253,9 +252,6 @@ func main() {
 	if *shardKey != "" {
 		spec.ShardKey = *shardKey
 	}
-	if *shardOrder != "" {
-		spec.ShardOrder = *shardOrder
-	}
 	if *columnar {
 		spec.Columnar = true
 	}
@@ -298,23 +294,10 @@ func main() {
 	if spec.Checkpoint != "" && spec.WALDir == "" {
 		fatalUsage("-checkpoint requires -wal (a checkpoint without a durable log cannot resume)")
 	}
-	if spec.Shards > 1 && spec.ShardKey == "" {
-		fatalUsage("-shards requires -shard-key (or serve.shard_key)")
-	}
-	if spec.Shards > 1 && spec.Checkpoint != "" {
-		fatalUsage("-shards is incompatible with -checkpoint; checkpoints cover the sequential path only")
-	}
-	if spec.Columnar && spec.Shards > 1 {
-		fatalUsage("-columnar is incompatible with -shards; the columnar engine is sequential")
-	}
-	if spec.Columnar && spec.Checkpoint != "" {
-		fatalUsage("-columnar is incompatible with -checkpoint; checkpoints cover the tuple-wise path only")
-	}
-	policy, err := netstream.ParsePolicy(spec.Policy)
-	if err != nil {
+	if err := spec.Shape().Validate(schema); err != nil {
 		fatalUsage("%v", err)
 	}
-	order, err := core.ParseOrderPolicy(spec.ShardOrder)
+	policy, err := netstream.ParsePolicy(spec.Policy)
 	if err != nil {
 		fatalUsage("%v", err)
 	}
@@ -360,7 +343,6 @@ func main() {
 		Reorder:       spec.Reorder,
 		Shards:        spec.Shards,
 		ShardKey:      spec.ShardKey,
-		ShardOrder:    order,
 		Columnar:      spec.Columnar,
 		ColumnarBatch: spec.ColumnarBatch,
 		Buffer:        spec.Buffer,

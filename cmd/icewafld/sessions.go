@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"icewafl/internal/config"
-	"icewafl/internal/core"
 	"icewafl/internal/csvio"
 	"icewafl/internal/netstream"
 	"icewafl/internal/obs"
@@ -81,10 +80,6 @@ func sessionBuilder(reg *obs.Registry) func(raw json.RawMessage) (netstream.Conf
 		if err != nil {
 			return netstream.Config{}, err
 		}
-		order, err := core.ParseOrderPolicy(ss.ShardOrder)
-		if err != nil {
-			return netstream.Config{}, err
-		}
 		drainTimeout, _ := time.ParseDuration(ss.DrainTimeout)
 		rWindow, _ := time.ParseDuration(ss.RestartWindow)
 		rBackoff, _ := time.ParseDuration(ss.RestartBackoff)
@@ -122,7 +117,6 @@ func sessionBuilder(reg *obs.Registry) func(raw json.RawMessage) (netstream.Conf
 			Reorder:       ss.Reorder,
 			Shards:        ss.Shards,
 			ShardKey:      ss.ShardKey,
-			ShardOrder:    order,
 			Columnar:      columnar,
 			ColumnarBatch: ss.ColumnarBatch,
 			Buffer:        ss.Buffer,

@@ -63,19 +63,15 @@ type ServeSpec struct {
 	// (default 64).
 	Reorder int `json:"reorder,omitempty"`
 	// Shards partitions the keyed pollution hot path across this many
-	// parallel workers (default 1 = sequential; > 1 requires shard_key
-	// and is incompatible with checkpoint).
+	// parallel workers (default 1 = sequential). Which combinations of
+	// reorder, shards, columnar and checkpoint are valid is
+	// core.StreamSpec's call.
 	Shards int `json:"shards,omitempty"`
-	// ShardKey names the attribute whose value routes tuples to shards
-	// (required when shards > 1).
+	// ShardKey names the attribute whose value routes tuples to shards.
 	ShardKey string `json:"shard_key,omitempty"`
-	// ShardOrder selects the sharded merge order: "strict"
-	// (byte-identical to sequential, the default) or "relaxed" (per-key
-	// order only).
-	ShardOrder string `json:"shard_order,omitempty"`
 	// Columnar serves the dirty channel as columnar micro-batches: the
 	// pipeline runs through the columnar engine and clients receive
-	// colbatch frames (incompatible with shards > 1 and checkpoint).
+	// colbatch frames.
 	Columnar bool `json:"columnar,omitempty"`
 	// ColumnarBatch caps the rows per colbatch frame (default 256).
 	ColumnarBatch int `json:"columnar_batch,omitempty"`
@@ -154,12 +150,17 @@ type TenantSpec struct {
 	MaxWALBytes int64 `json:"max_wal_bytes,omitempty"`
 }
 
+// Shape is the execution shape the block describes.
+func (s ServeSpec) Shape() core.StreamSpec {
+	return core.StreamSpec{Reorder: s.Reorder, Shards: s.Shards, ShardKey: s.ShardKey, Columnar: s.Columnar, Checkpoint: s.Checkpoint != ""}
+}
+
 // Normalize applies the documented defaults and validates the spec. It
 // is nil-safe: a nil spec yields the full default configuration.
 func (s *ServeSpec) Normalize() (ServeSpec, error) {
 	out := ServeSpec{
 		Listen: ":7077", Buffer: 256, Replay: 65536, Policy: "block",
-		Reorder: 64, Shards: 1, ShardOrder: "strict", DrainTimeout: "5s",
+		Reorder: 64, Shards: 1, DrainTimeout: "5s",
 		ColumnarBatch:   256,
 		CheckpointEvery: 256,
 		RestartBudget:   3, RestartWindow: "1m", RestartBackoff: "100ms",
@@ -204,24 +205,12 @@ func (s *ServeSpec) Normalize() (ServeSpec, error) {
 		out.Shards = s.Shards
 	}
 	out.ShardKey = s.ShardKey
-	if s.ShardOrder != "" {
-		if _, err := core.ParseOrderPolicy(s.ShardOrder); err != nil {
-			return out, fmt.Errorf("config: serve.shard_order: %w", err)
-		}
-		out.ShardOrder = s.ShardOrder
-	}
-	if out.Shards > 1 && out.ShardKey == "" {
-		return out, fmt.Errorf("config: serve.shards > 1 requires serve.shard_key")
-	}
 	out.Columnar = s.Columnar
 	if s.ColumnarBatch != 0 {
 		if s.ColumnarBatch < 1 {
 			return out, fmt.Errorf("config: serve.columnar_batch must be positive, got %d", s.ColumnarBatch)
 		}
 		out.ColumnarBatch = s.ColumnarBatch
-	}
-	if out.Columnar && out.Shards > 1 {
-		return out, fmt.Errorf("config: serve.columnar is incompatible with serve.shards > 1")
 	}
 	if s.DrainTimeout != "" {
 		d, err := time.ParseDuration(s.DrainTimeout)
@@ -260,11 +249,13 @@ func (s *ServeSpec) Normalize() (ServeSpec, error) {
 	if out.Checkpoint != "" && out.WALDir == "" {
 		return out, fmt.Errorf("config: serve.checkpoint requires serve.wal_dir (a checkpoint without a durable log cannot resume)")
 	}
-	if out.Checkpoint != "" && out.Shards > 1 {
-		return out, fmt.Errorf("config: serve.shards > 1 is incompatible with serve.checkpoint; checkpoints cover the sequential path only")
-	}
-	if out.Checkpoint != "" && out.Columnar {
-		return out, fmt.Errorf("config: serve.columnar is incompatible with serve.checkpoint; checkpoints cover the tuple-wise path only")
+	// The block's own statement of the execution shape must be valid. An
+	// unset reorder stays 0 here: the daemon's flags may still replace
+	// the default window before it validates the final shape.
+	shape := out.Shape()
+	shape.Reorder = s.Reorder
+	if err := shape.Validate(nil); err != nil {
+		return out, fmt.Errorf("config: serve: %w", err)
 	}
 	if s.CheckpointEvery != 0 {
 		if s.CheckpointEvery < 1 {

@@ -11,7 +11,7 @@ import (
 func TestServeSpecDefaults(t *testing.T) {
 	want := ServeSpec{
 		Listen: ":7077", Buffer: 256, Replay: 65536, Policy: "block",
-		Reorder: 64, Shards: 1, ShardOrder: "strict", DrainTimeout: "5s",
+		Reorder: 64, Shards: 1, DrainTimeout: "5s",
 		ColumnarBatch:   256,
 		CheckpointEvery: 256,
 		RestartBudget:   3, RestartWindow: "1m", RestartBackoff: "100ms",
@@ -45,7 +45,6 @@ func TestServeSpecOverridesAndValidation(t *testing.T) {
 		Reorder:      1,
 		Shards:       8,
 		ShardKey:     "sensor",
-		ShardOrder:   "relaxed",
 		DrainTimeout: "250ms",
 	}).Normalize()
 	if err != nil {
@@ -54,7 +53,7 @@ func TestServeSpecOverridesAndValidation(t *testing.T) {
 	want := ServeSpec{
 		Listen: ":9999", HTTP: ":9998", Buffer: 8, Replay: 1024,
 		Policy: "disconnect-slow", Reorder: 1, Shards: 8,
-		ShardKey: "sensor", ShardOrder: "relaxed", DrainTimeout: "250ms",
+		ShardKey: "sensor", DrainTimeout: "250ms",
 		ColumnarBatch: 256, CheckpointEvery: 256, RestartBudget: 3,
 		RestartWindow: "1m", RestartBackoff: "100ms",
 	}
@@ -71,12 +70,10 @@ func TestServeSpecOverridesAndValidation(t *testing.T) {
 		{ServeSpec{Policy: "bogus"}, "serve.policy"},
 		{ServeSpec{Reorder: -1}, "serve.reorder"},
 		{ServeSpec{Shards: -4}, "serve.shards"},
-		{ServeSpec{Shards: 4}, "serve.shard_key"},
-		{ServeSpec{Shards: 4, ShardKey: "sensor", ShardOrder: "chaotic"}, "serve.shard_order"},
-		{ServeSpec{Shards: 4, ShardKey: "sensor", WALDir: "d", Checkpoint: "ck.json"}, "sequential path"},
+		// The execution-shape rules live in core.StreamSpec (see its shape
+		// matrix test); this layer only has to surface core's verdict.
+		{ServeSpec{Columnar: true, Shards: 4, ShardKey: "sensor"}, "config: serve: core: columnar execution"},
 		{ServeSpec{ColumnarBatch: -1}, "serve.columnar_batch"},
-		{ServeSpec{Columnar: true, Shards: 4, ShardKey: "sensor"}, "serve.columnar"},
-		{ServeSpec{Columnar: true, WALDir: "d", Checkpoint: "ck.json"}, "serve.columnar"},
 		{ServeSpec{DrainTimeout: "fast"}, "serve.drain_timeout"},
 		{ServeSpec{DrainTimeout: "-1s"}, "serve.drain_timeout"},
 		{ServeSpec{WALSegmentBytes: -1}, "serve.wal_segment_bytes"},

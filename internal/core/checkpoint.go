@@ -666,7 +666,6 @@ func (s *StreamState) RestoreState(raw json.RawMessage) error {
 type Checkpointer struct {
 	input    *inputCounter
 	prepare  *stream.Prepare
-	firstID  uint64
 	pipeline *Pipeline
 	log      *Log
 	dlq      *stream.DeadLetterQueue
@@ -752,10 +751,9 @@ func (c *outputCounter) Next() (stream.Tuple, error) {
 	return t, err
 }
 
-// RunStreamCheckpointed executes the single-pipeline streaming workflow
-// with checkpoint support. It behaves like RunStream with reorderWindow
-// 1 (checkpoints require that no tuples are buffered between the
-// pipeline and the consumer, so bounded reordering is not supported) and
+// runStreamCheckpointed is the checkpointed runner behind Stream. It
+// behaves like RunStream with reorderWindow 1 (checkpoints require that
+// no tuples are buffered between the pipeline and the consumer) and
 // additionally returns a Checkpointer. Quarantine follows pr.Fault.
 //
 // With resume != nil the run continues from the snapshot: the first
@@ -764,28 +762,17 @@ func (c *outputCounter) Next() (stream.Tuple, error) {
 // component is restored — the concatenation of the interrupted run's
 // output (truncated to the checkpoint) and the resumed run's output is
 // byte-identical to an uninterrupted run.
-func (pr *Process) RunStreamCheckpointed(src stream.Source, resume *Checkpoint) (stream.Source, *Log, *Checkpointer, error) {
+func (pr *Process) runStreamCheckpointed(src stream.Source, resume *Checkpoint) (stream.Source, *Log, *Checkpointer, error) {
 	if len(pr.Pipelines) != 1 {
 		return nil, nil, nil, fmt.Errorf("core: checkpointed streaming supports exactly one pipeline, got %d", len(pr.Pipelines))
 	}
-	firstID := pr.FirstID
-	if firstID == 0 {
-		firstID = 1
-	}
-	// Per-run reset first, so a previous run's leftover state (frozen
-	// values, sticky holds, advanced RNG streams) never leaks into this
-	// one; with resume != nil the restore below then overwrites the
-	// pristine state with the checkpointed one.
-	pr.resetPipelines()
-	ck := &Checkpointer{pipeline: pr.Pipelines[0]}
+	ck := &Checkpointer{pipeline: pr.Pipelines[0], reg: pr.Obs}
+	var firstID uint64
 	if resume != nil {
 		if resume.Version != CheckpointVersion {
 			return nil, nil, nil, fmt.Errorf("core: checkpoint version %d, want %d", resume.Version, CheckpointVersion)
 		}
 		if err := skipInput(src, resume.TuplesIn); err != nil {
-			return nil, nil, nil, err
-		}
-		if err := RestorePipeline(pr.Pipelines[0], resume.Pipeline); err != nil {
 			return nil, nil, nil, err
 		}
 		firstID = resume.NextID
@@ -794,24 +781,18 @@ func (pr *Process) RunStreamCheckpointed(src stream.Source, resume *Checkpoint) 
 		ck.baseLog = resume.LogLen
 		ck.baseQuarantined = resume.Quarantined
 	}
-	log := pr.newLog()
-	dlq := pr.instrumentDLQ(pr.Fault.queue())
-	counted := &inputCounter{src: src}
-	var in stream.Source = stream.ObserveSource(counted, pr.Obs)
-	if pr.Fault.Quarantine {
-		in = stream.Quarantine(in, dlq, pr.Fault.MaxQuarantined)
+	ck.input = &inputCounter{src: src}
+	in := pr.openStream(ck.input, firstID)
+	if resume != nil {
+		// After the preamble's per-run reset, so the restore overwrites
+		// pristine state with the checkpointed one.
+		if err := RestorePipeline(pr.Pipelines[0], resume.Pipeline); err != nil {
+			return nil, nil, nil, err
+		}
 	}
-	prep := stream.NewPrepare(in, firstID)
-	runner := &streamRunner{src: prep, p: pr.Pipelines[0], log: log, fault: pr.Fault, dlq: dlq, reg: pr.Obs, trace: pr.Obs.TraceEnabled(), tap: pr.CleanTap}
-	out := &outputCounter{src: runner}
-	ck.input = counted
-	ck.prepare = prep
-	ck.firstID = firstID
-	ck.log = log
-	ck.dlq = dlq
-	ck.out = out
-	ck.reg = pr.Obs
-	return out, log, ck, nil
+	ck.prepare, ck.log, ck.dlq = in.prep, in.log, in.dlq
+	ck.out = &outputCounter{src: pr.fusedRunner(in)}
+	return ck.out, in.log, ck, nil
 }
 
 // skipInput advances src past n raw tuples; tuple-level failures count

@@ -100,7 +100,7 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 
 	// Reference: uninterrupted run.
 	refProc := ckptProcess(seed)
-	refSrc, refLog, _, err := refProc.RunStreamCheckpointed(ckptSource(schema, n), nil)
+	refSrc, refLog, _, err := refProc.runStreamCheckpointed(ckptSource(schema, n), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("kill-at-%d", kill), func(t *testing.T) {
 			// Phase 1: run until "killed" after `kill` emitted tuples.
 			proc1 := ckptProcess(seed)
-			src1, log1, ck1, err := proc1.RunStreamCheckpointed(ckptSource(schema, n), nil)
+			src1, log1, ck1, err := proc1.runStreamCheckpointed(ckptSource(schema, n), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 
 			// Phase 2: a NEW process (no shared memory) resumes.
 			proc2 := ckptProcess(seed)
-			src2, log2, ck2, err := proc2.RunStreamCheckpointed(ckptSource(schema, n), loaded)
+			src2, log2, ck2, err := proc2.runStreamCheckpointed(ckptSource(schema, n), loaded)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +217,7 @@ func TestCheckpointVersionMismatch(t *testing.T) {
 		t.Error("version mismatch accepted")
 	}
 	proc := ckptProcess(1)
-	if _, _, _, err := proc.RunStreamCheckpointed(ckptSource(ckptSchema(), 1), c); err == nil {
+	if _, _, _, err := proc.runStreamCheckpointed(ckptSource(ckptSchema(), 1), c); err == nil {
 		t.Error("resume with wrong version accepted")
 	}
 }
@@ -311,7 +311,7 @@ func TestStreamingQuarantine(t *testing.T) {
 		FirstID:   1,
 		Fault:     FaultPolicy{Quarantine: true},
 	}
-	src, _, ck, err := proc.RunStreamCheckpointed(ckptSource(schema, 100), nil)
+	src, _, ck, err := proc.runStreamCheckpointed(ckptSource(schema, 100), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestCheckpointedQuarantineCountsInput(t *testing.T) {
 
 	proc1 := ckptProcess(7)
 	proc1.Fault = FaultPolicy{Quarantine: true}
-	src1, _, ck1, err := proc1.RunStreamCheckpointed(mkReader(), nil)
+	src1, _, ck1, err := proc1.runStreamCheckpointed(mkReader(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestCheckpointedQuarantineCountsInput(t *testing.T) {
 
 	proc2 := ckptProcess(7)
 	proc2.Fault = FaultPolicy{Quarantine: true}
-	src2, _, ck2, err := proc2.RunStreamCheckpointed(mkReader(), ckpt)
+	src2, _, ck2, err := proc2.runStreamCheckpointed(mkReader(), ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,8 +49,7 @@ type ColumnarOptions struct {
 	// loaned tuples: the buffer of the previously emitted tuple is
 	// recycled on the following Next call, so steady-state emission
 	// allocates nothing. Consumers must not retain emitted tuples
-	// across pulls (Drain must clone; see stream.FromColumnBatches for
-	// the same contract).
+	// across pulls (Drain must clone).
 	Pool *stream.TuplePool
 }
 
@@ -215,9 +214,8 @@ func compileColumnarPlan(p *Pipeline, schema *stream.Schema, quarantine bool) (s
 // RunStream but over columnar micro-batches. The emitted stream, the
 // pollution log, the dead-letter queue and the observability counter
 // totals are byte-identical to RunStream over the same source; only
-// throughput differs. The wrapper chain mirrors RunStream exactly:
-// source observation → optional quarantine → preparation → pollution →
-// optional bounded reorder.
+// throughput differs. The wrapper chain is RunStream's (openStream →
+// pollution → optional bounded reorder).
 //
 // When the raw source implements stream.ColumnBatchReader and
 // quarantine is off, ingest is batch-native: rows decode straight into
@@ -231,13 +229,8 @@ func (pr *Process) RunStreamColumnar(src stream.Source, reorderWindow int) (stre
 	if len(pr.Pipelines) != 1 {
 		return nil, nil, fmt.Errorf("core: columnar streaming mode supports exactly one pipeline, got %d", len(pr.Pipelines))
 	}
-	pr.resetPipelines()
-	firstID := pr.FirstID
-	if firstID == 0 {
-		firstID = 1
-	}
-	log := pr.newLog()
-	dlq := pr.instrumentDLQ(pr.Fault.queue())
+	in := pr.openStream(src, 0)
+	log := in.log
 	schema := src.Schema()
 	batchSize := pr.Columnar.Batch
 	if batchSize <= 0 {
@@ -253,13 +246,14 @@ func (pr *Process) RunStreamColumnar(src stream.Source, reorderWindow int) (stre
 
 	runner := &columnarRunner{
 		schema:    schema,
+		src:       in.prep,
 		steps:     steps,
 		rowWise:   collapse != "",
 		trace:     pr.Obs.TraceEnabled(),
 		p:         pr.Pipelines[0],
 		log:       log,
 		fault:     pr.Fault,
-		dlq:       dlq,
+		dlq:       in.dlq,
 		reg:       pr.Obs,
 		tap:       pr.CleanTap,
 		batchSize: batchSize,
@@ -267,23 +261,14 @@ func (pr *Process) RunStreamColumnar(src stream.Source, reorderWindow int) (stre
 		pool:      pr.Columnar.Pool,
 		loan:      pr.Columnar.Pool != nil && reorderWindow <= 1,
 	}
-
-	var in stream.Source = stream.ObserveSource(src, pr.Obs)
-	if pr.Fault.Quarantine {
-		in = stream.Quarantine(in, dlq, pr.Fault.MaxQuarantined)
-	}
-	runner.src = stream.NewPrepare(in, firstID)
 	if cbr, ok := src.(stream.ColumnBatchReader); ok && !pr.Fault.Quarantine {
 		// Batch-native ingest replicates the wrapper chain's per-row
 		// effects (source counting, ID/τ/arrival assignment) itself.
 		runner.batchSrc = cbr
-		runner.nextID = firstID
+		runner.nextID = in.prep.NextID()
 		runner.tsIdx = schema.TimestampIndex()
 	}
-	if reorderWindow > 1 {
-		return stream.NewBoundedReorder(runner, reorderWindow), log, nil
-	}
-	return runner, log, nil
+	return reordered(runner, reorderWindow), log, nil
 }
 
 // columnarRunner is the fused batch-fill → pollute → emit operator of

@@ -688,9 +688,18 @@ func TestColumnarDiffCleanTap(t *testing.T) {
 func TestColumnarDiffBatchNativeIngest(t *testing.T) {
 	seed := int64(47)
 	batched := func() stream.Source {
-		batches, err := stream.BatchColumnar(diffSource(diffSchema(), seed, 230), 37)
+		tuples, err := stream.Drain(diffSource(diffSchema(), seed, 230))
 		if err != nil {
 			t.Fatal(err)
+		}
+		var batches []*stream.ColumnBatch
+		for i, tup := range tuples {
+			if i%37 == 0 {
+				batches = append(batches, stream.NewColumnBatch(diffSchema(), 37))
+			}
+			if err := batches[i/37].AppendTuple(tup); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return stream.NewBatchSliceReader(diffSchema(), batches)
 	}

@@ -87,23 +87,6 @@ type Process struct {
 	CleanTap func(stream.Tuple)
 }
 
-// newLog returns a fresh pollution log wired into the process's
-// registry (nil when logging is disabled).
-func (pr *Process) newLog() *Log {
-	if pr.DisableLog {
-		return nil
-	}
-	l := NewLog()
-	l.Obs = pr.Obs
-	return l
-}
-
-// instrumentDLQ wires a run's dead-letter queue into the registry.
-func (pr *Process) instrumentDLQ(dlq *stream.DeadLetterQueue) *stream.DeadLetterQueue {
-	dlq.Instrument(pr.Obs)
-	return dlq
-}
-
 // Result is the output of one pollution run.
 type Result struct {
 	// Clean is the prepared input stream D (nil unless KeepClean).
@@ -140,24 +123,13 @@ func (pr *Process) RunContext(ctx context.Context, src stream.Source) (*Result, 
 	if m == 0 {
 		return nil, fmt.Errorf("core: process needs at least one pipeline")
 	}
-	pr.resetPipelines()
-	firstID := pr.FirstID
-	if firstID == 0 {
-		firstID = 1
-	}
-	dlq := pr.instrumentDLQ(pr.Fault.queue())
-
 	// Step 1: prepare and materialise. Materialising the prepared stream
 	// keeps the clean copy D and feeds the sub-stream extraction. With
 	// quarantine enabled, malformed input rows become dead letters
-	// instead of aborting the run. Source observation sits between the
-	// raw source and the quarantine wrapper so tuple-level failures are
-	// counted as source errors before they become dead letters.
-	var in stream.Source = stream.ObserveSource(stream.WithContext(ctx, src), pr.Obs)
-	if pr.Fault.Quarantine {
-		in = stream.Quarantine(in, dlq, pr.Fault.MaxQuarantined)
-	}
-	prepared, err := stream.Drain(stream.NewPrepare(in, firstID))
+	// instead of aborting the run.
+	in := pr.openStream(stream.WithContext(ctx, src), 0)
+	dlq := in.dlq
+	prepared, err := stream.Drain(in.prep)
 	if err != nil {
 		return nil, fmt.Errorf("core: prepare: %w", err)
 	}
@@ -303,98 +275,75 @@ func deadLetterFor(t stream.Tuple, stage string, cause error) stream.DeadLetter 
 	return d
 }
 
-// RunStream executes the single-pipeline workflow in a streaming fashion:
-// prepared tuples flow through the pipeline one by one and are re-ordered
-// only within a bounded window, so unbounded sources work with constant
-// memory. Only m = 1 is supported in streaming mode; dropped tuples are
-// filtered out. The returned log is nil when DisableLog is set.
+// RunStream executes the workflow in a streaming fashion — the
+// constant-memory analogue of Run for unbounded sources, and the
+// reference engine every other execution shape is compared against.
+// With one pipeline, prepared tuples flow through it one by one and are
+// re-ordered only within a bounded window. With m > 1 the prepared
+// stream is split into the m (possibly overlapping) sub-streams, each
+// flows through its pipeline tuple-wise, is re-sorted within the window,
+// and the sub-streams are merged with a k-way merge. Dropped tuples are
+// filtered out. The returned log is nil when DisableLog is set and only
+// complete once the returned source is exhausted.
 //
 // Streaming mode pollutes tuples in place, taking ownership of whatever
 // the source emits. Readers and generators mint a fresh tuple per Next
 // call and are safe; to stream over a shared []Tuple slice whose contents
 // must survive, clone in a Map stage first (batch Run does this for you).
 func (pr *Process) RunStream(src stream.Source, reorderWindow int) (stream.Source, *Log, error) {
-	if len(pr.Pipelines) != 1 {
-		return nil, nil, fmt.Errorf("core: streaming mode supports exactly one pipeline, got %d", len(pr.Pipelines))
-	}
-	pr.resetPipelines()
-	firstID := pr.FirstID
-	if firstID == 0 {
-		firstID = 1
-	}
-	log := pr.newLog()
-	// Streaming mode takes ownership of the source's tuples: sources
-	// produce a fresh tuple per Next call, so in-place pollution is safe
-	// and the per-tuple clone of batch mode is unnecessary. Preparation,
-	// pollution and drop-filtering are fused into one operator to keep
-	// the per-tuple cost minimal.
-	dlq := pr.instrumentDLQ(pr.Fault.queue())
-	var in stream.Source = stream.ObserveSource(src, pr.Obs)
-	if pr.Fault.Quarantine {
-		in = stream.Quarantine(in, dlq, pr.Fault.MaxQuarantined)
-	}
-	polluted := &streamRunner{src: stream.NewPrepare(in, firstID), p: pr.Pipelines[0], log: log, fault: pr.Fault, dlq: dlq, reg: pr.Obs, trace: pr.Obs.TraceEnabled(), tap: pr.CleanTap}
-	if reorderWindow > 1 {
-		return stream.NewBoundedReorder(polluted, reorderWindow), log, nil
-	}
-	return polluted, log, nil
-}
-
-// RunStreamMulti executes the full m-pipeline workflow in streaming
-// fashion: the prepared stream is split into the m (possibly
-// overlapping) sub-streams, each flows through its pipeline tuple-wise,
-// is re-sorted within a bounded window, and the sub-streams are merged
-// with a k-way merge — the constant-memory analogue of Run for unbounded
-// sources. Logging follows DisableLog; the merged log is only complete
-// once the returned source is exhausted.
-func (pr *Process) RunStreamMulti(src stream.Source, reorderWindow int) (stream.Source, *Log, error) {
 	m := len(pr.Pipelines)
 	if m == 0 {
 		return nil, nil, fmt.Errorf("core: process needs at least one pipeline")
 	}
+	in := pr.openStream(src, 0)
 	if m == 1 {
-		return pr.RunStream(src, reorderWindow)
-	}
-	pr.resetPipelines()
-	firstID := pr.FirstID
-	if firstID == 0 {
-		firstID = 1
+		return reordered(pr.fusedRunner(in), reorderWindow), in.log, nil
 	}
 	route := pr.Route
 	if route == nil {
 		route = stream.RouteAll
 	}
-	log := pr.newLog()
-	dlq := pr.instrumentDLQ(pr.Fault.queue())
-	var in stream.Source = stream.ObserveSource(src, pr.Obs)
-	if pr.Fault.Quarantine {
-		in = stream.Quarantine(in, dlq, pr.Fault.MaxQuarantined)
-	}
-	var prep stream.Source = stream.NewPrepare(in, firstID)
-	if pr.CleanTap != nil {
-		prep = &tapSource{src: prep, tap: pr.CleanTap}
-	}
-	subs := stream.Split(prep, m, route)
+	subs := stream.Split(pr.tapped(in.prep), m, route)
 	branches := make([]stream.Source, m)
 	for i := range subs {
-		runner := &subStreamRunner{src: subs[i], p: pr.Pipelines[i], log: log, sub: i, fault: pr.Fault, dlq: dlq, reg: pr.Obs, trace: pr.Obs.TraceEnabled()}
-		if reorderWindow > 1 {
-			branches[i] = stream.NewBoundedReorder(runner, reorderWindow)
-		} else {
-			branches[i] = runner
-		}
+		branches[i] = reordered(&subStreamRunner{src: subs[i], p: pr.Pipelines[i], log: in.log, sub: i, fault: pr.Fault, dlq: in.dlq, reg: pr.Obs, trace: pr.Obs.TraceEnabled()}, reorderWindow)
 	}
 	merged, err := stream.NewKWayMerge(branches)
 	if err != nil {
 		return nil, nil, err
 	}
-	return merged, log, nil
+	return merged, in.log, nil
+}
+
+// fusedRunner builds the single-pipeline operator over the preamble's
+// input: preparation, pollution and drop-filtering are fused to keep
+// the per-tuple cost minimal.
+func (pr *Process) fusedRunner(in streamInput) *streamRunner {
+	return &streamRunner{src: in.prep, p: pr.Pipelines[0], log: in.log, fault: pr.Fault, dlq: in.dlq, reg: pr.Obs, trace: pr.Obs.TraceEnabled(), tap: pr.CleanTap}
+}
+
+// reordered wraps a runner in the bounded reordering window, when one is
+// asked for.
+func reordered(src stream.Source, window int) stream.Source {
+	if window > 1 {
+		return stream.NewBoundedReorder(src, window)
+	}
+	return src
+}
+
+// tapped interposes Process.CleanTap on the prepared stream for the
+// runners that do not fuse the tap into their operator (multi-pipeline,
+// where it must observe the prepared stream before Split fans it out,
+// and sharded).
+func (pr *Process) tapped(prep stream.Source) stream.Source {
+	if pr.CleanTap == nil {
+		return prep
+	}
+	return &tapSource{src: prep, tap: pr.CleanTap}
 }
 
 // tapSource forwards its inner source unchanged while handing a clone of
-// every tuple to the tap (Process.CleanTap for multi-pipeline streaming,
-// where the tap must observe the prepared stream before Split fans it
-// out, not the per-sub-stream copies).
+// every tuple to the tap.
 type tapSource struct {
 	src stream.Source
 	tap func(stream.Tuple)

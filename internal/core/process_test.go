@@ -392,13 +392,6 @@ func TestRunStreamMatchesBatch(t *testing.T) {
 	}
 }
 
-func TestRunStreamRejectsMultiplePipelines(t *testing.T) {
-	proc := &Process{Pipelines: []*Pipeline{NewPipeline(), NewPipeline()}}
-	if _, _, err := proc.RunStream(procSource(procSchema(), 1), 1); err == nil {
-		t.Fatal("streaming mode accepted m > 1")
-	}
-}
-
 func TestLogQueriesAndSerialisation(t *testing.T) {
 	l := NewLog()
 	base := time.Date(2020, 1, 1, 5, 0, 0, 0, time.UTC)
@@ -448,7 +441,7 @@ func TestNilLogIsSafe(t *testing.T) {
 	}
 }
 
-func TestRunStreamMultiMatchesBatch(t *testing.T) {
+func TestRunStreamSubStreamsMatchBatch(t *testing.T) {
 	s := procSchema()
 	mk := func() []*Pipeline {
 		return []*Pipeline{
@@ -464,7 +457,7 @@ func TestRunStreamMultiMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	streamProc := &Process{Pipelines: mk(), Route: stream.RouteRoundRobin()}
-	out, log, err := streamProc.RunStreamMulti(procSource(s, 200), 1)
+	out, log, err := streamProc.RunStream(procSource(s, 200), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +489,7 @@ func TestRunStreamMultiMatchesBatch(t *testing.T) {
 	}
 }
 
-func TestRunStreamMultiWithOverlapAndDelay(t *testing.T) {
+func TestRunStreamSubStreamsWithOverlapAndDelay(t *testing.T) {
 	s := procSchema()
 	pipes := []*Pipeline{
 		NewPipeline(NewStandard("delay", DelayTuple{Delay: 2 * time.Hour},
@@ -504,7 +497,7 @@ func TestRunStreamMultiWithOverlapAndDelay(t *testing.T) {
 		NewPipeline(), // pass-through copy
 	}
 	proc := &Process{Pipelines: pipes, Route: stream.RouteAll}
-	out, _, err := proc.RunStreamMulti(procSource(s, 10), 8)
+	out, _, err := proc.RunStream(procSource(s, 10), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,9 +515,9 @@ func TestRunStreamMultiWithOverlapAndDelay(t *testing.T) {
 	}
 }
 
-func TestRunStreamMultiNoPipelines(t *testing.T) {
+func TestRunStreamNoPipelines(t *testing.T) {
 	proc := &Process{}
-	if _, _, err := proc.RunStreamMulti(procSource(procSchema(), 1), 1); err == nil {
+	if _, _, err := proc.RunStream(procSource(procSchema(), 1), 1); err == nil {
 		t.Fatal("empty process accepted")
 	}
 }

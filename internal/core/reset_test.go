@@ -60,7 +60,7 @@ func TestRunTwiceByteIdentical(t *testing.T) {
 		return csv, logJSON
 	}
 	runCheckpointed := func(pr *Process) ([]byte, []byte) {
-		src, log, _, err := pr.RunStreamCheckpointed(ckptSource(schema, n), nil)
+		src, log, _, err := pr.runStreamCheckpointed(ckptSource(schema, n), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

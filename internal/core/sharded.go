@@ -54,55 +54,10 @@ import (
 // sequence order), reaches B's first, and by then has emptied the very
 // ring B is blocked on. No cycle, bounded memory.
 
-// OrderPolicy selects how the sharded merger orders its output.
-type OrderPolicy int
-
-const (
-	// OrderStrict re-emits tuples, log entries and dead letters in
-	// exactly the prepared input order: output is byte-identical to the
-	// sequential run. This is the default.
-	OrderStrict OrderPolicy = iota
-	// OrderRelaxed preserves per-shard — and therefore per-key — order
-	// but lets shards interleave arbitrarily: the output is the same
-	// deterministic multiset of tuples, log entries and dead letters,
-	// not the same sequence. It removes the sequence-merge stall when
-	// one shard runs long, for callers that key their downstream
-	// processing and don't need byte-identical output. Relaxed mode
-	// ignores the reorder window: relaxed output already abandons
-	// global order, so re-sorting an arbitrary shard interleaving by
-	// arrival would neither restore the sequential sequence nor
-	// preserve any other meaningful one (and would let buffered tuples
-	// outlive any bounded arena-recycling margin).
-	OrderRelaxed
-)
-
-// String renders the policy as its flag spelling.
-func (o OrderPolicy) String() string {
-	switch o {
-	case OrderStrict:
-		return "strict"
-	case OrderRelaxed:
-		return "relaxed"
-	default:
-		return fmt.Sprintf("OrderPolicy(%d)", int(o))
-	}
-}
-
-// ParseOrderPolicy parses an OrderPolicy flag value; the empty string
-// means strict.
-func ParseOrderPolicy(s string) (OrderPolicy, error) {
-	switch s {
-	case "", "strict":
-		return OrderStrict, nil
-	case "relaxed":
-		return OrderRelaxed, nil
-	default:
-		return 0, fmt.Errorf("core: unknown order policy %q (want strict or relaxed)", s)
-	}
-}
-
-// ShardConfig configures RunStreamSharded.
-type ShardConfig struct {
+// shardConfig configures runStreamSharded. Stream sets KeyAttr and
+// Shards from the spec and always runs in arena mode; the remaining
+// knobs exist for the in-package property suites.
+type shardConfig struct {
 	// KeyAttr names the attribute whose value routes tuples to shards.
 	// It should match the KeyAttr of the pipeline's keyed polluters.
 	KeyAttr string
@@ -116,9 +71,6 @@ type ShardConfig struct {
 	// streams. Nil is allowed when the process pipeline consists only of
 	// KeyedPolluters, which shard automatically.
 	NewPipeline func(shard int) *Pipeline
-	// Order selects strict (byte-identical to sequential, the default)
-	// or relaxed (per-key order only) merge order.
-	Order OrderPolicy
 	// BatchSize is the number of tuples per ring handoff (default 128).
 	// Larger batches amortise the fan-out/fan-in synchronisation
 	// further at the cost of latency and per-shard memory.
@@ -133,27 +85,22 @@ type ShardConfig struct {
 	// taking ownership of the source's buffers, eliminating both the
 	// per-tuple clone allocation and cross-shard freelist contention.
 	// Emitted tuples are loans — the consumer must be done with a tuple
-	// before its next Next call (stream.Copy and the CLI sinks are;
-	// buffering consumers must Clone).
+	// before its next Next call.
 	Arena bool
 }
 
-// RunStreamSharded executes the single-pipeline streaming workflow with
-// the keyed hot path partitioned across cfg.Shards workers. Semantics
-// match RunStream exactly — same output, same pollution log, same
-// dead-letter order — with one deliberate difference: without
-// quarantine, a panicking pipeline surfaces as a fatal stream error
-// instead of a panic (a panic must not escape a shard goroutine), and
-// the output is truncated at exactly the failing tuple's position, as
-// the sequential run would truncate it. reorderWindow applies in
-// strict order only and is ignored under OrderRelaxed (see
-// OrderRelaxed). Checkpointing is not supported in sharded mode; use
-// RunStreamCheckpointed on the sequential path instead.
-func (pr *Process) RunStreamSharded(src stream.Source, reorderWindow int, cfg ShardConfig) (stream.Source, *Log, error) {
+// runStreamSharded is the sharded runner behind Stream: the
+// single-pipeline streaming workflow with the keyed hot path partitioned
+// across cfg.Shards workers. Semantics match RunStream exactly — same
+// output, same pollution log, same dead-letter order — with one
+// deliberate difference: without quarantine, a panicking pipeline
+// surfaces as a fatal stream error instead of a panic (a panic must not
+// escape a shard goroutine), and the output is truncated at exactly the
+// failing tuple's position, as the sequential run would truncate it.
+func (pr *Process) runStreamSharded(src stream.Source, reorderWindow int, cfg shardConfig) (stream.Source, *Log, error) {
 	if len(pr.Pipelines) != 1 && cfg.NewPipeline == nil {
 		return nil, nil, fmt.Errorf("core: sharded streaming supports exactly one pipeline, got %d", len(pr.Pipelines))
 	}
-	pr.resetPipelines()
 	if cfg.Shards <= 1 {
 		// Shared sequential code path: the sharded runner at 1 shard IS
 		// RunStream, so the fault/rollback behaviour cannot diverge.
@@ -179,15 +126,11 @@ func (pr *Process) RunStreamSharded(src stream.Source, reorderWindow int, cfg Sh
 		var ok bool
 		newPipeline, ok = keyedFactory(pr.Pipelines[0])
 		if !ok {
-			return nil, nil, fmt.Errorf("core: sharded streaming needs ShardConfig.NewPipeline unless every polluter is keyed")
+			return nil, nil, fmt.Errorf("core: sharded streaming needs a pipeline factory unless every polluter is keyed")
 		}
 	}
-	if cfg.KeyAttr == "" {
-		return nil, nil, fmt.Errorf("core: sharded streaming needs ShardConfig.KeyAttr")
-	}
-	keyIdx := src.Schema().Index(cfg.KeyAttr)
-	if keyIdx < 0 {
-		return nil, nil, fmt.Errorf("core: shard key attribute %q not in schema", cfg.KeyAttr)
+	if err := (StreamSpec{Shards: cfg.Shards, ShardKey: cfg.KeyAttr}).Validate(src.Schema()); err != nil {
+		return nil, nil, err
 	}
 	batch := cfg.BatchSize
 	if batch <= 0 {
@@ -201,47 +144,30 @@ func (pr *Process) RunStreamSharded(src stream.Source, reorderWindow int, cfg Sh
 	if depth < 2 {
 		depth = 2
 	}
-	firstID := pr.FirstID
-	if firstID == 0 {
-		firstID = 1
-	}
-	// The merged log deliberately carries no registry: its entries are
-	// recorded (and counted) by the per-worker scratch logs and appended
-	// here by the merger, so attaching the registry twice would double
-	// count.
-	var log *Log
-	if !pr.DisableLog {
-		log = NewLog()
-	}
-	dlq := pr.instrumentDLQ(pr.Fault.queue())
-	pr.Obs.SetShards(cfg.Shards)
-	var in stream.Source = stream.ObserveSource(src, pr.Obs)
-	if pr.Fault.Quarantine {
-		in = stream.Quarantine(in, dlq, pr.Fault.MaxQuarantined)
-	}
 	pipes := make([]*Pipeline, cfg.Shards)
 	for i := range pipes {
 		pipes[i] = newPipeline(i)
 		if pipes[i] == nil {
-			return nil, nil, fmt.Errorf("core: ShardConfig.NewPipeline returned nil for shard %d", i)
+			return nil, nil, fmt.Errorf("core: shard pipeline factory returned nil for shard %d", i)
 		}
 	}
-	var prep stream.Source = stream.NewPrepare(in, firstID)
-	if pr.CleanTap != nil {
-		prep = &tapSource{src: prep, tap: pr.CleanTap}
+	in := pr.openStream(src, 0)
+	if in.log != nil {
+		// The merged log deliberately carries no registry: its entries are
+		// recorded (and counted) by the per-worker scratch logs and
+		// appended here by the merger, so attaching the registry twice
+		// would double count.
+		in.log.Obs = nil
 	}
-	// The reorder window applies in strict mode only: relaxed output
-	// abandons global order, so partially re-sorting the shard
-	// interleaving by arrival is meaningless (see OrderRelaxed).
-	wrapped := cfg.Order != OrderRelaxed && reorderWindow > 1
+	pr.Obs.SetShards(cfg.Shards)
+	wrapped := reorderWindow > 1
 	sh := &shardedSource{
-		src:    prep,
+		src:    pr.tapped(in.prep),
 		schema: src.Schema(),
 		pipes:  pipes,
-		keyIdx: keyIdx,
+		keyIdx: src.Schema().Index(cfg.KeyAttr),
 		batch:  batch,
 		depth:  depth,
-		order:  cfg.Order,
 		arena:  cfg.Arena,
 		width:  src.Schema().Len(),
 		// An arena batch may be reused only after the consumer can no
@@ -252,16 +178,13 @@ func (pr *Process) RunStreamSharded(src stream.Source, reorderWindow int, cfg Sh
 		// later arrivals stream past it), so under a reorder window
 		// retired batches are left to the GC instead of recycled.
 		recycle: !wrapped,
-		log:     log,
+		log:     in.log,
 		fault:   pr.Fault,
-		dlq:     dlq,
+		dlq:     in.dlq,
 		reg:     pr.Obs,
 		trace:   pr.Obs.TraceEnabled(),
 	}
-	if wrapped {
-		return stream.NewBoundedReorder(sh, reorderWindow), log, nil
-	}
-	return sh, log, nil
+	return reordered(sh, reorderWindow), in.log, nil
 }
 
 // keyedFactory derives a per-shard pipeline factory from a prototype
@@ -344,7 +267,6 @@ type shardedSource struct {
 	keyIdx  int
 	batch   int
 	depth   int
-	order   OrderPolicy
 	arena   bool
 	width   int
 	recycle bool // arena batches may be recycled (no reorder buffer downstream)
@@ -369,7 +291,6 @@ type shardedSource struct {
 	finished []bool
 	nFin     int
 	nextSeq  uint64
-	rr       int // relaxed-order round-robin cursor
 	emitted  uint64
 	retired  []retiredBatch
 	err      error
@@ -422,7 +343,7 @@ func (s *shardedSource) grab(shard int) *shardBatch {
 // feed routes prepared tuples into per-shard batch accumulators and
 // dispatches full batches to the workers. Accumulators are flushed
 // oldest-first by their first pending sequence number — the invariant
-// the strict merge's deadlock-freedom rests on (see the file comment).
+// the merge's deadlock-freedom rests on (see the file comment).
 func (s *shardedSource) feed() {
 	defer s.wg.Done()
 	n := len(s.pipes)
@@ -602,13 +523,11 @@ func (s *shardedSource) pollute(pipe *Pipeline, b *shardBatch, scratch *Log) boo
 	return false
 }
 
-// Next implements stream.Source: the merge. In strict mode it restores
-// prepared order by scanning the <= Shards current batch heads for the
-// next sequence number (each prepared seq is owned by exactly one
-// shard and per-shard output is seq-ordered, so the scan is exact); in
-// relaxed mode it drains whichever shards have output, preserving
-// per-shard order only. Either way it appends the per-tuple log
-// entries and dead letters in emission order, filters dropped and
+// Next implements stream.Source: the merge. It restores prepared order
+// by scanning the <= Shards current batch heads for the next sequence
+// number (each prepared seq is owned by exactly one shard and per-shard
+// output is seq-ordered, so the scan is exact), appends the per-tuple
+// log entries and dead letters in emission order, filters dropped and
 // quarantined tuples, and — after the first fatal error — consistently
 // returns that error.
 func (s *shardedSource) Next() (stream.Tuple, error) {
@@ -627,16 +546,7 @@ func (s *shardedSource) Next() (stream.Tuple, error) {
 			return stream.Tuple{}, io.EOF
 		}
 		progress := s.advance()
-		var (
-			t        stream.Tuple
-			emitted  bool
-			consumed bool
-		)
-		if s.order == OrderRelaxed {
-			t, emitted, consumed = s.serveRelaxed()
-		} else {
-			t, emitted, consumed = s.serveStrict()
-		}
+		t, emitted, consumed := s.serve()
 		if emitted {
 			return t, nil
 		}
@@ -696,10 +606,10 @@ func (s *shardedSource) advance() bool {
 	return progress
 }
 
-// serveStrict consumes the item carrying the next sequence number, if
-// it is available. Returns the tuple (when one was emitted), whether a
+// serve consumes the item carrying the next sequence number, if it is
+// available. Returns the tuple (when one was emitted), whether a
 // tuple was emitted, and whether any item was consumed.
-func (s *shardedSource) serveStrict() (stream.Tuple, bool, bool) {
+func (s *shardedSource) serve() (stream.Tuple, bool, bool) {
 	for sh := range s.cur {
 		b := s.cur[sh]
 		if b == nil {
@@ -713,29 +623,6 @@ func (s *shardedSource) serveStrict() (stream.Tuple, bool, bool) {
 		} else if b.err != nil && b.errSeq == s.nextSeq {
 			// Every sequence number below the failure has been
 			// emitted; surface the error at exactly its position.
-			s.fail(b.err)
-			return stream.Tuple{}, false, true
-		}
-	}
-	return stream.Tuple{}, false, false
-}
-
-// serveRelaxed consumes from whichever shard has output, preferring to
-// finish the current shard's batch for locality.
-func (s *shardedSource) serveRelaxed() (stream.Tuple, bool, bool) {
-	n := len(s.cur)
-	for k := 0; k < n; k++ {
-		sh := (s.rr + k) % n
-		b := s.cur[sh]
-		if b == nil {
-			continue
-		}
-		if s.pos[sh] < len(b.items) {
-			s.rr = sh
-			t, ok := s.consume(sh)
-			return t, ok, true
-		}
-		if b.err != nil {
 			s.fail(b.err)
 			return stream.Tuple{}, false, true
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -14,17 +13,17 @@ import (
 
 // Adversarial coverage of the SPSC batch handoff and sequence merge:
 // key skew (every tuple on one shard), empty input, one-tuple batches,
-// relaxed-order mode, and the arena clone path.
+// and the arena clone path.
 
 // runShardedWith runs a keyed pipeline factory with an explicit
-// ShardConfig and returns the rendered output and log.
-func runShardedWith(t *testing.T, factory func(int) *Pipeline, n, keys, reorder int, cfg ShardConfig) (string, string) {
+// shardConfig and returns the rendered output and log.
+func runShardedWith(t *testing.T, factory func(int) *Pipeline, n, keys, reorder int, cfg shardConfig) (string, string) {
 	t.Helper()
 	schema := shardedTestSchema()
 	cfg.KeyAttr = "sensor"
 	cfg.NewPipeline = factory
 	proc := &Process{Pipelines: []*Pipeline{factory(0)}}
-	out, log, err := proc.RunStreamSharded(shardedTestSource(schema, n, keys), reorder, cfg)
+	out, log, err := proc.runStreamSharded(shardedTestSource(schema, n, keys), reorder, cfg)
 	if err != nil {
 		t.Fatalf("shards=%d: %v", cfg.Shards, err)
 	}
@@ -47,8 +46,8 @@ func runShardedWith(t *testing.T, factory func(int) *Pipeline, n, keys, reorder 
 }
 
 // runShardedCfg runs the keyed oracle pipeline with an explicit
-// ShardConfig and returns the rendered output and log.
-func runShardedCfg(t *testing.T, seed int64, n, keys int, reorder int, cfg ShardConfig) (string, string) {
+// shardConfig and returns the rendered output and log.
+func runShardedCfg(t *testing.T, seed int64, n, keys int, reorder int, cfg shardConfig) (string, string) {
 	t.Helper()
 	return runShardedWith(t, keyedStickyTemporalFactory(seed), n, keys, reorder, cfg)
 }
@@ -59,12 +58,12 @@ func runShardedCfg(t *testing.T, seed int64, n, keys int, reorder int, cfg Shard
 func TestShardedKeySkew(t *testing.T) {
 	const n, keys = 1200, 1
 	seed := int64(17)
-	wantOut, wantLog := runShardedCfg(t, seed, n, keys, 1, ShardConfig{Shards: 1})
+	wantOut, wantLog := runShardedCfg(t, seed, n, keys, 1, shardConfig{Shards: 1})
 	if wantOut == "" {
 		t.Fatal("sequential run produced nothing")
 	}
 	for _, shards := range []int{2, 8} {
-		gotOut, gotLog := runShardedCfg(t, seed, n, keys, 1, ShardConfig{Shards: shards})
+		gotOut, gotLog := runShardedCfg(t, seed, n, keys, 1, shardConfig{Shards: shards})
 		if gotOut != wantOut {
 			t.Errorf("shards=%d: skewed output differs from sequential", shards)
 		}
@@ -79,7 +78,7 @@ func TestShardedKeySkew(t *testing.T) {
 // EOF, not stall.
 func TestShardedEmptyInput(t *testing.T) {
 	for _, shards := range []int{2, 8} {
-		gotOut, gotLog := runShardedCfg(t, 5, 0, 3, 1, ShardConfig{Shards: shards})
+		gotOut, gotLog := runShardedCfg(t, 5, 0, 3, 1, shardConfig{Shards: shards})
 		if gotOut != "" {
 			t.Errorf("shards=%d: empty input produced output %q", shards, gotOut)
 		}
@@ -95,9 +94,9 @@ func TestShardedEmptyInput(t *testing.T) {
 func TestShardedSingleTupleBatches(t *testing.T) {
 	const n, keys = 700, 5
 	seed := int64(23)
-	wantOut, wantLog := runShardedCfg(t, seed, n, keys, 1, ShardConfig{Shards: 1})
+	wantOut, wantLog := runShardedCfg(t, seed, n, keys, 1, shardConfig{Shards: 1})
 	for _, shards := range []int{2, 4, 8} {
-		cfg := ShardConfig{Shards: shards, BatchSize: 1, Buffer: 2}
+		cfg := shardConfig{Shards: shards, BatchSize: 1, Buffer: 2}
 		gotOut, gotLog := runShardedCfg(t, seed, n, keys, 1, cfg)
 		if gotOut != wantOut {
 			t.Errorf("shards=%d batch=1: output differs from sequential", shards)
@@ -108,113 +107,6 @@ func TestShardedSingleTupleBatches(t *testing.T) {
 	}
 }
 
-// collectSharded runs the keyed oracle pipeline and collects the
-// emitted tuples (cloned — arena tuples are loans) and the log.
-func collectSharded(t *testing.T, seed int64, n, keys, reorder int, cfg ShardConfig) ([]stream.Tuple, *Log) {
-	t.Helper()
-	schema := shardedTestSchema()
-	factory := keyedStickyTemporalFactory(seed)
-	cfg.KeyAttr = "sensor"
-	cfg.NewPipeline = factory
-	proc := &Process{Pipelines: []*Pipeline{factory(0)}}
-	out, log, err := proc.RunStreamSharded(shardedTestSource(schema, n, keys), reorder, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tuples []stream.Tuple
-	for {
-		tup, err := out.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		tuples = append(tuples, tup.Clone())
-	}
-	return tuples, log
-}
-
-// assertRelaxedEquivalent asserts a relaxed-order run emitted the same
-// multiset of tuples and log entries as the sequential run, with every
-// key's subsequence keeping its original relative order.
-func assertRelaxedEquivalent(t *testing.T, seqTuples, relTuples []stream.Tuple, seqLog, relLog *Log) {
-	t.Helper()
-	sortedLines := func(ts []stream.Tuple) []string {
-		lines := strings.Split(strings.TrimSuffix(renderTuples(ts), "\n"), "\n")
-		sort.Strings(lines)
-		return lines
-	}
-	want, got := sortedLines(seqTuples), sortedLines(relTuples)
-	if len(want) != len(got) {
-		t.Fatalf("relaxed emitted %d tuples, sequential %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("relaxed tuple multiset differs at %d:\n got %s\nwant %s", i, got[i], want[i])
-		}
-	}
-
-	// Per-key subsequences keep their order (tuple IDs ascend per key).
-	lastID := map[string]uint64{}
-	for _, tu := range relTuples {
-		key, _ := tu.At(1).AsString()
-		if tu.ID <= lastID[key] {
-			t.Fatalf("key %s: tuple %d emitted after %d — per-key order broken", key, tu.ID, lastID[key])
-		}
-		lastID[key] = tu.ID
-	}
-
-	// The pollution log is the same multiset of entries.
-	entryKeys := func(l *Log) []string {
-		out := make([]string, 0, len(l.Entries))
-		for _, e := range l.Entries {
-			out = append(out, fmt.Sprintf("%d|%s|%s|%s", e.TupleID, e.Polluter, e.Error, strings.Join(e.Attrs, ",")))
-		}
-		sort.Strings(out)
-		return out
-	}
-	wantE, gotE := entryKeys(seqLog), entryKeys(relLog)
-	if len(wantE) != len(gotE) {
-		t.Fatalf("relaxed log has %d entries, sequential %d", len(gotE), len(wantE))
-	}
-	for i := range wantE {
-		if wantE[i] != gotE[i] {
-			t.Fatalf("relaxed log multiset differs at %d: got %s want %s", i, gotE[i], wantE[i])
-		}
-	}
-}
-
-// TestShardedRelaxedOrderMultiset verifies OrderRelaxed: the emitted
-// tuples and log entries are the same multiset as the sequential run,
-// and each key's subsequence keeps its original relative order.
-func TestShardedRelaxedOrderMultiset(t *testing.T) {
-	const n, keys = 1500, 13
-	seed := int64(42)
-	seqTuples, seqLog := collectSharded(t, seed, n, keys, 1, ShardConfig{Shards: 1})
-	relTuples, relLog := collectSharded(t, seed, n, keys, 1, ShardConfig{Shards: 4, Order: OrderRelaxed})
-	assertRelaxedEquivalent(t, seqTuples, relTuples, seqLog, relLog)
-}
-
-// TestShardedRelaxedArenaReorderMultiset is the regression test for
-// the relaxed+arena use-after-recycle hazard: a reorder window used to
-// be applied on top of relaxed output, where the arbitrary shard
-// interleaving let buffered tuples outlive the arena recycling margin
-// and alias refilled value blocks. Relaxed mode now ignores the
-// window, so a run with Arena on, tiny batches (maximum recycling
-// pressure) and a large requested window must still emit the exact
-// sequential multiset with per-key order intact. CI runs this under
-// -race, which also catches the worker-overwrites-loaned-values race
-// directly.
-func TestShardedRelaxedArenaReorderMultiset(t *testing.T) {
-	const n, keys = 1500, 13
-	seed := int64(42)
-	seqTuples, seqLog := collectSharded(t, seed, n, keys, 1, ShardConfig{Shards: 1})
-	relTuples, relLog := collectSharded(t, seed, n, keys, 64,
-		ShardConfig{Shards: 4, Order: OrderRelaxed, Arena: true, BatchSize: 8})
-	assertRelaxedEquivalent(t, seqTuples, relTuples, seqLog, relLog)
-}
-
 // TestShardedArenaByteIdentical runs the arena clone path (including
 // shards=1, which maps it onto the pooled sequential runner) against
 // the plain sequential output, with and without a reorder window.
@@ -222,9 +114,9 @@ func TestShardedArenaByteIdentical(t *testing.T) {
 	const n, keys = 1100, 9
 	seed := int64(8)
 	for _, reorder := range []int{1, 32} {
-		wantOut, wantLog := runShardedCfg(t, seed, n, keys, reorder, ShardConfig{Shards: 1})
+		wantOut, wantLog := runShardedCfg(t, seed, n, keys, reorder, shardConfig{Shards: 1})
 		for _, shards := range []int{1, 2, 8} {
-			cfg := ShardConfig{Shards: shards, Arena: true}
+			cfg := shardConfig{Shards: shards, Arena: true}
 			gotOut, gotLog := runShardedCfg(t, seed, n, keys, reorder, cfg)
 			if gotOut != wantOut {
 				t.Errorf("arena shards=%d reorder=%d: output differs from sequential", shards, reorder)
@@ -267,12 +159,12 @@ func keyedHeavyDelayFactory(seed int64) func(int) *Pipeline {
 func TestShardedArenaReorderHeavyDelay(t *testing.T) {
 	const n, keys, window = 1200, 7, 32
 	factory := keyedHeavyDelayFactory(61)
-	wantOut, wantLog := runShardedWith(t, factory, n, keys, window, ShardConfig{Shards: 1})
+	wantOut, wantLog := runShardedWith(t, factory, n, keys, window, shardConfig{Shards: 1})
 	if wantOut == "" {
 		t.Fatal("sequential run produced nothing")
 	}
 	for _, shards := range []int{2, 8} {
-		cfg := ShardConfig{Shards: shards, Arena: true, BatchSize: 16}
+		cfg := shardConfig{Shards: shards, Arena: true, BatchSize: 16}
 		gotOut, gotLog := runShardedWith(t, factory, n, keys, window, cfg)
 		if gotOut != wantOut {
 			t.Errorf("shards=%d: heavy-delay arena output differs from sequential", shards)
@@ -301,8 +193,8 @@ func TestShardedArenaPreservesSource(t *testing.T) {
 	}
 	factory := keyedStickyTemporalFactory(31)
 	proc := &Process{Pipelines: []*Pipeline{factory(0)}, DisableLog: true}
-	out, _, err := proc.RunStreamSharded(stream.NewSliceSource(schema, tuples), 1,
-		ShardConfig{KeyAttr: "sensor", Shards: 4, NewPipeline: factory, Arena: true})
+	out, _, err := proc.runStreamSharded(stream.NewSliceSource(schema, tuples), 1,
+		shardConfig{KeyAttr: "sensor", Shards: 4, NewPipeline: factory, Arena: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,8 +223,8 @@ func TestShardedCleanTap(t *testing.T) {
 		Pipelines: []*Pipeline{factory(0)},
 		CleanTap:  func(t stream.Tuple) { clean = append(clean, t) },
 	}
-	out, _, err := proc.RunStreamSharded(shardedTestSource(schema, n, keys), 1,
-		ShardConfig{KeyAttr: "sensor", Shards: 3, NewPipeline: factory})
+	out, _, err := proc.runStreamSharded(shardedTestSource(schema, n, keys), 1,
+		shardConfig{KeyAttr: "sensor", Shards: 3, NewPipeline: factory})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,8 +259,8 @@ func TestShardedFailFastDeterministicPrefix(t *testing.T) {
 	}
 	run := func(shards int) (string, string) {
 		proc := &Process{Pipelines: []*Pipeline{factory(0)}, DisableLog: true}
-		out, _, err := proc.RunStreamSharded(shardedTestSource(schema, 500, 6), 1,
-			ShardConfig{KeyAttr: "sensor", Shards: shards, NewPipeline: factory})
+		out, _, err := proc.runStreamSharded(shardedTestSource(schema, 500, 6), 1,
+			shardConfig{KeyAttr: "sensor", Shards: shards, NewPipeline: factory})
 		if err != nil {
 			t.Fatal(err)
 		}

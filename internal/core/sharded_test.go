@@ -93,8 +93,8 @@ func runSharded(t *testing.T, seed int64, n, keys, shards, reorder int) (string,
 	schema := shardedTestSchema()
 	factory := keyedStickyTemporalFactory(seed)
 	proc := &Process{Pipelines: []*Pipeline{factory(0)}}
-	out, log, err := proc.RunStreamSharded(shardedTestSource(schema, n, keys), reorder,
-		ShardConfig{KeyAttr: "sensor", Shards: shards, NewPipeline: factory})
+	out, log, err := proc.runStreamSharded(shardedTestSource(schema, n, keys), reorder,
+		shardConfig{KeyAttr: "sensor", Shards: shards, NewPipeline: factory})
 	if err != nil {
 		t.Fatalf("shards=%d: %v", shards, err)
 	}
@@ -139,8 +139,8 @@ func TestShardedAutoKeyedFactory(t *testing.T) {
 
 	schema := shardedTestSchema()
 	proc := &Process{Pipelines: []*Pipeline{keyedStickyTemporalFactory(seed)(0)}}
-	out, log, err := proc.RunStreamSharded(shardedTestSource(schema, n, keys), 1,
-		ShardConfig{KeyAttr: "sensor", Shards: 4})
+	out, log, err := proc.runStreamSharded(shardedTestSource(schema, n, keys), 1,
+		shardConfig{KeyAttr: "sensor", Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,17 +162,17 @@ func TestShardedRejectsBadConfig(t *testing.T) {
 		NewRandomConst(0.5, rng.Derive(1, "c")), "v"))
 
 	proc := &Process{Pipelines: []*Pipeline{nonKeyed}}
-	if _, _, err := proc.RunStreamSharded(shardedTestSource(schema, 10, 2), 1,
-		ShardConfig{KeyAttr: "sensor", Shards: 2}); err == nil {
+	if _, _, err := proc.runStreamSharded(shardedTestSource(schema, 10, 2), 1,
+		shardConfig{KeyAttr: "sensor", Shards: 2}); err == nil {
 		t.Fatal("non-keyed pipeline without factory must be rejected")
 	}
 	proc = &Process{Pipelines: []*Pipeline{factory(0)}}
-	if _, _, err := proc.RunStreamSharded(shardedTestSource(schema, 10, 2), 1,
-		ShardConfig{Shards: 2, NewPipeline: factory}); err == nil {
+	if _, _, err := proc.runStreamSharded(shardedTestSource(schema, 10, 2), 1,
+		shardConfig{Shards: 2, NewPipeline: factory}); err == nil {
 		t.Fatal("missing KeyAttr must be rejected")
 	}
-	if _, _, err := proc.RunStreamSharded(shardedTestSource(schema, 10, 2), 1,
-		ShardConfig{KeyAttr: "nope", Shards: 2, NewPipeline: factory}); err == nil {
+	if _, _, err := proc.runStreamSharded(shardedTestSource(schema, 10, 2), 1,
+		shardConfig{KeyAttr: "nope", Shards: 2, NewPipeline: factory}); err == nil {
 		t.Fatal("unknown KeyAttr must be rejected")
 	}
 }
@@ -182,8 +182,8 @@ func TestShardedStopReleasesGoroutines(t *testing.T) {
 	schema := shardedTestSchema()
 	factory := keyedStickyTemporalFactory(3)
 	proc := &Process{Pipelines: []*Pipeline{factory(0)}}
-	out, _, err := proc.RunStreamSharded(shardedTestSource(schema, 5000, 11), 1,
-		ShardConfig{KeyAttr: "sensor", Shards: 4, NewPipeline: factory})
+	out, _, err := proc.runStreamSharded(shardedTestSource(schema, 5000, 11), 1,
+		shardConfig{KeyAttr: "sensor", Shards: 4, NewPipeline: factory})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func (p *panicEvery) Pollute(t *stream.Tuple, tau time.Time, log *Log) {
 }
 
 // TestRunnerLogEquivalence is the regression test for the unified
-// rollback path: RunStream, RunStreamCheckpointed and RunStreamSharded
+// rollback path: the sequential, checkpointed and sharded runners
 // must produce identical polluted output, identical pollution logs
 // (with the poisoned tuples' partial entries rolled back), and
 // identical dead-letter queues.
@@ -257,10 +257,10 @@ func TestRunnerLogEquivalence(t *testing.T) {
 		case "stream":
 			out, log, err = proc.RunStream(src, 1)
 		case "checkpointed":
-			out, log, _, err = proc.RunStreamCheckpointed(src, nil)
+			out, log, _, err = proc.runStreamCheckpointed(src, nil)
 		case "sharded":
-			out, log, err = proc.RunStreamSharded(src, 1,
-				ShardConfig{KeyAttr: "sensor", Shards: 3, NewPipeline: factory})
+			out, log, err = proc.runStreamSharded(src, 1,
+				shardConfig{KeyAttr: "sensor", Shards: 3, NewPipeline: factory})
 		default:
 			t.Fatalf("unknown runner %q", kind)
 		}
@@ -313,8 +313,8 @@ func TestShardedFailFastOnPanic(t *testing.T) {
 		return NewPipeline(NewKeyedPolluter("keyed", "sensor", perKey))
 	}
 	proc := &Process{Pipelines: []*Pipeline{factory(0)}}
-	out, _, err := proc.RunStreamSharded(shardedTestSource(schema, 200, 4), 1,
-		ShardConfig{KeyAttr: "sensor", Shards: 2, NewPipeline: factory})
+	out, _, err := proc.runStreamSharded(shardedTestSource(schema, 200, 4), 1,
+		shardConfig{KeyAttr: "sensor", Shards: 2, NewPipeline: factory})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func (s *Suite) Incrementals() ([]Incremental, error) {
 
 // mergeMismatch is the shared type/name guard for Merge implementations.
 func mergeMismatch(want, got Incremental) error {
-	return fmt.Errorf("dq: cannot merge %q into %q: incompatible incremental state", got.Name(), want.Name())
+	return fmt.Errorf("dq: cannot merge %q into %q: mismatched incremental state", got.Name(), want.Name())
 }
 
 // rowInc is the incremental form of every stateless row-wise

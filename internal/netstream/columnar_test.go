@@ -252,26 +252,9 @@ func TestServerColumnarReorderFallback(t *testing.T) {
 	}
 }
 
-// TestServerColumnarValidation: columnar serving composes with neither
-// sharded nor checkpointed sessions.
-func TestServerColumnarValidation(t *testing.T) {
+// TestServerColumnarDefaultBatch: the default batch size is applied.
+func TestServerColumnarDefaultBatch(t *testing.T) {
 	base := columnarConfig(t, 1, 10, 0)
-
-	cfg := base
-	cfg.Shards = 4
-	cfg.ShardKey = "sensor"
-	if _, err := NewServer(cfg); err == nil {
-		t.Error("columnar + sharded accepted")
-	}
-
-	cfg = base
-	cfg.WALDir = t.TempDir()
-	cfg.CheckpointPath = cfg.WALDir + "/ck"
-	if _, err := NewServer(cfg); err == nil {
-		t.Error("columnar + checkpointed accepted")
-	}
-
-	// The default batch size is applied.
 	srv, err := NewServer(base)
 	if err != nil {
 		t.Fatal(err)

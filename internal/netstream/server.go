@@ -32,22 +32,22 @@ type Config struct {
 	Proc *core.Process
 	// NewSource opens the input stream for the run.
 	NewSource func() (stream.Source, error)
+	// Reorder, Shards, ShardKey, Columnar and CheckpointPath are the
+	// run's execution shape (see shape); core.StreamSpec decides which
+	// combinations are valid.
+	//
 	// Reorder is the bounded reordering window of the streaming runner.
 	Reorder int
 	// Shards partitions the keyed pollution hot path across this many
-	// parallel workers (<= 1 = sequential). Sharding requires ShardKey
-	// and is incompatible with CheckpointPath.
+	// parallel workers (<= 1 = sequential).
 	Shards int
 	// ShardKey names the attribute whose value routes tuples to shards.
 	ShardKey string
-	// ShardOrder selects the sharded merge order (strict by default).
-	ShardOrder core.OrderPolicy
 	// Columnar serves the dirty channel as columnar micro-batches: the
-	// pipeline runs through the columnar runner
-	// (core.RunStreamColumnar) and dirty tuples are published as
-	// colbatch frames of up to ColumnarBatch rows each (one frame = one
-	// sequence number). The clean and log channels stay tuple-wise.
-	// Incompatible with Shards > 1 and CheckpointPath.
+	// pipeline runs on the columnar engine and dirty tuples are
+	// published as colbatch frames of up to ColumnarBatch rows each (one
+	// frame = one sequence number). The clean and log channels stay
+	// tuple-wise.
 	Columnar bool
 	// ColumnarBatch caps the rows per colbatch frame (default 256).
 	ColumnarBatch int
@@ -72,10 +72,10 @@ type Config struct {
 	// WAL tunes the write-ahead logs (zero value = defaults); only
 	// meaningful with WALDir.
 	WAL WALOptions
-	// CheckpointPath enables checkpointed sessions (requires WALDir and
-	// Reorder <= 1): pipeline state is captured there every
-	// CheckpointEvery emitted tuples, so a restarted daemon resumes the
-	// run from the checkpoint instead of replaying the whole input.
+	// CheckpointPath enables checkpointed sessions (requires WALDir):
+	// pipeline state is captured there every CheckpointEvery emitted
+	// tuples, so a restarted daemon resumes the run from the checkpoint
+	// instead of replaying the whole input.
 	CheckpointPath string
 	// CheckpointEvery is the capture cadence in emitted tuples (default
 	// 256).
@@ -107,6 +107,11 @@ type Config struct {
 	Reg *obs.Registry
 	// Logf, when set, receives service diagnostics.
 	Logf func(format string, args ...any)
+}
+
+// shape is the execution shape the flat fields describe.
+func (c Config) shape() core.StreamSpec {
+	return core.StreamSpec{Reorder: c.Reorder, Shards: c.Shards, ShardKey: c.ShardKey, Columnar: c.Columnar, Checkpoint: c.CheckpointPath != ""}
 }
 
 // chanName pairs a channel's local identity (dirty/clean/log — the WAL
@@ -160,41 +165,19 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 5 * time.Second
 	}
+	if err := cfg.shape().Validate(cfg.Schema); err != nil {
+		return nil, fmt.Errorf("netstream: %w", err)
+	}
 	if cfg.CheckpointPath != "" {
 		if cfg.WALDir == "" {
 			return nil, fmt.Errorf("netstream: checkpointed sessions require a wal directory")
-		}
-		if cfg.Reorder > 1 {
-			return nil, fmt.Errorf("netstream: checkpointed sessions require a reorder window of 1, got %d", cfg.Reorder)
 		}
 		if cfg.CheckpointEvery <= 0 {
 			cfg.CheckpointEvery = 256
 		}
 	}
-	if cfg.Shards > 1 {
-		if cfg.ShardKey == "" {
-			return nil, fmt.Errorf("netstream: sharded sessions require a shard key")
-		}
-		if cfg.WALDir != "" && cfg.ShardOrder == core.OrderRelaxed {
-			return nil, fmt.Errorf("netstream: durable sessions require strict shard order; a relaxed-order re-run is not byte-deterministic, so restart recovery cannot suppress replayed frames")
-		}
-		if cfg.Schema.Index(cfg.ShardKey) < 0 {
-			return nil, fmt.Errorf("netstream: shard key attribute %q not in schema", cfg.ShardKey)
-		}
-		if cfg.CheckpointPath != "" {
-			return nil, fmt.Errorf("netstream: sharded sessions cannot be checkpointed; checkpoints cover the sequential path only")
-		}
-	}
-	if cfg.Columnar {
-		if cfg.Shards > 1 {
-			return nil, fmt.Errorf("netstream: columnar serving is incompatible with sharded execution")
-		}
-		if cfg.CheckpointPath != "" {
-			return nil, fmt.Errorf("netstream: columnar serving is incompatible with checkpointed sessions")
-		}
-		if cfg.ColumnarBatch <= 0 {
-			cfg.ColumnarBatch = core.DefaultColumnarBatch
-		}
+	if cfg.Columnar && cfg.ColumnarBatch <= 0 {
+		cfg.ColumnarBatch = core.DefaultColumnarBatch
 	}
 	s := &Server{
 		cfg:          cfg,
@@ -397,32 +380,16 @@ func (s *Server) runPipeline(ctx context.Context) error {
 	}
 	defer stopSource(src)
 
-	var (
-		polluted stream.Source
-		plog     *core.Log
-		ckr      *core.Checkpointer
-	)
-	switch {
-	case s.cfg.CheckpointPath != "":
-		polluted, plog, ckr, err = proc.RunStreamCheckpointed(stream.WithContext(ctx, src), resume)
-	case s.cfg.Shards > 1:
-		// Arena mode is safe here: the publish loop below fully renders
-		// each tuple into a WireTuple before the next Next call, so no
-		// loaned tuple memory is retained.
-		polluted, plog, err = proc.RunStreamSharded(stream.WithContext(ctx, src), s.cfg.Reorder, core.ShardConfig{
-			KeyAttr: s.cfg.ShardKey,
-			Shards:  s.cfg.Shards,
-			Order:   s.cfg.ShardOrder,
-			Arena:   true,
-		})
-	case s.cfg.Columnar:
-		polluted, plog, err = proc.RunStreamColumnar(stream.WithContext(ctx, src), s.cfg.Reorder)
-	default:
-		polluted, plog, err = proc.RunStream(stream.WithContext(ctx, src), s.cfg.Reorder)
-	}
+	// Sharded runs emit loaned tuples; that is safe here because the
+	// publish loop below fully renders each tuple into a WireTuple before
+	// the next Next call.
+	shape := s.cfg.shape()
+	shape.Resume = resume
+	run, err := proc.Stream(stream.WithContext(ctx, src), shape)
 	if err != nil {
 		return fail(err)
 	}
+	polluted, plog, ckr := run.Source, run.Log, run.Checkpointer
 	flushed := 0
 	flushLog := func() error {
 		if plog == nil {

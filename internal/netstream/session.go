@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"icewafl/internal/obs"
+	"icewafl/internal/stream"
 )
 
 // ErrUnknownSession reports a control-plane operation addressed at a
@@ -138,11 +139,21 @@ func (sess *Session) Server() *Server { return sess.srv }
 // one Serve uses on SIGTERM): subscribers get DrainTimeout to finish
 // reading, then the hub closes — releasing any Publish wedged on a
 // stuck block-policy subscriber — and remaining connections are
-// force-closed. Idempotent; every caller observes the same result.
+// force-closed. Idempotent; every caller observes the same result: the
+// pipeline's own terminal error, nil when it completed or was merely
+// stopped by this call.
 func (sess *Session) stop() error {
 	sess.stopOnce.Do(func() {
 		sess.cancel()
-		sess.stopErr = sess.srv.drainAndClose(nil, sess.pipeRes)
+		err := sess.srv.drainAndClose(nil, sess.pipeRes)
+		// A pipeline still running here ends with whichever of the
+		// teardown's own signals it meets first — the cancelled context,
+		// the stopped source, or the closed hub. All three mean "stopped
+		// because we asked"; none can arise before this call.
+		if errors.Is(err, context.Canceled) || errors.Is(err, stream.ErrStopped) || errors.Is(err, ErrHubClosed) {
+			err = nil
+		}
+		sess.stopErr = err
 		close(sess.stopped)
 	})
 	<-sess.stopped
@@ -435,9 +446,9 @@ func (s *Service) wireDurable(cfg *Config, ts *tenantState, stateDir string) err
 	w.Budget = ts.walBudget
 	cfg.WAL = w
 	cfg.WALDir = filepath.Join(stateDir, "wal")
-	// Checkpointed resume only covers the sequential tuple-wise path;
-	// everything else is WAL-only (deterministic re-run + suppression).
-	if cfg.Reorder <= 1 && cfg.Shards <= 1 && !cfg.Columnar {
+	// Shapes that cannot be checkpointed are WAL-only (deterministic
+	// re-run + suppression).
+	if cfg.shape().Checkpointable() {
 		ckDir := filepath.Join(stateDir, "checkpoint")
 		if err := os.MkdirAll(ckDir, 0o755); err != nil {
 			return fmt.Errorf("netstream: checkpoint dir: %w", err)
@@ -854,7 +865,7 @@ func (s *Service) HTTPHandler() http.Handler {
 		}
 		err := s.Delete(tenant, name)
 		resp := map[string]any{"deleted": sess.ID(), "drain_expired": sess.srv.DrainExpired()}
-		if err != nil && !errors.Is(err, ErrUnknownSession) && !errors.Is(err, context.Canceled) {
+		if err != nil && !errors.Is(err, ErrUnknownSession) {
 			resp["pipeline_error"] = err.Error()
 		}
 		writeJSON(w, http.StatusOK, resp)

@@ -1,6 +1,7 @@
 package netstream
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -87,28 +88,14 @@ func TestServerSharded(t *testing.T) {
 	}
 }
 
-// TestServerShardedRejectsBadConfig: sharded sessions must be rejected
-// at construction when misconfigured, not fail at runtime.
-func TestServerShardedRejectsBadConfig(t *testing.T) {
-	base := serverConfig(t, 1, 10)
-	cases := []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"missing key", func(c *Config) { c.Shards = 4 }},
-		{"key not in schema", func(c *Config) { c.Shards = 4; c.ShardKey = "nope" }},
-		{"checkpointed", func(c *Config) {
-			c.Shards = 4
-			c.ShardKey = "sensor"
-			c.WALDir = t.TempDir()
-			c.CheckpointPath = "ck.json"
-		}},
-	}
-	for _, tc := range cases {
-		cfg := base
-		tc.mutate(&cfg)
-		if _, err := NewServer(cfg); err == nil {
-			t.Errorf("%s: NewServer accepted the config", tc.name)
-		}
+// TestServerSurfacesShapeRules: the execution-shape rules are
+// core.StreamSpec's (see its shape-matrix test); NewServer only has to
+// ask it — with the schema — at construction, not fail at runtime.
+func TestServerSurfacesShapeRules(t *testing.T) {
+	cfg := serverConfig(t, 1, 10)
+	cfg.Shards, cfg.ShardKey = 4, "nope"
+	_, err := NewServer(cfg)
+	if err == nil || !strings.Contains(err.Error(), `netstream: core: shard key attribute "nope" not in schema`) {
+		t.Fatalf("NewServer = %v, want core's shard-key verdict", err)
 	}
 }

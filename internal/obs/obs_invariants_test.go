@@ -234,12 +234,11 @@ func TestObsSequentialVsShardedCounters(t *testing.T) {
 				FirstID:   1,
 				Obs:       reg,
 			}
-			out, log, err := proc.RunStreamSharded(invSource(schema, n, sensors), 1, core.ShardConfig{
-				KeyAttr: "sensor", Shards: shards,
-			})
+			run, err := proc.Stream(invSource(schema, n, sensors), core.StreamSpec{Shards: shards, ShardKey: "sensor"})
 			if err != nil {
 				t.Fatal(err)
 			}
+			out, log := run.Source, run.Log
 			if _, err := stream.Drain(out); err != nil {
 				t.Fatal(err)
 			}
@@ -321,10 +320,11 @@ func TestObsCheckpointHalvesSum(t *testing.T) {
 
 	// Reference: uninterrupted run.
 	refReg := obs.NewRegistry()
-	refSrc, refLog, _, err := mkProc(refReg).RunStreamCheckpointed(invSource(schema, n, 4), nil)
+	refRun, err := mkProc(refReg).Stream(invSource(schema, n, 4), core.StreamSpec{Checkpoint: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	refSrc, refLog := refRun.Source, refRun.Log
 	if _, err := stream.Drain(refSrc); err != nil {
 		t.Fatal(err)
 	}
@@ -336,10 +336,11 @@ func TestObsCheckpointHalvesSum(t *testing.T) {
 		t.Run(fmt.Sprintf("kill-at-%d", kill), func(t *testing.T) {
 			// First half: run until "killed" after kill emitted tuples.
 			regA := obs.NewRegistry()
-			srcA, logA, ckA, err := mkProc(regA).RunStreamCheckpointed(invSource(schema, n, 4), nil)
+			runA, err := mkProc(regA).Stream(invSource(schema, n, 4), core.StreamSpec{Checkpoint: true})
 			if err != nil {
 				t.Fatal(err)
 			}
+			srcA, logA, ckA := runA.Source, runA.Log, runA.Checkpointer
 			drainN(t, srcA, kill)
 			ckpt, err := ckA.Capture()
 			if err != nil {
@@ -352,10 +353,11 @@ func TestObsCheckpointHalvesSum(t *testing.T) {
 
 			// Second half: a fresh process and registry resume.
 			regB := obs.NewRegistry()
-			srcB, logB, _, err := mkProc(regB).RunStreamCheckpointed(invSource(schema, n, 4), ckpt)
+			runB, err := mkProc(regB).Stream(invSource(schema, n, 4), core.StreamSpec{Resume: ckpt})
 			if err != nil {
 				t.Fatal(err)
 			}
+			srcB, logB := runB.Source, runB.Log
 			if _, err := stream.Drain(srcB); err != nil {
 				t.Fatal(err)
 			}

@@ -608,82 +608,3 @@ func (b *ColumnBatch) RowInto(buf []Value, row int) Tuple {
 
 // Row materialises row into a freshly allocated tuple.
 func (b *ColumnBatch) Row(row int) Tuple { return b.RowInto(nil, row) }
-
-// BatchColumnar groups a bounded stream into columnar micro-batches of
-// at most size rows each. It is the columnar analogue of Batch.
-func BatchColumnar(src Source, size int) ([]*ColumnBatch, error) {
-	if size < 1 {
-		size = 1
-	}
-	var batches []*ColumnBatch
-	cur := NewColumnBatch(src.Schema(), size)
-	for {
-		t, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := cur.AppendTuple(t); err != nil {
-			return nil, err
-		}
-		if cur.Len() == size {
-			batches = append(batches, cur)
-			cur = NewColumnBatch(src.Schema(), size)
-		}
-	}
-	if cur.Len() > 0 {
-		batches = append(batches, cur)
-	}
-	return batches, nil
-}
-
-// FromColumnBatches replays columnar micro-batches as a tuple-wise
-// stream. With a non-nil pool the source follows loan semantics: every
-// emitted tuple's buffer is drawn from (and, on the following Next,
-// returned to) the pool, so replay allocates nothing in steady state;
-// consumers must not retain emitted tuples across pulls. With a nil pool
-// each row materialises into a fresh buffer.
-func FromColumnBatches(schema *Schema, batches []*ColumnBatch, pool *TuplePool) Source {
-	return &columnBatchSource{schema: schema, batches: batches, pool: pool}
-}
-
-type columnBatchSource struct {
-	schema  *Schema
-	batches []*ColumnBatch
-	pool    *TuplePool
-	bi, ri  int
-	prev    Tuple
-	held    bool
-}
-
-// Schema implements Source.
-func (s *columnBatchSource) Schema() *Schema { return s.schema }
-
-// Next implements Source.
-func (s *columnBatchSource) Next() (Tuple, error) {
-	if s.held {
-		s.pool.ReleaseTuple(s.prev)
-		s.held = false
-		s.prev = Tuple{}
-	}
-	for s.bi < len(s.batches) && s.ri >= s.batches[s.bi].Len() {
-		s.bi++
-		s.ri = 0
-	}
-	if s.bi >= len(s.batches) {
-		return Tuple{}, io.EOF
-	}
-	var buf []Value
-	if s.pool != nil {
-		buf = s.pool.Get()
-	}
-	t := s.batches[s.bi].RowInto(buf, s.ri)
-	s.ri++
-	if s.pool != nil {
-		s.prev = t
-		s.held = true
-	}
-	return t, nil
-}

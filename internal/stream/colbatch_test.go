@@ -35,14 +35,16 @@ func TestColumnBatchRoundTrip(t *testing.T) {
 	prepared[7].Dropped = true
 	prepared[8].Arrival = prepared[8].Arrival.Add(time.Hour)
 
-	batches, err := BatchColumnar(NewSliceSource(schema, prepared), 4)
-	if err != nil {
-		t.Fatal(err)
+	var batches []*ColumnBatch
+	for i, tp := range prepared {
+		if i%4 == 0 {
+			batches = append(batches, NewColumnBatch(schema, 4))
+		}
+		if err := batches[i/4].AppendTuple(tp); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(batches) != 3 {
-		t.Fatalf("got %d batches, want 3", len(batches))
-	}
-	out, err := Drain(FromColumnBatches(schema, batches, nil))
+	out, err := Drain(NewBatchSliceReader(schema, batches))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,22 +61,6 @@ func TestColumnBatchRoundTrip(t *testing.T) {
 			!a.Arrival.Equal(b.Arrival) {
 			t.Fatalf("row %d metadata differs", i)
 		}
-	}
-}
-
-func TestColumnBatchPooledReplayAllocatesNothingSteadyState(t *testing.T) {
-	schema, tuples := colBatchStream(64)
-	batches, err := BatchColumnar(NewSliceSource(schema, tuples), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := NewTuplePoolFor(schema)
-	n, err := Copy(DiscardSink{}, FromColumnBatches(schema, batches, pool))
-	if err != nil || n != 64 {
-		t.Fatalf("Copy = (%d, %v)", n, err)
-	}
-	if _, misses := pool.Stats(); misses > 2 {
-		t.Fatalf("pooled replay missed the pool %d times", misses)
 	}
 }
 
