@@ -1,11 +1,11 @@
 # Icewafl build & CI entry points. `make ci` is what the robustness gate
 # runs: formatting, static analysis, the panic lint and the full test
-# suite under the race detector. `make bench` + `make perfgate` are the
-# perf-regression gate (see DESIGN.md §8).
+# suite under the race detector. `make perfgate` is the perf-regression
+# gate (see DESIGN.md §8).
 
 GO ?= go
 
-.PHONY: build test vet fmt lint race racehot integration loadtest loadtest-restart chaos stress benchmod ci cover bench perfgate fuzz clean
+.PHONY: build test vet fmt lint race racehot integration loadtest loadtest-restart chaos stress benchmod ci cover perfgate fuzz clean
 
 build:
 	$(GO) build ./...
@@ -108,35 +108,12 @@ cover:
 	awk "BEGIN { exit !($$total >= $(COVER_MIN)) }" || \
 		{ echo "cover: total coverage $$total% is below the $(COVER_MIN)% floor"; exit 1; }
 
-# Perf-regression gate. `bench` runs the fixed benchmark subset with
-# -benchmem and records the current report; `perfgate` diffs it against
-# the committed baseline and fails on >20% ns/op regressions or ANY
-# allocs/op growth on zero-alloc-class benchmarks (the pooled hot paths
-# — this is what keeps the nil-registry observability hooks honest).
-# It also checks the shard scaling curve of the current run: speedup at
-# the widest shard count must reach SCALING_FLOOR (prorated by the
-# procs the run actually had), and no shard count may fall below
-# SCALING_MIN of sequential throughput.
-BENCH_PATTERN ?= BenchmarkPollutionTupleWise|BenchmarkPollutionColumnar|BenchmarkFigure8RuntimeOverhead|BenchmarkShardedKeyed|BenchmarkTuplePool|BenchmarkObsOverhead|BenchmarkDQIncremental|BenchmarkDQBatchRevalidate|BenchmarkWALAppend|BenchmarkHubReplayFromWAL
-# The committed PR 8 record is the baseline; a local run writes an
-# untracked file so it never overwrites a committed record.
-BENCH_BASELINE ?= BENCH_pr8.json
-BENCH_OUT ?= BENCH_local.json
-MAX_REGRESS ?= 0.20
-SCALING_BENCH ?= BenchmarkShardedKeyed
-SCALING_FLOOR ?= 3.0
-SCALING_MIN ?= 0.45
-# Samples per benchmark: perf record averages repeated samples, which
-# keeps both gates out of single-sample noise.
-BENCH_COUNT ?= 3
-
-bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) . | tee bench.txt
-	$(GO) run ./cmd/perf record -out $(BENCH_OUT) < bench.txt
-
+# Perf-regression gate: bench/ (BENCHMARK.json) on the parent commit and
+# on the tree, in alternating pairs; fails on a row `bench/run.sh
+# compare` judges `worse` in every pair, or any failed operation. Takes
+# ~7 minutes.
 perfgate:
-	$(GO) run ./cmd/perf gate -baseline $(BENCH_BASELINE) -current $(BENCH_OUT) -max-regress $(MAX_REGRESS) \
-		-scaling-bench '$(SCALING_BENCH)' -scaling-floor $(SCALING_FLOOR) -scaling-min $(SCALING_MIN)
+	bash scripts/perfgate.sh
 
 # Short fuzz pass over every fuzz target (value parsing, the quarantine
 # of malformed tuples, and the metrics codec round-trips). Extend
@@ -156,4 +133,5 @@ fuzz:
 
 clean:
 	$(GO) clean ./...
-	rm -f cover.out bench.txt BENCH_local.json
+	rm -f cover.out
+	rm -rf bench/out bench/bench

@@ -15,7 +15,6 @@ import (
 	"icewafl/internal/dataset"
 	"icewafl/internal/dq"
 	"icewafl/internal/experiments"
-	"icewafl/internal/netstream"
 	"icewafl/internal/obs"
 	"icewafl/internal/rng"
 	"icewafl/internal/stream"
@@ -99,23 +98,6 @@ func BenchmarkFigure6NoisePollution(b *testing.B) { benchmarkExp2(b, experiments
 // under temporally increasing scale errors.
 func BenchmarkFigure7ScalePollution(b *testing.B) { benchmarkExp2(b, experiments.ScenarioScale) }
 
-// BenchmarkFigure8RuntimeOverhead regenerates Figure 8: the runtime of
-// the three pollution scenarios against the unpolluted baseline.
-func BenchmarkFigure8RuntimeOverhead(b *testing.B) {
-	cfg := experiments.Exp3Config{DataSeed: experiments.DefaultDataSeed, Runs: 5, Replicas: 20}
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunExp3(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, sc := range r.Scenarios {
-				b.Logf("  %-24s median %.1f ms overhead %+.1f%%", sc.Name, sc.Box.Median, sc.OverheadPercent)
-			}
-		}
-	}
-}
-
 // BenchmarkTable2Splits regenerates Table 2: building the
 // train/valid/eval splits for all three regions.
 func BenchmarkTable2Splits(b *testing.B) {
@@ -161,80 +143,28 @@ func noisePipe(seed int64) *core.Pipeline {
 		core.NewRandomConst(0.3, rng.Derive(seed, "c")), "v"))
 }
 
-// BenchmarkPollutionTupleWise measures the streaming (tuple-wise)
-// execution path on the pooled hot path: clone-on-read draws value
-// buffers from a TuplePool (streaming mode pollutes in place, so the
-// shared backing slice stays intact across iterations) and Recycle
-// returns each buffer once the sink has moved past the tuple.
-func BenchmarkPollutionTupleWise(b *testing.B) {
-	schema, tuples := benchStream(10000)
-	pool := stream.NewTuplePoolFor(schema)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		proc := core.NewProcess(noisePipe(int64(i)))
-		proc.DisableLog = true
-		src := stream.Map(stream.NewSliceSource(schema, tuples), nil, stream.PooledClone(pool))
-		out, _, err := proc.RunStream(src, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := stream.Copy(stream.DiscardSink{}, stream.Recycle(out, pool)); err != nil {
-			b.Fatal(err)
-		}
+// cloneBlock deep-copies tuples into one contiguous value block — two
+// allocations however many tuples — so a runner that pollutes in place
+// starts every run from pristine input without a per-tuple clone.
+func cloneBlock(tuples []stream.Tuple) []stream.Tuple {
+	if len(tuples) == 0 {
+		return nil
 	}
-	b.SetBytes(10000)
+	w := tuples[0].Len()
+	block := make([]stream.Value, len(tuples)*w)
+	out := make([]stream.Tuple, len(tuples))
+	for i, t := range tuples {
+		out[i] = t.CloneInto(block[i*w : (i+1)*w : (i+1)*w])
+	}
+	return out
 }
 
-// BenchmarkObsOverhead measures the cost of the observability layer on
-// the pooled tuple-wise hot path (DESIGN.md §9). Three variants:
-//
-//   - off: proc.Obs is nil — the path every uninstrumented run takes.
-//     Must match BenchmarkPollutionTupleWise within the perf-gate noise
-//     budget and add zero allocations (the instrumentation compiles in
-//     at the cost of one nil check per site).
-//   - on: a live registry with tracing disabled — counters only, no
-//     clock reads, still allocation-free in steady state.
-//   - traced: additionally samples 1-in-64 tuples into the span ring,
-//     paying two clock reads per sampled tuple.
-func BenchmarkObsOverhead(b *testing.B) {
-	schema, tuples := benchStream(10000)
-	run := func(b *testing.B, reg *obs.Registry) {
-		pool := stream.NewTuplePoolFor(schema)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			proc := core.NewProcess(noisePipe(int64(i)))
-			proc.DisableLog = true
-			proc.Obs = reg
-			src := stream.Map(stream.NewSliceSource(schema, tuples), nil, stream.PooledClone(pool))
-			out, _, err := proc.RunStream(src, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := stream.Copy(stream.DiscardSink{}, stream.Recycle(out, pool)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(10000)
-	}
-	b.Run("off", func(b *testing.B) { run(b, nil) })
-	b.Run("on", func(b *testing.B) { run(b, obs.NewRegistry()) })
-	b.Run("traced", func(b *testing.B) {
-		reg := obs.NewRegistry()
-		reg.SetTraceSampling(64, obs.DefaultTraceCap)
-		run(b, reg)
-	})
-}
-
-// TestObsHotPathAllocFree asserts the tentpole overhead contract as a
-// plain test so `go test` catches alloc regressions without the perf
-// gate: in steady state the pooled hot path performs only per-run setup
-// allocations (process, runner, source chain — a small constant),
+// TestObsHotPathAllocFree asserts the observability overhead contract:
+// the tuple-wise hot path performs only per-run setup allocations
+// (process, runner, source chain, the input block — a small constant),
 // never per-tuple ones, and attaching a live registry adds none at all.
 func TestObsHotPathAllocFree(t *testing.T) {
 	schema, tuples := benchStream(1000)
-	pool := stream.NewTuplePoolFor(schema)
 	run := func(reg *obs.Registry) func() {
 		seed := int64(0)
 		return func() {
@@ -242,25 +172,23 @@ func TestObsHotPathAllocFree(t *testing.T) {
 			proc := core.NewProcess(noisePipe(seed))
 			proc.DisableLog = true
 			proc.Obs = reg
-			src := stream.Map(stream.NewSliceSource(schema, tuples), nil, stream.PooledClone(pool))
-			out, _, err := proc.RunStream(src, 1)
+			out, _, err := proc.RunStream(stream.NewSliceSource(schema, cloneBlock(tuples)), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := stream.Copy(stream.DiscardSink{}, stream.Recycle(out, pool)); err != nil {
+			if _, err := stream.Copy(stream.DiscardSink{}, out); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	// Warm the pool so the measured runs are steady-state.
-	run(nil)()
 	nilAllocs := testing.AllocsPerRun(10, run(nil))
 	reg := obs.NewRegistry()
-	run(reg)() // warm the registry's lazy structures too
+	run(reg)() // warm the registry's lazy structures
 	onAllocs := testing.AllocsPerRun(10, run(reg))
 	// 1000 tuples flow per run; a per-tuple alloc would cost >=1000.
-	// The setup constant is ~19 (see BENCH_pr2.json); leave headroom.
+	// The setup constant is ~20; leave headroom.
 	const setupCeiling = 64
+	t.Logf("allocs/run: %v nil registry, %v live registry", nilAllocs, onAllocs)
 	if nilAllocs > setupCeiling {
 		t.Fatalf("nil-registry hot path allocates %v/run, want <= %d (per-tuple allocation crept in)", nilAllocs, setupCeiling)
 	}
@@ -272,32 +200,6 @@ func TestObsHotPathAllocFree(t *testing.T) {
 	if onAllocs > nilAllocs+wrapperBudget {
 		t.Fatalf("enabled registry allocates %v/run vs %v/run with nil registry; per-tuple instrumentation must be alloc-free", onAllocs, nilAllocs)
 	}
-}
-
-// benchSink keeps cloned tuples observable so the compiler cannot
-// elide the clone under test.
-var benchSink stream.Tuple
-
-// BenchmarkTuplePool isolates the cost of the two clone strategies the
-// engine offers: plain allocating Clone versus pooled CloneTuple with
-// buffer reuse.
-func BenchmarkTuplePool(b *testing.B) {
-	schema, tuples := benchStream(1)
-	t := tuples[0]
-	b.Run("clone-alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchSink = t.Clone()
-		}
-	})
-	b.Run("clone-pooled", func(b *testing.B) {
-		pool := stream.NewTuplePoolFor(schema)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchSink = pool.CloneTuple(t)
-			pool.ReleaseTuple(benchSink)
-		}
-	})
 }
 
 // benchKeyedStream builds a stream with a string key attribute cycling
@@ -337,9 +239,8 @@ func keyedBenchPipeline(seed int64) *core.Pipeline {
 // recycled per-shard value blocks, so the shared tuple slice needs no
 // defensive Clone stage and the steady state allocates nothing per
 // tuple; shards=1 is the sequential engine, which pollutes in place, so
-// that anchor point gets the equivalent pooled clone stage. The
-// scaling-curve perf gate (cmd/perf gate -scaling-bench) enforces
-// speedup(shards=N) on this family's recorded numbers.
+// that anchor point runs over a block clone of the input. Ungated: no
+// BENCHMARK.json workload is sharded yet.
 func BenchmarkShardedKeyed(b *testing.B) {
 	schema, tuples := benchKeyedStream(20000, 64)
 	for _, shards := range []int{1, 2, 4, 8} {
@@ -349,21 +250,15 @@ func BenchmarkShardedKeyed(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				proc := core.NewProcess(keyedBenchPipeline(1))
 				proc.DisableLog = true
-				var src stream.Source = stream.NewSliceSource(schema, tuples)
-				var pool *stream.TuplePool
+				in := tuples
 				if shards == 1 {
-					pool = stream.NewTuplePoolFor(schema)
-					src = stream.Map(src, nil, stream.PooledClone(pool))
+					in = cloneBlock(tuples)
 				}
-				run, err := proc.Stream(src, core.StreamSpec{Shards: shards, ShardKey: "sensor"})
+				run, err := proc.Stream(stream.NewSliceSource(schema, in), core.StreamSpec{Shards: shards, ShardKey: "sensor"})
 				if err != nil {
 					b.Fatal(err)
 				}
-				out := run.Source
-				if pool != nil {
-					out = stream.Recycle(out, pool)
-				}
-				if _, err := stream.Copy(stream.DiscardSink{}, out); err != nil {
+				if _, err := stream.Copy(stream.DiscardSink{}, run.Source); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -372,96 +267,35 @@ func BenchmarkShardedKeyed(b *testing.B) {
 	}
 }
 
-// BenchmarkPollutionColumnar measures the columnar end-to-end hot path
-// on the same workload as BenchmarkPollutionTupleWise:
-// batch-native ingest (the source serves column batches directly),
-// conditions and error functions as vectorised sweeps over column
-// slices with batched RNG draw-ahead, and batch-native emission via the
-// runner's ColumnBatchReader side — no per-tuple materialisation
-// anywhere. The differential suite (core/columnar_diff_test.go) proves
-// the path byte-identical to the tuple-wise runner.
-func BenchmarkPollutionColumnar(b *testing.B) {
-	schema, tuples := benchStream(10000)
-	var batches []*stream.ColumnBatch
-	for i, t := range tuples {
-		if i%256 == 0 {
-			batches = append(batches, stream.NewColumnBatch(schema, 256))
-		}
-		if err := batches[i/256].AppendTuple(t); err != nil {
-			b.Fatal(err)
-		}
-	}
-	out := stream.NewColumnBatch(schema, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		proc := core.NewProcess(noisePipe(int64(i)))
-		proc.DisableLog = true
-		src, _, err := proc.RunStreamColumnar(stream.NewBatchSliceReader(schema, batches), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cbr := src.(stream.ColumnBatchReader)
-		for {
-			out.Reset()
-			n, rerr := cbr.ReadBatch(out, 256)
-			if rerr != nil {
-				if n == 0 && stream.IsEndOfStream(rerr) {
-					break
-				}
-				b.Fatal(rerr)
-			}
-		}
-	}
-	b.SetBytes(10000)
-}
-
-// BenchmarkPollutionColumnarTuples is the same columnar run consumed
-// through the plain Source interface — per-row materialisation with
-// pooled loaned buffers — to isolate the cost of leaving batch form.
-func BenchmarkPollutionColumnarTuples(b *testing.B) {
-	schema, tuples := benchStream(10000)
-	pool := stream.NewTuplePoolFor(schema)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		proc := core.NewProcess(noisePipe(int64(i)))
-		proc.DisableLog = true
-		proc.Columnar.Pool = pool
-		out, _, err := proc.RunStreamColumnar(stream.NewSliceSource(schema, tuples), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Loaned buffers are released by the runner itself on the next
-		// Next call, so the sink must not recycle.
-		if _, err := stream.Copy(stream.DiscardSink{}, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(10000)
-}
-
 // TestColumnarHotPathAllocFree pins the columnar hot path to the
 // zero-alloc class: amortised over the stream, steady-state processing
 // must not allocate per tuple — only per-run setup (plan compilation,
-// the first batch, pool warm-up) may.
+// the runner's batch) may. The stream is consumed batch-natively into
+// one reused batch, the way the daemon's columnar drain consumes it;
+// the runner copies its input, so no per-run clone is needed.
 func TestColumnarHotPathAllocFree(t *testing.T) {
 	const n = 10000
 	schema, tuples := benchStream(n)
-	pool := stream.NewTuplePoolFor(schema)
+	dst := stream.NewColumnBatch(schema, core.DefaultColumnarBatch)
 	run := func() {
 		proc := core.NewProcess(noisePipe(7))
 		proc.DisableLog = true
-		proc.Columnar.Pool = pool
 		out, _, err := proc.RunStreamColumnar(stream.NewSliceSource(schema, tuples), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := stream.Copy(stream.DiscardSink{}, out); err != nil {
-			t.Fatal(err)
+		cbr := out.(stream.ColumnBatchReader)
+		for {
+			dst.Reset()
+			if _, err := cbr.ReadBatch(dst, core.DefaultColumnarBatch); err != nil {
+				if stream.IsEndOfStream(err) {
+					break
+				}
+				t.Fatal(err)
+			}
 		}
 	}
-	run() // warm the pool outside the measurement
+	run() // grow dst's columns outside the measurement
 	perRun := testing.AllocsPerRun(10, run)
 	if perTuple := perRun / n; perTuple >= 0.05 {
 		t.Fatalf("columnar hot path allocates %.0f times per run (%.3f per tuple); want setup-only (< 0.05/tuple)", perRun, perTuple)
@@ -830,83 +664,4 @@ func BenchmarkAnomalyDetection(b *testing.B) {
 		anomaly.Run(det, data)
 	}
 	b.SetBytes(8760)
-}
-
-// BenchmarkWALAppend measures the durable log's append path with the
-// default fsync batching — the per-frame cost the service pays when
-// -wal is enabled (DESIGN.md §12).
-func BenchmarkWALAppend(b *testing.B) {
-	w, err := netstream.OpenWAL(b.TempDir(), netstream.WALOptions{FsyncEvery: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer w.Close()
-	payload := []byte(`{"type":"tuple","seq":1,"tuple":{"id":1,"sub":0,"ts":"2021-06-01T00:00:00Z","values":["2021-06-01T00:00:00Z",3.14,"s1"]}}`)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.Append(uint64(i+1), false, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHubReplayFromWAL measures serving a full channel replay to a
-// late subscriber out of the durable log (the restart-resume read
-// path): one subscribe plus draining 10k frames per iteration.
-func BenchmarkHubReplayFromWAL(b *testing.B) {
-	const frames = 10000
-	dir := b.TempDir()
-	payload := []byte(`{"type":"tuple","seq":1,"tuple":{"id":1,"sub":0,"ts":"2021-06-01T00:00:00Z","values":["2021-06-01T00:00:00Z",3.14,"s1"]}}`)
-	w, err := netstream.OpenWAL(dir, netstream.WALOptions{FsyncEvery: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var total int64
-	for i := 1; i <= frames; i++ {
-		if err := w.Append(uint64(i), false, payload); err != nil {
-			b.Fatal(err)
-		}
-		total += int64(len(payload))
-	}
-	if err := w.Append(frames+1, true, []byte(`{"type":"eof","seq":10001}`)); err != nil {
-		b.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
-	w, err = netstream.OpenWAL(dir, netstream.WALOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer w.Close()
-	hub := netstream.NewHub(64, 64, netstream.PolicyBlock, nil)
-	if err := hub.AttachWAL(netstream.ChannelDirty, w); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(total)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sub, err := hub.Subscribe(netstream.ChannelDirty, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := 0
-		for {
-			_, terminal, err := sub.Recv()
-			if err != nil {
-				b.Fatal(err)
-			}
-			n++
-			if terminal {
-				break
-			}
-		}
-		if n < frames {
-			b.Fatalf("replayed %d frames, want >= %d", n, frames)
-		}
-		sub.Close()
-	}
 }

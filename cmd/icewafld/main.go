@@ -19,8 +19,9 @@
 // granularity changes. Which of -reorder, -shards, -columnar and
 // -checkpoint combine is core.StreamSpec's call.
 //
-// With -wal the replay ring is backed by a segmented, checksummed
-// write-ahead log: from_seq resume survives daemon restarts, and a
+// With -wal replay is served from a segmented, checksummed write-ahead
+// log instead of the in-memory ring (-replay then has no effect):
+// from_seq resume survives daemon restarts, and a
 // restarted daemon continues the frame sequence exactly where the
 // durable log ends. Adding -checkpoint makes the pipeline itself
 // resumable (kill -9 mid-run, restart, and clients see one seamless
@@ -31,7 +32,7 @@
 //
 // The configuration's optional "serve" block provides defaults for the
 // service flags; explicit flags win. The daemon runs the pipeline once,
-// keeps serving results from its replay ring, and drains gracefully on
+// keeps serving results from its ring or WAL, and drains gracefully on
 // SIGINT/SIGTERM: connected clients get -drain-timeout to finish
 // reading before connections close. With -linger > 0 the daemon
 // additionally exits that long after the pipeline completes, which
@@ -88,7 +89,7 @@ func main() {
 	httpAddr := flag.String("http", "", "HTTP listen address for NDJSON/SSE//metrics (default from serve block; \"off\" disables)")
 	policyFlag := flag.String("policy", "", "backpressure policy: block, drop-oldest or disconnect-slow (default from serve block)")
 	buffer := flag.Int("buffer", 0, "per-subscriber send queue capacity in frames (default from serve block)")
-	replay := flag.Int("replay", 0, "frames retained per channel for late subscribers (default from serve block)")
+	replay := flag.Int("replay", 0, "frames a memory-only session retains per channel for late subscribers; with -wal the log serves replay (default from serve block)")
 	reorder := flag.Int("reorder", 0, "bounded reordering window in tuples (default from serve block)")
 	shards := flag.Int("shards", 0, "partition the keyed hot path across N parallel workers (default from serve block, 1)")
 	shardKey := flag.String("shard-key", "", "attribute routing tuples to shards (default from serve block)")
@@ -112,22 +113,23 @@ func main() {
 	restartBackoff := flag.Duration("restart-backoff", 0, "base exponential backoff between restarts (default 100ms)")
 	flag.Parse()
 
+	// Shared by both modes.
+	if *drain < 0 {
+		fatalUsage("-drain-timeout must be positive, got %v", *drain)
+	}
+	if *walSegment < 0 {
+		fatalUsage("-wal-segment-bytes must be positive, got %d", *walSegment)
+	}
+	if *walRetain < 0 {
+		fatalUsage("-wal-retain-bytes must be positive, got %d", *walRetain)
+	}
+	if *walRetainAge < 0 {
+		fatalUsage("-wal-retain-age must be positive, got %v", *walRetainAge)
+	}
+	if *walFsyncEvery < 0 {
+		fatalUsage("-wal-fsync-every must be positive, got %d", *walFsyncEvery)
+	}
 	if *sessions {
-		if *drain < 0 {
-			fatalUsage("-drain-timeout must be positive, got %v", *drain)
-		}
-		if *walSegment < 0 {
-			fatalUsage("-wal-segment-bytes must be positive, got %d", *walSegment)
-		}
-		if *walRetain < 0 {
-			fatalUsage("-wal-retain-bytes must be positive, got %d", *walRetain)
-		}
-		if *walRetainAge < 0 {
-			fatalUsage("-wal-retain-age must be positive, got %v", *walRetainAge)
-		}
-		if *walFsyncEvery < 0 {
-			fatalUsage("-wal-fsync-every must be positive, got %d", *walFsyncEvery)
-		}
 		runSessions(sessionsOpts{
 			configPath:     *configPath,
 			listen:         *listen,
@@ -162,23 +164,8 @@ func main() {
 	if *shards < 0 {
 		fatalUsage("-shards must not be negative, got %d", *shards)
 	}
-	if *drain < 0 {
-		fatalUsage("-drain-timeout must be positive, got %v", *drain)
-	}
 	if *linger < 0 {
 		fatalUsage("-linger must be non-negative, got %v", *linger)
-	}
-	if *walSegment < 0 {
-		fatalUsage("-wal-segment-bytes must be positive, got %d", *walSegment)
-	}
-	if *walRetain < 0 {
-		fatalUsage("-wal-retain-bytes must be positive, got %d", *walRetain)
-	}
-	if *walRetainAge < 0 {
-		fatalUsage("-wal-retain-age must be positive, got %v", *walRetainAge)
-	}
-	if *walFsyncEvery < 0 {
-		fatalUsage("-wal-fsync-every must be positive, got %d", *walFsyncEvery)
 	}
 	if *columnarBatch < 0 {
 		fatalUsage("-columnar-batch must be positive, got %d", *columnarBatch)

@@ -52,8 +52,9 @@ type ServeSpec struct {
 	// Buffer is the per-subscriber send queue capacity in frames
 	// (default 256).
 	Buffer int `json:"buffer,omitempty"`
-	// Replay is the number of frames retained per channel for late
-	// subscribers and reconnects (default 65536).
+	// Replay is the number of frames a memory-only session retains per
+	// channel for late subscribers and reconnects (default 65536); with
+	// a WAL the log serves replay instead.
 	Replay int `json:"replay,omitempty"`
 	// Policy selects the backpressure behaviour towards slow
 	// subscribers: "block" (default), "drop-oldest" or
@@ -78,9 +79,9 @@ type ServeSpec struct {
 	// DrainTimeout bounds the graceful drain on SIGTERM (Go duration,
 	// default "5s").
 	DrainTimeout string `json:"drain_timeout,omitempty"`
-	// WALDir enables the durable write-ahead log backing the replay
-	// ring: one sub-directory per channel ("" = in-memory only, replay
-	// does not survive restarts).
+	// WALDir enables the durable write-ahead log that then serves all
+	// replay: one sub-directory per channel ("" = in-memory ring only,
+	// replay does not survive restarts).
 	WALDir string `json:"wal_dir,omitempty"`
 	// WALSegmentBytes rotates WAL segments at this size (0 = the
 	// netstream default, 8 MiB).

@@ -699,7 +699,7 @@ func (c *Checkpointer) Capture() (*Checkpoint, error) {
 	}
 	logLen := c.baseLog
 	if c.log != nil {
-		logLen += len(c.log.Entries)
+		logLen += c.log.Total()
 	}
 	return &Checkpoint{
 		Version:     CheckpointVersion,

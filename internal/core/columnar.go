@@ -45,12 +45,6 @@ type ColumnarOptions struct {
 	// Batch is the micro-batch size in rows (default
 	// DefaultColumnarBatch).
 	Batch int
-	// Pool, when set with a reorder window <= 1, lets the runner emit
-	// loaned tuples: the buffer of the previously emitted tuple is
-	// recycled on the following Next call, so steady-state emission
-	// allocates nothing. Consumers must not retain emitted tuples
-	// across pulls (Drain must clone).
-	Pool *stream.TuplePool
 }
 
 // colStep is one top-level pipeline step of a compiled columnar plan:
@@ -223,8 +217,13 @@ func compileColumnarPlan(p *Pipeline, schema *stream.Schema, quarantine bool) (s
 // extraction) runs as column sweeps, bypassing per-tuple
 // materialisation entirely.
 //
-// Like RunStream, columnar streaming pollutes in place and supports
-// exactly one pipeline.
+// Like RunStream, columnar streaming supports exactly one pipeline.
+//
+// Ownership: the runner owns one ColumnBatch and pollutes it in place;
+// source tuples are copied into it, never written. A ReadBatch consumer
+// receives bulk column copies into its own dst batch (which it may
+// Reset and reuse between calls); a Next consumer receives freshly
+// materialised tuples it may retain.
 func (pr *Process) RunStreamColumnar(src stream.Source, reorderWindow int) (stream.Source, *Log, error) {
 	if len(pr.Pipelines) != 1 {
 		return nil, nil, fmt.Errorf("core: columnar streaming mode supports exactly one pipeline, got %d", len(pr.Pipelines))
@@ -258,8 +257,6 @@ func (pr *Process) RunStreamColumnar(src stream.Source, reorderWindow int) (stre
 		tap:       pr.CleanTap,
 		batchSize: batchSize,
 		batch:     stream.NewColumnBatch(schema, batchSize),
-		pool:      pr.Columnar.Pool,
-		loan:      pr.Columnar.Pool != nil && reorderWindow <= 1,
 	}
 	if cbr, ok := src.(stream.ColumnBatchReader); ok && !pr.Fault.Quarantine {
 		// Batch-native ingest replicates the wrapper chain's per-row
@@ -295,11 +292,6 @@ type columnarRunner struct {
 	all       stream.Selection
 	rowBuf    []stream.Value
 
-	pool *stream.TuplePool
-	loan bool
-	prev stream.Tuple
-	held bool
-
 	// pos..limit are the processed rows still to emit; pendingErr is a
 	// source or fault error stashed until the rows that precede it have
 	// been delivered, preserving the tuple/error order of the scalar
@@ -314,11 +306,6 @@ func (r *columnarRunner) Schema() *stream.Schema { return r.schema }
 
 // Next implements stream.Source.
 func (r *columnarRunner) Next() (stream.Tuple, error) {
-	if r.held {
-		r.pool.ReleaseTuple(r.prev)
-		r.held = false
-		r.prev = stream.Tuple{}
-	}
 	for {
 		for r.pos < r.limit {
 			row := r.pos
@@ -330,17 +317,8 @@ func (r *columnarRunner) Next() (stream.Tuple, error) {
 				r.reg.Inc(obs.CTuplesDropped)
 				continue
 			}
-			var buf []stream.Value
-			if r.loan {
-				buf = r.pool.Get()
-			}
-			t := r.batch.RowInto(buf, row)
 			r.reg.Inc(obs.CTuplesOut)
-			if r.loan {
-				r.prev = t
-				r.held = true
-			}
-			return t, nil
+			return r.batch.Row(row), nil
 		}
 		if r.pendingErr != nil {
 			err := r.pendingErr
@@ -364,11 +342,6 @@ func (r *columnarRunner) Next() (stream.Tuple, error) {
 // the returned rows are appended to dst, so interleaving ReadBatch and
 // Next is well-defined (each row is delivered exactly once).
 func (r *columnarRunner) ReadBatch(dst *stream.ColumnBatch, max int) (int, error) {
-	if r.held {
-		r.pool.ReleaseTuple(r.prev)
-		r.held = false
-		r.prev = stream.Tuple{}
-	}
 	appended := 0
 	for appended < max {
 		if r.pos < r.limit {

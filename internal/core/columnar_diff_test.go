@@ -624,29 +624,6 @@ func TestColumnarDiffMidStreamTupleError(t *testing.T) {
 	}
 }
 
-// Pool-loan emission must produce the same stream as fresh-buffer
-// emission (consumer clones, per the loan contract).
-func TestColumnarDiffPooledEmission(t *testing.T) {
-	seed := int64(55)
-	build := func(pool *stream.TuplePool) (*Process, stream.Source) {
-		proc := &Process{Pipelines: []*Pipeline{vectorisedPipeline(seed)}}
-		proc.Columnar.Pool = pool
-		return proc, diffSource(diffSchema(), seed, 150)
-	}
-	want := runOne(t, func() (*Process, stream.Source) { return build(nil) }, true, 1)
-	got := runOne(t, func() (*Process, stream.Source) {
-		return build(stream.NewTuplePoolFor(diffSchema()))
-	}, true, 1)
-	if len(got.tuples) != len(want.tuples) {
-		t.Fatalf("pooled emitted %d tuples, fresh emitted %d", len(got.tuples), len(want.tuples))
-	}
-	for i := range want.tuples {
-		if got.tuples[i] != want.tuples[i] {
-			t.Fatalf("tuple %d diverged under pool loan\npooled: %s\nfresh:  %s", i, got.tuples[i], want.tuples[i])
-		}
-	}
-}
-
 // CleanTap must observe the same prepared tuples in the same order.
 func TestColumnarDiffCleanTap(t *testing.T) {
 	collect := func(columnar bool) []string {

@@ -30,11 +30,13 @@ type Log struct {
 	// Record counts log_entries_total and the per-polluter pollution
 	// counters, Truncate unwinds them, and the polluters report their
 	// condition hit/miss tallies through it. The counters therefore
-	// satisfy sum(polluted_by) == log_entries_total == len(Entries)
-	// exactly, including under quarantine rollback. Merge deliberately
-	// does NOT count: merged entries were already counted by the
-	// sub-stream log that recorded them.
+	// satisfy sum(polluted_by) == log_entries_total == Total() exactly,
+	// including under quarantine rollback. Merge deliberately does NOT
+	// count: merged entries were already counted by the sub-stream log
+	// that recorded them.
 	Obs *obs.Registry
+
+	released int // entries handed on and dropped by Release
 }
 
 // NewLog returns an empty log.
@@ -69,6 +71,20 @@ func (l *Log) Truncate(mark int) {
 	}
 	l.Entries = l.Entries[:mark]
 }
+
+// Release drops every recorded entry, for a consumer that has handed
+// them on (published, written) and must not retain a stream's whole
+// history. Call it between Next calls of the run, when no entry can
+// still be rolled back. The backing array is reused; Total keeps
+// counting the released entries.
+func (l *Log) Release() {
+	l.released += len(l.Entries)
+	l.Entries = l.Entries[:0]
+}
+
+// Total returns the number of entries recorded over the log's life,
+// released or not.
+func (l *Log) Total() int { return l.released + len(l.Entries) }
 
 // condHit / condMiss count polluter-gate condition evaluations. They
 // ride on the log because the log is the one object already threaded

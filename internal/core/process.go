@@ -70,9 +70,8 @@ type Process struct {
 	DisableLog bool
 	// Fault selects the fault-tolerance behaviour (zero = fail fast).
 	Fault FaultPolicy
-	// Columnar tunes RunStreamColumnar (batch size, emission pooling);
-	// the zero value uses defaults. It has no effect on the tuple-wise
-	// entry points.
+	// Columnar tunes RunStreamColumnar (batch size); the zero value
+	// uses defaults. It has no effect on the tuple-wise entry points.
 	Columnar ColumnarOptions
 	// Obs, when non-nil, receives per-stage metrics and sampled traces
 	// for every run of this process. All hooks are nil-safe, so the

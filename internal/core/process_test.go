@@ -429,6 +429,18 @@ func TestLogQueriesAndSerialisation(t *testing.T) {
 	if back.Len() != 3 || back.Entries[0].Polluter != "a" {
 		t.Fatalf("round trip: %+v", back.Entries)
 	}
+
+	// Release drops the entries but keeps counting them; a rollback after
+	// it only unwinds what was recorded since.
+	l.Release()
+	l.Record(Entry{TupleID: 3, EventTime: base, Polluter: "a", Error: "offset"})
+	if l.Len() != 1 || l.Total() != 4 {
+		t.Fatalf("after release: len %d total %d", l.Len(), l.Total())
+	}
+	l.Truncate(0)
+	if l.Len() != 0 || l.Total() != 3 {
+		t.Fatalf("after rollback: len %d total %d", l.Len(), l.Total())
+	}
 }
 
 func TestNilLogIsSafe(t *testing.T) {

@@ -108,7 +108,7 @@ func (pr *Process) Stream(src stream.Source, spec StreamSpec) (*StreamRun, error
 	case spec.checkpointed():
 		run.Source, run.Log, run.Checkpointer, err = pr.runStreamCheckpointed(src, spec.Resume)
 	case spec.Shards > 1:
-		run.Source, run.Log, err = pr.runStreamSharded(src, spec.Reorder, shardConfig{KeyAttr: spec.ShardKey, Shards: spec.Shards, Arena: true})
+		run.Source, run.Log, err = pr.runStreamSharded(src, spec.Reorder, shardConfig{KeyAttr: spec.ShardKey, Shards: spec.Shards})
 	case spec.Columnar:
 		run.Source, run.Log, err = pr.RunStreamColumnar(src, spec.Reorder)
 	default:

@@ -55,14 +55,14 @@ import (
 // ring B is blocked on. No cycle, bounded memory.
 
 // shardConfig configures runStreamSharded. Stream sets KeyAttr and
-// Shards from the spec and always runs in arena mode; the remaining
-// knobs exist for the in-package property suites.
+// Shards from the spec; the remaining knobs exist for the in-package
+// property suites.
 type shardConfig struct {
 	// KeyAttr names the attribute whose value routes tuples to shards.
 	// It should match the KeyAttr of the pipeline's keyed polluters.
 	KeyAttr string
-	// Shards is the number of parallel workers. Values <= 1 run the
-	// plain sequential streaming path (same code path as RunStream).
+	// Shards is the number of parallel workers (Stream dispatches here
+	// only for Shards > 1; RunStream is the sequential engine).
 	Shards int
 	// NewPipeline builds the pipeline instance owned by shard i. Every
 	// invocation must return a freshly constructed, identically
@@ -80,13 +80,6 @@ type shardConfig struct {
 	// Buffer/BatchSize slots (minimum 2), so Buffer bounds memory and
 	// sets how far a fast shard may run ahead of the merge.
 	Buffer int
-	// Arena gives each shard a private value arena: workers clone
-	// incoming tuples into recycled per-batch value blocks instead of
-	// taking ownership of the source's buffers, eliminating both the
-	// per-tuple clone allocation and cross-shard freelist contention.
-	// Emitted tuples are loans — the consumer must be done with a tuple
-	// before its next Next call.
-	Arena bool
 }
 
 // runStreamSharded is the sharded runner behind Stream: the
@@ -97,29 +90,15 @@ type shardConfig struct {
 // surfaces as a fatal stream error instead of a panic (a panic must not
 // escape a shard goroutine), and the output is truncated at exactly the
 // failing tuple's position, as the sequential run would truncate it.
+//
+// Ownership: each shard has a private value arena. Workers clone incoming
+// tuples into recycled per-batch value blocks instead of writing the
+// source's buffers, so the source is never mutated and the steady state
+// allocates nothing per tuple. Emitted tuples are loans — the consumer
+// must be done with a tuple before its next Next call (clone to retain).
 func (pr *Process) runStreamSharded(src stream.Source, reorderWindow int, cfg shardConfig) (stream.Source, *Log, error) {
 	if len(pr.Pipelines) != 1 && cfg.NewPipeline == nil {
 		return nil, nil, fmt.Errorf("core: sharded streaming supports exactly one pipeline, got %d", len(pr.Pipelines))
-	}
-	if cfg.Shards <= 1 {
-		// Shared sequential code path: the sharded runner at 1 shard IS
-		// RunStream, so the fault/rollback behaviour cannot diverge.
-		p2 := *pr
-		if cfg.NewPipeline != nil {
-			p2.Pipelines = []*Pipeline{cfg.NewPipeline(0)}
-		}
-		if !cfg.Arena {
-			return p2.RunStream(src, reorderWindow)
-		}
-		// Arena semantics at 1 shard: clone into a pool instead of
-		// polluting the source's tuples in place, recycling on the same
-		// loan contract as the sharded arena.
-		pool := stream.NewTuplePoolFor(src.Schema())
-		out, log, err := p2.RunStream(stream.Map(src, nil, stream.PooledClone(pool)), reorderWindow)
-		if err != nil {
-			return nil, nil, err
-		}
-		return stream.Recycle(out, pool), log, nil
 	}
 	newPipeline := cfg.NewPipeline
 	if newPipeline == nil {
@@ -168,7 +147,6 @@ func (pr *Process) runStreamSharded(src stream.Source, reorderWindow int, cfg sh
 		keyIdx: src.Schema().Index(cfg.KeyAttr),
 		batch:  batch,
 		depth:  depth,
-		arena:  cfg.Arena,
 		width:  src.Schema().Len(),
 		// An arena batch may be reused only after the consumer can no
 		// longer reference its tuples. With the merger emitting straight
@@ -216,29 +194,23 @@ type shardItem struct {
 // the merger. It carries the routed tuples, their sequence numbers, the
 // pollution-log entries the worker recorded (a flat arena indexed by
 // per-item offsets, replacing a per-tuple entry-slice allocation), any
-// dead letters, and — in arena mode — the value block backing the
-// polluted tuples. Batches recycle through a per-shard free ring, so
-// the steady state allocates nothing.
+// dead letters, and the value block backing the polluted tuples.
+// Batches recycle through a per-shard free ring, so the steady state
+// allocates nothing.
 type shardBatch struct {
 	items    []shardItem
 	entryBuf []Entry              // flat log-entry arena for the whole batch
 	entryOff []int32              // entryOff[i]..entryOff[i+1] are item i's entries
 	dls      []*stream.DeadLetter // per-item dead letters (nil when none in batch)
-	vals     []stream.Value       // arena block backing cloned tuples (Arena mode)
+	vals     []stream.Value       // arena block backing the cloned tuples
 	err      error                // fatal pipeline error; items holds the valid prefix
 	errSeq   uint64               // sequence number of the failing tuple
 }
 
-// reset prepares a batch for reuse. clearItems drops the tuple
-// references so a recycled batch does not pin foreign values; arena
-// batches skip it — their tuples point into b.vals, which the batch
-// retains (and overwrites) anyway.
-func (b *shardBatch) reset(clearItems bool) {
-	if clearItems {
-		for i := range b.items {
-			b.items[i] = shardItem{}
-		}
-	}
+// reset prepares a batch for reuse. The items are not cleared: their
+// tuples point into b.vals, which the batch retains (and overwrites)
+// anyway.
+func (b *shardBatch) reset() {
 	b.items = b.items[:0]
 	b.entryBuf = b.entryBuf[:0]
 	b.entryOff = b.entryOff[:0]
@@ -267,7 +239,6 @@ type shardedSource struct {
 	keyIdx  int
 	batch   int
 	depth   int
-	arena   bool
 	width   int
 	recycle bool // arena batches may be recycled (no reorder buffer downstream)
 	log     *Log
@@ -460,25 +431,20 @@ func (s *shardedSource) worker(shard int) {
 }
 
 // pollute runs one batch through the shard's pipeline in place,
-// recording log entries into the batch's flat entry arena. In arena
-// mode each tuple is first cloned into the batch's value block, so the
-// source's buffers are never written. Reports whether a fatal error
-// truncated the batch.
+// recording log entries into the batch's flat entry arena. Each tuple is
+// first cloned into the batch's value block, so the source's buffers
+// are never written. Reports whether a fatal error truncated the batch.
 func (s *shardedSource) pollute(pipe *Pipeline, b *shardBatch, scratch *Log) bool {
 	logged := scratch != nil
 	if logged {
 		b.entryOff = append(b.entryOff[:0], 0)
 	}
-	if s.arena {
-		if need := len(b.items) * s.width; cap(b.vals) < need {
-			b.vals = make([]stream.Value, need)
-		}
+	if need := len(b.items) * s.width; cap(b.vals) < need {
+		b.vals = make([]stream.Value, need)
 	}
 	for i := range b.items {
 		item := &b.items[i]
-		if s.arena {
-			item.t.CloneValuesInto(b.vals[i*s.width : i*s.width : (i+1)*s.width])
-		}
+		item.t.CloneValuesInto(b.vals[i*s.width : i*s.width : (i+1)*s.width])
 		if logged {
 			scratch.Entries = scratch.Entries[:0]
 		}
@@ -668,21 +634,14 @@ func (s *shardedSource) consume(sh int) (stream.Tuple, bool) {
 // one loaned tuple, plus slack for the emission in flight.
 const arenaMargin = 3
 
-// retire hands an exhausted batch back for recycling. Non-arena
-// batches recycle immediately (nothing references them once their
-// entries and dead letters are booked); arena batches wait in a small
-// FIFO until the consumer can no longer hold a loaned tuple backed by
-// their value block — unless a reorder buffer sits downstream
+// retire hands an exhausted batch back for recycling: it waits in a
+// small FIFO until the consumer can no longer hold a loaned tuple
+// backed by its value block — unless a reorder buffer sits downstream
 // (s.recycle false), in which case tuple lifetimes are unbounded in
 // emissions and the batch is simply dropped to the GC.
 func (s *shardedSource) retire(sh int) {
 	b := s.cur[sh]
 	s.cur[sh] = nil
-	if !s.arena {
-		b.reset(true)
-		s.frees[sh].TryPush(b) // a full free ring drops the batch to the GC
-		return
-	}
 	if !s.recycle {
 		return
 	}
@@ -698,8 +657,8 @@ func (s *shardedSource) recycleRetired() {
 		if s.emitted-rb.mark < arenaMargin {
 			break
 		}
-		rb.b.reset(false)
-		s.frees[rb.shard].TryPush(rb.b)
+		rb.b.reset()
+		s.frees[rb.shard].TryPush(rb.b) // a full free ring drops the batch to the GC
 		n++
 	}
 	if n > 0 {

@@ -16,31 +16,30 @@ import (
 // and the arena clone path.
 
 // runShardedWith runs a keyed pipeline factory with an explicit
-// shardConfig and returns the rendered output and log.
+// shardConfig and returns the rendered output and log. Shards <= 1 is
+// the sequential reference, RunStream.
 func runShardedWith(t *testing.T, factory func(int) *Pipeline, n, keys, reorder int, cfg shardConfig) (string, string) {
 	t.Helper()
 	schema := shardedTestSchema()
 	cfg.KeyAttr = "sensor"
 	cfg.NewPipeline = factory
 	proc := &Process{Pipelines: []*Pipeline{factory(0)}}
-	out, log, err := proc.runStreamSharded(shardedTestSource(schema, n, keys), reorder, cfg)
+	var (
+		out stream.Source
+		log *Log
+		err error
+	)
+	if cfg.Shards <= 1 {
+		out, log, err = proc.RunStream(shardedTestSource(schema, n, keys), reorder)
+	} else {
+		out, log, err = proc.runStreamSharded(shardedTestSource(schema, n, keys), reorder, cfg)
+	}
 	if err != nil {
 		t.Fatalf("shards=%d: %v", cfg.Shards, err)
 	}
-	// Arena tuples are loans: clone while collecting.
-	var tuples []stream.Tuple
-	for {
-		tup, err := out.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("shards=%d next: %v", cfg.Shards, err)
-		}
-		if cfg.Arena {
-			tup = tup.Clone()
-		}
-		tuples = append(tuples, tup)
+	tuples, err := drainLoaned(out)
+	if err != nil {
+		t.Fatalf("shards=%d drain: %v", cfg.Shards, err)
 	}
 	return renderTuples(tuples), renderLog(log)
 }
@@ -107,16 +106,15 @@ func TestShardedSingleTupleBatches(t *testing.T) {
 	}
 }
 
-// TestShardedArenaByteIdentical runs the arena clone path (including
-// shards=1, which maps it onto the pooled sequential runner) against
-// the plain sequential output, with and without a reorder window.
+// TestShardedArenaByteIdentical runs the arena clone path against the
+// plain sequential output, with and without a reorder window.
 func TestShardedArenaByteIdentical(t *testing.T) {
 	const n, keys = 1100, 9
 	seed := int64(8)
 	for _, reorder := range []int{1, 32} {
 		wantOut, wantLog := runShardedCfg(t, seed, n, keys, reorder, shardConfig{Shards: 1})
-		for _, shards := range []int{1, 2, 8} {
-			cfg := shardConfig{Shards: shards, Arena: true}
+		for _, shards := range []int{2, 8} {
+			cfg := shardConfig{Shards: shards}
 			gotOut, gotLog := runShardedCfg(t, seed, n, keys, reorder, cfg)
 			if gotOut != wantOut {
 				t.Errorf("arena shards=%d reorder=%d: output differs from sequential", shards, reorder)
@@ -164,7 +162,7 @@ func TestShardedArenaReorderHeavyDelay(t *testing.T) {
 		t.Fatal("sequential run produced nothing")
 	}
 	for _, shards := range []int{2, 8} {
-		cfg := shardConfig{Shards: shards, Arena: true, BatchSize: 16}
+		cfg := shardConfig{Shards: shards, BatchSize: 16}
 		gotOut, gotLog := runShardedWith(t, factory, n, keys, window, cfg)
 		if gotOut != wantOut {
 			t.Errorf("shards=%d: heavy-delay arena output differs from sequential", shards)
@@ -194,7 +192,7 @@ func TestShardedArenaPreservesSource(t *testing.T) {
 	factory := keyedStickyTemporalFactory(31)
 	proc := &Process{Pipelines: []*Pipeline{factory(0)}, DisableLog: true}
 	out, _, err := proc.runStreamSharded(stream.NewSliceSource(schema, tuples), 1,
-		shardConfig{KeyAttr: "sensor", Shards: 4, NewPipeline: factory, Arena: true})
+		shardConfig{KeyAttr: "sensor", Shards: 4, NewPipeline: factory})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +270,7 @@ func TestShardedFailFastDeterministicPrefix(t *testing.T) {
 				ferr = err
 				break
 			}
-			got = append(got, tu)
+			got = append(got, tu.Clone())
 		}
 		if ferr == io.EOF || !strings.Contains(ferr.Error(), "injected fault on tuple 97") {
 			t.Fatalf("shards=%d: fatal error = %v, want injected fault on tuple 97", shards, ferr)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -86,23 +87,28 @@ func renderLog(l *Log) string {
 	return b.String()
 }
 
-// runSharded executes the keyed pipeline with the given shard count and
-// returns the rendered output and log.
+// drainLoaned collects src like stream.Drain but clones every tuple:
+// the sharded runner emits loans backed by recycled arena blocks.
+func drainLoaned(src stream.Source) ([]stream.Tuple, error) {
+	var out []stream.Tuple
+	for {
+		t, err := src.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, t.Clone())
+	}
+}
+
+// runSharded executes the keyed pipeline with the given shard count
+// (1 = RunStream, the sequential reference) and returns the rendered
+// output and log.
 func runSharded(t *testing.T, seed int64, n, keys, shards, reorder int) (string, string) {
 	t.Helper()
-	schema := shardedTestSchema()
-	factory := keyedStickyTemporalFactory(seed)
-	proc := &Process{Pipelines: []*Pipeline{factory(0)}}
-	out, log, err := proc.runStreamSharded(shardedTestSource(schema, n, keys), reorder,
-		shardConfig{KeyAttr: "sensor", Shards: shards, NewPipeline: factory})
-	if err != nil {
-		t.Fatalf("shards=%d: %v", shards, err)
-	}
-	tuples, err := stream.Drain(out)
-	if err != nil {
-		t.Fatalf("shards=%d drain: %v", shards, err)
-	}
-	return renderTuples(tuples), renderLog(log)
+	return runShardedWith(t, keyedStickyTemporalFactory(seed), n, keys, reorder, shardConfig{Shards: shards})
 }
 
 // TestShardDeterminism is the property test of the sharding guarantee:
@@ -144,7 +150,7 @@ func TestShardedAutoKeyedFactory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuples, err := stream.Drain(out)
+	tuples, err := drainLoaned(out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +273,7 @@ func TestRunnerLogEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		tuples, err := stream.Drain(out)
+		tuples, err := drainLoaned(out)
 		if err != nil {
 			t.Fatalf("%s drain: %v", kind, err)
 		}

@@ -45,8 +45,10 @@ type Exp3Scenario struct {
 	// RuntimesMS holds the wall-clock time of every run in milliseconds.
 	RuntimesMS []float64
 	Box        stats.BoxPlot
-	// OverheadPercent is the median overhead relative to the unpolluted
-	// baseline (0 for the baseline itself).
+	// OverheadPercent is the overhead relative to the unpolluted
+	// baseline: the median over rounds of this scenario's runtime ÷ the
+	// baseline's runtime in the same round, minus one (0 for the baseline
+	// itself). Pairing within a round cancels load drift on a shared box.
 	OverheadPercent float64
 }
 
@@ -112,32 +114,31 @@ func RunExp3(cfg Exp3Config) (*Exp3Result, error) {
 		{"no pollution", nil, 1},
 	}
 
-	res := &Exp3Result{Tuples: len(tuples)}
-	var baselineMedian float64
-	for _, sc := range scenarios {
-		runtimes := make([]float64, 0, cfg.Runs)
-		for run := 0; run < cfg.Runs; run++ {
+	// Rounds are interleaved — run r of every scenario before run r+1 of
+	// any — so each scenario's r-th runtime has a baseline measured
+	// moments later under the same load.
+	res := &Exp3Result{Tuples: len(tuples), Scenarios: make([]Exp3Scenario, len(scenarios))}
+	for run := 0; run < cfg.Runs; run++ {
+		for i, sc := range scenarios {
 			elapsed, err := timeOnePipeline(input, inputPath, cfg.DiskDir, schema, sc.proc, sc.reorder, cfg.DataSeed+int64(run))
 			if err != nil {
 				return nil, fmt.Errorf("exp3 %s run %d: %w", sc.name, run, err)
 			}
-			runtimes = append(runtimes, elapsed.Seconds()*1000)
-		}
-		box := stats.NewBoxPlot(runtimes)
-		res.Scenarios = append(res.Scenarios, Exp3Scenario{
-			Name:       sc.name,
-			RuntimesMS: runtimes,
-			Box:        box,
-		})
-		if sc.proc == nil {
-			baselineMedian = box.Median
+			res.Scenarios[i].RuntimesMS = append(res.Scenarios[i].RuntimesMS, elapsed.Seconds()*1000)
 		}
 	}
-	for i := range res.Scenarios {
-		if baselineMedian > 0 {
-			res.Scenarios[i].OverheadPercent =
-				(res.Scenarios[i].Box.Median - baselineMedian) / baselineMedian * 100
+	// The baseline is the last scenario; against itself every ratio is
+	// exactly 1, so its overhead reads 0.
+	baseline := res.Scenarios[len(scenarios)-1].RuntimesMS
+	for i, sc := range scenarios {
+		out := &res.Scenarios[i]
+		out.Name = sc.name
+		out.Box = stats.NewBoxPlot(out.RuntimesMS)
+		ratios := make([]float64, len(out.RuntimesMS))
+		for r, ms := range out.RuntimesMS {
+			ratios[r] = ms / baseline[r]
 		}
+		out.OverheadPercent = (stats.Median(ratios) - 1) * 100
 	}
 	return res, nil
 }

@@ -133,7 +133,9 @@ type savedFrame struct {
 type channel struct {
 	name string
 	seq  uint64
-	// ring retains the most recent frames for replay, oldest first.
+	// ring retains the most recent frames of a memory-only channel for
+	// replay, oldest first. A channel with a WAL keeps no ring: the log is
+	// its one replay path.
 	ring []savedFrame
 	// hello is the channel's opening frame, replayed to every new
 	// subscriber (it is not part of the sequence space).
@@ -143,7 +145,7 @@ type channel struct {
 	done bool
 	// wal, when attached, durably persists every published frame (except
 	// error frames, which are live-delivery only so a crashed run can
-	// resume after restart) and serves replay past the in-memory ring.
+	// resume after restart) and serves every replay.
 	wal *WAL
 	// recoverMax is the recovery suppression boundary: while seq <=
 	// recoverMax, the deterministic re-run is regenerating frames that
@@ -163,10 +165,11 @@ type Hub struct {
 	replay   int
 	policy   Policy
 	closed   bool
-	// resumable marks the hub as backing a restartable session (durable
-	// or supervised): error frames are then live-delivery only — they
+	// resumable marks the hub as backing a restartable session
+	// (supervised): error frames are then live-delivery only — they
 	// consume no sequence number and never mark a channel done, so a
-	// restarted session continues the sequence with no gap.
+	// restarted session continues the sequence with no gap. Channels with
+	// a WAL behave that way regardless.
 	resumable bool
 	// trackDelivery stamps published frames with the publish time and
 	// observes publish→Recv pickup into StageDeliver (the session
@@ -192,8 +195,8 @@ type Hub struct {
 
 // NewHub builds a hub for the standard channels. buffer is the
 // per-subscriber queue capacity (minimum 1), replay the number of frames
-// retained per channel for late subscribers and reconnects (minimum
-// buffer).
+// a memory-only channel retains for late subscribers and reconnects
+// (minimum buffer).
 func NewHub(buffer, replay int, policy Policy, reg *obs.Registry) *Hub {
 	h := NewHubNamed(Channels(), buffer, replay, policy, reg)
 	h.perSubGauges = true
@@ -285,11 +288,11 @@ func (h *Hub) walAppends() uint64 {
 // boundary absorbed (frames already durable before a restart).
 func (h *Hub) Recovered() uint64 { return h.recovered.Load() }
 
-// AttachWAL backs the named channel with a durable log. The channel's
-// sequence cursor advances to the log's newest record, the replay ring
-// is warmed from the log's tail, and a durably-terminal log marks the
-// channel done. Attach before serving traffic (it does not retrofit
-// already-published frames).
+// AttachWAL backs the named channel with a durable log, which from then
+// on is the channel's only replay path (no ring is kept beside it). The
+// channel's sequence cursor advances to the log's newest record and a
+// durably-terminal log marks the channel done. Attach before serving
+// traffic (it does not retrofit already-published frames).
 func (h *Hub) AttachWAL(channelName string, w *WAL) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -303,30 +306,6 @@ func (h *Hub) AttachWAL(channelName string, w *WAL) error {
 	ch.wal = w
 	ch.seq = w.MaxSeq()
 	ch.done = w.Terminal()
-	// Warm the in-memory ring from the log tail so ring-level consumers
-	// (and the common resume window) stay memory-served.
-	if maxSeq := w.MaxSeq(); maxSeq > 0 {
-		start := w.MinSeq()
-		if maxSeq-start+1 > uint64(h.replay) {
-			start = maxSeq - uint64(h.replay) + 1
-		}
-		r, err := w.ReadFrom(start)
-		if err != nil {
-			return err
-		}
-		defer r.Close()
-		for {
-			rec, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return fmt.Errorf("netstream: warm ring for %q: %w", channelName, err)
-			}
-			data := append([]byte(nil), rec.Payload...)
-			ch.ring = append(ch.ring, savedFrame{seq: rec.Seq, data: data, terminal: rec.Terminal})
-		}
-	}
 	return nil
 }
 
@@ -408,12 +387,13 @@ func (h *Hub) Publish(channelName string, f *Frame) error {
 		h.mu.Unlock()
 		return &UnknownChannelError{Channel: channelName}
 	}
-	if f.Type == FrameError && (h.resumable || ch.seq < ch.recoverMax) {
+	if f.Type == FrameError && (h.resumable || ch.wal != nil || ch.seq < ch.recoverMax) {
 		// A restartable session failed (or the re-run died inside the
 		// recovery window). The error is not part of the durable stream, so
-		// it takes no sequence number, is never persisted, and does not
-		// mark the channel done — connected subscribers learn the session
-		// failed, while the sequence stays resumable for the next restart.
+		// it takes no sequence number, is never persisted or retained, and
+		// does not mark the channel done — connected subscribers learn the
+		// session failed, while the sequence stays resumable for the next
+		// restart.
 		f.Channel = channelName
 		data, err := EncodeFrame(f)
 		if err != nil {
@@ -454,10 +434,9 @@ func (h *Hub) Publish(channelName string, f *Frame) error {
 		h.mu.Unlock()
 		return err
 	}
-	if ch.wal != nil && f.Type != FrameError {
-		// Error frames are live-delivery only: keeping them out of the log
-		// lets a restarted daemon resume a crashed run instead of replaying
-		// its failure. Only eof is durably terminal.
+	if ch.wal != nil {
+		// Error frames never reach here (live-delivery only, above), so
+		// only eof is durably terminal.
 		t0 := time.Now()
 		werr := ch.wal.Append(ch.seq, f.Type == FrameEOF, data)
 		h.reg.ObserveStage(obs.StageWALAppend, time.Since(t0))
@@ -471,11 +450,12 @@ func (h *Hub) Publish(channelName string, f *Frame) error {
 	if h.trackDelivery {
 		sf.at = time.Now()
 	}
-	ch.ring = append(ch.ring, sf)
-	if len(ch.ring) > h.replay {
-		// Never evict the hello-equivalent head beyond capacity; plain
-		// sliding eviction, oldest first.
-		ch.ring = ch.ring[len(ch.ring)-h.replay:]
+	if ch.wal == nil {
+		ch.ring = append(ch.ring, sf)
+		if len(ch.ring) > h.replay {
+			// Plain sliding eviction, oldest first.
+			ch.ring = ch.ring[len(ch.ring)-h.replay:]
+		}
 	}
 	if terminal {
 		ch.done = true
@@ -544,8 +524,9 @@ type Subscriber struct {
 	err       atomic.Value // error
 
 	// Locally-buffered frames, delivered in order before any live frame:
-	// the hello, then the durable log from the resume point, then ring
-	// frames past the log. All are consumed by the single Recv goroutine.
+	// the hello, then the channel's replay from the resume point — the
+	// durable log (walIter) or the ring snapshot (replay), never both. All
+	// are consumed by the single Recv goroutine.
 	hello   []byte
 	walIter *WALReader
 	replay  []savedFrame
@@ -581,10 +562,11 @@ func (h *Hub) Subscribe(channelName string, fromSeq uint64) (*Subscriber, error)
 		lastAcked = fromSeq - 1
 	}
 	var walIter *WALReader
-	var walUntil uint64
+	var replay []savedFrame
 	if ch.wal != nil {
-		// Durable replay: the log is authoritative for everything it
-		// retains; the ring only adds frames past the log (error frames).
+		// Durable replay: the log holds every frame published so far (the
+		// append happens under h.mu, before delivery), so the reader covers
+		// [start, walMax] and live delivery everything after.
 		walMin, walMax := ch.wal.MinSeq(), ch.wal.MaxSeq()
 		if walMax >= start {
 			if walMin > start {
@@ -594,7 +576,7 @@ func (h *Hub) Subscribe(channelName string, fromSeq uint64) (*Subscriber, error)
 			if err != nil {
 				return nil, err
 			}
-			walIter, walUntil = iter, walMax
+			walIter = iter
 		}
 	} else {
 		if len(ch.ring) > 0 && ch.ring[0].seq > start {
@@ -602,6 +584,11 @@ func (h *Hub) Subscribe(channelName string, fromSeq uint64) (*Subscriber, error)
 		}
 		if len(ch.ring) == 0 && ch.seq >= start {
 			return nil, &GapError{Channel: channelName, Requested: start, LastAcked: lastAcked}
+		}
+		for _, sf := range ch.ring {
+			if sf.seq >= start {
+				replay = append(replay, sf)
+			}
 		}
 	}
 	s := &Subscriber{
@@ -612,11 +599,7 @@ func (h *Hub) Subscribe(channelName string, fromSeq uint64) (*Subscriber, error)
 		closed:  make(chan struct{}),
 		hello:   ch.hello,
 		walIter: walIter,
-	}
-	for _, sf := range ch.ring {
-		if sf.seq >= start && sf.seq > walUntil {
-			s.replay = append(s.replay, sf)
-		}
+		replay:  replay,
 	}
 	s.replayN.Store(int64(len(s.replay)))
 	if !ch.done {
@@ -700,8 +683,8 @@ func (s *Subscriber) termErr() error {
 }
 
 // pending pops the next locally-buffered frame: the hello, then the
-// durable log replay, then ring frames past the log. ok is false once
-// only live frames remain. Data served from the log replay is valid
+// durable log replay or the ring snapshot. ok is false once only live
+// frames remain. Data served from the log replay is valid
 // until the next Recv call.
 func (s *Subscriber) pending() (data []byte, terminal bool, ok bool, err error) {
 	if s.hello != nil {

@@ -53,8 +53,9 @@ type Config struct {
 	ColumnarBatch int
 	// Buffer is the per-subscriber send queue capacity (frames).
 	Buffer int
-	// Replay is the number of frames retained per channel for late
-	// subscribers and reconnects.
+	// Replay is the number of frames a memory-only server retains per
+	// channel for late subscribers and reconnects; with WALDir the log is
+	// the only replay path and Replay is unused.
 	Replay int
 	// Policy selects the backpressure behaviour for slow subscribers.
 	Policy Policy
@@ -226,10 +227,8 @@ func NewServer(cfg Config) (*Server, error) {
 			}
 		}
 	}
-	if cfg.Supervise || cfg.WALDir != "" {
-		s.hub.SetResumable(true)
-	}
 	if cfg.Supervise {
+		s.hub.SetResumable(true)
 		s.sup = NewSupervisor(cfg.RestartBudget, cfg.RestartWindow, cfg.RestartBackoff, cfg.Logf)
 		if cfg.Namespace == "" {
 			// Session servers share one registry; a per-session gauge under
@@ -390,17 +389,21 @@ func (s *Server) runPipeline(ctx context.Context) error {
 		return fail(err)
 	}
 	polluted, plog, ckr := run.Source, run.Log, run.Checkpointer
-	flushed := 0
+	// flushLog publishes the entries recorded since the last flush and
+	// releases them, so a session over an unbounded source retains one
+	// flush interval of entries, not its whole history. It runs between
+	// Next calls only, when no entry can still be rolled back.
 	flushLog := func() error {
 		if plog == nil {
 			return nil
 		}
-		for ; flushed < len(plog.Entries); flushed++ {
-			e := plog.Entries[flushed]
+		for i := range plog.Entries {
+			e := plog.Entries[i]
 			if err := s.hub.Publish(s.chLog, &Frame{Type: FrameLog, Entry: &e}); err != nil {
 				return err
 			}
 		}
+		plog.Release()
 		return nil
 	}
 	emitted := 0
@@ -551,7 +554,7 @@ func (s *Server) Serve(ctx context.Context, tcpLn, httpLn net.Listener) error {
 	pipeRes := s.startPipeline(ctx)
 
 	// Keep serving until the caller cancels, so late clients can still
-	// fetch results from the replay ring after the pipeline completes.
+	// fetch results from the ring or the WAL after the pipeline completes.
 	<-ctx.Done()
 	return s.drainAndClose(httpSrv, pipeRes)
 }
@@ -680,7 +683,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	_ = conn.SetReadDeadline(time.Time{})
 	var req SubscribeRequest
 	if err := json.Unmarshal(payload, &req); err != nil {
-		s.writeErrorFrame(conn, fmt.Errorf("netstream: bad subscribe request: %w", err))
+		writeConnError(conn, fmt.Errorf("netstream: bad subscribe request: %w", err))
 		return
 	}
 	if req.Channel == "" {
@@ -697,7 +700,7 @@ func (s *Server) handleConn(conn net.Conn) {
 func (s *Server) streamTCP(conn net.Conn, channel string, fromSeq uint64, throttle func(n int) error) {
 	sub, err := s.hub.Subscribe(channel, fromSeq)
 	if err != nil {
-		s.writeErrorFrame(conn, err)
+		writeConnError(conn, err)
 		return
 	}
 	defer sub.Close()
@@ -706,13 +709,13 @@ func (s *Server) streamTCP(conn net.Conn, channel string, fromSeq uint64, thrott
 		data, terminal, err := sub.Recv()
 		if err != nil {
 			if errors.Is(err, ErrSlowClient) {
-				s.writeErrorFrame(conn, err)
+				writeConnError(conn, err)
 			}
 			return
 		}
 		if throttle != nil {
 			if terr := throttle(len(data)); terr != nil {
-				s.writeErrorFrame(conn, terr)
+				writeConnError(conn, terr)
 				return
 			}
 		}
@@ -728,27 +731,6 @@ func (s *Server) streamTCP(conn net.Conn, channel string, fromSeq uint64, thrott
 			return
 		}
 	}
-}
-
-// writeErrorFrame best-effort reports err to the peer as a terminal
-// frame. Replay-gap rejections carry machine-readable bounds so the
-// client maps them to a typed, non-retryable GapError.
-func (s *Server) writeErrorFrame(conn net.Conn, err error) {
-	f := &Frame{Type: FrameError, Error: err.Error()}
-	var gap *GapError
-	if errors.As(err, &gap) {
-		f.Gap = &GapInfo{Requested: gap.Requested, ServerMin: gap.ServerMin}
-	}
-	var quota *QuotaError
-	if errors.As(err, &quota) {
-		f.Quota = quota.Info()
-	}
-	data, merr := EncodeFrame(f)
-	if merr != nil {
-		return
-	}
-	_ = conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	_ = WriteFrame(conn, data)
 }
 
 // HTTPHandler returns the service's HTTP interface:
@@ -865,15 +847,13 @@ func (s *Server) streamHTTP(w http.ResponseWriter, r *http.Request, sse bool, ch
 		data, terminal, err := sub.RecvContext(ctx)
 		if err != nil {
 			if errors.Is(err, ErrSlowClient) {
-				s.writeHTTPFrame(w, flusher, sse, slowClientFrame())
+				s.writeHTTPError(w, flusher, sse, err)
 			}
 			return
 		}
 		if throttle != nil {
 			if terr := throttle(len(data)); terr != nil {
-				if ef, merr := EncodeFrame(errorFrame(terr)); merr == nil {
-					s.writeHTTPFrame(w, flusher, sse, ef)
-				}
+				s.writeHTTPError(w, flusher, sse, terr)
 				return
 			}
 		}
@@ -889,7 +869,9 @@ func (s *Server) streamHTTP(w http.ResponseWriter, r *http.Request, sse bool, ch
 }
 
 // errorFrame renders err as a terminal error frame with its typed
-// payload (gap/quota) attached.
+// payload attached: replay-gap and quota rejections carry
+// machine-readable bounds so the client maps them to typed,
+// non-retryable errors.
 func errorFrame(err error) *Frame {
 	f := &Frame{Type: FrameError, Error: err.Error()}
 	var gap *GapError
@@ -912,10 +894,12 @@ func (c *httpCloser) Close() error {
 	return c.rc.SetWriteDeadline(time.Now())
 }
 
-// slowClientFrame renders the disconnect-slow terminal frame.
-func slowClientFrame() []byte {
-	data, _ := EncodeFrame(&Frame{Type: FrameError, Error: ErrSlowClient.Error()})
-	return data
+// writeHTTPError best-effort ends an HTTP stream with err as a terminal
+// frame.
+func (s *Server) writeHTTPError(w http.ResponseWriter, flusher http.Flusher, sse bool, err error) {
+	if data, merr := EncodeFrame(errorFrame(err)); merr == nil {
+		s.writeHTTPFrame(w, flusher, sse, data)
+	}
 }
 
 // writeHTTPFrame writes one frame in the chosen HTTP encoding.

@@ -547,42 +547,6 @@ func (r *BatchSliceReader) ReadBatch(dst *ColumnBatch, max int) (int, error) {
 	return take, nil
 }
 
-// ColumnBatchPool recycles ColumnBatches of one schema so steady-state
-// batch processing allocates nothing. It is not safe for concurrent
-// use; pools are per-runner, like TuplePool's single-slot fast path.
-type ColumnBatchPool struct {
-	schema   *Schema
-	capacity int
-	free     []*ColumnBatch
-}
-
-// NewColumnBatchPool returns a pool minting batches over schema with
-// the given row capacity.
-func NewColumnBatchPool(schema *Schema, capacity int) *ColumnBatchPool {
-	return &ColumnBatchPool{schema: schema, capacity: capacity}
-}
-
-// Get returns an empty batch, recycling a previously Put one when
-// available.
-func (p *ColumnBatchPool) Get() *ColumnBatch {
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free = p.free[:n-1]
-		return b
-	}
-	return NewColumnBatch(p.schema, p.capacity)
-}
-
-// Put resets b and returns it to the pool. Slices previously obtained
-// from b are invalidated.
-func (p *ColumnBatchPool) Put(b *ColumnBatch) {
-	if b == nil || b.schema != p.schema {
-		return
-	}
-	b.Reset()
-	p.free = append(p.free, b)
-}
-
 // RowInto materialises row into a Tuple whose values live in buf (grown
 // if needed). The metadata (ID, sub-stream, event time, arrival, flags)
 // is restored exactly, so batching a stream and replaying it is

@@ -163,33 +163,6 @@ func TestSelectionFillAll(t *testing.T) {
 	}
 }
 
-func TestColumnBatchPoolRecycles(t *testing.T) {
-	schema := growthSchema(t)
-	pool := NewColumnBatchPool(schema, 8)
-	b := pool.Get()
-	tu := NewTuple(schema, []Value{Time(time.Unix(0, 0)), Float(1), Str("x")})
-	if err := b.AppendTuple(tu); err != nil {
-		t.Fatal(err)
-	}
-	pool.Put(b)
-	b2 := pool.Get()
-	if b2 != b {
-		t.Fatal("pool did not recycle the batch")
-	}
-	if b2.Len() != 0 {
-		t.Fatal("recycled batch not reset")
-	}
-	// A batch over a different schema is rejected, not pooled.
-	other, err := NewSchema("ts", Field{Name: "ts", Kind: KindTime})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.Put(NewColumnBatch(other, 1))
-	if got := pool.Get(); got.Schema() != schema {
-		t.Fatal("pool handed out a foreign-schema batch")
-	}
-}
-
 // TestAppendBatchRows exercises the bulk batch-to-batch copy, including
 // payload arrays that are lazily allocated mid-batch (a string written
 // into a float column via SetRow leaves the string payload shorter than
