@@ -116,7 +116,8 @@ perfgate:
 	bash scripts/perfgate.sh
 
 # Short fuzz pass over every fuzz target (value parsing, the quarantine
-# of malformed tuples, and the metrics codec round-trips). Extend
+# of malformed tuples, the metrics, WAL and frame codecs, and the log
+# entry renderer against encoding/json). Extend
 # FUZZTIME for deeper runs.
 FUZZTIME ?= 15s
 
@@ -130,6 +131,8 @@ fuzz:
 	$(GO) test ./internal/netstream/ -run '^$$' -fuzz FuzzWALTornTail -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netstream/ -run '^$$' -fuzz FuzzColumnarFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netstream/ -run '^$$' -fuzz FuzzColumnarTornFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/netstream/ -run '^$$' -fuzz FuzzFrameCodec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzEntryJSON -fuzztime $(FUZZTIME)
 
 clean:
 	$(GO) clean ./...

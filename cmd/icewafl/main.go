@@ -501,11 +501,8 @@ func runCheckpointed(proc *core.Process, reader stream.Source, schema *stream.Sc
 		}
 		c.Offsets["out_bytes"] = outOff
 		if logF != nil && plog != nil {
-			enc := json.NewEncoder(logF)
-			for i := flushedLog; i < len(plog.Entries); i++ {
-				if err := enc.Encode(&plog.Entries[i]); err != nil {
-					return err
-				}
+			if err := (&core.Log{Entries: plog.Entries[flushedLog:]}).WriteJSON(logF); err != nil {
+				return err
 			}
 			flushedLog = len(plog.Entries)
 			logOff, err := logF.Seek(0, io.SeekCurrent)

@@ -1,7 +1,7 @@
 // Command icewafld is the networked pollution service: it runs one
 // configured pollution pipeline over a CSV input and streams the dirty
 // stream, the clean stream, and the pollution log to any number of
-// subscribed clients — over raw TCP (length-prefixed JSON frames) and
+// subscribed clients — over raw TCP (length-prefixed frames) and
 // HTTP (NDJSON chunks, SSE, plus /metrics and /healthz).
 //
 // Usage:

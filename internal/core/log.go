@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"icewafl/internal/obs"
 )
@@ -163,14 +165,108 @@ func (l *Log) Merge(other *Log, subStream int) {
 	}
 }
 
-// WriteJSON serialises the log as JSON lines, one entry per line, so that
-// huge logs stream to disk without buffering.
+// AppendJSON appends the entry as one JSON object, byte-identical to
+// encoding/json's rendering of the struct (field order, omitted empty
+// attrs, HTML-safe string escaping, RFC3339Nano event time with its
+// zone) without reflecting over it.
+func (e *Entry) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"tuple_id":`...)
+	dst = strconv.AppendUint(dst, e.TupleID, 10)
+	dst = append(dst, `,"sub_stream":`...)
+	dst = strconv.AppendInt(dst, int64(e.SubStream), 10)
+	dst = append(dst, `,"event_time":"`...)
+	dst = e.EventTime.AppendFormat(dst, time.RFC3339Nano)
+	dst = append(dst, `","polluter":`...)
+	dst = appendJSONString(dst, e.Polluter)
+	dst = append(dst, `,"error":`...)
+	dst = appendJSONString(dst, e.Error)
+	for i, a := range e.Attrs {
+		if i == 0 {
+			dst = append(dst, `,"attrs":[`...)
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = appendJSONString(dst, a)
+	}
+	if len(e.Attrs) > 0 {
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
+}
+
+// MarshalJSON hands encoding/json the same rendering wherever an entry
+// is marshalled through a pointer (a frame's entry at the HTTP edge).
+func (e *Entry) MarshalJSON() ([]byte, error) { return e.AppendJSON(nil), nil }
+
+// appendJSONString appends s as a JSON string literal exactly as
+// encoding/json does by default: control characters, `"`, `\`, the
+// HTML-sensitive `<>&` and U+2028/U+2029 are escaped, invalid UTF-8
+// becomes \ufffd.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
+}
+
+// logChunk is how many rendered bytes WriteJSON gathers per Write.
+const logChunk = 32 << 10
+
+// WriteJSON serialises the log as JSON lines, one entry per line, in
+// bounded chunks so that huge logs stream to disk without being
+// buffered whole.
 func (l *Log) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
+	var buf []byte
 	for i := range l.Entries {
-		if err := enc.Encode(&l.Entries[i]); err != nil {
+		buf = append(l.Entries[i].AppendJSON(buf), '\n')
+		if len(buf) < logChunk && i < len(l.Entries)-1 {
+			continue
+		}
+		if _, err := w.Write(buf); err != nil {
 			return fmt.Errorf("core: write log entry %d: %w", i, err)
 		}
+		buf = buf[:0]
 	}
 	return nil
 }

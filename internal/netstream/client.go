@@ -44,6 +44,15 @@ type ClientSource struct {
 	// batch frame consumes one sequence number, so its rows are queued
 	// locally and served by subsequent Next calls.
 	pending []stream.Tuple
+	// readBuf is the frame read buffer, rows the array pending is cut
+	// from and meta the colbatch scratch — all reused across frames;
+	// decoded tuples own copies, never these.
+	readBuf []byte
+	rows    []stream.Tuple
+	meta    batchMeta
+	// cur is the connection's schema, read on the consumer goroutine
+	// without schemaMu (which only guards the public Schema accessor).
+	cur *stream.Schema
 
 	schemaMu sync.Mutex
 	schema   *stream.Schema
@@ -152,7 +161,7 @@ func (c *ClientSource) connect() error {
 	if c.schema != nil {
 		c.reconnects.Add(1)
 	}
-	c.schema = schema
+	c.schema, c.cur = schema, schema
 	c.schemaMu.Unlock()
 	_ = conn.SetDeadline(time.Time{})
 
@@ -248,7 +257,7 @@ func (c *ClientSource) Next() (stream.Tuple, error) {
 				return stream.Tuple{}, err
 			}
 		}
-		payload, err := ReadFrame(c.br)
+		payload, err := readFrameInto(c.br, c.readBuf, MaxFrameBytes)
 		if err != nil {
 			c.disconnect()
 			if c.stopped.Load() {
@@ -256,48 +265,48 @@ func (c *ClientSource) Next() (stream.Tuple, error) {
 			}
 			return stream.Tuple{}, fmt.Errorf("netstream: read frame: %w", err)
 		}
-		f, err := DecodeFrame(payload)
+		c.readBuf = payload[:0]
+		if len(payload) > 0 && payload[0] == '{' {
+			f, err := DecodeFrame(payload)
+			if err != nil {
+				c.disconnect()
+				return stream.Tuple{}, err
+			}
+			switch f.Type {
+			case FrameHello:
+				continue
+			case FrameEOF:
+				c.eof = true
+				c.disconnect()
+				return stream.Tuple{}, io.EOF
+			case FrameError:
+				c.disconnect()
+				return stream.Tuple{}, fmt.Errorf("netstream: server error: %s", f.Error)
+			case FrameTuple, FrameColBatch:
+				// A data frame in JSON is a record of a WAL an older build
+				// wrote; re-encoded, it takes the one decode path below.
+				if payload, err = appendFrame(nil, f); err != nil {
+					c.disconnect()
+					return stream.Tuple{}, err
+				}
+			default:
+				c.disconnect()
+				return stream.Tuple{}, fmt.Errorf("netstream: unexpected frame type %q on tuple channel", f.Type)
+			}
+		}
+		// The hot path: a binary tuple or colbatch payload straight into
+		// tuples. Rows of an already-delivered frame (the overlap of a
+		// replay after a reconnect) are decoded and dropped, and an empty
+		// batch is legal: either way the loop just reads on.
+		seq, rows, err := decodeTuples(c.rows[:0], payload, c.cur, &c.meta)
 		if err != nil {
 			c.disconnect()
 			return stream.Tuple{}, err
 		}
-		switch f.Type {
-		case FrameTuple:
-			if f.Seq < c.nextSeq {
-				continue // duplicate from an overlapping replay
-			}
-			t, err := DecodeTuple(f.Tuple, c.Schema())
-			if err != nil {
-				c.disconnect()
-				return stream.Tuple{}, err
-			}
-			c.nextSeq = f.Seq + 1
-			return t, nil
-		case FrameColBatch:
-			if f.Seq < c.nextSeq {
-				continue // duplicate from an overlapping replay
-			}
-			tuples, err := DecodeColumnBatch(f.Batch, c.Schema())
-			if err != nil {
-				c.disconnect()
-				return stream.Tuple{}, err
-			}
-			c.nextSeq = f.Seq + 1
-			// Empty batches are legal on the wire; just keep reading.
-			c.pending = tuples
-			continue
-		case FrameHello:
-			continue
-		case FrameEOF:
-			c.eof = true
-			c.disconnect()
-			return stream.Tuple{}, io.EOF
-		case FrameError:
-			c.disconnect()
-			return stream.Tuple{}, fmt.Errorf("netstream: server error: %s", f.Error)
-		default:
-			c.disconnect()
-			return stream.Tuple{}, fmt.Errorf("netstream: unexpected frame type %q on tuple channel", f.Type)
+		c.rows = rows[:0]
+		if seq >= c.nextSeq {
+			c.nextSeq = seq + 1
+			c.pending = rows
 		}
 	}
 }

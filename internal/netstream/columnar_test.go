@@ -70,7 +70,7 @@ func TestColumnBatchRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var raw map[string]any
-	if err := json.Unmarshal(payload, &raw); err != nil {
+	if err := json.Unmarshal(frameJSON(t, payload), &raw); err != nil {
 		t.Fatal(err)
 	}
 	if batchRaw, ok := raw["batch"].(map[string]any); !ok {

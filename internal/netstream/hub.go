@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"icewafl/internal/core"
 	"icewafl/internal/obs"
+	"icewafl/internal/stream"
 )
 
 // Policy selects how the hub reacts when a subscriber's bounded send
@@ -140,7 +143,13 @@ type channel struct {
 	// hello is the channel's opening frame, replayed to every new
 	// subscriber (it is not part of the sequence space).
 	hello []byte
-	subs  map[*Subscriber]struct{}
+	// subs is the live subscriber set as a copy-on-write snapshot: it is
+	// replaced, never edited, on subscribe and unsubscribe, so Publish
+	// hands it to the delivery loop without copying it per frame.
+	subs []*Subscriber
+	// scratch is the encode buffer the channel's frames are built in
+	// before the exact-size copy that is retained and queued.
+	scratch []byte
 	// done is set once a terminal frame was published.
 	done bool
 	// wal, when attached, durably persists every published frame (except
@@ -237,7 +246,7 @@ func NewHubNamed(channelNames []string, buffer, replay int, policy Policy, reg *
 		reg:      reg,
 	}
 	for _, name := range channelNames {
-		h.channels[name] = &channel{name: name, subs: make(map[*Subscriber]struct{})}
+		h.channels[name] = &channel{name: name}
 	}
 	return h
 }
@@ -376,7 +385,38 @@ func (h *Hub) SetHello(channelName string, f *Frame) error {
 // late subscribers observe the stream's end. The call applies the hub's
 // backpressure policy per subscriber.
 func (h *Hub) Publish(channelName string, f *Frame) error {
-	terminal := f.Type == FrameEOF || f.Type == FrameError
+	return h.publish(channelName, f.Type, func(dst []byte, seq uint64) ([]byte, error) {
+		f.Seq, f.Channel = seq, channelName
+		return appendFrame(dst, f)
+	})
+}
+
+// PublishTuple is Publish of a tuple frame encoded straight from t.
+func (h *Hub) PublishTuple(channelName string, t stream.Tuple) error {
+	return h.publish(channelName, FrameTuple, func(dst []byte, seq uint64) ([]byte, error) {
+		return appendTuple(dst, seq, channelName, &t), nil
+	})
+}
+
+// PublishColumnBatch is Publish of a colbatch frame encoded straight
+// from b, which the caller may reuse as soon as the call returns.
+func (h *Hub) PublishColumnBatch(channelName string, b *stream.ColumnBatch) error {
+	return h.publish(channelName, FrameColBatch, func(dst []byte, seq uint64) ([]byte, error) {
+		return appendColumnBatch(dst, seq, channelName, b), nil
+	})
+}
+
+// PublishEntry is Publish of a log frame encoded straight from e.
+func (h *Hub) PublishEntry(channelName string, e *core.Entry) error {
+	return h.publish(channelName, FrameLog, func(dst []byte, seq uint64) ([]byte, error) {
+		return appendEntry(dst, seq, channelName, e), nil
+	})
+}
+
+// publish is the one publish path: encode appends the frame's payload
+// for the sequence number it is given (0 for a live-only error frame).
+func (h *Hub) publish(channelName, typ string, encode func(dst []byte, seq uint64) ([]byte, error)) error {
+	terminal := typ == FrameEOF || typ == FrameError
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
@@ -387,24 +427,19 @@ func (h *Hub) Publish(channelName string, f *Frame) error {
 		h.mu.Unlock()
 		return &UnknownChannelError{Channel: channelName}
 	}
-	if f.Type == FrameError && (h.resumable || ch.wal != nil || ch.seq < ch.recoverMax) {
+	if typ == FrameError && (h.resumable || ch.wal != nil || ch.seq < ch.recoverMax) {
 		// A restartable session failed (or the re-run died inside the
 		// recovery window). The error is not part of the durable stream, so
 		// it takes no sequence number, is never persisted or retained, and
 		// does not mark the channel done — connected subscribers learn the
 		// session failed, while the sequence stays resumable for the next
 		// restart.
-		f.Channel = channelName
-		data, err := EncodeFrame(f)
+		data, err := encode(nil, 0)
+		subs := ch.subs
+		h.mu.Unlock()
 		if err != nil {
-			h.mu.Unlock()
 			return err
 		}
-		subs := make([]*Subscriber, 0, len(ch.subs))
-		for s := range ch.subs {
-			subs = append(subs, s)
-		}
-		h.mu.Unlock()
 		for _, s := range subs {
 			h.deliver(s, savedFrame{data: data, terminal: true})
 		}
@@ -426,19 +461,21 @@ func (h *Hub) Publish(channelName string, f *Frame) error {
 		return fmt.Errorf("netstream: channel %q already terminated", channelName)
 	}
 	ch.seq++
-	f.Seq = ch.seq
-	f.Channel = channelName
-	data, err := EncodeFrame(f)
+	scratch, err := encode(ch.scratch[:0], ch.seq)
 	if err != nil {
 		ch.seq--
 		h.mu.Unlock()
 		return err
 	}
+	ch.scratch = scratch
+	// The one allocation a frame costs: the exact-size payload the ring,
+	// the WAL append and every subscriber queue share.
+	data := append([]byte(nil), scratch...)
 	if ch.wal != nil {
 		// Error frames never reach here (live-delivery only, above), so
 		// only eof is durably terminal.
 		t0 := time.Now()
-		werr := ch.wal.Append(ch.seq, f.Type == FrameEOF, data)
+		werr := ch.wal.Append(ch.seq, typ == FrameEOF, data)
 		h.reg.ObserveStage(obs.StageWALAppend, time.Since(t0))
 		if werr != nil {
 			ch.seq--
@@ -460,10 +497,7 @@ func (h *Hub) Publish(channelName string, f *Frame) error {
 	if terminal {
 		ch.done = true
 	}
-	subs := make([]*Subscriber, 0, len(ch.subs))
-	for s := range ch.subs {
-		subs = append(subs, s)
-	}
+	subs := ch.subs
 	h.mu.Unlock()
 
 	for _, s := range subs {
@@ -477,6 +511,12 @@ func (h *Hub) Publish(channelName string, f *Frame) error {
 func (h *Hub) deliver(s *Subscriber, sf savedFrame) {
 	switch h.policy {
 	case PolicyBlock:
+		select {
+		case s.ch <- sf: // room in the queue needs no multi-way wait
+			h.framesSent.Add(1)
+			return
+		default:
+		}
 		select {
 		case s.ch <- sf:
 			h.framesSent.Add(1)
@@ -603,7 +643,7 @@ func (h *Hub) Subscribe(channelName string, fromSeq uint64) (*Subscriber, error)
 	}
 	s.replayN.Store(int64(len(s.replay)))
 	if !ch.done {
-		ch.subs[s] = struct{}{}
+		ch.subs = append(slices.Clip(ch.subs), s)
 	}
 	h.subscribers.Add(1)
 	if h.perSubGauges {
@@ -623,8 +663,8 @@ func (h *Hub) unsubscribe(s *Subscriber) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if ch, ok := h.channels[s.channel]; ok {
-		if _, live := ch.subs[s]; live {
-			delete(ch.subs, s)
+		if i := slices.Index(ch.subs, s); i >= 0 {
+			ch.subs = slices.Delete(slices.Clone(ch.subs), i, i+1)
 		}
 	}
 }
@@ -691,19 +731,17 @@ func (s *Subscriber) pending() (data []byte, terminal bool, ok bool, err error) 
 		data, s.hello = s.hello, nil
 		return data, false, true, nil
 	}
-	for s.walIter != nil {
+	if s.walIter != nil {
 		rec, rerr := s.walIter.Next()
-		if rerr == io.EOF {
+		// The reader knows its last record, so it is released with it:
+		// walIter set means the log still holds a frame for this subscriber.
+		if rerr != nil || s.walIter.next > s.walIter.until {
 			s.walIter.Close()
 			s.walIter = nil
-			break
 		}
-		if rerr != nil {
-			s.walIter.Close()
-			s.walIter = nil
-			return nil, false, true, rerr
+		if rerr != io.EOF {
+			return rec.Payload, rec.Terminal, true, rerr
 		}
-		return rec.Payload, rec.Terminal, true, nil
 	}
 	if len(s.replay) > 0 {
 		sf := s.replay[0]
@@ -721,23 +759,14 @@ func (s *Subscriber) pending() (data []byte, terminal bool, ok bool, err error) 
 // (ErrSlowClient under disconnect-slow, ErrHubClosed after Close or hub
 // shutdown).
 func (s *Subscriber) Recv() (data []byte, terminal bool, err error) {
-	if data, terminal, ok, err := s.pending(); ok {
-		return data, terminal, err
-	}
-	select {
-	case sf := <-s.ch:
-		s.observeDeliver(sf)
-		return sf.data, sf.terminal, nil
-	case <-s.closed:
-		// Drain whatever was queued before the close.
-		select {
-		case sf := <-s.ch:
-			s.observeDeliver(sf)
-			return sf.data, sf.terminal, nil
-		default:
-			return nil, false, s.termErr()
-		}
-	}
+	return s.RecvContext(context.Background())
+}
+
+// more reports whether the next Recv returns without waiting for a
+// publish: the hello, replay or log backlog is not drained, or a live
+// frame is queued. Owned by the Recv goroutine, like pending.
+func (s *Subscriber) more() bool {
+	return s.hello != nil || s.walIter != nil || len(s.replay) > 0 || len(s.ch) > 0
 }
 
 // observeDeliver records the publish→pickup latency of a frame when
@@ -757,6 +786,12 @@ func (s *Subscriber) observeDeliver(sf savedFrame) {
 func (s *Subscriber) RecvContext(ctx context.Context) (data []byte, terminal bool, err error) {
 	if data, terminal, ok, err := s.pending(); ok {
 		return data, terminal, err
+	}
+	select {
+	case sf := <-s.ch: // a queued frame needs no multi-way wait
+		s.observeDeliver(sf)
+		return sf.data, sf.terminal, nil
+	default:
 	}
 	select {
 	case sf := <-s.ch:
@@ -787,10 +822,8 @@ func (h *Hub) Close() {
 	h.closed = true
 	var all []*Subscriber
 	for _, ch := range h.channels {
-		for s := range ch.subs {
-			all = append(all, s)
-		}
-		ch.subs = make(map[*Subscriber]struct{})
+		all = append(all, ch.subs...)
+		ch.subs = nil
 	}
 	h.mu.Unlock()
 	for _, s := range all {

@@ -121,25 +121,6 @@ func (b *tokenBucket) reserve(n int) (wait time.Duration, ok bool) {
 	return time.Duration(-b.tokens / b.rate * float64(time.Second)), true
 }
 
-// wait blocks until the bucket covers n bytes or ctx ends.
-func (b *tokenBucket) wait(ctx context.Context, n int) error {
-	d, ok := b.reserve(n)
-	if !ok {
-		return fmt.Errorf("netstream: write of %d bytes exceeds token-bucket burst", n)
-	}
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // tenantState is the live accounting of one tenant inside a Service.
 type tenantState struct {
 	name  string
@@ -219,16 +200,30 @@ func (ts *tenantState) releaseSub() {
 }
 
 // throttle waits for the rate limiter to cover n bytes (no-op when the
-// tenant is unlimited). An oversized write fails with a QuotaError.
-func (ts *tenantState) throttle(ctx context.Context, n int) error {
+// tenant is unlimited), calling beforeSleep (when set) ahead of an
+// actual sleep. An oversized write fails with a QuotaError.
+func (ts *tenantState) throttle(ctx context.Context, n int, beforeSleep func() error) error {
 	if ts.bucket == nil {
 		return nil
 	}
-	if err := ts.bucket.wait(ctx, n); err != nil {
-		if ctx.Err() != nil {
-			return err
-		}
+	d, ok := ts.bucket.reserve(n)
+	if !ok {
 		return &QuotaError{Tenant: ts.name, Resource: "bytes_per_sec", Limit: uint64(ts.quota.BytesPerSec), Used: uint64(n)}
 	}
-	return nil
+	if d <= 0 {
+		return nil
+	}
+	if beforeSleep != nil {
+		if err := beforeSleep(); err != nil {
+			return err
+		}
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }

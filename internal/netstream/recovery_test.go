@@ -395,7 +395,10 @@ func TestServerQuarantineOnRestartBudget(t *testing.T) {
 // drain deadline must still bound shutdown, force-close the connection,
 // and mark the drain expired (the daemon exits non-zero on it).
 func TestServerDrainExpiredOnStuckSubscriber(t *testing.T) {
-	const seed, n = 59, 60000
+	// n must outgrow what the loopback socket buffers absorb (~4 MiB), or
+	// the pipeline finishes into the kernel instead of wedging; binary
+	// frames are a third the size the JSON ones were.
+	const seed, n = 59, 400000
 	cfg := serverConfig(t, seed, n)
 	cfg.Policy = PolicyBlock
 	cfg.Buffer = 16

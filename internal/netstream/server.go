@@ -348,7 +348,7 @@ func (s *Server) runPipeline(ctx context.Context) error {
 	}
 
 	proc.CleanTap = func(t stream.Tuple) {
-		if err := s.hub.Publish(s.chClean, &Frame{Type: FrameTuple, Tuple: EncodeTuple(t)}); err != nil {
+		if err := s.hub.PublishTuple(s.chClean, t); err != nil {
 			s.logf("clean publish: %v", err)
 		}
 	}
@@ -380,7 +380,7 @@ func (s *Server) runPipeline(ctx context.Context) error {
 	defer stopSource(src)
 
 	// Sharded runs emit loaned tuples; that is safe here because the
-	// publish loop below fully renders each tuple into a WireTuple before
+	// publish loop below fully encodes each tuple into its frame before
 	// the next Next call.
 	shape := s.cfg.shape()
 	shape.Resume = resume
@@ -398,8 +398,7 @@ func (s *Server) runPipeline(ctx context.Context) error {
 			return nil
 		}
 		for i := range plog.Entries {
-			e := plog.Entries[i]
-			if err := s.hub.Publish(s.chLog, &Frame{Type: FrameLog, Entry: &e}); err != nil {
+			if err := s.hub.PublishEntry(s.chLog, &plog.Entries[i]); err != nil {
 				return err
 			}
 		}
@@ -423,7 +422,7 @@ func (s *Server) runPipeline(ctx context.Context) error {
 				if err := flushLog(); err != nil {
 					return fail(err)
 				}
-				if err := s.hub.Publish(s.chDirty, &Frame{Type: FrameColBatch, Batch: EncodeColumnBatch(out)}); err != nil {
+				if err := s.hub.PublishColumnBatch(s.chDirty, out); err != nil {
 					return fail(err)
 				}
 				emitted += n
@@ -443,19 +442,16 @@ func (s *Server) runPipeline(ctx context.Context) error {
 		// Tuple-wise drain; in columnar mode with a reorder window > 1
 		// the reorder wrapper hides the runner's batch face, so rows are
 		// re-accumulated into colbatch frames here.
-		var wb *WireColumnBatch
+		var acc *stream.ColumnBatch
 		if s.cfg.Columnar {
-			wb = NewWireColumnBatch(s.cfg.Schema.Len())
+			acc = stream.NewColumnBatch(s.cfg.Schema, s.cfg.ColumnarBatch)
 		}
 		flushBatch := func() error {
-			if wb == nil || wb.Count == 0 {
+			if acc == nil || acc.Len() == 0 {
 				return nil
 			}
-			f := &Frame{Type: FrameColBatch, Batch: wb}
-			// The hub retains published frames (replay ring, WAL), so a
-			// fresh batch is allocated instead of resetting this one.
-			wb = NewWireColumnBatch(s.cfg.Schema.Len())
-			return s.hub.Publish(s.chDirty, f)
+			defer acc.Reset()
+			return s.hub.PublishColumnBatch(s.chDirty, acc)
 		}
 		for {
 			t, err := polluted.Next()
@@ -478,14 +474,16 @@ func (s *Server) runPipeline(ctx context.Context) error {
 			if err := flushLog(); err != nil {
 				return fail(err)
 			}
-			if wb != nil {
-				wb.AppendTuple(t)
-				if wb.Count >= s.cfg.ColumnarBatch {
+			if acc != nil {
+				if err := acc.AppendTuple(t); err != nil {
+					return fail(err)
+				}
+				if acc.Len() >= s.cfg.ColumnarBatch {
 					if err := flushBatch(); err != nil {
 						return fail(err)
 					}
 				}
-			} else if err := s.hub.Publish(s.chDirty, &Frame{Type: FrameTuple, Tuple: EncodeTuple(t)}); err != nil {
+			} else if err := s.hub.PublishTuple(s.chDirty, t); err != nil {
 				return fail(err)
 			}
 			emitted++
@@ -675,15 +673,8 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	s.trackConn(conn)
 	defer s.untrackConn(conn)
-	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	payload, err := ReadFrame(conn)
-	if err != nil {
-		return
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-	var req SubscribeRequest
-	if err := json.Unmarshal(payload, &req); err != nil {
-		writeConnError(conn, fmt.Errorf("netstream: bad subscribe request: %w", err))
+	req, ok := readSubscribe(conn)
+	if !ok {
 		return
 	}
 	if req.Channel == "" {
@@ -692,12 +683,41 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.streamTCP(conn, req.Channel, req.FromSeq, nil)
 }
 
+// readSubscribe reads a connection's opening subscribe request under a
+// read deadline. Nothing is known about the peer yet, so the frame is
+// capped at maxSubscribeBytes before any of it is buffered; an oversized
+// or malformed request is answered with a terminal error frame.
+func readSubscribe(conn net.Conn) (req SubscribeRequest, ok bool) {
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	payload, err := readFrameInto(conn, nil, maxSubscribeBytes)
+	if err == nil {
+		err = json.Unmarshal(payload, &req)
+	} else if !errors.Is(err, errFrameTooLarge) {
+		return req, false // the peer went away or never spoke
+	}
+	if err != nil {
+		writeConnError(conn, fmt.Errorf("netstream: bad subscribe request: %w", err))
+		return req, false
+	}
+	_ = conn.SetReadDeadline(time.Time{})
+	return req, true
+}
+
 // streamTCP subscribes the connection to channel and streams frames
 // until a terminal frame or disconnect. throttle, when set, is applied
 // before each frame write (the session service's per-tenant rate limit
 // and throughput accounting); a throttle error ends the stream with a
 // terminal error frame.
-func (s *Server) streamTCP(conn net.Conn, channel string, fromSeq uint64, throttle func(n int) error) {
+//
+// Socket writes are coalesced while the subscriber has backlog: a frame
+// goes into the buffered writer and the buffer goes to the socket only
+// when nothing more is ready (hello, replay and log drained, queue
+// empty), on a terminal frame, when the buffer fills, or before a
+// throttle sleeps. A frame is therefore never held across a wait — a
+// paced stream, whose queue is empty after every frame, is written frame
+// by frame as before — while a saturated one shares one write(2) among
+// the frames queued behind it.
+func (s *Server) streamTCP(conn net.Conn, channel string, fromSeq uint64, throttle throttleFunc) {
 	sub, err := s.hub.Subscribe(channel, fromSeq)
 	if err != nil {
 		writeConnError(conn, err)
@@ -708,14 +728,17 @@ func (s *Server) streamTCP(conn net.Conn, channel string, fromSeq uint64, thrott
 	for {
 		data, terminal, err := sub.Recv()
 		if err != nil {
-			if errors.Is(err, ErrSlowClient) {
+			// Frames still buffered were delivered before the failure.
+			if bw.Flush() == nil && errors.Is(err, ErrSlowClient) {
 				writeConnError(conn, err)
 			}
 			return
 		}
 		if throttle != nil {
-			if terr := throttle(len(data)); terr != nil {
-				writeConnError(conn, terr)
+			if terr := throttle(len(data), bw.Flush); terr != nil {
+				if bw.Flush() == nil {
+					writeConnError(conn, terr)
+				}
 				return
 			}
 		}
@@ -723,8 +746,10 @@ func (s *Server) streamTCP(conn net.Conn, channel string, fromSeq uint64, thrott
 		if err := WriteFrame(bw, data); err != nil {
 			return // client went away; pipeline unaffected
 		}
-		if err := bw.Flush(); err != nil {
-			return
+		if terminal || !sub.more() {
+			if err := bw.Flush(); err != nil {
+				return
+			}
 		}
 		s.cfg.Reg.ObserveStage(obs.StageNetSend, time.Since(start))
 		if terminal {
@@ -732,6 +757,11 @@ func (s *Server) streamTCP(conn net.Conn, channel string, fromSeq uint64, thrott
 		}
 	}
 }
+
+// throttleFunc gates one frame of n payload bytes. When it has to sleep
+// it calls beforeSleep first (nil = nothing to do), so a coalescing
+// writer can hand over what it holds.
+type throttleFunc func(n int, beforeSleep func() error) error
 
 // HTTPHandler returns the service's HTTP interface:
 //
@@ -817,7 +847,7 @@ func parseFromSeq(w http.ResponseWriter, r *http.Request) (uint64, bool) {
 // NDJSON lines or SSE events. throttle, when set, is applied before
 // each frame write (per-tenant rate limit and accounting); a throttle
 // error terminates the stream with an error frame.
-func (s *Server) streamHTTP(w http.ResponseWriter, r *http.Request, sse bool, channel string, fromSeq uint64, throttle func(n int) error) {
+func (s *Server) streamHTTP(w http.ResponseWriter, r *http.Request, sse bool, channel string, fromSeq uint64, throttle throttleFunc) {
 	sub, err := s.hub.Subscribe(channel, fromSeq)
 	if err != nil {
 		status := http.StatusBadRequest
@@ -851,8 +881,21 @@ func (s *Server) streamHTTP(w http.ResponseWriter, r *http.Request, sse bool, ch
 			}
 			return
 		}
+		if len(data) > 0 && data[0] != '{' {
+			// The HTTP edge is where a binary payload becomes the JSON a
+			// browser reads; JSON payloads (control frames, records of an
+			// older build's WAL) pass through untouched.
+			f, derr := decodeBinary(data)
+			if derr == nil {
+				data, derr = json.Marshal(f)
+			}
+			if derr != nil {
+				s.writeHTTPError(w, flusher, sse, derr)
+				return
+			}
+		}
 		if throttle != nil {
-			if terr := throttle(len(data)); terr != nil {
+			if terr := throttle(len(data), nil); terr != nil {
 				s.writeHTTPError(w, flusher, sse, terr)
 				return
 			}
@@ -909,9 +952,9 @@ func (s *Server) writeHTTPFrame(w http.ResponseWriter, flusher http.Flusher, sse
 			return false
 		}
 	} else {
-		// Two writes, never append: frames replayed from the WAL alias the
-		// reader's internal buffer, and appending in place would clobber
-		// the next record's length prefix.
+		// Two writes, never append: JSON frames replayed from the WAL alias
+		// the reader's internal buffer, and appending in place would
+		// clobber the next record's length prefix.
 		if _, err := w.Write(data); err != nil {
 			return false
 		}

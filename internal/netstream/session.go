@@ -722,14 +722,14 @@ func (s *Service) resolve(channel string) (*Session, error) {
 // subscribeGate applies the tenant's subscriber quota and builds the
 // per-frame throttle (rate limit + throughput accounting). release must
 // be called when the subscription ends.
-func (s *Service) subscribeGate(ctx context.Context, tenant string) (throttle func(n int) error, release func(), err error) {
+func (s *Service) subscribeGate(ctx context.Context, tenant string) (throttle throttleFunc, release func(), err error) {
 	ts := s.tenant(tenant)
 	if err := ts.acquireSub(); err != nil {
 		s.reg.AddTenantQuotaRejection(tenant)
 		return nil, nil, err
 	}
-	throttle = func(n int) error {
-		if terr := ts.throttle(ctx, n); terr != nil {
+	throttle = func(n int, beforeSleep func() error) error {
+		if terr := ts.throttle(ctx, n, beforeSleep); terr != nil {
 			if errors.Is(terr, ErrQuota) {
 				s.reg.AddTenantQuotaRejection(tenant)
 			}
@@ -794,15 +794,8 @@ func (s *Service) Serve(ctx context.Context, tcpLn, httpLn net.Listener) error {
 // runs under the owning session's server with the tenant's throttle.
 func (s *Service) handleConn(conn net.Conn) {
 	defer conn.Close()
-	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	payload, err := ReadFrame(conn)
-	if err != nil {
-		return
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-	var req SubscribeRequest
-	if err := json.Unmarshal(payload, &req); err != nil {
-		writeConnError(conn, fmt.Errorf("netstream: bad subscribe request: %w", err))
+	req, ok := readSubscribe(conn)
+	if !ok {
 		return
 	}
 	sess, err := s.resolve(req.Channel)

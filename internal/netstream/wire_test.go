@@ -2,6 +2,7 @@ package netstream
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -134,4 +135,63 @@ func TestParsePolicy(t *testing.T) {
 	if _, err := ParsePolicy("bogus"); err == nil {
 		t.Fatal("expected error for unknown policy")
 	}
+}
+
+// frameJSON is the HTTP edge's JSON rendering of a frame payload.
+func frameJSON(t testing.TB, payload []byte) []byte {
+	t.Helper()
+	f, err := DecodeFrame(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// The reference renderings of the views, as the JSON build computed
+// them (strings formatted straight off the tuple, no binary in between):
+// what the tests hold EncodeTuple, EncodeColumnBatch, the binary encoders
+// and the HTTP edge to.
+
+// jsonBuildTuple is the JSON build's EncodeTuple.
+func jsonBuildTuple(t stream.Tuple) *WireTuple {
+	wt := &WireTuple{
+		ID:      t.ID,
+		Sub:     t.SubStream,
+		Event:   t.EventTime.UTC().Format(wireTime),
+		Arrival: t.Arrival.UTC().Format(wireTime),
+		Values:  make([]string, t.Len()),
+	}
+	for i := 0; i < t.Len(); i++ {
+		wt.Values[i] = t.At(i).String()
+	}
+	return wt
+}
+
+// NewWireColumnBatch returns an empty batch for a schema of the given
+// width, ready for AppendTuple.
+func NewWireColumnBatch(width int) *WireColumnBatch {
+	return &WireColumnBatch{Columns: make([][]string, width)}
+}
+
+// AppendTuple appends t as one row. The tuple's width must match the
+// batch width the caller constructed it with.
+func (wb *WireColumnBatch) AppendTuple(t stream.Tuple) {
+	wb.IDs = append(wb.IDs, t.ID)
+	if wb.Subs != nil || t.SubStream != 0 {
+		// Backfill zeros for rows appended before the first non-zero sub.
+		for len(wb.Subs) < wb.Count {
+			wb.Subs = append(wb.Subs, 0)
+		}
+		wb.Subs = append(wb.Subs, t.SubStream)
+	}
+	wb.Events = append(wb.Events, t.EventTime.UTC().Format(wireTime))
+	wb.Arrivals = append(wb.Arrivals, t.Arrival.UTC().Format(wireTime))
+	for c := 0; c < t.Len(); c++ {
+		wb.Columns[c] = append(wb.Columns[c], t.At(c).String())
+	}
+	wb.Count++
 }

@@ -271,6 +271,22 @@ func (v Value) String() string {
 	return fmt.Sprintf("Value(kind=%d)", int(v.kind))
 }
 
+// AppendString appends exactly the bytes of String to dst, without the
+// intermediate string.
+func (v Value) AppendString(dst []byte) []byte {
+	switch v.kind {
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+	case KindInt:
+		return strconv.AppendInt(dst, v.i, 10)
+	case KindBool:
+		return strconv.AppendBool(dst, v.b)
+	case KindTime:
+		return v.t.UTC().AppendFormat(dst, time.RFC3339)
+	}
+	return append(dst, v.String()...)
+}
+
 // ParseValue parses the textual representation produced by String back
 // into a Value of the requested kind. The empty string parses as NULL for
 // every kind, matching how missing values appear in CSV files.

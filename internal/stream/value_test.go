@@ -120,6 +120,9 @@ func TestValueCompare(t *testing.T) {
 
 func TestValueStringParseRoundTrip(t *testing.T) {
 	roundTrip := func(v Value) bool {
+		if got := string(v.AppendString([]byte("x"))); got != "x"+v.String() {
+			t.Errorf("AppendString(%v) = %q, want %q", v, got, "x"+v.String())
+		}
 		parsed, err := ParseValue(v.String(), v.Kind())
 		if err != nil {
 			return false
@@ -127,7 +130,7 @@ func TestValueStringParseRoundTrip(t *testing.T) {
 		return parsed.Equal(v)
 	}
 	ts := time.Date(2016, 2, 27, 13, 30, 0, 0, time.UTC)
-	for _, v := range []Value{Float(3.25), Int(-7), Str("hello"), Bool(true), Time(ts)} {
+	for _, v := range []Value{Float(3.25), Int(-7), Str("hello"), Bool(true), Time(ts), Time(ts.In(time.FixedZone("", 3600)))} {
 		if !roundTrip(v) {
 			t.Errorf("round trip failed for %v", v)
 		}
