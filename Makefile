@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt lint race racehot integration loadtest loadtest-restart chaos stress benchmod ci cover perfgate fuzz clean
+.PHONY: build test vet fmt lint race racehot integration loadtest loadtest-restart chaos stress benchmod ci cover perfgate fuzz loc clean
 
 build:
 	$(GO) build ./...
@@ -133,6 +133,11 @@ fuzz:
 	$(GO) test ./internal/netstream/ -run '^$$' -fuzz FuzzColumnarTornFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netstream/ -run '^$$' -fuzz FuzzFrameCodec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzEntryJSON -fuzztime $(FUZZTIME)
+
+# Non-test Go lines outside bench/, per package and in total: the size
+# figure ROADMAP quotes and simplicity PRs are held to.
+loc:
+	@bash scripts/loc.sh
 
 clean:
 	$(GO) clean ./...

@@ -17,6 +17,9 @@ import (
 	"os/exec"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"icewafl/internal/core"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files from the current output")
@@ -105,19 +108,24 @@ func TestCLIGolden(t *testing.T) {
 	checkGolden(t, logOut, "log.jsonl.golden")
 	checkGolden(t, metrics, "metrics.json.golden")
 
-	// Streaming mode: same config, Prometheus exposition.
+	// Streaming mode: same config, Prometheus exposition. The pollution
+	// log is written and released every 7 tuples — some 150 slices that
+	// must concatenate to the batch run's log.
 	streamDirty := filepath.Join(tmp, "dirty-stream.csv")
+	streamLog := filepath.Join(tmp, "log-stream.jsonl")
 	streamProm := filepath.Join(tmp, "metrics.prom")
 	runCLI(t, bin,
 		"-schema", filepath.Join(ex, "schema.json"),
 		"-config", filepath.Join(ex, "pollution.json"),
 		"-in", filepath.Join(ex, "clean.csv"),
 		"-out", streamDirty,
-		"-stream",
+		"-log", streamLog,
+		"-stream", "-checkpoint-interval", "7",
 		"-metrics", streamProm,
 		"-metrics-format", "prom",
 	)
 	checkGolden(t, streamProm, "metrics.prom.golden")
+	checkGolden(t, streamLog, "log.jsonl.golden")
 
 	// The streaming engine must emit the exact bytes of the batch run.
 	batchBytes, err := os.ReadFile(dirty)
@@ -154,4 +162,77 @@ func TestCLIGolden(t *testing.T) {
 			len(colBytes), len(batchBytes))
 	}
 	checkGolden(t, colLog, "log.jsonl.golden")
+}
+
+// TestCLIKillAndResume SIGKILLs a checkpointed -stream run mid-input and
+// resumes it from its checkpoint file: output and pollution log must be
+// byte-identical to an uninterrupted run. The victim reads stdin, which
+// the test feeds only the first 600 lines, so it is certainly mid-run
+// (blocked on input, past several checkpoints) when it dies.
+func TestCLIKillAndResume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildCLI(t)
+	ex := filepath.Join("..", "..", "examples", "cli")
+	tmp := t.TempDir()
+	args := func(in, tag string) []string {
+		return []string{
+			"-schema", filepath.Join(ex, "schema.json"),
+			"-config", filepath.Join(ex, "pollution.json"),
+			"-in", in,
+			"-out", filepath.Join(tmp, tag+".csv"),
+			"-log", filepath.Join(tmp, tag+".jsonl"),
+			"-stream", "-reorder", "1",
+			"-checkpoint", filepath.Join(tmp, tag+".ckpt"), "-checkpoint-interval", "50",
+		}
+	}
+	input := filepath.Join(ex, "clean.csv")
+	runCLI(t, bin, args(input, "ref")...)
+
+	data, err := os.ReadFile(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := bytes.Join(bytes.SplitAfter(data, []byte("\n"))[:600], nil)
+	victim := exec.Command(bin, args("-", "cut")...)
+	stdin, err := victim.StdinPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := victim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stdin.Write(head); err != nil {
+		t.Fatal(err)
+	}
+	ckptPath := filepath.Join(tmp, "cut.ckpt")
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if c, err := core.ReadCheckpoint(ckptPath); err == nil && c.TuplesIn >= 500 {
+			break
+		}
+		if time.Now().After(deadline) {
+			victim.Process.Kill()
+			t.Fatal("victim wrote no checkpoint past 500 tuples")
+		}
+	}
+	if err := victim.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	victim.Wait()
+
+	runCLI(t, bin, append(args(input, "cut"), "-resume")...)
+	for _, ext := range []string{".csv", ".jsonl"} {
+		want, err := os.ReadFile(filepath.Join(tmp, "ref"+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(tmp, "cut"+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("resumed %s (%d bytes) differs from the uninterrupted run's (%d bytes)", ext, len(got), len(want))
+		}
+	}
 }

@@ -72,7 +72,7 @@ func main() {
 	shardKey := flag.String("shard-key", "", "attribute whose value routes tuples to shards")
 	checkpointPath := flag.String("checkpoint", "", "streaming mode: checkpoint file; the run snapshots its state periodically so it can be resumed")
 	resume := flag.Bool("resume", false, "continue an interrupted run from the -checkpoint file")
-	checkpointEvery := flag.Int("checkpoint-interval", 0, "tuples between checkpoints (0 = fault_policy's checkpoint_interval, default 5000)")
+	checkpointEvery := flag.Int("checkpoint-interval", 0, "tuples between pollution-log flushes of a -stream run, and checkpoints with -checkpoint (0 = fault_policy's checkpoint_interval, default 5000)")
 	deadOut := flag.String("dead-letters", "", "optional JSON-lines output for quarantined tuples (requires fault_policy.quarantine)")
 	metricsOut := flag.String("metrics", "", "optional metrics snapshot output; written atomically when the run finishes (and periodically with -metrics-interval)")
 	metricsFormat := flag.String("metrics-format", "json", "metrics encoding: json or prom (Prometheus text exposition)")
@@ -177,23 +177,19 @@ func main() {
 
 	if *streaming {
 		metrics.start()
-		if shape.Checkpoint {
-			interval := *checkpointEvery
-			if interval <= 0 {
-				interval = doc.Fault.Interval()
-			}
-			runCheckpointed(proc, src, schema, shape, checkpointedRun{
-				outPath:  *outPath,
-				logOut:   *logOut,
-				deadOut:  *deadOut,
-				meta:     *meta,
-				ckptPath: *checkpointPath,
-				resume:   *resume,
-				interval: interval,
-			})
-		} else {
-			runStreaming(proc, src, schema, shape, *outPath, *logOut, *deadOut, *meta)
+		interval := *checkpointEvery
+		if interval <= 0 {
+			interval = doc.Fault.Interval()
 		}
+		runStreaming(proc, src, schema, shape, streamingRun{
+			outPath:  *outPath,
+			logOut:   *logOut,
+			deadOut:  *deadOut,
+			meta:     *meta,
+			ckptPath: *checkpointPath,
+			resume:   *resume,
+			interval: interval,
+		})
 		metrics.finish()
 		return
 	}
@@ -365,47 +361,6 @@ func writeDeadLetters(path string, letters []stream.DeadLetter) error {
 	return f.Close()
 }
 
-// runStreaming executes the constant-memory streaming path in the given
-// execution shape: tuples are polluted and written as they arrive, with
-// only the bounded reordering window buffered. The sinks below never
-// hold a tuple across Next calls, as Stream's loan contract asks.
-func runStreaming(proc *core.Process, reader stream.Source, schema *stream.Schema, shape core.StreamSpec, outPath, logOut, deadOut string, meta bool) {
-	run, err := proc.Stream(reader, shape)
-	if err != nil {
-		log.Fatal(err)
-	}
-	src, plog := run.Source, run.Log
-	out := os.Stdout
-	if outPath != "-" {
-		out, err = os.Create(outPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer out.Close()
-	}
-	var sink stream.Sink = csvio.NewWriter(out, schema)
-	if meta {
-		sink = csvio.NewMetaWriter(out, schema)
-	}
-	n, err := stream.Copy(stream.ObserveSink(sink, proc.Obs), src)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if logOut != "" && plog != nil {
-		lf, err := os.Create(logOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := plog.WriteJSON(lf); err != nil {
-			log.Fatal(err)
-		}
-		if err := lf.Close(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	streamSummary(proc, plog, n, deadOut, "")
-}
-
 // streamSummary writes the dead letters, when asked for, and logs the
 // one-line summary of a streaming run.
 func streamSummary(proc *core.Process, plog *core.Log, n int, deadOut, suffix string) {
@@ -418,15 +373,12 @@ func streamSummary(proc *core.Process, plog *core.Log, n int, deadOut, suffix st
 			}
 		}
 	}
-	errs := 0
-	if plog != nil {
-		errs = plog.Len()
-	}
-	log.Printf("streamed %d tuples (%d errors injected, %d quarantined%s)", n, errs, quarantined, suffix)
+	log.Printf("streamed %d tuples (%d errors injected, %d quarantined%s)", n, plog.Total(), quarantined, suffix)
 }
 
-// checkpointedRun bundles the parameters of a checkpointed streaming run.
-type checkpointedRun struct {
+// streamingRun bundles the parameters of a -stream run; ckptPath is ""
+// unless the shape is checkpointed.
+type streamingRun struct {
 	outPath  string
 	logOut   string
 	deadOut  string
@@ -444,17 +396,21 @@ type resumableSink interface {
 	OmitHeader()
 }
 
-// runCheckpointed executes the checkpointed streaming path. Every
-// opt.interval emitted tuples it flushes the output and log files,
-// snapshots the pipeline state, and atomically rewrites the checkpoint
-// file. With opt.resume the previous run's files are truncated to the
-// checkpointed offsets and the run continues exactly where the snapshot
-// was taken.
-func runCheckpointed(proc *core.Process, reader stream.Source, schema *stream.Schema, shape core.StreamSpec, opt checkpointedRun) {
-	if opt.outPath == "-" {
+// runStreaming executes the constant-memory streaming path in the given
+// execution shape: tuples are polluted and written as they arrive, with
+// only the bounded reordering window and one interval of pollution-log
+// entries buffered. Every opt.interval emitted tuples the log entries
+// recorded since the last flush are written and released; a
+// checkpointed shape additionally flushes the output, snapshots the
+// pipeline state and atomically rewrites the checkpoint file there. With
+// opt.resume the previous run's files are truncated to the checkpointed
+// offsets and the run continues exactly where the snapshot was taken.
+// The sink never holds a tuple across Next calls, as Stream's loan
+// contract asks.
+func runStreaming(proc *core.Process, reader stream.Source, schema *stream.Schema, shape core.StreamSpec, opt streamingRun) {
+	if shape.Checkpoint && opt.outPath == "-" {
 		log.Fatal("-checkpoint requires a real -out file (offsets must be truncatable on resume)")
 	}
-
 	if opt.resume {
 		var err error
 		shape.Resume, err = core.ReadCheckpoint(opt.ckptPath)
@@ -464,8 +420,11 @@ func runCheckpointed(proc *core.Process, reader stream.Source, schema *stream.Sc
 	}
 	ckpt := shape.Resume
 
-	outF := openResumable(opt.outPath, opt.resume, ckpt, "out_bytes")
-	defer outF.Close()
+	outF := os.Stdout
+	if opt.outPath != "-" {
+		outF = openResumable(opt.outPath, opt.resume, ckpt, "out_bytes")
+		defer outF.Close()
+	}
 	var logF *os.File
 	if opt.logOut != "" {
 		logF = openResumable(opt.logOut, opt.resume, ckpt, "log_bytes")
@@ -485,9 +444,20 @@ func runCheckpointed(proc *core.Process, reader stream.Source, schema *stream.Sc
 	if opt.resume {
 		sink.OmitHeader()
 	}
+	observed := stream.ObserveSink(sink, proc.Obs)
 
-	flushedLog := 0 // entries of this session's log already on disk
-	capture := func() error {
+	// flush runs between Next calls, when no log entry can still be
+	// rolled back. ck is nil unless the shape is checkpointed.
+	flush := func() error {
+		if logF != nil {
+			if err := plog.WriteJSON(logF); err != nil {
+				return err
+			}
+		}
+		plog.Release()
+		if ck == nil {
+			return nil
+		}
 		if err := sink.Flush(); err != nil {
 			return err
 		}
@@ -495,21 +465,13 @@ func runCheckpointed(proc *core.Process, reader stream.Source, schema *stream.Sc
 		if err != nil {
 			return err
 		}
-		outOff, err := outF.Seek(0, io.SeekCurrent)
-		if err != nil {
+		if c.Offsets["out_bytes"], err = outF.Seek(0, io.SeekCurrent); err != nil {
 			return err
 		}
-		c.Offsets["out_bytes"] = outOff
-		if logF != nil && plog != nil {
-			if err := (&core.Log{Entries: plog.Entries[flushedLog:]}).WriteJSON(logF); err != nil {
+		if logF != nil {
+			if c.Offsets["log_bytes"], err = logF.Seek(0, io.SeekCurrent); err != nil {
 				return err
 			}
-			flushedLog = len(plog.Entries)
-			logOff, err := logF.Seek(0, io.SeekCurrent)
-			if err != nil {
-				return err
-			}
-			c.Offsets["log_bytes"] = logOff
 		}
 		return core.WriteCheckpoint(opt.ckptPath, c)
 	}
@@ -523,13 +485,12 @@ func runCheckpointed(proc *core.Process, reader stream.Source, schema *stream.Sc
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := sink.Write(t); err != nil {
+		if err := observed.Write(t); err != nil {
 			log.Fatal(err)
 		}
-		proc.Obs.Inc(obs.CSinkWrites)
 		n++
 		if n%opt.interval == 0 {
-			if err := capture(); err != nil {
+			if err := flush(); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -537,10 +498,14 @@ func runCheckpointed(proc *core.Process, reader stream.Source, schema *stream.Sc
 	if err := sink.Close(); err != nil {
 		log.Fatal(err)
 	}
-	if err := capture(); err != nil {
+	if err := flush(); err != nil {
 		log.Fatal(err)
 	}
-	streamSummary(proc, plog, n, opt.deadOut, ", checkpoint "+opt.ckptPath)
+	suffix := ""
+	if ck != nil {
+		suffix = ", checkpoint " + opt.ckptPath
+	}
+	streamSummary(proc, plog, n, opt.deadOut, suffix)
 }
 
 // openResumable opens path for appending output. On resume the file is

@@ -2,7 +2,7 @@
 // configured pollution pipeline over a CSV input and streams the dirty
 // stream, the clean stream, and the pollution log to any number of
 // subscribed clients — over raw TCP (length-prefixed frames) and
-// HTTP (NDJSON chunks, SSE, plus /metrics and /healthz).
+// HTTP (NDJSON chunks, plus /metrics and /healthz).
 //
 // Usage:
 //
@@ -86,7 +86,7 @@ func main() {
 	configPath := flag.String("config", "", "path to the JSON pollution configuration (required)")
 	inPath := flag.String("in", "", "input CSV (required)")
 	listen := flag.String("listen", "", "raw-TCP listen address (default from serve block, \":7077\"; \"off\" disables)")
-	httpAddr := flag.String("http", "", "HTTP listen address for NDJSON/SSE//metrics (default from serve block; \"off\" disables)")
+	httpAddr := flag.String("http", "", "HTTP listen address for NDJSON//metrics (default from serve block; \"off\" disables)")
 	policyFlag := flag.String("policy", "", "backpressure policy: block, drop-oldest or disconnect-slow (default from serve block)")
 	buffer := flag.Int("buffer", 0, "per-subscriber send queue capacity in frames (default from serve block)")
 	replay := flag.Int("replay", 0, "frames a memory-only session retains per channel for late subscribers; with -wal the log serves replay (default from serve block)")

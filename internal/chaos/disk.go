@@ -66,13 +66,6 @@ func (f *FaultFS) SyncFails() uint64 { return f.syncFails.Load() }
 // ENOSPCs returns how many writes were rejected by the byte budget.
 func (f *FaultFS) ENOSPCs() uint64 { return f.enospc.Load() }
 
-// Written returns the total bytes successfully written through the FS.
-func (f *FaultFS) Written() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.written
-}
-
 func (f *FaultFS) inner() netstream.FS {
 	if f.Inner != nil {
 		return f.Inner

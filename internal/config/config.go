@@ -46,7 +46,7 @@ type ServeSpec struct {
 	// Listen is the raw-TCP address serving length-prefixed frames
 	// (default ":7077").
 	Listen string `json:"listen,omitempty"`
-	// HTTP is the HTTP address serving NDJSON/SSE streams and /metrics
+	// HTTP is the HTTP address serving NDJSON streams and /metrics
 	// ("" disables HTTP).
 	HTTP string `json:"http,omitempty"`
 	// Buffer is the per-subscriber send queue capacity in frames

@@ -117,7 +117,7 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 }
 
 // ---------------------------------------------------------------------
-// Pipeline state walker
+// Pipeline snapshot and restore (two visitors over walk.go)
 // ---------------------------------------------------------------------
 
 // SnapshotPipeline captures the state of every stateful component of p
@@ -126,10 +126,33 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 // compiled from the same configuration by another.
 func SnapshotPipeline(p *Pipeline) (PipelineState, error) {
 	out := make(PipelineState)
-	for i, pol := range p.Polluters {
-		if err := snapshotPolluter(pol, polPath("", i, pol), out); err != nil {
-			return nil, err
+	put := func(path string, raw []byte, err error) error {
+		if err != nil {
+			return fmt.Errorf("core: snapshot %s: %w", path, err)
 		}
+		out[path] = raw
+		return nil
+	}
+	err := walkPipeline(p, visitor{
+		rand: func(path string, r *rng.Stream) error {
+			raw, err := json.Marshal(r.State())
+			return put(path, raw, err)
+		},
+		state: func(path string, s Stateful, _ Resettable) error {
+			if s == nil {
+				return nil
+			}
+			raw, err := s.SnapshotState()
+			return put(path, raw, err)
+		},
+		keyed: func(path string, k *KeyedPolluter) ([]string, error) {
+			keys := k.Keys()
+			raw, err := json.Marshal(keys)
+			return keys, put(path+"/keys", raw, err)
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -139,314 +162,46 @@ func SnapshotPipeline(p *Pipeline) (PipelineState, error) {
 // for a visited component is an error: silently skipping it would break
 // the determinism guarantee.
 func RestorePipeline(p *Pipeline, st PipelineState) error {
-	for i, pol := range p.Polluters {
-		if err := restorePolluter(pol, polPath("", i, pol), st); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func polPath(base string, i int, p Polluter) string {
-	return fmt.Sprintf("%s/%d:%s", base, i, p.Name())
-}
-
-func putStateful(out PipelineState, path string, s Stateful) error {
-	raw, err := s.SnapshotState()
-	if err != nil {
-		return fmt.Errorf("core: snapshot %s: %w", path, err)
-	}
-	out[path] = raw
-	return nil
-}
-
-func getStateful(st PipelineState, path string, s Stateful) error {
-	raw, ok := st[path]
-	if !ok {
-		return fmt.Errorf("core: checkpoint misses state for %s", path)
-	}
-	if err := s.RestoreState(raw); err != nil {
-		return fmt.Errorf("core: restore %s: %w", path, err)
-	}
-	return nil
-}
-
-func putRand(out PipelineState, path string, r *rng.Stream) error {
-	if r == nil {
-		return nil
-	}
-	raw, err := json.Marshal(r.State())
-	if err != nil {
-		return fmt.Errorf("core: snapshot rng %s: %w", path, err)
-	}
-	out[path] = raw
-	return nil
-}
-
-func getRand(st PipelineState, path string, r *rng.Stream) error {
-	if r == nil {
-		return nil
-	}
-	raw, ok := st[path]
-	if !ok {
-		return fmt.Errorf("core: checkpoint misses rng state for %s", path)
-	}
-	var s rng.State
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return fmt.Errorf("core: restore rng %s: %w", path, err)
-	}
-	r.SetState(s)
-	return nil
-}
-
-func snapshotPolluter(p Polluter, path string, out PipelineState) error {
-	switch v := p.(type) {
-	case *Standard:
-		if err := snapshotCondition(v.Cond, path+"/cond", out); err != nil {
-			return err
-		}
-		return snapshotError(v.Err, path+"/err", out)
-	case *Composite:
-		if err := snapshotCondition(v.Cond, path+"/cond", out); err != nil {
-			return err
-		}
-		if err := putRand(out, path+"/rand", v.Rand); err != nil {
-			return err
-		}
-		for i, c := range v.Children {
-			if err := snapshotPolluter(c, polPath(path, i, c), out); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *KeyedPolluter:
-		keys := v.Keys()
-		raw, err := json.Marshal(keys)
-		if err != nil {
-			return fmt.Errorf("core: snapshot %s keys: %w", path, err)
-		}
-		out[path+"/keys"] = raw
-		for _, k := range keys {
-			inst, _ := v.Instance(k)
-			if err := snapshotPolluter(inst, path+"/key="+k, out); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *Observer:
-		return putStateful(out, path+"/state", v.State)
-	default:
-		if s, ok := p.(Stateful); ok {
-			return putStateful(out, path, s)
-		}
-		return nil
-	}
-}
-
-func restorePolluter(p Polluter, path string, st PipelineState) error {
-	switch v := p.(type) {
-	case *Standard:
-		if err := restoreCondition(v.Cond, path+"/cond", st); err != nil {
-			return err
-		}
-		return restoreError(v.Err, path+"/err", st)
-	case *Composite:
-		if err := restoreCondition(v.Cond, path+"/cond", st); err != nil {
-			return err
-		}
-		if err := getRand(st, path+"/rand", v.Rand); err != nil {
-			return err
-		}
-		for i, c := range v.Children {
-			if err := restorePolluter(c, polPath(path, i, c), st); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *KeyedPolluter:
-		raw, ok := st[path+"/keys"]
+	// get hands the snapshot entry at path to into; a missing entry is an
+	// error.
+	get := func(path string, into func(json.RawMessage) error) error {
+		raw, ok := st[path]
 		if !ok {
-			return fmt.Errorf("core: checkpoint misses keys for %s", path)
+			return fmt.Errorf("core: checkpoint misses state for %s", path)
 		}
-		var keys []string
-		if err := json.Unmarshal(raw, &keys); err != nil {
-			return fmt.Errorf("core: restore %s keys: %w", path, err)
-		}
-		for _, k := range keys {
-			inst := v.EnsureInstance(k)
-			if err := restorePolluter(inst, path+"/key="+k, st); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *Observer:
-		return getStateful(st, path+"/state", v.State)
-	default:
-		if s, ok := p.(Stateful); ok {
-			return getStateful(st, path, s)
+		if err := into(raw); err != nil {
+			return fmt.Errorf("core: restore %s: %w", path, err)
 		}
 		return nil
 	}
-}
-
-func snapshotCondition(c Condition, path string, out PipelineState) error {
-	switch v := c.(type) {
-	case nil:
-		return nil
-	case *Random:
-		return putRand(out, path+"/rand", v.Rand)
-	case And:
-		for i, child := range v {
-			if err := snapshotCondition(child, fmt.Sprintf("%s/%d", path, i), out); err != nil {
-				return err
+	return walkPipeline(p, visitor{
+		rand: func(path string, r *rng.Stream) error {
+			return get(path, func(raw json.RawMessage) error {
+				var s rng.State
+				if err := json.Unmarshal(raw, &s); err != nil {
+					return err
+				}
+				r.SetState(s)
+				return nil
+			})
+		},
+		state: func(path string, s Stateful, _ Resettable) error {
+			if s == nil {
+				return nil
 			}
-		}
-		return nil
-	case Or:
-		for i, child := range v {
-			if err := snapshotCondition(child, fmt.Sprintf("%s/%d", path, i), out); err != nil {
-				return err
+			return get(path, s.RestoreState)
+		},
+		keyed: func(path string, k *KeyedPolluter) ([]string, error) {
+			var keys []string
+			err := get(path+"/keys", func(raw json.RawMessage) error {
+				return json.Unmarshal(raw, &keys)
+			})
+			for _, key := range keys {
+				k.EnsureInstance(key)
 			}
-		}
-		return nil
-	case Not:
-		return snapshotCondition(v.Inner, path+"/not", out)
-	case *Sticky:
-		if err := putStateful(out, path, v); err != nil {
-			return err
-		}
-		return snapshotCondition(v.Trigger, path+"/trigger", out)
-	case *MarkovCondition:
-		if err := putStateful(out, path, v); err != nil {
-			return err
-		}
-		return putRand(out, path+"/rand", v.Rand)
-	case *BudgetCondition:
-		if err := putStateful(out, path, v); err != nil {
-			return err
-		}
-		return snapshotCondition(v.Inner, path+"/inner", out)
-	case *CascadeCondition:
-		return putStateful(out, path, v)
-	case DeviationCondition:
-		return putStateful(out, path+"/state", v.State)
-	default:
-		if s, ok := c.(Stateful); ok {
-			return putStateful(out, path, s)
-		}
-		return nil
-	}
-}
-
-func restoreCondition(c Condition, path string, st PipelineState) error {
-	switch v := c.(type) {
-	case nil:
-		return nil
-	case *Random:
-		return getRand(st, path+"/rand", v.Rand)
-	case And:
-		for i, child := range v {
-			if err := restoreCondition(child, fmt.Sprintf("%s/%d", path, i), st); err != nil {
-				return err
-			}
-		}
-		return nil
-	case Or:
-		for i, child := range v {
-			if err := restoreCondition(child, fmt.Sprintf("%s/%d", path, i), st); err != nil {
-				return err
-			}
-		}
-		return nil
-	case Not:
-		return restoreCondition(v.Inner, path+"/not", st)
-	case *Sticky:
-		if err := getStateful(st, path, v); err != nil {
-			return err
-		}
-		return restoreCondition(v.Trigger, path+"/trigger", st)
-	case *MarkovCondition:
-		if err := getStateful(st, path, v); err != nil {
-			return err
-		}
-		return getRand(st, path+"/rand", v.Rand)
-	case *BudgetCondition:
-		if err := getStateful(st, path, v); err != nil {
-			return err
-		}
-		return restoreCondition(v.Inner, path+"/inner", st)
-	case *CascadeCondition:
-		return getStateful(st, path, v)
-	case DeviationCondition:
-		return getStateful(st, path+"/state", v.State)
-	default:
-		if s, ok := c.(Stateful); ok {
-			return getStateful(st, path, s)
-		}
-		return nil
-	}
-}
-
-func snapshotError(e ErrorFunc, path string, out PipelineState) error {
-	switch v := e.(type) {
-	case nil:
-		return nil
-	case *GaussianNoise:
-		return putRand(out, path+"/rand", v.Rand)
-	case *UniformMultNoise:
-		return putRand(out, path+"/rand", v.Rand)
-	case *IncorrectCategory:
-		return putRand(out, path+"/rand", v.Rand)
-	case *Outlier:
-		return putRand(out, path+"/rand", v.Rand)
-	case *StringTypo:
-		return putRand(out, path+"/rand", v.Rand)
-	case *FrozenValue:
-		return putStateful(out, path, v)
-	case Chain:
-		for i, sub := range v {
-			if err := snapshotError(sub, fmt.Sprintf("%s/%d", path, i), out); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		if s, ok := e.(Stateful); ok {
-			return putStateful(out, path, s)
-		}
-		return nil
-	}
-}
-
-func restoreError(e ErrorFunc, path string, st PipelineState) error {
-	switch v := e.(type) {
-	case nil:
-		return nil
-	case *GaussianNoise:
-		return getRand(st, path+"/rand", v.Rand)
-	case *UniformMultNoise:
-		return getRand(st, path+"/rand", v.Rand)
-	case *IncorrectCategory:
-		return getRand(st, path+"/rand", v.Rand)
-	case *Outlier:
-		return getRand(st, path+"/rand", v.Rand)
-	case *StringTypo:
-		return getRand(st, path+"/rand", v.Rand)
-	case *FrozenValue:
-		return getStateful(st, path, v)
-	case Chain:
-		for i, sub := range v {
-			if err := restoreError(sub, fmt.Sprintf("%s/%d", path, i), st); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		if s, ok := e.(Stateful); ok {
-			return getStateful(st, path, s)
-		}
-		return nil
-	}
+			return keys, err
+		},
+	})
 }
 
 // ---------------------------------------------------------------------

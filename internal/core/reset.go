@@ -9,23 +9,18 @@ import (
 // This file implements per-run pipeline resets. Stateful components —
 // frozen values, sticky holds, Markov chains, error budgets, cascade
 // trackers, running statistics, per-key instances, and every RNG stream
-// — accumulate state while a pipeline runs. Historically a compiled
-// pipeline was single-shot: running it a second time silently continued
-// from the first run's state (a frozen sensor stayed frozen, RNG streams
-// kept advancing), so two consecutive runs of the same process produced
-// different output.
-//
-// ResetPipeline walks a pipeline exactly like the checkpoint snapshot
-// walker and returns every component to its just-constructed state. The
-// Process runners invoke it at the start of every run, restoring the
-// contract that a compiled configuration is a pure function of its input:
-// two consecutive runs of the same pipeline over the same input are
-// byte-identical (TestRunTwiceByteIdentical).
+// — accumulate state while a pipeline runs. ResetPipeline, the third
+// visitor over the component walk of walk.go beside checkpoint snapshot
+// and restore, returns each to its just-constructed state. The Process
+// runners invoke it at the start of every run, so a compiled
+// configuration is a pure function of its input: two consecutive runs of
+// the same pipeline over the same input are byte-identical
+// (TestRunTwiceByteIdentical).
 
 // Resettable is implemented by components carrying per-run mutable state
-// that must be cleared between runs. The built-in stateful components
-// are reset structurally by the walker; custom polluters, conditions,
-// and error functions implement Resettable to participate.
+// that must be cleared between runs: the built-in stateful components,
+// and custom polluters, conditions and error functions that want to
+// participate.
 type Resettable interface {
 	// ResetRunState returns the component to its just-constructed state.
 	ResetRunState()
@@ -38,9 +33,27 @@ func ResetPipeline(p *Pipeline) {
 	if p == nil {
 		return
 	}
-	for _, pol := range p.Polluters {
-		resetPolluter(pol)
-	}
+	// No callback fails, so neither does the walk.
+	_ = walkPipeline(p, visitor{
+		rand: func(_ string, r *rng.Stream) error {
+			r.Reset()
+			return nil
+		},
+		state: func(_ string, _ Stateful, r Resettable) error {
+			if r != nil {
+				r.ResetRunState()
+			}
+			return nil
+		},
+		// Per-key instances are created deterministically from (seed,
+		// path, key), so discarding them and letting the factory rebuild
+		// on first sight is equivalent to resetting each one — and also
+		// frees per-key state of keys the next run may never see.
+		keyed: func(_ string, k *KeyedPolluter) ([]string, error) {
+			k.instances = make(map[string]Polluter)
+			return nil, nil
+		},
+	})
 }
 
 // resetPipelines resets every pipeline of the process; all runners call
@@ -49,100 +62,6 @@ func ResetPipeline(p *Pipeline) {
 func (pr *Process) resetPipelines() {
 	for _, p := range pr.Pipelines {
 		ResetPipeline(p)
-	}
-}
-
-func resetRand(r *rng.Stream) {
-	if r != nil {
-		r.Reset()
-	}
-}
-
-func resetPolluter(p Polluter) {
-	switch v := p.(type) {
-	case *Standard:
-		resetCondition(v.Cond)
-		resetError(v.Err)
-	case *Composite:
-		resetCondition(v.Cond)
-		resetRand(v.Rand)
-		for _, c := range v.Children {
-			resetPolluter(c)
-		}
-	case *KeyedPolluter:
-		// Per-key instances are created deterministically from (seed,
-		// path, key), so discarding them and letting the factory rebuild
-		// on first sight is equivalent to resetting each one — and also
-		// frees per-key state of keys the next run may never see.
-		v.resetInstances()
-	case *Observer:
-		v.State.ResetRunState()
-	default:
-		if r, ok := p.(Resettable); ok {
-			r.ResetRunState()
-		}
-	}
-}
-
-func resetCondition(c Condition) {
-	switch v := c.(type) {
-	case nil:
-	case *Random:
-		resetRand(v.Rand)
-	case And:
-		for _, child := range v {
-			resetCondition(child)
-		}
-	case Or:
-		for _, child := range v {
-			resetCondition(child)
-		}
-	case Not:
-		resetCondition(v.Inner)
-	case *Sticky:
-		v.Reset()
-		resetCondition(v.Trigger)
-	case *MarkovCondition:
-		v.bad = false
-		resetRand(v.Rand)
-	case *BudgetCondition:
-		v.firings = v.firings[:0]
-		resetCondition(v.Inner)
-	case *CascadeCondition:
-		v.prevID = 0
-		v.hasPrev = false
-	case DeviationCondition:
-		v.State.ResetRunState()
-	default:
-		if r, ok := c.(Resettable); ok {
-			r.ResetRunState()
-		}
-	}
-}
-
-func resetError(e ErrorFunc) {
-	switch v := e.(type) {
-	case nil:
-	case *GaussianNoise:
-		resetRand(v.Rand)
-	case *UniformMultNoise:
-		resetRand(v.Rand)
-	case *IncorrectCategory:
-		resetRand(v.Rand)
-	case *Outlier:
-		resetRand(v.Rand)
-	case *StringTypo:
-		resetRand(v.Rand)
-	case *FrozenValue:
-		v.Thaw()
-	case Chain:
-		for _, sub := range v {
-			resetError(sub)
-		}
-	default:
-		if r, ok := e.(Resettable); ok {
-			r.ResetRunState()
-		}
 	}
 }
 
@@ -156,10 +75,4 @@ func (s *StreamState) ResetRunState() {
 	s.attrs = make(map[string]*attrState)
 	s.tuples = 0
 	s.lastEvent = time.Time{}
-}
-
-// resetInstances drops every per-key polluter instance; the factory
-// rebuilds them deterministically on first sight of each key.
-func (p *KeyedPolluter) resetInstances() {
-	p.instances = make(map[string]Polluter)
 }

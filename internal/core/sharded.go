@@ -228,10 +228,9 @@ type retiredBatch struct {
 }
 
 // shardedSource fans prepared tuples out to shard workers over SPSC
-// rings and merges the results back by sequence number. It follows the
-// same consumer-driven state machine as stream.ParallelMap: lazily
-// started, stopping promptly on the first fatal error, releasing all
-// goroutines on Stop.
+// rings and merges the results back by sequence number. It is a
+// consumer-driven state machine: lazily started, stopping promptly on
+// the first fatal error, releasing all goroutines on Stop.
 type shardedSource struct {
 	src     stream.Source
 	schema  *stream.Schema

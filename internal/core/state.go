@@ -241,6 +241,10 @@ func (c *MarkovCondition) Eval(stream.Tuple, time.Time) bool {
 	return c.bad
 }
 
+// ResetRunState implements Resettable: the chain restarts in the good
+// state.
+func (c *MarkovCondition) ResetRunState() { c.bad = false }
+
 // Describe implements Condition.
 func (c *MarkovCondition) Describe() string {
 	return fmt.Sprintf("markov(enter=%g, exit=%g)", c.PEnterBad, c.PExitBad)
@@ -285,6 +289,10 @@ func (c *BudgetCondition) Eval(t stream.Tuple, tau time.Time) bool {
 	return true
 }
 
+// ResetRunState implements Resettable: no firing counts against the
+// budget.
+func (c *BudgetCondition) ResetRunState() { c.firings = nil }
+
 // Describe implements Condition.
 func (c *BudgetCondition) Describe() string {
 	return fmt.Sprintf("at most %d per %s of (%s)", c.Budget, c.Window, c.Inner.Describe())
@@ -325,6 +333,10 @@ func (c *CascadeCondition) Eval(t stream.Tuple, _ time.Time) bool {
 	c.hasPrev = true
 	return fire
 }
+
+// ResetRunState implements Resettable: the next tuple has no
+// predecessor.
+func (c *CascadeCondition) ResetRunState() { c.prevID, c.hasPrev = 0, false }
 
 // Describe implements Condition.
 func (c *CascadeCondition) Describe() string {

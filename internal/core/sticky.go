@@ -41,11 +41,8 @@ func (c *Sticky) Eval(t stream.Tuple, tau time.Time) bool {
 	return false
 }
 
-// Reset clears the hold state, returning the condition to its
-// just-constructed state. Per-key factories that hand pre-built sticky
-// conditions to fresh instances (e.g. when stamping per-shard pipelines
-// from a prototype) call Reset to guarantee the instance starts cold.
-func (c *Sticky) Reset() {
+// ResetRunState implements Resettable: it clears the hold state.
+func (c *Sticky) ResetRunState() {
 	c.active = false
 	c.activeUntil = time.Time{}
 }

@@ -60,6 +60,9 @@ func (e *FrozenValue) Apply(t *stream.Tuple, attrs []string, _ time.Time) {
 // change pattern via a condition that stops firing.
 func (e *FrozenValue) Thaw() { e.frozen = make(map[string]stream.Value) }
 
+// ResetRunState implements Resettable.
+func (e *FrozenValue) ResetRunState() { e.Thaw() }
+
 // Kind implements ErrorFunc.
 func (*FrozenValue) Kind() string { return "frozen_value" }
 

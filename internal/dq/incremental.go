@@ -354,13 +354,6 @@ func (c *chainInc) Reset() {
 	c.seen = c.seen[:0]
 }
 
-// ResetChain additionally forgets the carried chain — used when state is
-// reused across independent runs rather than consecutive windows.
-func (c *chainInc) ResetChain() {
-	c.Reset()
-	c.st = chainState{}
-}
-
 // meanInc is the incremental MeanToBeBetween: the same running meanState
 // the batch Check folds, merged by field-wise addition.
 type meanInc struct {

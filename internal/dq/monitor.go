@@ -46,8 +46,6 @@ type Monitor struct {
 	// worst is the highest single-window unexpected count so far,
 	// exported as the dq_worst_window_unexpected gauge.
 	worst atomic.Uint64
-	// skipped counts tuple-level source errors the monitor stepped over.
-	skipped atomic.Uint64
 
 	// incs is the carried tumbling-mode state, built lazily per Run.
 	incs []Incremental
@@ -101,15 +99,11 @@ func (m *Monitor) SetObs(reg *obs.Registry) {
 // observed so far.
 func (m *Monitor) WorstUnexpected() uint64 { return m.worst.Load() }
 
-// SkippedTuples returns how many tuple-level source errors the monitor
-// skipped (a live stream should not die on one malformed tuple).
-func (m *Monitor) SkippedTuples() uint64 { return m.skipped.Load() }
-
 // Run consumes src until EOF or a fatal source error, calling emit for
 // every closed non-empty window in order. An emit error aborts the run.
-// Tuple-level source errors are skipped and counted; a fatal error
-// discards the open partial window (its contents are not known to be
-// complete) and is returned.
+// Tuple-level source errors are skipped (a live stream should not die on
+// one malformed tuple); a fatal error discards the open partial window
+// (its contents are not known to be complete) and is returned.
 func (m *Monitor) Run(src stream.Source, emit func(WindowResult) error) error {
 	if m.slide == m.width {
 		return m.runTumbling(src, emit)
@@ -164,7 +158,6 @@ func (m *Monitor) runTumbling(src stream.Source, emit func(WindowResult) error) 
 		}
 		if err != nil {
 			if _, ok := stream.AsTupleError(err); ok {
-				m.skipped.Add(1)
 				continue
 			}
 			return err
@@ -284,7 +277,6 @@ func (m *Monitor) runSliding(src stream.Source, emit func(WindowResult) error) e
 		}
 		if err != nil {
 			if _, ok := stream.AsTupleError(err); ok {
-				m.skipped.Add(1)
 				continue
 			}
 			return err

@@ -79,22 +79,21 @@ func fetchLines(url string) ([]string, error) {
 	return strings.FieldsFunc(string(body), func(r rune) bool { return r == '\n' }), nil
 }
 
-// sameLines compares an HTTP stream with the parent's rendering; prefix
-// is "data: " for SSE.
-func sameLines(t *testing.T, label, prefix string, got, want []string) {
+// sameLines compares an HTTP stream with the parent's rendering.
+func sameLines(t *testing.T, label string, got, want []string) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d lines, want %d", label, len(got), len(want))
 	}
 	for i := range want {
-		if got[i] != prefix+want[i] {
-			t.Fatalf("%s: line %d differs from the JSON build's:\ngot  %s\nwant %s", label, i, got[i], prefix+want[i])
+		if got[i] != want[i] {
+			t.Fatalf("%s: line %d differs from the JSON build's:\ngot  %s\nwant %s", label, i, got[i], want[i])
 		}
 	}
 }
 
-// TestHTTPEdgeMatchesJSONBuild: every NDJSON line and SSE event of a
-// served run equals json.Marshal of the frame the JSON build published,
+// TestHTTPEdgeMatchesJSONBuild: every NDJSON line of a served run
+// equals json.Marshal of the frame the JSON build published,
 // whether the frame reaches the handler live, from the replay ring or
 // from the WAL, tuple-wise or as colbatch frames.
 func TestHTTPEdgeMatchesJSONBuild(t *testing.T) {
@@ -126,20 +125,17 @@ func TestHTTPEdgeMatchesJSONBuild(t *testing.T) {
 
 			// Live: subscribed before the first publish.
 			type capture struct {
-				label, prefix, channel string
-				lines                  []string
-				err                    error
+				channel string
+				lines   []string
+				err     error
 			}
 			live := make(chan capture)
-			subs := 0
+			subs := len(Channels())
 			for _, ch := range Channels() {
-				for _, enc := range []struct{ path, prefix string }{{"/stream", ""}, {"/sse", "data: "}} {
-					subs++
-					go func() {
-						lines, err := fetchLines("http://" + httpAddr + enc.path + "?channel=" + ch)
-						live <- capture{"live " + enc.path + " " + ch, enc.prefix, ch, lines, err}
-					}()
-				}
+				go func() {
+					lines, err := fetchLines("http://" + httpAddr + "/stream?channel=" + ch)
+					live <- capture{ch, lines, err}
+				}()
 			}
 			for deadline := time.Now().Add(10 * time.Second); srv.Hub().SubscriberCount() < int64(subs); {
 				if time.Now().After(deadline) {
@@ -151,19 +147,18 @@ func TestHTTPEdgeMatchesJSONBuild(t *testing.T) {
 			for i := 0; i < subs; i++ {
 				c := <-live
 				if c.err != nil {
-					t.Fatalf("%s: %v", c.label, c.err)
+					t.Fatalf("live %s: %v", c.channel, c.err)
 				}
-				sameLines(t, c.label, c.prefix, c.lines, want[c.channel])
+				sameLines(t, "live "+c.channel, c.lines, want[c.channel])
 			}
 
 			// Replay: subscribed after the run, from the ring or the WAL.
 			waitPipelineDone(t, srv)
 			for _, ch := range Channels() {
-				sameLines(t, "replay /stream "+ch, "", streamLines(t, "http://"+httpAddr+"/stream?channel="+ch), want[ch])
-				sameLines(t, "replay /sse "+ch, "data: ", streamLines(t, "http://"+httpAddr+"/sse?channel="+ch), want[ch])
+				sameLines(t, "replay "+ch, streamLines(t, "http://"+httpAddr+"/stream?channel="+ch), want[ch])
 			}
 			resumed := streamLines(t, "http://"+httpAddr+"/stream?channel=clean&from_seq=41")
-			sameLines(t, "resume clean", "", resumed[1:], want[ChannelClean][41:])
+			sameLines(t, "resume clean", resumed[1:], want[ChannelClean][41:])
 		})
 	}
 }
@@ -212,7 +207,7 @@ func TestRecoverJSONStateDir(t *testing.T) {
 	}
 	sameTuples(t, "tcp client over a mixed wal", drainClient(t, c), dirty)
 	for _, ch := range Channels() {
-		sameLines(t, "ndjson over a mixed wal: "+ch, "", streamLines(t, "http://"+httpAddr+"/stream?channel="+ch), want[ch])
+		sameLines(t, "ndjson over a mixed wal: "+ch, streamLines(t, "http://"+httpAddr+"/stream?channel="+ch), want[ch])
 	}
 
 	// The old records were not rewritten: the log still opens with JSON

@@ -41,8 +41,7 @@ func walBackedServer(t *testing.T, n int) *Server {
 	return srv
 }
 
-// streamLines drains one HTTP streaming response into its NDJSON lines
-// (or SSE data lines).
+// streamLines drains one HTTP streaming response into its NDJSON lines.
 func streamLines(t *testing.T, url string) []string {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -89,26 +88,5 @@ func TestHTTPStreamReplaysWholeWAL(t *testing.T) {
 	}
 	if last := lines[len(lines)-1]; !strings.Contains(last, `"eof"`) {
 		t.Errorf("replay does not end with the terminal frame: %s", last)
-	}
-}
-
-// TestSSEStreamReplaysWholeWAL: the SSE encoding shares the replay path
-// and must also deliver the full durable log.
-func TestSSEStreamReplaysWholeWAL(t *testing.T) {
-	const n = 200
-	srv := walBackedServer(t, n)
-	ts := httptest.NewServer(srv.HTTPHandler())
-	defer ts.Close()
-
-	lines := streamLines(t, ts.URL+"/sse?channel=dirty&from_seq=1")
-	var frames int
-	for _, l := range lines {
-		if strings.HasPrefix(l, "data: ") {
-			frames++
-		}
-	}
-	// hello + tuples 1..n + eof
-	if want := 1 + n + 1; frames != want {
-		t.Fatalf("got %d SSE frames, want %d", frames, want)
 	}
 }

@@ -766,17 +766,11 @@ type throttleFunc func(n int, beforeSleep func() error) error
 // HTTPHandler returns the service's HTTP interface:
 //
 //	GET /stream?channel=dirty|clean|log&from_seq=N  — NDJSON (chunked)
-//	GET /sse?channel=...&from_seq=N                 — Server-Sent Events
 //	GET /metrics                                    — Prometheus text
 //	GET /healthz                                    — liveness + run state
 func (s *Server) HTTPHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/stream", func(w http.ResponseWriter, r *http.Request) {
-		s.serveHTTPStream(w, r, false)
-	})
-	mux.HandleFunc("/sse", func(w http.ResponseWriter, r *http.Request) {
-		s.serveHTTPStream(w, r, true)
-	})
+	mux.HandleFunc("/stream", s.serveHTTPStream)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		snap := s.cfg.Reg.Snapshot()
 		if snap == nil {
@@ -815,8 +809,8 @@ func (s *Server) HTTPHandler() http.Handler {
 }
 
 // serveHTTPStream subscribes the request and streams frames as NDJSON
-// lines or SSE events until a terminal frame.
-func (s *Server) serveHTTPStream(w http.ResponseWriter, r *http.Request, sse bool) {
+// lines until a terminal frame.
+func (s *Server) serveHTTPStream(w http.ResponseWriter, r *http.Request) {
 	channel := r.URL.Query().Get("channel")
 	if channel == "" {
 		channel = s.chDirty
@@ -825,7 +819,7 @@ func (s *Server) serveHTTPStream(w http.ResponseWriter, r *http.Request, sse boo
 	if !ok {
 		return
 	}
-	s.streamHTTP(w, r, sse, channel, fromSeq, nil)
+	s.streamHTTP(w, r, channel, fromSeq, nil)
 }
 
 // parseFromSeq reads the from_seq query parameter, reporting 400 on a
@@ -844,10 +838,9 @@ func parseFromSeq(w http.ResponseWriter, r *http.Request) (uint64, bool) {
 }
 
 // streamHTTP subscribes the request to channel and streams frames as
-// NDJSON lines or SSE events. throttle, when set, is applied before
-// each frame write (per-tenant rate limit and accounting); a throttle
+// NDJSON lines. throttle, when set, is applied before each frame write (per-tenant rate limit and accounting); a throttle
 // error terminates the stream with an error frame.
-func (s *Server) streamHTTP(w http.ResponseWriter, r *http.Request, sse bool, channel string, fromSeq uint64, throttle throttleFunc) {
+func (s *Server) streamHTTP(w http.ResponseWriter, r *http.Request, channel string, fromSeq uint64, throttle throttleFunc) {
 	sub, err := s.hub.Subscribe(channel, fromSeq)
 	if err != nil {
 		status := http.StatusBadRequest
@@ -859,12 +852,7 @@ func (s *Server) streamHTTP(w http.ResponseWriter, r *http.Request, sse bool, ch
 	}
 	defer sub.Close()
 	flusher, _ := w.(http.Flusher)
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	// Register the response for force-close: when the session's drain
 	// deadline fires with this subscriber wedged mid-write, an immediate
@@ -877,7 +865,7 @@ func (s *Server) streamHTTP(w http.ResponseWriter, r *http.Request, sse bool, ch
 		data, terminal, err := sub.RecvContext(ctx)
 		if err != nil {
 			if errors.Is(err, ErrSlowClient) {
-				s.writeHTTPError(w, flusher, sse, err)
+				s.writeHTTPError(w, flusher, err)
 			}
 			return
 		}
@@ -890,18 +878,18 @@ func (s *Server) streamHTTP(w http.ResponseWriter, r *http.Request, sse bool, ch
 				data, derr = json.Marshal(f)
 			}
 			if derr != nil {
-				s.writeHTTPError(w, flusher, sse, derr)
+				s.writeHTTPError(w, flusher, derr)
 				return
 			}
 		}
 		if throttle != nil {
 			if terr := throttle(len(data), nil); terr != nil {
-				s.writeHTTPError(w, flusher, sse, terr)
+				s.writeHTTPError(w, flusher, terr)
 				return
 			}
 		}
 		start := time.Now()
-		if !s.writeHTTPFrame(w, flusher, sse, data) {
+		if !s.writeHTTPFrame(w, flusher, data) {
 			return
 		}
 		s.cfg.Reg.ObserveStage(obs.StageNetSend, time.Since(start))
@@ -939,28 +927,22 @@ func (c *httpCloser) Close() error {
 
 // writeHTTPError best-effort ends an HTTP stream with err as a terminal
 // frame.
-func (s *Server) writeHTTPError(w http.ResponseWriter, flusher http.Flusher, sse bool, err error) {
+func (s *Server) writeHTTPError(w http.ResponseWriter, flusher http.Flusher, err error) {
 	if data, merr := EncodeFrame(errorFrame(err)); merr == nil {
-		s.writeHTTPFrame(w, flusher, sse, data)
+		s.writeHTTPFrame(w, flusher, data)
 	}
 }
 
-// writeHTTPFrame writes one frame in the chosen HTTP encoding.
-func (s *Server) writeHTTPFrame(w http.ResponseWriter, flusher http.Flusher, sse bool, data []byte) bool {
-	if sse {
-		if _, err := fmt.Fprintf(w, "data: %s\n\n", data); err != nil {
-			return false
-		}
-	} else {
-		// Two writes, never append: JSON frames replayed from the WAL alias
-		// the reader's internal buffer, and appending in place would
-		// clobber the next record's length prefix.
-		if _, err := w.Write(data); err != nil {
-			return false
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return false
-		}
+// writeHTTPFrame writes one frame as an NDJSON line.
+func (s *Server) writeHTTPFrame(w http.ResponseWriter, flusher http.Flusher, data []byte) bool {
+	// Two writes, never append: JSON frames replayed from the WAL alias
+	// the reader's internal buffer, and appending in place would clobber
+	// the next record's length prefix.
+	if _, err := w.Write(data); err != nil {
+		return false
+	}
+	if _, err := io.WriteString(w, "\n"); err != nil {
+		return false
 	}
 	if flusher != nil {
 		flusher.Flush()

@@ -591,8 +591,7 @@ func TestClientSourceStop(t *testing.T) {
 	}
 }
 
-// TestServerHTTP exercises the NDJSON, SSE, health and metrics
-// endpoints.
+// TestServerHTTP exercises the NDJSON, health and metrics endpoints.
 func TestServerHTTP(t *testing.T) {
 	const seed, n = 17, 40
 	reg := obs.NewRegistry()
@@ -626,30 +625,6 @@ func TestServerHTTP(t *testing.T) {
 	first, last := mustFrame(t, lines[0]), mustFrame(t, lines[len(lines)-1])
 	if first.Type != FrameHello || last.Type != FrameEOF {
 		t.Errorf("stream frames = %s..%s, want hello..eof", first.Type, last.Type)
-	}
-
-	// SSE: every event line carries a frame.
-	resp2, err := http.Get(base + "/sse?channel=clean")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if ct := resp2.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Errorf("sse content type = %q", ct)
-	}
-	body, err := io.ReadAll(resp2.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := 0
-	for _, line := range strings.Split(string(body), "\n") {
-		if strings.HasPrefix(line, "data: ") {
-			mustFrame(t, strings.TrimPrefix(line, "data: "))
-			events++
-		}
-	}
-	if events != n+2 {
-		t.Errorf("got %d SSE events, want %d", events, n+2)
 	}
 
 	// Replay gap over HTTP is 410 Gone... but only when evicted; here the

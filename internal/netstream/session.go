@@ -832,7 +832,6 @@ func writeConnError(conn net.Conn, err error) {
 //	GET    /v1/sessions/{tenant}/{name}      — one session's status
 //	DELETE /v1/sessions/{tenant}/{name}      — stop a session (bounded drain)
 //	GET    /stream?channel=t/s/dirty&from_seq=N — NDJSON stream
-//	GET    /sse?channel=...                  — Server-Sent Events
 //	GET    /metrics                          — Prometheus text (per-tenant families)
 //	GET    /healthz                          — per-session states
 func (s *Service) HTTPHandler() http.Handler {
@@ -863,12 +862,7 @@ func (s *Service) HTTPHandler() http.Handler {
 		}
 		writeJSON(w, http.StatusOK, resp)
 	})
-	mux.HandleFunc("GET /stream", func(w http.ResponseWriter, r *http.Request) {
-		s.serveStream(w, r, false)
-	})
-	mux.HandleFunc("GET /sse", func(w http.ResponseWriter, r *http.Request) {
-		s.serveStream(w, r, true)
-	})
+	mux.HandleFunc("GET /stream", s.serveStream)
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		snap := s.reg.Snapshot()
 		if snap == nil {
@@ -921,9 +915,9 @@ func (s *Service) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, sess.status())
 }
 
-// serveStream routes /stream and /sse through the namespaced channel's
-// session, with the tenant's quota gate and throttle applied.
-func (s *Service) serveStream(w http.ResponseWriter, r *http.Request, sse bool) {
+// serveStream routes /stream through the namespaced channel's session,
+// with the tenant's quota gate and throttle applied.
+func (s *Service) serveStream(w http.ResponseWriter, r *http.Request) {
 	channel := r.URL.Query().Get("channel")
 	sess, err := s.resolve(channel)
 	if err != nil {
@@ -947,7 +941,7 @@ func (s *Service) serveStream(w http.ResponseWriter, r *http.Request, sse bool) 
 		return
 	}
 	defer release()
-	sess.srv.streamHTTP(w, r, sse, channel, fromSeq, throttle)
+	sess.srv.streamHTTP(w, r, channel, fromSeq, throttle)
 }
 
 // writeJSON renders one JSON control-plane response.

@@ -33,9 +33,8 @@ type Supervisor struct {
 	restarts    atomic.Uint64
 	quarantined atomic.Bool
 
-	mu      sync.Mutex
-	recent  []time.Time
-	lastErr error
+	mu     sync.Mutex
+	recent []time.Time
 }
 
 // NewSupervisor builds a supervisor. budget is the number of restarts
@@ -61,14 +60,6 @@ func (sv *Supervisor) Restarts() uint64 { return sv.restarts.Load() }
 
 // Quarantined reports whether the restart budget was exhausted.
 func (sv *Supervisor) Quarantined() bool { return sv.quarantined.Load() }
-
-// LastErr returns the most recent session error (nil before any
-// failure).
-func (sv *Supervisor) LastErr() error {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	return sv.lastErr
-}
 
 func (sv *Supervisor) log(format string, args ...any) {
 	if sv.logf != nil {
@@ -98,9 +89,6 @@ func (sv *Supervisor) Run(ctx context.Context, session func(context.Context) err
 		if err == nil {
 			return nil
 		}
-		sv.mu.Lock()
-		sv.lastErr = err
-		sv.mu.Unlock()
 		if ctx.Err() != nil || errors.Is(err, context.Canceled) {
 			return err
 		}

@@ -2,9 +2,9 @@
 // service: cmd/icewafld runs the pipeline once and streams its three
 // outputs — the dirty stream D^p, the clean stream D, and the pollution
 // log — to any number of subscribed clients, over raw TCP
-// (length-prefixed frames) or HTTP (NDJSON chunks or SSE). A
-// ClientSource implements stream.Source over the wire, so pipelines can
-// chain across processes and compose with stream.RetrySource for
+// (length-prefixed frames) or HTTP (NDJSON chunks). A ClientSource
+// implements stream.Source over the wire, so pipelines can chain across
+// processes and compose with stream.RetrySource for
 // reconnect-with-backoff.
 //
 // A frame payload has one encoding wherever it travels — hub, replay
@@ -15,13 +15,12 @@
 // never '{' — so JSON data frames (a line from /stream, a WAL record of
 // an older build) still decode. JSON for data frames is rendered only at
 // the HTTP edge. On TCP each payload is preceded by a 4-byte big-endian
-// length; on HTTP each frame is one JSON line (NDJSON) or one SSE data
-// event. The first frame of every subscription is a hello carrying the
-// stream schema; data frames follow in sequence order; an eof or error
-// frame is terminal. Frames carry a per-channel sequence number so a
-// reconnecting client can resume where it left off (from_seq), as long
-// as the channel's WAL — or, memory-only, its replay ring — still
-// retains that frame.
+// length; on HTTP each frame is one JSON line (NDJSON). The first frame
+// of every subscription is a hello carrying the stream schema; data
+// frames follow in sequence order; an eof or error frame is terminal.
+// Frames carry a per-channel sequence number so a reconnecting client
+// can resume where it left off (from_seq), as long as the channel's WAL
+// — or, memory-only, its replay ring — still retains that frame.
 package netstream
 
 import (

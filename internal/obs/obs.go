@@ -62,8 +62,6 @@ const (
 	CCheckpointWrites
 	// CSinkWrites counts tuples written by an observed sink.
 	CSinkWrites
-	// CParallelItems counts tuples processed by ParallelMap workers.
-	CParallelItems
 
 	// NumCounters is the number of well-known counters.
 	NumCounters
@@ -85,7 +83,6 @@ var counterNames = [NumCounters]string{
 	"icewafl_retries_total",
 	"icewafl_checkpoint_writes_total",
 	"icewafl_sink_writes_total",
-	"icewafl_parallel_items_total",
 }
 
 // CounterName returns the exposition name of a well-known counter.

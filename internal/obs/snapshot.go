@@ -56,27 +56,6 @@ type Snapshot struct {
 	Spans []Span `json:"spans,omitempty"`
 }
 
-// ShardSkew returns max/mean of the per-shard tuple counts — 1.0 is a
-// perfectly balanced run; values well above 1 flag key skew. Returns 0
-// when the snapshot has no shard counts.
-func (s *Snapshot) ShardSkew() float64 {
-	if len(s.ShardTuples) == 0 {
-		return 0
-	}
-	var sum, max uint64
-	for _, n := range s.ShardTuples {
-		sum += n
-		if n > max {
-			max = n
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(s.ShardTuples))
-	return float64(max) / mean
-}
-
 // MarshalJSON-friendly writers -----------------------------------------
 
 // WriteJSON renders the snapshot as indented JSON with a trailing
@@ -89,15 +68,6 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
-}
-
-// ParseJSON parses a snapshot written by WriteJSON.
-func ParseJSON(data []byte) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("obs: parse snapshot: %w", err)
-	}
-	return &s, nil
 }
 
 // Prometheus text exposition -------------------------------------------

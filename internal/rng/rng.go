@@ -155,11 +155,6 @@ func (s *Stream) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (s *Stream) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Bool returns the outcome of a fair coin toss.
 func (s *Stream) Bool() bool {
 	return s.Uint64()&1 == 1

@@ -16,8 +16,7 @@ import (
 // contract it adds on top of Source:
 //
 //   - Cancellation: a cancelled source returns ErrStopped (never io.EOF)
-//     from every subsequent Next call. WithContext adapts any source;
-//     NewChannelSourceContext makes blocking channel reads interruptible.
+//     from every subsequent Next call. WithContext adapts any source.
 //   - Tuple-level failure: a source MAY return a *TupleError to report
 //     that one tuple failed (malformed row, panicking operator, …) while
 //     the stream itself remains usable — callers may keep calling Next.
@@ -211,76 +210,11 @@ func (s *quarantineSource) Next() (Tuple, error) {
 	}
 }
 
-// SafeMap applies fn to every tuple of src, converting panics in fn into
-// *TupleError values instead of crashing the pipeline. The source stays
-// usable after a TupleError, so wrapping it in Quarantine yields a
-// pipeline that skips poisoned tuples. outSchema may be nil to keep the
-// input schema.
-func SafeMap(src Source, outSchema *Schema, fn MapFunc) Source {
-	if outSchema == nil {
-		outSchema = src.Schema()
-	}
-	return &safeMapSource{src: src, schema: outSchema, fn: fn}
-}
-
-type safeMapSource struct {
-	src    Source
-	schema *Schema
-	fn     MapFunc
-	offset uint64
-}
-
-func (s *safeMapSource) Schema() *Schema { return s.schema }
-
-func (s *safeMapSource) Next() (Tuple, error) {
-	t, err := s.src.Next()
-	if err != nil {
-		return t, err
-	}
-	off := s.offset
-	s.offset++
-	out, perr := callSafely(s.fn, t)
-	if perr != nil {
-		return Tuple{}, &TupleError{Tuple: t, Offset: off, Stage: "map", Err: perr}
-	}
-	return out, nil
-}
-
-// callSafely invokes fn(t), converting a panic into an error.
-func callSafely(fn MapFunc, t Tuple) (out Tuple, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok {
-				err = fmt.Errorf("panic: %w", e)
-				return
-			}
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	return fn(t), nil
-}
-
-// SafeFunc wraps fn so that a panic quarantines the tuple — it is
-// recorded in q and returned with Dropped set — instead of crashing the
-// worker. Unlike SafeMap it composes with ParallelMap, whose workers
-// invoke fn concurrently (DeadLetterQueue is concurrency-safe).
-func SafeFunc(fn MapFunc, q *DeadLetterQueue) MapFunc {
-	return func(t Tuple) Tuple {
-		out, err := callSafely(fn, t)
-		if err != nil {
-			q.AddError(&TupleError{Tuple: t, Offset: t.ID, Stage: "map", Err: err})
-			t.Dropped = true
-			return t
-		}
-		return out
-	}
-}
-
 // WithContext wraps src so that Next returns ErrStopped once ctx is
 // cancelled. The check happens before delegating, so a source blocked
-// inside Next is not interrupted — pair with context-aware sources
-// (NewChannelSourceContext) for blocking producers. A background context
-// (or nil) returns src unchanged, keeping the hot path free of overhead.
+// inside Next is not interrupted — a blocking producer must watch the
+// context itself. A background context (or nil) returns src unchanged,
+// keeping the hot path free of overhead.
 func WithContext(ctx context.Context, src Source) Source {
 	if ctx == nil || ctx.Done() == nil {
 		return src

@@ -140,21 +140,28 @@ func TestQuarantineOverflow(t *testing.T) {
 	}
 }
 
-// --- SafeMap ---------------------------------------------------------
+// --- Tuple-level failures from a live source ------------------------
 
-func TestSafeMapRecoversPanics(t *testing.T) {
-	s := testSchema(t)
-	src := NewSliceSource(s, makeTuples(s, 4))
-	sm := SafeMap(src, nil, func(tp Tuple) Tuple {
-		if v, _ := tp.GetFloat("v"); v == 2 {
-			panic("poison tuple")
+// tupleErrorAt is a FlakySource plan reporting a tuple-level failure on
+// the given calls.
+func tupleErrorAt(calls ...uint64) func(uint64) error {
+	return func(call uint64) error {
+		for _, c := range calls {
+			if c == call {
+				return &TupleError{Offset: call, Stage: "decode", Err: fmt.Errorf("poison %d", call)}
+			}
 		}
-		return tp
-	})
+		return nil
+	}
+}
+
+func TestTupleErrorLeavesSourceUsable(t *testing.T) {
+	s := testSchema(t)
+	src := NewFlakySource(NewSliceSource(s, makeTuples(s, 4)), tupleErrorAt(2))
 	var delivered int
 	var tupleErrs int
 	for {
-		_, err := sm.Next()
+		_, err := src.Next()
 		if err == io.EOF {
 			break
 		}
@@ -163,7 +170,7 @@ func TestSafeMapRecoversPanics(t *testing.T) {
 			if !ok {
 				t.Fatalf("fatal error: %v", err)
 			}
-			if te.Stage != "map" || te.Offset != 2 {
+			if te.Stage != "decode" || te.Offset != 2 {
 				t.Errorf("tuple error = %+v", te)
 			}
 			tupleErrs++
@@ -171,27 +178,21 @@ func TestSafeMapRecoversPanics(t *testing.T) {
 		}
 		delivered++
 	}
-	if delivered != 3 || tupleErrs != 1 {
-		t.Errorf("delivered=%d tupleErrs=%d, want 3/1", delivered, tupleErrs)
+	if delivered != 4 || tupleErrs != 1 {
+		t.Errorf("delivered=%d tupleErrs=%d, want 4/1", delivered, tupleErrs)
 	}
 }
 
-func TestSafeMapWithQuarantine(t *testing.T) {
+func TestFlakySourceWithQuarantine(t *testing.T) {
 	s := testSchema(t)
-	src := NewSliceSource(s, makeTuples(s, 10))
 	q := NewDeadLetterQueue()
-	pipeline := Quarantine(SafeMap(src, nil, func(tp Tuple) Tuple {
-		if v, _ := tp.GetFloat("v"); v == 3 || v == 7 {
-			panic(fmt.Sprintf("poison %v", v))
-		}
-		return tp
-	}), q, 0)
+	pipeline := Quarantine(NewFlakySource(NewSliceSource(s, makeTuples(s, 10)), tupleErrorAt(3, 7)), q, 0)
 	got, err := Drain(pipeline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 8 || q.Len() != 2 {
-		t.Errorf("delivered=%d quarantined=%d, want 8/2", len(got), q.Len())
+	if len(got) != 10 || q.Len() != 2 {
+		t.Errorf("delivered=%d quarantined=%d, want 10/2", len(got), q.Len())
 	}
 }
 
@@ -221,29 +222,43 @@ func TestWithContextCancellation(t *testing.T) {
 	}
 }
 
-func TestChannelSourceClosedChannelEOF(t *testing.T) {
+// TestWithContextPassesEOF: under a live context the end of the stream
+// stays io.EOF on every later call and never turns into ErrStopped.
+func TestWithContextPassesEOF(t *testing.T) {
 	s := testSchema(t)
-	ch := make(chan Tuple, 2)
-	for _, tp := range makeTuples(s, 2) {
-		ch <- tp
-	}
-	close(ch)
-	src := NewChannelSource(s, ch)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := WithContext(ctx, NewSliceSource(s, makeTuples(s, 2)))
 	got, err := Drain(src)
 	if err != nil || len(got) != 2 {
 		t.Fatalf("Drain = %d tuples, %v", len(got), err)
 	}
-	// EOF must be sticky.
 	if _, err := src.Next(); err != io.EOF {
 		t.Errorf("Next after EOF = %v", err)
 	}
 }
 
-func TestChannelSourceContextCancelUnblocks(t *testing.T) {
+// stalledSource is a producer that never delivers: Next blocks until the
+// context it watches is cancelled.
+type stalledSource struct {
+	schema *Schema
+	done   <-chan struct{}
+}
+
+func (s *stalledSource) Schema() *Schema { return s.schema }
+
+func (s *stalledSource) Next() (Tuple, error) {
+	<-s.done
+	return Tuple{}, errors.New("producer gave up")
+}
+
+// TestWithContextCancelUnblocksStalledSource: WithContext does not
+// interrupt a blocked Next itself, but once a context-aware producer
+// returns, whatever it reported is normalised to a sticky ErrStopped.
+func TestWithContextCancelUnblocksStalledSource(t *testing.T) {
 	s := testSchema(t)
-	ch := make(chan Tuple) // never written: producer stalls forever
 	ctx, cancel := context.WithCancel(context.Background())
-	src := NewChannelSourceContext(ctx, s, ch)
+	src := WithContext(ctx, &stalledSource{schema: s, done: ctx.Done()})
 
 	before := runtime.NumGoroutine()
 	done := make(chan error, 1)
@@ -259,7 +274,7 @@ func TestChannelSourceContextCancelUnblocks(t *testing.T) {
 			t.Errorf("blocked Next unblocked with %v, want ErrStopped", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled ChannelSource stayed blocked")
+		t.Fatal("cancelled source stayed blocked")
 	}
 	// Cancellation is sticky and never turns into EOF.
 	for i := 0; i < 3; i++ {

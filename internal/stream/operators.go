@@ -9,9 +9,6 @@ type MapFunc func(Tuple) Tuple
 // FilterFunc decides whether a tuple passes.
 type FilterFunc func(Tuple) bool
 
-// FlatMapFunc expands one tuple into zero or more tuples.
-type FlatMapFunc func(Tuple) []Tuple
-
 // mapSource applies fn to every tuple.
 type mapSource struct {
 	src    Source
@@ -63,38 +60,6 @@ func (f *filterSource) Next() (Tuple, error) {
 	}
 }
 
-// flatMapSource expands tuples via fn, preserving emission order.
-type flatMapSource struct {
-	src     Source
-	schema  *Schema
-	fn      FlatMapFunc
-	pending []Tuple
-}
-
-// FlatMap returns a source that expands each tuple of src via fn.
-// outSchema may be nil to keep the input schema.
-func FlatMap(src Source, outSchema *Schema, fn FlatMapFunc) Source {
-	if outSchema == nil {
-		outSchema = src.Schema()
-	}
-	return &flatMapSource{src: src, schema: outSchema, fn: fn}
-}
-
-func (f *flatMapSource) Schema() *Schema { return f.schema }
-
-func (f *flatMapSource) Next() (Tuple, error) {
-	for len(f.pending) == 0 {
-		t, err := f.src.Next()
-		if err != nil {
-			return t, err
-		}
-		f.pending = f.fn(t)
-	}
-	t := f.pending[0]
-	f.pending = f.pending[1:]
-	return t, nil
-}
-
 // takeSource caps a stream at n tuples.
 type takeSource struct {
 	src Source
@@ -112,35 +77,4 @@ func (t *takeSource) Next() (Tuple, error) {
 	}
 	t.n--
 	return t.src.Next()
-}
-
-// Peek invokes fn on every tuple passing through, without modifying it.
-// Useful for instrumentation and progress logging.
-func Peek(src Source, fn func(Tuple)) Source {
-	return Map(src, nil, func(t Tuple) Tuple {
-		fn(t)
-		return t
-	})
-}
-
-// Concat chains sources back to back. All sources must share a schema.
-type concatSource struct {
-	srcs []Source
-}
-
-// Concat returns the concatenation of srcs.
-func Concat(srcs ...Source) Source { return &concatSource{srcs: srcs} }
-
-func (c *concatSource) Schema() *Schema { return c.srcs[0].Schema() }
-
-func (c *concatSource) Next() (Tuple, error) {
-	for len(c.srcs) > 0 {
-		t, err := c.srcs[0].Next()
-		if err == io.EOF {
-			c.srcs = c.srcs[1:]
-			continue
-		}
-		return t, err
-	}
-	return Tuple{}, io.EOF
 }

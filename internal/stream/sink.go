@@ -11,39 +11,6 @@ type Sink interface {
 	Close() error
 }
 
-// CollectSink buffers every tuple in memory; the test- and experiment-
-// friendly counterpart of a Flink collection sink.
-type CollectSink struct {
-	Tuples []Tuple
-}
-
-// NewCollectSink returns an empty collector.
-func NewCollectSink() *CollectSink { return &CollectSink{} }
-
-// Write implements Sink.
-func (c *CollectSink) Write(t Tuple) error {
-	c.Tuples = append(c.Tuples, t)
-	return nil
-}
-
-// Close implements Sink.
-func (c *CollectSink) Close() error { return nil }
-
-// CountSink counts tuples and discards them; used by the runtime-overhead
-// experiment to model a cheap pass-through pipeline.
-type CountSink struct {
-	N int
-}
-
-// Write implements Sink.
-func (c *CountSink) Write(Tuple) error {
-	c.N++
-	return nil
-}
-
-// Close implements Sink.
-func (c *CountSink) Close() error { return nil }
-
 // DiscardSink drops every tuple.
 type DiscardSink struct{}
 
@@ -52,26 +19,6 @@ func (DiscardSink) Write(Tuple) error { return nil }
 
 // Close implements Sink.
 func (DiscardSink) Close() error { return nil }
-
-// ChannelSink forwards tuples into a channel and closes it on Close.
-type ChannelSink struct {
-	ch chan<- Tuple
-}
-
-// NewChannelSink wraps ch.
-func NewChannelSink(ch chan<- Tuple) *ChannelSink { return &ChannelSink{ch: ch} }
-
-// Write implements Sink.
-func (c *ChannelSink) Write(t Tuple) error {
-	c.ch <- t
-	return nil
-}
-
-// Close implements Sink.
-func (c *ChannelSink) Close() error {
-	close(c.ch)
-	return nil
-}
 
 // Copy pumps src into sink until EOF, closing the sink afterwards. It
 // returns the number of tuples moved.

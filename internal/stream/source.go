@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"errors"
 	"io"
 	"time"
@@ -61,68 +60,6 @@ func (s *SliceSource) Next() (Tuple, error) {
 
 // Reset rewinds the source to the beginning.
 func (s *SliceSource) Reset() { s.pos = 0 }
-
-// ChannelSource adapts a tuple channel to the Source interface, for
-// integrating live producers (e.g. a network listener) into a pipeline.
-// A closed channel yields io.EOF; a cancelled context (when constructed
-// via NewChannelSourceContext) yields ErrStopped, interrupting a blocked
-// read so consumers shut down promptly even when the producer stalls.
-type ChannelSource struct {
-	schema *Schema
-	ch     <-chan Tuple
-	done   <-chan struct{}
-	err    error
-}
-
-// NewChannelSource wraps ch. The producer signals end of stream by
-// closing the channel.
-func NewChannelSource(schema *Schema, ch <-chan Tuple) *ChannelSource {
-	return &ChannelSource{schema: schema, ch: ch}
-}
-
-// NewChannelSourceContext wraps ch with cancellation: once ctx is done,
-// Next returns ErrStopped, even if it was blocked waiting for a slow
-// producer.
-func NewChannelSourceContext(ctx context.Context, schema *Schema, ch <-chan Tuple) *ChannelSource {
-	return &ChannelSource{schema: schema, ch: ch, done: ctx.Done()}
-}
-
-// Schema implements Source.
-func (s *ChannelSource) Schema() *Schema { return s.schema }
-
-// Next implements Source.
-func (s *ChannelSource) Next() (Tuple, error) {
-	if s.err != nil {
-		return Tuple{}, s.err
-	}
-	if s.done == nil {
-		t, ok := <-s.ch
-		if !ok {
-			s.err = io.EOF
-			return Tuple{}, io.EOF
-		}
-		return t, nil
-	}
-	// Check cancellation first so a ready tuple does not mask an already
-	// cancelled context forever on a hot producer.
-	select {
-	case <-s.done:
-		s.err = ErrStopped
-		return Tuple{}, ErrStopped
-	default:
-	}
-	select {
-	case t, ok := <-s.ch:
-		if !ok {
-			s.err = io.EOF
-			return Tuple{}, io.EOF
-		}
-		return t, nil
-	case <-s.done:
-		s.err = ErrStopped
-		return Tuple{}, ErrStopped
-	}
-}
 
 // GeneratorSource produces n tuples by calling gen(i) for i = 0..n-1.
 // With n < 0 the stream is unbounded.

@@ -140,9 +140,6 @@ func (q *SPSC[T]) Pop(done <-chan struct{}) (T, bool) {
 // already queued remain poppable.
 func (q *SPSC[T]) Close() { q.closed.Store(true) }
 
-// Closed reports whether Close was called.
-func (q *SPSC[T]) Closed() bool { return q.closed.Load() }
-
 // Drained reports whether the queue is closed and empty — the
 // consumer's end-of-stream condition.
 func (q *SPSC[T]) Drained() bool {

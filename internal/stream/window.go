@@ -104,21 +104,6 @@ func (w *TumblingWindows) Next() (Window, error) {
 	}
 }
 
-// CollectWindows drains all windows of w.
-func CollectWindows(w *TumblingWindows) ([]Window, error) {
-	var out []Window
-	for {
-		win, err := w.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, win)
-	}
-}
-
 // SlidingWindows groups a bounded stream into overlapping event-time
 // windows of the given width, advancing by slide per window (slide <
 // width produces overlap; slide == width degrades to tumbling; slide 0
@@ -159,49 +144,3 @@ func SlidingWindows(src Source, width, slide time.Duration) ([]Window, error) {
 	}
 	return out, nil
 }
-
-// Watermark tracks event-time progress under bounded out-of-orderness,
-// the mechanism streaming engines use to decide when windows may close.
-// The watermark trails the maximum observed arrival time by the
-// configured delay; tuples arriving behind the watermark are late.
-type Watermark struct {
-	// MaxDelay is the tolerated out-of-orderness.
-	MaxDelay time.Duration
-
-	maxSeen time.Time
-	late    int
-	total   int
-}
-
-// NewWatermark returns a tracker tolerating maxDelay of disorder.
-func NewWatermark(maxDelay time.Duration) *Watermark {
-	return &Watermark{MaxDelay: maxDelay}
-}
-
-// Observe folds one tuple in and reports whether it is late (arrived
-// behind the current watermark).
-func (w *Watermark) Observe(t Tuple) bool {
-	w.total++
-	late := !w.maxSeen.IsZero() && t.Arrival.Before(w.Current())
-	if late {
-		w.late++
-	}
-	if t.Arrival.After(w.maxSeen) {
-		w.maxSeen = t.Arrival
-	}
-	return late
-}
-
-// Current returns the present watermark (zero before any observation).
-func (w *Watermark) Current() time.Time {
-	if w.maxSeen.IsZero() {
-		return time.Time{}
-	}
-	return w.maxSeen.Add(-w.MaxDelay)
-}
-
-// LateCount returns how many observed tuples were late.
-func (w *Watermark) LateCount() int { return w.late }
-
-// Total returns how many tuples were observed.
-func (w *Watermark) Total() int { return w.total }

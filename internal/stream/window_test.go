@@ -33,13 +33,26 @@ func mustTumbling(t *testing.T, src Source, width time.Duration) *TumblingWindow
 	return w
 }
 
+// drainWindows pulls every window of w, failing the test on an error.
+func drainWindows(t *testing.T, w *TumblingWindows) []Window {
+	t.Helper()
+	var out []Window
+	for {
+		win, err := w.Next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, win)
+	}
+}
+
 func TestTumblingWindowsBasic(t *testing.T) {
 	s, tuples := windowedTuples(t, nil, 30) // 30 minutes of data
 	w := mustTumbling(t, NewSliceSource(s, tuples), 10*time.Minute)
-	wins, err := CollectWindows(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wins := drainWindows(t, w)
 	if len(wins) != 3 {
 		t.Fatalf("%d windows", len(wins))
 	}
@@ -64,10 +77,7 @@ func TestTumblingWindowsSkipsEmpty(t *testing.T) {
 		gaps[i] = true // second window entirely empty
 	}
 	s, tuples := windowedTuples(t, gaps, 30)
-	wins, err := CollectWindows(mustTumbling(t, NewSliceSource(s, tuples), 10*time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
+	wins := drainWindows(t, mustTumbling(t, NewSliceSource(s, tuples), 10*time.Minute))
 	if len(wins) != 2 {
 		t.Fatalf("%d windows, want 2 (empty skipped)", len(wins))
 	}
@@ -82,9 +92,8 @@ func TestTumblingWindowsSkipsEmpty(t *testing.T) {
 func TestTumblingWindowsEmptyStream(t *testing.T) {
 	s := testSchema(t)
 	w := mustTumbling(t, NewSliceSource(s, nil), time.Minute)
-	wins, err := CollectWindows(w)
-	if err != nil || len(wins) != 0 {
-		t.Fatalf("%d windows, %v", len(wins), err)
+	if wins := drainWindows(t, w); len(wins) != 0 {
+		t.Fatalf("%d windows", len(wins))
 	}
 	// After drain the operator stays terminal.
 	if _, err := w.Next(); err != io.EOF {
@@ -107,17 +116,7 @@ func TestTumblingWindowsNonPositiveWidth(t *testing.T) {
 func TestTumblingWindowsNoDoubleEmitAfterDrain(t *testing.T) {
 	s, tuples := windowedTuples(t, nil, 25) // 2 full windows + 1 partial
 	w := mustTumbling(t, NewSliceSource(s, tuples), 10*time.Minute)
-	var wins []Window
-	for {
-		win, err := w.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		wins = append(wins, win)
-	}
+	wins := drainWindows(t, w)
 	if len(wins) != 3 || len(wins[2].Tuples) != 5 {
 		t.Fatalf("windows %d (final %d tuples), want 3 with partial 5", len(wins), len(wins[len(wins)-1].Tuples))
 	}
@@ -147,10 +146,7 @@ func TestTumblingWindowsBoundaryTuple(t *testing.T) {
 	}
 	// Tuples at 0m, 9m59.999s, exactly 10m, 10m1s with 10-minute windows.
 	tuples := []Tuple{mk(0), mk(10*time.Minute - time.Millisecond), mk(10 * time.Minute), mk(10*time.Minute + time.Second)}
-	wins, err := CollectWindows(mustTumbling(t, NewSliceSource(s, tuples), 10*time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
+	wins := drainWindows(t, mustTumbling(t, NewSliceSource(s, tuples), 10*time.Minute))
 	if len(wins) != 2 {
 		t.Fatalf("%d windows, want 2", len(wins))
 	}
@@ -182,10 +178,7 @@ func TestTumblingWindowsOutOfOrderAcrossEnd(t *testing.T) {
 	// Delivery order: 1m, 11m (closes window 1, opens [10m,20m)), then a
 	// delayed 9m tuple — late, behind the open window's start.
 	tuples := []Tuple{mk(time.Minute), mk(11 * time.Minute), mk(9 * time.Minute)}
-	wins, err := CollectWindows(mustTumbling(t, NewSliceSource(s, tuples), 10*time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
+	wins := drainWindows(t, mustTumbling(t, NewSliceSource(s, tuples), 10*time.Minute))
 	// The late tuple arrives while [10m,20m) is open; it is before End so
 	// it joins that window (late data is not dropped).
 	if len(wins) != 2 {
@@ -199,10 +192,7 @@ func TestTumblingWindowsOutOfOrderAcrossEnd(t *testing.T) {
 	// key on delivery order and close only on forward progress, so late
 	// data is absorbed rather than dropped or re-opening closed windows.
 	tuples = []Tuple{mk(time.Minute), mk(45 * time.Minute), mk(25 * time.Minute)}
-	wins, err = CollectWindows(mustTumbling(t, NewSliceSource(s, tuples), 10*time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
+	wins = drainWindows(t, mustTumbling(t, NewSliceSource(s, tuples), 10*time.Minute))
 	if len(wins) != 2 {
 		t.Fatalf("%d windows, want 2", len(wins))
 	}
@@ -254,55 +244,6 @@ func TestTumblingWindowsFatalErrorLatch(t *testing.T) {
 type errTest string
 
 func (e errTest) Error() string { return string(e) }
-
-func TestWatermarkLateness(t *testing.T) {
-	_, tuples := windowedTuples(t, nil, 10)
-	// Delay tuple 3 by 5 minutes: it arrives between tuples 8 and 9.
-	tuples[3].Arrival = tuples[3].Arrival.Add(5 * time.Minute)
-	SortByArrival(tuples)
-
-	strict := NewWatermark(0)
-	for _, tp := range tuples {
-		strict.Observe(tp)
-	}
-	// With zero tolerated delay, the displaced tuple is the only one
-	// whose arrival regresses… it doesn't regress (arrival is sorted) —
-	// lateness tracks *event time* skew only via arrival order, so a
-	// sorted stream has no late tuples.
-	if strict.LateCount() != 0 {
-		t.Fatalf("sorted stream reported %d late tuples", strict.LateCount())
-	}
-	if strict.Total() != 10 {
-		t.Fatalf("total %d", strict.Total())
-	}
-
-	// Unsorted delivery: tuple arriving behind the watermark is late.
-	w := NewWatermark(time.Minute)
-	early := tuples[0]
-	late := tuples[1]
-	early.Arrival = time.Date(2020, 1, 1, 1, 0, 0, 0, time.UTC)
-	late.Arrival = early.Arrival.Add(-10 * time.Minute)
-	w.Observe(early)
-	if !w.Observe(late) {
-		t.Fatal("10-minute regression within 1-minute tolerance not late")
-	}
-	if w.LateCount() != 1 {
-		t.Fatalf("late count %d", w.LateCount())
-	}
-}
-
-func TestWatermarkCurrent(t *testing.T) {
-	w := NewWatermark(2 * time.Minute)
-	if !w.Current().IsZero() {
-		t.Fatal("watermark before observations")
-	}
-	_, tuples := windowedTuples(t, nil, 1)
-	w.Observe(tuples[0])
-	want := tuples[0].Arrival.Add(-2 * time.Minute)
-	if !w.Current().Equal(want) {
-		t.Fatalf("watermark %v, want %v", w.Current(), want)
-	}
-}
 
 func TestSlidingWindows(t *testing.T) {
 	s, tuples := windowedTuples(t, nil, 30)
