@@ -135,7 +135,8 @@ fuzz:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzEntryJSON -fuzztime $(FUZZTIME)
 
 # Non-test Go lines outside bench/, per package and in total: the size
-# figure ROADMAP quotes and simplicity PRs are held to.
+# figure ROADMAP quotes and simplicity PRs are held to. The last line is
+# the test-line total (_test.go outside bench/).
 loc:
 	@bash scripts/loc.sh
 

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"icewafl/internal/core"
@@ -610,6 +611,16 @@ func buildPolluter(spec PolluterSpec, seed int64, path string) (core.Polluter, e
 			if len(spec.Weights) != len(children) {
 				return nil, fmt.Errorf("config: composite %q has %d weights for %d children", path, len(spec.Weights), len(children))
 			}
+			total := 0.0
+			for _, w := range spec.Weights {
+				if w < 0 || math.IsInf(w, 0) || math.IsNaN(w) {
+					return nil, fmt.Errorf("config: weighted at %s: weight %g is not a finite non-negative number", path, w)
+				}
+				total += w
+			}
+			if total == 0 {
+				return nil, fmt.Errorf("config: weighted at %s: all weights are zero", path)
+			}
 			comp.Mode = core.ModeWeighted
 			comp.Weights = spec.Weights
 			comp.Rand = rng.Derive(seed, path+"/choice")
@@ -662,6 +673,9 @@ func buildCondition(spec *ConditionSpec, seed int64, path string) (core.Conditio
 				return nil, err
 			}
 		case spec.P != nil:
+			if !(*spec.P >= 0 && *spec.P <= 1) {
+				return nil, fmt.Errorf("config: random at %s: p %g outside [0, 1]", path, *spec.P)
+			}
 			p = core.Const(*spec.P)
 		default:
 			return nil, fmt.Errorf("config: random condition at %s needs p or p_param", path)
@@ -693,6 +707,14 @@ func buildCondition(spec *ConditionSpec, seed int64, path string) (core.Conditio
 		}
 		return core.TimeInterval{From: from, To: to}, nil
 	case "time_of_day":
+		switch {
+		case spec.FromHour < 0 || spec.FromHour > 23:
+			return nil, fmt.Errorf("config: time_of_day at %s: from_hour %d outside 0-23", path, spec.FromHour)
+		case spec.ToHour < 0 || spec.ToHour > 24:
+			return nil, fmt.Errorf("config: time_of_day at %s: to_hour %d outside 0-24", path, spec.ToHour)
+		case spec.FromHour == spec.ToHour:
+			return nil, fmt.Errorf("config: time_of_day at %s: from_hour == to_hour (%d) never fires", path, spec.FromHour)
+		}
 		return core.TimeOfDay{FromHour: spec.FromHour, ToHour: spec.ToHour}, nil
 	case "and", "or":
 		var children []core.Condition
@@ -885,6 +907,9 @@ func buildError(spec ErrorSpec, seed int64, path string) (core.ErrorFunc, error)
 		}
 		return core.Offset{Delta: d}, nil
 	case "clamp":
+		if spec.ClampLo > spec.ClampHi {
+			return nil, fmt.Errorf("config: clamp at %s: clamp_lo %g > clamp_hi %g", path, spec.ClampLo, spec.ClampHi)
+		}
 		return core.Clamp{Lo: spec.ClampLo, Hi: spec.ClampHi}, nil
 	case "delayed_tuple":
 		d, err := time.ParseDuration(spec.Delay)

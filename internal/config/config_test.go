@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -311,6 +312,79 @@ func TestConfigErrors(t *testing.T) {
 	for i, doc := range bad {
 		if _, err := Load(strings.NewReader(doc)); err == nil {
 			t.Errorf("bad document %d accepted", i)
+		}
+	}
+}
+
+// TestConfigRejectsSilentlyWrongParams pins the parameter ranges whose
+// violation would compile into a polluter that quietly does something
+// other than what the document says, and that each range's edges are
+// accepted.
+func TestConfigRejectsSilentlyWrongParams(t *testing.T) {
+	polluter := func(body string) string {
+		return `{"seed": 1, "pipelines": [{"polluters": [{"name": "p", ` + body + `}]}]}`
+	}
+	cond := func(c string) string {
+		return polluter(`"error": {"type": "missing_value"}, "condition": ` + c)
+	}
+	weighted := func(weights string) string {
+		return polluter(`"type": "composite", "mode": "weighted", "weights": ` + weights + `, "children": [
+			{"name": "a", "error": {"type": "missing_value"}}, {"name": "b", "error": {"type": "missing_value"}}]`)
+	}
+	clamp := func(lo, hi string) string {
+		return polluter(`"error": {"type": "clamp", "clamp_lo": ` + lo + `, "clamp_hi": ` + hi + `}`)
+	}
+	for _, tc := range []struct{ name, doc, want string }{
+		{"from_hour above 23", cond(`{"type": "time_of_day", "from_hour": 24, "to_hour": 3}`),
+			"config: time_of_day at pipeline[0]/0:p/cond: from_hour 24 outside 0-23"},
+		{"negative from_hour", cond(`{"type": "time_of_day", "from_hour": -1, "to_hour": 3}`),
+			"config: time_of_day at pipeline[0]/0:p/cond: from_hour -1 outside 0-23"},
+		{"to_hour above 24", cond(`{"type": "time_of_day", "from_hour": 1, "to_hour": 25}`),
+			"config: time_of_day at pipeline[0]/0:p/cond: to_hour 25 outside 0-24"},
+		{"equal hours", cond(`{"type": "time_of_day", "from_hour": 5, "to_hour": 5}`),
+			"config: time_of_day at pipeline[0]/0:p/cond: from_hour == to_hour (5) never fires"},
+		{"hours omitted", cond(`{"type": "time_of_day"}`),
+			"config: time_of_day at pipeline[0]/0:p/cond: from_hour == to_hour (0) never fires"},
+		{"p above 1", cond(`{"type": "random", "p": 20}`),
+			"config: random at pipeline[0]/0:p/cond: p 20 outside [0, 1]"},
+		{"negative p", cond(`{"type": "random", "p": -0.1}`),
+			"config: random at pipeline[0]/0:p/cond: p -0.1 outside [0, 1]"},
+		{"negative weight", weighted(`[1, -1]`),
+			"config: weighted at pipeline[0]/0:p: weight -1 is not a finite non-negative number"},
+		{"all weights zero", weighted(`[0, 0]`),
+			"config: weighted at pipeline[0]/0:p: all weights are zero"},
+		{"clamp bounds inverted", clamp("5", "1"),
+			"config: clamp at pipeline[0]/0:p/error: clamp_lo 5 > clamp_hi 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Load(strings.NewReader(tc.doc))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Load = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+	for _, doc := range []string{
+		cond(`{"type": "time_of_day", "from_hour": 0, "to_hour": 24}`),
+		cond(`{"type": "time_of_day", "from_hour": 23, "to_hour": 0}`),
+		cond(`{"type": "random", "p": 0}`),
+		cond(`{"type": "random", "p": 1}`),
+		weighted(`[0, 2]`),
+		clamp("3", "3"),
+	} {
+		if _, err := Load(strings.NewReader(doc)); err != nil {
+			t.Errorf("edge of a valid range rejected: %v\n%s", err, doc)
+		}
+	}
+	// JSON has no literal for a non-finite weight; a document built in
+	// code can still carry one.
+	for _, w := range []float64{math.Inf(1), math.NaN()} {
+		doc, err := Parse(strings.NewReader(weighted(`[1, 1]`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc.Pipelines[0].Polluters[0].Weights[0] = w
+		if _, err := Build(doc); err == nil || !strings.Contains(err.Error(), "not a finite non-negative number") {
+			t.Errorf("weight %g: Build = %v", w, err)
 		}
 	}
 }

@@ -546,7 +546,7 @@ func (pr *Process) runStreamCheckpointed(src stream.Source, resume *Checkpoint) 
 		}
 	}
 	ck.prepare, ck.log, ck.dlq = in.prep, in.log, in.dlq
-	ck.out = &outputCounter{src: pr.fusedRunner(in)}
+	ck.out = &outputCounter{src: pr.runner(pr.tapped(in.prep), 0, in)}
 	return ck.out, in.log, ck, nil
 }
 

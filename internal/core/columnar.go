@@ -21,12 +21,12 @@ import (
 //
 // The compiler is conservative: whenever a pipeline component's
 // semantics could observe the execution order difference between
-// tuple-major and polluter-major traversal (shared RNG streams across
-// sweep phases, cross-step state like cascade/deviation conditions,
+// tuple-major and polluter-major traversal (an RNG stream reached from
+// two places, cross-step state like cascade/deviation conditions,
 // quarantine fault attribution, or unknown custom types), the whole
 // plan collapses to row-wise execution over the batch — still batched
-// ingest and emission, but per-row pollution through the exact scalar
-// code path. Collapse changes performance, never output.
+// ingest and emission, but per-row pollution through the row step every
+// tuple-wise runner uses. Collapse changes performance, never output.
 //
 // Span tracing follows the execution shape: the vectorised path emits
 // one batch-granular obs.StagePollute span per kernel invocation —
@@ -36,16 +36,8 @@ import (
 // therefore differ between the paths by design; span presence and the
 // latency histogram totals do not.
 
-// DefaultColumnarBatch is the micro-batch size when ColumnarOptions
-// does not specify one.
+// DefaultColumnarBatch is RunStreamColumnar's micro-batch size in rows.
 const DefaultColumnarBatch = 256
-
-// ColumnarOptions tunes the columnar hot path of a Process.
-type ColumnarOptions struct {
-	// Batch is the micro-batch size in rows (default
-	// DefaultColumnarBatch).
-	Batch int
-}
 
 // colStep is one top-level pipeline step of a compiled columnar plan:
 // either a vectorised standard polluter (cond+err kernels) or a
@@ -141,7 +133,12 @@ func mergeStepLogs(steps []colStep, log *Log, n int) {
 
 // compileColumnarPlan compiles p into vectorised steps. A non-empty
 // reason means the plan cannot run polluter-major and the runner must
-// collapse to row-wise execution (reason is diagnostic only).
+// collapse to row-wise execution (reason is diagnostic only). It
+// collapses on exactly four conditions: (a) quarantine; (b) a top-level
+// polluter with neither a kernel nor a shim form; (c) a component inside
+// a shim that is not row-local; (d) one RNG stream reached at two paths
+// of the component walk, whose draws a sweep would interleave
+// differently from tuple-major execution.
 func compileColumnarPlan(p *Pipeline, schema *stream.Schema, quarantine bool) (steps []colStep, reason string) {
 	if quarantine {
 		// Quarantine attributes pipeline panics to single rows and rolls
@@ -149,18 +146,9 @@ func compileColumnarPlan(p *Pipeline, schema *stream.Schema, quarantine bool) (s
 		// that.
 		return nil, "quarantine requires per-row fault attribution"
 	}
-	var phases [][]*rng.Stream
 	for _, pol := range p.Polluters {
 		switch v := pol.(type) {
 		case *Standard:
-			cp, ok := condPhases(v.Cond)
-			if !ok {
-				return nil, fmt.Sprintf("condition %T requires row-wise execution", v.Cond)
-			}
-			ep, ok := errPhases(v.Err)
-			if !ok {
-				return nil, fmt.Sprintf("error function %T requires row-wise execution", v.Err)
-			}
 			ck, ok := compileCond(v.Cond, schema)
 			if !ok {
 				return nil, fmt.Sprintf("condition %T has no kernel", v.Cond)
@@ -169,8 +157,6 @@ func compileColumnarPlan(p *Pipeline, schema *stream.Schema, quarantine bool) (s
 			if !ok {
 				return nil, fmt.Sprintf("error function %T has no kernel", v.Err)
 			}
-			phases = append(phases, cp...)
-			phases = append(phases, ep...)
 			steps = append(steps, colStep{
 				cond:    ck,
 				err:     ek,
@@ -180,14 +166,9 @@ func compileColumnarPlan(p *Pipeline, schema *stream.Schema, quarantine bool) (s
 			})
 		case *Composite:
 			// A composite dispatches per tuple (mode, choice draws,
-			// sequence of children); it runs as one row-major shim step,
-			// so all of its streams form a single phase.
-			ps, ok := polluterStreams(v)
-			if !ok {
+			// sequence of children); it runs as one row-major shim step.
+			if !rowLocal(v, schema) {
 				return nil, fmt.Sprintf("polluter %q contains components that require row-wise execution", v.PolluterName)
-			}
-			if len(ps) > 0 {
-				phases = append(phases, ps)
 			}
 			steps = append(steps, colStep{shim: v})
 		default:
@@ -196,12 +177,47 @@ func compileColumnarPlan(p *Pipeline, schema *stream.Schema, quarantine bool) (s
 			return nil, fmt.Sprintf("polluter %T requires row-wise execution", pol)
 		}
 	}
-	if sharesStreams(phases) {
-		// The same RNG stream drawn in two sweep phases would consume
-		// draws in a different order than tuple-major execution.
-		return nil, "an rng stream is shared across sweep phases"
+	seen := make(map[*rng.Stream]string)
+	err := walkPipeline(p, visitor{
+		rand: func(path string, r *rng.Stream) error {
+			if prev, dup := seen[r]; dup {
+				return fmt.Errorf("rng stream shared by %s and %s", prev, path)
+			}
+			seen[r] = path
+			return nil
+		},
+		state: func(string, Stateful, Resettable) error { return nil },
+		keyed: func(path string, _ *KeyedPolluter) ([]string, error) {
+			return nil, fmt.Errorf("keyed polluter at %s", path) // rejected above
+		},
+	})
+	if err != nil {
+		return nil, err.Error()
 	}
 	return steps, ""
+}
+
+// rowLocal reports whether p can run as a row-major shim step: every
+// condition and error function inside it compiles, so none couples rows
+// across pipeline steps.
+func rowLocal(p Polluter, schema *stream.Schema) bool {
+	switch v := p.(type) {
+	case *Standard:
+		_, cok := compileCond(v.Cond, schema)
+		_, eok := compileErr(v.Err, v.Attrs, schema)
+		return cok && eok
+	case *Composite:
+		if _, ok := compileCond(v.Cond, schema); !ok {
+			return false
+		}
+		for _, c := range v.Children {
+			if !rowLocal(c, schema) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // RunStreamColumnar executes the single-pipeline workflow like
@@ -231,7 +247,7 @@ func (pr *Process) RunStreamColumnar(src stream.Source, reorderWindow int) (stre
 	in := pr.openStream(src, 0)
 	log := in.log
 	schema := src.Schema()
-	batchSize := pr.Columnar.Batch
+	batchSize := pr.columnarBatch
 	if batchSize <= 0 {
 		batchSize = DefaultColumnarBatch
 	}
@@ -248,12 +264,7 @@ func (pr *Process) RunStreamColumnar(src stream.Source, reorderWindow int) (stre
 		src:       in.prep,
 		steps:     steps,
 		rowWise:   collapse != "",
-		trace:     pr.Obs.TraceEnabled(),
-		p:         pr.Pipelines[0],
-		log:       log,
-		fault:     pr.Fault,
-		dlq:       in.dlq,
-		reg:       pr.Obs,
+		rowStep:   pr.step(0, log, in.dlq),
 		tap:       pr.CleanTap,
 		batchSize: batchSize,
 		batch:     stream.NewColumnBatch(schema, batchSize),
@@ -279,13 +290,8 @@ type columnarRunner struct {
 
 	steps   []colStep
 	rowWise bool
-	trace   bool
-	p       *Pipeline
-	log     *Log
-	fault   FaultPolicy
-	dlq     *stream.DeadLetterQueue
-	reg     *obs.Registry
-	tap     func(stream.Tuple)
+	rowStep
+	tap func(stream.Tuple)
 
 	batchSize int
 	batch     *stream.ColumnBatch
@@ -468,23 +474,10 @@ func (r *columnarRunner) process() {
 		for row := 0; row < n; row++ {
 			t := r.batch.RowInto(r.rowBuf, row)
 			r.rowBuf = t.Values()
-			mark := 0
-			if r.log != nil {
-				mark = len(r.log.Entries)
-			}
-			// The collapse path runs the exact scalar code per row, so it
-			// traces like the scalar runner: per-tuple sampled spans.
-			var ok bool
-			var ferr error
-			if r.trace && r.reg.Sampled(t.ID) {
-				start := time.Now()
-				ok, ferr = applyWithFault(r.p, &t, r.log, r.fault, r.dlq, mark)
-				r.reg.ObserveSpan(obs.StagePollute, t.ID, time.Since(start))
-			} else {
-				ok, ferr = applyWithFault(r.p, &t, r.log, r.fault, r.dlq, mark)
-			}
+			// A skipped tuple carries Quarantined and is filtered at
+			// emission.
+			_, ferr := r.pollute(&t)
 			r.batch.SetRow(row, t)
-			_ = ok // a skipped tuple carries Quarantined and is filtered at emission
 			if ferr != nil {
 				// Fatal (quarantine overflow): deliver the rows before the
 				// failure, then surface the error and stop.

@@ -197,7 +197,7 @@ func assertIdentical(t *testing.T, name string, build func() (*Process, stream.S
 	for _, batch := range []int{1, 3, 7, 256} {
 		got := runOne(t, func() (*Process, stream.Source) {
 			proc, src := build()
-			proc.Columnar.Batch = batch
+			proc.columnarBatch = batch
 			return proc, src
 		}, true, reorder)
 		tag := fmt.Sprintf("%s/batch=%d", name, batch)
@@ -320,7 +320,7 @@ func TestColumnarBatchSpanShape(t *testing.T) {
 	const batch = 7
 	run := runOne(t, func() (*Process, stream.Source) {
 		proc := &Process{Pipelines: []*Pipeline{vectorisedPipeline(42)}}
-		proc.Columnar.Batch = batch
+		proc.columnarBatch = batch
 		return proc, diffSource(diffSchema(), 42, 100)
 	}, true, 1)
 	pollute := 0
@@ -463,6 +463,78 @@ func TestColumnarDiffSharedStreamCollapses(t *testing.T) {
 	}, 1)
 }
 
+// negate is a custom error function: the planner has no kernel for it.
+type negate struct{}
+
+func (negate) Apply(t *stream.Tuple, attrs []string, _ time.Time) {
+	applyNumeric(t, attrs, func(v float64) float64 { return -v })
+}
+
+func (negate) Kind() string { return "negate" }
+
+// TestColumnarPlanVerdicts pins when compileColumnarPlan collapses to
+// row-wise execution — a component inside a shim that is not row-local,
+// or one RNG stream reached at two paths of the component walk — and
+// that every collapsed plan still matches RunStream byte for byte.
+func TestColumnarPlanVerdicts(t *testing.T) {
+	const seed = 19
+	r := func(label string) *rng.Stream { return rng.Derive(seed, label) }
+	// A cascade reading a log of its own never fires; it is here for the
+	// verdict, which must not depend on what the cascade reads.
+	cascade := func() Condition { return &CascadeCondition{Log: NewLog(), Upstream: "up"} }
+	upstream := func() Polluter {
+		return NewStandard("up", MissingValue{}, NewRandomConst(0.2, r("u")), "v")
+	}
+	for _, tc := range []struct {
+		name     string
+		collapse bool
+		build    func() *Pipeline
+	}{
+		{"vectorised", false, func() *Pipeline { return vectorisedPipeline(seed) }},
+		{"cascade-under-sticky", true, func() *Pipeline {
+			return NewPipeline(upstream(),
+				NewStandard("held", SetConstant{Value: stream.Str("X")}, NewSticky(cascade(), time.Hour), "cat"))
+		}},
+		{"cascade-under-budget", true, func() *Pipeline {
+			return NewPipeline(upstream(),
+				NewStandard("capped", SetConstant{Value: stream.Str("X")}, NewBudgetCondition(cascade(), 3, 2*time.Hour), "cat"))
+		}},
+		{"observer-in-composite", true, func() *Pipeline {
+			return NewPipeline(NewComposite("watch", nil,
+				NewObserver(NewStreamState(8)),
+				NewStandard("noise", &GaussianNoise{Stddev: Const(1), Rand: r("g")}, NewRandomConst(0.3, r("gc")), "v")))
+		}},
+		{"custom-error-in-chain", true, func() *Pipeline {
+			return NewPipeline(NewStandard("chain", Chain{Offset{Delta: Const(1)}, negate{}},
+				NewRandomConst(0.4, r("c")), "v"))
+		}},
+		{"stream-shared-by-two-polluters", true, func() *Pipeline {
+			shared := r("shared")
+			return NewPipeline(
+				NewStandard("a", &GaussianNoise{Stddev: Const(2), Rand: shared}, NewRandomConst(0.4, r("ac")), "v"),
+				NewStandard("b", &Outlier{Magnitude: Const(3), Rand: shared}, NewRandomConst(0.4, r("bc")), "aux"))
+		}},
+		{"stream-shared-inside-composite", true, func() *Pipeline {
+			shared := r("shared")
+			return NewPipeline(NewComposite("both", NewRandomConst(0.5, r("cc")),
+				NewStandard("a", &GaussianNoise{Stddev: Const(2), Rand: shared}, nil, "v"),
+				NewStandard("b", &Outlier{Magnitude: Const(3), Rand: shared}, nil, "aux")))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, reason := compileColumnarPlan(tc.build(), diffSchema(), false)
+			if (reason != "") != tc.collapse {
+				t.Fatalf("collapse reason %q, want collapse = %t", reason, tc.collapse)
+			}
+			if tc.collapse {
+				assertIdentical(t, tc.name, func() (*Process, stream.Source) {
+					return &Process{Pipelines: []*Pipeline{tc.build()}}, diffSource(diffSchema(), seed, 150)
+				}, 1)
+			}
+		})
+	}
+}
+
 // panicOn is an error function that panics for one attribute value —
 // the quarantine differential: row-wise fault attribution, log
 // rollback and dead letters must match exactly.
@@ -518,7 +590,7 @@ func TestColumnarDiffQuarantineOverflow(t *testing.T) {
 	}
 	got := runOne(t, func() (*Process, stream.Source) {
 		proc, src := build()
-		proc.Columnar.Batch = 7
+		proc.columnarBatch = 7
 		return proc, src
 	}, true, 1)
 	if got.err != want.err {
@@ -607,7 +679,7 @@ func TestColumnarDiffMidStreamTupleError(t *testing.T) {
 	for _, batch := range []int{1, 5, 64} {
 		got := runOne(t, func() (*Process, stream.Source) {
 			proc, src := build()
-			proc.Columnar.Batch = batch
+			proc.columnarBatch = batch
 			return proc, src
 		}, true, 1)
 		if got.err != want.err {
@@ -689,7 +761,7 @@ func TestColumnarDiffBatchNativeIngest(t *testing.T) {
 	for _, batch := range []int{3, 64, 256} {
 		got := runOne(t, func() (*Process, stream.Source) {
 			proc := mkProc()
-			proc.Columnar.Batch = batch
+			proc.columnarBatch = batch
 			return proc, batched()
 		}, true, 1)
 		tag := fmt.Sprintf("native/batch=%d", batch)

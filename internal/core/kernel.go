@@ -20,8 +20,10 @@ import (
 //
 //   1. Sweeps visit selected rows in ascending row order, which is the
 //      order the tuple-wise runner visits them.
-//   2. Each RNG stream's draws happen in the same per-row order as the
-//      scalar code: boolean combinators narrow the selection exactly as
+//   2. Each RNG stream belongs to one component (compileColumnarPlan
+//      checks this against the component walk in walk.go), and its
+//      draws happen in the same per-row order as the scalar code:
+//      boolean combinators narrow the selection exactly as
 //      short-circuit evaluation does, and draw-ahead (rng.Stream.Fill)
 //      pre-counts draws so filled words map 1:1 onto scalar calls.
 //   3. Stateful-but-safe conditions (sticky, Markov, budget) fall back
@@ -227,15 +229,26 @@ func compileCond(c Condition, schema *stream.Schema) (condKernel, bool) {
 			hits = inner(b, sel, hits[:0])
 			return diffSorted(sel, hits, out)
 		}, true
-	case *Sticky, *MarkovCondition, *BudgetCondition:
-		// Stateful but row-local: the shim advances their state over
-		// exactly the rows the scalar runner would have shown them.
+	case *Sticky:
+		// Sticky, budget and Markov conditions are stateful but
+		// row-local: the shim advances their state over exactly the rows
+		// the scalar runner would have shown them — provided the wrapped
+		// condition is row-local too.
+		if _, ok := compileCond(v.Trigger, schema); !ok {
+			return nil, false
+		}
 		return condShim(c), true
-	case *CascadeCondition, DeviationCondition:
-		// Couple rows across pipeline steps (shared log / observer
-		// state): only row-wise execution preserves their semantics.
-		return nil, false
+	case *BudgetCondition:
+		if _, ok := compileCond(v.Inner, schema); !ok {
+			return nil, false
+		}
+		return condShim(c), true
+	case *MarkovCondition:
+		return condShim(c), true
 	default:
+		// Cascade and deviation conditions couple rows across pipeline
+		// steps (shared log / observer state), and custom conditions
+		// cannot be enumerated: only row-wise execution preserves them.
 		return nil, false
 	}
 }
@@ -644,188 +657,6 @@ func errShim(e ErrorFunc, attrs []string) errKernel {
 			b.SetRow(int(r), t)
 		}
 	}
-}
-
-// ---------------------------------------------------------------------
-// RNG-phase analysis.
-//
-// Polluter-major execution reorders work across pipeline steps, which
-// is only draw-order preserving when no rng.Stream is shared between
-// two sweep phases. The scanners below enumerate the streams of every
-// phase; compileColumnarPlan collapses to row-wise execution when a
-// stream appears in more than one phase, or when any component cannot
-// be enumerated.
-
-// condPhases returns the RNG streams of each sweep phase of c, mirroring
-// the structure compileCond produces. ok=false means c forces row-wise
-// execution.
-func condPhases(c Condition) (phases [][]*rng.Stream, ok bool) {
-	switch v := c.(type) {
-	case nil, Always, Never, Compare, AttrPredicate, TimeInterval, TimeOfDay:
-		return nil, true
-	case *Random:
-		return [][]*rng.Stream{{v.Rand}}, true
-	case And:
-		for _, child := range v {
-			cp, cok := condPhases(child)
-			if !cok {
-				return nil, false
-			}
-			phases = append(phases, cp...)
-		}
-		return phases, true
-	case Or:
-		for _, child := range v {
-			cp, cok := condPhases(child)
-			if !cok {
-				return nil, false
-			}
-			phases = append(phases, cp...)
-		}
-		return phases, true
-	case Not:
-		return condPhases(v.Inner)
-	case *Sticky:
-		// The shim evaluates the trigger inline, so all of its streams
-		// form one phase.
-		ss, sok := condStreams(v.Trigger)
-		if !sok {
-			return nil, false
-		}
-		if len(ss) > 0 {
-			phases = append(phases, ss)
-		}
-		return phases, true
-	case *MarkovCondition:
-		return [][]*rng.Stream{{v.Rand}}, true
-	case *BudgetCondition:
-		ss, sok := condStreams(v.Inner)
-		if !sok {
-			return nil, false
-		}
-		if len(ss) > 0 {
-			phases = append(phases, ss)
-		}
-		return phases, true
-	default:
-		return nil, false
-	}
-}
-
-// condStreams flattens every stream reachable from c into one phase.
-func condStreams(c Condition) ([]*rng.Stream, bool) {
-	phases, ok := condPhases(c)
-	if !ok {
-		return nil, false
-	}
-	var out []*rng.Stream
-	for _, p := range phases {
-		out = append(out, p...)
-	}
-	return out, true
-}
-
-// errPhases returns the RNG streams of each sweep phase of e (chains
-// sweep element by element, so each element is a phase).
-func errPhases(e ErrorFunc) (phases [][]*rng.Stream, ok bool) {
-	switch v := e.(type) {
-	case nil:
-		return nil, true
-	case *GaussianNoise:
-		return [][]*rng.Stream{{v.Rand}}, true
-	case *UniformMultNoise:
-		return [][]*rng.Stream{{v.Rand}}, true
-	case *IncorrectCategory:
-		return [][]*rng.Stream{{v.Rand}}, true
-	case *Outlier:
-		return [][]*rng.Stream{{v.Rand}}, true
-	case *StringTypo:
-		return [][]*rng.Stream{{v.Rand}}, true
-	case *ScaleByFactor, Offset, RoundPrecision, Clamp, MissingValue,
-		SetConstant, SwapAttributes, DelayTuple, DropTuple, TimestampShift,
-		HoldAndRelease, *FrozenValue:
-		return nil, true
-	case Chain:
-		for _, sub := range v {
-			sp, sok := errPhases(sub)
-			if !sok {
-				return nil, false
-			}
-			phases = append(phases, sp...)
-		}
-		return phases, true
-	default:
-		return nil, false
-	}
-}
-
-// errStreams flattens every stream reachable from e into one phase.
-func errStreams(e ErrorFunc) ([]*rng.Stream, bool) {
-	phases, ok := errPhases(e)
-	if !ok {
-		return nil, false
-	}
-	var out []*rng.Stream
-	for _, p := range phases {
-		out = append(out, p...)
-	}
-	return out, true
-}
-
-// polluterStreams flattens every stream reachable from p into one phase
-// (used for polluters that execute as a single row-major shim step).
-func polluterStreams(p Polluter) ([]*rng.Stream, bool) {
-	switch v := p.(type) {
-	case *Standard:
-		cs, cok := condStreams(v.Cond)
-		if !cok {
-			return nil, false
-		}
-		es, eok := errStreams(v.Err)
-		if !eok {
-			return nil, false
-		}
-		return append(cs, es...), true
-	case *Composite:
-		cs, cok := condStreams(v.Cond)
-		if !cok {
-			return nil, false
-		}
-		out := cs
-		if v.Rand != nil {
-			out = append(out, v.Rand)
-		}
-		for _, child := range v.Children {
-			ps, pok := polluterStreams(child)
-			if !pok {
-				return nil, false
-			}
-			out = append(out, ps...)
-		}
-		return out, true
-	default:
-		// Observers, keyed polluters, custom polluters: RNG usage and
-		// cross-step coupling cannot be enumerated — force row-wise.
-		return nil, false
-	}
-}
-
-// sharesStreams reports whether any stream pointer occurs in more than
-// one phase.
-func sharesStreams(phases [][]*rng.Stream) bool {
-	seen := make(map[*rng.Stream]int, len(phases))
-	for pi, phase := range phases {
-		for _, s := range phase {
-			if s == nil {
-				continue
-			}
-			if prev, dup := seen[s]; dup && prev != pi {
-				return true
-			}
-			seen[s] = pi
-		}
-	}
-	return false
 }
 
 // Outlier compiles here (kept with the other draw-ahead kernels for

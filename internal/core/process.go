@@ -70,9 +70,6 @@ type Process struct {
 	DisableLog bool
 	// Fault selects the fault-tolerance behaviour (zero = fail fast).
 	Fault FaultPolicy
-	// Columnar tunes RunStreamColumnar (batch size); the zero value
-	// uses defaults. It has no effect on the tuple-wise entry points.
-	Columnar ColumnarOptions
 	// Obs, when non-nil, receives per-stage metrics and sampled traces
 	// for every run of this process. All hooks are nil-safe, so the
 	// uninstrumented hot path pays only a nil check.
@@ -80,10 +77,14 @@ type Process struct {
 	// CleanTap, when non-nil, observes a clone of every prepared (clean)
 	// tuple before pollution. It lets a caller — the network server in
 	// particular — stream the clean side D without a second pass over
-	// the input, even in streaming mode where the fused runner never
-	// materialises it. The tap runs synchronously on the runner
-	// goroutine; it must not retain the clone beyond its own use.
+	// the input, even in streaming mode where no runner materialises
+	// it. The tap runs synchronously on the runner goroutine; it must
+	// not retain the clone beyond its own use.
 	CleanTap func(stream.Tuple)
+
+	// columnarBatch is RunStreamColumnar's micro-batch size in rows
+	// (<= 0 = DefaultColumnarBatch).
+	columnarBatch int
 }
 
 // Result is the output of one pollution run.
@@ -166,9 +167,8 @@ func (pr *Process) RunContext(ctx context.Context, src stream.Source) (*Result, 
 		errs := make(chan error, m)
 		for i := 0; i < m; i++ {
 			go func(i int) {
-				logs[i] = NewLog()
-				logs[i].Obs = pr.Obs
-				errs <- polluteSub(subs[i], pr.Pipelines[i], logs[i], pr.Fault, dlq, pr.Obs)
+				logs[i] = &Log{Obs: pr.Obs}
+				errs <- polluteSub(subs[i], pr.step(i, logs[i], dlq))
 			}(i)
 		}
 		for i := 0; i < m; i++ {
@@ -184,9 +184,8 @@ func (pr *Process) RunContext(ctx context.Context, src stream.Source) (*Result, 
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, fmt.Errorf("core: pollute: %w", stream.ErrStopped)
 			}
-			logs[i] = NewLog()
-			logs[i].Obs = pr.Obs
-			if err := polluteSub(subs[i], pr.Pipelines[i], logs[i], pr.Fault, dlq, pr.Obs); err != nil {
+			logs[i] = &Log{Obs: pr.Obs}
+			if err := polluteSub(subs[i], pr.step(i, logs[i], dlq)); err != nil {
 				return nil, err
 			}
 		}
@@ -218,32 +217,61 @@ func (pr *Process) RunContext(ctx context.Context, src stream.Source) (*Result, 
 	return res, nil
 }
 
-func polluteSub(tuples []stream.Tuple, p *Pipeline, log *Log, fault FaultPolicy, dlq *stream.DeadLetterQueue, reg *obs.Registry) error {
-	if p == nil {
+func polluteSub(tuples []stream.Tuple, step rowStep) error {
+	if step.p == nil {
 		return fmt.Errorf("core: nil pipeline")
 	}
-	trace := reg.TraceEnabled()
 	for i := range tuples {
-		before := 0
-		if log != nil {
-			before = len(log.Entries)
-		}
-		var ok bool
-		var dl *stream.DeadLetter
-		if trace && reg.Sampled(tuples[i].ID) {
-			start := time.Now()
-			ok, dl = polluteOne(p, &tuples[i], log, before, fault)
-			reg.ObserveSpan(obs.StagePollute, tuples[i].ID, time.Since(start))
-		} else {
-			ok, dl = polluteOne(p, &tuples[i], log, before, fault)
-		}
-		if !ok {
-			if err := fault.record(dlq, *dl); err != nil {
-				return err
-			}
+		if _, err := step.pollute(&tuples[i]); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// rowStep is Algorithm 1's step 2 for one row of sub-stream sub: the
+// per-tuple pollution of every row-at-a-time runner (batch Run, the
+// streaming and checkpointed runners, the columnar collapse path).
+type rowStep struct {
+	p     *Pipeline
+	log   *Log
+	sub   int
+	fault FaultPolicy
+	dlq   *stream.DeadLetterQueue
+	reg   *obs.Registry
+	trace bool
+}
+
+// step returns the row step of sub-stream i.
+func (pr *Process) step(i int, log *Log, dlq *stream.DeadLetterQueue) rowStep {
+	return rowStep{p: pr.Pipelines[i], log: log, sub: i, fault: pr.Fault, dlq: dlq, reg: pr.Obs, trace: pr.Obs.TraceEnabled()}
+}
+
+// pollute applies the pipeline to t under the fault policy, inside a
+// sampled StagePollute span, and tags t and the log entries it produced
+// with the sub-stream. It reports whether t survived (a skipped tuple
+// carries Quarantined); a non-nil error is fatal (quarantine overflow).
+func (s *rowStep) pollute(t *stream.Tuple) (bool, error) {
+	mark := 0
+	if s.log != nil {
+		mark = len(s.log.Entries)
+	}
+	var ok bool
+	var err error
+	if s.trace && s.reg.Sampled(t.ID) {
+		start := time.Now()
+		ok, err = applyWithFault(s.p, t, s.log, s.fault, s.dlq, mark)
+		s.reg.ObserveSpan(obs.StagePollute, t.ID, time.Since(start))
+	} else {
+		ok, err = applyWithFault(s.p, t, s.log, s.fault, s.dlq, mark)
+	}
+	if s.sub != 0 {
+		t.SubStream = s.sub
+		for i := mark; s.log != nil && i < len(s.log.Entries); i++ {
+			s.log.Entries[i].SubStream = s.sub
+		}
+	}
+	return ok, err
 }
 
 // safePollute applies the pipeline, converting a panic in any polluter,
@@ -288,24 +316,27 @@ func deadLetterFor(t stream.Tuple, stage string, cause error) stream.DeadLetter 
 // Streaming mode pollutes tuples in place, taking ownership of whatever
 // the source emits. Readers and generators mint a fresh tuple per Next
 // call and are safe; to stream over a shared []Tuple slice whose contents
-// must survive, clone in a Map stage first (batch Run does this for you).
+// must survive, clone the tuples first (batch Run does this for you).
 func (pr *Process) RunStream(src stream.Source, reorderWindow int) (stream.Source, *Log, error) {
 	m := len(pr.Pipelines)
 	if m == 0 {
 		return nil, nil, fmt.Errorf("core: process needs at least one pipeline")
 	}
 	in := pr.openStream(src, 0)
+	prep := pr.tapped(in.prep)
 	if m == 1 {
-		return reordered(pr.fusedRunner(in), reorderWindow), in.log, nil
+		return reordered(pr.runner(prep, 0, in), reorderWindow), in.log, nil
 	}
 	route := pr.Route
 	if route == nil {
 		route = stream.RouteAll
 	}
-	subs := stream.Split(pr.tapped(in.prep), m, route)
+	// Split hands each sub-stream its own clones, so in-place pollution
+	// of one branch never reaches another.
+	subs := stream.Split(prep, m, route)
 	branches := make([]stream.Source, m)
 	for i := range subs {
-		branches[i] = reordered(&subStreamRunner{src: subs[i], p: pr.Pipelines[i], log: in.log, sub: i, fault: pr.Fault, dlq: in.dlq, reg: pr.Obs, trace: pr.Obs.TraceEnabled()}, reorderWindow)
+		branches[i] = reordered(pr.runner(subs[i], i, in), reorderWindow)
 	}
 	merged, err := stream.NewKWayMerge(branches)
 	if err != nil {
@@ -314,11 +345,10 @@ func (pr *Process) RunStream(src stream.Source, reorderWindow int) (stream.Sourc
 	return merged, in.log, nil
 }
 
-// fusedRunner builds the single-pipeline operator over the preamble's
-// input: preparation, pollution and drop-filtering are fused to keep
-// the per-tuple cost minimal.
-func (pr *Process) fusedRunner(in streamInput) *streamRunner {
-	return &streamRunner{src: in.prep, p: pr.Pipelines[0], log: in.log, fault: pr.Fault, dlq: in.dlq, reg: pr.Obs, trace: pr.Obs.TraceEnabled(), tap: pr.CleanTap}
+// runner builds the tuple-wise operator that pollutes src with pipeline
+// i over the preamble's log and dead-letter queue.
+func (pr *Process) runner(src stream.Source, i int, in streamInput) *streamRunner {
+	return &streamRunner{src: src, rowStep: pr.step(i, in.log, in.dlq)}
 }
 
 // reordered wraps a runner in the bounded reordering window, when one is
@@ -330,10 +360,10 @@ func reordered(src stream.Source, window int) stream.Source {
 	return src
 }
 
-// tapped interposes Process.CleanTap on the prepared stream for the
-// runners that do not fuse the tap into their operator (multi-pipeline,
-// where it must observe the prepared stream before Split fans it out,
-// and sharded).
+// tapped interposes Process.CleanTap on the prepared stream. Every
+// tuple-wise runner takes its input through it (the multi-pipeline one
+// before Split fans the stream out), so the tap sees each prepared tuple
+// once, before pollution.
 func (pr *Process) tapped(prep stream.Source) stream.Source {
 	if pr.CleanTap == nil {
 		return prep
@@ -361,78 +391,12 @@ func (s *tapSource) Next() (stream.Tuple, error) {
 	return t, nil
 }
 
-// subStreamRunner pollutes one sub-stream of a multi-pipeline streaming
-// run. Split already hands each sub-stream its own clones, so in-place
-// pollution is safe.
-type subStreamRunner struct {
-	src   stream.Source
-	p     *Pipeline
-	log   *Log
-	sub   int
-	fault FaultPolicy
-	dlq   *stream.DeadLetterQueue
-	reg   *obs.Registry
-	trace bool
-}
-
-// Schema implements stream.Source.
-func (r *subStreamRunner) Schema() *stream.Schema { return r.src.Schema() }
-
-// Next implements stream.Source.
-func (r *subStreamRunner) Next() (stream.Tuple, error) {
-	for {
-		t, err := r.src.Next()
-		if err != nil {
-			return t, err
-		}
-		r.reg.Inc(obs.CTuplesIn)
-		before := 0
-		if r.log != nil {
-			before = len(r.log.Entries)
-		}
-		var ok bool
-		var ferr error
-		if r.trace && r.reg.Sampled(t.ID) {
-			start := time.Now()
-			ok, ferr = applyWithFault(r.p, &t, r.log, r.fault, r.dlq, before)
-			r.reg.ObserveSpan(obs.StagePollute, t.ID, time.Since(start))
-		} else {
-			ok, ferr = applyWithFault(r.p, &t, r.log, r.fault, r.dlq, before)
-		}
-		if ferr != nil {
-			return stream.Tuple{}, ferr
-		}
-		if !ok {
-			continue
-		}
-		if r.log != nil {
-			for i := before; i < len(r.log.Entries); i++ {
-				r.log.Entries[i].SubStream = r.sub
-			}
-		}
-		if t.Dropped {
-			r.reg.Inc(obs.CTuplesDropped)
-			continue
-		}
-		t.SubStream = r.sub
-		r.reg.Inc(obs.CTuplesOut)
-		return t, nil
-	}
-}
-
-// streamRunner is the fused prepare → pollute → drop-filter operator of
-// streaming mode.
+// streamRunner is the pollute → drop-filter operator of streaming mode:
+// the whole single-pipeline run, one branch of a multi-pipeline run, and
+// the checkpointed run.
 type streamRunner struct {
-	src   *stream.Prepare
-	p     *Pipeline
-	log   *Log
-	fault FaultPolicy
-	dlq   *stream.DeadLetterQueue
-	reg   *obs.Registry
-	trace bool
-	// tap, when non-nil, receives a clone of every prepared tuple before
-	// pollution (Process.CleanTap).
-	tap func(stream.Tuple)
+	src stream.Source
+	rowStep
 
 	// cur is the tuple in flight. Polluters receive *Tuple through an
 	// interface call, which would force a stack-local tuple to escape —
@@ -452,25 +416,10 @@ func (r *streamRunner) Next() (stream.Tuple, error) {
 			return t, err
 		}
 		r.cur = t
-		if r.tap != nil {
-			r.tap(r.cur.Clone())
-		}
 		r.reg.Inc(obs.CTuplesIn)
-		before := 0
-		if r.log != nil {
-			before = len(r.log.Entries)
-		}
-		var ok bool
-		var ferr error
-		if r.trace && r.reg.Sampled(r.cur.ID) {
-			start := time.Now()
-			ok, ferr = applyWithFault(r.p, &r.cur, r.log, r.fault, r.dlq, before)
-			r.reg.ObserveSpan(obs.StagePollute, r.cur.ID, time.Since(start))
-		} else {
-			ok, ferr = applyWithFault(r.p, &r.cur, r.log, r.fault, r.dlq, before)
-		}
-		if ferr != nil {
-			return stream.Tuple{}, ferr
+		ok, err := r.pollute(&r.cur)
+		if err != nil {
+			return stream.Tuple{}, err
 		}
 		if !ok {
 			continue
@@ -485,8 +434,8 @@ func (r *streamRunner) Next() (stream.Tuple, error) {
 }
 
 // polluteOne is THE single fault/rollback code path of every runner —
-// batch (polluteSub), streaming (streamRunner, subStreamRunner),
-// checkpointed (via streamRunner) and sharded (shard workers). It
+// rowStep.pollute (batch, streaming, checkpointed, columnar collapse)
+// and the sharded workers. It
 // applies p to t at its event time under the fault policy, rolling the
 // log back to logMark when pollution fails so the ground truth only
 // describes delivered tuples. It reports whether the tuple survived

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -453,51 +455,96 @@ func TestNilLogIsSafe(t *testing.T) {
 	}
 }
 
+// TestRunStreamSubStreamsMatchBatch pins the m > 1 streaming runner to
+// batch Run: the same tuples with the same sub-stream ids, the same log
+// entry by entry (tuple, polluter, sub-stream), and — with a polluter
+// that panics in sub-stream 1 only — the same dead letters.
 func TestRunStreamSubStreamsMatchBatch(t *testing.T) {
 	s := procSchema()
-	mk := func() []*Pipeline {
-		return []*Pipeline{
-			NewPipeline(NewStandard("a",
-				&GaussianNoise{Stddev: Const(1), Rand: rng.Derive(11, "a")},
-				NewRandomConst(0.5, rng.Derive(11, "ac")), "v")),
-			NewPipeline(NewStandard("b", Offset{Delta: Const(100)}, nil, "v")),
-		}
-	}
-	batchProc := &Process{Pipelines: mk(), Route: stream.RouteRoundRobin(), KeepClean: false}
-	batch, err := batchProc.Run(procSource(s, 200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamProc := &Process{Pipelines: mk(), Route: stream.RouteRoundRobin()}
-	out, log, err := streamProc.RunStream(procSource(s, 200), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := stream.Drain(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(streamed) != len(batch.Polluted) {
-		t.Fatalf("sizes: %d vs %d", len(streamed), len(batch.Polluted))
-	}
-	for i := range streamed {
-		if !streamed[i].Equal(batch.Polluted[i]) {
-			t.Fatalf("tuple %d differs: %v vs %v", i, streamed[i], batch.Polluted[i])
-		}
-		if streamed[i].SubStream != batch.Polluted[i].SubStream {
-			t.Fatalf("tuple %d substream differs", i)
-		}
-	}
-	if log.Len() != batch.Log.Len() {
-		t.Fatalf("log sizes: %d vs %d", log.Len(), batch.Log.Len())
-	}
-	// Sub-stream ids recorded in the log.
-	subSeen := map[int]bool{}
-	for _, e := range log.Entries {
-		subSeen[e.SubStream] = true
-	}
-	if !subSeen[0] && !subSeen[1] {
-		t.Fatalf("log lacks substream ids: %v", subSeen)
+	for _, tc := range []struct {
+		name  string
+		route stream.RouteFunc
+		fault FaultPolicy
+		mk    func() []*Pipeline
+	}{
+		{"round_robin", stream.RouteRoundRobin(), FaultPolicy{}, func() []*Pipeline {
+			return []*Pipeline{
+				NewPipeline(NewStandard("a",
+					&GaussianNoise{Stddev: Const(1), Rand: rng.Derive(11, "a")},
+					NewRandomConst(0.5, rng.Derive(11, "ac")), "v")),
+				NewPipeline(NewStandard("b", Offset{Delta: Const(100)}, nil, "v")),
+			}
+		}},
+		{"quarantine", stream.RouteAll, FaultPolicy{Quarantine: true}, func() []*Pipeline {
+			return []*Pipeline{
+				NewPipeline(NewStandard("a",
+					&GaussianNoise{Stddev: Const(1), Rand: rng.Derive(12, "a")},
+					NewRandomConst(0.5, rng.Derive(12, "ac")), "v")),
+				// "b" logs before "boom" panics, so a quarantined tuple's
+				// entry must be rolled back.
+				NewPipeline(
+					NewStandard("b", Offset{Delta: Const(100)}, nil, "v"),
+					NewStandard("boom", panicOn{threshold: 250}, Always{}, "v")),
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			batchProc := &Process{Pipelines: tc.mk(), Route: tc.route, Fault: tc.fault}
+			batch, err := batchProc.Run(procSource(s, 200))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fault := tc.fault
+			fault.DLQ = stream.NewDeadLetterQueue()
+			streamProc := &Process{Pipelines: tc.mk(), Route: tc.route, Fault: fault}
+			out, log, err := streamProc.RunStream(procSource(s, 200), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed, err := stream.Drain(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(streamed) != len(batch.Polluted) {
+				t.Fatalf("sizes: %d vs %d", len(streamed), len(batch.Polluted))
+			}
+			for i := range streamed {
+				if !streamed[i].Equal(batch.Polluted[i]) {
+					t.Fatalf("tuple %d differs: %v vs %v", i, streamed[i], batch.Polluted[i])
+				}
+				if streamed[i].SubStream != batch.Polluted[i].SubStream {
+					t.Fatalf("tuple %d substream differs", i)
+				}
+			}
+
+			// Batch Run merges the sub-stream logs one after the other; the
+			// streaming log interleaves them, in order within each.
+			entries := append([]Entry(nil), log.Entries...)
+			sort.SliceStable(entries, func(i, j int) bool { return entries[i].SubStream < entries[j].SubStream })
+			if len(entries) != len(batch.Log.Entries) {
+				t.Fatalf("log sizes: %d vs %d", len(entries), len(batch.Log.Entries))
+			}
+			subs := map[int]int{}
+			for i, e := range entries {
+				want := batch.Log.Entries[i]
+				if e.TupleID != want.TupleID || e.Polluter != want.Polluter || e.SubStream != want.SubStream {
+					t.Fatalf("log entry %d: streamed {%d %s sub %d}, batch {%d %s sub %d}",
+						i, e.TupleID, e.Polluter, e.SubStream, want.TupleID, want.Polluter, want.SubStream)
+				}
+				subs[e.SubStream]++
+			}
+			if subs[0] == 0 || subs[1] == 0 {
+				t.Fatalf("log entries per sub-stream %v: both must be exercised", subs)
+			}
+
+			letters := fault.DLQ.Letters()
+			if tc.fault.Quarantine && len(letters) == 0 {
+				t.Fatal("no tuple was quarantined")
+			}
+			if fmt.Sprintf("%+v", letters) != fmt.Sprintf("%+v", batch.Quarantined) {
+				t.Fatalf("dead letters differ\nstreamed: %+v\nbatch:    %+v", letters, batch.Quarantined)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -52,6 +53,20 @@ func copyCSV(t *testing.T, buf *bytes.Buffer, src stream.Source, header bool) {
 	if _, err := stream.Copy(w, src); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// headSource emits the first n tuples of its source.
+type headSource struct {
+	stream.Source
+	n int
+}
+
+func (h *headSource) Next() (stream.Tuple, error) {
+	if h.n <= 0 {
+		return stream.Tuple{}, io.EOF
+	}
+	h.n--
+	return h.Source.Next()
 }
 
 // shapeDigest drains a run and returns sha256(dirty CSV ‖ log JSONL).
@@ -134,7 +149,7 @@ func TestShapeMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			copyCSV(t, &buf, stream.Take(head.Source, n/2), true)
+			copyCSV(t, &buf, &headSource{Source: head.Source, n: n / 2}, true)
 			ckpt, err := head.Checkpointer.Capture()
 			if err != nil {
 				t.Fatal(err)

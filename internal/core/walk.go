@@ -11,15 +11,18 @@ import (
 // carries per-run state, which has children, and under which path each
 // lives. SnapshotPipeline, RestorePipeline and ResetPipeline are three
 // visitors over it, so a component the walk knows is snapshotted,
-// restored and reset, and one it does not know is none of the three.
+// restored and reset, and one it does not know is none of the three. The
+// columnar planner is a fourth: it reads RNG ownership from the walk.
 //
 // The paths are a persisted format (checkpoint files, -state-dir): a
 // snapshot written by one build restores into the pipeline another build
 // compiles from the same configuration. TestSnapshotPathsStable pins them.
 //
-// Adding a component: implement Stateful and Resettable on it — the
-// default cases below pick it up under its parent's path — or, when it
-// owns an RNG stream or children, add one case here.
+// Adding a component takes three places: its case in internal/config,
+// its case here (or Stateful and Resettable on it — the default cases
+// below pick it up under its parent's path — when it owns no RNG stream
+// and no children), and its kernel or shim case in kernel.go (without
+// one, a pipeline containing it runs row-wise).
 
 // visitor is what one pass does at each thing a component can own.
 type visitor struct {

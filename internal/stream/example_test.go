@@ -7,9 +7,9 @@ import (
 	"icewafl/internal/stream"
 )
 
-// ExampleMap builds a small operator chain: generate, transform, filter,
-// and drain.
-func ExampleMap() {
+// ExampleNewGeneratorSource generates a small stream, drains it, and
+// transforms and filters the drained tuples.
+func ExampleNewGeneratorSource() {
 	schema := stream.MustSchema("ts",
 		stream.Field{Name: "ts", Kind: stream.KindTime},
 		stream.Field{Name: "celsius", Kind: stream.KindFloat},
@@ -21,19 +21,12 @@ func ExampleMap() {
 			stream.Float(float64(10 * i)), // 0, 10, 20, 30
 		})
 	})
-	fahrenheit := stream.Map(src, nil, func(t stream.Tuple) stream.Tuple {
-		c := t.Clone()
-		v, _ := c.GetFloat("celsius")
-		c.Set("celsius", stream.Float(v*9/5+32))
-		return c
-	})
-	warm := stream.Filter(fahrenheit, func(t stream.Tuple) bool {
-		v, _ := t.GetFloat("celsius")
-		return v > 50
-	})
-	tuples, _ := stream.Drain(warm)
+	tuples, _ := stream.Drain(src)
 	for _, t := range tuples {
-		fmt.Println(t.MustGet("celsius"))
+		c, _ := t.GetFloat("celsius")
+		if f := c*9/5 + 32; f > 50 {
+			fmt.Println(f)
+		}
 	}
 	// Output:
 	// 68

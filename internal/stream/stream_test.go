@@ -203,32 +203,6 @@ func TestPrepareAssignsIDsAndEventTime(t *testing.T) {
 	}
 }
 
-func TestMapFilterFlatMapTake(t *testing.T) {
-	s := testSchema(t)
-	src := NewSliceSource(s, makeTuples(s, 10))
-	doubled := Map(src, nil, func(tp Tuple) Tuple {
-		c := tp.Clone()
-		c.Set("v", Float(c.MustGet("v").MustFloat()*2))
-		return c
-	})
-	evens := Filter(doubled, func(tp Tuple) bool {
-		return int(tp.MustGet("v").MustFloat())%4 == 0
-	})
-	taken := Take(evens, 3)
-	got, err := Drain(taken)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("got %d tuples", len(got))
-	}
-	for _, tp := range got {
-		if int(tp.MustGet("v").MustFloat())%4 != 0 {
-			t.Errorf("filter leaked %v", tp)
-		}
-	}
-}
-
 func TestSinks(t *testing.T) {
 	s := testSchema(t)
 	n, err := Copy(DiscardSink{}, NewSliceSource(s, makeTuples(s, 2)))
@@ -495,9 +469,6 @@ func TestSourceSchemaAccessors(t *testing.T) {
 	s := testSchema(t)
 	tuples := makeTuples(s, 4)
 	srcs := []Source{
-		Map(NewSliceSource(s, tuples), nil, func(t Tuple) Tuple { return t }),
-		Filter(NewSliceSource(s, tuples), func(Tuple) bool { return true }),
-		Take(NewSliceSource(s, tuples), 2),
 		NewPrepare(NewSliceSource(s, tuples), 1),
 		NewBoundedReorder(NewSliceSource(s, tuples), 2),
 	}
