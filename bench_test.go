@@ -354,10 +354,8 @@ func BenchmarkMergeKWay(b *testing.B) {
 	}
 }
 
-// benchmarkSubStreams runs an m-pipeline process sequentially or in
-// parallel; the results are identical (per-sub-stream RNG streams), only
-// wall-clock differs.
-func benchmarkSubStreams(b *testing.B, parallel bool) {
+// BenchmarkSubStreamsSequential pollutes 4 round-robin sub-streams.
+func BenchmarkSubStreamsSequential(b *testing.B) {
 	schema, tuples := benchStream(20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -365,20 +363,13 @@ func benchmarkSubStreams(b *testing.B, parallel bool) {
 			Pipelines: []*core.Pipeline{
 				noisePipe(1), noisePipe(2), noisePipe(3), noisePipe(4),
 			},
-			Route:    stream.RouteRoundRobin(),
-			Parallel: parallel,
+			Route: stream.RouteRoundRobin(),
 		}
 		if _, err := proc.Run(stream.NewSliceSource(schema, tuples)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkSubStreamsSequential pollutes 4 sub-streams one after another.
-func BenchmarkSubStreamsSequential(b *testing.B) { benchmarkSubStreams(b, false) }
-
-// BenchmarkSubStreamsParallel pollutes 4 sub-streams concurrently.
-func BenchmarkSubStreamsParallel(b *testing.B) { benchmarkSubStreams(b, true) }
 
 // BenchmarkConditionOrdering shows the value of short-circuit condition
 // ordering inside And: cheap-first vs expensive-first.
@@ -488,34 +479,6 @@ func BenchmarkSeasonalModelAblation(b *testing.B) {
 					s.Model, s.EarlyMAE, s.LateMAE, s.DegradationPercent)
 			}
 		}
-	}
-}
-
-// BenchmarkParallelScaling measures the m-sub-stream pollution stage at
-// different parallelism degrees (the paper's §5 future work, item 3:
-// performance of stateful parallelisation). Outputs are identical at
-// every degree; only wall-clock changes.
-func BenchmarkParallelScaling(b *testing.B) {
-	schema, tuples := benchStream(60000)
-	for _, m := range []int{1, 2, 4, 8} {
-		m := m
-		b.Run(fmt.Sprintf("substreams=%d", m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pipes := make([]*core.Pipeline, m)
-				for j := range pipes {
-					pipes[j] = noisePipe(int64(j))
-				}
-				proc := &core.Process{
-					Pipelines: pipes,
-					Route:     stream.RouteRoundRobin(),
-					Parallel:  m > 1,
-				}
-				if _, err := proc.Run(stream.NewSliceSource(schema, tuples)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(60000)
-		})
 	}
 }
 

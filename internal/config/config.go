@@ -29,8 +29,6 @@ type Document struct {
 	// Route selects how tuples are distributed over the pipelines:
 	// "all" (default for m > 1), "round_robin", or "by:<attribute>".
 	Route string `json:"route,omitempty"`
-	// Parallel pollutes sub-streams concurrently.
-	Parallel bool `json:"parallel,omitempty"`
 	// Fault configures the fault-tolerance behaviour of the run.
 	Fault *FaultPolicySpec `json:"fault_policy,omitempty"`
 	// Pipelines holds one pollution pipeline per sub-stream.
@@ -522,7 +520,7 @@ func Build(doc *Document) (*core.Process, error) {
 	if len(doc.Pipelines) == 0 {
 		return nil, fmt.Errorf("config: document has no pipelines")
 	}
-	proc := &core.Process{FirstID: 1, KeepClean: true, Parallel: doc.Parallel, Fault: doc.Fault.Policy()}
+	proc := &core.Process{FirstID: 1, KeepClean: true, Fault: doc.Fault.Policy()}
 	for i, ps := range doc.Pipelines {
 		path := fmt.Sprintf("pipeline[%d]", i)
 		if ps.Name != "" {

@@ -314,6 +314,12 @@ func TestConfigErrors(t *testing.T) {
 			t.Errorf("bad document %d accepted", i)
 		}
 	}
+	// There is no "parallel" key: a run pollutes its sub-streams on one
+	// goroutine, and the parse error names the key.
+	_, err := Load(strings.NewReader(`{"seed": 1, "parallel": true, "pipelines": [{"polluters": []}]}`))
+	if err == nil || !strings.Contains(err.Error(), `"parallel"`) {
+		t.Errorf(`{"parallel": true}: err = %v, want an error naming the key`, err)
+	}
 }
 
 // TestConfigRejectsSilentlyWrongParams pins the parameter ranges whose

@@ -518,9 +518,6 @@ func (c *outputCounter) Next() (stream.Tuple, error) {
 // output (truncated to the checkpoint) and the resumed run's output is
 // byte-identical to an uninterrupted run.
 func (pr *Process) runStreamCheckpointed(src stream.Source, resume *Checkpoint) (stream.Source, *Log, *Checkpointer, error) {
-	if len(pr.Pipelines) != 1 {
-		return nil, nil, nil, fmt.Errorf("core: checkpointed streaming supports exactly one pipeline, got %d", len(pr.Pipelines))
-	}
 	ck := &Checkpointer{pipeline: pr.Pipelines[0], reg: pr.Obs}
 	var firstID uint64
 	if resume != nil {
@@ -546,7 +543,7 @@ func (pr *Process) runStreamCheckpointed(src stream.Source, resume *Checkpoint) 
 		}
 	}
 	ck.prepare, ck.log, ck.dlq = in.prep, in.log, in.dlq
-	ck.out = &outputCounter{src: pr.runner(pr.tapped(in.prep), 0, in)}
+	ck.out = &outputCounter{src: pr.runner(pr.tapped(in.prep), 0, in, nil)}
 	return ck.out, in.log, ck, nil
 }
 

@@ -56,7 +56,7 @@ type colStep struct {
 
 	// Per-batch log scratch: entries this step recorded, with the batch
 	// row of each entry. Counters tick at Record time (scratch.Obs);
-	// the merge appends entries without recounting, like Log.Merge.
+	// the merge appends entries without recounting.
 	scratch *Log
 	rows    []int32
 	cursor  int
@@ -220,9 +220,9 @@ func rowLocal(p Polluter, schema *stream.Schema) bool {
 	return false
 }
 
-// RunStreamColumnar executes the single-pipeline workflow like
-// RunStream but over columnar micro-batches. The emitted stream, the
-// pollution log, the dead-letter queue and the observability counter
+// RunStreamColumnar is Stream's columnar shape: the single-pipeline
+// workflow of RunStream over columnar micro-batches. The emitted stream,
+// the pollution log, the dead-letter queue and the observability counter
 // totals are byte-identical to RunStream over the same source; only
 // throughput differs. The wrapper chain is RunStream's (openStream →
 // pollution → optional bounded reorder).
@@ -233,17 +233,21 @@ func rowLocal(p Polluter, schema *stream.Schema) bool {
 // extraction) runs as column sweeps, bypassing per-tuple
 // materialisation entirely.
 //
-// Like RunStream, columnar streaming supports exactly one pipeline.
-//
 // Ownership: the runner owns one ColumnBatch and pollutes it in place;
 // source tuples are copied into it, never written. A ReadBatch consumer
 // receives bulk column copies into its own dst batch (which it may
 // Reset and reuse between calls); a Next consumer receives freshly
 // materialised tuples it may retain.
 func (pr *Process) RunStreamColumnar(src stream.Source, reorderWindow int) (stream.Source, *Log, error) {
-	if len(pr.Pipelines) != 1 {
-		return nil, nil, fmt.Errorf("core: columnar streaming mode supports exactly one pipeline, got %d", len(pr.Pipelines))
+	run, err := pr.Stream(src, StreamSpec{Reorder: reorderWindow, Columnar: true})
+	if err != nil {
+		return nil, nil, err
 	}
+	return run.Source, run.Log, nil
+}
+
+// runStreamColumnar is the columnar runner behind Stream.
+func (pr *Process) runStreamColumnar(src stream.Source, reorderWindow int) (stream.Source, *Log, error) {
 	in := pr.openStream(src, 0)
 	log := in.log
 	schema := src.Schema()

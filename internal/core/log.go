@@ -25,7 +25,7 @@ type Entry struct {
 }
 
 // Log accumulates pollution entries. It is not safe for concurrent use;
-// the pollution process keeps one log per sub-stream and merges them.
+// a run keeps one log, and each entry names its sub-stream.
 type Log struct {
 	Entries []Entry
 	// Obs, when set, mirrors the log's ground truth into metrics:
@@ -33,9 +33,7 @@ type Log struct {
 	// counters, Truncate unwinds them, and the polluters report their
 	// condition hit/miss tallies through it. The counters therefore
 	// satisfy sum(polluted_by) == log_entries_total == Total() exactly,
-	// including under quarantine rollback. Merge deliberately does NOT
-	// count: merged entries were already counted by the sub-stream log
-	// that recorded them.
+	// including under quarantine rollback.
 	Obs *obs.Registry
 
 	released int // entries handed on and dropped by Release
@@ -154,15 +152,6 @@ func (l *Log) ForTuple(id uint64) []Entry {
 		}
 	}
 	return out
-}
-
-// Merge appends all entries of other, stamping them with the given
-// sub-stream index.
-func (l *Log) Merge(other *Log, subStream int) {
-	for _, e := range other.Entries {
-		e.SubStream = subStream
-		l.Entries = append(l.Entries, e)
-	}
 }
 
 // AppendJSON appends the entry as one JSON object, byte-identical to

@@ -47,6 +47,10 @@ func (f FaultPolicy) queue() *stream.DeadLetterQueue {
 //	Step 3 — integrate: union the sub-streams (attaching the sub-stream
 //	          identifier), sort by delivery time, and return both the
 //	          clean stream D and the polluted stream D^p.
+//
+// Every run goes through Stream, the one dispatch from an execution shape
+// to a runner. Batch Run is the streaming reference drained and sorted by
+// delivery time.
 type Process struct {
 	// Pipelines holds one pollution pipeline per sub-stream; m =
 	// len(Pipelines).
@@ -57,12 +61,8 @@ type Process struct {
 	Route stream.RouteFunc
 	// FirstID numbers the prepared tuples starting here (default 1).
 	FirstID uint64
-	// Parallel, when > 1, pollutes the sub-streams concurrently. The
-	// result is identical to sequential execution because each
-	// sub-stream owns its pipelines, RNG streams and log.
-	Parallel bool
-	// KeepClean controls whether the clean stream is materialised and
-	// returned. Experiments that only need D^p can switch it off.
+	// KeepClean controls whether Run returns the clean stream D.
+	// Experiments that only need D^p can switch it off.
 	KeepClean bool
 	// DisableLog switches off the pollution log (it is an optional
 	// output per Figure 2). Without the log there is no ground truth,
@@ -94,7 +94,7 @@ type Result struct {
 	// Polluted is the merged polluted stream D^p, sorted by delivery
 	// time; dropped tuples are excluded.
 	Polluted []stream.Tuple
-	// Log is the merged pollution log across all sub-streams.
+	// Log is the pollution log in stream order (nil under DisableLog).
 	Log *Log
 	// DroppedTuples counts tuples removed by drop errors.
 	DroppedTuples int
@@ -116,122 +116,48 @@ func (pr *Process) Run(src stream.Source) (*Result, error) {
 
 // RunContext executes the workflow with cancellation: once ctx is done,
 // the run stops promptly and returns an error satisfying
-// errors.Is(err, stream.ErrStopped). A background context adds no
-// per-tuple overhead.
+// errors.Is(err, stream.ErrStopped). It is RunStream at reorder 1
+// drained and sorted by delivery time (step 3), so the log and the dead
+// letters come out in stream order; D is collected through the clean
+// tap. The caller's tuples are never mutated: each is copied once on the
+// way in.
 func (pr *Process) RunContext(ctx context.Context, src stream.Source) (*Result, error) {
-	m := len(pr.Pipelines)
-	if m == 0 {
-		return nil, fmt.Errorf("core: process needs at least one pipeline")
+	res := &Result{}
+	run := *pr
+	if pr.KeepClean {
+		run.CleanTap = func(t stream.Tuple) {
+			res.Clean = append(res.Clean, t)
+			if pr.CleanTap != nil {
+				pr.CleanTap(t)
+			}
+		}
 	}
-	// Step 1: prepare and materialise. Materialising the prepared stream
-	// keeps the clean copy D and feeds the sub-stream extraction. With
-	// quarantine enabled, malformed input rows become dead letters
-	// instead of aborting the run.
-	in := pr.openStream(stream.WithContext(ctx, src), 0)
-	dlq := in.dlq
-	prepared, err := stream.Drain(in.prep)
+	run.Fault.DLQ = pr.Fault.queue()
+	out, err := run.start(ownedSource{stream.WithContext(ctx, src)}, StreamSpec{}, &res.DroppedTuples)
 	if err != nil {
-		return nil, fmt.Errorf("core: prepare: %w", err)
+		return nil, err
 	}
-	if pr.CleanTap != nil {
-		for _, t := range prepared {
-			pr.CleanTap(t.Clone())
-		}
-	}
-
-	route := pr.Route
-	if route == nil {
-		if m == 1 {
-			route = func(stream.Tuple, int) []int { return []int{0} }
-		} else {
-			route = stream.RouteAll
-		}
-	}
-
-	subs := make([][]stream.Tuple, m)
-	tuplesIn := uint64(0)
-	for _, t := range prepared {
-		for _, tgt := range route(t, m) {
-			if tgt < 0 || tgt >= m {
-				continue
-			}
-			subs[tgt] = append(subs[tgt], t.Clone())
-			tuplesIn++
-		}
-	}
-	pr.Obs.Add(obs.CTuplesIn, tuplesIn)
-
-	// Step 2: pollute every sub-stream with its pipeline.
-	logs := make([]*Log, m)
-	if pr.Parallel && m > 1 {
-		errs := make(chan error, m)
-		for i := 0; i < m; i++ {
-			go func(i int) {
-				logs[i] = &Log{Obs: pr.Obs}
-				errs <- polluteSub(subs[i], pr.step(i, logs[i], dlq))
-			}(i)
-		}
-		for i := 0; i < m; i++ {
-			if e := <-errs; e != nil && err == nil {
-				err = e
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		for i := 0; i < m; i++ {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, fmt.Errorf("core: pollute: %w", stream.ErrStopped)
-			}
-			logs[i] = &Log{Obs: pr.Obs}
-			if err := polluteSub(subs[i], pr.step(i, logs[i], dlq)); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Step 3: integrate — union with sub-stream identifiers, drop
-	// removed and quarantined tuples, sort by delivery time.
-	res := &Result{Log: NewLog(), Quarantined: dlq.Letters()}
-	for i := 0; i < m; i++ {
-		res.Log.Merge(logs[i], i)
-		for _, t := range subs[i] {
-			if t.Quarantined {
-				continue
-			}
-			if t.Dropped {
-				res.DroppedTuples++
-				pr.Obs.Inc(obs.CTuplesDropped)
-				continue
-			}
-			t.SubStream = i
-			res.Polluted = append(res.Polluted, t)
-			pr.Obs.Inc(obs.CTuplesOut)
-		}
+	if res.Polluted, err = stream.Drain(out.Source); err != nil {
+		return nil, fmt.Errorf("core: run: %w", err)
 	}
 	stream.SortByArrival(res.Polluted)
-	if pr.KeepClean {
-		res.Clean = prepared
-	}
+	res.Log, res.Quarantined = out.Log, run.Fault.DLQ.Letters()
 	return res, nil
 }
 
-func polluteSub(tuples []stream.Tuple, step rowStep) error {
-	if step.p == nil {
-		return fmt.Errorf("core: nil pipeline")
-	}
-	for i := range tuples {
-		if _, err := step.pollute(&tuples[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+// ownedSource hands on a copy of every tuple of its source, so a runner
+// that pollutes in place never writes the caller's tuples.
+type ownedSource struct{ stream.Source }
+
+// Next implements stream.Source.
+func (s ownedSource) Next() (stream.Tuple, error) {
+	t, err := s.Source.Next()
+	return t.Clone(), err
 }
 
 // rowStep is Algorithm 1's step 2 for one row of sub-stream sub: the
-// per-tuple pollution of every row-at-a-time runner (batch Run, the
-// streaming and checkpointed runners, the columnar collapse path).
+// per-tuple pollution of every row-at-a-time runner (the streaming and
+// checkpointed runners, the columnar collapse path).
 type rowStep struct {
 	p     *Pipeline
 	log   *Log
@@ -257,13 +183,13 @@ func (s *rowStep) pollute(t *stream.Tuple) (bool, error) {
 		mark = len(s.log.Entries)
 	}
 	var ok bool
-	var err error
+	var dl *stream.DeadLetter
 	if s.trace && s.reg.Sampled(t.ID) {
 		start := time.Now()
-		ok, err = applyWithFault(s.p, t, s.log, s.fault, s.dlq, mark)
+		ok, dl = polluteOne(s.p, t, s.log, mark, s.fault)
 		s.reg.ObserveSpan(obs.StagePollute, t.ID, time.Since(start))
 	} else {
-		ok, err = applyWithFault(s.p, t, s.log, s.fault, s.dlq, mark)
+		ok, dl = polluteOne(s.p, t, s.log, mark, s.fault)
 	}
 	if s.sub != 0 {
 		t.SubStream = s.sub
@@ -271,7 +197,10 @@ func (s *rowStep) pollute(t *stream.Tuple) (bool, error) {
 			s.log.Entries[i].SubStream = s.sub
 		}
 	}
-	return ok, err
+	if ok {
+		return true, nil
+	}
+	return false, s.fault.record(s.dlq, *dl)
 }
 
 // safePollute applies the pipeline, converting a panic in any polluter,
@@ -304,28 +233,34 @@ func deadLetterFor(t stream.Tuple, stage string, cause error) stream.DeadLetter 
 
 // RunStream executes the workflow in a streaming fashion — the
 // constant-memory analogue of Run for unbounded sources, and the
-// reference engine every other execution shape is compared against.
-// With one pipeline, prepared tuples flow through it one by one and are
-// re-ordered only within a bounded window. With m > 1 the prepared
-// stream is split into the m (possibly overlapping) sub-streams, each
-// flows through its pipeline tuple-wise, is re-sorted within the window,
-// and the sub-streams are merged with a k-way merge. Dropped tuples are
-// filtered out. The returned log is nil when DisableLog is set and only
-// complete once the returned source is exhausted.
+// reference engine every other execution shape is compared against. It
+// is Stream's plain tuple-wise shape.
 //
 // Streaming mode pollutes tuples in place, taking ownership of whatever
 // the source emits. Readers and generators mint a fresh tuple per Next
 // call and are safe; to stream over a shared []Tuple slice whose contents
 // must survive, clone the tuples first (batch Run does this for you).
 func (pr *Process) RunStream(src stream.Source, reorderWindow int) (stream.Source, *Log, error) {
-	m := len(pr.Pipelines)
-	if m == 0 {
-		return nil, nil, fmt.Errorf("core: process needs at least one pipeline")
+	run, err := pr.Stream(src, StreamSpec{Reorder: reorderWindow})
+	if err != nil {
+		return nil, nil, err
 	}
+	return run.Source, run.Log, nil
+}
+
+// runStream is the plain tuple-wise runner behind Stream. One pipeline
+// pollutes the prepared stream tuple by tuple; with m > 1 the stream is
+// split into the m (possibly overlapping) sub-streams, each polluted by
+// its pipeline, and k-way merged. Each branch is re-sorted within the
+// bounded window. Dropped tuples are filtered out and, when dropped is
+// non-nil, counted there. The log (nil under DisableLog) is complete once
+// the returned source is exhausted.
+func (pr *Process) runStream(src stream.Source, reorderWindow int, dropped *int) (stream.Source, *Log, error) {
 	in := pr.openStream(src, 0)
 	prep := pr.tapped(in.prep)
+	m := len(pr.Pipelines)
 	if m == 1 {
-		return reordered(pr.runner(prep, 0, in), reorderWindow), in.log, nil
+		return reordered(pr.runner(prep, 0, in, dropped), reorderWindow), in.log, nil
 	}
 	route := pr.Route
 	if route == nil {
@@ -336,7 +271,7 @@ func (pr *Process) RunStream(src stream.Source, reorderWindow int) (stream.Sourc
 	subs := stream.Split(prep, m, route)
 	branches := make([]stream.Source, m)
 	for i := range subs {
-		branches[i] = reordered(pr.runner(subs[i], i, in), reorderWindow)
+		branches[i] = reordered(pr.runner(subs[i], i, in, dropped), reorderWindow)
 	}
 	merged, err := stream.NewKWayMerge(branches)
 	if err != nil {
@@ -346,9 +281,9 @@ func (pr *Process) RunStream(src stream.Source, reorderWindow int) (stream.Sourc
 }
 
 // runner builds the tuple-wise operator that pollutes src with pipeline
-// i over the preamble's log and dead-letter queue.
-func (pr *Process) runner(src stream.Source, i int, in streamInput) *streamRunner {
-	return &streamRunner{src: src, rowStep: pr.step(i, in.log, in.dlq)}
+// i, counting drops into dropped when it is non-nil.
+func (pr *Process) runner(src stream.Source, i int, in streamInput, dropped *int) *streamRunner {
+	return &streamRunner{src: src, rowStep: pr.step(i, in.log, in.dlq), dropped: dropped}
 }
 
 // reordered wraps a runner in the bounded reordering window, when one is
@@ -397,6 +332,7 @@ func (s *tapSource) Next() (stream.Tuple, error) {
 type streamRunner struct {
 	src stream.Source
 	rowStep
+	dropped *int
 
 	// cur is the tuple in flight. Polluters receive *Tuple through an
 	// interface call, which would force a stack-local tuple to escape —
@@ -426,6 +362,9 @@ func (r *streamRunner) Next() (stream.Tuple, error) {
 		}
 		if r.cur.Dropped {
 			r.reg.Inc(obs.CTuplesDropped)
+			if r.dropped != nil {
+				*r.dropped++
+			}
 			continue
 		}
 		r.reg.Inc(obs.CTuplesOut)
@@ -434,14 +373,13 @@ func (r *streamRunner) Next() (stream.Tuple, error) {
 }
 
 // polluteOne is THE single fault/rollback code path of every runner —
-// rowStep.pollute (batch, streaming, checkpointed, columnar collapse)
-// and the sharded workers. It
-// applies p to t at its event time under the fault policy, rolling the
-// log back to logMark when pollution fails so the ground truth only
-// describes delivered tuples. It reports whether the tuple survived
-// and, when it did not, returns its dead letter (with t marked
-// Quarantined). Without quarantine, a pipeline panic propagates to the
-// caller unchanged — the historical fail-fast contract.
+// rowStep.pollute (streaming, checkpointed, columnar collapse) and the
+// sharded workers. It applies p to t at its event time under the fault
+// policy, rolling the log back to logMark when pollution fails so the
+// ground truth only describes delivered tuples. It reports whether the
+// tuple survived and, when it did not, returns its dead letter (with t
+// marked Quarantined). Without quarantine, a pipeline panic propagates to
+// the caller unchanged — the historical fail-fast contract.
 func polluteOne(p *Pipeline, t *stream.Tuple, log *Log, logMark int, fault FaultPolicy) (bool, *stream.DeadLetter) {
 	if !fault.Quarantine {
 		p.Apply(t, t.EventTime, log)
@@ -465,15 +403,4 @@ func (f FaultPolicy) record(dlq *stream.DeadLetterQueue, dl stream.DeadLetter) e
 			stream.ErrQuarantineOverflow, dlq.Len(), dl.TupleID, dl.Cause)
 	}
 	return nil
-}
-
-// applyWithFault runs the pipeline over t honouring the fault policy.
-// It reports whether the tuple survived; a non-nil error is fatal
-// (quarantine overflow).
-func applyWithFault(p *Pipeline, t *stream.Tuple, log *Log, fault FaultPolicy, dlq *stream.DeadLetterQueue, logMark int) (bool, error) {
-	ok, dl := polluteOne(p, t, log, logMark, fault)
-	if ok {
-		return true, nil
-	}
-	return false, fault.record(dlq, *dl)
 }

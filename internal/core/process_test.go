@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"testing"
 	"time"
 
@@ -256,41 +255,6 @@ func TestProcessRoundRobinPartition(t *testing.T) {
 	}
 }
 
-func TestProcessParallelMatchesSequential(t *testing.T) {
-	s := procSchema()
-	build := func(parallel bool) *Result {
-		mk := func(name string, seed int64) *Pipeline {
-			return NewPipeline(NewStandard(name,
-				&GaussianNoise{Stddev: Const(1), Rand: rng.Derive(seed, name)},
-				NewRandomConst(0.5, rng.Derive(seed, name+"-cond")), "v"))
-		}
-		proc := &Process{
-			Pipelines: []*Pipeline{mk("p0", 42), mk("p1", 42)},
-			Route:     stream.RouteRoundRobin(),
-			Parallel:  parallel,
-			KeepClean: true,
-		}
-		res, err := proc.Run(procSource(s, 200))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq := build(false)
-	par := build(true)
-	if len(seq.Polluted) != len(par.Polluted) {
-		t.Fatalf("sizes differ: %d vs %d", len(seq.Polluted), len(par.Polluted))
-	}
-	for i := range seq.Polluted {
-		if !seq.Polluted[i].Equal(par.Polluted[i]) {
-			t.Fatalf("tuple %d differs between sequential and parallel", i)
-		}
-	}
-	if seq.Log.Len() != par.Log.Len() {
-		t.Fatalf("log sizes differ: %d vs %d", seq.Log.Len(), par.Log.Len())
-	}
-}
-
 func TestProcessDeterministicAcrossRuns(t *testing.T) {
 	s := procSchema()
 	run := func() *Result {
@@ -361,36 +325,84 @@ func TestProcessErrors(t *testing.T) {
 	}
 }
 
+// TestRunStreamMatchesBatch pins batch Run — the streaming reference
+// drained — by value: a noise polluter gated at p = 0.5 changes exactly
+// the tuples the log names, D is the untouched input, and without delays
+// D^p keeps the input order.
 func TestRunStreamMatchesBatch(t *testing.T) {
 	s := procSchema()
-	mkPipe := func() *Pipeline {
-		return NewPipeline(NewStandard("noise",
-			&GaussianNoise{Stddev: Const(1), Rand: rng.Derive(5, "n")},
-			NewRandomConst(0.5, rng.Derive(5, "c")), "v"))
-	}
-	batch, err := NewProcess(mkPipe()).Run(procSource(s, 100))
+	res, err := NewProcess(NewPipeline(NewStandard("noise",
+		&GaussianNoise{Stddev: Const(1), Rand: rng.Derive(5, "n")},
+		NewRandomConst(0.5, rng.Derive(5, "c")), "v"))).Run(procSource(s, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc := NewProcess(mkPipe())
-	out, log, err := proc.RunStream(procSource(s, 100), 1)
-	if err != nil {
-		t.Fatal(err)
+	if len(res.Polluted) != 100 || len(res.Clean) != 100 {
+		t.Fatalf("sizes: polluted %d clean %d", len(res.Polluted), len(res.Clean))
 	}
-	streamed, err := stream.Drain(out)
-	if err != nil {
-		t.Fatal(err)
+	logged := res.Log.PollutedTuples()
+	if len(logged) != res.Log.Len() || len(logged) < 30 || len(logged) > 70 {
+		t.Fatalf("%d log entries over %d tuples, want one per polluted tuple at p = 0.5", res.Log.Len(), len(logged))
 	}
-	if len(streamed) != len(batch.Polluted) {
-		t.Fatalf("sizes differ: %d vs %d", len(streamed), len(batch.Polluted))
-	}
-	for i := range streamed {
-		if !streamed[i].Equal(batch.Polluted[i]) {
-			t.Fatalf("tuple %d differs between streaming and batch", i)
+	for i, tp := range res.Polluted {
+		if tp.ID != uint64(i+1) {
+			t.Fatalf("position %d holds tuple %d", i, tp.ID)
+		}
+		if !res.Clean[i].MustGet("v").Equal(stream.Float(float64(i))) {
+			t.Fatalf("clean tuple %d changed", i)
+		}
+		if changed := tp.MustGet("v").MustFloat() != float64(i); changed != logged[tp.ID] {
+			t.Fatalf("tuple %d: value changed %t, logged %t", tp.ID, changed, logged[tp.ID])
 		}
 	}
-	if log.Len() != batch.Log.Len() {
-		t.Fatalf("logs differ: %d vs %d", log.Len(), batch.Log.Len())
+}
+
+// TestRunNeverMutatesInput runs one process twice over the same slice:
+// both runs must agree and the slice must come out as it went in, for
+// one and two sub-streams, with and without D.
+func TestRunNeverMutatesInput(t *testing.T) {
+	s := procSchema()
+	render := func(res *Result) string {
+		return fmt.Sprintf("%v|%v|%+v|%d", res.Polluted, res.Clean, res.Log.Entries, res.DroppedTuples)
+	}
+	for _, m := range []int{1, 2} {
+		for _, keep := range []bool{false, true} {
+			t.Run(fmt.Sprintf("m=%d/keep_clean=%t", m, keep), func(t *testing.T) {
+				in, err := stream.Drain(procSource(s, 50))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([]stream.Tuple, len(in))
+				for i := range in {
+					want[i] = in[i].Clone()
+				}
+				pipes := make([]*Pipeline, m)
+				for i := range pipes {
+					pipes[i] = NewPipeline(NewStandard("noise",
+						&GaussianNoise{Stddev: Const(1), Rand: rng.Derive(int64(i), "n")}, nil, "v"))
+				}
+				proc := &Process{Pipelines: pipes, KeepClean: keep}
+				var runs []string
+				for range 2 {
+					res, err := proc.Run(stream.NewSliceSource(s, in))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(res.Polluted) != m*len(in) || (len(res.Clean) == len(in)) != keep {
+						t.Fatalf("sizes: polluted %d clean %d", len(res.Polluted), len(res.Clean))
+					}
+					runs = append(runs, render(res))
+				}
+				for i := range in {
+					if !in[i].Equal(want[i]) {
+						t.Fatalf("input tuple %d mutated: %v, was %v", i, in[i], want[i])
+					}
+				}
+				if runs[0] != runs[1] {
+					t.Fatal("the second run over the same slice differs from the first")
+				}
+			})
+		}
 	}
 }
 
@@ -455,97 +467,110 @@ func TestNilLogIsSafe(t *testing.T) {
 	}
 }
 
-// TestRunStreamSubStreamsMatchBatch pins the m > 1 streaming runner to
-// batch Run: the same tuples with the same sub-stream ids, the same log
-// entry by entry (tuple, polluter, sub-stream), and — with a polluter
-// that panics in sub-stream 1 only — the same dead letters.
+// TestRunStreamSubStreamsMatchBatch pins batch Run with m = 2 sub-streams
+// by value: each tuple carries its sub-stream's pollution and id, and the
+// log comes out in stream order, each entry tagged with its sub-stream.
+// With a polluter that panics in sub-stream 1 only, the dead letters are
+// exactly that sub-stream's failing tuples, rolled back out of the log.
 func TestRunStreamSubStreamsMatchBatch(t *testing.T) {
 	s := procSchema()
-	for _, tc := range []struct {
-		name  string
-		route stream.RouteFunc
-		fault FaultPolicy
-		mk    func() []*Pipeline
-	}{
-		{"round_robin", stream.RouteRoundRobin(), FaultPolicy{}, func() []*Pipeline {
-			return []*Pipeline{
-				NewPipeline(NewStandard("a",
-					&GaussianNoise{Stddev: Const(1), Rand: rng.Derive(11, "a")},
-					NewRandomConst(0.5, rng.Derive(11, "ac")), "v")),
-				NewPipeline(NewStandard("b", Offset{Delta: Const(100)}, nil, "v")),
-			}
-		}},
-		{"quarantine", stream.RouteAll, FaultPolicy{Quarantine: true}, func() []*Pipeline {
-			return []*Pipeline{
-				NewPipeline(NewStandard("a",
-					&GaussianNoise{Stddev: Const(1), Rand: rng.Derive(12, "a")},
-					NewRandomConst(0.5, rng.Derive(12, "ac")), "v")),
-				// "b" logs before "boom" panics, so a quarantined tuple's
-				// entry must be rolled back.
-				NewPipeline(
-					NewStandard("b", Offset{Delta: Const(100)}, nil, "v"),
-					NewStandard("boom", panicOn{threshold: 250}, Always{}, "v")),
-			}
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			batchProc := &Process{Pipelines: tc.mk(), Route: tc.route, Fault: tc.fault}
-			batch, err := batchProc.Run(procSource(s, 200))
-			if err != nil {
-				t.Fatal(err)
-			}
-			fault := tc.fault
-			fault.DLQ = stream.NewDeadLetterQueue()
-			streamProc := &Process{Pipelines: tc.mk(), Route: tc.route, Fault: fault}
-			out, log, err := streamProc.RunStream(procSource(s, 200), 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			streamed, err := stream.Drain(out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(streamed) != len(batch.Polluted) {
-				t.Fatalf("sizes: %d vs %d", len(streamed), len(batch.Polluted))
-			}
-			for i := range streamed {
-				if !streamed[i].Equal(batch.Polluted[i]) {
-					t.Fatalf("tuple %d differs: %v vs %v", i, streamed[i], batch.Polluted[i])
-				}
-				if streamed[i].SubStream != batch.Polluted[i].SubStream {
-					t.Fatalf("tuple %d substream differs", i)
-				}
-			}
-
-			// Batch Run merges the sub-stream logs one after the other; the
-			// streaming log interleaves them, in order within each.
-			entries := append([]Entry(nil), log.Entries...)
-			sort.SliceStable(entries, func(i, j int) bool { return entries[i].SubStream < entries[j].SubStream })
-			if len(entries) != len(batch.Log.Entries) {
-				t.Fatalf("log sizes: %d vs %d", len(entries), len(batch.Log.Entries))
-			}
-			subs := map[int]int{}
-			for i, e := range entries {
-				want := batch.Log.Entries[i]
-				if e.TupleID != want.TupleID || e.Polluter != want.Polluter || e.SubStream != want.SubStream {
-					t.Fatalf("log entry %d: streamed {%d %s sub %d}, batch {%d %s sub %d}",
-						i, e.TupleID, e.Polluter, e.SubStream, want.TupleID, want.Polluter, want.SubStream)
-				}
-				subs[e.SubStream]++
-			}
-			if subs[0] == 0 || subs[1] == 0 {
-				t.Fatalf("log entries per sub-stream %v: both must be exercised", subs)
-			}
-
-			letters := fault.DLQ.Letters()
-			if tc.fault.Quarantine && len(letters) == 0 {
-				t.Fatal("no tuple was quarantined")
-			}
-			if fmt.Sprintf("%+v", letters) != fmt.Sprintf("%+v", batch.Quarantined) {
-				t.Fatalf("dead letters differ\nstreamed: %+v\nbatch:    %+v", letters, batch.Quarantined)
-			}
-		})
+	const n = 200
+	noise := func(seed int64) Polluter {
+		return NewStandard("a", &GaussianNoise{Stddev: Const(1), Rand: rng.Derive(seed, "a")},
+			NewRandomConst(0.5, rng.Derive(seed, "ac")), "v")
 	}
+	inStreamOrder := func(t *testing.T, log *Log) {
+		t.Helper()
+		subs := map[int]int{}
+		for i, e := range log.Entries {
+			if i > 0 && e.TupleID < log.Entries[i-1].TupleID {
+				t.Fatalf("log entry %d (tuple %d) follows tuple %d: not in stream order", i, e.TupleID, log.Entries[i-1].TupleID)
+			}
+			subs[e.SubStream]++
+		}
+		if subs[0] == 0 || subs[1] == 0 {
+			t.Fatalf("log entries per sub-stream %v: both must be exercised", subs)
+		}
+	}
+
+	t.Run("round_robin", func(t *testing.T) {
+		proc := &Process{Route: stream.RouteRoundRobin(), Pipelines: []*Pipeline{
+			NewPipeline(noise(11)),
+			NewPipeline(NewStandard("b", Offset{Delta: Const(100)}, nil, "v")),
+		}}
+		res, err := proc.Run(procSource(s, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inStreamOrder(t, res.Log)
+		logged := map[int]map[uint64]bool{0: {}, 1: {}}
+		for _, e := range res.Log.Entries {
+			if want := []string{"a", "b"}[e.SubStream]; e.Polluter != want {
+				t.Fatalf("sub-stream %d logged polluter %q, want %q", e.SubStream, e.Polluter, want)
+			}
+			logged[e.SubStream][e.TupleID] = true
+		}
+		if len(res.Polluted) != n || len(logged[1]) != n/2 {
+			t.Fatalf("%d tuples, %d logged in sub-stream 1", len(res.Polluted), len(logged[1]))
+		}
+		for i, tp := range res.Polluted {
+			sub, orig := i%2, float64(i)
+			if tp.ID != uint64(i+1) || tp.SubStream != sub {
+				t.Fatalf("position %d holds tuple %d of sub-stream %d", i, tp.ID, tp.SubStream)
+			}
+			v := tp.MustGet("v").MustFloat()
+			if sub == 1 && (v != orig+100 || !logged[1][tp.ID]) || sub == 0 && (v != orig) != logged[0][tp.ID] {
+				t.Fatalf("tuple %d of sub-stream %d: v = %g from %g, logged %t", tp.ID, sub, v, orig, logged[sub][tp.ID])
+			}
+		}
+	})
+
+	t.Run("quarantine", func(t *testing.T) {
+		proc := &Process{Route: stream.RouteAll, Fault: FaultPolicy{Quarantine: true}, Pipelines: []*Pipeline{
+			NewPipeline(noise(12)),
+			// "b" logs before "boom" panics, so a quarantined tuple's
+			// entry must be rolled back.
+			NewPipeline(
+				NewStandard("b", Offset{Delta: Const(100)}, nil, "v"),
+				NewStandard("boom", panicOn{threshold: 250}, Always{}, "v")),
+		}}
+		res, err := proc.Run(procSource(s, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inStreamOrder(t, res.Log)
+		// Sub-stream 1 fails exactly where v + 100 > 250.
+		failing := map[uint64]bool{}
+		for i := 0; i < n; i++ {
+			if float64(i)+100 > 250 {
+				failing[uint64(i+1)] = true
+			}
+		}
+		letters := map[uint64]bool{}
+		for _, d := range res.Quarantined {
+			if !failing[d.TupleID] || letters[d.TupleID] {
+				t.Fatalf("unexpected dead letter %+v", d)
+			}
+			letters[d.TupleID] = true
+		}
+		if len(letters) != len(failing) {
+			t.Fatalf("%d dead letters, want %d", len(letters), len(failing))
+		}
+		for _, e := range res.Log.Entries {
+			if e.SubStream == 1 && failing[e.TupleID] {
+				t.Fatalf("log keeps entry %+v of a quarantined tuple", e)
+			}
+		}
+		for _, tp := range res.Polluted {
+			if tp.SubStream == 1 && failing[tp.ID] {
+				t.Fatalf("quarantined tuple %d delivered", tp.ID)
+			}
+		}
+		if got := len(res.Polluted) + res.DroppedTuples + len(res.Quarantined); got != 2*n {
+			t.Fatalf("polluted %d + dropped %d + quarantined %d = %d, want %d",
+				len(res.Polluted), res.DroppedTuples, len(res.Quarantined), got, 2*n)
+		}
+	})
 }
 
 func TestRunStreamSubStreamsWithOverlapAndDelay(t *testing.T) {

@@ -99,7 +99,16 @@ type StreamRun struct {
 // (stream.Copy and the CLI and server sinks are; buffering consumers
 // must Clone).
 func (pr *Process) Stream(src stream.Source, spec StreamSpec) (*StreamRun, error) {
+	return pr.start(src, spec, nil)
+}
+
+// start is Stream with an optional count of the tuples drop errors
+// removed, which the plain shape keeps for Run's Result.DroppedTuples.
+func (pr *Process) start(src stream.Source, spec StreamSpec, dropped *int) (*StreamRun, error) {
 	if err := spec.Validate(src.Schema()); err != nil {
+		return nil, err
+	}
+	if err := spec.checkPipelines(pr.Pipelines); err != nil {
 		return nil, err
 	}
 	run := &StreamRun{}
@@ -110,14 +119,32 @@ func (pr *Process) Stream(src stream.Source, spec StreamSpec) (*StreamRun, error
 	case spec.Shards > 1:
 		run.Source, run.Log, err = pr.runStreamSharded(src, spec.Reorder, shardConfig{KeyAttr: spec.ShardKey, Shards: spec.Shards})
 	case spec.Columnar:
-		run.Source, run.Log, err = pr.RunStreamColumnar(src, spec.Reorder)
+		run.Source, run.Log, err = pr.runStreamColumnar(src, spec.Reorder)
 	default:
-		run.Source, run.Log, err = pr.RunStream(src, spec.Reorder)
+		run.Source, run.Log, err = pr.runStream(src, spec.Reorder, dropped)
 	}
 	if err != nil {
 		return nil, err
 	}
 	return run, nil
+}
+
+// checkPipelines reports the first pipeline-count rule the shape breaks:
+// every run needs at least one pipeline and no nil one, and only the
+// plain tuple-wise shape splits the stream into m > 1 sub-streams.
+func (s StreamSpec) checkPipelines(pipes []*Pipeline) error {
+	if len(pipes) == 0 {
+		return errors.New("core: process needs at least one pipeline")
+	}
+	for i, p := range pipes {
+		if p == nil {
+			return fmt.Errorf("core: pipeline %d is nil", i)
+		}
+	}
+	if len(pipes) > 1 && (s.checkpointed() || s.Shards > 1 || s.Columnar) {
+		return fmt.Errorf("core: checkpointed, sharded and columnar streaming support exactly one pipeline, got %d", len(pipes))
+	}
+	return nil
 }
 
 // streamInput is what the shared preamble hands a runner.

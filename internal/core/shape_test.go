@@ -80,10 +80,57 @@ func shapeDigest(t *testing.T, src stream.Source, log *Log) [sha256.Size]byte {
 	return sha256.Sum256(buf.Bytes())
 }
 
+// pipelineRules checks the pipeline-count rules on one accepted shape:
+// Stream refuses a missing or nil pipeline with an error, never a panic,
+// and only the plain tuple-wise shape runs m = 2 sub-streams.
+func pipelineRules(t *testing.T, spec StreamSpec, src func() stream.Source, pipe func(int) *Pipeline) {
+	m2 := "exactly one pipeline"
+	if spec.Shards <= 1 && !spec.Columnar && !spec.Checkpoint {
+		m2 = ""
+	}
+	for _, tc := range []struct {
+		name   string
+		pipes  []*Pipeline
+		reject string
+	}{
+		{"m=0", nil, "at least one pipeline"},
+		{"nil", []*Pipeline{nil}, "pipeline 0 is nil"},
+		{"m=2/nil", []*Pipeline{pipe(0), nil}, "pipeline 1 is nil"},
+		{"m=2", []*Pipeline{pipe(0), pipe(1)}, m2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run, err := (&Process{Pipelines: tc.pipes}).Stream(src(), spec)
+			if tc.reject != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.reject) {
+					t.Fatalf("Stream = %v, want rejection naming %q", err, tc.reject)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := stream.Drain(run.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Full overlap through two identical pipelines: each sub-stream
+			// delivers the same tuples.
+			perSub := [2]int{}
+			for _, tp := range out {
+				perSub[tp.SubStream]++
+			}
+			if perSub[0] == 0 || perSub[0] != perSub[1] {
+				t.Fatalf("m = 2 delivered %v tuples per sub-stream", perSub)
+			}
+		})
+	}
+}
+
 // TestShapeMatrix is the systematic form of the byte-identity contract:
-// Validate rejects exactly the combinations the five rules name, and
-// every accepted shape — plus a resume at the midpoint for the
-// checkpointable ones — yields the bytes of the RunStream reference.
+// Validate rejects exactly the combinations the five rules name, every
+// accepted shape — plus a resume at the midpoint for the checkpointable
+// ones — yields the bytes of the RunStream reference, and every accepted
+// shape obeys the pipeline-count rules.
 func TestShapeMatrix(t *testing.T) {
 	const n, keys, seed = 900, 7, 77
 	schema := shardedTestSchema()
@@ -121,6 +168,7 @@ func TestShapeMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Validate rejected an accepted shape: %v", err)
 			}
+			pipelineRules(t, spec, func() stream.Source { return shardedTestSource(schema, n, keys) }, keyedStickyTemporalFactory(seed))
 			if !row.checkpoint {
 				with := spec
 				with.Checkpoint = true

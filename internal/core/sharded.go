@@ -97,9 +97,6 @@ type shardConfig struct {
 // allocates nothing per tuple. Emitted tuples are loans — the consumer
 // must be done with a tuple before its next Next call (clone to retain).
 func (pr *Process) runStreamSharded(src stream.Source, reorderWindow int, cfg shardConfig) (stream.Source, *Log, error) {
-	if len(pr.Pipelines) != 1 && cfg.NewPipeline == nil {
-		return nil, nil, fmt.Errorf("core: sharded streaming supports exactly one pipeline, got %d", len(pr.Pipelines))
-	}
 	newPipeline := cfg.NewPipeline
 	if newPipeline == nil {
 		var ok bool

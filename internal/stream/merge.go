@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"cmp"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -29,18 +31,15 @@ func SortMerge(subs []Source) ([]Tuple, error) {
 	return all, nil
 }
 
-// SortByArrival sorts tuples by arrival, then event time, then ID. The
-// sort is deterministic for any input permutation.
+// SortByArrival sorts tuples by arrival, then event time, then ID, then
+// sub-stream. No two tuples of one run share all four keys, so the result
+// does not depend on the input order: the copies of one tuple in
+// overlapping sub-streams come out in sub-stream order however they were
+// merged.
 func SortByArrival(ts []Tuple) {
-	sort.SliceStable(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		if !a.Arrival.Equal(b.Arrival) {
-			return a.Arrival.Before(b.Arrival)
-		}
-		if !a.EventTime.Equal(b.EventTime) {
-			return a.EventTime.Before(b.EventTime)
-		}
-		return a.ID < b.ID
+	slices.SortStableFunc(ts, func(a, b Tuple) int {
+		return cmp.Or(a.Arrival.Compare(b.Arrival), a.EventTime.Compare(b.EventTime),
+			cmp.Compare(a.ID, b.ID), cmp.Compare(a.SubStream, b.SubStream))
 	})
 }
 
