@@ -1,11 +1,11 @@
 # Icewafl build & CI entry points. `make ci` is what the robustness gate
-# runs: formatting, static analysis, the panic lint and the full test
-# suite under the race detector. `make perfgate` is the perf-regression
+# runs: formatting, static analysis, the panic lint, the cross-arch FMA
+# check and the full test suite under the race detector. `make perfgate` is the perf-regression
 # gate (see DESIGN.md §8).
 
 GO ?= go
 
-.PHONY: build test vet fmt lint race racehot integration loadtest loadtest-restart chaos stress benchmod ci cover perfgate fuzz loc clean
+.PHONY: build test vet fmt lint fmacheck race racehot integration loadtest loadtest-restart chaos stress benchmod ci cover perfgate fuzz loc clean
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,12 @@ lint:
 	if [ -n "$$bad" ]; then \
 		echo "lint: unannotated panic() in hot-path packages:"; echo "$$bad"; exit 1; \
 	fi
+
+# Same float bits on every architecture: cross-compiles cmd/icewafl for
+# arm64 and riscv64 and fails on a fused multiply-add in core, rng or
+# config (see the script's header for what is left out).
+fmacheck:
+	@GO=$(GO) bash scripts/fmacheck.sh
 
 race:
 	$(GO) test -race ./...
@@ -95,7 +101,7 @@ stress:
 benchmod:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: fmt vet lint race integration loadtest stress benchmod
+ci: fmt vet lint fmacheck race integration loadtest stress benchmod
 
 # Coverage floor for the engine packages. The threshold is deliberately
 # conservative; raise it as the suites grow.

@@ -135,10 +135,10 @@ func mergeStepLogs(steps []colStep, log *Log, n int) {
 // reason means the plan cannot run polluter-major and the runner must
 // collapse to row-wise execution (reason is diagnostic only). It
 // collapses on exactly four conditions: (a) quarantine; (b) a top-level
-// polluter with neither a kernel nor a shim form; (c) a component inside
-// a shim that is not row-local; (d) one RNG stream reached at two paths
-// of the component walk, whose draws a sweep would interleave
-// differently from tuple-major execution.
+// polluter other than a standard or composite one; (c) a component
+// inside one that is not row-local; (d) one RNG stream reached at two
+// paths of the component walk, whose draws a sweep would interleave
+// differently from tuple-major execution. rowLocal decides (b) and (c).
 func compileColumnarPlan(p *Pipeline, schema *stream.Schema, quarantine bool) (steps []colStep, reason string) {
 	if quarantine {
 		// Quarantine attributes pipeline panics to single rows and rolls
@@ -147,19 +147,14 @@ func compileColumnarPlan(p *Pipeline, schema *stream.Schema, quarantine bool) (s
 		return nil, "quarantine requires per-row fault attribution"
 	}
 	for _, pol := range p.Polluters {
+		if !rowLocal(pol) {
+			return nil, fmt.Sprintf("polluter %q (%T) requires row-wise execution", pol.Name(), pol)
+		}
 		switch v := pol.(type) {
 		case *Standard:
-			ck, ok := compileCond(v.Cond, schema)
-			if !ok {
-				return nil, fmt.Sprintf("condition %T has no kernel", v.Cond)
-			}
-			ek, ok := compileErr(v.Err, v.Attrs, schema)
-			if !ok {
-				return nil, fmt.Sprintf("error function %T has no kernel", v.Err)
-			}
 			steps = append(steps, colStep{
-				cond:    ck,
-				err:     ek,
+				cond:    compileCond(v.Cond, schema),
+				err:     compileErr(v.Err, v.Attrs, schema),
 				name:    v.PolluterName,
 				errKind: v.Err.Kind(),
 				attrs:   v.Attrs,
@@ -167,14 +162,7 @@ func compileColumnarPlan(p *Pipeline, schema *stream.Schema, quarantine bool) (s
 		case *Composite:
 			// A composite dispatches per tuple (mode, choice draws,
 			// sequence of children); it runs as one row-major shim step.
-			if !rowLocal(v, schema) {
-				return nil, fmt.Sprintf("polluter %q contains components that require row-wise execution", v.PolluterName)
-			}
 			steps = append(steps, colStep{shim: v})
-		default:
-			// Observers, keyed polluters, custom polluters: cross-step
-			// coupling and RNG usage cannot be enumerated.
-			return nil, fmt.Sprintf("polluter %T requires row-wise execution", pol)
 		}
 	}
 	seen := make(map[*rng.Stream]string)
@@ -197,27 +185,47 @@ func compileColumnarPlan(p *Pipeline, schema *stream.Schema, quarantine bool) (s
 	return steps, ""
 }
 
-// rowLocal reports whether p can run as a row-major shim step: every
-// condition and error function inside it compiles, so none couples rows
-// across pipeline steps.
-func rowLocal(p Polluter, schema *stream.Schema) bool {
-	switch v := p.(type) {
+// rowLocal is the one predicate for which components a columnar plan can
+// run: c — a polluter, condition or error function — and everything
+// inside it reads and writes only the row it is shown, so a sweep over a
+// selection in ascending row order is the tuple-wise run. Cascade and
+// deviation conditions couple rows across pipeline steps through the log
+// and observer state; observers, keyed polluters and custom components
+// cannot be enumerated. Any of them makes c not row-local.
+func rowLocal(c any) bool {
+	switch v := c.(type) {
 	case *Standard:
-		_, cok := compileCond(v.Cond, schema)
-		_, eok := compileErr(v.Err, v.Attrs, schema)
-		return cok && eok
+		return rowLocal(v.Cond) && rowLocal(v.Err)
 	case *Composite:
-		if _, ok := compileCond(v.Cond, schema); !ok {
-			return false
-		}
-		for _, c := range v.Children {
-			if !rowLocal(c, schema) {
-				return false
-			}
-		}
+		return rowLocal(v.Cond) && allRowLocal(v.Children)
+	case And:
+		return allRowLocal(v)
+	case Or:
+		return allRowLocal(v)
+	case Not:
+		return rowLocal(v.Inner)
+	case *Sticky:
+		return rowLocal(v.Trigger)
+	case *BudgetCondition:
+		return rowLocal(v.Inner)
+	case Chain:
+		return allRowLocal(v)
+	case Always, Never, *Random, Compare, AttrPredicate, TimeInterval, TimeOfDay, *MarkovCondition,
+		*GaussianNoise, *UniformMultNoise, *Outlier, *ScaleByFactor, Offset, RoundPrecision, Clamp,
+		MissingValue, SetConstant, *IncorrectCategory, *StringTypo, SwapAttributes,
+		DelayTuple, DropTuple, TimestampShift, HoldAndRelease, *FrozenValue:
 		return true
 	}
 	return false
+}
+
+func allRowLocal[T any](cs []T) bool {
+	for _, c := range cs {
+		if !rowLocal(c) {
+			return false
+		}
+	}
+	return true
 }
 
 // RunStreamColumnar is Stream's columnar shape: the single-pipeline

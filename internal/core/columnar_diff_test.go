@@ -239,8 +239,9 @@ func assertIdentical(t *testing.T, name string, build func() (*Process, stream.S
 	assertPolluteSpans(t, name+"/tuple-wise", want, 0)
 }
 
-// vectorisedPipeline covers every kernelised condition and error
-// function, with distinct RNG streams so the plan stays polluter-major.
+// vectorisedPipeline covers every row-local built-in condition and error
+// function — the eight vectorised kernels and the shimmed rest — with
+// distinct RNG streams so the plan stays polluter-major.
 func vectorisedPipeline(seed int64) *Pipeline {
 	day1 := time.Date(2021, 6, 1, 6, 0, 0, 0, time.UTC)
 	day2 := time.Date(2021, 6, 2, 0, 0, 0, 0, time.UTC)

@@ -198,7 +198,7 @@ func (e *Outlier) Apply(t *stream.Tuple, attrs []string, tau time.Time) {
 	m := e.Magnitude(tau)
 	neg := e.Rand.Bool()
 	applyNumeric(t, attrs, func(v float64) float64 {
-		spike := m * math.Max(math.Abs(v), 1)
+		spike := float64(m * math.Max(math.Abs(v), 1))
 		if neg {
 			return v - spike
 		}

@@ -11,8 +11,9 @@ import (
 	"icewafl/internal/stream"
 )
 
-// Kernel-vs-scalar equivalence: every compiled kernel must produce the
-// same bytes as the interface method it replaces, on adversarial
+// Kernel-vs-scalar equivalence: whatever compileCond/compileErr return
+// for a row-local built-in — a vectorised kernel or the per-row shim —
+// must produce the same bytes as the interface method, on adversarial
 // column data — denormals, NaN/±Inf, max-length strings, all-null
 // columns and zero timestamps.
 
@@ -64,8 +65,11 @@ func renderBatch(b *stream.ColumnBatch) []string {
 	return out
 }
 
-// TestCondKernelsMatchScalar compiles every kernelised condition and
-// checks its hit set equals row-by-row Eval on the same batch.
+// TestCondKernelsMatchScalar compiles every row-local built-in condition
+// and checks its hit set equals row-by-row Eval on the same batch. The
+// random, compare and time_interval rows pin the vectorised kernels; the
+// shimmed rows pin the shim's RowInto round trip on the adversarial
+// cells (NaN/±Inf, 4 KiB strings, the all-null column).
 func TestCondKernelsMatchScalar(t *testing.T) {
 	s := kernelSchema()
 	day := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
@@ -117,12 +121,12 @@ func TestCondKernelsMatchScalar(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			b := adversarialBatch(s)
-			kern, ok := compileCond(tc.mk(), s)
-			if !ok {
-				t.Fatalf("condition %s did not compile to a kernel", tc.name)
+			c := tc.mk()
+			if !rowLocal(c) {
+				t.Fatalf("condition %s is not row-local", tc.name)
 			}
 			all := stream.Selection(nil).FillAll(b.Len())
-			hits := kern(b, all, nil)
+			hits := compileCond(c, s)(b, all, nil)
 			scalar := tc.mk()
 			taus := b.EventTimes()
 			var want []int32
@@ -138,9 +142,13 @@ func TestCondKernelsMatchScalar(t *testing.T) {
 	}
 }
 
-// TestErrKernelsMatchScalar compiles every kernelised error function
-// and checks the mutated batch equals row-by-row Apply with identical
-// RNG state, including on an all-null column and at full selection.
+// TestErrKernelsMatchScalar compiles every row-local built-in error
+// function and checks the mutated batch equals row-by-row Apply with
+// identical RNG state, including on an all-null column and at full
+// selection. The gaussian_noise, outlier, scale_by_factor, offset and
+// round_precision rows pin the vectorised kernels; the shimmed rows pin
+// the shim's RowInto/SetRow round trip on the adversarial cells
+// (NaN/±Inf, 4 KiB strings, the all-null column).
 func TestErrKernelsMatchScalar(t *testing.T) {
 	s := kernelSchema()
 	cases := []struct {
@@ -199,11 +207,11 @@ func TestErrKernelsMatchScalar(t *testing.T) {
 			sel := sel
 			t.Run(tc.name+"/"+selName, func(t *testing.T) {
 				kb := adversarialBatch(s)
-				kern, ok := compileErr(tc.mk(11), tc.attrs, s)
-				if !ok {
-					t.Fatalf("error function %s did not compile to a kernel", tc.name)
+				e := tc.mk(11)
+				if !rowLocal(e) {
+					t.Fatalf("error function %s is not row-local", tc.name)
 				}
-				kern(kb, stream.Selection(sel))
+				compileErr(e, tc.attrs, s)(kb, stream.Selection(sel))
 
 				sb := adversarialBatch(s)
 				scalar := tc.mk(11)
@@ -227,22 +235,19 @@ func TestErrKernelsMatchScalar(t *testing.T) {
 	}
 }
 
-// TestErrKernelRNGParity pins that draw-ahead consumes exactly the
-// same number of RNG words as the scalar path: after a kernel run and
-// a scalar run from the same seed, the streams must be in lockstep.
+// TestErrKernelRNGParity pins that the outlier kernel's draw-ahead
+// consumes exactly the same number of RNG words as the scalar path:
+// after a kernel run and a scalar run from the same seed, the streams
+// must be in lockstep.
 func TestErrKernelRNGParity(t *testing.T) {
 	s := kernelSchema()
 	mk := func(seed int64) (ErrorFunc, *rng.Stream) {
 		r := rng.Derive(seed, "parity")
-		return &UniformMultNoise{Lo: Const(0.1), Hi: Const(0.9), Rand: r}, r
+		return &Outlier{Magnitude: Const(3), Rand: r}, r
 	}
 	kfn, kr := mk(99)
-	kern, ok := compileErr(kfn, []string{"v"}, s)
-	if !ok {
-		t.Fatal("no kernel")
-	}
 	kb := adversarialBatch(s)
-	kern(kb, stream.Selection(nil).FillAll(kb.Len()))
+	compileErr(kfn, []string{"v"}, s)(kb, stream.Selection(nil).FillAll(kb.Len()))
 
 	sfn, sr := mk(99)
 	sb := adversarialBatch(s)
@@ -256,5 +261,33 @@ func TestErrKernelRNGParity(t *testing.T) {
 	}
 	if kr.Uint64() != sr.Uint64() {
 		t.Fatal("kernel and scalar paths consumed different draw counts")
+	}
+}
+
+// TestCondKernelRNGParity is the same lockstep check for the random
+// condition's draw-ahead, including the probabilities that draw nothing
+// (p = 0, p = 1) and a ramp that crosses both.
+func TestCondKernelRNGParity(t *testing.T) {
+	s := kernelSchema()
+	day := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
+	for name, p := range map[string]Param{
+		"p0":   Const(0),
+		"p1":   Const(1),
+		"half": Const(0.5),
+		"ramp": Linear(day.Add(13*time.Hour), day.Add(15*time.Hour), -0.5, 1.5),
+	} {
+		t.Run(name, func(t *testing.T) {
+			kr, sr := rng.Derive(7, "parity"), rng.Derive(7, "parity")
+			kb := adversarialBatch(s)
+			compileCond(NewRandom(p, kr), s)(kb, stream.Selection(nil).FillAll(kb.Len()), nil)
+
+			scalar := NewRandom(p, sr)
+			for r, tau := range kb.EventTimes() {
+				scalar.Eval(kb.Row(r), tau)
+			}
+			if kr.Uint64() != sr.Uint64() {
+				t.Fatal("kernel and scalar paths consumed different draw counts")
+			}
+		})
 	}
 }

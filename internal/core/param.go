@@ -31,6 +31,10 @@ func Const(v float64) Param {
 // Linear returns a parameter that ramps linearly from v0 at t0 to v1 at
 // t1 and clamps outside the interval. It implements Eq. 3/Eq. 4 of the
 // paper: π(τ) = π_max · hours(τ−τ0) / hours(τn−τ0) when v0 = 0.
+//
+// float64(a*b) + c, here and at every multiply-add of the pollution
+// path, keeps arm64 and riscv64 from fusing it, so their bytes match
+// amd64's (scripts/fmacheck.sh).
 func Linear(t0, t1 time.Time, v0, v1 float64) Param {
 	span := t1.Sub(t0).Seconds()
 	return func(tau time.Time) float64 {
@@ -44,7 +48,7 @@ func Linear(t0, t1 time.Time, v0, v1 float64) Param {
 		if frac > 1 {
 			frac = 1
 		}
-		return v0 + (v1-v0)*frac
+		return v0 + float64((v1-v0)*frac)
 	}
 }
 
@@ -55,7 +59,7 @@ func Linear(t0, t1 time.Time, v0, v1 float64) Param {
 func SinusoidDaily(amp, offset float64) Param {
 	return func(tau time.Time) float64 {
 		h := float64(tau.Hour()) + float64(tau.Minute())/60 + float64(tau.Second())/3600
-		return amp*math.Cos(math.Pi/12*h) + offset
+		return float64(amp*math.Cos(math.Pi/12*h)) + offset
 	}
 }
 

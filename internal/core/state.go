@@ -76,7 +76,7 @@ func (s *StreamState) observeValue(attr string, v float64) {
 	st.count++
 	delta := v - st.mean
 	st.mean += delta / float64(st.count)
-	st.m2 += delta * (v - st.mean)
+	st.m2 += float64(delta * (v - st.mean))
 	if v < st.min {
 		st.min = v
 	}

@@ -21,8 +21,9 @@ import (
 // Adding a component takes three places: its case in internal/config,
 // its case here (or Stateful and Resettable on it — the default cases
 // below pick it up under its parent's path — when it owns no RNG stream
-// and no children), and its kernel or shim case in kernel.go (without
-// one, a pipeline containing it runs row-wise).
+// and no children), and its case in rowLocal (columnar.go) when it is
+// row-local (without one, a pipeline containing it runs row-wise). A
+// vectorised kernel in kernel.go is optional.
 
 // visitor is what one pass does at each thing a component can own.
 type visitor struct {

@@ -172,8 +172,12 @@ func (s *Stream) Bernoulli(p float64) bool {
 }
 
 // Uniform returns a uniform value in [a, b).
+//
+// Here and in Normal, float64(x*y) rounds the product before the
+// addition, so no architecture fuses the two into one multiply-add and
+// every platform draws amd64's bits (scripts/fmacheck.sh checks this).
 func (s *Stream) Uniform(a, b float64) float64 {
-	return a + (b-a)*s.Float64()
+	return a + float64((b-a)*s.Float64())
 }
 
 // Normal returns a normally distributed value with the given mean and
@@ -181,13 +185,13 @@ func (s *Stream) Uniform(a, b float64) float64 {
 func (s *Stream) Normal(mean, stddev float64) float64 {
 	if s.hasSpare {
 		s.hasSpare = false
-		return mean + stddev*s.spare
+		return mean + float64(stddev*s.spare)
 	}
 	var u, v, r float64
 	for {
-		u = 2*s.Float64() - 1
-		v = 2*s.Float64() - 1
-		r = u*u + v*v
+		u = 2*float64(s.Float64()) - 1
+		v = 2*float64(s.Float64()) - 1
+		r = float64(u*u) + float64(v*v)
 		if r > 0 && r < 1 {
 			break
 		}
@@ -195,7 +199,7 @@ func (s *Stream) Normal(mean, stddev float64) float64 {
 	f := math.Sqrt(-2 * math.Log(r) / r)
 	s.spare = v * f
 	s.hasSpare = true
-	return mean + stddev*u*f
+	return mean + float64(stddev*u*f)
 }
 
 // Perm returns a deterministic pseudo-random permutation of [0, n).

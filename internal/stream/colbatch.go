@@ -314,14 +314,8 @@ func (b *ColumnBatch) AppendBatchRows(src *ColumnBatch, from, to int) error {
 // Value returns the cell at (row, col).
 func (b *ColumnBatch) Value(row, col int) Value { return b.cols[col].value(row) }
 
-// SetValue overwrites the cell at (row, col).
-func (b *ColumnBatch) SetValue(row, col int, v Value) { b.cols[col].set(row, v) }
-
 // ID returns the tuple ID of row.
 func (b *ColumnBatch) ID(row int) uint64 { return b.ids[row] }
-
-// EventTime returns τ of row.
-func (b *ColumnBatch) EventTime(row int) time.Time { return b.eventTimes[row] }
 
 // Floats returns the dense float payload of column col together with the
 // per-row kind tags. A cell holds a valid float only where kinds[row] ==
@@ -433,39 +427,6 @@ func (b *ColumnBatch) SetRow(row int, t Tuple) {
 	b.arrivals[row] = t.Arrival
 	b.dropped[row] = t.Dropped
 	b.quarantined[row] = t.Quarantined
-}
-
-// NullBitmap renders column col's NULL cells as a bitmap (bit r set ⇔
-// row r is NULL), reusing dst when it has capacity. Columnar consumers
-// use it to skip NULL runs without touching the kind tags per cell.
-func (b *ColumnBatch) NullBitmap(col int, dst []uint64) []uint64 {
-	words := (b.n + 63) / 64
-	if cap(dst) < words {
-		dst = make([]uint64, words)
-	}
-	dst = dst[:words]
-	for i := range dst {
-		dst[i] = 0
-	}
-	kinds := b.cols[col].kinds
-	for r := 0; r < b.n; r++ {
-		if kinds[r] == KindNull {
-			dst[r/64] |= 1 << (r % 64)
-		}
-	}
-	return dst
-}
-
-// NullCount counts the NULL cells of column col.
-func (b *ColumnBatch) NullCount(col int) int {
-	n := 0
-	kinds := b.cols[col].kinds
-	for r := 0; r < b.n; r++ {
-		if kinds[r] == KindNull {
-			n++
-		}
-	}
-	return n
 }
 
 // Selection is a selection vector: the row indices (ascending) of a

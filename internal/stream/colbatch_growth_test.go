@@ -113,43 +113,6 @@ func TestColumnBatchAppendEmptyRow(t *testing.T) {
 	}
 }
 
-func TestColumnBatchNullBitmapAndCount(t *testing.T) {
-	schema := growthSchema(t)
-	b := NewColumnBatch(schema, 70)
-	for i := 0; i < 70; i++ {
-		v := Value(Float(float64(i)))
-		if i%3 == 0 {
-			v = Null()
-		}
-		tu := NewTuple(schema, []Value{Time(time.Unix(int64(i), 0)), v, Str("s")})
-		if err := b.AppendTuple(tu); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bm := b.NullBitmap(1, nil)
-	if len(bm) != 2 {
-		t.Fatalf("bitmap words = %d, want 2", len(bm))
-	}
-	count := 0
-	for r := 0; r < 70; r++ {
-		set := bm[r/64]&(1<<(r%64)) != 0
-		if set {
-			count++
-		}
-		if set != (r%3 == 0) {
-			t.Fatalf("bit %d = %v, want %v", r, set, r%3 == 0)
-		}
-	}
-	if got := b.NullCount(1); got != count {
-		t.Fatalf("NullCount = %d, bitmap count = %d", got, count)
-	}
-	// Reuse path keeps the same backing array.
-	bm2 := b.NullBitmap(1, bm)
-	if &bm2[0] != &bm[0] {
-		t.Fatal("NullBitmap reallocated despite sufficient capacity")
-	}
-}
-
 func TestSelectionFillAll(t *testing.T) {
 	var sel Selection
 	sel = sel.FillAll(5)

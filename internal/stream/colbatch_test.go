@@ -91,7 +91,9 @@ func TestColumnBatchResetReuse(t *testing.T) {
 	}
 }
 
-func TestColumnBatchSetValueMixedKinds(t *testing.T) {
+// SetRow writes a cell of a different kind than the column's schema
+// kind (a shimmed error function may store a string or NULL anywhere).
+func TestColumnBatchSetRowMixedKinds(t *testing.T) {
 	schema, tuples := colBatchStream(2)
 	b := NewColumnBatch(schema, 2)
 	for _, tp := range tuples {
@@ -99,8 +101,11 @@ func TestColumnBatchSetValueMixedKinds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b.SetValue(0, 1, Str("polluted"))
-	b.SetValue(1, 1, Null())
+	for row, v := range []Value{Str("polluted"), Null()} {
+		tp := b.Row(row)
+		tp.SetAt(1, v)
+		b.SetRow(row, tp)
+	}
 	if s, _ := b.Value(0, 1).AsString(); s != "polluted" {
 		t.Fatalf("cell (0,1) = %v", b.Value(0, 1))
 	}
