@@ -122,14 +122,15 @@ perfgate:
 	bash scripts/perfgate.sh
 
 # Short fuzz pass over every fuzz target (value parsing, the quarantine
-# of malformed tuples, the metrics, WAL and frame codecs, and the log
-# entry renderer against encoding/json). Extend
-# FUZZTIME for deeper runs.
+# of malformed tuples, the CSV writer against encoding/csv, the metrics,
+# WAL and frame codecs, and the log entry renderer against
+# encoding/json). Extend FUZZTIME for deeper runs.
 FUZZTIME ?= 15s
 
 fuzz:
 	$(GO) test ./internal/stream/ -run '^$$' -fuzz FuzzParseValue -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/csvio/ -run '^$$' -fuzz FuzzQuarantine -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/csvio/ -run '^$$' -fuzz FuzzWriterMatchesEncodingCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzPrometheusExposition -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzMetricsJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dq/ -run '^$$' -fuzz FuzzSuiteJSON -fuzztime $(FUZZTIME)

@@ -431,3 +431,26 @@ func TestKeyedPolluterCheckpointRebuildsInstances(t *testing.T) {
 		t.Errorf("restored keys = %v, want 3 keys", restored.Keys())
 	}
 }
+
+// TestCheckpointValueTimeRoundTrip pins that a time cell survives the
+// checkpoint's value codec as the same instant, whatever its zone, over
+// the years RFC 3339 can write.
+func TestCheckpointValueTimeRoundTrip(t *testing.T) {
+	zones := []*time.Location{time.UTC, time.FixedZone("", 8*3600), time.FixedZone("", -(3*3600 + 1800)), time.Local}
+	times := []time.Time{
+		{},
+		time.Date(1500, 7, 14, 9, 30, 15, 250, time.UTC),
+		time.Unix(-1, 999_999_999),
+		time.Date(2300, 3, 1, 12, 0, 0, 0, time.UTC),
+		time.Date(9999, 12, 31, 23, 59, 59, 999_999_999, time.UTC),
+	}
+	for _, loc := range zones {
+		for _, ts := range times {
+			v := stream.Time(ts.In(loc))
+			back, err := decodeValue(encodeValue(v))
+			if err != nil || !back.Equal(v) {
+				t.Errorf("%v: decodeValue(encodeValue) = %v, %v", ts.In(loc), back, err)
+			}
+		}
+	}
+}

@@ -5,9 +5,13 @@
 package csvio
 
 import (
+	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
+	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"icewafl/internal/stream"
 )
@@ -24,6 +28,7 @@ type Reader struct {
 func NewReader(r io.Reader, schema *stream.Schema) (*Reader, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = schema.Len()
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("csvio: read header: %w", err)
@@ -74,17 +79,21 @@ func (r *Reader) Next() (stream.Tuple, error) {
 	return stream.NewTuple(r.schema, values), nil
 }
 
-// Writer is a stream.Sink encoding tuples as CSV rows.
+// Writer is a stream.Sink encoding tuples as CSV rows, byte for byte as
+// encoding/csv.Writer writes the cells' String renderings. Each row is
+// rendered into one reused buffer, so a steady-state Write allocates
+// nothing.
 type Writer struct {
 	schema *stream.Schema
-	csv    *csv.Writer
+	w      *bufio.Writer
+	row    []byte
 	wrote  bool
 }
 
 // NewWriter wraps w. The header row is written lazily with the first
 // tuple (or at Close for empty streams).
 func NewWriter(w io.Writer, schema *stream.Schema) *Writer {
-	return &Writer{schema: schema, csv: csv.NewWriter(w)}
+	return &Writer{schema: schema, w: bufio.NewWriter(w)}
 }
 
 func (w *Writer) writeHeader() error {
@@ -92,7 +101,52 @@ func (w *Writer) writeHeader() error {
 		return nil
 	}
 	w.wrote = true
-	return w.csv.Write(w.schema.Names())
+	b := w.row[:0]
+	for i, name := range w.schema.Names() {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendField(b, name)
+	}
+	return w.endRow(b)
+}
+
+// endRow terminates the rendered row b and writes it to the buffer.
+func (w *Writer) endRow(b []byte) error {
+	w.row = append(b, '\n')
+	_, err := w.w.Write(w.row)
+	return err
+}
+
+// needsQuotes is encoding/csv's rule: an empty field never needs quotes,
+// `\.` always does, and so does a field holding a quote, comma, CR or LF
+// or starting with a space.
+func needsQuotes(s string) bool {
+	if s == "" {
+		return false
+	}
+	r, _ := utf8.DecodeRuneInString(s)
+	return s == `\.` || strings.ContainsAny(s, "\",\r\n") || unicode.IsSpace(r)
+}
+
+// appendField appends s as one CSV field, quoted when needsQuotes says
+// so, with quotes doubled and CR and LF written verbatim.
+func appendField(b []byte, s string) []byte {
+	if !needsQuotes(s) {
+		return append(b, s...)
+	}
+	b = append(b, '"')
+	for {
+		i := strings.IndexByte(s, '"')
+		if i < 0 {
+			break
+		}
+		b = append(b, s[:i+1]...)
+		b = append(b, '"')
+		s = s[i+1:]
+	}
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // OmitHeader marks the header as already written. Checkpoint resume uses
@@ -104,23 +158,31 @@ func (w *Writer) OmitHeader() { w.wrote = true }
 // calls it before recording a file offset so the offset reflects every
 // row written so far.
 func (w *Writer) Flush() error {
-	w.csv.Flush()
-	if err := w.csv.Error(); err != nil {
+	if err := w.w.Flush(); err != nil {
 		return fmt.Errorf("csvio: flush: %w", err)
 	}
 	return nil
 }
 
-// Write implements stream.Sink.
+// Write implements stream.Sink. Only a string cell can need quotes: no
+// other kind's rendering holds a quote, comma, CR, LF or leading space.
 func (w *Writer) Write(t stream.Tuple) error {
 	if err := w.writeHeader(); err != nil {
 		return fmt.Errorf("csvio: write header: %w", err)
 	}
-	rec := make([]string, t.Len())
+	b := w.row[:0]
 	for i := 0; i < t.Len(); i++ {
-		rec[i] = t.At(i).String()
+		if i > 0 {
+			b = append(b, ',')
+		}
+		v := t.At(i)
+		if s, ok := v.AsString(); ok {
+			b = appendField(b, s)
+		} else {
+			b = v.AppendString(b)
+		}
 	}
-	if err := w.csv.Write(rec); err != nil {
+	if err := w.endRow(b); err != nil {
 		return fmt.Errorf("csvio: write row: %w", err)
 	}
 	return nil
@@ -131,11 +193,7 @@ func (w *Writer) Close() error {
 	if err := w.writeHeader(); err != nil {
 		return err
 	}
-	w.csv.Flush()
-	if err := w.csv.Error(); err != nil {
-		return fmt.Errorf("csvio: flush: %w", err)
-	}
-	return nil
+	return w.Flush()
 }
 
 // WriteAll writes tuples to w as CSV in one call.

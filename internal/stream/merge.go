@@ -126,11 +126,17 @@ func (m *KWayMerge) Next() (Tuple, error) {
 // given capacity, the streaming analogue of allowed lateness: a tuple may
 // be displaced at most capacity-1 positions from its sorted location.
 // This lets delayed-tuple pollution flow through unbounded pipelines.
+//
+// The window is buf[head:], sorted by (Arrival, ID). buf's backing array
+// holds 2×capacity tuples and is allocated once: popping advances head
+// and zeroes the slot, and an insert into a full array first slides the
+// window back to the front.
 type BoundedReorder struct {
-	src Source
-	buf []Tuple
-	cap int
-	eof bool
+	src  Source
+	buf  []Tuple
+	head int
+	cap  int
+	eof  bool
 }
 
 // NewBoundedReorder wraps src with a reordering window of capacity tuples.
@@ -138,7 +144,7 @@ func NewBoundedReorder(src Source, capacity int) *BoundedReorder {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &BoundedReorder{src: src, cap: capacity}
+	return &BoundedReorder{src: src, buf: make([]Tuple, 0, 2*capacity), cap: capacity}
 }
 
 // Schema implements Source.
@@ -146,7 +152,7 @@ func (r *BoundedReorder) Schema() *Schema { return r.src.Schema() }
 
 // Next implements Source.
 func (r *BoundedReorder) Next() (Tuple, error) {
-	for !r.eof && len(r.buf) < r.cap {
+	for !r.eof && len(r.buf)-r.head < r.cap {
 		t, err := r.src.Next()
 		if err == io.EOF {
 			r.eof = true
@@ -157,17 +163,24 @@ func (r *BoundedReorder) Next() (Tuple, error) {
 		}
 		r.insert(t)
 	}
-	if len(r.buf) == 0 {
+	if r.head == len(r.buf) {
 		return Tuple{}, io.EOF
 	}
-	out := r.buf[0]
-	r.buf = r.buf[1:]
+	out := r.buf[r.head]
+	r.buf[r.head] = Tuple{}
+	r.head++
 	return out, nil
 }
 
 func (r *BoundedReorder) insert(t Tuple) {
-	i := sort.Search(len(r.buf), func(i int) bool {
-		b := r.buf[i]
+	if len(r.buf) == cap(r.buf) {
+		n := copy(r.buf, r.buf[r.head:])
+		clear(r.buf[n:])
+		r.buf, r.head = r.buf[:n], 0
+	}
+	win := r.buf[r.head:]
+	i := r.head + sort.Search(len(win), func(i int) bool {
+		b := win[i]
 		if !b.Arrival.Equal(t.Arrival) {
 			return b.Arrival.After(t.Arrival)
 		}

@@ -1,15 +1,21 @@
 // Package stream implements the data-stream substrate Icewafl runs on.
 //
 // The original system is built on Apache Flink; this package provides the
-// subset of that machinery the pollution process needs: typed tuples with
-// schemas and event time, pull-based sources, sinks, functional operators
-// (map/filter/flatmap), stream splitting and merging, micro-batching, and
-// a small execution engine with optional parallelism.
+// subset of that machinery the pollution process needs: typed values and
+// tuples over a schema with event and arrival time, pull-based sources and
+// sinks, sub-stream splitting (Algorithm 1, step 1), the sort, k-way and
+// bounded-reorder merges (step 3), the columnar ColumnBatch, the SPSC
+// queue the sharded engine hands tuples through, event-time windows, the
+// per-tuple fault layer (TupleError, quarantine, retry, fault-injecting
+// sources) and source/sink metrics.
 package stream
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -66,47 +72,91 @@ func ParseKind(s string) (Kind, error) {
 
 // Value is a dynamically typed attribute value. The zero value is NULL.
 // Values are small and immutable; copy them freely.
+//
+// A Value is 32 bytes: one payload word x, the string payload s, and a
+// meta word whose low 8 bits hold the Kind. x carries a float's IEEE
+// bits (−0 and NaN payloads survive), an int's two's complement, a
+// bool's 0/1, or a time's seconds since January 1, year 1 UTC — the
+// epoch time.Time counts from, so every time.Time round-trips and
+// int64(x) orders times. A time's meta word also holds its nanoseconds
+// and its UTC offset in seconds, biased to be unsigned. A time keeps
+// its instant and offset, so Zone's offset, Hour and every rendering are
+// unchanged; it loses the Location's name and any monotonic clock
+// reading, and comes back in UTC or in a cached unnamed fixed zone. An
+// offset beyond ±2^25 s (no real zone has one) is stored as UTC.
 type Value struct {
-	kind Kind
-	f    float64
-	i    int64
+	x    uint64
 	s    string
-	b    bool
-	t    time.Time
+	meta uint64
 }
+
+// Layout of the meta word: the kind in the low byte, then a time's
+// nanoseconds and biased offset.
+const (
+	kindMask      = 1<<8 - 1
+	nsecShift     = 8
+	nsecMask      = 1<<30 - 1
+	offShift      = nsecShift + 30
+	offBias       = 1 << (63 - offShift)
+	unixToYearOne = 62135596800 // seconds from January 1, year 1 to the Unix epoch
+)
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
 
 // Float returns a float value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{x: math.Float64bits(v), meta: uint64(KindFloat)} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{x: uint64(v), meta: uint64(KindInt)} }
 
 // String returns a string value.
-func Str(v string) Value { return Value{kind: KindString, s: v} }
+func Str(v string) Value { return Value{s: v, meta: uint64(KindString)} }
 
 // Bool returns a boolean value.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{x: 1, meta: uint64(KindBool)}
+	}
+	return Value{meta: uint64(KindBool)}
+}
 
 // Time returns a timestamp value.
-func Time(v time.Time) Value { return Value{kind: KindTime, t: v} }
+func Time(v time.Time) Value {
+	_, off := v.Zone()
+	if off < -offBias || off >= offBias {
+		v, off = v.UTC(), 0
+	}
+	return Value{
+		x:    uint64(v.Unix() + unixToYearOne),
+		meta: uint64(KindTime) | uint64(v.Nanosecond())<<nsecShift | uint64(off+offBias)<<offShift,
+	}
+}
 
 // Kind reports the value's type.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind { return Kind(v.meta & kindMask) }
 
 // IsNull reports whether the value is NULL.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.Kind() == KindNull }
+
+func (v Value) float() float64 { return math.Float64frombits(v.x) }
+
+func (v Value) nsec() int64 { return int64(v.meta >> nsecShift & nsecMask) }
+
+// utc is a time value's instant in UTC.
+func (v Value) utc() time.Time { return time.Unix(int64(v.x)-unixToYearOne, v.nsec()).UTC() }
+
+// fixedZones caches one unnamed *time.Location per non-zero UTC offset.
+var fixedZones sync.Map // int → *time.Location
 
 // AsFloat returns the value as float64. Integers are widened; all other
 // kinds report ok=false.
 func (v Value) AsFloat() (float64, bool) {
-	switch v.kind {
+	switch v.Kind() {
 	case KindFloat:
-		return v.f, true
+		return v.float(), true
 	case KindInt:
-		return float64(v.i), true
+		return float64(int64(v.x)), true
 	}
 	return 0, false
 }
@@ -114,18 +164,18 @@ func (v Value) AsFloat() (float64, bool) {
 // AsInt returns the value as int64. Floats are truncated; all other kinds
 // report ok=false.
 func (v Value) AsInt() (int64, bool) {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt:
-		return v.i, true
+		return int64(v.x), true
 	case KindFloat:
-		return int64(v.f), true
+		return int64(v.float()), true
 	}
 	return 0, false
 }
 
 // AsString returns the string payload of a string value.
 func (v Value) AsString() (string, bool) {
-	if v.kind == KindString {
+	if v.Kind() == KindString {
 		return v.s, true
 	}
 	return "", false
@@ -133,8 +183,8 @@ func (v Value) AsString() (string, bool) {
 
 // AsBool returns the boolean payload of a bool value.
 func (v Value) AsBool() (bool, bool) {
-	if v.kind == KindBool {
-		return v.b, true
+	if v.Kind() == KindBool {
+		return v.x != 0, true
 	}
 	return false, false
 }
@@ -143,11 +193,20 @@ func (v Value) AsBool() (bool, bool) {
 // interpreted as Unix seconds, mirroring how streaming systems commonly
 // encode event timestamps.
 func (v Value) AsTime() (time.Time, bool) {
-	switch v.kind {
+	switch v.Kind() {
 	case KindTime:
-		return v.t, true
+		t := v.utc()
+		off := int(v.meta>>offShift) - offBias
+		if off == 0 {
+			return t, true
+		}
+		loc, ok := fixedZones.Load(off)
+		if !ok {
+			loc, _ = fixedZones.LoadOrStore(off, time.FixedZone("", off))
+		}
+		return t.In(loc.(*time.Location)), true
 	case KindInt:
-		return time.Unix(v.i, 0).UTC(), true
+		return time.Unix(int64(v.x), 0).UTC(), true
 	}
 	return time.Time{}, false
 }
@@ -173,22 +232,20 @@ func (v Value) MustTime() time.Time {
 
 // Equal reports deep equality of two values (kind and payload).
 func (v Value) Equal(o Value) bool {
-	if v.kind != o.kind {
+	if v.Kind() != o.Kind() {
 		return false
 	}
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return true
 	case KindFloat:
-		return v.f == o.f
-	case KindInt:
-		return v.i == o.i
+		return v.float() == o.float()
+	case KindInt, KindBool:
+		return v.x == o.x
 	case KindString:
 		return v.s == o.s
-	case KindBool:
-		return v.b == o.b
 	case KindTime:
-		return v.t.Equal(o.t)
+		return v.x == o.x && v.nsec() == o.nsec()
 	}
 	return false
 }
@@ -197,11 +254,11 @@ func (v Value) Equal(o Value) bool {
 // -1, 0, or +1 and ok=false if the kinds are not mutually comparable.
 // NULL sorts before everything else.
 func (v Value) Compare(o Value) (int, bool) {
-	if v.kind == KindNull || o.kind == KindNull {
+	if v.IsNull() || o.IsNull() {
 		switch {
-		case v.kind == o.kind:
+		case v.Kind() == o.Kind():
 			return 0, true
-		case v.kind == KindNull:
+		case v.IsNull():
 			return -1, true
 		default:
 			return 1, true
@@ -219,34 +276,16 @@ func (v Value) Compare(o Value) (int, bool) {
 		}
 		return 0, false
 	}
-	if v.kind != o.kind {
+	if v.Kind() != o.Kind() {
 		return 0, false
 	}
-	switch v.kind {
+	switch v.Kind() {
 	case KindString:
-		switch {
-		case v.s < o.s:
-			return -1, true
-		case v.s > o.s:
-			return 1, true
-		}
-		return 0, true
+		return cmp.Compare(v.s, o.s), true
 	case KindBool:
-		switch {
-		case !v.b && o.b:
-			return -1, true
-		case v.b && !o.b:
-			return 1, true
-		}
-		return 0, true
+		return cmp.Compare(v.x, o.x), true
 	case KindTime:
-		switch {
-		case v.t.Before(o.t):
-			return -1, true
-		case v.t.After(o.t):
-			return 1, true
-		}
-		return 0, true
+		return cmp.Or(cmp.Compare(int64(v.x), int64(o.x)), cmp.Compare(v.nsec(), o.nsec())), true
 	}
 	return 0, false
 }
@@ -254,35 +293,35 @@ func (v Value) Compare(o Value) (int, bool) {
 // String renders the value for logs and CSV output. NULL renders as the
 // empty string so that polluted missing values round-trip through CSV.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return ""
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.x), 10)
 	case KindString:
 		return v.s
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.x != 0)
 	case KindTime:
-		return v.t.UTC().Format(time.RFC3339)
+		return v.utc().Format(time.RFC3339)
 	}
-	return fmt.Sprintf("Value(kind=%d)", int(v.kind))
+	return fmt.Sprintf("Value(kind=%d)", int(v.Kind()))
 }
 
 // AppendString appends exactly the bytes of String to dst, without the
 // intermediate string.
 func (v Value) AppendString(dst []byte) []byte {
-	switch v.kind {
+	switch v.Kind() {
 	case KindFloat:
-		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.float(), 'g', -1, 64)
 	case KindInt:
-		return strconv.AppendInt(dst, v.i, 10)
+		return strconv.AppendInt(dst, int64(v.x), 10)
 	case KindBool:
-		return strconv.AppendBool(dst, v.b)
+		return strconv.AppendBool(dst, v.x != 0)
 	case KindTime:
-		return v.t.UTC().AppendFormat(dst, time.RFC3339)
+		return v.utc().AppendFormat(dst, time.RFC3339)
 	}
 	return append(dst, v.String()...)
 }

@@ -1,9 +1,13 @@
 package stream
 
 import (
+	"math"
+	"strconv"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestValueKinds(t *testing.T) {
@@ -189,4 +193,141 @@ func TestKindString(t *testing.T) {
 	if KindFloat.String() != "float" || KindNull.String() != "null" {
 		t.Error("Kind.String mismatch")
 	}
+}
+
+func TestValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n > 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want <= 32", n)
+	}
+}
+
+// roundTripTimes spans time.Time's range: the zero time, years 1 to 9999
+// and beyond, sub-second nanoseconds, negative Unix seconds, both ends of
+// the int64 Unix second counter, and a time below it.
+func roundTripTimes() []time.Time {
+	return []time.Time{
+		{},
+		time.Date(1, 1, 1, 0, 0, 0, 1, time.UTC),
+		time.Date(1500, 7, 14, 9, 30, 15, 250, time.UTC),
+		time.Date(1969, 12, 31, 23, 59, 59, 500_000_000, time.UTC),
+		time.Unix(-1, 999_999_999),
+		time.Date(2016, 2, 27, 13, 30, 0, 123_456_789, time.UTC),
+		time.Date(2300, 3, 1, 12, 0, 0, 0, time.UTC),
+		time.Date(9999, 12, 31, 23, 59, 59, 999_999_999, time.UTC),
+		time.Unix(math.MinInt64, 0),
+		time.Unix(math.MinInt64, 0).Add(-time.Hour),
+		time.Unix(math.MaxInt64-unixToYearOne, 999_999_999),
+		time.Now(),
+	}
+}
+
+func TestValueTimeRoundTrip(t *testing.T) {
+	zones := []*time.Location{time.UTC, time.FixedZone("", 8*3600), time.FixedZone("", -(3*3600 + 1800)), time.Local}
+	var all []time.Time
+	for _, loc := range zones {
+		for _, ts := range roundTripTimes() {
+			all = append(all, ts.In(loc))
+		}
+	}
+	for _, want := range all {
+		v := Time(want)
+		got, ok := v.AsTime()
+		if !ok || !got.Equal(want) {
+			t.Errorf("Time(%v).AsTime() = %v, %v", want, got, ok)
+			continue
+		}
+		_, wantOff := want.Zone()
+		if _, off := got.Zone(); off != wantOff || got.Hour() != want.Hour() {
+			t.Errorf("Time(%v): offset %d hour %d, want %d and %d", want, off, got.Hour(), wantOff, want.Hour())
+		}
+		if s := want.UTC().Format(time.RFC3339); v.String() != s || string(v.AppendString(nil)) != s {
+			t.Errorf("Time(%v) renders %q / %q, want %q", want, v.String(), v.AppendString(nil), s)
+		}
+		for _, other := range all {
+			if c, ok := v.Compare(Time(other)); !ok || c != want.Compare(other) {
+				t.Errorf("Time(%v).Compare(Time(%v)) = %d, %v, want %d", want, other, c, ok, want.Compare(other))
+			}
+			if v.Equal(Time(other)) != want.Equal(other) {
+				t.Errorf("Time(%v).Equal(Time(%v)) != time.Time.Equal", want, other)
+			}
+		}
+	}
+}
+
+func TestValueFloatBits(t *testing.T) {
+	nanPayload := math.Float64frombits(0x7ff8_0000_0000_0001)
+	for _, f := range []float64{math.Copysign(0, -1), math.NaN(), nanPayload, math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, math.Float64frombits(0x000f_ffff_ffff_ffff), math.MaxFloat64} {
+		v := Float(f)
+		got, ok := v.AsFloat()
+		if !ok || math.Float64bits(got) != math.Float64bits(f) {
+			t.Errorf("Float(%x).AsFloat() = %x", math.Float64bits(f), math.Float64bits(got))
+		}
+		if v.Equal(v) != (f == f) {
+			t.Errorf("Float(%v).Equal(itself) = %v", f, v.Equal(v))
+		}
+		if s := strconv.FormatFloat(f, 'g', -1, 64); v.String() != s {
+			t.Errorf("Float(%v).String() = %q, want %q", f, v.String(), s)
+		}
+	}
+	if !Float(math.Copysign(0, -1)).Equal(Float(0)) {
+		t.Error("-0 does not Equal +0")
+	}
+}
+
+func TestValueIntRange(t *testing.T) {
+	lo, hi := Int(math.MinInt64), Int(math.MaxInt64)
+	if i, _ := lo.AsInt(); i != math.MinInt64 {
+		t.Errorf("MinInt64 came back as %d", i)
+	}
+	if i, _ := hi.AsInt(); i != math.MaxInt64 {
+		t.Errorf("MaxInt64 came back as %d", i)
+	}
+	if c, ok := lo.Compare(hi); !ok || c != -1 {
+		t.Errorf("MinInt64.Compare(MaxInt64) = %d, %v", c, ok)
+	}
+	if lo.String() != "-9223372036854775808" || hi.String() != "9223372036854775807" {
+		t.Errorf("renders %q and %q", lo, hi)
+	}
+	if ts, _ := hi.AsTime(); ts.Unix() != math.MaxInt64 {
+		t.Errorf("MaxInt64 as Unix seconds = %d", ts.Unix())
+	}
+}
+
+func TestValueAsTimeAllocFree(t *testing.T) {
+	v := Time(time.Date(2020, 1, 1, 0, 0, 0, 0, time.FixedZone("", 3600)))
+	v.AsTime()
+	if n := testing.AllocsPerRun(100, func() { v.AsTime() }); n != 0 {
+		t.Fatalf("AsTime of a cached fixed zone allocates %v times", n)
+	}
+}
+
+func TestValueTimeOffsetOutOfRangeIsUTC(t *testing.T) {
+	want := time.Date(2020, 1, 1, 0, 0, 0, 0, time.FixedZone("", 1<<26))
+	got := Time(want).MustTime()
+	if _, off := got.Zone(); !got.Equal(want) || off != 0 {
+		t.Fatalf("Time(%v) came back as %v", want, got)
+	}
+}
+
+// TestValueAsTimeConcurrent has goroutines fill and read the fixed-zone
+// cache at once; run it under -race.
+func TestValueAsTimeConcurrent(t *testing.T) {
+	base := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 200 {
+				off := (i%7 - 3) * 1800 * (g + 1)
+				got := Time(base.In(time.FixedZone("", off))).MustTime()
+				if _, o := got.Zone(); o != off || !got.Equal(base) {
+					t.Errorf("offset %d came back as %v", off, got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
