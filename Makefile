@@ -33,9 +33,10 @@ lint:
 		echo "lint: unannotated panic() in hot-path packages:"; echo "$$bad"; exit 1; \
 	fi
 
-# Same float bits on every architecture: cross-compiles cmd/icewafl for
-# arm64 and riscv64 and fails on a fused multiply-add in core, rng or
-# config (see the script's header for what is left out).
+# Same float bits on every architecture: cross-compiles cmd/icewafl and
+# cmd/gendata for arm64 and riscv64 and fails on a fused multiply-add in
+# core, rng, config or dataset (see the script's header for what is left
+# out).
 fmacheck:
 	@GO=$(GO) bash scripts/fmacheck.sh
 
@@ -123,8 +124,9 @@ perfgate:
 
 # Short fuzz pass over every fuzz target (value parsing, the quarantine
 # of malformed tuples, the CSV writer against encoding/csv, the metrics,
-# WAL and frame codecs, and the log entry renderer against
-# encoding/json). Extend FUZZTIME for deeper runs.
+# WAL and frame codecs, the log entry renderer against encoding/json,
+# and generated pollution documents through every execution shape).
+# Extend FUZZTIME for deeper runs.
 FUZZTIME ?= 15s
 
 fuzz:
@@ -140,6 +142,7 @@ fuzz:
 	$(GO) test ./internal/netstream/ -run '^$$' -fuzz FuzzColumnarTornFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netstream/ -run '^$$' -fuzz FuzzFrameCodec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzEntryJSON -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/config/ -run '^$$' -fuzz FuzzShapeEquivalence -fuzztime $(FUZZTIME)
 
 # Non-test Go lines outside bench/, per package and in total: the size
 # figure ROADMAP quotes and simplicity PRs are held to. The last line is

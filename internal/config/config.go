@@ -172,17 +172,11 @@ func (s *ServeSpec) Normalize() (ServeSpec, error) {
 		out.Listen = s.Listen
 	}
 	out.HTTP = s.HTTP
-	if s.Buffer != 0 {
-		if s.Buffer < 1 {
-			return out, fmt.Errorf("config: serve.buffer must be positive, got %d", s.Buffer)
-		}
-		out.Buffer = s.Buffer
-	}
-	if s.Replay != 0 {
-		if s.Replay < 1 {
-			return out, fmt.Errorf("config: serve.replay must be positive, got %d", s.Replay)
-		}
-		out.Replay = s.Replay
+	var err error
+	positive(&err, "buffer", s.Buffer, &out.Buffer)
+	positive(&err, "replay", s.Replay, &out.Replay)
+	if err != nil {
+		return out, err
 	}
 	if s.Policy != "" {
 		switch s.Policy {
@@ -192,58 +186,19 @@ func (s *ServeSpec) Normalize() (ServeSpec, error) {
 			return out, fmt.Errorf("config: serve.policy %q (want block, drop-oldest or disconnect-slow)", s.Policy)
 		}
 	}
-	if s.Reorder != 0 {
-		if s.Reorder < 1 {
-			return out, fmt.Errorf("config: serve.reorder must be positive, got %d", s.Reorder)
-		}
-		out.Reorder = s.Reorder
-	}
-	if s.Shards != 0 {
-		if s.Shards < 1 {
-			return out, fmt.Errorf("config: serve.shards must be positive, got %d", s.Shards)
-		}
-		out.Shards = s.Shards
-	}
+	positive(&err, "reorder", s.Reorder, &out.Reorder)
+	positive(&err, "shards", s.Shards, &out.Shards)
 	out.ShardKey = s.ShardKey
 	out.Columnar = s.Columnar
-	if s.ColumnarBatch != 0 {
-		if s.ColumnarBatch < 1 {
-			return out, fmt.Errorf("config: serve.columnar_batch must be positive, got %d", s.ColumnarBatch)
-		}
-		out.ColumnarBatch = s.ColumnarBatch
-	}
-	if s.DrainTimeout != "" {
-		d, err := time.ParseDuration(s.DrainTimeout)
-		if err != nil || d <= 0 {
-			return out, fmt.Errorf("config: serve.drain_timeout %q is not a positive duration", s.DrainTimeout)
-		}
-		out.DrainTimeout = s.DrainTimeout
-	}
+	positive(&err, "columnar_batch", s.ColumnarBatch, &out.ColumnarBatch)
+	positiveDuration(&err, "drain_timeout", s.DrainTimeout, &out.DrainTimeout)
 	out.WALDir = s.WALDir
-	if s.WALSegmentBytes != 0 {
-		if s.WALSegmentBytes < 1 {
-			return out, fmt.Errorf("config: serve.wal_segment_bytes must be positive, got %d", s.WALSegmentBytes)
-		}
-		out.WALSegmentBytes = s.WALSegmentBytes
-	}
-	if s.WALRetainBytes != 0 {
-		if s.WALRetainBytes < 1 {
-			return out, fmt.Errorf("config: serve.wal_retain_bytes must be positive, got %d", s.WALRetainBytes)
-		}
-		out.WALRetainBytes = s.WALRetainBytes
-	}
-	if s.WALRetainAge != "" {
-		d, err := time.ParseDuration(s.WALRetainAge)
-		if err != nil || d <= 0 {
-			return out, fmt.Errorf("config: serve.wal_retain_age %q is not a positive duration", s.WALRetainAge)
-		}
-		out.WALRetainAge = s.WALRetainAge
-	}
-	if s.WALFsyncEvery != 0 {
-		if s.WALFsyncEvery < 1 {
-			return out, fmt.Errorf("config: serve.wal_fsync_every must be positive, got %d", s.WALFsyncEvery)
-		}
-		out.WALFsyncEvery = s.WALFsyncEvery
+	positive(&err, "wal_segment_bytes", s.WALSegmentBytes, &out.WALSegmentBytes)
+	positive(&err, "wal_retain_bytes", s.WALRetainBytes, &out.WALRetainBytes)
+	positiveDuration(&err, "wal_retain_age", s.WALRetainAge, &out.WALRetainAge)
+	positive(&err, "wal_fsync_every", s.WALFsyncEvery, &out.WALFsyncEvery)
+	if err != nil {
+		return out, err
 	}
 	out.Checkpoint = s.Checkpoint
 	if out.Checkpoint != "" && out.WALDir == "" {
@@ -257,32 +212,13 @@ func (s *ServeSpec) Normalize() (ServeSpec, error) {
 	if err := shape.Validate(nil); err != nil {
 		return out, fmt.Errorf("config: serve: %w", err)
 	}
-	if s.CheckpointEvery != 0 {
-		if s.CheckpointEvery < 1 {
-			return out, fmt.Errorf("config: serve.checkpoint_every must be positive, got %d", s.CheckpointEvery)
-		}
-		out.CheckpointEvery = s.CheckpointEvery
-	}
+	positive(&err, "checkpoint_every", s.CheckpointEvery, &out.CheckpointEvery)
 	out.Supervise = s.Supervise
-	if s.RestartBudget != 0 {
-		if s.RestartBudget < 1 {
-			return out, fmt.Errorf("config: serve.restart_budget must be positive, got %d", s.RestartBudget)
-		}
-		out.RestartBudget = s.RestartBudget
-	}
-	if s.RestartWindow != "" {
-		d, err := time.ParseDuration(s.RestartWindow)
-		if err != nil || d <= 0 {
-			return out, fmt.Errorf("config: serve.restart_window %q is not a positive duration", s.RestartWindow)
-		}
-		out.RestartWindow = s.RestartWindow
-	}
-	if s.RestartBackoff != "" {
-		d, err := time.ParseDuration(s.RestartBackoff)
-		if err != nil || d <= 0 {
-			return out, fmt.Errorf("config: serve.restart_backoff %q is not a positive duration", s.RestartBackoff)
-		}
-		out.RestartBackoff = s.RestartBackoff
+	positive(&err, "restart_budget", s.RestartBudget, &out.RestartBudget)
+	positiveDuration(&err, "restart_window", s.RestartWindow, &out.RestartWindow)
+	positiveDuration(&err, "restart_backoff", s.RestartBackoff, &out.RestartBackoff)
+	if err != nil {
+		return out, err
 	}
 	seen := make(map[string]bool, len(s.Tenants))
 	for i, t := range s.Tenants {
@@ -307,6 +243,30 @@ func (s *ServeSpec) Normalize() (ServeSpec, error) {
 	out.StateDir = s.StateDir
 	out.ArchiveDeleted = s.ArchiveDeleted
 	return out, nil
+}
+
+// positive copies a set count of the serve block into *out; once *err is
+// set, it does nothing.
+func positive[T int | int64](err *error, name string, v T, out *T) {
+	switch {
+	case *err != nil || v == 0:
+	case v < 1:
+		*err = fmt.Errorf("config: serve.%s must be positive, got %d", name, v)
+	default:
+		*out = v
+	}
+}
+
+// positiveDuration is positive for a Go duration string.
+func positiveDuration(err *error, name, v string, out *string) {
+	if *err != nil || v == "" {
+		return
+	}
+	if d, perr := time.ParseDuration(v); perr != nil || d <= 0 {
+		*err = fmt.Errorf("config: serve.%s %q is not a positive duration", name, v)
+		return
+	}
+	*out = v
 }
 
 // FaultPolicySpec is the JSON form of the fault-tolerance knobs: how a
@@ -385,13 +345,15 @@ type PipelineSpec struct {
 	Polluters []PolluterSpec `json:"polluters"`
 }
 
-// PolluterSpec describes a standard or composite polluter.
+// PolluterSpec describes a standard, composite or keyed polluter.
 type PolluterSpec struct {
 	Name string `json:"name"`
-	// Type is "standard" (default) or "composite".
-	Type      string         `json:"type,omitempty"`
-	Condition *ConditionSpec `json:"condition,omitempty"`
-	Error     *ErrorSpec     `json:"error,omitempty"`
+	// Type is "standard" (default), "composite" or "keyed".
+	Type string `json:"type,omitempty"`
+	// Condition and Error are objects of core's component table: a "type"
+	// naming a condition or an error function, and the keys it takes.
+	Condition core.Bag       `json:"condition,omitempty"`
+	Error     core.Bag       `json:"error,omitempty"`
 	Attrs     []string       `json:"attrs,omitempty"`
 	Mode      string         `json:"mode,omitempty"` // composite: sequence|choice|weighted
 	Weights   []float64      `json:"weights,omitempty"`
@@ -401,107 +363,6 @@ type PolluterSpec struct {
 	// randomness.
 	KeyAttr  string        `json:"key_attr,omitempty"`
 	Template *PolluterSpec `json:"template,omitempty"`
-}
-
-// ConditionSpec describes a condition tree.
-type ConditionSpec struct {
-	Type string `json:"type"`
-
-	// random
-	P      *float64   `json:"p,omitempty"`
-	PParam *ParamSpec `json:"p_param,omitempty"`
-
-	// compare
-	Attr  string          `json:"attr,omitempty"`
-	Op    string          `json:"op,omitempty"`
-	Value json.RawMessage `json:"value,omitempty"`
-
-	// time_interval
-	From string `json:"from,omitempty"`
-	To   string `json:"to,omitempty"`
-
-	// time_of_day
-	FromHour int `json:"from_hour,omitempty"`
-	ToHour   int `json:"to_hour,omitempty"`
-
-	// and / or / not; not/sticky/budget use Child as the inner condition
-	Children []ConditionSpec `json:"children,omitempty"`
-	Child    *ConditionSpec  `json:"child,omitempty"`
-
-	// sticky
-	Hold string `json:"hold,omitempty"`
-
-	// markov (Gilbert-Elliott burst chain)
-	PEnter float64 `json:"p_enter,omitempty"`
-	PExit  float64 `json:"p_exit,omitempty"`
-
-	// budget
-	Budget int    `json:"budget,omitempty"`
-	Window string `json:"window,omitempty"`
-}
-
-// ParamSpec describes a scalar or time-varying parameter.
-type ParamSpec struct {
-	// Const is used when the parameter appears as a bare number.
-	Const *float64 `json:"const,omitempty"`
-	Type  string   `json:"type,omitempty"` // linear | sinusoid_daily | pattern
-	// linear
-	From string  `json:"from,omitempty"`
-	To   string  `json:"to,omitempty"`
-	V0   float64 `json:"v0,omitempty"`
-	V1   float64 `json:"v1,omitempty"`
-	// sinusoid_daily
-	Amp    float64 `json:"amp,omitempty"`
-	Offset float64 `json:"offset,omitempty"`
-	// pattern
-	Pattern *PatternSpec `json:"pattern,omitempty"`
-	Max     float64      `json:"max,omitempty"`
-}
-
-// UnmarshalJSON accepts either a bare number or a parameter object.
-func (p *ParamSpec) UnmarshalJSON(data []byte) error {
-	var num float64
-	if err := json.Unmarshal(data, &num); err == nil {
-		p.Const = &num
-		return nil
-	}
-	type alias ParamSpec
-	var a alias
-	if err := json.Unmarshal(data, &a); err != nil {
-		return err
-	}
-	*p = ParamSpec(a)
-	return nil
-}
-
-// PatternSpec describes a change pattern.
-type PatternSpec struct {
-	Type       string `json:"type"` // abrupt | incremental | intermediate
-	At         string `json:"at,omitempty"`
-	From       string `json:"from,omitempty"`
-	To         string `json:"to,omitempty"`
-	Triangular bool   `json:"triangular,omitempty"`
-}
-
-// ErrorSpec describes an error function.
-type ErrorSpec struct {
-	Type string `json:"type"`
-
-	Stddev     *ParamSpec      `json:"stddev,omitempty"`
-	Lo         *ParamSpec      `json:"lo,omitempty"`
-	Hi         *ParamSpec      `json:"hi,omitempty"`
-	Factor     *ParamSpec      `json:"factor,omitempty"`
-	Delta      *ParamSpec      `json:"delta,omitempty"`
-	Magnitude  *ParamSpec      `json:"magnitude,omitempty"`
-	Value      json.RawMessage `json:"value,omitempty"`
-	Categories []string        `json:"categories,omitempty"`
-	Digits     int             `json:"digits,omitempty"`
-	ClampLo    float64         `json:"clamp_lo,omitempty"`
-	ClampHi    float64         `json:"clamp_hi,omitempty"`
-	Delay      string          `json:"delay,omitempty"`
-	Offset     string          `json:"offset,omitempty"`
-	ReleaseAt  string          `json:"release_at,omitempty"`
-	Errors     []ErrorSpec     `json:"errors,omitempty"` // chain
 }
 
 // Parse decodes a JSON configuration document.
@@ -569,9 +430,12 @@ func buildPolluter(spec PolluterSpec, seed int64, path string) (core.Polluter, e
 	if spec.Name == "" {
 		return nil, fmt.Errorf("config: polluter at %s has no name", path)
 	}
-	cond, err := buildCondition(spec.Condition, seed, path+"/cond")
-	if err != nil {
-		return nil, err
+	var cond core.Condition = core.Always{}
+	if spec.Condition != nil {
+		var err error
+		if cond, err = component[core.Condition](core.RoleCondition, spec.Condition, seed, path+"/cond"); err != nil {
+			return nil, err
+		}
 	}
 	switch spec.Type {
 	case "", "standard":
@@ -581,7 +445,7 @@ func buildPolluter(spec PolluterSpec, seed int64, path string) (core.Polluter, e
 		if len(spec.Children) > 0 {
 			return nil, fmt.Errorf("config: standard polluter %q cannot have children", path)
 		}
-		errFn, err := buildError(*spec.Error, seed, path+"/error")
+		errFn, err := component[core.ErrorFunc](core.RoleError, spec.Error, seed, path+"/error")
 		if err != nil {
 			return nil, err
 		}
@@ -652,338 +516,13 @@ func buildPolluter(spec PolluterSpec, seed int64, path string) (core.Polluter, e
 	return nil, fmt.Errorf("config: polluter %q has unknown type %q", path, spec.Type)
 }
 
-func buildCondition(spec *ConditionSpec, seed int64, path string) (core.Condition, error) {
-	if spec == nil {
-		return core.Always{}, nil
-	}
-	switch spec.Type {
-	case "always":
-		return core.Always{}, nil
-	case "never":
-		return core.Never{}, nil
-	case "random":
-		var p core.Param
-		switch {
-		case spec.PParam != nil:
-			var err error
-			p, err = buildParam(spec.PParam, path+"/p")
-			if err != nil {
-				return nil, err
-			}
-		case spec.P != nil:
-			if !(*spec.P >= 0 && *spec.P <= 1) {
-				return nil, fmt.Errorf("config: random at %s: p %g outside [0, 1]", path, *spec.P)
-			}
-			p = core.Const(*spec.P)
-		default:
-			return nil, fmt.Errorf("config: random condition at %s needs p or p_param", path)
-		}
-		return core.NewRandom(p, rng.Derive(seed, path)), nil
-	case "compare":
-		if spec.Attr == "" {
-			return nil, fmt.Errorf("config: compare condition at %s needs attr", path)
-		}
-		v, err := parseValueJSON(spec.Value)
-		if err != nil {
-			return nil, fmt.Errorf("config: compare at %s: %w", path, err)
-		}
-		op := core.ValueOp(spec.Op)
-		switch op {
-		case core.OpEq, core.OpNe, core.OpLt, core.OpLe, core.OpGt, core.OpGe:
-		default:
-			return nil, fmt.Errorf("config: compare at %s has unknown op %q", path, spec.Op)
-		}
-		return core.Compare{Attr: spec.Attr, Op: op, Value: v}, nil
-	case "time_interval":
-		from, err := parseTime(spec.From)
-		if err != nil {
-			return nil, fmt.Errorf("config: time_interval at %s: %w", path, err)
-		}
-		to, err := parseTime(spec.To)
-		if err != nil {
-			return nil, fmt.Errorf("config: time_interval at %s: %w", path, err)
-		}
-		return core.TimeInterval{From: from, To: to}, nil
-	case "time_of_day":
-		switch {
-		case spec.FromHour < 0 || spec.FromHour > 23:
-			return nil, fmt.Errorf("config: time_of_day at %s: from_hour %d outside 0-23", path, spec.FromHour)
-		case spec.ToHour < 0 || spec.ToHour > 24:
-			return nil, fmt.Errorf("config: time_of_day at %s: to_hour %d outside 0-24", path, spec.ToHour)
-		case spec.FromHour == spec.ToHour:
-			return nil, fmt.Errorf("config: time_of_day at %s: from_hour == to_hour (%d) never fires", path, spec.FromHour)
-		}
-		return core.TimeOfDay{FromHour: spec.FromHour, ToHour: spec.ToHour}, nil
-	case "and", "or":
-		var children []core.Condition
-		for i := range spec.Children {
-			c, err := buildCondition(&spec.Children[i], seed, fmt.Sprintf("%s/%d", path, i))
-			if err != nil {
-				return nil, err
-			}
-			children = append(children, c)
-		}
-		if spec.Type == "and" {
-			return core.And(children), nil
-		}
-		return core.Or(children), nil
-	case "not":
-		if spec.Child == nil {
-			return nil, fmt.Errorf("config: not condition at %s needs a child", path)
-		}
-		inner, err := buildCondition(spec.Child, seed, path+"/not")
-		if err != nil {
-			return nil, err
-		}
-		return core.Not{Inner: inner}, nil
-	case "sticky":
-		if spec.Child == nil {
-			return nil, fmt.Errorf("config: sticky condition at %s needs a child trigger", path)
-		}
-		hold, err := time.ParseDuration(spec.Hold)
-		if err != nil {
-			return nil, fmt.Errorf("config: sticky at %s: bad hold: %w", path, err)
-		}
-		trigger, err := buildCondition(spec.Child, seed, path+"/sticky")
-		if err != nil {
-			return nil, err
-		}
-		return core.NewSticky(trigger, hold), nil
-	case "markov":
-		if spec.PEnter <= 0 || spec.PEnter > 1 || spec.PExit <= 0 || spec.PExit > 1 {
-			return nil, fmt.Errorf("config: markov at %s needs p_enter and p_exit in (0, 1]", path)
-		}
-		return core.NewMarkovCondition(spec.PEnter, spec.PExit, rng.Derive(seed, path)), nil
-	case "budget":
-		if spec.Child == nil {
-			return nil, fmt.Errorf("config: budget condition at %s needs a child", path)
-		}
-		if spec.Budget < 1 {
-			return nil, fmt.Errorf("config: budget at %s needs budget >= 1", path)
-		}
-		window, err := time.ParseDuration(spec.Window)
-		if err != nil {
-			return nil, fmt.Errorf("config: budget at %s: bad window: %w", path, err)
-		}
-		inner, err := buildCondition(spec.Child, seed, path+"/budget")
-		if err != nil {
-			return nil, err
-		}
-		return core.NewBudgetCondition(inner, spec.Budget, window), nil
-	}
-	return nil, fmt.Errorf("config: unknown condition type %q at %s", spec.Type, path)
-}
-
-func buildParam(spec *ParamSpec, path string) (core.Param, error) {
-	if spec == nil {
-		return nil, fmt.Errorf("config: missing parameter at %s", path)
-	}
-	if spec.Const != nil {
-		return core.Const(*spec.Const), nil
-	}
-	switch spec.Type {
-	case "linear":
-		from, err := parseTime(spec.From)
-		if err != nil {
-			return nil, fmt.Errorf("config: linear param at %s: %w", path, err)
-		}
-		to, err := parseTime(spec.To)
-		if err != nil {
-			return nil, fmt.Errorf("config: linear param at %s: %w", path, err)
-		}
-		return core.Linear(from, to, spec.V0, spec.V1), nil
-	case "sinusoid_daily":
-		return core.SinusoidDaily(spec.Amp, spec.Offset), nil
-	case "pattern":
-		if spec.Pattern == nil {
-			return nil, fmt.Errorf("config: pattern param at %s needs a pattern", path)
-		}
-		pat, err := buildPattern(spec.Pattern, path)
-		if err != nil {
-			return nil, err
-		}
-		max := spec.Max
-		if max == 0 {
-			max = 1
-		}
-		return core.Scaled(pat, max), nil
-	}
-	return nil, fmt.Errorf("config: unknown param type %q at %s", spec.Type, path)
-}
-
-func buildPattern(spec *PatternSpec, path string) (core.Pattern, error) {
-	switch spec.Type {
-	case "abrupt":
-		at, err := parseTime(spec.At)
-		if err != nil {
-			return nil, fmt.Errorf("config: abrupt pattern at %s: %w", path, err)
-		}
-		return core.AbruptPattern{At: at}, nil
-	case "incremental":
-		from, err := parseTime(spec.From)
-		if err != nil {
-			return nil, fmt.Errorf("config: incremental pattern at %s: %w", path, err)
-		}
-		to, err := parseTime(spec.To)
-		if err != nil {
-			return nil, fmt.Errorf("config: incremental pattern at %s: %w", path, err)
-		}
-		return core.IncrementalPattern{From: from, To: to}, nil
-	case "intermediate":
-		from, err := parseTime(spec.From)
-		if err != nil {
-			return nil, fmt.Errorf("config: intermediate pattern at %s: %w", path, err)
-		}
-		to, err := parseTime(spec.To)
-		if err != nil {
-			return nil, fmt.Errorf("config: intermediate pattern at %s: %w", path, err)
-		}
-		return core.IntermediatePattern{From: from, To: to, Triangular: spec.Triangular}, nil
-	}
-	return nil, fmt.Errorf("config: unknown pattern type %q at %s", spec.Type, path)
-}
-
-func buildError(spec ErrorSpec, seed int64, path string) (core.ErrorFunc, error) {
-	required := func(p *ParamSpec, name string) (core.Param, error) {
-		if p == nil {
-			return nil, fmt.Errorf("config: error at %s requires %s", path, name)
-		}
-		return buildParam(p, path+"/"+name)
-	}
-	switch spec.Type {
-	case "gaussian_noise":
-		sd, err := required(spec.Stddev, "stddev")
-		if err != nil {
-			return nil, err
-		}
-		return &core.GaussianNoise{Stddev: sd, Rand: rng.Derive(seed, path)}, nil
-	case "uniform_mult_noise":
-		lo, err := required(spec.Lo, "lo")
-		if err != nil {
-			return nil, err
-		}
-		hi, err := required(spec.Hi, "hi")
-		if err != nil {
-			return nil, err
-		}
-		return &core.UniformMultNoise{Lo: lo, Hi: hi, Rand: rng.Derive(seed, path)}, nil
-	case "scale_by_factor":
-		f, err := required(spec.Factor, "factor")
-		if err != nil {
-			return nil, err
-		}
-		return &core.ScaleByFactor{Factor: f}, nil
-	case "missing_value":
-		return core.MissingValue{}, nil
-	case "set_constant":
-		v, err := parseValueJSON(spec.Value)
-		if err != nil {
-			return nil, fmt.Errorf("config: set_constant at %s: %w", path, err)
-		}
-		return core.SetConstant{Value: v}, nil
-	case "incorrect_category":
-		if len(spec.Categories) == 0 {
-			return nil, fmt.Errorf("config: incorrect_category at %s needs categories", path)
-		}
-		return &core.IncorrectCategory{Categories: spec.Categories, Rand: rng.Derive(seed, path)}, nil
-	case "round_precision":
-		return core.RoundPrecision{Digits: spec.Digits}, nil
-	case "outlier":
-		m, err := required(spec.Magnitude, "magnitude")
-		if err != nil {
-			return nil, err
-		}
-		return &core.Outlier{Magnitude: m, Rand: rng.Derive(seed, path)}, nil
-	case "string_typo":
-		return &core.StringTypo{Rand: rng.Derive(seed, path)}, nil
-	case "swap_attributes":
-		return core.SwapAttributes{}, nil
-	case "offset":
-		d, err := required(spec.Delta, "delta")
-		if err != nil {
-			return nil, err
-		}
-		return core.Offset{Delta: d}, nil
-	case "clamp":
-		if spec.ClampLo > spec.ClampHi {
-			return nil, fmt.Errorf("config: clamp at %s: clamp_lo %g > clamp_hi %g", path, spec.ClampLo, spec.ClampHi)
-		}
-		return core.Clamp{Lo: spec.ClampLo, Hi: spec.ClampHi}, nil
-	case "delayed_tuple":
-		d, err := time.ParseDuration(spec.Delay)
-		if err != nil {
-			return nil, fmt.Errorf("config: delayed_tuple at %s: %w", path, err)
-		}
-		return core.DelayTuple{Delay: d}, nil
-	case "frozen_value":
-		return core.NewFrozenValue(), nil
-	case "timestamp_shift":
-		d, err := time.ParseDuration(spec.Offset)
-		if err != nil {
-			return nil, fmt.Errorf("config: timestamp_shift at %s: %w", path, err)
-		}
-		return core.TimestampShift{Offset: d}, nil
-	case "dropped_tuple":
-		return core.DropTuple{}, nil
-	case "hold_and_release":
-		at, err := parseTime(spec.ReleaseAt)
-		if err != nil {
-			return nil, fmt.Errorf("config: hold_and_release at %s: %w", path, err)
-		}
-		return core.HoldAndRelease{ReleaseAt: at}, nil
-	case "chain":
-		if len(spec.Errors) == 0 {
-			return nil, fmt.Errorf("config: chain at %s needs errors", path)
-		}
-		var chain core.Chain
-		for i, sub := range spec.Errors {
-			e, err := buildError(sub, seed, fmt.Sprintf("%s/%d", path, i))
-			if err != nil {
-				return nil, err
-			}
-			chain = append(chain, e)
-		}
-		return chain, nil
-	}
-	return nil, fmt.Errorf("config: unknown error type %q at %s", spec.Type, path)
-}
-
-// parseValueJSON maps a raw JSON scalar onto a stream.Value: numbers to
-// float, strings to string (or time when RFC3339), booleans to bool, and
-// null to NULL.
-func parseValueJSON(raw json.RawMessage) (stream.Value, error) {
-	if len(raw) == 0 {
-		return stream.Null(), fmt.Errorf("missing value")
-	}
-	var v interface{}
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return stream.Null(), err
-	}
-	switch x := v.(type) {
-	case nil:
-		return stream.Null(), nil
-	case float64:
-		return stream.Float(x), nil
-	case bool:
-		return stream.Bool(x), nil
-	case string:
-		if t, err := time.Parse(time.RFC3339, x); err == nil {
-			return stream.Time(t), nil
-		}
-		return stream.Str(x), nil
-	}
-	return stream.Null(), fmt.Errorf("unsupported JSON value %s", string(raw))
-}
-
-// parseTime parses an RFC3339 timestamp; the empty string maps to the
-// zero time (unbounded interval edge).
-func parseTime(s string) (time.Time, error) {
-	if s == "" {
-		return time.Time{}, nil
-	}
-	t, err := time.Parse(time.RFC3339, s)
+// component builds a condition or an error function through core's
+// component table.
+func component[T any](role core.Role, b core.Bag, seed int64, path string) (T, error) {
+	c, err := core.Build(role, b, seed, path)
 	if err != nil {
-		return time.Time{}, fmt.Errorf("bad timestamp %q: %w", s, err)
+		var zero T
+		return zero, fmt.Errorf("config: %w", err)
 	}
-	return t, nil
+	return c.(T), nil
 }

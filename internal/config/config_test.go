@@ -361,6 +361,22 @@ func TestConfigRejectsSilentlyWrongParams(t *testing.T) {
 			"config: weighted at pipeline[0]/0:p: all weights are zero"},
 		{"clamp bounds inverted", clamp("5", "1"),
 			"config: clamp at pipeline[0]/0:p/error: clamp_lo 5 > clamp_hi 1"},
+		{"zero hold", cond(`{"type": "sticky", "hold": "0s", "child": {"type": "always"}}`),
+			"config: sticky at pipeline[0]/0:p/cond: hold 0s outside (0s, ∞)"},
+		{"negative hold", cond(`{"type": "sticky", "hold": "-1h", "child": {"type": "always"}}`),
+			"config: sticky at pipeline[0]/0:p/cond: hold -1h0m0s outside (0s, ∞)"},
+		{"zero budget window", cond(`{"type": "budget", "budget": 2, "window": "0s", "child": {"type": "always"}}`),
+			"config: budget at pipeline[0]/0:p/cond: window 0s outside (0s, ∞)"},
+		{"negative delay", polluter(`"error": {"type": "delayed_tuple", "delay": "-1h"}`),
+			"config: delayed_tuple at pipeline[0]/0:p/error: delay -1h0m0s outside [0s, ∞)"},
+		{"and without children", cond(`{"type": "and", "children": []}`),
+			"config: and at pipeline[0]/0:p/cond: children is empty"},
+		{"or without children", cond(`{"type": "or"}`),
+			"config: or at pipeline[0]/0:p/cond: needs children"},
+		{"key its type does not take", cond(`{"type": "compare", "attr": "v", "op": ">", "value": 1, "p": 0.5}`),
+			`config: compare at pipeline[0]/0:p/cond: unknown key "p"`},
+		{"key inside a child", cond(`{"type": "not", "child": {"type": "always", "hold": "1h"}}`),
+			`config: always at pipeline[0]/0:p/cond/not: unknown key "hold"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Load(strings.NewReader(tc.doc))
@@ -376,6 +392,10 @@ func TestConfigRejectsSilentlyWrongParams(t *testing.T) {
 		cond(`{"type": "random", "p": 1}`),
 		weighted(`[0, 2]`),
 		clamp("3", "3"),
+		polluter(`"error": {"type": "timestamp_shift", "offset": "-30m"}`),
+		cond(`{"type": "sticky", "hold": "1ns", "child": {"type": "always"}}`),
+		cond(`{"type": "budget", "budget": 1, "window": "1ns", "child": {"type": "always"}}`),
+		polluter(`"error": {"type": "delayed_tuple", "delay": "0s"}`),
 	} {
 		if _, err := Load(strings.NewReader(doc)); err != nil {
 			t.Errorf("edge of a valid range rejected: %v\n%s", err, doc)
@@ -392,31 +412,6 @@ func TestConfigRejectsSilentlyWrongParams(t *testing.T) {
 		if _, err := Build(doc); err == nil || !strings.Contains(err.Error(), "not a finite non-negative number") {
 			t.Errorf("weight %g: Build = %v", w, err)
 		}
-	}
-}
-
-func TestValueJSONMapping(t *testing.T) {
-	cases := []struct {
-		raw  string
-		want stream.Value
-	}{
-		{`1.5`, stream.Float(1.5)},
-		{`true`, stream.Bool(true)},
-		{`"text"`, stream.Str("text")},
-		{`"2020-01-01T00:00:00Z"`, stream.Time(time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC))},
-		{`null`, stream.Null()},
-	}
-	for _, c := range cases {
-		got, err := parseValueJSON([]byte(c.raw))
-		if err != nil || !got.Equal(c.want) {
-			t.Errorf("parseValueJSON(%s) = %v, %v", c.raw, got, err)
-		}
-	}
-	if _, err := parseValueJSON(nil); err == nil {
-		t.Error("missing value accepted")
-	}
-	if _, err := parseValueJSON([]byte(`[1,2]`)); err == nil {
-		t.Error("array value accepted")
 	}
 }
 

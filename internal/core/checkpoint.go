@@ -208,64 +208,39 @@ func RestorePipeline(p *Pipeline, st PipelineState) error {
 // Stateful implementations for the built-in components
 // ---------------------------------------------------------------------
 
+// The run state of the sticky, Markov, budget and cascade conditions and
+// of StreamState is one struct each, stored in the checkpoint as is.
+
 type stickyState struct {
 	Active bool      `json:"active"`
 	Until  time.Time `json:"until"`
 }
 
 // SnapshotState implements Stateful.
-func (c *Sticky) SnapshotState() (json.RawMessage, error) {
-	return json.Marshal(stickyState{Active: c.active, Until: c.activeUntil})
-}
+func (c *Sticky) SnapshotState() (json.RawMessage, error) { return json.Marshal(c.run) }
 
 // RestoreState implements Stateful.
-func (c *Sticky) RestoreState(raw json.RawMessage) error {
-	var s stickyState
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return err
-	}
-	c.active = s.Active
-	c.activeUntil = s.Until
-	return nil
-}
+func (c *Sticky) RestoreState(raw json.RawMessage) error { return json.Unmarshal(raw, &c.run) }
 
 type markovState struct {
 	Bad bool `json:"bad"`
 }
 
 // SnapshotState implements Stateful.
-func (c *MarkovCondition) SnapshotState() (json.RawMessage, error) {
-	return json.Marshal(markovState{Bad: c.bad})
-}
+func (c *MarkovCondition) SnapshotState() (json.RawMessage, error) { return json.Marshal(c.run) }
 
 // RestoreState implements Stateful.
-func (c *MarkovCondition) RestoreState(raw json.RawMessage) error {
-	var s markovState
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return err
-	}
-	c.bad = s.Bad
-	return nil
-}
+func (c *MarkovCondition) RestoreState(raw json.RawMessage) error { return json.Unmarshal(raw, &c.run) }
 
 type budgetState struct {
 	Firings []time.Time `json:"firings"`
 }
 
 // SnapshotState implements Stateful.
-func (c *BudgetCondition) SnapshotState() (json.RawMessage, error) {
-	return json.Marshal(budgetState{Firings: c.firings})
-}
+func (c *BudgetCondition) SnapshotState() (json.RawMessage, error) { return json.Marshal(c.run) }
 
 // RestoreState implements Stateful.
-func (c *BudgetCondition) RestoreState(raw json.RawMessage) error {
-	var s budgetState
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return err
-	}
-	c.firings = s.Firings
-	return nil
-}
+func (c *BudgetCondition) RestoreState(raw json.RawMessage) error { return json.Unmarshal(raw, &c.run) }
 
 type cascadeState struct {
 	PrevID  uint64 `json:"prev_id"`
@@ -273,19 +248,11 @@ type cascadeState struct {
 }
 
 // SnapshotState implements Stateful.
-func (c *CascadeCondition) SnapshotState() (json.RawMessage, error) {
-	return json.Marshal(cascadeState{PrevID: c.prevID, HasPrev: c.hasPrev})
-}
+func (c *CascadeCondition) SnapshotState() (json.RawMessage, error) { return json.Marshal(c.run) }
 
 // RestoreState implements Stateful.
 func (c *CascadeCondition) RestoreState(raw json.RawMessage) error {
-	var s cascadeState
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return err
-	}
-	c.prevID = s.PrevID
-	c.hasPrev = s.HasPrev
-	return nil
+	return json.Unmarshal(raw, &c.run)
 }
 
 // valueState serialises a stream.Value losslessly (RFC3339Nano for
@@ -356,58 +323,13 @@ func (e *FrozenValue) RestoreState(raw json.RawMessage) error {
 	return nil
 }
 
-type attrStateJSON struct {
-	Count  int       `json:"count"`
-	Mean   float64   `json:"mean"`
-	M2     float64   `json:"m2"`
-	Min    float64   `json:"min"`
-	Max    float64   `json:"max"`
-	Recent []float64 `json:"recent,omitempty"`
-	Pos    int       `json:"pos,omitempty"`
-	Filled bool      `json:"filled,omitempty"`
-}
-
-type streamStateJSON struct {
-	Window    int                      `json:"window"`
-	Tuples    int                      `json:"tuples"`
-	LastEvent time.Time                `json:"last_event"`
-	Attrs     map[string]attrStateJSON `json:"attrs"`
-}
-
 // SnapshotState implements Stateful.
-func (s *StreamState) SnapshotState() (json.RawMessage, error) {
-	out := streamStateJSON{
-		Window:    s.window,
-		Tuples:    s.tuples,
-		LastEvent: s.lastEvent,
-		Attrs:     make(map[string]attrStateJSON, len(s.attrs)),
-	}
-	for name, st := range s.attrs {
-		out.Attrs[name] = attrStateJSON{
-			Count: st.count, Mean: st.mean, M2: st.m2, Min: st.min, Max: st.max,
-			Recent: append([]float64(nil), st.recent...), Pos: st.pos, Filled: st.filled,
-		}
-	}
-	return json.Marshal(out)
-}
+func (s *StreamState) SnapshotState() (json.RawMessage, error) { return json.Marshal(s.run) }
 
 // RestoreState implements Stateful.
 func (s *StreamState) RestoreState(raw json.RawMessage) error {
-	var in streamStateJSON
-	if err := json.Unmarshal(raw, &in); err != nil {
-		return err
-	}
-	s.window = in.Window
-	s.tuples = in.Tuples
-	s.lastEvent = in.LastEvent
-	s.attrs = make(map[string]*attrState, len(in.Attrs))
-	for name, st := range in.Attrs {
-		s.attrs[name] = &attrState{
-			count: st.Count, mean: st.Mean, m2: st.M2, min: st.Min, max: st.Max,
-			recent: append([]float64(nil), st.Recent...), pos: st.Pos, filled: st.Filled,
-		}
-	}
-	return nil
+	s.run = streamState{}
+	return json.Unmarshal(raw, &s.run)
 }
 
 // ---------------------------------------------------------------------

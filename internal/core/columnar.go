@@ -22,11 +22,13 @@ import (
 // The compiler is conservative: whenever a pipeline component's
 // semantics could observe the execution order difference between
 // tuple-major and polluter-major traversal (an RNG stream reached from
-// two places, cross-step state like cascade/deviation conditions,
-// quarantine fault attribution, or unknown custom types), the whole
-// plan collapses to row-wise execution over the batch — still batched
-// ingest and emission, but per-row pollution through the row step every
-// tuple-wise runner uses. Collapse changes performance, never output.
+// two places, a component whose table entry is not row-local — such as
+// the cascade and deviation conditions, which couple rows through the
+// log and observer state — or one the table does not know, or
+// quarantine fault attribution), the whole plan collapses to row-wise
+// execution over the batch — still batched ingest and emission, but
+// per-row pollution through the row step every tuple-wise runner uses.
+// Collapse changes performance, never output.
 //
 // Span tracing follows the execution shape: the vectorised path emits
 // one batch-granular obs.StagePollute span per kernel invocation —
@@ -134,11 +136,13 @@ func mergeStepLogs(steps []colStep, log *Log, n int) {
 // compileColumnarPlan compiles p into vectorised steps. A non-empty
 // reason means the plan cannot run polluter-major and the runner must
 // collapse to row-wise execution (reason is diagnostic only). It
-// collapses on exactly four conditions: (a) quarantine; (b) a top-level
-// polluter other than a standard or composite one; (c) a component
-// inside one that is not row-local; (d) one RNG stream reached at two
+// collapses on exactly three conditions: (a) quarantine; (b) a component
+// anywhere in the pipeline whose table entry is not row-local, or that
+// has none (observers, keyed polluters, cascade and deviation
+// conditions, custom components); (c) one RNG stream reached at two
 // paths of the component walk, whose draws a sweep would interleave
-// differently from tuple-major execution. rowLocal decides (b) and (c).
+// differently from tuple-major execution. One walk decides (b) and (c),
+// so every top-level polluter left is a standard or a composite one.
 func compileColumnarPlan(p *Pipeline, schema *stream.Schema, quarantine bool) (steps []colStep, reason string) {
 	if quarantine {
 		// Quarantine attributes pipeline panics to single rows and rolls
@@ -146,10 +150,26 @@ func compileColumnarPlan(p *Pipeline, schema *stream.Schema, quarantine bool) (s
 		// that.
 		return nil, "quarantine requires per-row fault attribution"
 	}
+	seen := make(map[*rng.Stream]string)
+	err := walkPipeline(p, visitor{
+		node: func(path string, c any, e *Component) error {
+			if e == nil || !e.RowLocal {
+				return fmt.Errorf("%T at %s requires row-wise execution", c, path)
+			}
+			return nil
+		},
+		rand: func(path string, r *rng.Stream) error {
+			if prev, dup := seen[r]; dup {
+				return fmt.Errorf("rng stream shared by %s and %s", prev, path)
+			}
+			seen[r] = path
+			return nil
+		},
+	})
+	if err != nil {
+		return nil, err.Error()
+	}
 	for _, pol := range p.Polluters {
-		if !rowLocal(pol) {
-			return nil, fmt.Sprintf("polluter %q (%T) requires row-wise execution", pol.Name(), pol)
-		}
 		switch v := pol.(type) {
 		case *Standard:
 			steps = append(steps, colStep{
@@ -165,67 +185,7 @@ func compileColumnarPlan(p *Pipeline, schema *stream.Schema, quarantine bool) (s
 			steps = append(steps, colStep{shim: v})
 		}
 	}
-	seen := make(map[*rng.Stream]string)
-	err := walkPipeline(p, visitor{
-		rand: func(path string, r *rng.Stream) error {
-			if prev, dup := seen[r]; dup {
-				return fmt.Errorf("rng stream shared by %s and %s", prev, path)
-			}
-			seen[r] = path
-			return nil
-		},
-		state: func(string, Stateful, Resettable) error { return nil },
-		keyed: func(path string, _ *KeyedPolluter) ([]string, error) {
-			return nil, fmt.Errorf("keyed polluter at %s", path) // rejected above
-		},
-	})
-	if err != nil {
-		return nil, err.Error()
-	}
 	return steps, ""
-}
-
-// rowLocal is the one predicate for which components a columnar plan can
-// run: c — a polluter, condition or error function — and everything
-// inside it reads and writes only the row it is shown, so a sweep over a
-// selection in ascending row order is the tuple-wise run. Cascade and
-// deviation conditions couple rows across pipeline steps through the log
-// and observer state; observers, keyed polluters and custom components
-// cannot be enumerated. Any of them makes c not row-local.
-func rowLocal(c any) bool {
-	switch v := c.(type) {
-	case *Standard:
-		return rowLocal(v.Cond) && rowLocal(v.Err)
-	case *Composite:
-		return rowLocal(v.Cond) && allRowLocal(v.Children)
-	case And:
-		return allRowLocal(v)
-	case Or:
-		return allRowLocal(v)
-	case Not:
-		return rowLocal(v.Inner)
-	case *Sticky:
-		return rowLocal(v.Trigger)
-	case *BudgetCondition:
-		return rowLocal(v.Inner)
-	case Chain:
-		return allRowLocal(v)
-	case Always, Never, *Random, Compare, AttrPredicate, TimeInterval, TimeOfDay, *MarkovCondition,
-		*GaussianNoise, *UniformMultNoise, *Outlier, *ScaleByFactor, Offset, RoundPrecision, Clamp,
-		MissingValue, SetConstant, *IncorrectCategory, *StringTypo, SwapAttributes,
-		DelayTuple, DropTuple, TimestampShift, HoldAndRelease, *FrozenValue:
-		return true
-	}
-	return false
-}
-
-func allRowLocal[T any](cs []T) bool {
-	for _, c := range cs {
-		if !rowLocal(c) {
-			return false
-		}
-	}
-	return true
 }
 
 // RunStreamColumnar is Stream's columnar shape: the single-pipeline

@@ -33,9 +33,10 @@ import (
 //      selection, so its draws and state advance on exactly the same
 //      rows.
 //
-// Components that are not row-local (see rowLocal in columnar.go) are
-// not compiled at all; the plan compiler collapses the whole pipeline to
-// row-wise execution instead, which is trivially equivalent.
+// Components whose entry in the component table (component.go) is not
+// row-local are not compiled at all; the plan compiler collapses the
+// whole pipeline to row-wise execution instead, which is trivially
+// equivalent.
 
 // condKernel narrows sel to the rows where the condition holds,
 // appending them (ascending) to out and returning it.
@@ -107,7 +108,7 @@ func (c *numCol) write(r int32, out float64) {
 
 // compileCond returns the kernel for c: a vectorised sweep for the
 // conditions file_columnar measures, the per-row shim for every other
-// row-local condition. The caller has checked rowLocal(c).
+// row-local condition. The caller's walk has checked that c is row-local.
 func compileCond(c Condition, schema *stream.Schema) condKernel {
 	switch v := c.(type) {
 	case *Random:
@@ -205,8 +206,8 @@ func condShim(c Condition) condKernel {
 
 // compileErr returns the kernel applying e to attrs: a vectorised sweep
 // for the error functions file_columnar measures, the per-row shim for
-// every other row-local error function. The caller has checked
-// rowLocal(e).
+// every other row-local error function. The caller's walk has checked
+// that e is row-local.
 func compileErr(e ErrorFunc, attrs []string, schema *stream.Schema) errKernel {
 	switch v := e.(type) {
 	case *GaussianNoise:

@@ -57,6 +57,18 @@ func adversarialBatch(s *stream.Schema) *stream.ColumnBatch {
 	return b
 }
 
+// planKeeps reports whether the columnar planner keeps c: every
+// component the walk reaches from c has a row-local table entry.
+func planKeeps(c any) bool {
+	keeps := true
+	w := walker{visitor: visitor{node: func(_ string, _ any, e *Component) error {
+		keeps = keeps && e != nil && e.RowLocal
+		return nil
+	}}}
+	w.visit(c, "")
+	return keeps
+}
+
 func renderBatch(b *stream.ColumnBatch) []string {
 	out := make([]string, b.Len())
 	for r := 0; r < b.Len(); r++ {
@@ -122,7 +134,7 @@ func TestCondKernelsMatchScalar(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			b := adversarialBatch(s)
 			c := tc.mk()
-			if !rowLocal(c) {
+			if !planKeeps(c) {
 				t.Fatalf("condition %s is not row-local", tc.name)
 			}
 			all := stream.Selection(nil).FillAll(b.Len())
@@ -208,7 +220,7 @@ func TestErrKernelsMatchScalar(t *testing.T) {
 			t.Run(tc.name+"/"+selName, func(t *testing.T) {
 				kb := adversarialBatch(s)
 				e := tc.mk(11)
-				if !rowLocal(e) {
+				if !planKeeps(e) {
 					t.Fatalf("error function %s is not row-local", tc.name)
 				}
 				compileErr(e, tc.attrs, s)(kb, stream.Selection(sel))

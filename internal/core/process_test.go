@@ -626,12 +626,17 @@ func TestValidateAttrs(t *testing.T) {
 		NewKeyedPolluter("k", "typo3", func(string) Polluter {
 			return NewStandard("inner", MissingValue{}, nil, "typo4")
 		}),
+		// Conditions name attributes too: a misspelled one never fires.
+		NewStandard("cond", MissingValue{}, And{
+			Compare{Attr: "typo5", Op: OpGt, Value: stream.Float(0)},
+			Not{Inner: AttrPredicate{Attr: "typo6", Fn: func(stream.Value) bool { return true }}},
+		}, "v"),
 	))
 	err := bad.ValidateAttrs(s)
 	if err == nil {
 		t.Fatal("invalid process accepted")
 	}
-	for _, want := range []string{"typo1", "typo2", "typo3", "typo4"} {
+	for _, want := range []string{"typo1", "typo2", "typo3", "typo4", "typo5", "typo6"} {
 		if !contains(err.Error(), want) {
 			t.Errorf("error %q lacks %q", err, want)
 		}

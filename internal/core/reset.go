@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"icewafl/internal/rng"
-)
+import "icewafl/internal/rng"
 
 // This file implements per-run pipeline resets. Stateful components —
 // frozen values, sticky holds, Markov chains, error budgets, cascade
@@ -72,7 +68,5 @@ func (s *StreamState) ResetRunState() {
 	if s == nil {
 		return
 	}
-	s.attrs = make(map[string]*attrState)
-	s.tuples = 0
-	s.lastEvent = time.Time{}
+	s.run = streamState{Window: s.run.Window, Attrs: make(map[string]*attrState)}
 }

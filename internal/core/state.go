@@ -23,37 +23,42 @@ import (
 // window of recent values. Like other stateful components it belongs to
 // one pollution run of one sub-stream; instantiate fresh per run.
 type StreamState struct {
-	attrs  map[string]*attrState
-	window int
-	// tuples counts every observed tuple.
-	tuples int
-	// lastEvent is the most recent observed event time.
-	lastEvent time.Time
+	run streamState
+}
+
+// streamState is StreamState's run state, as its checkpoint stores it.
+type streamState struct {
+	Window int `json:"window"`
+	// Tuples counts every observed tuple.
+	Tuples int `json:"tuples"`
+	// LastEvent is the most recent observed event time.
+	LastEvent time.Time             `json:"last_event"`
+	Attrs     map[string]*attrState `json:"attrs"`
 }
 
 type attrState struct {
-	count  int
-	mean   float64
-	m2     float64 // sum of squared deviations (Welford)
-	min    float64
-	max    float64
-	recent []float64 // ring buffer of the last `window` values
-	pos    int
-	filled bool
+	Count  int       `json:"count"`
+	Mean   float64   `json:"mean"`
+	M2     float64   `json:"m2"` // sum of squared deviations (Welford)
+	Min    float64   `json:"min"`
+	Max    float64   `json:"max"`
+	Recent []float64 `json:"recent,omitempty"` // ring buffer of the last Window values
+	Pos    int       `json:"pos,omitempty"`
+	Filled bool      `json:"filled,omitempty"`
 }
 
 // NewStreamState returns a state tracker keeping a recent-value window
 // of the given size per attribute (window < 1 disables the window).
 func NewStreamState(window int) *StreamState {
-	return &StreamState{attrs: make(map[string]*attrState), window: window}
+	return &StreamState{run: streamState{Window: window, Attrs: make(map[string]*attrState)}}
 }
 
 // Observe folds one tuple into the state. Observation order equals
 // pipeline order; wire it in front of stateful polluters with
 // NewObserver.
 func (s *StreamState) Observe(t stream.Tuple, tau time.Time) {
-	s.tuples++
-	s.lastEvent = tau
+	s.run.Tuples++
+	s.run.LastEvent = tau
 	schema := t.Schema()
 	for i := 0; i < schema.Len(); i++ {
 		v, ok := t.At(i).AsFloat()
@@ -65,40 +70,40 @@ func (s *StreamState) Observe(t stream.Tuple, tau time.Time) {
 }
 
 func (s *StreamState) observeValue(attr string, v float64) {
-	st := s.attrs[attr]
+	st := s.run.Attrs[attr]
 	if st == nil {
-		st = &attrState{min: v, max: v}
-		if s.window > 0 {
-			st.recent = make([]float64, s.window)
+		st = &attrState{Min: v, Max: v}
+		if s.run.Window > 0 {
+			st.Recent = make([]float64, s.run.Window)
 		}
-		s.attrs[attr] = st
+		s.run.Attrs[attr] = st
 	}
-	st.count++
-	delta := v - st.mean
-	st.mean += delta / float64(st.count)
-	st.m2 += float64(delta * (v - st.mean))
-	if v < st.min {
-		st.min = v
+	st.Count++
+	delta := v - st.Mean
+	st.Mean += delta / float64(st.Count)
+	st.M2 += float64(delta * (v - st.Mean))
+	if v < st.Min {
+		st.Min = v
 	}
-	if v > st.max {
-		st.max = v
+	if v > st.Max {
+		st.Max = v
 	}
-	if len(st.recent) > 0 {
-		st.recent[st.pos] = v
-		st.pos = (st.pos + 1) % len(st.recent)
-		if st.pos == 0 {
-			st.filled = true
+	if len(st.Recent) > 0 {
+		st.Recent[st.Pos] = v
+		st.Pos = (st.Pos + 1) % len(st.Recent)
+		if st.Pos == 0 {
+			st.Filled = true
 		}
 	}
 }
 
 // Tuples returns the number of observed tuples.
-func (s *StreamState) Tuples() int { return s.tuples }
+func (s *StreamState) Tuples() int { return s.run.Tuples }
 
 // Count returns how many numeric values of attr were observed.
 func (s *StreamState) Count(attr string) int {
-	if st := s.attrs[attr]; st != nil {
-		return st.count
+	if st := s.run.Attrs[attr]; st != nil {
+		return st.Count
 	}
 	return 0
 }
@@ -106,43 +111,43 @@ func (s *StreamState) Count(attr string) int {
 // Mean returns the running mean of attr (ok=false before the first
 // observation).
 func (s *StreamState) Mean(attr string) (float64, bool) {
-	st := s.attrs[attr]
-	if st == nil || st.count == 0 {
+	st := s.run.Attrs[attr]
+	if st == nil || st.Count == 0 {
 		return 0, false
 	}
-	return st.mean, true
+	return st.Mean, true
 }
 
 // Stddev returns the running standard deviation of attr.
 func (s *StreamState) Stddev(attr string) (float64, bool) {
-	st := s.attrs[attr]
-	if st == nil || st.count < 2 {
+	st := s.run.Attrs[attr]
+	if st == nil || st.Count < 2 {
 		return 0, false
 	}
-	return math.Sqrt(st.m2 / float64(st.count)), true
+	return math.Sqrt(st.M2 / float64(st.Count)), true
 }
 
 // MinMax returns the observed extremes of attr.
 func (s *StreamState) MinMax(attr string) (min, max float64, ok bool) {
-	st := s.attrs[attr]
-	if st == nil || st.count == 0 {
+	st := s.run.Attrs[attr]
+	if st == nil || st.Count == 0 {
 		return 0, 0, false
 	}
-	return st.min, st.max, true
+	return st.Min, st.Max, true
 }
 
 // Recent returns the windowed recent values of attr, oldest first.
 func (s *StreamState) Recent(attr string) []float64 {
-	st := s.attrs[attr]
-	if st == nil || len(st.recent) == 0 {
+	st := s.run.Attrs[attr]
+	if st == nil || len(st.Recent) == 0 {
 		return nil
 	}
-	if !st.filled {
-		return append([]float64(nil), st.recent[:st.pos]...)
+	if !st.Filled {
+		return append([]float64(nil), st.Recent[:st.Pos]...)
 	}
-	out := make([]float64, 0, len(st.recent))
-	out = append(out, st.recent[st.pos:]...)
-	out = append(out, st.recent[:st.pos]...)
+	out := make([]float64, 0, len(st.Recent))
+	out = append(out, st.Recent[st.Pos:]...)
+	out = append(out, st.Recent[:st.Pos]...)
 	return out
 }
 
@@ -218,7 +223,7 @@ type MarkovCondition struct {
 	PExitBad  float64
 	Rand      *rng.Stream
 
-	bad bool
+	run markovState
 }
 
 // NewMarkovCondition returns a chain starting in the good state.
@@ -229,21 +234,21 @@ func NewMarkovCondition(pEnterBad, pExitBad float64, r *rng.Stream) *MarkovCondi
 // Eval implements Condition: it advances the chain one step per tuple
 // and reports whether the chain is in the bad state.
 func (c *MarkovCondition) Eval(stream.Tuple, time.Time) bool {
-	if c.bad {
+	if c.run.Bad {
 		if c.Rand.Bernoulli(c.PExitBad) {
-			c.bad = false
+			c.run.Bad = false
 		}
 	} else {
 		if c.Rand.Bernoulli(c.PEnterBad) {
-			c.bad = true
+			c.run.Bad = true
 		}
 	}
-	return c.bad
+	return c.run.Bad
 }
 
 // ResetRunState implements Resettable: the chain restarts in the good
 // state.
-func (c *MarkovCondition) ResetRunState() { c.bad = false }
+func (c *MarkovCondition) ResetRunState() { c.run = markovState{} }
 
 // Describe implements Condition.
 func (c *MarkovCondition) Describe() string {
@@ -260,7 +265,7 @@ type BudgetCondition struct {
 	Budget int
 	Window time.Duration
 
-	firings []time.Time
+	run budgetState
 }
 
 // NewBudgetCondition caps inner's firings at budget per window.
@@ -272,26 +277,26 @@ func NewBudgetCondition(inner Condition, budget int, window time.Duration) *Budg
 func (c *BudgetCondition) Eval(t stream.Tuple, tau time.Time) bool {
 	// Expire firings outside the window.
 	cutoff := tau.Add(-c.Window)
-	keep := c.firings[:0]
-	for _, f := range c.firings {
+	keep := c.run.Firings[:0]
+	for _, f := range c.run.Firings {
 		if f.After(cutoff) {
 			keep = append(keep, f)
 		}
 	}
-	c.firings = keep
-	if len(c.firings) >= c.Budget {
+	c.run.Firings = keep
+	if len(c.run.Firings) >= c.Budget {
 		return false
 	}
 	if !c.Inner.Eval(t, tau) {
 		return false
 	}
-	c.firings = append(c.firings, tau)
+	c.run.Firings = append(c.run.Firings, tau)
 	return true
 }
 
 // ResetRunState implements Resettable: no firing counts against the
 // budget.
-func (c *BudgetCondition) ResetRunState() { c.firings = nil }
+func (c *BudgetCondition) ResetRunState() { c.run = budgetState{} }
 
 // Describe implements Condition.
 func (c *BudgetCondition) Describe() string {
@@ -307,8 +312,7 @@ type CascadeCondition struct {
 	Log      *Log
 	Upstream string
 
-	prevID  uint64
-	hasPrev bool
+	run cascadeState
 }
 
 // Eval implements Condition: it reports whether the log records an
@@ -317,26 +321,25 @@ type CascadeCondition struct {
 // amortised O(1).
 func (c *CascadeCondition) Eval(t stream.Tuple, _ time.Time) bool {
 	fire := false
-	if c.hasPrev {
+	if c.run.HasPrev {
 		for i := len(c.Log.Entries) - 1; i >= 0; i-- {
 			e := c.Log.Entries[i]
-			if e.TupleID < c.prevID {
+			if e.TupleID < c.run.PrevID {
 				break
 			}
-			if e.TupleID == c.prevID && e.Polluter == c.Upstream {
+			if e.TupleID == c.run.PrevID && e.Polluter == c.Upstream {
 				fire = true
 				break
 			}
 		}
 	}
-	c.prevID = t.ID
-	c.hasPrev = true
+	c.run = cascadeState{PrevID: t.ID, HasPrev: true}
 	return fire
 }
 
 // ResetRunState implements Resettable: the next tuple has no
 // predecessor.
-func (c *CascadeCondition) ResetRunState() { c.prevID, c.hasPrev = 0, false }
+func (c *CascadeCondition) ResetRunState() { c.run = cascadeState{} }
 
 // Describe implements Condition.
 func (c *CascadeCondition) Describe() string {

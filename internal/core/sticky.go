@@ -18,8 +18,7 @@ type Sticky struct {
 	Trigger Condition
 	Hold    time.Duration
 
-	activeUntil time.Time
-	active      bool
+	run stickyState
 }
 
 // NewSticky wraps trigger with a hold window.
@@ -29,23 +28,19 @@ func NewSticky(trigger Condition, hold time.Duration) *Sticky {
 
 // Eval implements Condition.
 func (c *Sticky) Eval(t stream.Tuple, tau time.Time) bool {
-	if c.active && tau.Before(c.activeUntil) {
+	if c.run.Active && tau.Before(c.run.Until) {
 		return true
 	}
-	c.active = false
+	c.run.Active = false
 	if c.Trigger.Eval(t, tau) {
-		c.active = true
-		c.activeUntil = tau.Add(c.Hold)
+		c.run = stickyState{Active: true, Until: tau.Add(c.Hold)}
 		return true
 	}
 	return false
 }
 
 // ResetRunState implements Resettable: it clears the hold state.
-func (c *Sticky) ResetRunState() {
-	c.active = false
-	c.activeUntil = time.Time{}
-}
+func (c *Sticky) ResetRunState() { c.run = stickyState{} }
 
 // Describe implements Condition.
 func (c *Sticky) Describe() string {

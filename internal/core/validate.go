@@ -8,18 +8,35 @@ import (
 )
 
 // ValidateAttrs statically checks a process against a stream schema:
-// every attribute a polluter targets (and every key attribute of a keyed
-// polluter) must exist. Misspelled attributes would otherwise silently
-// no-op — the error functions skip unknown names at runtime by design,
-// because sub-streams may legitimately carry different schemas.
+// every attribute a component names — a polluter's targets, a keyed
+// polluter's key, a compare or predicate condition's attribute — must
+// exist. Misspelled attributes would otherwise silently no-op — the
+// error functions skip unknown names and the conditions never fire at
+// runtime by design, because sub-streams may legitimately carry
+// different schemas.
 func (pr *Process) ValidateAttrs(schema *stream.Schema) error {
 	missing := map[string]bool{}
+	var v visitor
+	v = visitor{
+		node: func(_ string, c any, e *Component) error {
+			if e != nil && e.attrs != nil {
+				for _, a := range e.attrs(c) {
+					if !schema.Has(a) {
+						missing[a] = true
+					}
+				}
+			}
+			return nil
+		},
+		// Instantiate the template once for a throwaway key: every
+		// instance names the same attributes.
+		keyed: func(_ string, k *KeyedPolluter) ([]string, error) {
+			return nil, walkPipeline(NewPipeline(k.New("__validate__")), v)
+		},
+	}
 	for _, p := range pr.Pipelines {
-		if p == nil {
-			continue
-		}
-		for _, pol := range p.Polluters {
-			collectMissing(pol, schema, missing)
+		if p != nil {
+			_ = walkPipeline(p, v) // no callback fails
 		}
 	}
 	if len(missing) == 0 {
@@ -31,26 +48,4 @@ func (pr *Process) ValidateAttrs(schema *stream.Schema) error {
 	}
 	sort.Strings(names)
 	return fmt.Errorf("core: polluters target attributes not in the schema: %v", names)
-}
-
-func collectMissing(p Polluter, schema *stream.Schema, missing map[string]bool) {
-	switch x := p.(type) {
-	case *Standard:
-		for _, a := range x.Attrs {
-			if !schema.Has(a) {
-				missing[a] = true
-			}
-		}
-	case *Composite:
-		for _, c := range x.Children {
-			collectMissing(c, schema, missing)
-		}
-	case *KeyedPolluter:
-		if !schema.Has(x.KeyAttr) {
-			missing[x.KeyAttr] = true
-		}
-		// Instantiate the template once for a throwaway key to inspect
-		// the attrs it targets.
-		collectMissing(x.New("__validate__"), schema, missing)
-	}
 }

@@ -2,30 +2,28 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 
 	"icewafl/internal/rng"
 )
 
-// This file is the one description of the pollution-component tree:
-// which polluter, condition and error function owns an RNG stream, which
-// carries per-run state, which has children, and under which path each
-// lives. SnapshotPipeline, RestorePipeline and ResetPipeline are three
-// visitors over it, so a component the walk knows is snapshotted,
-// restored and reset, and one it does not know is none of the three. The
-// columnar planner is a fourth: it reads RNG ownership from the walk.
+// This file walks the pollution-component tree. The walk knows no
+// component by name: at each one it looks up the component's entry in
+// the table (component.go) by dynamic type, and the entry's walk says
+// which RNG stream, run state and children it owns and under which path
+// each lives. SnapshotPipeline, RestorePipeline and ResetPipeline are
+// three visitors over it, so a component the table knows is
+// snapshotted, restored and reset, and one it does not know takes part
+// through whichever of Stateful and Resettable it implements, under its
+// parent's path. The columnar planner and ValidateAttrs are two more:
+// they read every component's entry.
 //
 // The paths are a persisted format (checkpoint files, -state-dir): a
 // snapshot written by one build restores into the pipeline another build
 // compiles from the same configuration. TestSnapshotPathsStable pins them.
-//
-// Adding a component takes three places: its case in internal/config,
-// its case here (or Stateful and Resettable on it — the default cases
-// below pick it up under its parent's path — when it owns no RNG stream
-// and no children), and its case in rowLocal (columnar.go) when it is
-// row-local (without one, a pipeline containing it runs row-wise). A
-// vectorised kernel in kernel.go is optional.
 
-// visitor is what one pass does at each thing a component can own.
+// visitor is what one pass does at each thing a component can own. A nil
+// callback skips that thing.
 type visitor struct {
 	// rand receives every RNG stream a component draws from.
 	rand func(path string, r *rng.Stream) error
@@ -37,14 +35,9 @@ type visitor struct {
 	// created on demand, so which exist is the pass's decision (snapshot
 	// lists them, restore materialises them, reset drops them).
 	keyed func(path string, k *KeyedPolluter) ([]string, error)
-}
-
-// runState is a built-in component with per-run state. Visiting built-ins
-// through it makes one that can be snapshotted but not reset a compile
-// error.
-type runState interface {
-	Stateful
-	Resettable
+	// node receives every component before what it owns, with its table
+	// entry (nil for a component the table does not know).
+	node func(path string, c any, e *Component) error
 }
 
 // walker carries a visitor over one pipeline; the first error a callback
@@ -57,7 +50,7 @@ type walker struct {
 func walkPipeline(p *Pipeline, v visitor) error {
 	w := walker{visitor: v}
 	for i, pol := range p.Polluters {
-		w.polluter(pol, polPath("", i, pol))
+		w.visit(pol, polPath("", i, pol))
 	}
 	return w.err
 }
@@ -66,109 +59,56 @@ func polPath(base string, i int, p Polluter) string {
 	return fmt.Sprintf("%s/%d:%s", base, i, p.Name())
 }
 
+// visit hands c to the node callback, then descends through its entry.
+func (w *walker) visit(c any, path string) {
+	if w.err != nil {
+		return
+	}
+	e := byType[reflect.TypeOf(c)]
+	if w.node != nil {
+		if w.err = w.node(path, c, e); w.err != nil {
+			return
+		}
+	}
+	switch {
+	case e == nil:
+		w.runState(path, c)
+	case e.walk != nil:
+		e.walk(w, c, path)
+	}
+}
+
+func visitEach[T any](w *walker, cs []T, path string) {
+	for i, c := range cs {
+		w.visit(c, fmt.Sprintf("%s/%d", path, i))
+	}
+}
+
 func (w *walker) stream(path string, r *rng.Stream) {
-	if r != nil && w.err == nil {
+	if r != nil && w.rand != nil && w.err == nil {
 		w.err = w.rand(path, r)
 	}
 }
 
-func (w *walker) builtin(path string, c runState) {
-	if w.err == nil {
-		w.err = w.state(path, c, c)
-	}
-}
-
-// custom visits a component the walk has no case for: it takes part
-// through whichever of Stateful and Resettable it implements, and is
-// stateless if neither (or nil).
-func (w *walker) custom(path string, c any) {
+// runState visits a component's run state through whichever of Stateful
+// and Resettable it implements: the built-ins the table names implement
+// both, a component the table does not know may implement one, and
+// neither (or nil) is stateless.
+func (w *walker) runState(path string, c any) {
 	s, _ := c.(Stateful)
 	r, _ := c.(Resettable)
-	if (s != nil || r != nil) && w.err == nil {
+	if (s != nil || r != nil) && w.state != nil && w.err == nil {
 		w.err = w.state(path, s, r)
 	}
 }
 
-func (w *walker) polluter(p Polluter, path string) {
-	switch p := p.(type) {
-	case *Standard:
-		w.condition(p.Cond, path+"/cond")
-		w.errorFunc(p.Err, path+"/err")
-	case *Composite:
-		w.condition(p.Cond, path+"/cond")
-		w.stream(path+"/rand", p.Rand)
-		for i, c := range p.Children {
-			w.polluter(c, polPath(path, i, c))
-		}
-	case *KeyedPolluter:
-		if w.err != nil {
-			return
-		}
-		var keys []string
-		keys, w.err = w.keyed(path, p)
-		for _, k := range keys {
-			w.polluter(p.instances[k], path+"/key="+k)
-		}
-	case *Observer:
-		w.builtin(path+"/state", p.State)
-	default:
-		w.custom(path, p)
+func (w *walker) instances(k *KeyedPolluter, path string) {
+	if w.keyed == nil || w.err != nil {
+		return
 	}
-}
-
-func (w *walker) condition(c Condition, path string) {
-	switch c := c.(type) {
-	case *Random:
-		w.stream(path+"/rand", c.Rand)
-	case And:
-		w.conditions(c, path)
-	case Or:
-		w.conditions(c, path)
-	case Not:
-		w.condition(c.Inner, path+"/not")
-	case *Sticky:
-		w.builtin(path, c)
-		w.condition(c.Trigger, path+"/trigger")
-	case *MarkovCondition:
-		w.builtin(path, c)
-		w.stream(path+"/rand", c.Rand)
-	case *BudgetCondition:
-		w.builtin(path, c)
-		w.condition(c.Inner, path+"/inner")
-	case *CascadeCondition:
-		w.builtin(path, c)
-	case DeviationCondition:
-		w.builtin(path+"/state", c.State)
-	default:
-		w.custom(path, c)
-	}
-}
-
-func (w *walker) conditions(cs []Condition, path string) {
-	for i, c := range cs {
-		w.condition(c, fmt.Sprintf("%s/%d", path, i))
-	}
-}
-
-func (w *walker) errorFunc(e ErrorFunc, path string) {
-	switch e := e.(type) {
-	case *GaussianNoise:
-		w.stream(path+"/rand", e.Rand)
-	case *UniformMultNoise:
-		w.stream(path+"/rand", e.Rand)
-	case *IncorrectCategory:
-		w.stream(path+"/rand", e.Rand)
-	case *Outlier:
-		w.stream(path+"/rand", e.Rand)
-	case *StringTypo:
-		w.stream(path+"/rand", e.Rand)
-	case *FrozenValue:
-		w.builtin(path, e)
-	case Chain:
-		for i, sub := range e {
-			w.errorFunc(sub, fmt.Sprintf("%s/%d", path, i))
-		}
-	default:
-		w.custom(path, e)
+	var keys []string
+	keys, w.err = w.keyed(path, k)
+	for _, key := range keys {
+		w.visit(k.instances[key], path+"/key="+key)
 	}
 }

@@ -119,9 +119,9 @@ func AirQuality(region string, seed int64, opts AirQualityOptions) []stream.Tupl
 	missR := rng.Derive(seed, "airquality-missing/"+region)
 
 	// Region-specific base levels keep the three streams distinct.
-	base := 38 + 8*r.Float64() // NO2 base μg/m³
-	tempBase := 12 + 3*r.Float64()
-	presBase := 1012 + 3*r.Float64()
+	base := 38 + float64(8*r.Float64()) // NO2 base μg/m³
+	tempBase := 12 + float64(3*r.Float64())
+	presBase := 1012 + float64(3*r.Float64())
 
 	// AR(1) states.
 	arNO2, arTemp, arPres, arWind := 0.0, 0.0, 0.0, 0.0
@@ -132,40 +132,40 @@ func AirQuality(region string, seed int64, opts AirQualityOptions) []stream.Tupl
 		hour := float64(ts.Hour())
 		yearFrac := float64(ts.YearDay()-1) / 365.0
 
-		arTemp = 0.97*arTemp + r.Normal(0, 0.8)
-		arPres = 0.95*arPres + r.Normal(0, 0.6)
-		arWind = 0.8*arWind + r.Normal(0, 0.5)
-		arNO2 = 0.85*arNO2 + r.Normal(0, 4)
+		arTemp = float64(0.97*arTemp) + r.Normal(0, 0.8)
+		arPres = float64(0.95*arPres) + r.Normal(0, 0.6)
+		arWind = float64(0.8*arWind) + r.Normal(0, 0.5)
+		arNO2 = float64(0.85*arNO2) + r.Normal(0, 4)
 
 		temp := tempBase +
-			12*math.Sin(2*math.Pi*(yearFrac-0.25)) + // annual cycle, peak in summer
-			4*math.Sin(2*math.Pi*(hour-9)/24) + // daily cycle, peak afternoon
+			float64(12*math.Sin(2*math.Pi*(yearFrac-0.25))) + // annual cycle, peak in summer
+			float64(4*math.Sin(2*math.Pi*(hour-9)/24)) + // daily cycle, peak afternoon
 			arTemp
-		pres := presBase - 6*math.Sin(2*math.Pi*(yearFrac-0.25)) + arPres
+		pres := presBase - float64(6*math.Sin(2*math.Pi*(yearFrac-0.25))) + arPres
 		wspm := math.Abs(1.8 + arWind)
-		dewp := temp - 4 - 3*r.Float64()
+		dewp := temp - 4 - float64(3*r.Float64())
 		rain := 0.0
 		if r.Bernoulli(0.04) {
 			rain = r.Uniform(0.1, 8)
 		}
 
 		no2 := base +
-			14*math.Cos(2*math.Pi*(hour-19)/24) + // daily cycle, rush-hour peak
-			9*math.Sin(2*math.Pi*(yearFrac+0.25)) + // annual cycle, winter peak
-			-0.45*(temp-tempBase) + // cold → more NO2
-			-3.5*wspm + // wind disperses
-			0.25*(pres-presBase) +
+			float64(14*math.Cos(2*math.Pi*(hour-19)/24)) + // daily cycle, rush-hour peak
+			float64(9*math.Sin(2*math.Pi*(yearFrac+0.25))) + // annual cycle, winter peak
+			float64(-0.45*(temp-tempBase)) + // cold → more NO2
+			float64(-3.5*wspm) + // wind disperses
+			float64(0.25*(pres-presBase)) +
 			arNO2
 		if no2 < 1 {
 			no2 = 1
 		}
 
 		// Correlated companion pollutants.
-		pm25 := math.Max(2, 0.9*no2+r.Normal(20, 10))
+		pm25 := math.Max(2, float64(0.9*no2)+r.Normal(20, 10))
 		pm10 := math.Max(pm25, pm25+r.Uniform(5, 40))
-		so2 := math.Max(1, 0.3*no2+r.Normal(5, 3))
-		co := math.Max(100, 18*no2+r.Normal(300, 150))
-		o3 := math.Max(1, 80-0.6*no2+8*math.Sin(2*math.Pi*(hour-14)/24)+r.Normal(0, 8))
+		so2 := math.Max(1, float64(0.3*no2)+r.Normal(5, 3))
+		co := math.Max(100, float64(18*no2)+r.Normal(300, 150))
+		o3 := math.Max(1, 80-float64(0.6*no2)+float64(8*math.Sin(2*math.Pi*(hour-14)/24))+r.Normal(0, 8))
 
 		no2Val := stream.Float(round1(no2))
 		if missR.Bernoulli(opts.MissingRate) {

@@ -117,7 +117,7 @@ func Wearable(seed int64) []stream.Tuple {
 		distance := float64(steps) * 0.00072 // km, ~0.72 m stride
 		calories := 0.0
 		if bpm > 0 {
-			calories = 18 + 0.055*float64(steps) + 0.1*(bpm-60) + r.Uniform(0, 2)
+			calories = 18 + float64(0.055*float64(steps)) + float64(0.1*(bpm-60)) + r.Uniform(0, 2)
 		}
 
 		tuples = append(tuples, makeWearableTuple(ts, bpm, steps, distance, calories, activeMin))
@@ -169,6 +169,6 @@ func plantGlitch(tuples []stream.Tuple, i int, r *rng.Stream) {
 	tuples[i].Set("BPM", stream.Float(0))
 	tuples[i].Set("Steps", stream.Int(steps))
 	tuples[i].Set("Distance", stream.Float(math.Round(float64(steps)*0.72)/1000))
-	tuples[i].Set("CaloriesBurned", stream.Float(quantize3(18+0.055*float64(steps))))
+	tuples[i].Set("CaloriesBurned", stream.Float(quantize3(18+float64(0.055*float64(steps)))))
 	tuples[i].Set("ActiveMinutes", stream.Int(5))
 }

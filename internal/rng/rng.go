@@ -97,7 +97,7 @@ func (s *Stream) Uint64() uint64 {
 
 // Float64 returns a uniform value in [0, 1).
 func (s *Stream) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
+	return float64(float64(s.Uint64()>>11) / (1 << 53))
 }
 
 // Fill writes the next len(dst) values of the sequence into dst — the
@@ -173,9 +173,9 @@ func (s *Stream) Bernoulli(p float64) bool {
 
 // Uniform returns a uniform value in [a, b).
 //
-// Here and in Normal, float64(x*y) rounds the product before the
-// addition, so no architecture fuses the two into one multiply-add and
-// every platform draws amd64's bits (scripts/fmacheck.sh checks this).
+// Here, in Normal and in Float64, float64(x*y) rounds a product before
+// any addition, so no architecture fuses the two into one multiply-add,
+// even where inlined, and every platform draws amd64's bits (fmacheck).
 func (s *Stream) Uniform(a, b float64) float64 {
 	return a + float64((b-a)*s.Float64())
 }
