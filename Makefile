@@ -33,10 +33,10 @@ lint:
 		echo "lint: unannotated panic() in hot-path packages:"; echo "$$bad"; exit 1; \
 	fi
 
-# Same float bits on every architecture: cross-compiles cmd/icewafl and
-# cmd/gendata for arm64 and riscv64 and fails on a fused multiply-add in
-# core, rng, config or dataset (see the script's header for what is left
-# out).
+# Same float bits on every architecture: cross-compiles cmd/icewafl,
+# cmd/gendata, cmd/exp1 and cmd/exp4 for arm64 and riscv64 and fails on a
+# fused multiply-add in core, rng, config, dataset, experiments or synth
+# (see the script's header for what is left out).
 fmacheck:
 	@GO=$(GO) bash scripts/fmacheck.sh
 

@@ -346,13 +346,12 @@ type Checkpointer struct {
 	pipeline *Pipeline
 	log      *Log
 	dlq      *stream.DeadLetterQueue
-	out      *outputCounter
+	out      *streamRunner
 	reg      *obs.Registry
 
-	baseIn          uint64
-	baseOut         uint64
-	baseLog         int
-	baseQuarantined int
+	// base is the checkpoint the run resumed from (zero for a fresh run);
+	// its counters are the origin of this run's.
+	base Checkpoint
 }
 
 // DeadLetters returns the run's dead-letter queue (nil when quarantine
@@ -374,17 +373,17 @@ func (c *Checkpointer) Capture() (*Checkpoint, error) {
 		c.reg.Inc(obs.CCheckpointWrites)
 		c.reg.ObserveStage(obs.StageCheckpoint, time.Since(start))
 	}
-	logLen := c.baseLog
+	logLen := c.base.LogLen
 	if c.log != nil {
 		logLen += c.log.Total()
 	}
 	return &Checkpoint{
 		Version:     CheckpointVersion,
-		TuplesIn:    c.baseIn + c.input.n,
+		TuplesIn:    c.base.TuplesIn + c.input.n,
 		NextID:      c.prepare.NextID(),
-		TuplesOut:   c.baseOut + c.out.n,
+		TuplesOut:   c.base.TuplesOut + c.out.emitted,
 		LogLen:      logLen,
-		Quarantined: c.baseQuarantined + c.dlq.Len(),
+		Quarantined: c.base.Quarantined + c.dlq.Len(),
 		Pipeline:    st,
 		Offsets:     map[string]int64{},
 	}, nil
@@ -412,61 +411,41 @@ func (c *inputCounter) Next() (stream.Tuple, error) {
 	return t, err
 }
 
-// outputCounter counts emitted tuples.
-type outputCounter struct {
-	src stream.Source
-	n   uint64
-}
-
-func (c *outputCounter) Schema() *stream.Schema { return c.src.Schema() }
-
-func (c *outputCounter) Next() (stream.Tuple, error) {
-	t, err := c.src.Next()
-	if err == nil {
-		c.n++
-	}
-	return t, err
-}
-
-// runStreamCheckpointed is the checkpointed runner behind Stream. It
-// behaves like RunStream with reorderWindow 1 (checkpoints require that
-// no tuples are buffered between the pipeline and the consumer) and
-// additionally returns a Checkpointer. Quarantine follows pr.Fault.
+// checkpointer starts the bookkeeping that makes the plain runner's run
+// capturable (checkpoints require that no tuples are buffered between
+// the pipeline and the consumer, so the run has no reorder window). The
+// run reads its input through ck.input.
 //
 // With resume != nil the run continues from the snapshot: the first
-// resume.TuplesIn input tuples are skipped (quarantined rows count),
-// tuple numbering continues at resume.NextID, and every stateful
-// component is restored — the concatenation of the interrupted run's
-// output (truncated to the checkpoint) and the resumed run's output is
+// resume.TuplesIn input tuples are skipped here (quarantined rows count),
+// tuple numbering continues at resume.NextID, and bind restores every
+// stateful component — the concatenation of the interrupted run's output
+// (truncated to the checkpoint) and the resumed run's output is
 // byte-identical to an uninterrupted run.
-func (pr *Process) runStreamCheckpointed(src stream.Source, resume *Checkpoint) (stream.Source, *Log, *Checkpointer, error) {
+func (pr *Process) checkpointer(src stream.Source, resume *Checkpoint) (*Checkpointer, error) {
 	ck := &Checkpointer{pipeline: pr.Pipelines[0], reg: pr.Obs}
-	var firstID uint64
 	if resume != nil {
 		if resume.Version != CheckpointVersion {
-			return nil, nil, nil, fmt.Errorf("core: checkpoint version %d, want %d", resume.Version, CheckpointVersion)
+			return nil, fmt.Errorf("core: checkpoint version %d, want %d", resume.Version, CheckpointVersion)
 		}
 		if err := skipInput(src, resume.TuplesIn); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		firstID = resume.NextID
-		ck.baseIn = resume.TuplesIn
-		ck.baseOut = resume.TuplesOut
-		ck.baseLog = resume.LogLen
-		ck.baseQuarantined = resume.Quarantined
+		ck.base = *resume
 	}
 	ck.input = &inputCounter{src: src}
-	in := pr.openStream(ck.input, firstID)
-	if resume != nil {
-		// After the preamble's per-run reset, so the restore overwrites
-		// pristine state with the checkpointed one.
-		if err := RestorePipeline(pr.Pipelines[0], resume.Pipeline); err != nil {
-			return nil, nil, nil, err
-		}
+	return ck, nil
+}
+
+// bind attaches ck to the started run and, on resume, restores the
+// pipeline — after the preamble's per-run reset, so the restore
+// overwrites pristine state with the checkpointed one.
+func (ck *Checkpointer) bind(in streamInput, out *streamRunner, resume *Checkpoint) error {
+	ck.prepare, ck.log, ck.dlq, ck.out = in.prep, in.log, in.dlq, out
+	if resume == nil {
+		return nil
 	}
-	ck.prepare, ck.log, ck.dlq = in.prep, in.log, in.dlq
-	ck.out = &outputCounter{src: pr.runner(pr.tapped(in.prep), 0, in, nil)}
-	return ck.out, in.log, ck, nil
+	return RestorePipeline(ck.pipeline, resume.Pipeline)
 }
 
 // skipInput advances src past n raw tuples; tuple-level failures count

@@ -76,6 +76,16 @@ func renderRun(t *testing.T, schema *stream.Schema, tuples []stream.Tuple, entri
 	return csvBuf.Bytes(), logBuf.Bytes()
 }
 
+// checkpointed starts a checkpointed Stream run, resuming from resume
+// when it is non-nil.
+func checkpointed(pr *Process, src stream.Source, resume *Checkpoint) (stream.Source, *Log, *Checkpointer, error) {
+	run, err := pr.Stream(src, StreamSpec{Checkpoint: true, Resume: resume})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return run.Source, run.Log, run.Checkpointer, nil
+}
+
 func drainN(t *testing.T, src stream.Source, n int) []stream.Tuple {
 	t.Helper()
 	out := make([]stream.Tuple, 0, n)
@@ -100,7 +110,7 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 
 	// Reference: uninterrupted run.
 	refProc := ckptProcess(seed)
-	refSrc, refLog, _, err := refProc.runStreamCheckpointed(ckptSource(schema, n), nil)
+	refSrc, refLog, _, err := checkpointed(refProc, ckptSource(schema, n), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +124,7 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("kill-at-%d", kill), func(t *testing.T) {
 			// Phase 1: run until "killed" after `kill` emitted tuples.
 			proc1 := ckptProcess(seed)
-			src1, log1, ck1, err := proc1.runStreamCheckpointed(ckptSource(schema, n), nil)
+			src1, log1, ck1, err := checkpointed(proc1, ckptSource(schema, n), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +153,7 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 
 			// Phase 2: a NEW process (no shared memory) resumes.
 			proc2 := ckptProcess(seed)
-			src2, log2, ck2, err := proc2.runStreamCheckpointed(ckptSource(schema, n), loaded)
+			src2, log2, ck2, err := checkpointed(proc2, ckptSource(schema, n), loaded)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +227,7 @@ func TestCheckpointVersionMismatch(t *testing.T) {
 		t.Error("version mismatch accepted")
 	}
 	proc := ckptProcess(1)
-	if _, _, _, err := proc.runStreamCheckpointed(ckptSource(ckptSchema(), 1), c); err == nil {
+	if _, _, _, err := checkpointed(proc, ckptSource(ckptSchema(), 1), c); err == nil {
 		t.Error("resume with wrong version accepted")
 	}
 }
@@ -311,7 +321,7 @@ func TestStreamingQuarantine(t *testing.T) {
 		FirstID:   1,
 		Fault:     FaultPolicy{Quarantine: true},
 	}
-	src, _, ck, err := proc.runStreamCheckpointed(ckptSource(schema, 100), nil)
+	src, _, ck, err := checkpointed(proc, ckptSource(schema, 100), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +359,7 @@ func TestCheckpointedQuarantineCountsInput(t *testing.T) {
 
 	proc1 := ckptProcess(7)
 	proc1.Fault = FaultPolicy{Quarantine: true}
-	src1, _, ck1, err := proc1.runStreamCheckpointed(mkReader(), nil)
+	src1, _, ck1, err := checkpointed(proc1, mkReader(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +377,7 @@ func TestCheckpointedQuarantineCountsInput(t *testing.T) {
 
 	proc2 := ckptProcess(7)
 	proc2.Fault = FaultPolicy{Quarantine: true}
-	src2, _, ck2, err := proc2.runStreamCheckpointed(mkReader(), ckpt)
+	src2, _, ck2, err := checkpointed(proc2, mkReader(), ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}

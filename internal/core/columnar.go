@@ -27,7 +27,7 @@ import (
 // log and observer state — or one the table does not know, or
 // quarantine fault attribution), the whole plan collapses to row-wise
 // execution over the batch — still batched ingest and emission, but
-// per-row pollution through the row step every tuple-wise runner uses.
+// per-row pollution through the row step every runner uses.
 // Collapse changes performance, never output.
 //
 // Span tracing follows the execution shape: the vectorised path emits
@@ -300,7 +300,9 @@ func (r *columnarRunner) Next() (stream.Tuple, error) {
 		}
 		if r.pendingErr != nil {
 			err := r.pendingErr
-			r.pendingErr = nil
+			if !r.done {
+				r.pendingErr = nil
+			}
 			return stream.Tuple{}, err
 		}
 		if r.done {
@@ -351,7 +353,9 @@ func (r *columnarRunner) ReadBatch(dst *stream.ColumnBatch, max int) (int, error
 			// Rows read before the failure stay appended, per the
 			// ColumnBatchReader contract.
 			err := r.pendingErr
-			r.pendingErr = nil
+			if !r.done {
+				r.pendingErr = nil
+			}
 			return appended, err
 		}
 		if r.done {
@@ -387,7 +391,7 @@ func (r *columnarRunner) fill() {
 			return
 		}
 		if r.tap != nil {
-			r.tap(t.Clone())
+			r.tap(t)
 		}
 		r.reg.Inc(obs.CTuplesIn)
 		if aerr := r.batch.AppendTuple(t); aerr != nil {

@@ -102,8 +102,13 @@ func (l *Log) condMiss() {
 	}
 }
 
-// Len returns the number of recorded errors.
-func (l *Log) Len() int { return len(l.Entries) }
+// Len returns the number of recorded errors (0 for a nil log).
+func (l *Log) Len() int {
+	if l == nil {
+		return 0
+	}
+	return len(l.Entries)
+}
 
 // PollutedTuples returns the set of tuple IDs that received at least one
 // error.

@@ -11,8 +11,8 @@ import (
 
 // FaultPolicy configures how a pollution run reacts to tuple-level
 // failures: malformed input rows and panicking pipeline components.
-// The zero value is fail-fast (first failure aborts the run), matching
-// the historical behaviour.
+// The zero value is fail-fast: a malformed row is returned as its
+// tuple error, and a pipeline panic ends the run with a sticky error.
 type FaultPolicy struct {
 	// Quarantine skips failing tuples instead of aborting: malformed
 	// input rows and tuples whose pollution panics are recorded as dead
@@ -74,12 +74,13 @@ type Process struct {
 	// for every run of this process. All hooks are nil-safe, so the
 	// uninstrumented hot path pays only a nil check.
 	Obs *obs.Registry
-	// CleanTap, when non-nil, observes a clone of every prepared (clean)
-	// tuple before pollution. It lets a caller — the network server in
+	// CleanTap, when non-nil, observes every prepared (clean) tuple
+	// before pollution. It lets a caller — the network server in
 	// particular — stream the clean side D without a second pass over
 	// the input, even in streaming mode where no runner materialises
-	// it. The tap runs synchronously on the runner goroutine; it must
-	// not retain the clone beyond its own use.
+	// it. The tap runs synchronously on the runner goroutine, and the
+	// runner pollutes the tuple's values in place once it returns: a tap
+	// that retains the tuple must Clone it.
 	CleanTap func(stream.Tuple)
 
 	// columnarBatch is RunStreamColumnar's micro-batch size in rows
@@ -126,7 +127,7 @@ func (pr *Process) RunContext(ctx context.Context, src stream.Source) (*Result, 
 	run := *pr
 	if pr.KeepClean {
 		run.CleanTap = func(t stream.Tuple) {
-			res.Clean = append(res.Clean, t)
+			res.Clean = append(res.Clean, t.Clone())
 			if pr.CleanTap != nil {
 				pr.CleanTap(t)
 			}
@@ -156,8 +157,9 @@ func (s ownedSource) Next() (stream.Tuple, error) {
 }
 
 // rowStep is Algorithm 1's step 2 for one row of sub-stream sub: the
-// per-tuple pollution of every row-at-a-time runner (the streaming and
-// checkpointed runners, the columnar collapse path).
+// per-tuple pollution of every runner (the tuple-wise runner, each shard
+// worker, the columnar collapse path) and the only code that applies a
+// pipeline to a row.
 type rowStep struct {
 	p     *Pipeline
 	log   *Log
@@ -173,39 +175,45 @@ func (pr *Process) step(i int, log *Log, dlq *stream.DeadLetterQueue) rowStep {
 	return rowStep{p: pr.Pipelines[i], log: log, sub: i, fault: pr.Fault, dlq: dlq, reg: pr.Obs, trace: pr.Obs.TraceEnabled()}
 }
 
-// pollute applies the pipeline to t under the fault policy, inside a
-// sampled StagePollute span, and tags t and the log entries it produced
-// with the sub-stream. It reports whether t survived (a skipped tuple
-// carries Quarantined); a non-nil error is fatal (quarantine overflow).
-func (s *rowStep) pollute(t *stream.Tuple) (bool, error) {
-	mark := 0
-	if s.log != nil {
-		mark = len(s.log.Entries)
-	}
-	var ok bool
-	var dl *stream.DeadLetter
+// pollute applies the pipeline to t at its event time, inside a sampled
+// StagePollute span, and tags t and the log entries it produced with the
+// sub-stream. A panic in any polluter, condition or error function rolls
+// the log back to the mark taken before t, so the ground truth only
+// describes delivered tuples. Under quarantine t is then marked
+// Quarantined and its dead letter is returned, booked into s.dlq (a step
+// without a queue leaves the booking to its caller). Without quarantine
+// the panic is the returned error. A non-nil error is fatal: the run
+// stops before t.
+func (s *rowStep) pollute(t *stream.Tuple) (*stream.DeadLetter, error) {
+	mark := s.log.Len()
+	var err error
 	if s.trace && s.reg.Sampled(t.ID) {
 		start := time.Now()
-		ok, dl = polluteOne(s.p, t, s.log, mark, s.fault)
+		err = s.apply(t)
 		s.reg.ObserveSpan(obs.StagePollute, t.ID, time.Since(start))
 	} else {
-		ok, dl = polluteOne(s.p, t, s.log, mark, s.fault)
+		err = s.apply(t)
+	}
+	if err != nil {
+		s.log.Truncate(mark)
+		if !s.fault.Quarantine {
+			return nil, fmt.Errorf("core: pollute tuple %d: %w", t.ID, err)
+		}
+		t.Quarantined = true
+		dl := deadLetterFor(*t, "pollute", err)
+		return &dl, s.fault.record(s.dlq, dl)
 	}
 	if s.sub != 0 {
 		t.SubStream = s.sub
-		for i := mark; s.log != nil && i < len(s.log.Entries); i++ {
+		for i := mark; i < s.log.Len(); i++ {
 			s.log.Entries[i].SubStream = s.sub
 		}
 	}
-	if ok {
-		return true, nil
-	}
-	return false, s.fault.record(s.dlq, *dl)
+	return nil, nil
 }
 
-// safePollute applies the pipeline, converting a panic in any polluter,
-// condition, or error function into an error.
-func safePollute(p *Pipeline, t *stream.Tuple, tau time.Time, log *Log) (err error) {
+// apply runs the pipeline over t, converting a panic into an error.
+func (s *rowStep) apply(t *stream.Tuple) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if e, ok := r.(error); ok {
@@ -215,7 +223,7 @@ func safePollute(p *Pipeline, t *stream.Tuple, tau time.Time, log *Log) (err err
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	p.Apply(t, tau, log)
+	s.p.Apply(t, t.EventTime, s.log)
 	return nil
 }
 
@@ -254,13 +262,29 @@ func (pr *Process) RunStream(src stream.Source, reorderWindow int) (stream.Sourc
 // its pipeline, and k-way merged. Each branch is re-sorted within the
 // bounded window. Dropped tuples are filtered out and, when dropped is
 // non-nil, counted there. The log (nil under DisableLog) is complete once
-// the returned source is exhausted.
-func (pr *Process) runStream(src stream.Source, reorderWindow int, dropped *int) (stream.Source, *Log, error) {
-	in := pr.openStream(src, 0)
+// the returned source is exhausted. When the spec asks for a checkpointed
+// run (m = 1, no window), it also returns the run's Checkpointer.
+func (pr *Process) runStream(src stream.Source, spec StreamSpec, dropped *int) (stream.Source, *Log, *Checkpointer, error) {
+	var ck *Checkpointer
+	var firstID uint64
+	if spec.checkpointed() {
+		var err error
+		if ck, err = pr.checkpointer(src, spec.Resume); err != nil {
+			return nil, nil, nil, err
+		}
+		src, firstID = ck.input, ck.base.NextID
+	}
+	in := pr.openStream(src, firstID)
 	prep := pr.tapped(in.prep)
 	m := len(pr.Pipelines)
 	if m == 1 {
-		return reordered(pr.runner(prep, 0, in, dropped), reorderWindow), in.log, nil
+		r := pr.runner(prep, 0, in, dropped)
+		if ck != nil {
+			if err := ck.bind(in, r, spec.Resume); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+		return reordered(r, spec.Reorder), in.log, ck, nil
 	}
 	route := pr.Route
 	if route == nil {
@@ -271,13 +295,13 @@ func (pr *Process) runStream(src stream.Source, reorderWindow int, dropped *int)
 	subs := stream.Split(prep, m, route)
 	branches := make([]stream.Source, m)
 	for i := range subs {
-		branches[i] = reordered(pr.runner(subs[i], i, in, dropped), reorderWindow)
+		branches[i] = reordered(pr.runner(subs[i], i, in, dropped), spec.Reorder)
 	}
 	merged, err := stream.NewKWayMerge(branches)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return merged, in.log, nil
+	return merged, in.log, nil, nil
 }
 
 // runner builds the tuple-wise operator that pollutes src with pipeline
@@ -306,8 +330,8 @@ func (pr *Process) tapped(prep stream.Source) stream.Source {
 	return &tapSource{src: prep, tap: pr.CleanTap}
 }
 
-// tapSource forwards its inner source unchanged while handing a clone of
-// every tuple to the tap.
+// tapSource forwards its inner source unchanged while handing every
+// tuple to the tap.
 type tapSource struct {
 	src stream.Source
 	tap func(stream.Tuple)
@@ -319,20 +343,22 @@ func (s *tapSource) Schema() *stream.Schema { return s.src.Schema() }
 // Next implements stream.Source.
 func (s *tapSource) Next() (stream.Tuple, error) {
 	t, err := s.src.Next()
-	if err != nil {
-		return t, err
+	if err == nil {
+		s.tap(t)
 	}
-	s.tap(t.Clone())
-	return t, nil
+	return t, err
 }
 
 // streamRunner is the pollute → drop-filter operator of streaming mode:
-// the whole single-pipeline run, one branch of a multi-pipeline run, and
-// the checkpointed run.
+// the whole single-pipeline run (checkpointed or not) and one branch of a
+// multi-pipeline run.
 type streamRunner struct {
 	src stream.Source
 	rowStep
 	dropped *int
+	// emitted counts the delivered tuples: a checkpoint's output position.
+	emitted uint64
+	err     error // the sticky fatal error
 
 	// cur is the tuple in flight. Polluters receive *Tuple through an
 	// interface call, which would force a stack-local tuple to escape —
@@ -346,18 +372,15 @@ func (r *streamRunner) Schema() *stream.Schema { return r.src.Schema() }
 
 // Next implements stream.Source.
 func (r *streamRunner) Next() (stream.Tuple, error) {
-	for {
+	for r.err == nil {
 		t, err := r.src.Next()
 		if err != nil {
 			return t, err
 		}
 		r.cur = t
 		r.reg.Inc(obs.CTuplesIn)
-		ok, err := r.pollute(&r.cur)
-		if err != nil {
-			return stream.Tuple{}, err
-		}
-		if !ok {
+		var dl *stream.DeadLetter
+		if dl, r.err = r.pollute(&r.cur); r.err != nil || dl != nil {
 			continue
 		}
 		if r.cur.Dropped {
@@ -368,30 +391,10 @@ func (r *streamRunner) Next() (stream.Tuple, error) {
 			continue
 		}
 		r.reg.Inc(obs.CTuplesOut)
+		r.emitted++
 		return r.cur, nil
 	}
-}
-
-// polluteOne is THE single fault/rollback code path of every runner —
-// rowStep.pollute (streaming, checkpointed, columnar collapse) and the
-// sharded workers. It applies p to t at its event time under the fault
-// policy, rolling the log back to logMark when pollution fails so the
-// ground truth only describes delivered tuples. It reports whether the
-// tuple survived and, when it did not, returns its dead letter (with t
-// marked Quarantined). Without quarantine, a pipeline panic propagates to
-// the caller unchanged — the historical fail-fast contract.
-func polluteOne(p *Pipeline, t *stream.Tuple, log *Log, logMark int, fault FaultPolicy) (bool, *stream.DeadLetter) {
-	if !fault.Quarantine {
-		p.Apply(t, t.EventTime, log)
-		return true, nil
-	}
-	if err := safePollute(p, t, t.EventTime, log); err != nil {
-		log.Truncate(logMark)
-		t.Quarantined = true
-		dl := deadLetterFor(*t, "pollute", err)
-		return false, &dl
-	}
-	return true, nil
+	return stream.Tuple{}, r.err
 }
 
 // record books a dead letter into the run's queue and enforces the

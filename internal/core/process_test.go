@@ -599,6 +599,58 @@ func TestRunStreamSubStreamsWithOverlapAndDelay(t *testing.T) {
 	}
 }
 
+// TestStreamOrderKeyMatchesBatch: on input not sorted by event time, a
+// delayed tuple can tie the arrival of a tuple with a smaller ID. The
+// reorder window (m = 1) and the k-way merge (m = 2, the two tuples in
+// different sub-streams) must then order them as batch Run's sort does,
+// by event time before ID.
+func TestStreamOrderKeyMatchesBatch(t *testing.T) {
+	s := procSchema()
+	base := time.Date(2020, 1, 1, 10, 0, 0, 0, time.UTC)
+	// Tuple 2 is an hour older than tuple 1; delayed by an hour, it
+	// arrives with it.
+	input := func() stream.Source {
+		return stream.NewSliceSource(s, []stream.Tuple{
+			stream.NewTuple(s, []stream.Value{stream.Time(base), stream.Float(0)}),
+			stream.NewTuple(s, []stream.Value{stream.Time(base.Add(-time.Hour)), stream.Float(1)}),
+			stream.NewTuple(s, []stream.Value{stream.Time(base.Add(time.Hour)), stream.Float(2)}),
+		})
+	}
+	delay := func() *Pipeline {
+		return NewPipeline(NewStandard("delay", DelayTuple{Delay: time.Hour}, Compare{"v", OpEq, stream.Float(1)}, "v"))
+	}
+	for _, tc := range []struct {
+		name string
+		proc func() *Process
+	}{
+		{"m=1", func() *Process { return &Process{Pipelines: []*Pipeline{delay()}} }},
+		{"m=2", func() *Process {
+			return &Process{Pipelines: []*Pipeline{delay(), delay()}, Route: stream.RouteRoundRobin()}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := tc.proc().Run(input())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Polluted[0].ID != 2 {
+				t.Fatalf("batch order starts with tuple %d, want the delayed tuple 2", res.Polluted[0].ID)
+			}
+			out, _, err := tc.proc().RunStream(input(), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := stream.Drain(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if renderTuples(got) != renderTuples(res.Polluted) {
+				t.Fatalf("RunStream order:\n%s\nbatch Run order:\n%s", renderTuples(got), renderTuples(res.Polluted))
+			}
+		})
+	}
+}
+
 func TestRunStreamNoPipelines(t *testing.T) {
 	proc := &Process{}
 	if _, _, err := proc.RunStream(procSource(procSchema(), 1), 1); err == nil {

@@ -60,7 +60,7 @@ func TestRunTwiceByteIdentical(t *testing.T) {
 		return csv, logJSON
 	}
 	runCheckpointed := func(pr *Process) ([]byte, []byte) {
-		src, log, _, err := pr.runStreamCheckpointed(ckptSource(schema, n), nil)
+		src, log, _, err := checkpointed(pr, ckptSource(schema, n), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestCleanTapStreaming(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			pr := statefulProcess(7)
 			var tapped []stream.Tuple
-			pr.CleanTap = func(tp stream.Tuple) { tapped = append(tapped, tp) }
+			pr.CleanTap = func(tp stream.Tuple) { tapped = append(tapped, tp.Clone()) }
 			pr.KeepClean = true
 			var clean []stream.Tuple
 			switch mode {

@@ -34,7 +34,7 @@ type StreamSpec struct {
 	Resume *Checkpoint
 }
 
-// checkpointed reports whether the run uses the checkpointed runner.
+// checkpointed reports whether the run is capturable.
 func (s StreamSpec) checkpointed() bool { return s.Checkpoint || s.Resume != nil }
 
 // checkpointBlocker names the property of the shape that rules out
@@ -90,9 +90,13 @@ type StreamRun struct {
 	Checkpointer *Checkpointer
 }
 
-// Stream starts the streaming workflow in the given execution shape.
-// Every shape emits the stream, log and dead letters RunStream emits;
-// see the runners for what each adds.
+// Stream starts the streaming workflow in the given execution shape, on
+// one of three runners: tuple-wise (RunStream, capturable when the spec
+// asks for a checkpoint), sharded or columnar. Every shape emits the
+// stream, log and dead letters RunStream emits, and fails the same way:
+// without quarantine, a pipeline panic on tuple N ends the stream with
+// the sticky error "core: pollute tuple N: panic: …", after exactly the
+// tuples before N have been polluted and logged.
 //
 // Sharded runs use per-shard value arenas, so emitted tuples are loans:
 // the consumer must be done with a tuple before its next Next call
@@ -114,14 +118,12 @@ func (pr *Process) start(src stream.Source, spec StreamSpec, dropped *int) (*Str
 	run := &StreamRun{}
 	var err error
 	switch {
-	case spec.checkpointed():
-		run.Source, run.Log, run.Checkpointer, err = pr.runStreamCheckpointed(src, spec.Resume)
 	case spec.Shards > 1:
 		run.Source, run.Log, err = pr.runStreamSharded(src, spec.Reorder, shardConfig{KeyAttr: spec.ShardKey, Shards: spec.Shards})
 	case spec.Columnar:
 		run.Source, run.Log, err = pr.runStreamColumnar(src, spec.Reorder)
 	default:
-		run.Source, run.Log, err = pr.runStream(src, spec.Reorder, dropped)
+		run.Source, run.Log, run.Checkpointer, err = pr.runStream(src, spec, dropped)
 	}
 	if err != nil {
 		return nil, err

@@ -7,8 +7,10 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"icewafl/internal/csvio"
+	"icewafl/internal/rng"
 	"icewafl/internal/stream"
 )
 
@@ -80,6 +82,39 @@ func shapeDigest(t *testing.T, src stream.Source, log *Log) [sha256.Size]byte {
 	return sha256.Sum256(buf.Bytes())
 }
 
+// failFastFactory is the oracle pipeline's fail-fast twin: keyed noise and
+// delay, with a panic injected on tuple 301 and no quarantine.
+func failFastFactory(seed int64) *Pipeline {
+	return NewPipeline(NewKeyedPolluter("keyed", "sensor", func(key string) Polluter {
+		return &panicEvery{mod: 301, inner: NewComposite("per-key", nil,
+			NewStandard("noise",
+				&GaussianNoise{Stddev: Const(1.5), Rand: rng.Derive(seed, "noise/"+key)},
+				NewRandomConst(0.35, rng.Derive(seed, "noise-cond/"+key)), "v"),
+			NewStandard("delay",
+				DelayTuple{Delay: 45 * time.Minute},
+				NewRandomConst(0.05, rng.Derive(seed, "delay/"+key)), "v"))}
+	}))
+}
+
+// failDigest drains a run that must end in a fatal error and returns
+// sha256(dirty CSV delivered before it ‖ log JSONL) with the error
+// message, after checking that the error is sticky.
+func failDigest(t *testing.T, src stream.Source, log *Log) ([sha256.Size]byte, string) {
+	t.Helper()
+	var buf bytes.Buffer
+	_, err := stream.Copy(csvio.NewWriter(&buf, src.Schema()), src)
+	if err == nil {
+		t.Fatal("run ended without an error")
+	}
+	if _, again := src.Next(); again == nil || again.Error() != err.Error() {
+		t.Fatalf("error is not sticky: %v, then %v", err, again)
+	}
+	if werr := log.WriteJSON(&buf); werr != nil {
+		t.Fatal(werr)
+	}
+	return sha256.Sum256(buf.Bytes()), err.Error()
+}
+
 // pipelineRules checks the pipeline-count rules on one accepted shape:
 // Stream refuses a missing or nil pipeline with an error, never a panic,
 // and only the plain tuple-wise shape runs m = 2 sub-streams.
@@ -137,15 +172,25 @@ func TestShapeMatrix(t *testing.T) {
 	newProc := func() *Process {
 		return &Process{Pipelines: []*Pipeline{keyedStickyTemporalFactory(seed)(0)}}
 	}
+	failProc := func() *Process { return &Process{Pipelines: []*Pipeline{failFastFactory(seed)}} }
+	const failMsg = "core: pollute tuple 301: panic: injected fault on tuple 301"
 	reference := map[int][sha256.Size]byte{}
+	failReference := map[int][sha256.Size]byte{}
 	for _, reorder := range []int{1, 8} {
 		src, log, err := newProc().RunStream(shardedTestSource(schema, n, keys), reorder)
 		if err != nil {
 			t.Fatal(err)
 		}
 		reference[reorder] = shapeDigest(t, src, log)
+		if src, log, err = failProc().RunStream(shardedTestSource(schema, n, keys), reorder); err != nil {
+			t.Fatal(err)
+		}
+		var msg string
+		if failReference[reorder], msg = failDigest(t, src, log); msg != failMsg {
+			t.Fatalf("reorder %d: fail-fast error %q, want %q", reorder, msg, failMsg)
+		}
 	}
-	if reference[1] == reference[8] {
+	if reference[1] == reference[8] || failReference[1] == failReference[8] {
 		t.Fatal("the reorder window does not change the reference; the workload cannot tell shapes apart")
 	}
 
@@ -185,6 +230,14 @@ func TestShapeMatrix(t *testing.T) {
 			}
 			if shapeDigest(t, run.Source, run.Log) != reference[row.reorder] {
 				t.Errorf("digest differs from the RunStream reference")
+			}
+			// Fail fast: the same delivered bytes, log and sticky error.
+			fail, err := failProc().Stream(shardedTestSource(schema, n, keys), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, msg := failDigest(t, fail.Source, fail.Log); got != failReference[row.reorder] || msg != failMsg {
+				t.Errorf("fail-fast run: error %q, digest equal to the RunStream reference %t", msg, got == failReference[row.reorder])
 			}
 			if !row.checkpoint {
 				return

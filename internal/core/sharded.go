@@ -64,13 +64,6 @@ type shardConfig struct {
 	// Shards is the number of parallel workers (Stream dispatches here
 	// only for Shards > 1; RunStream is the sequential engine).
 	Shards int
-	// NewPipeline builds the pipeline instance owned by shard i. Every
-	// invocation must return a freshly constructed, identically
-	// configured pipeline; for byte-identical output the per-key state
-	// and randomness must derive from keys, not from shard-global
-	// streams. Nil is allowed when the process pipeline consists only of
-	// KeyedPolluters, which shard automatically.
-	NewPipeline func(shard int) *Pipeline
 	// BatchSize is the number of tuples per ring handoff (default 128).
 	// Larger batches amortise the fan-out/fan-in synchronisation
 	// further at the cost of latency and per-shard memory.
@@ -84,12 +77,11 @@ type shardConfig struct {
 
 // runStreamSharded is the sharded runner behind Stream: the
 // single-pipeline streaming workflow with the keyed hot path partitioned
-// across cfg.Shards workers. Semantics match RunStream exactly — same
-// output, same pollution log, same dead-letter order — with one
-// deliberate difference: without quarantine, a panicking pipeline
-// surfaces as a fatal stream error instead of a panic (a panic must not
-// escape a shard goroutine), and the output is truncated at exactly the
-// failing tuple's position, as the sequential run would truncate it.
+// across cfg.Shards workers. The pipeline must consist of KeyedPolluters
+// only; each shard pollutes through its own row step over fresh keyed
+// polluters sharing the pipeline's per-key factories. Semantics match
+// RunStream exactly — same output, same pollution log, same dead-letter
+// order, same fail-fast error at the same tuple.
 //
 // Ownership: each shard has a private value arena. Workers clone incoming
 // tuples into recycled per-batch value blocks instead of writing the
@@ -97,11 +89,9 @@ type shardConfig struct {
 // allocates nothing per tuple. Emitted tuples are loans — the consumer
 // must be done with a tuple before its next Next call (clone to retain).
 func (pr *Process) runStreamSharded(src stream.Source, reorderWindow int, cfg shardConfig) (stream.Source, *Log, error) {
-	newPipeline := cfg.NewPipeline
-	if newPipeline == nil {
-		var ok bool
-		newPipeline, ok = keyedFactory(pr.Pipelines[0])
-		if !ok {
+	proto := pr.Pipelines[0]
+	for _, p := range proto.Polluters {
+		if _, ok := p.(*KeyedPolluter); !ok {
 			return nil, nil, fmt.Errorf("core: sharded streaming needs a pipeline factory unless every polluter is keyed")
 		}
 	}
@@ -120,14 +110,26 @@ func (pr *Process) runStreamSharded(src stream.Source, reorderWindow int, cfg sh
 	if depth < 2 {
 		depth = 2
 	}
-	pipes := make([]*Pipeline, cfg.Shards)
-	for i := range pipes {
-		pipes[i] = newPipeline(i)
-		if pipes[i] == nil {
-			return nil, nil, fmt.Errorf("core: shard pipeline factory returned nil for shard %d", i)
-		}
-	}
 	in := pr.openStream(src, 0)
+	// A shard's step has no dead-letter queue, so it returns its dead
+	// letters for the merger to book in prepared order.
+	steps := make([]rowStep, cfg.Shards)
+	for i := range steps {
+		pols := make([]Polluter, len(proto.Polluters))
+		for j, p := range proto.Polluters {
+			pols[j] = p.(*KeyedPolluter).CloneEmpty()
+		}
+		var scratch *Log
+		if in.log != nil {
+			// The scratch log carries the registry, so entry counts (and
+			// condition hit/miss tallies) are booked — and rolled back — at
+			// recording time; the merger then appends the surviving entries
+			// to the uncounted merged log.
+			scratch = &Log{Obs: pr.Obs}
+		}
+		steps[i] = pr.step(0, scratch, nil)
+		steps[i].p = NewPipeline(pols...)
+	}
 	if in.log != nil {
 		// The merged log deliberately carries no registry: its entries are
 		// recorded (and counted) by the per-worker scratch logs and
@@ -140,7 +142,7 @@ func (pr *Process) runStreamSharded(src stream.Source, reorderWindow int, cfg sh
 	sh := &shardedSource{
 		src:    pr.tapped(in.prep),
 		schema: src.Schema(),
-		pipes:  pipes,
+		steps:  steps,
 		keyIdx: src.Schema().Index(cfg.KeyAttr),
 		batch:  batch,
 		depth:  depth,
@@ -154,31 +156,10 @@ func (pr *Process) runStreamSharded(src stream.Source, reorderWindow int, cfg sh
 		// retired batches are left to the GC instead of recycled.
 		recycle: !wrapped,
 		log:     in.log,
-		fault:   pr.Fault,
 		dlq:     in.dlq,
 		reg:     pr.Obs,
-		trace:   pr.Obs.TraceEnabled(),
 	}
 	return reordered(sh, reorderWindow), in.log, nil
-}
-
-// keyedFactory derives a per-shard pipeline factory from a prototype
-// pipeline consisting only of KeyedPolluters: each shard gets fresh
-// keyed polluters sharing the prototype's per-key factories, so per-key
-// state is rebuilt independently inside each shard.
-func keyedFactory(proto *Pipeline) (func(int) *Pipeline, bool) {
-	for _, p := range proto.Polluters {
-		if _, ok := p.(*KeyedPolluter); !ok {
-			return nil, false
-		}
-	}
-	return func(int) *Pipeline {
-		pols := make([]Polluter, len(proto.Polluters))
-		for i, p := range proto.Polluters {
-			pols[i] = p.(*KeyedPolluter).CloneEmpty()
-		}
-		return NewPipeline(pols...)
-	}, true
 }
 
 // shardItem is one tuple in flight to a shard worker.
@@ -231,17 +212,15 @@ type retiredBatch struct {
 type shardedSource struct {
 	src     stream.Source
 	schema  *stream.Schema
-	pipes   []*Pipeline
+	steps   []rowStep // one per shard, owned by its worker
 	keyIdx  int
 	batch   int
 	depth   int
 	width   int
 	recycle bool // arena batches may be recycled (no reorder buffer downstream)
 	log     *Log
-	fault   FaultPolicy
 	dlq     *stream.DeadLetterQueue
 	reg     *obs.Registry
-	trace   bool
 
 	started  bool
 	done     chan struct{}
@@ -269,7 +248,7 @@ func (s *shardedSource) Schema() *stream.Schema { return s.schema }
 
 func (s *shardedSource) start() {
 	s.started = true
-	n := len(s.pipes)
+	n := len(s.steps)
 	s.done = make(chan struct{})
 	s.ins = make([]*stream.SPSC[*shardBatch], n)
 	s.outs = make([]*stream.SPSC[*shardBatch], n)
@@ -313,7 +292,7 @@ func (s *shardedSource) grab(shard int) *shardBatch {
 // the merge's deadlock-freedom rests on (see the file comment).
 func (s *shardedSource) feed() {
 	defer s.wg.Done()
-	n := len(s.pipes)
+	n := len(s.steps)
 	acc := make([]*shardBatch, n)
 	first := make([]uint64, n)
 	order := make([]int, 0, n)
@@ -391,31 +370,51 @@ feed:
 	}
 }
 
-// worker pollutes the batches of one shard with the shard's own
-// pipeline instance, then forwards them to the merger. On a fatal
-// pipeline error it ships the batch's valid prefix with the error
-// attached, abandons its inbound ring so the feeder stops queueing for
-// it, and exits.
+// worker pollutes the batches of one shard in place through the shard's
+// row step, then forwards them to the merger. Each tuple is first cloned
+// into the batch's value block, so the source's buffers are never
+// written, and the step's scratch log records straight into the batch's
+// flat entry arena. On a fatal error it ships the batch's valid prefix
+// with the error attached, so the merge stops exactly where the
+// sequential run would, abandons its inbound ring so the feeder stops
+// queueing for it, and exits.
 func (s *shardedSource) worker(shard int) {
 	defer s.wg.Done()
 	in, out := s.ins[shard], s.outs[shard]
 	defer out.Close()
-	pipe := s.pipes[shard]
-	var scratch *Log
-	if s.log != nil {
-		// The scratch log carries the registry, so entry counts (and
-		// condition hit/miss tallies) are booked — and rolled back — at
-		// recording time; the merger then appends the surviving entries
-		// to the uncounted merged log.
-		scratch = NewLog()
-		scratch.Obs = s.reg
-	}
+	step := &s.steps[shard]
 	for {
 		b, ok := in.Pop(s.done)
 		if !ok {
 			return
 		}
-		fatal := s.pollute(pipe, b, scratch)
+		if need := len(b.items) * s.width; cap(b.vals) < need {
+			b.vals = make([]stream.Value, need)
+		}
+		if step.log != nil {
+			step.log.Entries = b.entryBuf[:0]
+		}
+		b.entryOff = append(b.entryOff[:0], 0)
+		for i := range b.items {
+			item := &b.items[i]
+			item.t.CloneValuesInto(b.vals[i*s.width : i*s.width : (i+1)*s.width])
+			dl, err := step.pollute(&item.t)
+			if err != nil {
+				b.err, b.errSeq, b.items = err, item.seq, b.items[:i]
+				break
+			}
+			if dl != nil {
+				if b.dls == nil {
+					b.dls = make([]*stream.DeadLetter, len(b.items))
+				}
+				b.dls[i] = dl
+			}
+			b.entryOff = append(b.entryOff, int32(step.log.Len()))
+		}
+		if step.log != nil {
+			b.entryBuf = step.log.Entries
+		}
+		fatal := b.err != nil
 		if !out.Push(b, s.done) {
 			return
 		}
@@ -424,65 +423,6 @@ func (s *shardedSource) worker(shard int) {
 			return
 		}
 	}
-}
-
-// pollute runs one batch through the shard's pipeline in place,
-// recording log entries into the batch's flat entry arena. Each tuple is
-// first cloned into the batch's value block, so the source's buffers
-// are never written. Reports whether a fatal error truncated the batch.
-func (s *shardedSource) pollute(pipe *Pipeline, b *shardBatch, scratch *Log) bool {
-	logged := scratch != nil
-	if logged {
-		b.entryOff = append(b.entryOff[:0], 0)
-	}
-	if need := len(b.items) * s.width; cap(b.vals) < need {
-		b.vals = make([]stream.Value, need)
-	}
-	for i := range b.items {
-		item := &b.items[i]
-		item.t.CloneValuesInto(b.vals[i*s.width : i*s.width : (i+1)*s.width])
-		if logged {
-			scratch.Entries = scratch.Entries[:0]
-		}
-		var span func()
-		if s.trace && s.reg.Sampled(item.t.ID) {
-			id, start := item.t.ID, time.Now()
-			span = func() { s.reg.ObserveSpan(obs.StagePollute, id, time.Since(start)) }
-		}
-		if s.fault.Quarantine {
-			// The one shared fault/rollback code path (polluteOne) — the
-			// merger books the returned dead letter in prepared order.
-			ok, dl := polluteOne(pipe, &item.t, scratch, 0, s.fault)
-			if !ok {
-				if b.dls == nil {
-					b.dls = make([]*stream.DeadLetter, len(b.items))
-				}
-				b.dls[i] = dl
-			}
-		} else {
-			// Fail fast, but a panic must not escape a goroutine: it
-			// surfaces as a fatal stream error instead, truncating the
-			// batch at the failing tuple so the merge stops exactly
-			// where the sequential run would.
-			if err := safePollute(pipe, &item.t, item.t.EventTime, scratch); err != nil {
-				b.err = fmt.Errorf("core: shard pollute tuple %d: %w", item.t.ID, err)
-				b.errSeq = item.seq
-				b.items = b.items[:i]
-				if logged {
-					b.entryOff = b.entryOff[:i+1]
-				}
-				return true
-			}
-		}
-		if span != nil {
-			span()
-		}
-		if logged {
-			b.entryBuf = append(b.entryBuf, scratch.Entries...)
-			b.entryOff = append(b.entryOff, int32(len(b.entryBuf)))
-		}
-	}
-	return false
 }
 
 // Next implements stream.Source: the merge. It restores prepared order
@@ -608,7 +548,7 @@ func (s *shardedSource) consume(sh int) (stream.Tuple, bool) {
 		}
 	}
 	if b.dls != nil && b.dls[i] != nil {
-		if err := s.fault.record(s.dlq, *b.dls[i]); err != nil {
+		if err := s.steps[sh].fault.record(s.dlq, *b.dls[i]); err != nil {
 			s.fail(err)
 			return stream.Tuple{}, false
 		}

@@ -22,7 +22,6 @@ func runShardedWith(t *testing.T, factory func(int) *Pipeline, n, keys, reorder 
 	t.Helper()
 	schema := shardedTestSchema()
 	cfg.KeyAttr = "sensor"
-	cfg.NewPipeline = factory
 	proc := &Process{Pipelines: []*Pipeline{factory(0)}}
 	var (
 		out stream.Source
@@ -192,7 +191,7 @@ func TestShardedArenaPreservesSource(t *testing.T) {
 	factory := keyedStickyTemporalFactory(31)
 	proc := &Process{Pipelines: []*Pipeline{factory(0)}, DisableLog: true}
 	out, _, err := proc.runStreamSharded(stream.NewSliceSource(schema, tuples), 1,
-		shardConfig{KeyAttr: "sensor", Shards: 4, NewPipeline: factory})
+		shardConfig{KeyAttr: "sensor", Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,10 +218,10 @@ func TestShardedCleanTap(t *testing.T) {
 	var clean []stream.Tuple
 	proc := &Process{
 		Pipelines: []*Pipeline{factory(0)},
-		CleanTap:  func(t stream.Tuple) { clean = append(clean, t) },
+		CleanTap:  func(t stream.Tuple) { clean = append(clean, t.Clone()) },
 	}
 	out, _, err := proc.runStreamSharded(shardedTestSource(schema, n, keys), 1,
-		shardConfig{KeyAttr: "sensor", Shards: 3, NewPipeline: factory})
+		shardConfig{KeyAttr: "sensor", Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,9 +243,8 @@ func TestShardedCleanTap(t *testing.T) {
 // exactly the failing tuple's position, regardless of shard count: the
 // first panic hits tuple ID 97 (sequence 96), so every run must emit
 // exactly the 96 preceding tuples and then the same sticky error.
-// (The sequential runner propagates the panic itself, by contract, so
-// the sharded runs are compared against each other and the exact
-// truncation point.)
+// (TestShapeMatrix compares every shape's fail-fast run with the
+// sequential one.)
 func TestShardedFailFastDeterministicPrefix(t *testing.T) {
 	schema := shardedTestSchema()
 	factory := func(int) *Pipeline {
@@ -258,7 +256,7 @@ func TestShardedFailFastDeterministicPrefix(t *testing.T) {
 	run := func(shards int) (string, string) {
 		proc := &Process{Pipelines: []*Pipeline{factory(0)}, DisableLog: true}
 		out, _, err := proc.runStreamSharded(shardedTestSource(schema, 500, 6), 1,
-			shardConfig{KeyAttr: "sensor", Shards: shards, NewPipeline: factory})
+			shardConfig{KeyAttr: "sensor", Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}

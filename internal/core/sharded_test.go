@@ -174,11 +174,11 @@ func TestShardedRejectsBadConfig(t *testing.T) {
 	}
 	proc = &Process{Pipelines: []*Pipeline{factory(0)}}
 	if _, _, err := proc.runStreamSharded(shardedTestSource(schema, 10, 2), 1,
-		shardConfig{Shards: 2, NewPipeline: factory}); err == nil {
+		shardConfig{Shards: 2}); err == nil {
 		t.Fatal("missing KeyAttr must be rejected")
 	}
 	if _, _, err := proc.runStreamSharded(shardedTestSource(schema, 10, 2), 1,
-		shardConfig{KeyAttr: "nope", Shards: 2, NewPipeline: factory}); err == nil {
+		shardConfig{KeyAttr: "nope", Shards: 2}); err == nil {
 		t.Fatal("unknown KeyAttr must be rejected")
 	}
 }
@@ -189,7 +189,7 @@ func TestShardedStopReleasesGoroutines(t *testing.T) {
 	factory := keyedStickyTemporalFactory(3)
 	proc := &Process{Pipelines: []*Pipeline{factory(0)}}
 	out, _, err := proc.runStreamSharded(shardedTestSource(schema, 5000, 11), 1,
-		shardConfig{KeyAttr: "sensor", Shards: 4, NewPipeline: factory})
+		shardConfig{KeyAttr: "sensor", Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,10 +263,10 @@ func TestRunnerLogEquivalence(t *testing.T) {
 		case "stream":
 			out, log, err = proc.RunStream(src, 1)
 		case "checkpointed":
-			out, log, _, err = proc.runStreamCheckpointed(src, nil)
+			out, log, _, err = checkpointed(proc, src, nil)
 		case "sharded":
 			out, log, err = proc.runStreamSharded(src, 1,
-				shardConfig{KeyAttr: "sensor", Shards: 3, NewPipeline: factory})
+				shardConfig{KeyAttr: "sensor", Shards: 3})
 		default:
 			t.Fatalf("unknown runner %q", kind)
 		}
@@ -320,7 +320,7 @@ func TestShardedFailFastOnPanic(t *testing.T) {
 	}
 	proc := &Process{Pipelines: []*Pipeline{factory(0)}}
 	out, _, err := proc.runStreamSharded(shardedTestSource(schema, 200, 4), 1,
-		shardConfig{KeyAttr: "sensor", Shards: 2, NewPipeline: factory})
+		shardConfig{KeyAttr: "sensor", Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,9 +116,9 @@ func histCorrelation(a, b [24]float64) float64 {
 	ma, mb := stats.Mean(as), stats.Mean(bs)
 	var num, da, db float64
 	for i := 0; i < 24; i++ {
-		num += (as[i] - ma) * (bs[i] - mb)
-		da += (as[i] - ma) * (as[i] - ma)
-		db += (bs[i] - mb) * (bs[i] - mb)
+		num += float64((as[i] - ma) * (bs[i] - mb))
+		da += float64((as[i] - ma) * (as[i] - ma))
+		db += float64((bs[i] - mb) * (bs[i] - mb))
 	}
 	if da == 0 || db == 0 {
 		return math.NaN() // undefined for flat histograms

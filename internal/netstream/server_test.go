@@ -54,7 +54,7 @@ func testProcess(seed int64) *core.Process {
 func referenceRun(t *testing.T, seed int64, n, reorder int) (dirty, clean []stream.Tuple, plog *core.Log) {
 	t.Helper()
 	proc := testProcess(seed)
-	proc.CleanTap = func(tp stream.Tuple) { clean = append(clean, tp) }
+	proc.CleanTap = func(tp stream.Tuple) { clean = append(clean, tp.Clone()) }
 	src, plog, err := proc.RunStream(testSource(wireSchema(t), n), reorder)
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ func SampleVariance(xs []float64) float64 {
 	sum := 0.0
 	for _, x := range xs {
 		d := x - m
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum / float64(len(xs)-1)
 }

@@ -37,10 +37,18 @@ func SortMerge(subs []Source) ([]Tuple, error) {
 // overlapping sub-streams come out in sub-stream order however they were
 // merged.
 func SortByArrival(ts []Tuple) {
-	slices.SortStableFunc(ts, func(a, b Tuple) int {
-		return cmp.Or(a.Arrival.Compare(b.Arrival), a.EventTime.Compare(b.EventTime),
-			cmp.Compare(a.ID, b.ID), cmp.Compare(a.SubStream, b.SubStream))
-	})
+	slices.SortStableFunc(ts, func(a, b Tuple) int { return arrivalOrder(&a, &b) })
+}
+
+// arrivalOrder is SortByArrival's order, shared by KWayMerge and BoundedReorder.
+func arrivalOrder(a, b *Tuple) int {
+	if c := a.Arrival.Compare(b.Arrival); c != 0 {
+		return c
+	}
+	if c := a.EventTime.Compare(b.EventTime); c != 0 {
+		return c
+	}
+	return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.SubStream, b.SubStream))
 }
 
 // KWayMerge merges m sub-streams that are individually sorted by arrival
@@ -109,9 +117,7 @@ func (m *KWayMerge) Next() (Tuple, error) {
 			best = i
 			continue
 		}
-		a, b := m.heads[i], m.heads[best]
-		if a.Arrival.Before(b.Arrival) ||
-			(a.Arrival.Equal(b.Arrival) && a.ID < b.ID) {
+		if arrivalOrder(&m.heads[i], &m.heads[best]) < 0 {
 			best = i
 		}
 	}
@@ -127,7 +133,7 @@ func (m *KWayMerge) Next() (Tuple, error) {
 // be displaced at most capacity-1 positions from its sorted location.
 // This lets delayed-tuple pollution flow through unbounded pipelines.
 //
-// The window is buf[head:], sorted by (Arrival, ID). buf's backing array
+// The window is buf[head:], sorted by arrivalOrder. buf's backing array
 // holds 2×capacity tuples and is allocated once: popping advances head
 // and zeroes the slot, and an insert into a full array first slides the
 // window back to the front.
@@ -179,13 +185,7 @@ func (r *BoundedReorder) insert(t Tuple) {
 		r.buf, r.head = r.buf[:n], 0
 	}
 	win := r.buf[r.head:]
-	i := r.head + sort.Search(len(win), func(i int) bool {
-		b := win[i]
-		if !b.Arrival.Equal(t.Arrival) {
-			return b.Arrival.After(t.Arrival)
-		}
-		return b.ID > t.ID
-	})
+	i := r.head + sort.Search(len(win), func(i int) bool { return arrivalOrder(&win[i], &t) > 0 })
 	r.buf = append(r.buf, Tuple{})
 	copy(r.buf[i+1:], r.buf[i:])
 	r.buf[i] = t

@@ -214,7 +214,7 @@ func (a ARSynthesizer) Synthesize(src []stream.Tuple, attrs []string, n int, see
 			ts, _ := out[i].Timestamp()
 			resid := 0.0
 			for j := 0; j < order; j++ {
-				resid += model.phi[j] * state[order-1-j]
+				resid += float64(model.phi[j] * state[order-1-j])
 			}
 			resid += r.Normal(0, model.sigma)
 			copy(state, state[1:])
@@ -325,10 +325,10 @@ func fitAttr(src []stream.Tuple, attr string, order int) (*arModel, error) {
 	for i := range y {
 		pred := 0.0
 		for j := 0; j < order; j++ {
-			pred += phi[j] * x[i][j]
+			pred += float64(phi[j] * x[i][j])
 		}
 		d := y[i] - pred
-		sse += d * d
+		sse += float64(d * d)
 	}
 	m.sigma = math.Sqrt(sse / float64(len(y)))
 	return m, nil
