@@ -90,11 +90,13 @@ chaos:
 	$(GO) test -race -count=1 ./internal/chaos/ ./cmd/icewafld/ -run 'Chaos|Proxy|FaultFS|CrashRecovery|WAL'
 	$(GO) test -race -count=1 ./cmd/icewafload/ -run 'Restart'
 
-# Stress pass: the session-service and hub suites twenty times over, to
-# flush teardown races a single run only loses occasionally (the
-# delete-while-running error race hid at ~1 run in 3).
+# Stress pass: the session-service, hub and single-pipeline suites
+# twenty times over, to flush teardown races a single run only loses
+# occasionally (the delete-while-running error race hid at ~1 run in 3).
+# The single-pipeline tests run as a service's unnamed session, so they
+# tear down through the same Service.Close.
 stress:
-	$(GO) test -count=20 ./internal/netstream/ -run 'TestService|TestHub'
+	$(GO) test -count=20 ./internal/netstream/ -run 'TestService|TestHub|TestServer'
 
 # bench/ is its own module, so the root `go test ./...` never compiles
 # it; vet and test it here so an API rename in core or netstream cannot

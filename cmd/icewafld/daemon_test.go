@@ -209,13 +209,13 @@ func TestDaemonServesGoldenPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var health struct {
-		State    string `json:"state"`
-		DirtySeq uint64 `json:"dirty_seq"`
+	var body struct {
+		Sessions map[string]netstream.SessionStatus `json:"sessions"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
+	health := body.Sessions[""]
 	if health.State != "done" {
 		t.Errorf("health state = %q, want done", health.State)
 	}
@@ -315,6 +315,8 @@ func TestDaemonUsageErrors(t *testing.T) {
 		{"negative checkpoint every", append(base, "-checkpoint-every", "-1"), "-checkpoint-every must be positive"},
 		// The shape rules are core.StreamSpec's; the daemon surfaces them.
 		{"invalid shape", append(base, "-columnar", "-shards", "4", "-shard-key", "BPM"), "core: columnar execution is incompatible with shards > 1"},
+		// Session mode takes each pipeline from its spec, not from flags.
+		{"pipeline flags with sessions", []string{"-sessions", "-http", "off", "-in", "x.csv", "-wal", "w"}, "-in -wal do not apply to -sessions mode"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,8 +1,8 @@
-// Command icewafld is the networked pollution service: it runs one
-// configured pollution pipeline over a CSV input and streams the dirty
-// stream, the clean stream, and the pollution log to any number of
-// subscribed clients — over raw TCP (length-prefixed frames) and
-// HTTP (NDJSON chunks, plus /metrics and /healthz).
+// Command icewafld is the networked pollution service: it runs
+// pollution pipelines over CSV inputs and streams each one's dirty
+// stream, clean stream and pollution log to any number of subscribed
+// clients — over raw TCP (length-prefixed frames) and HTTP (NDJSON
+// chunks, plus /metrics, /healthz and the /v1/sessions control plane).
 //
 // Usage:
 //
@@ -10,6 +10,14 @@
 //	         [-listen :7077] [-http :7078] [-policy block|drop-oldest|disconnect-slow] \
 //	         [-buffer 256] [-replay 65536] [-reorder 64] [-linger 0] \
 //	         [-wal DIR] [-checkpoint PATH] [-supervise] [-columnar]
+//	icewafld -sessions [-config serve.json] [-state-dir DIR] [-http :7078]
+//
+// Both forms run the same session service. The first starts one unnamed
+// session from its flags, served on the bare channel names dirty, clean
+// and log; the second waits for sessions created over the REST control
+// plane, each a pipeline run on its own <tenant>/<session>/dirty|clean|
+// log channels. /healthz lists every session, and /metrics carries the
+// same families, in both.
 //
 // With -columnar the pipeline runs on the columnar engine and the dirty
 // channel carries colbatch frames — column-major micro-batches of up to
@@ -21,44 +29,46 @@
 //
 // With -wal replay is served from a segmented, checksummed write-ahead
 // log instead of the in-memory ring (-replay then has no effect):
-// from_seq resume survives daemon restarts, and a
-// restarted daemon continues the frame sequence exactly where the
-// durable log ends. Adding -checkpoint makes the pipeline itself
-// resumable (kill -9 mid-run, restart, and clients see one seamless
-// stream). -supervise restarts the session in-process after a panic or
-// fatal error, with an exponential-backoff restart budget
-// (-restart-budget per -restart-window) after which the session is
-// quarantined and reported on /healthz.
+// from_seq resume survives daemon restarts, and a restarted daemon
+// continues the frame sequence exactly where the durable log ends.
+// Adding -checkpoint makes the pipeline itself resumable (kill -9
+// mid-run, restart, and clients see one seamless stream). -supervise
+// restarts the session in-process after a panic or fatal error, with an
+// exponential-backoff restart budget (-restart-budget per
+// -restart-window) after which the session is quarantined and reported
+// on /healthz.
 //
 // The configuration's optional "serve" block provides defaults for the
-// service flags; explicit flags win. The daemon runs the pipeline once,
-// keeps serving results from its ring or WAL, and drains gracefully on
-// SIGINT/SIGTERM: connected clients get -drain-timeout to finish
-// reading before connections close. With -linger > 0 the daemon
+// service flags; explicit flags win. The single pipeline runs once; the
+// daemon keeps serving results from its ring or WAL and drains
+// gracefully on SIGINT/SIGTERM: connected clients get -drain-timeout to
+// finish reading before connections close. With -linger > 0 the daemon
 // additionally exits that long after the pipeline completes, which
 // makes scripted runs self-terminating.
 //
+// With -sessions the pipeline flags are rejected: each session brings
+// its schema, configuration (whose serve block sets its engine knobs)
+// and inline CSV in the POST /v1/sessions body. The -config file's
+// serve block may set the listeners and per-tenant quotas
+// (serve.tenants: max sessions, max subscribers, bytes/sec); quota
+// violations answer with typed errors on the wire. -state-dir makes
+// every session durable and resurrects them on restart. See
+// cmd/icewafload for a load harness.
+//
 // Remote pipelines consume the service with netstream.ClientSource
 // (wrapped in stream.RetrySource for reconnect-with-backoff).
-//
-// With -sessions the daemon instead hosts the multi-tenant session
-// service: no pipeline flags are needed, and sessions — each a
-// supervised pipeline run with its own <tenant>/<session>/dirty|clean|
-// log channels — are created and stopped over the REST control plane
-// (POST/GET/DELETE /v1/sessions). The -config file's serve block may
-// set the listeners and per-tenant quotas (serve.tenants: max
-// sessions, max subscribers, bytes/sec); quota violations answer with
-// typed errors on the wire. See cmd/icewafload for a load harness.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -78,15 +88,27 @@ func fatalUsage(format string, args ...any) {
 	os.Exit(2)
 }
 
+// modeFlags maps each flag that belongs to one mode to true for
+// -sessions and false for the single pipeline; setting it in the other
+// mode is a usage error.
+var modeFlags = map[string]bool{
+	"schema": false, "in": false, "policy": false, "buffer": false, "replay": false,
+	"reorder": false, "shards": false, "shard-key": false, "columnar": false,
+	"columnar-batch": false, "linger": false, "wal": false, "checkpoint": false,
+	"checkpoint-every": false, "supervise": false, "restart-budget": false,
+	"restart-window": false, "restart-backoff": false,
+	"state-dir": true, "archive-deleted": true,
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("icewafld: ")
 	sessions := flag.Bool("sessions", false, "run the multi-tenant session service: pipelines are created over the REST control plane instead of flags")
-	schemaPath := flag.String("schema", "", "path to the JSON schema file (required)")
-	configPath := flag.String("config", "", "path to the JSON pollution configuration (required)")
-	inPath := flag.String("in", "", "input CSV (required)")
+	schemaPath := flag.String("schema", "", "path to the JSON schema file (required without -sessions)")
+	configPath := flag.String("config", "", "path to the JSON pollution configuration (required without -sessions; with it, only the serve block is read)")
+	inPath := flag.String("in", "", "input CSV (required without -sessions)")
 	listen := flag.String("listen", "", "raw-TCP listen address (default from serve block, \":7077\"; \"off\" disables)")
-	httpAddr := flag.String("http", "", "HTTP listen address for NDJSON//metrics (default from serve block; \"off\" disables)")
+	httpAddr := flag.String("http", "", "HTTP listen address for NDJSON//metrics//healthz and the control plane (default from serve block; \"off\" disables)")
 	policyFlag := flag.String("policy", "", "backpressure policy: block, drop-oldest or disconnect-slow (default from serve block)")
 	buffer := flag.Int("buffer", 0, "per-subscriber send queue capacity in frames (default from serve block)")
 	replay := flag.Int("replay", 0, "frames a memory-only session retains per channel for late subscribers; with -wal the log serves replay (default from serve block)")
@@ -113,7 +135,18 @@ func main() {
 	restartBackoff := flag.Duration("restart-backoff", 0, "base exponential backoff between restarts (default 100ms)")
 	flag.Parse()
 
-	// Shared by both modes.
+	var misplaced []string
+	flag.Visit(func(f *flag.Flag) {
+		if forSessions, ok := modeFlags[f.Name]; ok && forSessions != *sessions {
+			misplaced = append(misplaced, "-"+f.Name)
+		}
+	})
+	if len(misplaced) > 0 && *sessions {
+		fatalUsage("%s do not apply to -sessions mode: each session takes its pipeline and serve settings from its spec", strings.Join(misplaced, " "))
+	}
+	if len(misplaced) > 0 {
+		fatalUsage("%s apply to -sessions mode only (use -wal/-checkpoint for the single pipeline)", strings.Join(misplaced, " "))
+	}
 	if *drain < 0 {
 		fatalUsage("-drain-timeout must be positive, got %v", *drain)
 	}
@@ -128,29 +161,6 @@ func main() {
 	}
 	if *walFsyncEvery < 0 {
 		fatalUsage("-wal-fsync-every must be positive, got %d", *walFsyncEvery)
-	}
-	if *sessions {
-		runSessions(sessionsOpts{
-			configPath:     *configPath,
-			listen:         *listen,
-			httpAddr:       *httpAddr,
-			drain:          *drain,
-			traceSample:    *traceSample,
-			stateDir:       *stateDir,
-			archiveDeleted: *archiveDeleted,
-			walSegment:     *walSegment,
-			walRetain:      *walRetain,
-			walRetainAge:   *walRetainAge,
-			walFsyncEvery:  *walFsyncEvery,
-		})
-		return
-	}
-	if *stateDir != "" || *archiveDeleted {
-		fatalUsage("-state-dir/-archive-deleted apply to -sessions mode (use -wal/-checkpoint for the single pipeline)")
-	}
-
-	if *schemaPath == "" || *configPath == "" || *inPath == "" {
-		fatalUsage("-schema, -config and -in are required")
 	}
 	if *buffer < 0 {
 		fatalUsage("-buffer must be positive, got %d", *buffer)
@@ -182,39 +192,30 @@ func main() {
 	if *restartBackoff < 0 {
 		fatalUsage("-restart-backoff must be positive, got %v", *restartBackoff)
 	}
+	if !*sessions && (*schemaPath == "" || *configPath == "" || *inPath == "") {
+		fatalUsage("-schema, -config and -in are required")
+	}
 
-	schema, err := schemafile.Load(*schemaPath)
+	var doc *config.Document
+	var serveBlock *config.ServeSpec
+	if *configPath != "" {
+		cf, err := os.Open(*configPath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		doc, err = config.Parse(cf)
+		cf.Close()
+		if err != nil {
+			log.Fatal(err)
+		}
+		serveBlock = doc.Serve
+	}
+	spec, err := serveBlock.Normalize()
 	if err != nil {
 		log.Fatal(err)
 	}
-	cf, err := os.Open(*configPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	doc, err := config.Parse(cf)
-	cf.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	proc, err := config.Build(doc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if len(proc.Pipelines) != 1 {
-		log.Fatalf("the service runs the streaming engine: configuration must have exactly one pipeline, got %d", len(proc.Pipelines))
-	}
-	if err := proc.ValidateAttrs(schema); err != nil {
-		log.Fatal(err)
-	}
-	if proc.Fault.Quarantine {
-		proc.Fault.DLQ = stream.NewDeadLetterQueue()
-	}
-	proc.KeepClean = false // the clean channel is fed by the server's tap
-
-	spec, err := doc.Serve.Normalize()
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Explicit flags win over the serve block. A flag of the other mode
+	// was rejected above, so it is at its zero value here.
 	if *listen != "" {
 		spec.Listen = *listen
 	}
@@ -244,6 +245,9 @@ func main() {
 	}
 	if *columnarBatch > 0 {
 		spec.ColumnarBatch = *columnarBatch
+	}
+	if *drain > 0 {
+		spec.DrainTimeout = drain.String()
 	}
 	if *walDir != "" {
 		spec.WALDir = *walDir
@@ -278,127 +282,88 @@ func main() {
 	if *restartBackoff > 0 {
 		spec.RestartBackoff = restartBackoff.String()
 	}
+	if *stateDir != "" {
+		spec.StateDir = *stateDir
+	}
+	if *archiveDeleted {
+		spec.ArchiveDeleted = true
+	}
+	if *sessions {
+		if spec.HTTP == "" {
+			// The control plane is HTTP; session mode cannot run without it.
+			spec.HTTP = ":7078"
+		}
+		if spec.HTTP == "off" {
+			fatalUsage("-sessions requires an HTTP listener (the REST control plane)")
+		}
+		if spec.ArchiveDeleted && spec.StateDir == "" {
+			fatalUsage("-archive-deleted requires -state-dir (or serve.state_dir)")
+		}
+	} else if disabled(spec.Listen) && disabled(spec.HTTP) {
+		fatalUsage("both listeners disabled; enable -listen or -http")
+	}
+
+	reg := obs.NewRegistry()
+	if *traceSample > 0 {
+		reg.SetTraceSampling(*traceSample, 0)
+	}
+	drainTimeout, _ := time.ParseDuration(spec.DrainTimeout)
+	svcCfg := netstream.ServiceConfig{DrainTimeout: drainTimeout, Reg: reg, Logf: log.Printf}
+	if *sessions {
+		svcCfg.Build, svcCfg.WAL = sessionBuilder(reg), walOptions(spec)
+		svcCfg.Quotas = make(map[string]netstream.TenantQuota, len(spec.Tenants))
+		for _, t := range spec.Tenants {
+			svcCfg.Quotas[t.Name] = netstream.TenantQuota{
+				MaxSessions:    t.MaxSessions,
+				MaxSubscribers: t.MaxSubscribers,
+				BytesPerSec:    t.BytesPerSec,
+				Burst:          t.Burst,
+				MaxWALBytes:    t.MaxWALBytes,
+			}
+		}
+		svcCfg.StateDir, svcCfg.ArchiveDeleted = spec.StateDir, spec.ArchiveDeleted
+	}
+	svc, err := netstream.NewService(svcCfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	if *sessions {
+		if spec.StateDir != "" {
+			ids, err := svc.Recover()
+			if err != nil {
+				log.Fatal(err)
+			}
+			log.Printf("state dir %s: recovered %d durable session(s)", spec.StateDir, len(ids))
+		}
+		serve(svc, spec, fmt.Sprintf("mode=sessions tenants=%d drain=%s", len(svcCfg.Quotas), drainTimeout), nil)
+		return
+	}
+
+	schema, err := schemafile.Load(*schemaPath)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if spec.Checkpoint != "" && spec.WALDir == "" {
 		fatalUsage("-checkpoint requires -wal (a checkpoint without a durable log cannot resume)")
 	}
 	if err := spec.Shape().Validate(schema); err != nil {
 		fatalUsage("%v", err)
 	}
-	policy, err := netstream.ParsePolicy(spec.Policy)
-	if err != nil {
+	if _, err := netstream.ParsePolicy(spec.Policy); err != nil {
 		fatalUsage("%v", err)
 	}
-	drainTimeout := *drain
-	if drainTimeout == 0 {
-		drainTimeout, _ = time.ParseDuration(spec.DrainTimeout)
-	}
-	retainAge, _ := time.ParseDuration(spec.WALRetainAge)
-	rWindow, _ := time.ParseDuration(spec.RestartWindow)
-	rBackoff, _ := time.ParseDuration(spec.RestartBackoff)
-
-	reg := obs.NewRegistry()
-	if *traceSample > 0 {
-		reg.SetTraceSampling(*traceSample, 0)
-	}
-	proc.Obs = reg
-
-	newSource := func() (stream.Source, error) {
-		f, err := os.Open(*inPath)
-		if err != nil {
-			return nil, err
-		}
-		var reader stream.Source
-		if spec.Columnar {
-			// Batch-native CSV ingest: rows decode straight into column
-			// batches, so the columnar runner never materialises per-row
-			// tuples on the way in (unless a retry wrapper intervenes).
-			reader, err = csvio.NewColumnReader(f, schema)
-		} else {
-			reader, err = csvio.NewReader(f, schema)
-		}
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		return withRetry(reader, doc, reg), nil
-	}
-
-	srv, err := netstream.NewServer(netstream.Config{
-		Schema:        schema,
-		Proc:          proc,
-		NewSource:     newSource,
-		Reorder:       spec.Reorder,
-		Shards:        spec.Shards,
-		ShardKey:      spec.ShardKey,
-		Columnar:      spec.Columnar,
-		ColumnarBatch: spec.ColumnarBatch,
-		Buffer:        spec.Buffer,
-		Replay:        spec.Replay,
-		Policy:        policy,
-		DrainTimeout:  drainTimeout,
-		Reg:           reg,
-		Logf:          log.Printf,
-		WALDir:        spec.WALDir,
-		WAL: netstream.WALOptions{
-			SegmentBytes: spec.WALSegmentBytes,
-			RetainBytes:  spec.WALRetainBytes,
-			RetainAge:    retainAge,
-			FsyncEvery:   spec.WALFsyncEvery,
-		},
-		CheckpointPath:  spec.Checkpoint,
-		CheckpointEvery: spec.CheckpointEvery,
-		Supervise:       spec.Supervise,
-		RestartBudget:   spec.RestartBudget,
-		RestartWindow:   rWindow,
-		RestartBackoff:  rBackoff,
-	})
+	cfg, err := pipelineConfig(schema, doc, spec, func() (io.Reader, error) { return os.Open(*inPath) }, reg)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	var tcpLn, httpLn net.Listener
-	if spec.Listen != "" && spec.Listen != "off" {
-		tcpLn, err = net.Listen("tcp", spec.Listen)
-		if err != nil {
-			log.Fatal(err)
-		}
+	cfg.WALDir, cfg.CheckpointPath = spec.WALDir, spec.Checkpoint
+	sess, err := svc.Start(cfg)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if spec.HTTP != "" && spec.HTTP != "off" {
-		httpLn, err = net.Listen("tcp", spec.HTTP)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	if tcpLn == nil && httpLn == nil {
-		fatalUsage("both listeners disabled; enable -listen or -http")
-	}
-
-	// Announce the bound addresses (":0" picks random ports) in a
-	// stable, machine-parseable form for scripts and the CI harness.
-	tcpAddr, httpURL := "off", "off"
-	if tcpLn != nil {
-		tcpAddr = tcpLn.Addr().String()
-	}
-	if httpLn != nil {
-		httpURL = httpLn.Addr().String()
-	}
-	log.Printf("listening tcp=%s http=%s policy=%s buffer=%d replay=%d", tcpAddr, httpURL, policy, spec.Buffer, spec.Replay)
-
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-	if *linger > 0 {
-		go func() {
-			select {
-			case <-srv.PipelineDone():
-				select {
-				case <-time.After(*linger):
-					cancel()
-				case <-ctx.Done():
-				}
-			case <-ctx.Done():
-			}
-		}()
-	}
+	srv := sess.Server()
+	stop := make(chan struct{})
 	go func() {
 		<-srv.PipelineDone()
 		if err := srv.PipelineErr(); err != nil {
@@ -407,11 +372,12 @@ func main() {
 			log.Printf("pipeline done: dirty=%d clean=%d log=%d frames",
 				srv.Hub().Seq(netstream.ChannelDirty), srv.Hub().Seq(netstream.ChannelClean), srv.Hub().Seq(netstream.ChannelLog))
 		}
+		if *linger > 0 {
+			time.Sleep(*linger)
+			close(stop)
+		}
 	}()
-
-	if err := srv.Serve(ctx, tcpLn, httpLn); err != nil && ctx.Err() == nil {
-		log.Fatal(err)
-	}
+	serve(svc, spec, fmt.Sprintf("mode=single policy=%s buffer=%d replay=%d", spec.Policy, spec.Buffer, spec.Replay), stop)
 	if srv.DrainExpired() {
 		// Subscribers were force-disconnected mid-stream when the drain
 		// deadline fired; exit non-zero so orchestration notices the
@@ -421,17 +387,137 @@ func main() {
 	}
 }
 
-// withRetry wraps src in a RetrySource when the configuration enables
-// source retrying (same contract as the single-process CLI).
-func withRetry(src stream.Source, doc *config.Document, reg *obs.Registry) stream.Source {
-	policy, ok, err := doc.Fault.RetryPolicy()
-	if err != nil {
+// disabled reports whether a listen address turns its listener off.
+func disabled(addr string) bool { return addr == "" || addr == "off" }
+
+// serve opens the serve block's listeners, announces the bound
+// addresses, and runs svc until SIGINT, SIGTERM or stop.
+func serve(svc *netstream.Service, spec config.ServeSpec, detail string, stop <-chan struct{}) {
+	listen := func(addr string) net.Listener {
+		if disabled(addr) {
+			return nil
+		}
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return ln
+	}
+	tcpLn, httpLn := listen(spec.Listen), listen(spec.HTTP)
+	bound := func(ln net.Listener) string {
+		if ln == nil {
+			return "off"
+		}
+		return ln.Addr().String()
+	}
+	// Announce the bound addresses (":0" picks random ports) in a
+	// stable, machine-parseable form for scripts and the CI harness.
+	log.Printf("listening tcp=%s http=%s %s", bound(tcpLn), bound(httpLn), detail)
+
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
+	go func() {
+		select {
+		case <-stop:
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
+	if err := svc.Serve(ctx, tcpLn, httpLn); err != nil {
 		log.Fatal(err)
 	}
-	if !ok {
-		return src
+}
+
+// pipelineConfig compiles one pipeline — its schema, parsed pollution
+// configuration, normalized serve block and input opener — into the
+// Config a session runs. Both modes build through it: single mode over
+// -in, sessions mode over a spec's inline CSV. Durable paths are the
+// caller's to set.
+func pipelineConfig(schema *stream.Schema, doc *config.Document, ss config.ServeSpec, open func() (io.Reader, error), reg *obs.Registry) (netstream.Config, error) {
+	proc, err := config.Build(doc)
+	if err != nil {
+		return netstream.Config{}, err
 	}
-	rs := stream.NewRetrySource(src, policy)
-	rs.Instrument(reg)
-	return rs
+	if len(proc.Pipelines) != 1 {
+		return netstream.Config{}, fmt.Errorf("the service runs the streaming engine: configuration must have exactly one pipeline, got %d", len(proc.Pipelines))
+	}
+	if err := proc.ValidateAttrs(schema); err != nil {
+		return netstream.Config{}, err
+	}
+	if proc.Fault.Quarantine {
+		proc.Fault.DLQ = stream.NewDeadLetterQueue()
+	}
+	proc.KeepClean = false // the clean channel is fed by the server's tap
+	proc.Obs = reg
+	policy, err := netstream.ParsePolicy(ss.Policy)
+	if err != nil {
+		return netstream.Config{}, err
+	}
+	// Surface a broken retry policy now, not from inside the running
+	// session's source factory.
+	retry, retryOK, err := doc.Fault.RetryPolicy()
+	if err != nil {
+		return netstream.Config{}, err
+	}
+	newSource := func() (stream.Source, error) {
+		r, err := open()
+		if err != nil {
+			return nil, err
+		}
+		var src stream.Source
+		if ss.Columnar {
+			// Batch-native CSV ingest: rows decode straight into column
+			// batches, so the columnar runner never materialises per-row
+			// tuples on the way in (unless a retry wrapper intervenes).
+			src, err = csvio.NewColumnReader(r, schema)
+		} else {
+			src, err = csvio.NewReader(r, schema)
+		}
+		if err != nil {
+			if c, ok := r.(io.Closer); ok {
+				c.Close()
+			}
+			return nil, err
+		}
+		if !retryOK {
+			return src, nil
+		}
+		rs := stream.NewRetrySource(src, retry)
+		rs.Instrument(reg)
+		return rs, nil
+	}
+	drainTimeout, _ := time.ParseDuration(ss.DrainTimeout)
+	rWindow, _ := time.ParseDuration(ss.RestartWindow)
+	rBackoff, _ := time.ParseDuration(ss.RestartBackoff)
+	return netstream.Config{
+		Schema:          schema,
+		Proc:            proc,
+		NewSource:       newSource,
+		Reorder:         ss.Reorder,
+		Shards:          ss.Shards,
+		ShardKey:        ss.ShardKey,
+		Columnar:        ss.Columnar,
+		ColumnarBatch:   ss.ColumnarBatch,
+		Buffer:          ss.Buffer,
+		Replay:          ss.Replay,
+		Policy:          policy,
+		DrainTimeout:    drainTimeout,
+		WAL:             walOptions(ss),
+		CheckpointEvery: ss.CheckpointEvery,
+		Supervise:       ss.Supervise,
+		RestartBudget:   ss.RestartBudget,
+		RestartWindow:   rWindow,
+		RestartBackoff:  rBackoff,
+	}, nil
+}
+
+// walOptions is a serve block's WAL tuning (not its paths).
+func walOptions(ss config.ServeSpec) netstream.WALOptions {
+	age, _ := time.ParseDuration(ss.WALRetainAge)
+	return netstream.WALOptions{
+		SegmentBytes: ss.WALSegmentBytes,
+		RetainBytes:  ss.WALRetainBytes,
+		RetainAge:    age,
+		FsyncEvery:   ss.WALFsyncEvery,
+	}
 }

@@ -68,8 +68,9 @@ func itReference(t *testing.T, seed int64, n int) []stream.Tuple {
 	return dirty
 }
 
-// startITServer serves cfg over loopback TCP, shut down at cleanup.
-func startITServer(t *testing.T, cfg netstream.Config) (srv *netstream.Server, tcpAddr string) {
+// startITServer serves cfg as a service's unnamed session over loopback
+// TCP, with metrics into reg (nil-safe), shut down at cleanup.
+func startITServer(t *testing.T, cfg netstream.Config, reg *obs.Registry) (srv *netstream.Server, tcpAddr string) {
 	t.Helper()
 	if cfg.Schema == nil {
 		cfg.Schema = itSchema(t)
@@ -77,7 +78,11 @@ func startITServer(t *testing.T, cfg netstream.Config) (srv *netstream.Server, t
 	if cfg.DrainTimeout == 0 {
 		cfg.DrainTimeout = 100 * time.Millisecond
 	}
-	srv, err := netstream.NewServer(cfg)
+	svc, err := netstream.NewService(netstream.ServiceConfig{Reg: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := svc.Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +94,7 @@ func startITServer(t *testing.T, cfg netstream.Config) (srv *netstream.Server, t
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if err := srv.Serve(ctx, tcpLn, nil); err != nil {
+		if err := svc.Serve(ctx, tcpLn, nil); err != nil {
 			t.Logf("serve: %v", err)
 		}
 	}()
@@ -101,7 +106,7 @@ func startITServer(t *testing.T, cfg netstream.Config) (srv *netstream.Server, t
 			t.Error("server did not shut down")
 		}
 	})
-	return srv, tcpLn.Addr().String()
+	return sess.Server(), tcpLn.Addr().String()
 }
 
 func itServerConfig(t *testing.T, seed int64, n int) netstream.Config {
@@ -169,8 +174,7 @@ func TestDisconnectSlowThroughThrottledProxy(t *testing.T) {
 	}
 	cfg.Policy = netstream.PolicyDisconnectSlow
 	cfg.Buffer = 8
-	cfg.Reg = reg
-	srv, tcpAddr := startITServer(t, cfg)
+	srv, tcpAddr := startITServer(t, cfg, reg)
 
 	proxy, err := NewProxy("127.0.0.1:0", ProxyConfig{
 		Target:              tcpAddr,
@@ -235,7 +239,7 @@ func TestClientResumeAcrossMidFrameKills(t *testing.T) {
 	const seed, n = 73, 3000
 	want := itReference(t, seed, n)
 
-	_, tcpAddr := startITServer(t, itServerConfig(t, seed, n))
+	_, tcpAddr := startITServer(t, itServerConfig(t, seed, n), nil)
 
 	proxy, err := NewProxy("127.0.0.1:0", ProxyConfig{
 		Target:         tcpAddr,
@@ -278,7 +282,7 @@ func TestPartialWriteKillDuringSubscribe(t *testing.T) {
 	const seed, n = 79, 200
 	want := itReference(t, seed, n)
 
-	_, tcpAddr := startITServer(t, itServerConfig(t, seed, n))
+	_, tcpAddr := startITServer(t, itServerConfig(t, seed, n), nil)
 
 	// The hello frame carries the JSON schema document; 64 bytes is
 	// always mid-hello, so the first dial through this proxy fails.

@@ -255,7 +255,7 @@ func TestServerColumnarReorderFallback(t *testing.T) {
 // TestServerColumnarDefaultBatch: the default batch size is applied.
 func TestServerColumnarDefaultBatch(t *testing.T) {
 	base := columnarConfig(t, 1, 10, 0)
-	srv, err := NewServer(base)
+	srv, err := newServer(base, "", nil, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}

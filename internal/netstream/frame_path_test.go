@@ -234,8 +234,8 @@ func TestRecoverJSONStateDir(t *testing.T) {
 func coalesceServer(t *testing.T, policy Policy, buffer int, throttle throttleFunc) (*Server, net.Conn) {
 	t.Helper()
 	cfg := serverConfig(t, 1, 1)
-	cfg.Policy, cfg.Buffer, cfg.Reg = policy, buffer, obs.NewRegistry()
-	srv, err := NewServer(cfg)
+	cfg.Policy, cfg.Buffer = policy, buffer
+	srv, err := newServer(cfg, "", obs.NewRegistry(), t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestCoalescingNeverParksAFrame(t *testing.T) {
 					t.Fatalf("burst: seq %d, want %d", f.Seq, seq)
 				}
 			}
-			if n := srv.cfg.Reg.Histogram(obs.StageNetSend).Count; n != 1+3+burst {
+			if n := srv.reg.Histogram(obs.StageNetSend).Count; n != 1+3+burst {
 				t.Errorf("StageNetSend observed %d times for %d frames", n, 1+3+burst)
 			}
 		})

@@ -22,7 +22,7 @@ func walBackedServer(t *testing.T, n int) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(serverConfig(t, 1, 8))
+	srv, err := newServer(serverConfig(t, 1, 8), "", nil, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,11 @@ func streamLines(t *testing.T, url string) []string {
 func TestHTTPStreamReplaysWholeWAL(t *testing.T) {
 	const n = 500
 	srv := walBackedServer(t, n)
-	ts := httptest.NewServer(srv.HTTPHandler())
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if fromSeq, ok := parseFromSeq(w, r); ok {
+			srv.streamHTTP(w, r, r.URL.Query().Get("channel"), fromSeq, nil)
+		}
+	}))
 	defer ts.Close()
 
 	lines := streamLines(t, ts.URL+"/stream?channel=dirty&from_seq=2")

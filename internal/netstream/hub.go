@@ -127,8 +127,7 @@ type savedFrame struct {
 	data     []byte
 	terminal bool
 	// at is the publish time, stamped only when the hub tracks delivery
-	// latency (the session service); zero otherwise so deterministic
-	// single-pipeline runs never read the clock per frame.
+	// latency (every session's hub does); zero otherwise.
 	at time.Time
 }
 
@@ -181,13 +180,13 @@ type Hub struct {
 	// a WAL behave that way regardless.
 	resumable bool
 	// trackDelivery stamps published frames with the publish time and
-	// observes publish→Recv pickup into StageDeliver (the session
-	// service's p50/p99 source). Off by default so deterministic runs
-	// never read the clock per frame.
+	// observes publish→Recv pickup into StageDeliver (the service's
+	// p50/p99 source). Every session's hub sets it; a bare hub leaves it
+	// off and never reads the clock per frame.
 	trackDelivery bool
 	// perSubGauges registers per-subscriber queue-depth/dropped gauges
-	// on the registry (the single-pipeline daemon). Session hubs leave
-	// it off: thousands of subscribers would swamp /metrics.
+	// on the registry (the unnamed session). Named session hubs leave it
+	// off: thousands of subscribers would swamp /metrics.
 	perSubGauges bool
 
 	nextSubID atomic.Uint64
@@ -208,7 +207,6 @@ type Hub struct {
 // (minimum buffer).
 func NewHub(buffer, replay int, policy Policy, reg *obs.Registry) *Hub {
 	h := NewHubNamed(Channels(), buffer, replay, policy, reg)
-	h.perSubGauges = true
 	reg.RegisterFunc("net_subscribers", func() uint64 {
 		n := h.subscribers.Load()
 		if n < 0 {
@@ -217,12 +215,21 @@ func NewHub(buffer, replay int, policy Policy, reg *obs.Registry) *Hub {
 		return uint64(n)
 	})
 	reg.RegisterFunc("net_frames_sent_total", h.framesSent.Load)
-	reg.RegisterFunc("net_frames_dropped_total", h.framesDropped.Load)
-	reg.RegisterFunc("net_slow_disconnects_total", h.slowDisconnects.Load)
-	reg.RegisterFunc("net_recovery_frames_replayed_total", h.recovered.Load)
-	reg.RegisterFunc("net_wal_fsyncs_total", h.walFsyncs)
-	reg.RegisterFunc("net_wal_appends_total", h.walAppends)
+	h.registerGauges()
 	return h
+}
+
+// registerGauges turns on per-subscriber gauges and registers the hub's
+// own counters under fixed names — so at most one hub per registry may
+// call it: the unnamed session's, whose service already aggregates
+// subscribers and frames sent across every session.
+func (h *Hub) registerGauges() {
+	h.perSubGauges = true
+	h.reg.RegisterFunc("net_frames_dropped_total", h.framesDropped.Load)
+	h.reg.RegisterFunc("net_slow_disconnects_total", h.slowDisconnects.Load)
+	h.reg.RegisterFunc("net_recovery_frames_replayed_total", h.recovered.Load)
+	h.reg.RegisterFunc("net_wal_fsyncs_total", h.walFsyncs)
+	h.reg.RegisterFunc("net_wal_appends_total", h.walAppends)
 }
 
 // NewHubNamed builds a hub carrying exactly the given channels (the
@@ -249,16 +256,6 @@ func NewHubNamed(channelNames []string, buffer, replay int, policy Policy, reg *
 		h.channels[name] = &channel{name: name}
 	}
 	return h
-}
-
-// SetDeliveryTracking stamps published frames with the publish time and
-// observes publish→Recv pickup latency into StageDeliver. Set before
-// serving traffic; off by default so deterministic single-pipeline runs
-// never read the clock per frame.
-func (h *Hub) SetDeliveryTracking(v bool) {
-	h.mu.Lock()
-	h.trackDelivery = v
-	h.mu.Unlock()
 }
 
 // FramesSent returns how many frames the hub queued to subscribers.

@@ -18,12 +18,15 @@ import (
 	"time"
 
 	"icewafl/internal/core"
+	"icewafl/internal/obs"
 	"icewafl/internal/stream"
 )
 
-// startStoppableServer is startServer with an explicit stop function,
-// so a test can shut one server down completely (WALs closed) before
-// starting its successor over the same state directory.
+// startStoppableServer runs cfg as the unnamed session of a Service
+// served over loopback TCP and HTTP, and returns the session's server,
+// the two addresses and a stop function, so a test can shut one server
+// down completely (WALs closed) before starting its successor over the
+// same state directory.
 func startStoppableServer(t *testing.T, cfg Config) (srv *Server, tcpAddr, httpAddr string, stop func()) {
 	t.Helper()
 	if cfg.Schema == nil {
@@ -32,7 +35,11 @@ func startStoppableServer(t *testing.T, cfg Config) (srv *Server, tcpAddr, httpA
 	if cfg.DrainTimeout == 0 {
 		cfg.DrainTimeout = 100 * time.Millisecond
 	}
-	srv, err := NewServer(cfg)
+	svc, err := NewService(ServiceConfig{Reg: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := svc.Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +55,7 @@ func startStoppableServer(t *testing.T, cfg Config) (srv *Server, tcpAddr, httpA
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if err := srv.Serve(ctx, tcpLn, httpLn); err != nil {
+		if err := svc.Serve(ctx, tcpLn, httpLn); err != nil {
 			t.Logf("serve: %v", err)
 		}
 	}()
@@ -66,7 +73,7 @@ func startStoppableServer(t *testing.T, cfg Config) (srv *Server, tcpAddr, httpA
 		}
 	}
 	t.Cleanup(stop)
-	return srv, tcpLn.Addr().String(), httpLn.Addr().String(), stop
+	return sess.Server(), tcpLn.Addr().String(), httpLn.Addr().String(), stop
 }
 
 // failAfterSource emits the first n tuples of the wrapped source, then
@@ -337,10 +344,13 @@ func TestServerSuperviseRestartsSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var health map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+	var body struct {
+		Sessions map[string]map[string]any `json:"sessions"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
+	health := body.Sessions[""]
 	if health["restarts"] != float64(1) {
 		t.Fatalf("healthz restarts = %v, want 1 (%v)", health["restarts"], health)
 	}
@@ -381,10 +391,13 @@ func TestServerQuarantineOnRestartBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var health map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+	var body struct {
+		Sessions map[string]map[string]any `json:"sessions"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
+	health := body.Sessions[""]
 	if health["state"] != "quarantined" {
 		t.Fatalf("healthz state = %v, want quarantined (%v)", health["state"], health)
 	}

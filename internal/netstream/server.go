@@ -21,8 +21,9 @@ import (
 	"icewafl/internal/stream"
 )
 
-// Config configures one pollution service: a compiled process, the
-// source it consumes, and the fan-out behaviour.
+// Config configures one session's pipeline: a compiled process, the
+// source it consumes, and the fan-out behaviour. The hosting Service
+// supplies the rest: the channel namespace, the registry and the log.
 type Config struct {
 	// Schema is the input schema (announced to clients in hello frames).
 	Schema *stream.Schema
@@ -94,20 +95,6 @@ type Config struct {
 	// RestartBackoff is the base restart delay, doubled per consecutive
 	// failure (default 100ms).
 	RestartBackoff time.Duration
-	// Namespace prefixes every channel name (<namespace>/dirty|clean|log)
-	// — the session service sets it to <tenant>/<session> so subscribers
-	// address exactly one session's channels. A namespaced server shares
-	// its registry with sibling sessions, so it skips the global gauge
-	// registrations NewHub performs (the service aggregates per tenant
-	// instead). Empty = the classic single-pipeline channel names.
-	Namespace string
-	// TrackDelivery stamps published frames and observes publish→pickup
-	// latency into StageDeliver (the session service's p50/p99 source).
-	TrackDelivery bool
-	// Reg receives service metrics (nil-safe).
-	Reg *obs.Registry
-	// Logf, when set, receives service diagnostics.
-	Logf func(format string, args ...any)
 }
 
 // shape is the execution shape the flat fields describe.
@@ -123,12 +110,16 @@ type chanName struct {
 	full  string
 }
 
-// Server runs one pollution pipeline and streams its outputs to
-// subscribed clients.
+// Server runs one session's pollution pipeline and fans its outputs out
+// through its hub. A Service builds every Server and owns the listeners;
+// it hands each subscriber to the owning server's streamTCP or
+// streamHTTP.
 type Server struct {
-	cfg Config
-	hub *Hub
-	sup *Supervisor
+	cfg  Config
+	hub  *Hub
+	sup  *Supervisor
+	reg  *obs.Registry
+	logf func(format string, args ...any)
 
 	// chans maps the standard channels to their wire names; chDirty,
 	// chClean and chLog are the wire names used on the hot paths.
@@ -137,20 +128,22 @@ type Server struct {
 	chClean string
 	chLog   string
 
-	mu        sync.Mutex
-	listeners []net.Listener
-	conns     map[io.Closer]struct{}
+	mu    sync.Mutex
+	conns map[io.Closer]struct{}
 
 	drainExpired atomic.Bool
 
 	pipelineDone chan struct{}
 	pipelineErr  error
-	wg           sync.WaitGroup
 }
 
-// NewServer validates cfg and builds the server (hub and hello frames
-// included, so clients may subscribe before the pipeline starts).
-func NewServer(cfg Config) (*Server, error) {
+// newServer validates cfg and builds the server (hub and hello frames
+// included, so clients may subscribe before the pipeline starts). Its
+// channels are <namespace>/dirty|clean|log, or the bare names when
+// namespace is empty (the unnamed session). reg is shared with every
+// sibling session, so only the unnamed session's hub registers gauges
+// under fixed names.
+func newServer(cfg Config, namespace string, reg *obs.Registry, logf func(format string, args ...any)) (*Server, error) {
 	if cfg.Schema == nil {
 		return nil, fmt.Errorf("netstream: config needs a schema")
 	}
@@ -182,28 +175,25 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:          cfg,
+		reg:          reg,
+		logf:         logf,
 		conns:        make(map[io.Closer]struct{}),
 		pipelineDone: make(chan struct{}),
 	}
+	var names []string
 	for _, local := range Channels() {
 		full := local
-		if cfg.Namespace != "" {
-			full = cfg.Namespace + "/" + local
+		if namespace != "" {
+			full = namespace + "/" + local
 		}
 		s.chans = append(s.chans, chanName{local: local, full: full})
+		names = append(names, full)
 	}
 	s.chDirty, s.chClean, s.chLog = s.chans[0].full, s.chans[1].full, s.chans[2].full
-	if cfg.Namespace != "" {
-		names := make([]string, len(s.chans))
-		for i, cn := range s.chans {
-			names[i] = cn.full
-		}
-		s.hub = NewHubNamed(names, cfg.Buffer, cfg.Replay, cfg.Policy, cfg.Reg)
-	} else {
-		s.hub = NewHub(cfg.Buffer, cfg.Replay, cfg.Policy, cfg.Reg)
-	}
-	if cfg.TrackDelivery {
-		s.hub.SetDeliveryTracking(true)
+	s.hub = NewHubNamed(names, cfg.Buffer, cfg.Replay, cfg.Policy, reg)
+	s.hub.trackDelivery = true
+	if namespace == "" {
+		s.hub.registerGauges()
 	}
 	if cfg.WALDir != "" {
 		var opened []*WAL
@@ -229,11 +219,9 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.Supervise {
 		s.hub.SetResumable(true)
-		s.sup = NewSupervisor(cfg.RestartBudget, cfg.RestartWindow, cfg.RestartBackoff, cfg.Logf)
-		if cfg.Namespace == "" {
-			// Session servers share one registry; a per-session gauge under
-			// one fixed name would clobber its siblings' registrations.
-			cfg.Reg.RegisterFunc("net_session_restarts", s.sup.Restarts)
+		s.sup = NewSupervisor(cfg.RestartBudget, cfg.RestartWindow, cfg.RestartBackoff, logf)
+		if namespace == "" {
+			reg.RegisterFunc("net_session_restarts", s.sup.Restarts)
 		}
 	}
 	doc := SchemaDocument(cfg.Schema)
@@ -255,12 +243,6 @@ func (s *Server) DrainExpired() bool { return s.drainExpired.Load() }
 
 // Hub exposes the server's broadcast hub (tests and embedders).
 func (s *Server) Hub() *Hub { return s.hub }
-
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
-}
 
 // allTerminal reports whether every channel's durable log ends in a
 // terminal frame (a previous run completed durably — nothing to rerun).
@@ -518,45 +500,6 @@ func stopSource(src stream.Source) {
 	}
 }
 
-// Serve runs the pipeline and serves subscribers until ctx is cancelled
-// (SIGTERM in the daemon), then drains gracefully: subscribers get
-// DrainTimeout to finish reading their queues before connections close.
-// tcpLn and httpLn are optional (nil disables that listener). Serve
-// returns the pipeline's error, if any.
-func (s *Server) Serve(ctx context.Context, tcpLn, httpLn net.Listener) error {
-	if tcpLn != nil {
-		s.track(tcpLn)
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.acceptLoop(tcpLn)
-		}()
-	}
-	var httpSrv *http.Server
-	if httpLn != nil {
-		s.track(httpLn)
-		httpSrv = &http.Server{Handler: s.HTTPHandler()}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			if err := httpSrv.Serve(httpLn); err != nil && !errors.Is(err, http.ErrServerClosed) && !errors.Is(err, net.ErrClosed) {
-				s.logf("http: %v", err)
-			}
-		}()
-	}
-
-	// The pipeline runs concurrently with the shutdown watcher: a
-	// publisher wedged on a stuck subscriber (block policy, full TCP
-	// buffer) must not keep Serve from reaching the drain deadline —
-	// hub.Close inside drainAndClose is exactly what unblocks it.
-	pipeRes := s.startPipeline(ctx)
-
-	// Keep serving until the caller cancels, so late clients can still
-	// fetch results from the ring or the WAL after the pipeline completes.
-	<-ctx.Done()
-	return s.drainAndClose(httpSrv, pipeRes)
-}
-
 // startPipeline launches the pollution run (supervised when configured)
 // and returns a one-shot channel carrying its terminal error.
 func (s *Server) startPipeline(ctx context.Context) <-chan error {
@@ -577,13 +520,13 @@ func (s *Server) startPipeline(ctx context.Context) <-chan error {
 	return pipeRes
 }
 
-// drainAndClose is the bounded shutdown path shared by Serve and the
-// session service's DELETE: give connected subscribers DrainTimeout to
+// drainAndClose is the bounded shutdown path of every session stop —
+// SIGTERM and DELETE alike: give connected subscribers DrainTimeout to
 // empty their queues, then force-close whatever is left — the hub close
 // releases any Publish wedged on a stuck block-policy subscriber, so the
 // pipeline goroutine (and therefore this call) finishes promptly instead
 // of blocking the caller indefinitely. Returns the pipeline's error.
-func (s *Server) drainAndClose(httpSrv *http.Server, pipeRes <-chan error) error {
+func (s *Server) drainAndClose(pipeRes <-chan error) error {
 	deadline := time.Now().Add(s.cfg.DrainTimeout)
 	for time.Now().Before(deadline) && s.hub.subscribers.Load() > 0 {
 		time.Sleep(10 * time.Millisecond)
@@ -594,19 +537,10 @@ func (s *Server) drainAndClose(httpSrv *http.Server, pipeRes <-chan error) error
 	}
 	s.hub.Close()
 	s.mu.Lock()
-	for _, ln := range s.listeners {
-		ln.Close()
-	}
 	for c := range s.conns {
 		c.Close()
 	}
 	s.mu.Unlock()
-	if httpSrv != nil {
-		shCtx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(shCtx)
-	}
-	s.wg.Wait()
 	// hub.Close above released any Publish still blocked on a stuck
 	// subscriber, so the pipeline goroutine finishes promptly.
 	err := <-pipeRes
@@ -644,43 +578,6 @@ func (s *Server) PipelineErr() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.pipelineErr
-}
-
-func (s *Server) track(ln net.Listener) {
-	s.mu.Lock()
-	s.listeners = append(s.listeners, ln)
-	s.mu.Unlock()
-}
-
-// acceptLoop serves raw-TCP subscribers.
-func (s *Server) acceptLoop(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handleConn(conn)
-		}()
-	}
-}
-
-// handleConn speaks the TCP protocol: one subscribe frame in, then a
-// stream of length-prefixed frames out until a terminal frame.
-func (s *Server) handleConn(conn net.Conn) {
-	defer conn.Close()
-	s.trackConn(conn)
-	defer s.untrackConn(conn)
-	req, ok := readSubscribe(conn)
-	if !ok {
-		return
-	}
-	if req.Channel == "" {
-		req.Channel = s.chDirty
-	}
-	s.streamTCP(conn, req.Channel, req.FromSeq, nil)
 }
 
 // readSubscribe reads a connection's opening subscribe request under a
@@ -751,7 +648,7 @@ func (s *Server) streamTCP(conn net.Conn, channel string, fromSeq uint64, thrott
 				return
 			}
 		}
-		s.cfg.Reg.ObserveStage(obs.StageNetSend, time.Since(start))
+		s.reg.ObserveStage(obs.StageNetSend, time.Since(start))
 		if terminal {
 			return
 		}
@@ -762,65 +659,6 @@ func (s *Server) streamTCP(conn net.Conn, channel string, fromSeq uint64, thrott
 // it calls beforeSleep first (nil = nothing to do), so a coalescing
 // writer can hand over what it holds.
 type throttleFunc func(n int, beforeSleep func() error) error
-
-// HTTPHandler returns the service's HTTP interface:
-//
-//	GET /stream?channel=dirty|clean|log&from_seq=N  — NDJSON (chunked)
-//	GET /metrics                                    — Prometheus text
-//	GET /healthz                                    — liveness + run state
-func (s *Server) HTTPHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/stream", s.serveHTTPStream)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		snap := s.cfg.Reg.Snapshot()
-		if snap == nil {
-			http.Error(w, "metrics disabled", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := snap.WritePrometheus(w); err != nil {
-			s.logf("metrics: %v", err)
-		}
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		state := "running"
-		select {
-		case <-s.pipelineDone:
-			if s.PipelineErr() != nil {
-				state = "failed"
-			} else {
-				state = "done"
-			}
-		default:
-		}
-		var restarts uint64
-		if s.sup != nil {
-			restarts = s.sup.Restarts()
-			if s.sup.Quarantined() {
-				state = "quarantined"
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, "{\"state\":%q,\"dirty_seq\":%d,\"clean_seq\":%d,\"log_seq\":%d,\"restarts\":%d,\"recovered\":%d,\"wal\":%t}\n",
-			state, s.hub.Seq(s.chDirty), s.hub.Seq(s.chClean), s.hub.Seq(s.chLog),
-			restarts, s.hub.Recovered(), s.cfg.WALDir != "")
-	})
-	return mux
-}
-
-// serveHTTPStream subscribes the request and streams frames as NDJSON
-// lines until a terminal frame.
-func (s *Server) serveHTTPStream(w http.ResponseWriter, r *http.Request) {
-	channel := r.URL.Query().Get("channel")
-	if channel == "" {
-		channel = s.chDirty
-	}
-	fromSeq, ok := parseFromSeq(w, r)
-	if !ok {
-		return
-	}
-	s.streamHTTP(w, r, channel, fromSeq, nil)
-}
 
 // parseFromSeq reads the from_seq query parameter, reporting 400 on a
 // malformed value.
@@ -892,7 +730,7 @@ func (s *Server) streamHTTP(w http.ResponseWriter, r *http.Request, channel stri
 		if !s.writeHTTPFrame(w, flusher, data) {
 			return
 		}
-		s.cfg.Reg.ObserveStage(obs.StageNetSend, time.Since(start))
+		s.reg.ObserveStage(obs.StageNetSend, time.Since(start))
 		if terminal {
 			return
 		}

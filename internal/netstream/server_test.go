@@ -2,7 +2,6 @@ package netstream
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,7 +14,6 @@ import (
 	"time"
 
 	"icewafl/internal/core"
-	"icewafl/internal/obs"
 	"icewafl/internal/rng"
 	"icewafl/internal/stream"
 )
@@ -66,47 +64,12 @@ func referenceRun(t *testing.T, seed int64, n, reorder int) (dirty, clean []stre
 	return dirty, clean, plog
 }
 
-// startServer builds and serves a test server over loopback TCP and
-// HTTP, returning the two addresses. The server is shut down during
-// test cleanup.
+// startServer is startStoppableServer with the stop left to test
+// cleanup.
 func startServer(t *testing.T, cfg Config) (srv *Server, tcpAddr, httpAddr string) {
 	t.Helper()
-	schema := wireSchema(t)
-	if cfg.Schema == nil {
-		cfg.Schema = schema
-	}
-	if cfg.DrainTimeout == 0 {
-		cfg.DrainTimeout = 100 * time.Millisecond
-	}
-	srv, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcpLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := srv.Serve(ctx, tcpLn, httpLn); err != nil {
-			t.Logf("serve: %v", err)
-		}
-	}()
-	t.Cleanup(func() {
-		cancel()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Error("server did not shut down")
-		}
-	})
-	return srv, tcpLn.Addr().String(), httpLn.Addr().String()
+	srv, tcpAddr, httpAddr, _ = startStoppableServer(t, cfg)
+	return srv, tcpAddr, httpAddr
 }
 
 // serverConfig returns a Config running testProcess over n generated
@@ -594,9 +557,7 @@ func TestClientSourceStop(t *testing.T) {
 // TestServerHTTP exercises the NDJSON, health and metrics endpoints.
 func TestServerHTTP(t *testing.T) {
 	const seed, n = 17, 40
-	reg := obs.NewRegistry()
 	cfg := serverConfig(t, seed, n)
-	cfg.Reg = reg
 	srv, _, httpAddr := startServer(t, cfg)
 	<-srv.PipelineDone()
 	base := "http://" + httpAddr
@@ -655,15 +616,13 @@ func TestServerHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp5.Body.Close()
-	var health struct {
-		State    string `json:"state"`
-		DirtySeq uint64 `json:"dirty_seq"`
-		CleanSeq uint64 `json:"clean_seq"`
-		LogSeq   uint64 `json:"log_seq"`
+	var body struct {
+		Sessions map[string]SessionStatus `json:"sessions"`
 	}
-	if err := json.NewDecoder(resp5.Body).Decode(&health); err != nil {
+	if err := json.NewDecoder(resp5.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
+	health := body.Sessions[""]
 	if health.State != "done" {
 		t.Errorf("health state = %q, want done", health.State)
 	}
@@ -701,30 +660,19 @@ func TestServerGracefulDrain(t *testing.T) {
 	const seed, n = 31, 100
 	cfg := serverConfig(t, seed, n)
 	cfg.DrainTimeout = 5 * time.Second
-	schema := wireSchema(t)
-	cfg.Schema = schema
-	srv, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcpLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
+	srv, tcpAddr, _, stop := startStoppableServer(t, cfg)
 	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(ctx, tcpLn, nil)
-	}()
 
-	client, err := Dial(tcpLn.Addr().String(), ChannelDirty)
+	client, err := Dial(tcpAddr, ChannelDirty)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Stop()
 	<-srv.PipelineDone()
-	cancel() // shutdown begins while the client still has everything to read
+	go func() {
+		defer close(done)
+		stop() // shutdown begins while the client still has everything to read
+	}()
 
 	tuples, err := stream.Drain(client)
 	if err != nil {

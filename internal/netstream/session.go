@@ -53,8 +53,8 @@ type SessionStatus struct {
 	Restarts uint64   `json:"restarts"`
 	Error    string   `json:"error,omitempty"`
 	Channels []string `json:"channels"`
-	// Durable reports that the session persists WAL (and possibly
-	// checkpoint) state under the service's state dir.
+	// Durable reports that the session persists its channels to a WAL
+	// (and possibly a checkpoint).
 	Durable bool `json:"durable,omitempty"`
 	// Resumed reports that this incarnation was resurrected from a
 	// persisted spec by Service.Recover rather than created over the
@@ -67,9 +67,9 @@ type SessionStatus struct {
 
 // ServiceConfig configures the multi-tenant session service.
 type ServiceConfig struct {
-	// Build compiles a session's opaque spec into a pipeline Config. The
-	// service owns Namespace, Reg, TrackDelivery and Logf — values the
-	// hook sets there are overridden.
+	// Build compiles a session's opaque spec into a pipeline Config. Nil
+	// = the control plane creates no sessions (a single-pipeline daemon
+	// runs only the unnamed session; see Start).
 	Build func(spec json.RawMessage) (Config, error)
 	// Quotas are the per-tenant ceilings; tenants not listed fall back
 	// to DefaultQuota.
@@ -101,16 +101,17 @@ type ServiceConfig struct {
 	ArchiveDeleted bool
 }
 
-// Session is one supervised pipeline run inside a Service: a namespaced
-// Server whose channels are <tenant>/<name>/dirty|clean|log.
+// Session is one supervised pipeline run inside a Service: a Server
+// whose channels are <tenant>/<name>/dirty|clean|log — or, for the
+// unnamed session (empty tenant and name), the bare dirty|clean|log.
 type Session struct {
 	tenant string
 	name   string
 	srv    *Server
 
-	// stateDir is the session's durable state directory (empty for
-	// memory-only sessions); resumed marks incarnations resurrected by
-	// Service.Recover.
+	// stateDir is the session's directory under the service's state dir
+	// (empty for memory-only and unnamed sessions); resumed marks
+	// incarnations resurrected by Service.Recover.
 	stateDir string
 	resumed  bool
 
@@ -129,8 +130,16 @@ func (sess *Session) Tenant() string { return sess.tenant }
 // Name returns the session name.
 func (sess *Session) Name() string { return sess.name }
 
-// ID returns the session's service-unique identifier, tenant/name.
-func (sess *Session) ID() string { return sess.tenant + "/" + sess.name }
+// ID returns the session's service-unique identifier, tenant/name ("" for
+// the unnamed session). It is also the session's channel namespace.
+func (sess *Session) ID() string { return sessionID(sess.tenant, sess.name) }
+
+func sessionID(tenant, name string) string {
+	if tenant == "" && name == "" {
+		return ""
+	}
+	return tenant + "/" + name
+}
 
 // Server exposes the session's underlying server (tests and embedders).
 func (sess *Session) Server() *Server { return sess.srv }
@@ -145,7 +154,7 @@ func (sess *Session) Server() *Server { return sess.srv }
 func (sess *Session) stop() error {
 	sess.stopOnce.Do(func() {
 		sess.cancel()
-		err := sess.srv.drainAndClose(nil, sess.pipeRes)
+		err := sess.srv.drainAndClose(sess.pipeRes)
 		// A pipeline still running here ends with whichever of the
 		// teardown's own signals it meets first — the cancelled context,
 		// the stopped source, or the closed hub. All three mean "stopped
@@ -175,7 +184,7 @@ func (sess *Session) status() SessionStatus {
 	for _, cn := range srv.chans {
 		st.Channels = append(st.Channels, cn.full)
 	}
-	st.Durable = sess.stateDir != ""
+	st.Durable = srv.cfg.WALDir != ""
 	st.Resumed = sess.resumed
 	st.Recovered = srv.hub.Recovered()
 	select {
@@ -196,15 +205,17 @@ func (sess *Session) status() SessionStatus {
 	return st
 }
 
-// Service turns the one-pipeline daemon into a session service: a REST
-// control plane creates and stops named, per-tenant pipeline sessions
-// on demand, subscribers address one session's channels through the
-// <tenant>/<session>/<channel> namespace, and per-tenant quotas (max
-// sessions, max subscribers, bytes/sec token bucket) layer on top of
-// the per-subscriber backpressure policies.
+// Service is the daemon's one front door. It owns the listeners and
+// routes every subscriber to the session its channel names. A REST
+// control plane creates and stops named, per-tenant sessions on demand,
+// addressed through the <tenant>/<session>/<channel> namespace, with
+// per-tenant quotas (max sessions, max subscribers, bytes/sec token
+// bucket) on top of the per-subscriber backpressure policies. Start
+// adds the unnamed session, addressed by bare channel names.
 type Service struct {
-	cfg ServiceConfig
-	reg *obs.Registry
+	cfg  ServiceConfig
+	reg  *obs.Registry
+	logf func(format string, args ...any)
 
 	mu       sync.Mutex
 	sessions map[string]*Session
@@ -218,8 +229,8 @@ type Service struct {
 
 // NewService builds an empty session service.
 func NewService(cfg ServiceConfig) (*Service, error) {
-	if cfg.Build == nil {
-		return nil, fmt.Errorf("netstream: service config needs a Build hook")
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
 	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 5 * time.Second
@@ -232,6 +243,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	s := &Service{
 		cfg:      cfg,
 		reg:      cfg.Reg,
+		logf:     cfg.Logf,
 		sessions: make(map[string]*Session),
 		tenants:  make(map[string]*tenantState),
 		deleting: make(map[string]chan struct{}),
@@ -259,12 +271,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		return n
 	})
 	return s, nil
-}
-
-func (s *Service) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
 }
 
 // snapshotSessions copies the live session list.
@@ -336,13 +342,16 @@ func (s *Service) create(req SessionRequest, resumed bool) (*Session, error) {
 	if !validName(req.Tenant) || !validName(req.Name) {
 		return nil, fmt.Errorf("netstream: tenant and session names must be non-empty [A-Za-z0-9._-], got %q/%q", req.Tenant, req.Name)
 	}
+	if s.cfg.Build == nil {
+		return nil, errNoBuild
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, ErrServiceClosed
 	}
 	s.mu.Unlock()
-	s.waitPendingDelete(req.Tenant + "/" + req.Name)
+	s.waitPendingDelete(sessionID(req.Tenant, req.Name))
 	ts := s.tenant(req.Tenant)
 	if err := ts.acquireSession(); err != nil {
 		s.reg.AddTenantQuotaRejection(req.Tenant)
@@ -361,68 +370,86 @@ func (s *Service) create(req SessionRequest, resumed bool) (*Session, error) {
 		ts.releaseSession()
 		return nil, err
 	}
-	cfg.Namespace = req.Tenant + "/" + req.Name
-	cfg.Reg = s.reg
-	cfg.TrackDelivery = true
-	cfg.Logf = s.cfg.Logf
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = s.cfg.DrainTimeout
-	}
-	var stateDir string
+	sess := &Session{tenant: req.Tenant, name: req.Name, resumed: resumed}
 	if durable {
-		stateDir = filepath.Join(s.cfg.StateDir, req.Tenant, req.Name)
-		if err := s.wireDurable(&cfg, ts, stateDir); err != nil {
+		sess.stateDir = filepath.Join(s.cfg.StateDir, req.Tenant, req.Name)
+		if err := s.wireDurable(&cfg, ts, sess.stateDir); err != nil {
 			ts.releaseSession()
 			return nil, err
 		}
 		if !resumed {
-			if err := writeSpecFile(filepath.Join(stateDir, "spec.json"), req); err != nil {
+			if err := writeSpecFile(filepath.Join(sess.stateDir, "spec.json"), req); err != nil {
 				ts.releaseSession()
 				return nil, err
 			}
 		}
 	}
-	srv, err := NewServer(cfg)
-	if err != nil {
+	if err := s.start(sess, cfg); err != nil {
 		ts.releaseSession()
-		if durable && !resumed {
+		if durable && !resumed && sess.srv == nil {
 			// A fresh durable create that never produced a server leaves no
 			// state behind (the spec file was just written above).
-			os.RemoveAll(stateDir)
+			os.RemoveAll(sess.stateDir)
 		}
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	sess := &Session{
-		tenant:   req.Tenant,
-		name:     req.Name,
-		srv:      srv,
-		stateDir: stateDir,
-		resumed:  resumed,
-		ctx:      ctx,
-		cancel:   cancel,
-		stopped:  make(chan struct{}),
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		cancel()
-		s.releaseWALs(sess, false)
-		ts.releaseSession()
-		return nil, ErrServiceClosed
-	}
-	if _, dup := s.sessions[sess.ID()]; dup {
-		s.mu.Unlock()
-		cancel()
-		s.releaseWALs(sess, false)
-		ts.releaseSession()
-		return nil, fmt.Errorf("%w: %s", ErrSessionExists, sess.ID())
-	}
-	s.sessions[sess.ID()] = sess
-	s.mu.Unlock()
-	sess.pipeRes = srv.startPipeline(ctx)
 	s.logf("session %s created (durable=%t resumed=%t)", sess.ID(), durable, resumed)
 	return sess, nil
+}
+
+// errNoBuild rejects a control-plane create on a service without a
+// Build hook.
+var errNoBuild = errors.New("netstream: this service runs one fixed pipeline and creates no sessions")
+
+// Start starts the unnamed session from an already-built cfg: the
+// single-pipeline daemon's one run. Its channels keep the bare
+// dirty|clean|log names, so a subscriber reaches it with a channel that
+// has no '/' (an empty channel means dirty). It has no tenant, hence no
+// quota, throttle or tenant-labelled metrics, and no state directory:
+// cfg's WALDir and CheckpointPath decide whether it is durable. A
+// service hosts at most one: a second Start fails with ErrSessionExists
+// before it builds a server, so the first keeps its fixed-name gauges.
+func (s *Service) Start(cfg Config) (*Session, error) {
+	if _, dup := s.Get("", ""); dup {
+		return nil, fmt.Errorf("%w: the unnamed session", ErrSessionExists)
+	}
+	sess := &Session{}
+	if err := s.start(sess, cfg); err != nil {
+		return nil, err
+	}
+	return sess, nil
+}
+
+// start builds sess's server from cfg, registers the session and
+// launches its pipeline. On error sess.srv tells whether the server was
+// built (its logs are closed again).
+func (s *Service) start(sess *Session, cfg Config) error {
+	if cfg.DrainTimeout <= 0 {
+		cfg.DrainTimeout = s.cfg.DrainTimeout
+	}
+	srv, err := newServer(cfg, sess.ID(), s.reg, s.logf)
+	if err != nil {
+		return err
+	}
+	sess.srv = srv
+	sess.ctx, sess.cancel = context.WithCancel(context.Background())
+	sess.stopped = make(chan struct{})
+	s.mu.Lock()
+	if s.closed {
+		err = ErrServiceClosed
+	} else if _, dup := s.sessions[sess.ID()]; dup {
+		err = fmt.Errorf("%w: %s", ErrSessionExists, sess.ID())
+	} else {
+		s.sessions[sess.ID()] = sess
+	}
+	s.mu.Unlock()
+	if err != nil {
+		sess.cancel()
+		s.releaseWALs(sess, false)
+		return err
+	}
+	sess.pipeRes = srv.startPipeline(sess.ctx)
+	return nil
 }
 
 // wireDurable points cfg's WAL (and, for checkpointable shapes, the
@@ -525,7 +552,7 @@ func (s *Service) waitPendingDelete(id string) {
 func (s *Service) Get(tenant, name string) (*Session, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sess, ok := s.sessions[tenant+"/"+name]
+	sess, ok := s.sessions[sessionID(tenant, name)]
 	return sess, ok
 }
 
@@ -550,7 +577,7 @@ func (s *Service) List() []SessionStatus {
 // concurrent create of the same ID waits for the teardown to finish.
 // Returns the pipeline's terminal error.
 func (s *Service) Delete(tenant, name string) error {
-	id := tenant + "/" + name
+	id := sessionID(tenant, name)
 	s.mu.Lock()
 	sess, ok := s.sessions[id]
 	if ok {
@@ -704,32 +731,40 @@ func (s *Service) Close() {
 	wg.Wait()
 }
 
-// resolve maps a namespaced channel (<tenant>/<session>/<channel>) to
-// its session. A missing session — deleted or never created — fails
-// promptly with a typed UnknownChannelError.
+// resolve maps a channel to its session: <tenant>/<session>/<channel>
+// to a named session, a bare name (no '/') to the unnamed one. A missing
+// session — deleted or never created — fails promptly with a typed
+// UnknownChannelError.
 func (s *Service) resolve(channel string) (*Session, error) {
-	parts := strings.Split(channel, "/")
-	if len(parts) != 3 {
-		return nil, &UnknownChannelError{Channel: channel}
+	id := ""
+	if i := strings.LastIndexByte(channel, '/'); i >= 0 {
+		id = channel[:i]
 	}
-	sess, ok := s.Get(parts[0], parts[1])
+	s.mu.Lock()
+	sess, ok := s.sessions[id]
+	s.mu.Unlock()
 	if !ok {
 		return nil, &UnknownChannelError{Channel: channel}
 	}
 	return sess, nil
 }
 
-// subscribeGate applies the tenant's subscriber quota and builds the
-// per-frame throttle (rate limit + throughput accounting). release must
-// be called when the subscription ends.
-func (s *Service) subscribeGate(ctx context.Context, tenant string) (throttle throttleFunc, release func(), err error) {
+// subscribeGate applies the session tenant's subscriber quota and builds
+// the per-frame throttle (rate limit + throughput accounting). release
+// must be called when the subscription ends. The unnamed session has no
+// tenant: it passes ungated and unaccounted.
+func (s *Service) subscribeGate(sess *Session) (throttle throttleFunc, release func(), err error) {
+	tenant := sess.tenant
+	if tenant == "" {
+		return nil, func() {}, nil
+	}
 	ts := s.tenant(tenant)
 	if err := ts.acquireSub(); err != nil {
 		s.reg.AddTenantQuotaRejection(tenant)
 		return nil, nil, err
 	}
 	throttle = func(n int, beforeSleep func() error) error {
-		if terr := ts.throttle(ctx, n, beforeSleep); terr != nil {
+		if terr := ts.throttle(sess.ctx, n, beforeSleep); terr != nil {
 			if errors.Is(terr, ErrQuota) {
 				s.reg.AddTenantQuotaRejection(tenant)
 			}
@@ -743,27 +778,35 @@ func (s *Service) subscribeGate(ctx context.Context, tenant string) (throttle th
 
 // Serve accepts raw-TCP subscribers on tcpLn and HTTP (control plane +
 // streams) on httpLn until ctx is cancelled, then closes the service:
-// every session drains through its bounded deadline. Either listener
-// may be nil.
+// every session drains through its bounded deadline, and connections
+// that never subscribed are closed. Either listener may be nil.
 func (s *Service) Serve(ctx context.Context, tcpLn, httpLn net.Listener) error {
 	var wg sync.WaitGroup
-	if tcpLn != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				conn, err := tcpLn.Accept()
-				if err != nil {
-					return
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					s.handleConn(conn)
-				}()
+	// Every accepted connection is tracked until its handler returns: the
+	// sessions' drains close the subscribed ones, this closes the rest.
+	var connMu sync.Mutex
+	conns := make(map[net.Conn]struct{})
+	accepting := make(chan struct{})
+	go func() {
+		defer close(accepting)
+		for tcpLn != nil {
+			conn, err := tcpLn.Accept()
+			if err != nil {
+				return
 			}
-		}()
-	}
+			connMu.Lock()
+			conns[conn] = struct{}{}
+			connMu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.handleConn(conn)
+				connMu.Lock()
+				delete(conns, conn)
+				connMu.Unlock()
+			}()
+		}
+	}()
 	var httpSrv *http.Server
 	if httpLn != nil {
 		httpSrv = &http.Server{Handler: s.HTTPHandler()}
@@ -779,7 +822,13 @@ func (s *Service) Serve(ctx context.Context, tcpLn, httpLn net.Listener) error {
 	if tcpLn != nil {
 		tcpLn.Close()
 	}
+	<-accepting
 	s.Close()
+	connMu.Lock()
+	for conn := range conns {
+		conn.Close()
+	}
+	connMu.Unlock()
 	if httpSrv != nil {
 		shCtx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()
@@ -789,21 +838,24 @@ func (s *Service) Serve(ctx context.Context, tcpLn, httpLn net.Listener) error {
 	return nil
 }
 
-// handleConn speaks the TCP protocol at the service level: the
-// subscribe request addresses a namespaced channel, the stream then
-// runs under the owning session's server with the tenant's throttle.
+// handleConn speaks the TCP protocol: one subscribe request in, then
+// the owning session's stream of length-prefixed frames out, under the
+// tenant's throttle, until a terminal frame.
 func (s *Service) handleConn(conn net.Conn) {
 	defer conn.Close()
 	req, ok := readSubscribe(conn)
 	if !ok {
 		return
 	}
+	if req.Channel == "" {
+		req.Channel = ChannelDirty
+	}
 	sess, err := s.resolve(req.Channel)
 	if err != nil {
 		writeConnError(conn, err)
 		return
 	}
-	throttle, release, err := s.subscribeGate(sess.ctx, sess.tenant)
+	throttle, release, err := s.subscribeGate(sess)
 	if err != nil {
 		writeConnError(conn, err)
 		return
@@ -831,7 +883,8 @@ func writeConnError(conn net.Conn, err error) {
 //	GET    /v1/sessions                      — list sessions
 //	GET    /v1/sessions/{tenant}/{name}      — one session's status
 //	DELETE /v1/sessions/{tenant}/{name}      — stop a session (bounded drain)
-//	GET    /stream?channel=t/s/dirty&from_seq=N — NDJSON stream
+//	GET    /stream?channel=t/s/dirty&from_seq=N — NDJSON stream (a bare
+//	                                           channel is the unnamed session's)
 //	GET    /metrics                          — Prometheus text (per-tenant families)
 //	GET    /healthz                          — per-session states
 func (s *Service) HTTPHandler() http.Handler {
@@ -879,7 +932,7 @@ func (s *Service) HTTPHandler() http.Handler {
 		sessions := make(map[string]SessionStatus, len(statuses))
 		state := "ok"
 		for _, st := range statuses {
-			sessions[st.Tenant+"/"+st.Name] = st
+			sessions[sessionID(st.Tenant, st.Name)] = st
 			if st.State == "failed" || st.State == "quarantined" {
 				state = "degraded"
 			}
@@ -915,10 +968,13 @@ func (s *Service) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, sess.status())
 }
 
-// serveStream routes /stream through the namespaced channel's session,
-// with the tenant's quota gate and throttle applied.
+// serveStream routes /stream through the channel's session, with the
+// tenant's quota gate and throttle applied.
 func (s *Service) serveStream(w http.ResponseWriter, r *http.Request) {
 	channel := r.URL.Query().Get("channel")
+	if channel == "" {
+		channel = ChannelDirty
+	}
 	sess, err := s.resolve(channel)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
@@ -928,7 +984,7 @@ func (s *Service) serveStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	throttle, release, err := s.subscribeGate(sess.ctx, sess.tenant)
+	throttle, release, err := s.subscribeGate(sess)
 	if err != nil {
 		var quota *QuotaError
 		if errors.As(err, &quota) {

@@ -89,13 +89,13 @@ func TestServerSharded(t *testing.T) {
 }
 
 // TestServerSurfacesShapeRules: the execution-shape rules are
-// core.StreamSpec's (see its shape-matrix test); NewServer only has to
+// core.StreamSpec's (see its shape-matrix test); newServer only has to
 // ask it — with the schema — at construction, not fail at runtime.
 func TestServerSurfacesShapeRules(t *testing.T) {
 	cfg := serverConfig(t, 1, 10)
 	cfg.Shards, cfg.ShardKey = 4, "nope"
-	_, err := NewServer(cfg)
+	_, err := newServer(cfg, "", nil, t.Logf)
 	if err == nil || !strings.Contains(err.Error(), `netstream: core: shard key attribute "nope" not in schema`) {
-		t.Fatalf("NewServer = %v, want core's shard-key verdict", err)
+		t.Fatalf("newServer = %v, want core's shard-key verdict", err)
 	}
 }

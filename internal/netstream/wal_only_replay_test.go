@@ -50,7 +50,7 @@ func TestNewServerReadsEachWALSegmentOnce(t *testing.T) {
 	cfg2 := serverConfig(t, seed, n)
 	cfg2.WALDir = walDir
 	cfg2.WAL = WALOptions{SegmentBytes: 4 << 10, FS: fs}
-	srv2, err := NewServer(cfg2)
+	srv2, err := newServer(cfg2, "", nil, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
