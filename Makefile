@@ -1,11 +1,12 @@
 # Icewafl build & CI entry points. `make ci` is what the robustness gate
 # runs: formatting, static analysis, the panic lint, the cross-arch FMA
-# check and the full test suite under the race detector. `make perfgate` is the perf-regression
+# check, the 32-bit test leg and the full test suite under the race
+# detector. `make perfgate` is the perf-regression
 # gate (see DESIGN.md §8).
 
 GO ?= go
 
-.PHONY: build test vet fmt lint fmacheck race racehot integration loadtest loadtest-restart chaos stress benchmod ci cover perfgate fuzz loc clean
+.PHONY: build test vet fmt lint fmacheck test386 race racehot integration loadtest loadtest-restart chaos stress benchmod ci cover perfgate fuzz loc clean
 
 build:
 	$(GO) build ./...
@@ -34,11 +35,16 @@ lint:
 	fi
 
 # Same float bits on every architecture: cross-compiles cmd/icewafl,
-# cmd/gendata, cmd/exp1 and cmd/exp4 for arm64 and riscv64 and fails on a
-# fused multiply-add in core, rng, config, dataset, experiments or synth
-# (see the script's header for what is left out).
+# cmd/gendata and cmd/paper (every experiment) for arm64 and riscv64 and
+# fails on a fused multiply-add in core, rng, config, dataset,
+# experiments or synth (see the script's header for what is left out).
 fmacheck:
 	@GO=$(GO) bash scripts/fmacheck.sh
+
+# The experiment goldens, the engine and the golden CLI run with a
+# 32-bit int (GOARCH=386 runs natively on amd64, no emulator needed).
+test386:
+	GOARCH=386 $(GO) test ./internal/experiments ./internal/core ./cmd/icewafl
 
 race:
 	$(GO) test -race ./...
@@ -104,7 +110,7 @@ stress:
 benchmod:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: fmt vet lint fmacheck race integration loadtest stress benchmod
+ci: fmt vet lint fmacheck test386 race integration loadtest stress benchmod
 
 # Coverage floor for the engine packages. The threshold is deliberately
 # conservative; raise it as the suites grow.

@@ -1,12 +1,14 @@
-// Package icewafl's repository-level benchmarks regenerate every table
-// and figure of the paper's evaluation (one benchmark per artifact) and
-// benchmark the design alternatives called out in DESIGN.md §5.
+// Package icewafl's repository-level benchmarks measure the design
+// alternatives called out in DESIGN.md §5 and the consumers of a
+// polluted stream; the paper's tables are cmd/paper's, pinned by
+// TestExperimentGoldens.
 //
 // Run with: go test -bench=. -benchmem
 package icewafl
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,105 +21,6 @@ import (
 	"icewafl/internal/rng"
 	"icewafl/internal/stream"
 )
-
-// BenchmarkFigure4RandomTemporalErrors regenerates Figure 4: the
-// sinusoidal random-temporal-error scenario validated with the DQ tool,
-// averaged over 10 repetitions per iteration.
-func BenchmarkFigure4RandomTemporalErrors(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunExp1Random(experiments.DefaultDataSeed, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("Figure 4: avg errors %.1f, proportion %.2f%% (var %.2f)",
-				r.AvgErrors, r.AvgProportion, r.VarProportion)
-			for h := 0; h < 24; h++ {
-				b.Logf("  hour %02d: expected %.2f measured %.2f", h, r.ExpectedPerHour[h], r.MeasuredPerHour[h])
-			}
-		}
-	}
-}
-
-// BenchmarkTable1SoftwareUpdate regenerates Table 1: the composite
-// software-update scenario, expected vs measured error counts.
-func BenchmarkTable1SoftwareUpdate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunExp1Update(experiments.DefaultDataSeed, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("Table 1 (post-update %d, BPM>100 %d):", r.PostUpdateTuples, r.HighBPMTuples)
-			for _, row := range r.Rows {
-				b.Logf("  %-22s expected %.1f (+%d) measured %.1f",
-					row.Label, row.Expected, row.PreExisting, row.Measured)
-			}
-		}
-	}
-}
-
-// BenchmarkBadNetworkScenario regenerates the §3.1.3 numbers: expected
-// vs measured delayed tuples.
-func BenchmarkBadNetworkScenario(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunExp1Network(experiments.DefaultDataSeed, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("bad network: window %d, expected %.2f, measured %.2f",
-				r.WindowTuples, r.ExpectedDelayed, r.MeasuredDelayed)
-		}
-	}
-}
-
-// benchmarkExp2 runs one region × scenario of the forecasting study.
-func benchmarkExp2(b *testing.B, scenario string) {
-	cfg := experiments.DefaultExp2Config()
-	cfg.Reps = 2 // the cmd/exp2 binary runs the paper's full 10
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunExp2(cfg, dataset.RegionWanshouxigong, scenario)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, s := range r.Summarise() {
-				b.Logf("  %-14s early %.2f -> late %.2f (%+.0f%%)",
-					s.Model, s.EarlyMAE, s.LateMAE, s.DegradationPercent)
-			}
-		}
-	}
-}
-
-// BenchmarkFigure6NoisePollution regenerates Figure 6: MAE over time
-// under temporally increasing noise.
-func BenchmarkFigure6NoisePollution(b *testing.B) { benchmarkExp2(b, experiments.ScenarioNoise) }
-
-// BenchmarkFigure7ScalePollution regenerates Figure 7: MAE over time
-// under temporally increasing scale errors.
-func BenchmarkFigure7ScalePollution(b *testing.B) { benchmarkExp2(b, experiments.ScenarioScale) }
-
-// BenchmarkTable2Splits regenerates Table 2: building the
-// train/valid/eval splits for all three regions.
-func BenchmarkTable2Splits(b *testing.B) {
-	cfg := experiments.DefaultExp2Config()
-	for i := 0; i < b.N; i++ {
-		for _, region := range dataset.Regions() {
-			if _, err := experiments.RunExp2(experiments.Exp2Config{
-				DataSeed: cfg.DataSeed, Reps: 1, TrainHours: cfg.TrainHours,
-				Horizon: cfg.Horizon, ARIMAOrder: cfg.ARIMAOrder,
-				ARIMAXOrder: cfg.ARIMAXOrder, HWAlpha: cfg.HWAlpha,
-				HWBeta: cfg.HWBeta, HWGamma: cfg.HWGamma, HWPeriod: cfg.HWPeriod,
-				NoiseLoMax: cfg.NoiseLoMax, NoiseHiMax: cfg.NoiseHiMax,
-				ScaleFactor: cfg.ScaleFactor, ScalePrior: cfg.ScalePrior,
-				ScaleHold: cfg.ScaleHold,
-			}, region, experiments.ScenarioEval); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
 
 // --- Ablation benchmarks (DESIGN.md §5) ---
 
@@ -152,9 +55,9 @@ func cloneBlock(tuples []stream.Tuple) []stream.Tuple {
 	}
 	w := tuples[0].Len()
 	block := make([]stream.Value, len(tuples)*w)
-	out := make([]stream.Tuple, len(tuples))
-	for i, t := range tuples {
-		out[i] = t.CloneInto(block[i*w : (i+1)*w : (i+1)*w])
+	out := slices.Clone(tuples)
+	for i := range out {
+		out[i].CloneValuesInto(block[i*w : (i+1)*w : (i+1)*w])
 	}
 	return out
 }
@@ -440,86 +343,6 @@ func BenchmarkDatasetGeneration(b *testing.B) {
 			dataset.AirQuality(dataset.RegionGucheng, int64(i), dataset.AirQualityOptions{Tuples: 8760})
 		}
 	})
-}
-
-// BenchmarkExp4SynthesisStudy regenerates the future-work synthesis
-// study: error-pattern preservation across three synthesis approaches.
-func BenchmarkExp4SynthesisStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunExp4(experiments.DefaultDataSeed, 2120)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, row := range r.Rows {
-				b.Logf("  %-20s errors %4d rate %5.1f%% shape-corr %5.2f",
-					row.Stream, row.Errors, row.ErrorRate*100, row.ShapeCorrelation)
-			}
-		}
-	}
-}
-
-// BenchmarkSeasonalModelAblation compares the paper's three methods with
-// a seasonal ARIMA added (-with-sarima in cmd/exp2): seasonal modelling
-// matches ARIMAX on clean data but collapses under noise like the other
-// purely autoregressive methods — only exogenous anchoring buys
-// robustness.
-func BenchmarkSeasonalModelAblation(b *testing.B) {
-	cfg := experiments.DefaultExp2Config()
-	cfg.Reps = 1
-	cfg.IncludeSARIMA = true
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunExp2(cfg, dataset.RegionWanshouxigong, experiments.ScenarioNoise)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, s := range r.Summarise() {
-				b.Logf("  %-14s early %.2f -> late %.2f (%+.0f%%)",
-					s.Model, s.EarlyMAE, s.LateMAE, s.DegradationPercent)
-			}
-		}
-	}
-}
-
-// BenchmarkExp5DetectorMatrix regenerates the detector × error-type
-// matrix (extension experiment).
-func BenchmarkExp5DetectorMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunExp5(experiments.DefaultDataSeed, 6000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, d := range r.Detectors {
-				line := fmt.Sprintf("  %-20s", d)
-				for _, s := range r.Scenarios {
-					line += fmt.Sprintf(" %s=%.2f", s, r.Cells[d][s].Recall)
-				}
-				b.Log(line)
-			}
-		}
-	}
-}
-
-// BenchmarkExp6CleaningMatrix regenerates the cleaner × error-type
-// repair-quality matrix (extension experiment).
-func BenchmarkExp6CleaningMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunExp6(experiments.DefaultDataSeed, 6000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, c := range r.Cleaners {
-				line := fmt.Sprintf("  %-38s", c)
-				for _, s := range r.Scenarios {
-					line += fmt.Sprintf(" %s=%+.0f%%", s, r.Cells[c][s].ImprovementPercent)
-				}
-				b.Log(line)
-			}
-		}
-	}
 }
 
 // BenchmarkSuiteValidation measures the DQ engine's validation

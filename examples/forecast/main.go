@@ -14,7 +14,7 @@ import (
 
 func main() {
 	cfg := experiments.DefaultExp2Config()
-	cfg.Reps = 3 // keep the example fast; the paper (and cmd/exp2) use 10
+	cfg.Reps = 3 // keep the example fast; the paper (and cmd/paper) use 10
 
 	for _, scenario := range []string{experiments.ScenarioEval, experiments.ScenarioNoise} {
 		r, err := experiments.RunExp2(cfg, "Wanshouxigong", scenario)

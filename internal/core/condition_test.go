@@ -273,18 +273,6 @@ func TestSinusoidDaily(t *testing.T) {
 	}
 }
 
-func TestHourOfDay(t *testing.T) {
-	var byHour [24]float64
-	byHour[7] = 3
-	p := HourOfDay(byHour)
-	if p(time.Date(2020, 1, 1, 7, 59, 0, 0, time.UTC)) != 3 {
-		t.Error("HourOfDay lookup")
-	}
-	if p(time.Date(2020, 1, 1, 8, 0, 0, 0, time.UTC)) != 0 {
-		t.Error("HourOfDay default")
-	}
-}
-
 func TestPatterns(t *testing.T) {
 	at := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
 	ab := AbruptPattern{At: at}

@@ -148,17 +148,6 @@ func (l *Log) CountByHour() [24]int {
 	return out
 }
 
-// ForTuple returns the entries affecting one tuple, in injection order.
-func (l *Log) ForTuple(id uint64) []Entry {
-	var out []Entry
-	for _, e := range l.Entries {
-		if e.TupleID == id {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // AppendJSON appends the entry as one JSON object, byte-identical to
 // encoding/json's rendering of the struct (field order, omitted empty
 // attrs, HTML-safe string escaping, RFC3339Nano event time with its

@@ -63,12 +63,6 @@ func SinusoidDaily(amp, offset float64) Param {
 	}
 }
 
-// HourOfDay returns a parameter that looks up one value per hour of the
-// day (len(byHour) must be 24), e.g. noise magnitude per hour.
-func HourOfDay(byHour [24]float64) Param {
-	return func(tau time.Time) float64 { return byHour[tau.Hour()] }
-}
-
 // Pattern is a change pattern in the sense of Gama et al. (concept-drift
 // survey), mapping event time to a weight in [0, 1] that scales either an
 // error magnitude or an activation probability. Figure 3's "applied over

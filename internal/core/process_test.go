@@ -428,9 +428,6 @@ func TestLogQueriesAndSerialisation(t *testing.T) {
 	if hours[5] != 2 || hours[6] != 1 {
 		t.Fatalf("by hour %v", hours)
 	}
-	if got := l.ForTuple(1); len(got) != 2 || got[0].Polluter != "a" {
-		t.Fatalf("for tuple %v", got)
-	}
 
 	var buf bytes.Buffer
 	if err := l.WriteJSON(&buf); err != nil {

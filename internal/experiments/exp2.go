@@ -127,6 +127,21 @@ func regionSeries(region string, dataSeed int64) ([]stream.Tuple, error) {
 	return tuples, nil
 }
 
+// regionSplits loads one region's stream as regionSeries does and cuts
+// the Table 2 splits out of its NO2 series.
+func regionSplits(cfg Exp2Config, region string) ([]stream.Tuple, *timeseries.Splits, error) {
+	tuples, err := regionSeries(region, cfg.DataSeed)
+	if err != nil {
+		return nil, nil, err
+	}
+	s, err := timeseries.FromTuples(tuples, "NO2")
+	if err != nil {
+		return nil, nil, err
+	}
+	splits, err := timeseries.Split(s, time.Duration(cfg.Horizon)*time.Hour)
+	return tuples, splits, err
+}
+
 // evalSlice cuts the Table 2 D_eval portion (last year) out of the
 // stream.
 func evalSlice(tuples []stream.Tuple) []stream.Tuple {
@@ -333,7 +348,8 @@ func RunExp2(cfg Exp2Config, region, scenario string) (*Exp2Result, error) {
 }
 
 // PrintExp2 renders one Figure 6/7 panel as a table: one row per
-// evaluation timespan start, one column per model.
+// evaluation timespan start, one column per model, then the chart and
+// each model's early→late trend (Summarise).
 func PrintExp2(w io.Writer, r *Exp2Result) {
 	fmt.Fprintf(w, "Figure %s — region %s, scenario %s (MAE per evaluation timespan)\n",
 		figureForScenario(r.Scenario), r.Region, r.Scenario)
@@ -363,6 +379,10 @@ func PrintExp2(w io.Writer, r *Exp2Result) {
 	}
 	fmt.Fprintln(w)
 	fmt.Fprint(w, plot.Lines("MAE over evaluation timespans", series, 52, 12))
+	for _, s := range r.Summarise() {
+		fmt.Fprintf(w, "  %-14s early MAE %.2f -> late MAE %.2f (%+.0f%%)\n",
+			s.Model, s.EarlyMAE, s.LateMAE, s.DegradationPercent)
+	}
 }
 
 func figureForScenario(s string) string {
@@ -423,75 +443,50 @@ func (r *Exp2Result) Summarise() []Exp2TrendSummary {
 // year's training split, per model family. It returns the winning labels
 // and all scores.
 func RunExp2GridSearch(cfg Exp2Config, region string) (map[string]forecast.GridResult, error) {
-	tuples, err := regionSeries(region, cfg.DataSeed)
-	if err != nil {
-		return nil, err
-	}
-	s, err := timeseries.FromTuples(tuples, "NO2")
-	if err != nil {
-		return nil, err
-	}
-	splits, err := timeseries.Split(s, time.Duration(cfg.Horizon)*time.Hour)
+	tuples, splits, err := regionSplits(cfg, region)
 	if err != nil {
 		return nil, err
 	}
 	nTrain := splits.Train.Len()
 	y, x := features(tuples[:nTrain])
 
+	orders, zeroOne := []int{1, 2, 3}, []int{0, 1}
+	families := []struct {
+		name  string
+		cands []forecast.Candidate
+		x     [][]float64
+	}{
+		{"arima", grid("arima(%d,%d,%d)", func(p, d, q int) forecast.Model { return forecast.NewARIMA(p, d, q) },
+			orders, zeroOne, zeroOne), nil},
+		{"arimax", grid("arimax(%d,%d,%d)", func(p, d, q int) forecast.Model { return forecast.NewARIMAX(p, d, q) },
+			orders, zeroOne, zeroOne), x},
+		{"holt_winters", grid("holt_winters(a=%.2f,b=%.2f,g=%.2f)", func(a, b, g float64) forecast.Model { return forecast.NewHoltWinters(a, b, g, 24) },
+			[]float64{0.15, 0.35, 0.55}, []float64{0.01, 0.05, 0.15}, []float64{0.1, 0.25, 0.4}), nil},
+	}
 	winners := make(map[string]forecast.GridResult)
-
-	var arimaCands []forecast.Candidate
-	for _, p := range []int{1, 2, 3} {
-		for _, d := range []int{0, 1} {
-			for _, q := range []int{0, 1} {
-				p, d, q := p, d, q
-				arimaCands = append(arimaCands, forecast.Candidate{
-					Label: fmt.Sprintf("arima(%d,%d,%d)", p, d, q),
-					New:   func() forecast.Model { return forecast.NewARIMA(p, d, q) },
-				})
-			}
+	for _, f := range families {
+		best, results, err := forecast.GridSearchCV(f.cands, y, f.x, 5, cfg.Horizon)
+		if err != nil {
+			return nil, fmt.Errorf("exp2 grid %s: %w", f.name, err)
 		}
+		winners[f.name] = results[best]
 	}
-	best, results, err := forecast.GridSearchCV(arimaCands, y, nil, 5, cfg.Horizon)
-	if err != nil {
-		return nil, fmt.Errorf("exp2 grid arima: %w", err)
-	}
-	winners["arima"] = results[best]
-
-	var arimaxCands []forecast.Candidate
-	for _, p := range []int{1, 2, 3} {
-		for _, d := range []int{0, 1} {
-			for _, q := range []int{0, 1} {
-				p, d, q := p, d, q
-				arimaxCands = append(arimaxCands, forecast.Candidate{
-					Label: fmt.Sprintf("arimax(%d,%d,%d)", p, d, q),
-					New:   func() forecast.Model { return forecast.NewARIMAX(p, d, q) },
-				})
-			}
-		}
-	}
-	best, results, err = forecast.GridSearchCV(arimaxCands, y, x, 5, cfg.Horizon)
-	if err != nil {
-		return nil, fmt.Errorf("exp2 grid arimax: %w", err)
-	}
-	winners["arimax"] = results[best]
-
-	var hwCands []forecast.Candidate
-	for _, a := range []float64{0.15, 0.35, 0.55} {
-		for _, b := range []float64{0.01, 0.05, 0.15} {
-			for _, g := range []float64{0.1, 0.25, 0.4} {
-				a, b, g := a, b, g
-				hwCands = append(hwCands, forecast.Candidate{
-					Label: fmt.Sprintf("holt_winters(a=%.2f,b=%.2f,g=%.2f)", a, b, g),
-					New:   func() forecast.Model { return forecast.NewHoltWinters(a, b, g, 24) },
-				})
-			}
-		}
-	}
-	best, results, err = forecast.GridSearchCV(hwCands, y, nil, 5, cfg.Horizon)
-	if err != nil {
-		return nil, fmt.Errorf("exp2 grid holt-winters: %w", err)
-	}
-	winners["holt_winters"] = results[best]
 	return winners, nil
+}
+
+// grid lists one model family's candidates: every combination of the
+// three hyperparameter lists, labelled by format.
+func grid[T any](format string, mk func(a, b, c T) forecast.Model, as, bs, cs []T) []forecast.Candidate {
+	var out []forecast.Candidate
+	for _, a := range as {
+		for _, b := range bs {
+			for _, c := range cs {
+				out = append(out, forecast.Candidate{
+					Label: fmt.Sprintf(format, a, b, c),
+					New:   func() forecast.Model { return mk(a, b, c) },
+				})
+			}
+		}
+	}
+	return out
 }

@@ -33,12 +33,6 @@ type Exp3Config struct {
 	DiskDir string
 }
 
-// DefaultExp3Config mirrors the paper's 50 runs over a stream stretched
-// to ~106k tuples.
-func DefaultExp3Config() Exp3Config {
-	return Exp3Config{DataSeed: DefaultDataSeed, Runs: 50, Replicas: 100}
-}
-
 // Exp3Scenario is one box of Figure 8.
 type Exp3Scenario struct {
 	Name string

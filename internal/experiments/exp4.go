@@ -43,9 +43,6 @@ type Exp4Result struct {
 // missing-value pattern, synthesises it with both approaches, and
 // validates all three streams with the same expectation.
 func RunExp4(dataSeed int64, synthLen int) (*Exp4Result, error) {
-	if synthLen <= 0 {
-		synthLen = 2 * 1060
-	}
 	proc := RandomTemporalProcess(dataSeed)
 	polluted, err := proc.Run(WearableSource(dataSeed))
 	if err != nil {

@@ -70,25 +70,20 @@ func exp5Scenario(name string, seed int64) (*core.Pipeline, error) {
 
 // exp5Detectors builds the fresh detector panel (stateful; one per run).
 func exp5Detectors() []anomaly.Detector {
-	nullAware := anomaly.NewRollingZScore("NO2", 72, 4)
-	nullAware.FlagNulls = true
-	ensembleMembers := []anomaly.Detector{
-		func() anomaly.Detector {
-			d := anomaly.NewRollingZScore("NO2", 72, 4)
-			d.FlagNulls = true
-			return d
-		}(),
-		anomaly.NewRateOfChange("NO2", 25),
-		anomaly.NewFrozenRun("NO2", 3),
-		anomaly.NewGapDetector(90 * time.Minute),
+	nullAwareZ := func() anomaly.Detector {
+		d := anomaly.NewRollingZScore("NO2", 72, 4)
+		d.FlagNulls = true
+		return d
 	}
 	return []anomaly.Detector{
-		nullAware,
+		nullAwareZ(),
 		anomaly.NewSeasonalZScore("NO2", 4),
 		anomaly.NewRateOfChange("NO2", 25),
 		anomaly.NewFrozenRun("NO2", 3),
 		anomaly.NewGapDetector(90 * time.Minute),
-		anomaly.Ensemble{Members: ensembleMembers, Label: "ensemble(all four)"},
+		anomaly.Ensemble{Label: "ensemble(all four)", Members: []anomaly.Detector{
+			nullAwareZ(), anomaly.NewRateOfChange("NO2", 25), anomaly.NewFrozenRun("NO2", 3), anomaly.NewGapDetector(90 * time.Minute),
+		}},
 	}
 }
 
@@ -98,9 +93,6 @@ var Exp5Scenarios = []string{"outliers", "missing", "scale", "frozen", "delay"}
 // RunExp5 builds the matrix over tuples hourly observations of one
 // region.
 func RunExp5(dataSeed int64, tuples int) (*Exp5Result, error) {
-	if tuples <= 0 {
-		tuples = 6000
-	}
 	data := dataset.AirQuality(dataset.RegionGucheng, dataSeed,
 		dataset.AirQualityOptions{Tuples: tuples, MissingRate: -1})
 	res := &Exp5Result{

@@ -50,9 +50,6 @@ func exp6Cleaners() []clean.Cleaner {
 // RunExp6 builds the cleaner × error-type matrix over the air-quality
 // NO2 attribute.
 func RunExp6(dataSeed int64, tuples int) (*Exp6Result, error) {
-	if tuples <= 0 {
-		tuples = 6000
-	}
 	data := dataset.AirQuality(dataset.RegionWanliu, dataSeed,
 		dataset.AirQualityOptions{Tuples: tuples, MissingRate: -1})
 	res := &Exp6Result{

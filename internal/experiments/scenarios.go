@@ -2,8 +2,9 @@
 // data-quality scenarios over the wearable stream (Figure 4, Table 1,
 // §3.1.3), the forecasting-robustness study over the air-quality streams
 // (Figures 6 and 7, Table 2), and the runtime-overhead measurement
-// (Figure 8). The cmd/exp* binaries and the repository-level benchmarks
-// are thin wrappers around this package.
+// (Figure 8), plus the extension studies (Experiments 4–6). Tables lists
+// every table they print: cmd/paper prints them and
+// TestExperimentGoldens pins them.
 package experiments
 
 import (

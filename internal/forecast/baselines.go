@@ -89,42 +89,3 @@ func (m *SeasonalNaive) Forecast(h int, _ [][]float64) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// Drift extrapolates the average historical slope:
-// ŷ_{t+k} = y_t + k·(y_t − y_1)/(t−1).
-type Drift struct {
-	last, slope float64
-	ready       bool
-}
-
-// NewDrift returns a drift forecaster.
-func NewDrift() *Drift { return &Drift{} }
-
-// Name implements Model.
-func (m *Drift) Name() string { return "drift" }
-
-// Fit implements Model.
-func (m *Drift) Fit(y []float64, _ [][]float64) error {
-	if len(y) < 2 {
-		return fmt.Errorf("forecast: drift needs at least two observations")
-	}
-	m.last = y[len(y)-1]
-	m.slope = (y[len(y)-1] - y[0]) / float64(len(y)-1)
-	m.ready = true
-	return nil
-}
-
-// Forecast implements Model.
-func (m *Drift) Forecast(h int, _ [][]float64) ([]float64, error) {
-	if !m.ready {
-		return nil, fmt.Errorf("forecast: drift not fitted")
-	}
-	if h <= 0 {
-		return nil, fmt.Errorf("forecast: horizon %d", h)
-	}
-	out := make([]float64, h)
-	for i := range out {
-		out[i] = m.last + float64(i+1)*m.slope
-	}
-	return out, nil
-}

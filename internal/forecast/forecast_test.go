@@ -539,21 +539,6 @@ func TestSeasonalNaiveBaseline(t *testing.T) {
 	}
 }
 
-func TestDriftBaseline(t *testing.T) {
-	m := NewDrift()
-	if err := m.Fit([]float64{5}, nil); err == nil {
-		t.Error("single observation accepted")
-	}
-	// y = 2t: slope 2 exactly.
-	if err := m.Fit([]float64{0, 2, 4, 6}, nil); err != nil {
-		t.Fatal(err)
-	}
-	fc, err := m.Forecast(2, nil)
-	if err != nil || fc[0] != 8 || fc[1] != 10 {
-		t.Fatalf("drift forecast %v, %v", fc, err)
-	}
-}
-
 func TestSeasonalNaiveBeatsNaiveOnSeasonalData(t *testing.T) {
 	y := synthSeasonal(24*20, 30)
 	train, test := y[:24*19], y[24*19:]

@@ -201,24 +201,6 @@ type Hub struct {
 	reg *obs.Registry
 }
 
-// NewHub builds a hub for the standard channels. buffer is the
-// per-subscriber queue capacity (minimum 1), replay the number of frames
-// a memory-only channel retains for late subscribers and reconnects
-// (minimum buffer).
-func NewHub(buffer, replay int, policy Policy, reg *obs.Registry) *Hub {
-	h := NewHubNamed(Channels(), buffer, replay, policy, reg)
-	reg.RegisterFunc("net_subscribers", func() uint64 {
-		n := h.subscribers.Load()
-		if n < 0 {
-			return 0
-		}
-		return uint64(n)
-	})
-	reg.RegisterFunc("net_frames_sent_total", h.framesSent.Load)
-	h.registerGauges()
-	return h
-}
-
 // registerGauges turns on per-subscriber gauges and registers the hub's
 // own counters under fixed names — so at most one hub per registry may
 // call it: the unnamed session's, whose service already aggregates
@@ -234,10 +216,13 @@ func (h *Hub) registerGauges() {
 
 // NewHubNamed builds a hub carrying exactly the given channels (the
 // session service namespaces them as <tenant>/<session>/<channel>).
-// Unlike NewHub it registers no gauges on reg: session hubs share one
-// registry per daemon process, so a second hub would clobber the
-// first's registrations — the service layer aggregates across hubs
-// under per-tenant families instead.
+// buffer is the per-subscriber queue capacity (64 when below 1), replay
+// the number of frames a memory-only channel retains for late
+// subscribers and reconnects (minimum buffer). It registers no gauges on
+// reg:
+// session hubs share one registry per daemon process, so a second hub
+// would clobber the first's registrations — the service layer
+// aggregates across hubs under per-tenant families instead.
 func NewHubNamed(channelNames []string, buffer, replay int, policy Policy, reg *obs.Registry) *Hub {
 	if buffer < 1 {
 		buffer = 64

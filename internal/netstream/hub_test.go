@@ -43,7 +43,7 @@ func recvAll(t *testing.T, sub *Subscriber) []*Frame {
 // TestHubReplayAndLiveDelivery: a subscriber present from the start and
 // one arriving after completion observe the identical frame sequence.
 func TestHubReplayAndLiveDelivery(t *testing.T) {
-	h := NewHub(8, 1024, PolicyBlock, nil)
+	h := NewHubNamed(Channels(), 8, 1024, PolicyBlock, nil)
 	if err := h.SetHello(ChannelDirty, &Frame{Type: FrameHello, Channel: ChannelDirty}); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestHubReplayAndLiveDelivery(t *testing.T) {
 // TestHubFromSeqResume: subscribing with from_seq resumes mid-stream
 // without duplicates, and a from_seq older than the ring reports ErrGap.
 func TestHubFromSeqResume(t *testing.T) {
-	h := NewHub(4, 8, PolicyBlock, nil)
+	h := NewHubNamed(Channels(), 4, 8, PolicyBlock, nil)
 	publishN(t, h, ChannelDirty, 30) // ring retains seq 23..30
 	if err := h.Publish(ChannelDirty, &Frame{Type: FrameEOF}); err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func stepReader(t *testing.T, sub *Subscriber) *Frame {
 // proceed unimpeded. The fast subscriber reads in lockstep with the
 // publisher, which makes the schedule deterministic.
 func TestHubDropOldest(t *testing.T) {
-	h := NewHub(4, 256, PolicyDropOldest, nil)
+	h := NewHubNamed(Channels(), 4, 256, PolicyDropOldest, nil)
 
 	slow, err := h.Subscribe(ChannelDirty, 0)
 	if err != nil {
@@ -189,7 +189,7 @@ func TestHubDropOldest(t *testing.T) {
 // after its buffered frames drain; a keeping-up subscriber and the
 // publisher never stall.
 func TestHubDisconnectSlow(t *testing.T) {
-	h := NewHub(4, 256, PolicyDisconnectSlow, nil)
+	h := NewHubNamed(Channels(), 4, 256, PolicyDisconnectSlow, nil)
 
 	slow, err := h.Subscribe(ChannelDirty, 0)
 	if err != nil {
@@ -239,7 +239,7 @@ func TestHubDisconnectSlow(t *testing.T) {
 // TestHubBlockPolicy: under block, a stalled subscriber throttles the
 // publisher, and no frame is ever lost once it resumes.
 func TestHubBlockPolicy(t *testing.T) {
-	h := NewHub(2, 256, PolicyBlock, nil)
+	h := NewHubNamed(Channels(), 2, 256, PolicyBlock, nil)
 	sub, err := h.Subscribe(ChannelDirty, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestHubBlockPolicy(t *testing.T) {
 // TestHubTerminalLatch: publishing after a terminal frame fails, and
 // closed hubs refuse publishes and subscriptions.
 func TestHubTerminalLatch(t *testing.T) {
-	h := NewHub(4, 16, PolicyBlock, nil)
+	h := NewHubNamed(Channels(), 4, 16, PolicyBlock, nil)
 	publishN(t, h, ChannelDirty, 3)
 	if err := h.Publish(ChannelDirty, &Frame{Type: FrameEOF}); err != nil {
 		t.Fatal(err)
@@ -302,7 +302,7 @@ func TestHubTerminalLatch(t *testing.T) {
 // TestHubCloseDrains: Hub.Close lets connected subscribers drain their
 // buffered frames before reporting ErrHubClosed.
 func TestHubCloseDrains(t *testing.T) {
-	h := NewHub(16, 64, PolicyBlock, nil)
+	h := NewHubNamed(Channels(), 16, 64, PolicyBlock, nil)
 	sub, err := h.Subscribe(ChannelDirty, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +329,7 @@ func TestHubCloseDrains(t *testing.T) {
 // TestHubSubscriberCountStable: Close is idempotent on the aggregate
 // subscriber gauge.
 func TestHubSubscriberCountStable(t *testing.T) {
-	h := NewHub(4, 16, PolicyBlock, nil)
+	h := NewHubNamed(Channels(), 4, 16, PolicyBlock, nil)
 	subs := make([]*Subscriber, 0, 3)
 	for i := 0; i < 3; i++ {
 		s, err := h.Subscribe(ChannelLog, 0)
@@ -353,7 +353,7 @@ func TestHubSubscriberCountStable(t *testing.T) {
 // TestHubConcurrentSubscribeUnsubscribe hammers subscribe/close while a
 // publisher runs, for the race detector.
 func TestHubConcurrentSubscribeUnsubscribe(t *testing.T) {
-	h := NewHub(4, 512, PolicyDropOldest, nil)
+	h := NewHubNamed(Channels(), 4, 512, PolicyDropOldest, nil)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)

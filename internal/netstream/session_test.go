@@ -604,7 +604,8 @@ func TestHubSubscribeTypedErrors(t *testing.T) {
 // subscription closes, or a long-lived daemon accumulates dead gauges.
 func TestSubscriberGaugesUnregisteredOnClose(t *testing.T) {
 	reg := obs.NewRegistry()
-	hub := NewHub(4, 16, PolicyBlock, reg)
+	hub := NewHubNamed(Channels(), 4, 16, PolicyBlock, reg)
+	hub.registerGauges()
 	defer hub.Close()
 	base := len(reg.Snapshot().Gauges)
 	for i := 0; i < 10; i++ {

@@ -94,7 +94,7 @@ func walHub(t *testing.T, replay int) *Hub {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { w.Close() })
-	h := NewHub(8, replay, PolicyBlock, nil)
+	h := NewHubNamed(Channels(), 8, replay, PolicyBlock, nil)
 	if err := h.AttachWAL(ChannelDirty, w); err != nil {
 		t.Fatal(err)
 	}

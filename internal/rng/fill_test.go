@@ -27,25 +27,6 @@ func TestFillMatchesSequentialUint64(t *testing.T) {
 	}
 }
 
-func TestFillFloat64MatchesSequentialFloat64(t *testing.T) {
-	a := Derive(7, "cond")
-	b := Derive(7, "cond")
-	want := make([]float64, 257)
-	for i := range want {
-		want[i] = a.Float64()
-	}
-	got := make([]float64, 257)
-	b.FillFloat64(got)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FillFloat64[%d] = %g, sequential Float64 = %g", i, got[i], want[i])
-		}
-	}
-	if a.Float64() != b.Float64() {
-		t.Fatal("post-fill state diverged")
-	}
-}
-
 func TestToFloat64MatchesFloat64(t *testing.T) {
 	a := New(-3)
 	b := New(-3)

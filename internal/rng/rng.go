@@ -130,23 +130,6 @@ func ToFloat64(u uint64) float64 {
 	return float64(u>>11) / (1 << 53)
 }
 
-// FillFloat64 writes the next len(dst) uniform [0, 1) values into dst,
-// equivalent to len(dst) consecutive Float64 calls.
-func (s *Stream) FillFloat64(dst []float64) {
-	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
-	for i := range dst {
-		dst[i] = float64((rotl(s1*5, 7)*9)>>11) / (1 << 53)
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = rotl(s3, 45)
-	}
-	s.s[0], s.s[1], s.s[2], s.s[3] = s0, s1, s2, s3
-}
-
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (s *Stream) Intn(n int) int {
 	if n <= 0 {

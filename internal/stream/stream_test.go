@@ -128,25 +128,6 @@ func TestTupleCloneIsDeep(t *testing.T) {
 	t.Fatal("clone still equal after mutation")
 }
 
-func TestCloneIntoReusesBuffer(t *testing.T) {
-	schema := testSchema(t)
-	orig := NewTuple(schema, []Value{Time(time.Unix(1, 0)), Float(2)})
-	buf := make([]Value, 2)
-	c := orig.CloneInto(buf)
-	if &c.Values()[0] != &buf[0] {
-		t.Fatal("CloneInto did not use the provided buffer")
-	}
-	c.SetAt(1, Float(3))
-	if orig.At(1).MustFloat() != 2 {
-		t.Fatal("CloneInto aliased the original")
-	}
-	// Undersized buffer falls back to allocation.
-	c2 := orig.CloneInto(make([]Value, 0))
-	if !c2.Equal(orig) {
-		t.Fatal("CloneInto fallback lost values")
-	}
-}
-
 func TestNewTuplePanicsOnArityMismatch(t *testing.T) {
 	s := testSchema(t)
 	defer func() {

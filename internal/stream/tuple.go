@@ -129,25 +129,10 @@ func (t Tuple) Clone() Tuple {
 	return c
 }
 
-// CloneInto returns a deep copy of the tuple whose values live in buf
-// when buf has sufficient capacity, avoiding the per-clone allocation of
-// Clone. The caller owns buf and must not alias it with t's values.
-func (t Tuple) CloneInto(buf []Value) Tuple {
-	c := t
-	if cap(buf) >= len(t.values) {
-		c.values = buf[:len(t.values)]
-		copy(c.values, t.values)
-	} else {
-		c.values = append([]Value(nil), t.values...)
-	}
-	return c
-}
-
 // CloneValuesInto rebinds t to a private copy of its values stored in
-// buf (falling back to a fresh allocation when buf is too small) — the
-// in-place counterpart of CloneInto, avoiding the two tuple-struct
-// copies of `t = t.CloneInto(buf)` on hot paths. The caller owns buf
-// and must not alias it with t's current values.
+// buf (falling back to a fresh allocation when buf is too small): a
+// Clone without the per-tuple allocation. The caller owns buf and must
+// not alias it with t's current values.
 func (t *Tuple) CloneValuesInto(buf []Value) {
 	if cap(buf) >= len(t.values) {
 		buf = buf[:len(t.values)]

@@ -48,17 +48,6 @@ func (s *Series) Slice(i, j int) *Series {
 	}
 }
 
-// MissingCount returns the number of NaN values.
-func (s *Series) MissingCount() int {
-	n := 0
-	for _, v := range s.Values {
-		if math.IsNaN(v) {
-			n++
-		}
-	}
-	return n
-}
-
 // FFill forward-fills missing values in place and then backward-fills any
 // leading NaNs, mirroring the paper's pandas ffill imputation. It reports
 // how many values were filled.

@@ -6,13 +6,14 @@
 # generated data, the polluted values, the log and every digest against
 # amd64. Writing float64(x*y) + z forbids the fusion.
 #
-# The script cross-compiles cmd/icewafl, cmd/gendata, cmd/exp1 and
-# cmd/exp4 for arm64 and riscv64 and fails on any FMADD/FMSUB/FNMADD/
-# FNMSUB instruction (D or S form) in a symbol of icewafl/internal/core,
-# rng, config, dataset, experiments or synth — the packages that decide
-# stream bytes and the experiment tables TestExperimentGoldens pins. An
-# inlined callee counts against its caller's symbol, which is how
-# stats.SampleVariance is held (inlined into experiments.RunExp1Random).
+# The script cross-compiles cmd/icewafl, cmd/gendata and cmd/paper
+# (which links all six experiments) for arm64 and riscv64 and fails on
+# any FMADD/FMSUB/FNMADD/FNMSUB instruction (D or S form) in a symbol of
+# icewafl/internal/core, rng, config, dataset, experiments or synth —
+# the packages that decide stream bytes and the experiment tables
+# TestExperimentGoldens pins. An inlined callee counts against its
+# caller's symbol, which is how stats.SampleVariance is held (inlined
+# into experiments.RunExp1Random).
 # Still left out:
 #   - internal/forecast, stats, anomaly and clean on their own: they
 #     consume benchmark data rather than produce it;
@@ -27,7 +28,7 @@ trap 'rm -rf "$tmp"' EXIT
 
 status=0
 for arch in arm64 riscv64; do
-	for cmd in icewafl gendata exp1 exp4; do
+	for cmd in icewafl gendata paper; do
 		GOOS=linux GOARCH=$arch CGO_ENABLED=0 "$GO" build -o "$tmp/$cmd.$arch" ./cmd/$cmd
 		hits=$("$GO" tool objdump "$tmp/$cmd.$arch" | awk '
 			/^TEXT / { sym = $2; next }
