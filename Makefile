@@ -53,9 +53,7 @@ race:
 # layer instruments (lock-free counters under sharded workers) plus the
 # service runtime's hub/WAL/supervisor machinery and the chaos harness
 # that hammers it. Runs with -count=2 so the second pass exercises
-# warmed per-worker cells — and, for the columnar differential suite in
-# internal/core, re-runs the byte-identity properties against recycled
-# batch arenas.
+# warmed per-worker cells.
 racehot:
 	$(GO) test -race -count=2 ./internal/obs/ ./internal/core/ ./internal/stream/ ./internal/dq/ ./internal/netstream/ ./internal/chaos/
 
@@ -132,7 +130,8 @@ perfgate:
 
 # Short fuzz pass over every fuzz target (value parsing, the quarantine
 # of malformed tuples, the CSV writer against encoding/csv, the metrics,
-# WAL and frame codecs, the log entry renderer against encoding/json,
+# WAL and frame codecs (the colbatch frame codec stays while older WALs
+# may still hold such frames), the log entry renderer against encoding/json,
 # and generated pollution documents through every execution shape).
 # Extend FUZZTIME for deeper runs.
 FUZZTIME ?= 15s

@@ -170,41 +170,6 @@ func BenchmarkShardedKeyed(b *testing.B) {
 	}
 }
 
-// TestColumnarHotPathAllocFree pins the columnar hot path to the
-// zero-alloc class: amortised over the stream, steady-state processing
-// must not allocate per tuple — only per-run setup (plan compilation,
-// the runner's batch) may. The stream is consumed batch-natively into
-// one reused batch, the way the daemon's columnar drain consumes it;
-// the runner copies its input, so no per-run clone is needed.
-func TestColumnarHotPathAllocFree(t *testing.T) {
-	const n = 10000
-	schema, tuples := benchStream(n)
-	dst := stream.NewColumnBatch(schema, core.DefaultColumnarBatch)
-	run := func() {
-		proc := core.NewProcess(noisePipe(7))
-		proc.DisableLog = true
-		out, _, err := proc.RunStreamColumnar(stream.NewSliceSource(schema, tuples), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cbr := out.(stream.ColumnBatchReader)
-		for {
-			dst.Reset()
-			if _, err := cbr.ReadBatch(dst, core.DefaultColumnarBatch); err != nil {
-				if stream.IsEndOfStream(err) {
-					break
-				}
-				t.Fatal(err)
-			}
-		}
-	}
-	run() // grow dst's columns outside the measurement
-	perRun := testing.AllocsPerRun(10, run)
-	if perTuple := perRun / n; perTuple >= 0.05 {
-		t.Fatalf("columnar hot path allocates %.0f times per run (%.3f per tuple); want setup-only (< 0.05/tuple)", perRun, perTuple)
-	}
-}
-
 // BenchmarkMergeSort measures Algorithm 1's sort-at-merge (step 3) over
 // m sub-streams.
 func BenchmarkMergeSort(b *testing.B) {

@@ -140,28 +140,6 @@ func TestCLIGolden(t *testing.T) {
 		t.Errorf("streaming output (%d bytes) differs from batch output (%d bytes)",
 			len(streamBytes), len(batchBytes))
 	}
-
-	// Columnar mode: the batch-native engine must also emit the exact
-	// bytes of the batch run, including the pollution log.
-	colDirty := filepath.Join(tmp, "dirty-columnar.csv")
-	colLog := filepath.Join(tmp, "log-columnar.jsonl")
-	runCLI(t, bin,
-		"-schema", filepath.Join(ex, "schema.json"),
-		"-config", filepath.Join(ex, "pollution.json"),
-		"-in", filepath.Join(ex, "clean.csv"),
-		"-out", colDirty,
-		"-log", colLog,
-		"-stream", "-columnar",
-	)
-	colBytes, err := os.ReadFile(colDirty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(batchBytes, colBytes) {
-		t.Errorf("columnar output (%d bytes) differs from batch output (%d bytes)",
-			len(colBytes), len(batchBytes))
-	}
-	checkGolden(t, colLog, "log.jsonl.golden")
 }
 
 // TestCLIKillAndResume SIGKILLs a checkpointed -stream run mid-input and

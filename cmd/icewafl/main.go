@@ -66,8 +66,7 @@ func main() {
 	meta := flag.Bool("meta", false, "emit Algorithm 1's (_id, _substream, …) columns in the outputs")
 	reportOut := flag.String("report", "", "optional Markdown report output documenting the run")
 	streaming := flag.Bool("stream", false, "tuple-wise constant-memory execution for unbounded inputs (no -clean-out/-report; bounded reordering)")
-	columnar := flag.Bool("columnar", false, "streaming mode: batch-native columnar execution of the pollution hot path (single pipeline; which of -reorder/-shards/-columnar/-checkpoint combine: core.StreamSpec, DESIGN.md §6)")
-	reorder := flag.Int("reorder", 64, "streaming mode: bounded reordering window in tuples")
+	reorder := flag.Int("reorder", 64, "streaming mode: bounded reordering window in tuples (which of -reorder/-shards/-checkpoint combine: core.StreamSpec, DESIGN.md §6)")
 	shards := flag.Int("shards", 1, "streaming mode: partition the keyed hot path across N parallel workers, routed by -shard-key")
 	shardKey := flag.String("shard-key", "", "attribute whose value routes tuples to shards")
 	checkpointPath := flag.String("checkpoint", "", "streaming mode: checkpoint file; the run snapshots its state periodically so it can be resumed")
@@ -114,9 +113,9 @@ func main() {
 	}
 	// The execution shape is validated by the one rulebook, still before
 	// any I/O; the shard key's schema membership is re-checked by Stream.
-	shape := core.StreamSpec{Reorder: *reorder, Shards: *shards, ShardKey: *shardKey, Columnar: *columnar, Checkpoint: *checkpointPath != ""}
-	if !*streaming && (shape.Shards > 1 || shape.Columnar || shape.Checkpoint) {
-		fatalUsage("-shards, -columnar and -checkpoint require -stream")
+	shape := core.StreamSpec{Reorder: *reorder, Shards: *shards, ShardKey: *shardKey, Checkpoint: *checkpointPath != ""}
+	if !*streaming && (shape.Shards > 1 || shape.Checkpoint) {
+		fatalUsage("-shards and -checkpoint require -stream")
 	}
 	if err := shape.Validate(nil); err != nil {
 		fatalUsage("%v", err)
@@ -161,15 +160,7 @@ func main() {
 		}
 		defer in.Close()
 	}
-	var reader stream.Source
-	if *columnar {
-		// Batch-native ingest: the columnar runner detects the reader's
-		// ReadBatch face and decodes CSV rows straight into column
-		// batches (unless a retry wrapper intervenes below).
-		reader, err = csvio.NewColumnReader(in, schema)
-	} else {
-		reader, err = csvio.NewReader(in, schema)
-	}
+	reader, err := csvio.NewReader(in, schema)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -42,12 +42,11 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"negative checkpoint-interval", append(base, "-stream", "-checkpoint", "x.ckpt", "-checkpoint-interval", "-5"), "-checkpoint-interval must be non-negative"},
 		{"stream with clean-out", append(base, "-stream", "-clean-out", "clean.csv"), "-stream cannot materialise"},
 		{"shards below one", append(base, "-stream", "-shards", "0"), "-shards must be at least 1"},
-		{"shards without stream", append(base, "-shards", "4", "-shard-key", "sensor"), "-shards, -columnar and -checkpoint require -stream"},
-		{"columnar without stream", append(base, "-columnar"), "-shards, -columnar and -checkpoint require -stream"},
+		{"shards without stream", append(base, "-shards", "4", "-shard-key", "sensor"), "-shards and -checkpoint require -stream"},
 		// Which execution shapes are valid is core.StreamSpec's rulebook
 		// (see its shape-matrix test); the CLI only has to surface the
 		// verdict as a usage error before any file is opened.
-		{"invalid shape", append(base, "-stream", "-columnar", "-shards", "4", "-shard-key", "sensor"), "core: columnar execution is incompatible with shards > 1"},
+		{"invalid shape", append(base, "-stream", "-reorder", "1", "-checkpoint", "x.ckpt", "-shards", "4", "-shard-key", "sensor"), "core: checkpointing is incompatible with shards > 1"},
 		{"checkpoint with the default reorder window", append(base, "-stream", "-checkpoint", "x.ckpt"), "core: checkpointing is incompatible with a reorder window of 64"},
 	}
 	for _, tc := range cases {

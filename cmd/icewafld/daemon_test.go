@@ -314,7 +314,7 @@ func TestDaemonUsageErrors(t *testing.T) {
 		{"negative restart budget", append(base, "-restart-budget", "-1"), "-restart-budget must be positive"},
 		{"negative checkpoint every", append(base, "-checkpoint-every", "-1"), "-checkpoint-every must be positive"},
 		// The shape rules are core.StreamSpec's; the daemon surfaces them.
-		{"invalid shape", append(base, "-columnar", "-shards", "4", "-shard-key", "BPM"), "core: columnar execution is incompatible with shards > 1"},
+		{"invalid shape", append(base, "-wal", "w", "-checkpoint", "ck.json", "-shards", "4", "-shard-key", "BPM"), "core: checkpointing is incompatible with shards > 1"},
 		// Session mode takes each pipeline from its spec, not from flags.
 		{"pipeline flags with sessions", []string{"-sessions", "-http", "off", "-in", "x.csv", "-wal", "w"}, "-in -wal do not apply to -sessions mode"},
 	}

@@ -9,7 +9,7 @@
 //	icewafld -schema schema.json -config pollution.json -in clean.csv \
 //	         [-listen :7077] [-http :7078] [-policy block|drop-oldest|disconnect-slow] \
 //	         [-buffer 256] [-replay 65536] [-reorder 64] [-linger 0] \
-//	         [-wal DIR] [-checkpoint PATH] [-supervise] [-columnar]
+//	         [-wal DIR] [-checkpoint PATH] [-supervise]
 //	icewafld -sessions [-config serve.json] [-state-dir DIR] [-http :7078]
 //
 // Both forms run the same session service. The first starts one unnamed
@@ -19,13 +19,8 @@
 // log channels. /healthz lists every session, and /metrics carries the
 // same families, in both.
 //
-// With -columnar the pipeline runs on the columnar engine and the dirty
-// channel carries colbatch frames — column-major micro-batches of up to
-// -columnar-batch rows, one frame per sequence number — which clients
-// (netstream.ClientSource) transparently explode back into tuples. The
-// served stream is byte-identical to tuple-wise serving; only the frame
-// granularity changes. Which of -reorder, -shards, -columnar and
-// -checkpoint combine is core.StreamSpec's call.
+// Which of -reorder, -shards and -checkpoint combine is
+// core.StreamSpec's call.
 //
 // With -wal replay is served from a segmented, checksummed write-ahead
 // log instead of the in-memory ring (-replay then has no effect):
@@ -93,8 +88,8 @@ func fatalUsage(format string, args ...any) {
 // mode is a usage error.
 var modeFlags = map[string]bool{
 	"schema": false, "in": false, "policy": false, "buffer": false, "replay": false,
-	"reorder": false, "shards": false, "shard-key": false, "columnar": false,
-	"columnar-batch": false, "linger": false, "wal": false, "checkpoint": false,
+	"reorder": false, "shards": false, "shard-key": false, "linger": false,
+	"wal": false, "checkpoint": false,
 	"checkpoint-every": false, "supervise": false, "restart-budget": false,
 	"restart-window": false, "restart-backoff": false,
 	"state-dir": true, "archive-deleted": true,
@@ -115,8 +110,6 @@ func main() {
 	reorder := flag.Int("reorder", 0, "bounded reordering window in tuples (default from serve block)")
 	shards := flag.Int("shards", 0, "partition the keyed hot path across N parallel workers (default from serve block, 1)")
 	shardKey := flag.String("shard-key", "", "attribute routing tuples to shards (default from serve block)")
-	columnar := flag.Bool("columnar", false, "serve the dirty channel as columnar micro-batches (colbatch frames; default from serve block)")
-	columnarBatch := flag.Int("columnar-batch", 0, "rows per colbatch frame (default from serve block, 256)")
 	drain := flag.Duration("drain-timeout", 0, "graceful-drain bound on shutdown (default from serve block)")
 	linger := flag.Duration("linger", 0, "exit this long after the pipeline completes (0 = serve until SIGTERM)")
 	traceSample := flag.Uint64("trace-sample", 0, "deterministically trace 1 in N tuples (0 = off)")
@@ -177,9 +170,6 @@ func main() {
 	if *linger < 0 {
 		fatalUsage("-linger must be non-negative, got %v", *linger)
 	}
-	if *columnarBatch < 0 {
-		fatalUsage("-columnar-batch must be positive, got %d", *columnarBatch)
-	}
 	if *checkpointEvery < 0 {
 		fatalUsage("-checkpoint-every must be positive, got %d", *checkpointEvery)
 	}
@@ -239,12 +229,6 @@ func main() {
 	}
 	if *shardKey != "" {
 		spec.ShardKey = *shardKey
-	}
-	if *columnar {
-		spec.Columnar = true
-	}
-	if *columnarBatch > 0 {
-		spec.ColumnarBatch = *columnarBatch
 	}
 	if *drain > 0 {
 		spec.DrainTimeout = drain.String()
@@ -464,15 +448,7 @@ func pipelineConfig(schema *stream.Schema, doc *config.Document, ss config.Serve
 		if err != nil {
 			return nil, err
 		}
-		var src stream.Source
-		if ss.Columnar {
-			// Batch-native CSV ingest: rows decode straight into column
-			// batches, so the columnar runner never materialises per-row
-			// tuples on the way in (unless a retry wrapper intervenes).
-			src, err = csvio.NewColumnReader(r, schema)
-		} else {
-			src, err = csvio.NewReader(r, schema)
-		}
+		src, err := csvio.NewReader(r, schema)
 		if err != nil {
 			if c, ok := r.(io.Closer); ok {
 				c.Close()
@@ -496,8 +472,6 @@ func pipelineConfig(schema *stream.Schema, doc *config.Document, ss config.Serve
 		Reorder:         ss.Reorder,
 		Shards:          ss.Shards,
 		ShardKey:        ss.ShardKey,
-		Columnar:        ss.Columnar,
-		ColumnarBatch:   ss.ColumnarBatch,
 		Buffer:          ss.Buffer,
 		Replay:          ss.Replay,
 		Policy:          policy,

@@ -16,7 +16,6 @@ import (
 
 	"icewafl/internal/netstream"
 	"icewafl/internal/obs"
-	"icewafl/internal/stream"
 )
 
 // Options configures one load run against a session-mode icewafld.
@@ -348,7 +347,6 @@ func streamDirty(ctx context.Context, client *http.Client, baseURL, channel stri
 		return o
 	}
 	h := sha256.New()
-	var schema *stream.Schema
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
 	for sc.Scan() {
@@ -364,7 +362,7 @@ func streamDirty(ctx context.Context, client *http.Client, baseURL, channel stri
 		}
 		switch f.Type {
 		case netstream.FrameHello:
-			if schema, err = netstream.SchemaFromDocument(f.Schema); err != nil {
+			if _, err := netstream.SchemaFromDocument(f.Schema); err != nil {
 				o.err = err
 				return o
 			}
@@ -374,19 +372,6 @@ func streamDirty(ctx context.Context, client *http.Client, baseURL, channel stri
 				return o
 			}
 			o.frames++
-		case netstream.FrameColBatch:
-			tuples, err := netstream.DecodeColumnBatch(f.Batch, schema)
-			if err != nil {
-				o.err = err
-				return o
-			}
-			for _, t := range tuples {
-				if err := digestTuple(h, netstream.EncodeTuple(t)); err != nil {
-					o.err = err
-					return o
-				}
-				o.frames++
-			}
 		case netstream.FrameEOF:
 			o.digest = hex.EncodeToString(h.Sum(nil))
 			return o

@@ -64,17 +64,10 @@ type ServeSpec struct {
 	Reorder int `json:"reorder,omitempty"`
 	// Shards partitions the keyed pollution hot path across this many
 	// parallel workers (default 1 = sequential). Which combinations of
-	// reorder, shards, columnar and checkpoint are valid is
-	// core.StreamSpec's call.
+	// reorder, shards and checkpoint are valid is core.StreamSpec's call.
 	Shards int `json:"shards,omitempty"`
 	// ShardKey names the attribute whose value routes tuples to shards.
 	ShardKey string `json:"shard_key,omitempty"`
-	// Columnar serves the dirty channel as columnar micro-batches: the
-	// pipeline runs through the columnar engine and clients receive
-	// colbatch frames.
-	Columnar bool `json:"columnar,omitempty"`
-	// ColumnarBatch caps the rows per colbatch frame (default 256).
-	ColumnarBatch int `json:"columnar_batch,omitempty"`
 	// DrainTimeout bounds the graceful drain on SIGTERM (Go duration,
 	// default "5s").
 	DrainTimeout string `json:"drain_timeout,omitempty"`
@@ -152,7 +145,7 @@ type TenantSpec struct {
 
 // Shape is the execution shape the block describes.
 func (s ServeSpec) Shape() core.StreamSpec {
-	return core.StreamSpec{Reorder: s.Reorder, Shards: s.Shards, ShardKey: s.ShardKey, Columnar: s.Columnar, Checkpoint: s.Checkpoint != ""}
+	return core.StreamSpec{Reorder: s.Reorder, Shards: s.Shards, ShardKey: s.ShardKey, Checkpoint: s.Checkpoint != ""}
 }
 
 // Normalize applies the documented defaults and validates the spec. It
@@ -161,7 +154,6 @@ func (s *ServeSpec) Normalize() (ServeSpec, error) {
 	out := ServeSpec{
 		Listen: ":7077", Buffer: 256, Replay: 65536, Policy: "block",
 		Reorder: 64, Shards: 1, DrainTimeout: "5s",
-		ColumnarBatch:   256,
 		CheckpointEvery: 256,
 		RestartBudget:   3, RestartWindow: "1m", RestartBackoff: "100ms",
 	}
@@ -189,8 +181,6 @@ func (s *ServeSpec) Normalize() (ServeSpec, error) {
 	positive(&err, "reorder", s.Reorder, &out.Reorder)
 	positive(&err, "shards", s.Shards, &out.Shards)
 	out.ShardKey = s.ShardKey
-	out.Columnar = s.Columnar
-	positive(&err, "columnar_batch", s.ColumnarBatch, &out.ColumnarBatch)
 	positiveDuration(&err, "drain_timeout", s.DrainTimeout, &out.DrainTimeout)
 	out.WALDir = s.WALDir
 	positive(&err, "wal_segment_bytes", s.WALSegmentBytes, &out.WALSegmentBytes)

@@ -377,6 +377,10 @@ func TestConfigRejectsSilentlyWrongParams(t *testing.T) {
 			`config: compare at pipeline[0]/0:p/cond: unknown key "p"`},
 		{"key inside a child", cond(`{"type": "not", "child": {"type": "always", "hold": "1h"}}`),
 			`config: always at pipeline[0]/0:p/cond/not: unknown key "hold"`},
+		// The columnar engine is gone: a document that still asks for it
+		// fails instead of running the one engine silently.
+		{"columnar serve key", `{"seed": 1, "pipelines": [{"polluters": [{"name": "p", "error": {"type": "missing_value"}}]}], "serve": {"columnar": true, "columnar_batch": 64}}`,
+			`config: parse: json: unknown field "columnar"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Load(strings.NewReader(tc.doc))

@@ -92,8 +92,8 @@ func genDocument(r *rand.Rand, seen map[string]bool) *Document {
 }
 
 // polluter draws a standard polluter or, one time in ten each while
-// depth < 2, a composite in any mode or a keyed polluter; keyed ones stay
-// rare because one anywhere makes the columnar plan row-wise. Polluters
+// depth < 2, a composite in any mode or a keyed polluter (the odds are
+// part of what each seed draws, so they stay as they are). Polluters
 // write v, n and cat only: the key attribute routes shards, and keyed
 // polluters must see it unchanged.
 func (g *gen) polluter(depth int) PolluterSpec {
@@ -293,7 +293,7 @@ func mustBuild(t *testing.T, doc *Document) *core.Process {
 
 // checkShapes draws the document of seed and runs it, and its keyed
 // wrapping when it has one pipeline, through every shape of reorder
-// {1, 8} × shards {1, 3} × columnar × checkpoint that Validate and the
+// {1, 8} × shards {1, 3} × checkpoint that Validate and the
 // pipeline-count rule accept, plus a resume at a random boundary and a
 // config → JSON → config round trip. Each must yield the RunStream
 // reference's sha256(dirty CSV ‖ log JSONL) at the same reorder.
@@ -329,45 +329,43 @@ func checkShapes(t *testing.T, seed int64, seen map[string]bool) {
 		}
 		for _, reorder := range []int{1, 8} {
 			for _, shards := range []int{1, 3} {
-				for _, columnar := range []bool{false, true} {
-					for _, checkpoint := range []bool{false, true} {
-						spec := core.StreamSpec{Reorder: reorder, Shards: shards, ShardKey: "sensor", Columnar: columnar, Checkpoint: checkpoint}
-						plainShape := shards == 1 && !columnar && !checkpoint
-						if spec.Validate(genSchema) != nil || shards > 1 && vi == 0 || len(doc.Pipelines) > 1 && !plainShape {
-							continue
-						}
-						run, err := mustBuild(t, doc).Stream(src(), spec)
-						if err != nil {
-							t.Fatalf("variant %d, %+v: %v", vi, spec, err)
-						}
-						var buf bytes.Buffer
-						drain(t, &buf, run.Source, true)
-						if writeLogs(t, &buf, run.Log) != ref[reorder] {
-							t.Errorf("variant %d, %+v: digest differs from the RunStream reference", vi, spec)
-						}
-						if !checkpoint {
-							continue
-						}
-						head, err := mustBuild(t, doc).Stream(src(), spec)
-						if err != nil {
-							t.Fatal(err)
-						}
-						buf.Reset()
-						at := r.Intn(n + 1)
-						drain(t, &buf, &headSource{Source: head.Source, n: at}, true)
-						ckpt, err := head.Checkpointer.Capture()
-						if err != nil {
-							t.Fatal(err)
-						}
-						spec.Resume = ckpt
-						tail, err := mustBuild(t, doc).Stream(src(), spec)
-						if err != nil {
-							t.Fatal(err)
-						}
-						drain(t, &buf, tail.Source, false)
-						if writeLogs(t, &buf, head.Log, tail.Log) != ref[reorder] {
-							t.Errorf("variant %d: resumed after %d tuples, digest differs from the RunStream reference", vi, at)
-						}
+				for _, checkpoint := range []bool{false, true} {
+					spec := core.StreamSpec{Reorder: reorder, Shards: shards, ShardKey: "sensor", Checkpoint: checkpoint}
+					plainShape := shards == 1 && !checkpoint
+					if spec.Validate(genSchema) != nil || shards > 1 && vi == 0 || len(doc.Pipelines) > 1 && !plainShape {
+						continue
+					}
+					run, err := mustBuild(t, doc).Stream(src(), spec)
+					if err != nil {
+						t.Fatalf("variant %d, %+v: %v", vi, spec, err)
+					}
+					var buf bytes.Buffer
+					drain(t, &buf, run.Source, true)
+					if writeLogs(t, &buf, run.Log) != ref[reorder] {
+						t.Errorf("variant %d, %+v: digest differs from the RunStream reference", vi, spec)
+					}
+					if !checkpoint {
+						continue
+					}
+					head, err := mustBuild(t, doc).Stream(src(), spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					buf.Reset()
+					at := r.Intn(n + 1)
+					drain(t, &buf, &headSource{Source: head.Source, n: at}, true)
+					ckpt, err := head.Checkpointer.Capture()
+					if err != nil {
+						t.Fatal(err)
+					}
+					spec.Resume = ckpt
+					tail, err := mustBuild(t, doc).Stream(src(), spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					drain(t, &buf, tail.Source, false)
+					if writeLogs(t, &buf, head.Log, tail.Log) != ref[reorder] {
+						t.Errorf("variant %d: resumed after %d tuples, digest differs from the RunStream reference", vi, at)
 					}
 				}
 			}

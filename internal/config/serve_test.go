@@ -12,7 +12,6 @@ func TestServeSpecDefaults(t *testing.T) {
 	want := ServeSpec{
 		Listen: ":7077", Buffer: 256, Replay: 65536, Policy: "block",
 		Reorder: 64, Shards: 1, DrainTimeout: "5s",
-		ColumnarBatch:   256,
 		CheckpointEvery: 256,
 		RestartBudget:   3, RestartWindow: "1m", RestartBackoff: "100ms",
 	}
@@ -54,7 +53,7 @@ func TestServeSpecOverridesAndValidation(t *testing.T) {
 		Listen: ":9999", HTTP: ":9998", Buffer: 8, Replay: 1024,
 		Policy: "disconnect-slow", Reorder: 1, Shards: 8,
 		ShardKey: "sensor", DrainTimeout: "250ms",
-		ColumnarBatch: 256, CheckpointEvery: 256, RestartBudget: 3,
+		CheckpointEvery: 256, RestartBudget: 3,
 		RestartWindow: "1m", RestartBackoff: "100ms",
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -72,8 +71,7 @@ func TestServeSpecOverridesAndValidation(t *testing.T) {
 		{ServeSpec{Shards: -4}, "serve.shards"},
 		// The execution-shape rules live in core.StreamSpec (see its shape
 		// matrix test); this layer only has to surface core's verdict.
-		{ServeSpec{Columnar: true, Shards: 4, ShardKey: "sensor"}, "config: serve: core: columnar execution"},
-		{ServeSpec{ColumnarBatch: -1}, "serve.columnar_batch"},
+		{ServeSpec{Shards: 4}, "config: serve: core: shards > 1 requires a shard key"},
 		{ServeSpec{DrainTimeout: "fast"}, "serve.drain_timeout"},
 		{ServeSpec{DrainTimeout: "-1s"}, "serve.drain_timeout"},
 		{ServeSpec{WALSegmentBytes: -1}, "serve.wal_segment_bytes"},

@@ -16,13 +16,11 @@ import (
 
 // This file is the one description of every pollution component: the
 // configuration name it goes by, the keys it takes and their valid
-// ranges, how it is built from a configuration object, what the
-// component walk (walk.go) visits inside it, and whether the columnar
-// engine may sweep it. internal/config builds conditions, error
-// functions, parameters and change patterns through Build; snapshot,
-// restore, reset, the columnar planner and ValidateAttrs find a
-// component's entry by its dynamic type. Adding a component is one entry
-// here; a vectorised kernel in kernel.go is optional.
+// ranges, how it is built from a configuration object, and what the
+// component walk (walk.go) visits inside it. internal/config builds
+// conditions, error functions, parameters and change patterns through
+// Build; snapshot, restore, reset and ValidateAttrs find a component's
+// entry by its dynamic type. Adding a component is one entry here.
 
 // Bag is a configuration object undecoded: its "type" and the keys that
 // type takes.
@@ -105,10 +103,6 @@ type Component struct {
 	Role Role
 	// Keys are the configuration keys the component takes.
 	Keys []Key
-	// RowLocal means the component reads and writes only the row it is
-	// shown, so a sweep over a batch in row order is the tuple-wise run;
-	// the walk checks everything it owns separately.
-	RowLocal bool
 
 	of    any                                 // a value of the component's dynamic type
 	build func(a *args) any                   // builds it from a configuration object
@@ -130,14 +124,14 @@ func ownState(w *walker, c any, path string) { w.runState(path, c) }
 
 var components = []Component{
 	// Polluters; internal/config builds them from PolluterSpec.
-	{Name: "standard", Role: RolePolluter, of: (*Standard)(nil), RowLocal: true,
+	{Name: "standard", Role: RolePolluter, of: (*Standard)(nil),
 		attrs: func(c any) []string { return c.(*Standard).Attrs },
 		walk: func(w *walker, c any, path string) {
 			p := c.(*Standard)
 			w.visit(p.Cond, path+"/cond")
 			w.visit(p.Err, path+"/err")
 		}},
-	{Name: "composite", Role: RolePolluter, of: (*Composite)(nil), RowLocal: true,
+	{Name: "composite", Role: RolePolluter, of: (*Composite)(nil),
 		walk: func(w *walker, c any, path string) {
 			p := c.(*Composite)
 			w.visit(p.Cond, path+"/cond")
@@ -153,9 +147,9 @@ var components = []Component{
 		walk: func(w *walker, c any, path string) { w.runState(path+"/state", c.(*Observer).State) }},
 
 	// Conditions.
-	{Name: "always", Role: RoleCondition, of: Always{}, RowLocal: true, build: func(*args) any { return Always{} }},
-	{Name: "never", Role: RoleCondition, of: Never{}, RowLocal: true, build: func(*args) any { return Never{} }},
-	{Name: "random", Role: RoleCondition, of: (*Random)(nil), RowLocal: true,
+	{Name: "always", Role: RoleCondition, of: Always{}, build: func(*args) any { return Always{} }},
+	{Name: "never", Role: RoleCondition, of: Never{}, build: func(*args) any { return Never{} }},
+	{Name: "random", Role: RoleCondition, of: (*Random)(nil),
 		Keys: []Key{opt("p", KeyFloat).in(unit), opt("p_param", KeyParam).under("/p")},
 		build: func(a *args) any {
 			switch {
@@ -168,7 +162,7 @@ var components = []Component{
 			return nil
 		},
 		walk: randAt(func(c any) *rng.Stream { return c.(*Random).Rand })},
-	{Name: "compare", Role: RoleCondition, of: Compare{}, RowLocal: true,
+	{Name: "compare", Role: RoleCondition, of: Compare{},
 		Keys: []Key{need("attr", KeyText),
 			{Name: "op", Type: KeyText, Required: true, Enum: []string{"==", "!=", "<", "<=", ">", ">="}},
 			need("value", KeyScalar)},
@@ -176,12 +170,12 @@ var components = []Component{
 			return Compare{Attr: arg[string](a, "attr"), Op: ValueOp(arg[string](a, "op")), Value: arg[stream.Value](a, "value")}
 		},
 		attrs: func(c any) []string { return []string{c.(Compare).Attr} }},
-	{Role: RoleCondition, of: AttrPredicate{}, RowLocal: true,
+	{Role: RoleCondition, of: AttrPredicate{},
 		attrs: func(c any) []string { return []string{c.(AttrPredicate).Attr} }},
-	{Name: "time_interval", Role: RoleCondition, of: TimeInterval{}, RowLocal: true,
+	{Name: "time_interval", Role: RoleCondition, of: TimeInterval{},
 		Keys:  []Key{opt("from", KeyInstant), opt("to", KeyInstant)},
 		build: func(a *args) any { return TimeInterval{From: arg[time.Time](a, "from"), To: arg[time.Time](a, "to")} }},
-	{Name: "time_of_day", Role: RoleCondition, of: TimeOfDay{}, RowLocal: true,
+	{Name: "time_of_day", Role: RoleCondition, of: TimeOfDay{},
 		Keys: []Key{opt("from_hour", KeyInt).in(Range{Hi: 23}), opt("to_hour", KeyInt).in(Range{Hi: 24})},
 		build: func(a *args) any {
 			c := TimeOfDay{FromHour: arg[int](a, "from_hour"), ToHour: arg[int](a, "to_hour")}
@@ -190,26 +184,26 @@ var components = []Component{
 			}
 			return c
 		}},
-	{Name: "and", Role: RoleCondition, of: And(nil), RowLocal: true,
+	{Name: "and", Role: RoleCondition, of: And(nil),
 		Keys:  []Key{need("children", KeyConditions)},
 		build: func(a *args) any { return And(arg[[]Condition](a, "children")) },
 		walk:  func(w *walker, c any, path string) { visitEach(w, c.(And), path) }},
-	{Name: "or", Role: RoleCondition, of: Or(nil), RowLocal: true,
+	{Name: "or", Role: RoleCondition, of: Or(nil),
 		Keys:  []Key{need("children", KeyConditions)},
 		build: func(a *args) any { return Or(arg[[]Condition](a, "children")) },
 		walk:  func(w *walker, c any, path string) { visitEach(w, c.(Or), path) }},
-	{Name: "not", Role: RoleCondition, of: Not{}, RowLocal: true,
+	{Name: "not", Role: RoleCondition, of: Not{},
 		Keys:  []Key{need("child", KeyCondition).under("/not")},
 		build: func(a *args) any { return Not{Inner: arg[Condition](a, "child")} },
 		walk:  func(w *walker, c any, path string) { w.visit(c.(Not).Inner, path+"/not") }},
-	{Name: "sticky", Role: RoleCondition, of: (*Sticky)(nil), RowLocal: true,
+	{Name: "sticky", Role: RoleCondition, of: (*Sticky)(nil),
 		Keys:  []Key{need("child", KeyCondition).under("/sticky"), need("hold", KeyDuration).in(positive)},
 		build: func(a *args) any { return NewSticky(arg[Condition](a, "child"), arg[time.Duration](a, "hold")) },
 		walk: func(w *walker, c any, path string) {
 			ownState(w, c, path)
 			w.visit(c.(*Sticky).Trigger, path+"/trigger")
 		}},
-	{Name: "markov", Role: RoleCondition, of: (*MarkovCondition)(nil), RowLocal: true,
+	{Name: "markov", Role: RoleCondition, of: (*MarkovCondition)(nil),
 		Keys: []Key{need("p_enter", KeyFloat).in(Range{Hi: 1, Open: true}), need("p_exit", KeyFloat).in(Range{Hi: 1, Open: true})},
 		build: func(a *args) any {
 			return NewMarkovCondition(arg[float64](a, "p_enter"), arg[float64](a, "p_exit"), a.rand())
@@ -218,7 +212,7 @@ var components = []Component{
 			ownState(w, c, path)
 			w.stream(path+"/rand", c.(*MarkovCondition).Rand)
 		}},
-	{Name: "budget", Role: RoleCondition, of: (*BudgetCondition)(nil), RowLocal: true,
+	{Name: "budget", Role: RoleCondition, of: (*BudgetCondition)(nil),
 		Keys: []Key{need("child", KeyCondition).under("/budget"), need("budget", KeyInt).in(Range{Lo: 1, Hi: inf}),
 			need("window", KeyDuration).in(positive)},
 		build: func(a *args) any {
@@ -233,44 +227,44 @@ var components = []Component{
 		walk: func(w *walker, c any, path string) { w.runState(path+"/state", c.(DeviationCondition).State) }},
 
 	// Error functions.
-	{Name: "gaussian_noise", Role: RoleError, of: (*GaussianNoise)(nil), RowLocal: true,
+	{Name: "gaussian_noise", Role: RoleError, of: (*GaussianNoise)(nil),
 		Keys:  []Key{need("stddev", KeyParam)},
 		build: func(a *args) any { return &GaussianNoise{Stddev: arg[Param](a, "stddev"), Rand: a.rand()} },
 		walk:  randAt(func(c any) *rng.Stream { return c.(*GaussianNoise).Rand })},
-	{Name: "uniform_mult_noise", Role: RoleError, of: (*UniformMultNoise)(nil), RowLocal: true,
+	{Name: "uniform_mult_noise", Role: RoleError, of: (*UniformMultNoise)(nil),
 		Keys: []Key{need("lo", KeyParam), need("hi", KeyParam)},
 		build: func(a *args) any {
 			return &UniformMultNoise{Lo: arg[Param](a, "lo"), Hi: arg[Param](a, "hi"), Rand: a.rand()}
 		},
 		walk: randAt(func(c any) *rng.Stream { return c.(*UniformMultNoise).Rand })},
-	{Name: "scale_by_factor", Role: RoleError, of: (*ScaleByFactor)(nil), RowLocal: true,
+	{Name: "scale_by_factor", Role: RoleError, of: (*ScaleByFactor)(nil),
 		Keys:  []Key{need("factor", KeyParam)},
 		build: func(a *args) any { return &ScaleByFactor{Factor: arg[Param](a, "factor")} }},
-	{Name: "missing_value", Role: RoleError, of: MissingValue{}, RowLocal: true, build: func(*args) any { return MissingValue{} }},
-	{Name: "set_constant", Role: RoleError, of: SetConstant{}, RowLocal: true,
+	{Name: "missing_value", Role: RoleError, of: MissingValue{}, build: func(*args) any { return MissingValue{} }},
+	{Name: "set_constant", Role: RoleError, of: SetConstant{},
 		Keys:  []Key{need("value", KeyScalar)},
 		build: func(a *args) any { return SetConstant{Value: arg[stream.Value](a, "value")} }},
-	{Name: "incorrect_category", Role: RoleError, of: (*IncorrectCategory)(nil), RowLocal: true,
+	{Name: "incorrect_category", Role: RoleError, of: (*IncorrectCategory)(nil),
 		Keys: []Key{need("categories", KeyTexts)},
 		build: func(a *args) any {
 			return &IncorrectCategory{Categories: arg[[]string](a, "categories"), Rand: a.rand()}
 		},
 		walk: randAt(func(c any) *rng.Stream { return c.(*IncorrectCategory).Rand })},
-	{Name: "round_precision", Role: RoleError, of: RoundPrecision{}, RowLocal: true,
+	{Name: "round_precision", Role: RoleError, of: RoundPrecision{},
 		Keys:  []Key{opt("digits", KeyInt)},
 		build: func(a *args) any { return RoundPrecision{Digits: arg[int](a, "digits")} }},
-	{Name: "outlier", Role: RoleError, of: (*Outlier)(nil), RowLocal: true,
+	{Name: "outlier", Role: RoleError, of: (*Outlier)(nil),
 		Keys:  []Key{need("magnitude", KeyParam)},
 		build: func(a *args) any { return &Outlier{Magnitude: arg[Param](a, "magnitude"), Rand: a.rand()} },
 		walk:  randAt(func(c any) *rng.Stream { return c.(*Outlier).Rand })},
-	{Name: "string_typo", Role: RoleError, of: (*StringTypo)(nil), RowLocal: true,
+	{Name: "string_typo", Role: RoleError, of: (*StringTypo)(nil),
 		build: func(a *args) any { return &StringTypo{Rand: a.rand()} },
 		walk:  randAt(func(c any) *rng.Stream { return c.(*StringTypo).Rand })},
-	{Name: "swap_attributes", Role: RoleError, of: SwapAttributes{}, RowLocal: true, build: func(*args) any { return SwapAttributes{} }},
-	{Name: "offset", Role: RoleError, of: Offset{}, RowLocal: true,
+	{Name: "swap_attributes", Role: RoleError, of: SwapAttributes{}, build: func(*args) any { return SwapAttributes{} }},
+	{Name: "offset", Role: RoleError, of: Offset{},
 		Keys:  []Key{need("delta", KeyParam)},
 		build: func(a *args) any { return Offset{Delta: arg[Param](a, "delta")} }},
-	{Name: "clamp", Role: RoleError, of: Clamp{}, RowLocal: true,
+	{Name: "clamp", Role: RoleError, of: Clamp{},
 		Keys: []Key{opt("clamp_lo", KeyFloat), opt("clamp_hi", KeyFloat)},
 		build: func(a *args) any {
 			c := Clamp{Lo: arg[float64](a, "clamp_lo"), Hi: arg[float64](a, "clamp_hi")}
@@ -280,19 +274,19 @@ var components = []Component{
 			return c
 		}},
 	// A delay only moves arrival forward, which the reorder window relies on.
-	{Name: "delayed_tuple", Role: RoleError, of: DelayTuple{}, RowLocal: true,
+	{Name: "delayed_tuple", Role: RoleError, of: DelayTuple{},
 		Keys:  []Key{need("delay", KeyDuration).in(Range{Hi: inf})},
 		build: func(a *args) any { return DelayTuple{Delay: arg[time.Duration](a, "delay")} }},
-	{Name: "frozen_value", Role: RoleError, of: (*FrozenValue)(nil), RowLocal: true,
+	{Name: "frozen_value", Role: RoleError, of: (*FrozenValue)(nil),
 		build: func(*args) any { return NewFrozenValue() }, walk: ownState},
-	{Name: "timestamp_shift", Role: RoleError, of: TimestampShift{}, RowLocal: true,
+	{Name: "timestamp_shift", Role: RoleError, of: TimestampShift{},
 		Keys:  []Key{need("offset", KeyDuration)},
 		build: func(a *args) any { return TimestampShift{Offset: arg[time.Duration](a, "offset")} }},
-	{Name: "dropped_tuple", Role: RoleError, of: DropTuple{}, RowLocal: true, build: func(*args) any { return DropTuple{} }},
-	{Name: "hold_and_release", Role: RoleError, of: HoldAndRelease{}, RowLocal: true,
+	{Name: "dropped_tuple", Role: RoleError, of: DropTuple{}, build: func(*args) any { return DropTuple{} }},
+	{Name: "hold_and_release", Role: RoleError, of: HoldAndRelease{},
 		Keys:  []Key{opt("release_at", KeyInstant)},
 		build: func(a *args) any { return HoldAndRelease{ReleaseAt: arg[time.Time](a, "release_at")} }},
-	{Name: "chain", Role: RoleError, of: Chain(nil), RowLocal: true,
+	{Name: "chain", Role: RoleError, of: Chain(nil),
 		Keys:  []Key{need("errors", KeyErrors)},
 		build: func(a *args) any { return Chain(arg[[]ErrorFunc](a, "errors")) },
 		walk:  func(w *walker, c any, path string) { visitEach(w, c.(Chain), path) }},

@@ -97,12 +97,6 @@ func (c Compare) Eval(t stream.Tuple, _ time.Time) bool {
 	if !ok {
 		return false
 	}
-	return c.evalValue(v)
-}
-
-// evalValue is the comparison itself, shared by the tuple-wise Eval and
-// the columnar condition kernel so the two paths cannot drift.
-func (c Compare) evalValue(v stream.Value) bool {
 	if c.Op == OpEq && c.Value.IsNull() {
 		return v.IsNull()
 	}

@@ -82,10 +82,6 @@ type Process struct {
 	// runner pollutes the tuple's values in place once it returns: a tap
 	// that retains the tuple must Clone it.
 	CleanTap func(stream.Tuple)
-
-	// columnarBatch is RunStreamColumnar's micro-batch size in rows
-	// (<= 0 = DefaultColumnarBatch).
-	columnarBatch int
 }
 
 // Result is the output of one pollution run.
@@ -157,9 +153,8 @@ func (s ownedSource) Next() (stream.Tuple, error) {
 }
 
 // rowStep is Algorithm 1's step 2 for one row of sub-stream sub: the
-// per-tuple pollution of every runner (the tuple-wise runner, each shard
-// worker, the columnar collapse path) and the only code that applies a
-// pipeline to a row.
+// per-tuple pollution of both runners (the tuple-wise runner and each
+// shard worker) and the only code that applies a pipeline to a row.
 type rowStep struct {
 	p     *Pipeline
 	log   *Log
@@ -254,6 +249,15 @@ func (pr *Process) RunStream(src stream.Source, reorderWindow int) (stream.Sourc
 		return nil, nil, err
 	}
 	return run.Source, run.Log, nil
+}
+
+// RunStreamColumnar is RunStream.
+//
+// Deprecated: there is one tuple-wise engine; the name stays only
+// because bench/ compiles against it, and ROADMAP.md item 1(a) deletes
+// it.
+func (pr *Process) RunStreamColumnar(src stream.Source, reorderWindow int) (stream.Source, *Log, error) {
+	return pr.RunStream(src, reorderWindow)
 }
 
 // runStream is the plain tuple-wise runner behind Stream. One pipeline

@@ -10,6 +10,24 @@ import (
 	"icewafl/internal/stream"
 )
 
+// panicOn is an error function that panics on a numeric value over
+// threshold: the fault the quarantine tests inject.
+type panicOn struct {
+	threshold float64
+}
+
+func (e panicOn) Apply(t *stream.Tuple, attrs []string, _ time.Time) {
+	for _, a := range attrs {
+		if v, ok := t.Get(a); ok {
+			if f, isNum := v.AsFloat(); isNum && f > e.threshold {
+				panic(fmt.Sprintf("value %g over threshold", f))
+			}
+		}
+	}
+}
+
+func (panicOn) Kind() string { return "panic_on" }
+
 func procSchema() *stream.Schema {
 	return stream.MustSchema("ts",
 		stream.Field{Name: "ts", Kind: stream.KindTime},

@@ -11,11 +11,12 @@ import (
 	"icewafl/internal/stream"
 )
 
-// Kernel-vs-scalar equivalence: whatever compileCond/compileErr return
-// for a row-local built-in — a vectorised kernel or the per-row shim —
-// must produce the same bytes as the interface method, on adversarial
-// column data — denormals, NaN/±Inf, max-length strings, all-null
-// columns and zero timestamps.
+// Row-step-vs-scalar equivalence: the row step is the engine's only
+// kernel — every built-in condition and error function reaches a row
+// through rowStep.pollute inside a Standard polluter. Whatever it does
+// must produce the same bytes and draw the same random words as the bare
+// interface methods called row by row, on adversarial cells — denormals,
+// NaN/±Inf, max-length strings, all-null columns and zero timestamps.
 
 func kernelSchema() *stream.Schema {
 	return stream.MustSchema("ts",
@@ -28,9 +29,11 @@ func kernelSchema() *stream.Schema {
 	)
 }
 
-// adversarialBatch builds one batch whose cells hit every numeric and
-// string edge the kernels special-case. The "nul" column is all-null.
-func adversarialBatch(s *stream.Schema) *stream.ColumnBatch {
+// adversarialRows builds fresh rows whose cells hit every numeric and
+// string edge the built-ins special-case. The "nul" column is all-null;
+// row IDs run 1..8 and each row's event time is its ts cell (zero when
+// NULL).
+func adversarialRows(s *stream.Schema) []stream.Tuple {
 	maxStr := strings.Repeat("x", 1<<12)
 	base := time.Date(2022, 3, 1, 13, 30, 0, 0, time.UTC)
 	rows := [][]stream.Value{
@@ -43,45 +46,51 @@ func adversarialBatch(s *stream.Schema) *stream.ColumnBatch {
 		{stream.Time(base.Add(26 * time.Hour)), stream.Null(), stream.Int(42), stream.Str("bb"), stream.Bool(true), stream.Null()},
 		{stream.Time(base.Add(-48 * time.Hour)), stream.Float(1e308), stream.Int(1), stream.Str("ccc"), stream.Bool(false), stream.Null()},
 	}
-	b := stream.NewColumnBatch(s, len(rows))
+	out := make([]stream.Tuple, len(rows))
 	for i, vals := range rows {
 		t := stream.NewTuple(s, vals)
 		t.ID = uint64(i + 1)
 		tau, _ := vals[0].AsTime()
 		t.EventTime = tau
 		t.Arrival = tau
-		if err := b.AppendTuple(t); err != nil {
-			panic(err)
-		}
-	}
-	return b
-}
-
-// planKeeps reports whether the columnar planner keeps c: every
-// component the walk reaches from c has a row-local table entry.
-func planKeeps(c any) bool {
-	keeps := true
-	w := walker{visitor: visitor{node: func(_ string, _ any, e *Component) error {
-		keeps = keeps && e != nil && e.RowLocal
-		return nil
-	}}}
-	w.visit(c, "")
-	return keeps
-}
-
-func renderBatch(b *stream.ColumnBatch) []string {
-	out := make([]string, b.Len())
-	for r := 0; r < b.Len(); r++ {
-		out[r] = renderTuple(b.Row(r))
+		out[i] = t
 	}
 	return out
 }
 
-// TestCondKernelsMatchScalar compiles every row-local built-in condition
-// and checks its hit set equals row-by-row Eval on the same batch. The
-// random, compare and time_interval rows pin the vectorised kernels; the
-// shimmed rows pin the shim's RowInto round trip on the adversarial
-// cells (NaN/±Inf, 4 KiB strings, the all-null column).
+// stepRows pollutes every row in place through the row step of a
+// one-pipeline process holding p, and returns the run's log.
+func stepRows(t *testing.T, p Polluter, rows []stream.Tuple) *Log {
+	t.Helper()
+	log := NewLog()
+	step := (&Process{Pipelines: []*Pipeline{NewPipeline(p)}}).step(0, log, nil)
+	for i := range rows {
+		if _, err := step.pollute(&rows[i]); err != nil {
+			t.Fatalf("row %d: %v", i, err)
+		}
+	}
+	return log
+}
+
+// rowSet selects the rows whose tuple IDs it holds and draws nothing.
+type rowSet map[uint64]bool
+
+func (s rowSet) Eval(t stream.Tuple, _ time.Time) bool { return s[t.ID] }
+
+func (rowSet) Describe() string { return "rows" }
+
+// touch is an error function that changes nothing, so a polluter's log
+// entries are exactly its condition's hits.
+type touch struct{}
+
+func (touch) Apply(*stream.Tuple, []string, time.Time) {}
+
+func (touch) Kind() string { return "touch" }
+
+// TestCondKernelsMatchScalar gates a polluter with every built-in
+// condition and checks the rows the row step logs equal the rows
+// row-by-row Eval accepts on the same cells (NaN/±Inf, 4 KiB strings,
+// the all-null column, a missing attribute).
 func TestCondKernelsMatchScalar(t *testing.T) {
 	s := kernelSchema()
 	day := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
@@ -132,35 +141,29 @@ func TestCondKernelsMatchScalar(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			b := adversarialBatch(s)
-			c := tc.mk()
-			if !planKeeps(c) {
-				t.Fatalf("condition %s is not row-local", tc.name)
+			log := stepRows(t, NewStandard(tc.name, touch{}, tc.mk(), "v"), adversarialRows(s))
+			var hits []uint64
+			for _, e := range log.Entries {
+				hits = append(hits, e.TupleID)
 			}
-			all := stream.Selection(nil).FillAll(b.Len())
-			hits := compileCond(c, s)(b, all, nil)
 			scalar := tc.mk()
-			taus := b.EventTimes()
-			var want []int32
-			for r := 0; r < b.Len(); r++ {
-				if scalar.Eval(b.Row(r), taus[r]) {
-					want = append(want, int32(r))
+			var want []uint64
+			for _, row := range adversarialRows(s) {
+				if scalar.Eval(row, row.EventTime) {
+					want = append(want, row.ID)
 				}
 			}
-			if fmt.Sprint([]int32(hits)) != fmt.Sprint(want) {
-				t.Fatalf("hit set diverged\nkernel: %v\nscalar: %v", hits, want)
+			if fmt.Sprint(hits) != fmt.Sprint(want) {
+				t.Fatalf("hit set diverged\nrow step: %v\nscalar:   %v", hits, want)
 			}
 		})
 	}
 }
 
-// TestErrKernelsMatchScalar compiles every row-local built-in error
-// function and checks the mutated batch equals row-by-row Apply with
-// identical RNG state, including on an all-null column and at full
-// selection. The gaussian_noise, outlier, scale_by_factor, offset and
-// round_precision rows pin the vectorised kernels; the shimmed rows pin
-// the shim's RowInto/SetRow round trip on the adversarial cells
-// (NaN/±Inf, 4 KiB strings, the all-null column).
+// TestErrKernelsMatchScalar applies every built-in error function
+// through the row step to a full, a sparse and an empty selection, and
+// checks the polluted rows and the log equal row-by-row Apply with
+// identical RNG state, on the adversarial cells and the all-null column.
 func TestErrKernelsMatchScalar(t *testing.T) {
 	s := kernelSchema()
 	cases := []struct {
@@ -208,7 +211,7 @@ func TestErrKernelsMatchScalar(t *testing.T) {
 			return Chain{Offset{Delta: Const(1)}, &GaussianNoise{Stddev: Const(1), Rand: rng.Derive(seed, "e")}, RoundPrecision{Digits: 3}}
 		}},
 	}
-	sels := map[string][]int32{
+	sels := map[string][]int{
 		"all":    {0, 1, 2, 3, 4, 5, 6, 7},
 		"sparse": {1, 4, 6},
 		"none":   {},
@@ -218,38 +221,42 @@ func TestErrKernelsMatchScalar(t *testing.T) {
 		for selName, sel := range sels {
 			sel := sel
 			t.Run(tc.name+"/"+selName, func(t *testing.T) {
-				kb := adversarialBatch(s)
-				e := tc.mk(11)
-				if !planKeeps(e) {
-					t.Fatalf("error function %s is not row-local", tc.name)
-				}
-				compileErr(e, tc.attrs, s)(kb, stream.Selection(sel))
-
-				sb := adversarialBatch(s)
-				scalar := tc.mk(11)
-				taus := sb.EventTimes()
-				var buf []stream.Value
+				set := rowSet{}
+				var wantIDs []uint64
 				for _, r := range sel {
-					tp := sb.RowInto(buf, int(r))
-					scalar.Apply(&tp, tc.attrs, taus[r])
-					sb.SetRow(int(r), tp)
-					buf = tp.Values()
+					set[uint64(r+1)] = true
+					wantIDs = append(wantIDs, uint64(r+1))
+				}
+				got := adversarialRows(s)
+				log := stepRows(t, NewStandard(tc.name, tc.mk(11), set, tc.attrs...), got)
+
+				want := adversarialRows(s)
+				scalar := tc.mk(11)
+				for _, r := range sel {
+					scalar.Apply(&want[r], tc.attrs, want[r].EventTime)
 				}
 
-				got, want := renderBatch(kb), renderBatch(sb)
 				for r := range want {
-					if got[r] != want[r] {
-						t.Fatalf("row %d diverged\nkernel: %s\nscalar: %s", r, got[r], want[r])
+					g, w := renderTuples(got[r:r+1]), renderTuples(want[r:r+1])
+					if g != w {
+						t.Fatalf("row %d diverged\nrow step: %s\nscalar:   %s", r, g, w)
 					}
+				}
+				var gotIDs []uint64
+				for _, e := range log.Entries {
+					gotIDs = append(gotIDs, e.TupleID)
+				}
+				if fmt.Sprint(gotIDs) != fmt.Sprint(wantIDs) {
+					t.Fatalf("log names rows %v, selection is %v", gotIDs, wantIDs)
 				}
 			})
 		}
 	}
 }
 
-// TestErrKernelRNGParity pins that the outlier kernel's draw-ahead
-// consumes exactly the same number of RNG words as the scalar path:
-// after a kernel run and a scalar run from the same seed, the streams
+// TestErrKernelRNGParity pins that the row step consumes exactly the
+// random words the bare error function does: after an outlier run
+// through the row step and a scalar run from the same seed, the streams
 // must be in lockstep.
 func TestErrKernelRNGParity(t *testing.T) {
 	s := kernelSchema()
@@ -258,27 +265,20 @@ func TestErrKernelRNGParity(t *testing.T) {
 		return &Outlier{Magnitude: Const(3), Rand: r}, r
 	}
 	kfn, kr := mk(99)
-	kb := adversarialBatch(s)
-	compileErr(kfn, []string{"v"}, s)(kb, stream.Selection(nil).FillAll(kb.Len()))
+	stepRows(t, NewStandard("outlier", kfn, Always{}, "v"), adversarialRows(s))
 
 	sfn, sr := mk(99)
-	sb := adversarialBatch(s)
-	taus := sb.EventTimes()
-	var buf []stream.Value
-	for r := 0; r < sb.Len(); r++ {
-		tp := sb.RowInto(buf, r)
-		sfn.Apply(&tp, []string{"v"}, taus[r])
-		sb.SetRow(r, tp)
-		buf = tp.Values()
+	for _, row := range adversarialRows(s) {
+		sfn.Apply(&row, []string{"v"}, row.EventTime)
 	}
 	if kr.Uint64() != sr.Uint64() {
-		t.Fatal("kernel and scalar paths consumed different draw counts")
+		t.Fatal("row step and scalar paths consumed different draw counts")
 	}
 }
 
 // TestCondKernelRNGParity is the same lockstep check for the random
-// condition's draw-ahead, including the probabilities that draw nothing
-// (p = 0, p = 1) and a ramp that crosses both.
+// condition, including the probabilities that draw nothing (p = 0,
+// p = 1) and a ramp that crosses both.
 func TestCondKernelRNGParity(t *testing.T) {
 	s := kernelSchema()
 	day := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
@@ -290,15 +290,14 @@ func TestCondKernelRNGParity(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			kr, sr := rng.Derive(7, "parity"), rng.Derive(7, "parity")
-			kb := adversarialBatch(s)
-			compileCond(NewRandom(p, kr), s)(kb, stream.Selection(nil).FillAll(kb.Len()), nil)
+			stepRows(t, NewStandard("random", touch{}, NewRandom(p, kr), "v"), adversarialRows(s))
 
 			scalar := NewRandom(p, sr)
-			for r, tau := range kb.EventTimes() {
-				scalar.Eval(kb.Row(r), tau)
+			for _, row := range adversarialRows(s) {
+				scalar.Eval(row, row.EventTime)
 			}
 			if kr.Uint64() != sr.Uint64() {
-				t.Fatal("kernel and scalar paths consumed different draw counts")
+				t.Fatal("row step and scalar paths consumed different draw counts")
 			}
 		})
 	}

@@ -25,8 +25,6 @@ type StreamSpec struct {
 	Shards int
 	// ShardKey names the attribute whose value routes tuples to shards.
 	ShardKey string
-	// Columnar runs the pollution hot path on the columnar engine.
-	Columnar bool
 	// Checkpoint makes the run capturable: StreamRun.Checkpointer is set.
 	Checkpoint bool
 	// Resume continues a checkpointed run from a snapshot (implies
@@ -41,8 +39,6 @@ func (s StreamSpec) checkpointed() bool { return s.Checkpoint || s.Resume != nil
 // checkpointing ("" when nothing does).
 func (s StreamSpec) checkpointBlocker() string {
 	switch {
-	case s.Columnar:
-		return "columnar execution: checkpoints cover the tuple-wise path only"
 	case s.Shards > 1:
 		return "shards > 1: checkpoints cover the sequential path only"
 	case s.Reorder > 1:
@@ -59,9 +55,6 @@ func (s StreamSpec) Checkpointable() bool { return s.checkpointBlocker() == "" }
 // callers that validate before the schema is loaded; Stream re-validates
 // against the source's schema.
 func (s StreamSpec) Validate(schema *stream.Schema) error {
-	if s.Columnar && s.Shards > 1 {
-		return errors.New("core: columnar execution is incompatible with shards > 1: the columnar engine is sequential")
-	}
 	if s.Shards > 1 {
 		if s.ShardKey == "" {
 			return errors.New("core: shards > 1 requires a shard key attribute")
@@ -91,9 +84,9 @@ type StreamRun struct {
 }
 
 // Stream starts the streaming workflow in the given execution shape, on
-// one of three runners: tuple-wise (RunStream, capturable when the spec
-// asks for a checkpoint), sharded or columnar. Every shape emits the
-// stream, log and dead letters RunStream emits, and fails the same way:
+// one of two runners: tuple-wise (RunStream, capturable when the spec
+// asks for a checkpoint) or sharded. Every shape emits the stream, log
+// and dead letters RunStream emits, and fails the same way:
 // without quarantine, a pipeline panic on tuple N ends the stream with
 // the sticky error "core: pollute tuple N: panic: …", after exactly the
 // tuples before N have been polluted and logged.
@@ -117,12 +110,9 @@ func (pr *Process) start(src stream.Source, spec StreamSpec, dropped *int) (*Str
 	}
 	run := &StreamRun{}
 	var err error
-	switch {
-	case spec.Shards > 1:
+	if spec.Shards > 1 {
 		run.Source, run.Log, err = pr.runStreamSharded(src, spec.Reorder, shardConfig{KeyAttr: spec.ShardKey, Shards: spec.Shards})
-	case spec.Columnar:
-		run.Source, run.Log, err = pr.runStreamColumnar(src, spec.Reorder)
-	default:
+	} else {
 		run.Source, run.Log, run.Checkpointer, err = pr.runStream(src, spec, dropped)
 	}
 	if err != nil {
@@ -143,8 +133,8 @@ func (s StreamSpec) checkPipelines(pipes []*Pipeline) error {
 			return fmt.Errorf("core: pipeline %d is nil", i)
 		}
 	}
-	if len(pipes) > 1 && (s.checkpointed() || s.Shards > 1 || s.Columnar) {
-		return fmt.Errorf("core: checkpointed, sharded and columnar streaming support exactly one pipeline, got %d", len(pipes))
+	if len(pipes) > 1 && (s.checkpointed() || s.Shards > 1) {
+		return fmt.Errorf("core: checkpointed and sharded streaming support exactly one pipeline, got %d", len(pipes))
 	}
 	return nil
 }

@@ -16,32 +16,24 @@ import (
 
 // shapeMatrix is the literal table of the execution-shape rulebook
 // (DESIGN.md "Execution shapes" mirrors it): every combination of
-// reorder {1, 8} × shards {1, 3} × columnar × checkpoint with the
-// verdict StreamSpec.Validate must reach — "" accepts, anything else is
-// a substring of the rejection naming the broken rule. The fifth rule
+// reorder {1, 8} × shards {1, 3} × checkpoint with the verdict
+// StreamSpec.Validate must reach — "" accepts, anything else is a
+// substring of the rejection naming the broken rule. The third rule
 // (shards > 1 needs a key that is in the schema) has its own rows in
 // TestShapeMatrix, since it does not depend on the other knobs.
 var shapeMatrix = []struct {
-	reorder, shards      int
-	columnar, checkpoint bool
-	reject               string
+	reorder, shards int
+	checkpoint      bool
+	reject          string
 }{
-	{1, 1, false, false, ""},
-	{1, 1, false, true, ""},
-	{1, 1, true, false, ""},
-	{1, 1, true, true, "checkpointing is incompatible with columnar execution"},
-	{1, 3, false, false, ""},
-	{1, 3, false, true, "checkpointing is incompatible with shards > 1"},
-	{1, 3, true, false, "columnar execution is incompatible with shards > 1"},
-	{1, 3, true, true, "columnar execution is incompatible with shards > 1"},
-	{8, 1, false, false, ""},
-	{8, 1, false, true, "checkpointing is incompatible with a reorder window of 8"},
-	{8, 1, true, false, ""},
-	{8, 1, true, true, "checkpointing is incompatible with columnar execution"},
-	{8, 3, false, false, ""},
-	{8, 3, false, true, "checkpointing is incompatible with shards > 1"},
-	{8, 3, true, false, "columnar execution is incompatible with shards > 1"},
-	{8, 3, true, true, "columnar execution is incompatible with shards > 1"},
+	{1, 1, false, ""},
+	{1, 1, true, ""},
+	{1, 3, false, ""},
+	{1, 3, true, "checkpointing is incompatible with shards > 1"},
+	{8, 1, false, ""},
+	{8, 1, true, "checkpointing is incompatible with a reorder window of 8"},
+	{8, 3, false, ""},
+	{8, 3, true, "checkpointing is incompatible with shards > 1"},
 }
 
 // copyCSV drains src into buf as CSV, tuple by tuple (sharded runs emit
@@ -120,7 +112,7 @@ func failDigest(t *testing.T, src stream.Source, log *Log) ([sha256.Size]byte, s
 // and only the plain tuple-wise shape runs m = 2 sub-streams.
 func pipelineRules(t *testing.T, spec StreamSpec, src func() stream.Source, pipe func(int) *Pipeline) {
 	m2 := "exactly one pipeline"
-	if spec.Shards <= 1 && !spec.Columnar && !spec.Checkpoint {
+	if spec.Shards <= 1 && !spec.Checkpoint {
 		m2 = ""
 	}
 	for _, tc := range []struct {
@@ -162,7 +154,7 @@ func pipelineRules(t *testing.T, spec StreamSpec, src func() stream.Source, pipe
 }
 
 // TestShapeMatrix is the systematic form of the byte-identity contract:
-// Validate rejects exactly the combinations the five rules name, every
+// Validate rejects exactly the combinations the three rules name, every
 // accepted shape — plus a resume at the midpoint for the checkpointable
 // ones — yields the bytes of the RunStream reference, and every accepted
 // shape obeys the pipeline-count rules.
@@ -196,8 +188,8 @@ func TestShapeMatrix(t *testing.T) {
 
 	seen := map[string]bool{}
 	for _, row := range shapeMatrix {
-		spec := StreamSpec{Reorder: row.reorder, Shards: row.shards, ShardKey: "sensor", Columnar: row.columnar, Checkpoint: row.checkpoint}
-		name := fmt.Sprintf("reorder=%d/shards=%d/columnar=%t/checkpoint=%t", row.reorder, row.shards, row.columnar, row.checkpoint)
+		spec := StreamSpec{Reorder: row.reorder, Shards: row.shards, ShardKey: "sensor", Checkpoint: row.checkpoint}
+		name := fmt.Sprintf("reorder=%d/shards=%d/checkpoint=%t", row.reorder, row.shards, row.checkpoint)
 		seen[name] = true
 		t.Run(name, func(t *testing.T) {
 			err := spec.Validate(schema)
@@ -271,11 +263,11 @@ func TestShapeMatrix(t *testing.T) {
 			}
 		})
 	}
-	if len(seen) != 16 {
-		t.Fatalf("shape matrix names %d distinct combinations, want all 16", len(seen))
+	if len(seen) != 8 {
+		t.Fatalf("shape matrix names %d distinct combinations, want all 8", len(seen))
 	}
 
-	// Rule five: shards > 1 needs a key, and the key must be an attribute
+	// Rule three: shards > 1 needs a key, and the key must be an attribute
 	// (checked only when a schema is given).
 	for _, tc := range []struct {
 		key    string

@@ -15,8 +15,8 @@ import (
 // three visitors over it, so a component the table knows is
 // snapshotted, restored and reset, and one it does not know takes part
 // through whichever of Stateful and Resettable it implements, under its
-// parent's path. The columnar planner and ValidateAttrs are two more:
-// they read every component's entry.
+// parent's path. ValidateAttrs is a fourth: it reads every component's
+// entry.
 //
 // The paths are a persisted format (checkpoint files, -state-dir): a
 // snapshot written by one build restores into the pipeline another build

@@ -42,6 +42,15 @@ func NewReader(r io.Reader, schema *stream.Schema) (*Reader, error) {
 	return &Reader{schema: schema, csv: cr, row: 1}, nil
 }
 
+// NewColumnReader is NewReader.
+//
+// Deprecated: the batch decoder it returned is gone; the name stays
+// only because bench/ compiles against it, and ROADMAP.md item 1(a)
+// deletes it.
+func NewColumnReader(r io.Reader, schema *stream.Schema) (*Reader, error) {
+	return NewReader(r, schema)
+}
+
 // Schema implements stream.Source.
 func (r *Reader) Schema() *stream.Schema { return r.schema }
 

@@ -276,29 +276,6 @@ func TestHoltWintersNonSeasonal(t *testing.T) {
 	}
 }
 
-func TestHoltWintersLearnOne(t *testing.T) {
-	y := synthSeasonal(24*20, 11)
-	m := NewHoltWinters(0.3, 0.05, 0.2, 24)
-	if err := m.Fit(y[:24*10], nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range y[24*10:] {
-		if err := m.LearnOne(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Online updates should match a fresh fit over the full window
-	// closely enough to forecast well.
-	fc, _ := m.Forecast(12, nil)
-	if len(fc) != 12 {
-		t.Fatal("forecast length")
-	}
-	unfitted := NewHoltWinters(0.3, 0.05, 0.2, 24)
-	if err := unfitted.LearnOne(1); err == nil {
-		t.Fatal("LearnOne before Fit accepted")
-	}
-}
-
 func TestHoltWintersErrors(t *testing.T) {
 	if err := NewHoltWinters(0, 0.1, 0.1, 24).Fit(synthSeasonal(100, 12), nil); err == nil {
 		t.Error("alpha 0 accepted")

@@ -89,16 +89,6 @@ func (m *HoltWinters) update(y float64) {
 	m.steps++
 }
 
-// LearnOne consumes one additional observation online without a full
-// re-fit; Fit must have been called once.
-func (m *HoltWinters) LearnOne(y float64) error {
-	if !m.ready {
-		return fmt.Errorf("forecast: Holt-Winters not fitted")
-	}
-	m.update(y)
-	return nil
-}
-
 // Forecast implements Model.
 func (m *HoltWinters) Forecast(h int, _ [][]float64) ([]float64, error) {
 	if !m.ready {

@@ -40,12 +40,13 @@ type ClientSource struct {
 	br      *bufio.Reader
 	nextSeq uint64 // sequence number of the next expected tuple frame
 	eof     bool
-	// pending holds rows of a colbatch frame not yet handed out: a
-	// batch frame consumes one sequence number, so its rows are queued
-	// locally and served by subsequent Next calls.
+	// pending holds rows of a multi-row frame not yet handed out: a
+	// colbatch frame (only WALs older builds wrote hold one) consumes one
+	// sequence number, so its rows are queued locally and served by
+	// subsequent Next calls.
 	pending []stream.Tuple
 	// readBuf is the frame read buffer, rows the array pending is cut
-	// from and meta the colbatch scratch — all reused across frames;
+	// from and meta the batch scratch — all reused across frames;
 	// decoded tuples own copies, never these.
 	readBuf []byte
 	rows    []stream.Tuple
@@ -211,7 +212,7 @@ func (c *ClientSource) RestartAt(seq uint64) {
 	c.disconnect()
 	c.nextSeq = seq
 	c.eof = false
-	// Queued colbatch rows belong to an already-acked frame; a restart
+	// Queued rows of a multi-row frame belong to an acked frame; a restart
 	// re-reads (or skips) that frame, so they must not also be served.
 	c.pending = nil
 }

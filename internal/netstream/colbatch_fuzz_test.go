@@ -49,7 +49,7 @@ func fuzzBatchFrame(tb testing.TB, n int, seq uint64) []byte {
 }
 
 // FuzzColumnarFrame checks the decode→encode→decode fixed point of the
-// colbatch codec: any frame payload DecodeColumnBatch accepts must
+// colbatch codec: any frame payload decodeColumnBatch accepts must
 // survive re-encoding through AppendTuple with byte-identical wire
 // form and identical decoded tuples — i.e. one decode/encode round
 // normalises, after which the codec is a fixed point.
@@ -67,7 +67,7 @@ func FuzzColumnarFrame(f *testing.F) {
 		if err != nil || fr.Type != FrameColBatch {
 			return
 		}
-		tuples, err := DecodeColumnBatch(fr.Batch, schema)
+		tuples, err := decodeColumnBatch(fr.Batch, schema)
 		if err != nil {
 			return // malformed batches are rejected, that is the contract
 		}
@@ -80,7 +80,7 @@ func FuzzColumnarFrame(f *testing.F) {
 		for _, tu := range tuples {
 			wb.AppendTuple(tu)
 		}
-		again, err := DecodeColumnBatch(wb, schema)
+		again, err := decodeColumnBatch(wb, schema)
 		if err != nil {
 			t.Fatalf("re-encoded batch rejected: %v", err)
 		}
@@ -172,7 +172,7 @@ func FuzzColumnarTornFrame(f *testing.F) {
 			if fr.Type != FrameColBatch {
 				continue
 			}
-			tuples, err := DecodeColumnBatch(fr.Batch, schema)
+			tuples, err := decodeColumnBatch(fr.Batch, schema)
 			if err != nil {
 				if i < intact {
 					t.Fatalf("intact batch frame %d rejected: %v", i, err)

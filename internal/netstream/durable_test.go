@@ -1,10 +1,14 @@
 package netstream
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"icewafl/internal/obs"
@@ -218,4 +222,67 @@ func TestServiceDurableRecover(t *testing.T) {
 	if _, ok := svc2.Get("alpha", "s1"); ok {
 		t.Fatal("archived session resurrected")
 	}
+}
+
+// TestServiceRecoverRejectsColumnarSpec: a state directory an older
+// build left behind holds a session whose configuration sets
+// serve.columnar. Recover skips that session with a logged error naming
+// the key and leaves its files alone, and the other session recovers
+// byte-identical.
+func TestServiceRecoverRejectsColumnarSpec(t *testing.T) {
+	stateDir := t.TempDir()
+	const n = 120
+	svc1, tcp1, _ := startService(t, ServiceConfig{StateDir: stateDir})
+	if _, err := svc1.Create(durableRequest(t, "alpha", "plain", 7, n)); err != nil {
+		t.Fatal(err)
+	}
+	drainSession(t, tcp1, "alpha", "plain")
+	svc1.Close()
+
+	// The older build accepted the key and persisted the spec as is.
+	old, err := json.Marshal(SessionRequest{Tenant: "alpha", Name: "columnar", Spec: json.RawMessage(
+		`{"seed": 7, "n": 120, "config": {"pipelines": [], "serve": {"columnar": true, "columnar_batch": 64}}}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldDir := filepath.Join(stateDir, "alpha", "columnar")
+	if err := os.MkdirAll(oldDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(oldDir, "spec.json"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var logs []string
+	svc2, tcp2, _ := startService(t, ServiceConfig{StateDir: stateDir, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}})
+	ids, err := svc2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 1 || ids[0] != "alpha/plain" {
+		t.Fatalf("recovered %v, want [alpha/plain]", ids)
+	}
+	mu.Lock()
+	logged := strings.Join(logs, "\n")
+	mu.Unlock()
+	if !strings.Contains(logged, "recover: session alpha/columnar") || !strings.Contains(logged, `unknown field "columnar"`) {
+		t.Fatalf("no logged error naming serve.columnar for alpha/columnar:\n%s", logged)
+	}
+	if _, err := os.Stat(filepath.Join(oldDir, "spec.json")); err != nil {
+		t.Fatalf("the skipped session's state was touched: %v", err)
+	}
+
+	refDirty, _, _ := referenceRun(t, 7, n, 1)
+	conn := subscribeTCP(t, tcp2, "alpha/plain/"+ChannelDirty, 0)
+	tuples, terminal := readTCPFrames(t, conn)
+	conn.Close()
+	if terminal.Type != FrameEOF {
+		t.Fatalf("alpha/plain: terminal %q: %s", terminal.Type, terminal.Error)
+	}
+	sameTuples(t, "alpha/plain", tuples, refDirty)
 }

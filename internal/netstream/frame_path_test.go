@@ -25,8 +25,7 @@ import (
 // parentLines is a channel's stream as the JSON build put it on the
 // wire: json.Marshal of the hello, of every data frame built the old
 // way (the reference views of wire_test.go, &Entry), and of the eof.
-// batch > 0 groups the tuples into colbatch frames of that many rows.
-func parentLines(t *testing.T, channel string, tuples []stream.Tuple, entries []core.Entry, batch int) []string {
+func parentLines(t *testing.T, channel string, tuples []stream.Tuple, entries []core.Entry) []string {
 	t.Helper()
 	schema := wireSchema(t)
 	frames := []*Frame{{Type: FrameHello, Channel: channel, Schema: SchemaDocument(schema)}}
@@ -37,17 +36,8 @@ func parentLines(t *testing.T, channel string, tuples []stream.Tuple, entries []
 	for i := range entries {
 		add(&Frame{Type: FrameLog, Entry: &entries[i]})
 	}
-	for lo := 0; lo < len(tuples); {
-		if batch == 0 {
-			add(&Frame{Type: FrameTuple, Tuple: jsonBuildTuple(tuples[lo])})
-			lo++
-			continue
-		}
-		wb := NewWireColumnBatch(schema.Len())
-		for ; lo < len(tuples) && wb.Count < batch; lo++ {
-			wb.AppendTuple(tuples[lo])
-		}
-		add(&Frame{Type: FrameColBatch, Batch: wb})
+	for _, tu := range tuples {
+		add(&Frame{Type: FrameTuple, Tuple: jsonBuildTuple(tu)})
 	}
 	add(&Frame{Type: FrameEOF})
 	lines := make([]string, len(frames))
@@ -95,15 +85,14 @@ func sameLines(t *testing.T, label string, got, want []string) {
 // TestHTTPEdgeMatchesJSONBuild: every NDJSON line of a served run
 // equals json.Marshal of the frame the JSON build published,
 // whether the frame reaches the handler live, from the replay ring or
-// from the WAL, tuple-wise or as colbatch frames.
+// from the WAL.
 func TestHTTPEdgeMatchesJSONBuild(t *testing.T) {
 	const seed, n = 21, 60
 	dirty, clean, plog := referenceRun(t, seed, n, 1)
 	for _, tc := range []struct {
-		name  string
-		wal   bool
-		batch int
-	}{{"ring", false, 0}, {"wal", true, 0}, {"ring columnar", false, 16}} {
+		name string
+		wal  bool
+	}{{"ring", false}, {"wal", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			gate := make(chan struct{})
 			cfg := serverConfig(t, seed, n)
@@ -113,14 +102,11 @@ func TestHTTPEdgeMatchesJSONBuild(t *testing.T) {
 			if tc.wal {
 				cfg.WALDir = t.TempDir()
 			}
-			if tc.batch > 0 {
-				cfg.Columnar, cfg.ColumnarBatch = true, tc.batch
-			}
 			srv, _, httpAddr := startServer(t, cfg)
 			want := map[string][]string{
-				ChannelDirty: parentLines(t, ChannelDirty, dirty, nil, tc.batch),
-				ChannelClean: parentLines(t, ChannelClean, clean, nil, 0),
-				ChannelLog:   parentLines(t, ChannelLog, nil, plog.Entries, 0),
+				ChannelDirty: parentLines(t, ChannelDirty, dirty, nil),
+				ChannelClean: parentLines(t, ChannelClean, clean, nil),
+				ChannelLog:   parentLines(t, ChannelLog, nil, plog.Entries),
 			}
 
 			// Live: subscribed before the first publish.
@@ -172,9 +158,9 @@ func TestRecoverJSONStateDir(t *testing.T) {
 	const seed, n = 33, 200
 	dirty, clean, plog := referenceRun(t, seed, n, 1)
 	want := map[string][]string{
-		ChannelDirty: parentLines(t, ChannelDirty, dirty, nil, 0),
-		ChannelClean: parentLines(t, ChannelClean, clean, nil, 0),
-		ChannelLog:   parentLines(t, ChannelLog, nil, plog.Entries, 0),
+		ChannelDirty: parentLines(t, ChannelDirty, dirty, nil),
+		ChannelClean: parentLines(t, ChannelClean, clean, nil),
+		ChannelLog:   parentLines(t, ChannelLog, nil, plog.Entries),
 	}
 	walDir := t.TempDir()
 	old := map[string]int{ChannelDirty: n / 2, ChannelClean: n/2 + 7, ChannelLog: len(plog.Entries) / 3}

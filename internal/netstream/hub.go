@@ -380,14 +380,6 @@ func (h *Hub) PublishTuple(channelName string, t stream.Tuple) error {
 	})
 }
 
-// PublishColumnBatch is Publish of a colbatch frame encoded straight
-// from b, which the caller may reuse as soon as the call returns.
-func (h *Hub) PublishColumnBatch(channelName string, b *stream.ColumnBatch) error {
-	return h.publish(channelName, FrameColBatch, func(dst []byte, seq uint64) ([]byte, error) {
-		return appendColumnBatch(dst, seq, channelName, b), nil
-	})
-}
-
 // PublishEntry is Publish of a log frame encoded straight from e.
 func (h *Hub) PublishEntry(channelName string, e *core.Entry) error {
 	return h.publish(channelName, FrameLog, func(dst []byte, seq uint64) ([]byte, error) {

@@ -119,7 +119,7 @@ func frameSeqs(t *testing.T, addr, channel string, fromSeq uint64) []uint64 {
 		}
 		switch f.Type {
 		case FrameHello:
-		case FrameTuple, FrameColBatch:
+		case FrameTuple:
 			seqs = append(seqs, f.Seq)
 		case FrameEOF:
 			return seqs

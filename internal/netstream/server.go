@@ -33,8 +33,8 @@ type Config struct {
 	Proc *core.Process
 	// NewSource opens the input stream for the run.
 	NewSource func() (stream.Source, error)
-	// Reorder, Shards, ShardKey, Columnar and CheckpointPath are the
-	// run's execution shape (see shape); core.StreamSpec decides which
+	// Reorder, Shards, ShardKey and CheckpointPath are the run's
+	// execution shape (see shape); core.StreamSpec decides which
 	// combinations are valid.
 	//
 	// Reorder is the bounded reordering window of the streaming runner.
@@ -44,14 +44,6 @@ type Config struct {
 	Shards int
 	// ShardKey names the attribute whose value routes tuples to shards.
 	ShardKey string
-	// Columnar serves the dirty channel as columnar micro-batches: the
-	// pipeline runs on the columnar engine and dirty tuples are
-	// published as colbatch frames of up to ColumnarBatch rows each (one
-	// frame = one sequence number). The clean and log channels stay
-	// tuple-wise.
-	Columnar bool
-	// ColumnarBatch caps the rows per colbatch frame (default 256).
-	ColumnarBatch int
 	// Buffer is the per-subscriber send queue capacity (frames).
 	Buffer int
 	// Replay is the number of frames a memory-only server retains per
@@ -99,7 +91,7 @@ type Config struct {
 
 // shape is the execution shape the flat fields describe.
 func (c Config) shape() core.StreamSpec {
-	return core.StreamSpec{Reorder: c.Reorder, Shards: c.Shards, ShardKey: c.ShardKey, Columnar: c.Columnar, Checkpoint: c.CheckpointPath != ""}
+	return core.StreamSpec{Reorder: c.Reorder, Shards: c.Shards, ShardKey: c.ShardKey, Checkpoint: c.CheckpointPath != ""}
 }
 
 // chanName pairs a channel's local identity (dirty/clean/log — the WAL
@@ -169,9 +161,6 @@ func newServer(cfg Config, namespace string, reg *obs.Registry, logf func(format
 		if cfg.CheckpointEvery <= 0 {
 			cfg.CheckpointEvery = 256
 		}
-	}
-	if cfg.Columnar && cfg.ColumnarBatch <= 0 {
-		cfg.ColumnarBatch = core.DefaultColumnarBatch
 	}
 	s := &Server{
 		cfg:          cfg,
@@ -388,98 +377,38 @@ func (s *Server) runPipeline(ctx context.Context) error {
 		return nil
 	}
 	emitted := 0
-	if cbr, ok := polluted.(stream.ColumnBatchReader); ok && s.cfg.Columnar {
-		// Batch-native serving: the columnar runner's output batches are
-		// drained directly (no per-row tuple materialisation) and each
-		// becomes one colbatch frame consuming one sequence number. The
-		// log is flushed before each frame, so subscribers see a tuple's
-		// log entries no later than the frame that carries it — the same
-		// ordering guarantee the tuple-wise loop gives, at batch
-		// granularity.
-		out := stream.NewColumnBatch(s.cfg.Schema, s.cfg.ColumnarBatch)
-		for {
-			out.Reset()
-			n, rerr := cbr.ReadBatch(out, s.cfg.ColumnarBatch)
-			if n > 0 {
-				if err := flushLog(); err != nil {
-					return fail(err)
-				}
-				if err := s.hub.PublishColumnBatch(s.chDirty, out); err != nil {
-					return fail(err)
-				}
-				emitted += n
-			}
-			if rerr == io.EOF {
-				break
-			}
-			if rerr != nil {
-				if _, ok := stream.AsTupleError(rerr); ok {
-					s.logf("tuple error: %v", rerr)
-					continue
-				}
-				return fail(rerr)
-			}
+	for {
+		t, err := polluted.Next()
+		if err == io.EOF {
+			break
 		}
-	} else {
-		// Tuple-wise drain; in columnar mode with a reorder window > 1
-		// the reorder wrapper hides the runner's batch face, so rows are
-		// re-accumulated into colbatch frames here.
-		var acc *stream.ColumnBatch
-		if s.cfg.Columnar {
-			acc = stream.NewColumnBatch(s.cfg.Schema, s.cfg.ColumnarBatch)
-		}
-		flushBatch := func() error {
-			if acc == nil || acc.Len() == 0 {
-				return nil
+		if err != nil {
+			if _, ok := stream.AsTupleError(err); ok {
+				// Tuple-level failure without quarantine: skip the tuple,
+				// the stream remains usable (Source error contract).
+				s.logf("tuple error: %v", err)
+				continue
 			}
-			defer acc.Reset()
-			return s.hub.PublishColumnBatch(s.chDirty, acc)
-		}
-		for {
-			t, err := polluted.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				if _, ok := stream.AsTupleError(err); ok {
-					// Tuple-level failure without quarantine: skip the tuple,
-					// the stream remains usable (Source error contract).
-					s.logf("tuple error: %v", err)
-					continue
-				}
-				return fail(err)
-			}
-			// The log trails the polluted stream by at most the reorder
-			// window; flushing per emitted tuple keeps subscribers current
-			// without observing entries that could still be rolled back
-			// (rollback happens inside Next, before the tuple is emitted).
-			if err := flushLog(); err != nil {
-				return fail(err)
-			}
-			if acc != nil {
-				if err := acc.AppendTuple(t); err != nil {
-					return fail(err)
-				}
-				if acc.Len() >= s.cfg.ColumnarBatch {
-					if err := flushBatch(); err != nil {
-						return fail(err)
-					}
-				}
-			} else if err := s.hub.PublishTuple(s.chDirty, t); err != nil {
-				return fail(err)
-			}
-			emitted++
-			if ckr != nil && emitted%s.cfg.CheckpointEvery == 0 {
-				// Capture between Next calls, when no tuple is in flight; a
-				// failed capture only widens the replay window of the next
-				// restart, it does not corrupt the run.
-				if cerr := s.captureCheckpoint(ckr); cerr != nil {
-					s.logf("checkpoint: %v", cerr)
-				}
-			}
-		}
-		if err := flushBatch(); err != nil {
 			return fail(err)
+		}
+		// The log trails the polluted stream by at most the reorder
+		// window; flushing per emitted tuple keeps subscribers current
+		// without observing entries that could still be rolled back
+		// (rollback happens inside Next, before the tuple is emitted).
+		if err := flushLog(); err != nil {
+			return fail(err)
+		}
+		if err := s.hub.PublishTuple(s.chDirty, t); err != nil {
+			return fail(err)
+		}
+		emitted++
+		if ckr != nil && emitted%s.cfg.CheckpointEvery == 0 {
+			// Capture between Next calls, when no tuple is in flight; a
+			// failed capture only widens the replay window of the next
+			// restart, it does not corrupt the run.
+			if cerr := s.captureCheckpoint(ckr); cerr != nil {
+				s.logf("checkpoint: %v", cerr)
+			}
 		}
 	}
 	if err := flushLog(); err != nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"icewafl/internal/config"
 	"icewafl/internal/obs"
 	"icewafl/internal/stream"
 )
@@ -24,6 +25,10 @@ type testSessionSpec struct {
 	Buffer  int    `json:"buffer,omitempty"`
 	Policy  string `json:"policy,omitempty"`
 	DrainMS int    `json:"drain_ms,omitempty"`
+	// Config, when set, is a pollution configuration the hook parses as
+	// icewafld's does, so a spec an older build persisted meets today's
+	// rejection of a key it no longer knows.
+	Config json.RawMessage `json:"config,omitempty"`
 }
 
 func specJSON(t *testing.T, spec testSessionSpec) json.RawMessage {
@@ -44,6 +49,11 @@ func testServiceBuild(t *testing.T) func(json.RawMessage) (Config, error) {
 		var ts testSessionSpec
 		if err := json.Unmarshal(raw, &ts); err != nil {
 			return Config{}, err
+		}
+		if len(ts.Config) > 0 {
+			if _, err := config.Parse(bytes.NewReader(ts.Config)); err != nil {
+				return Config{}, fmt.Errorf("session config: %w", err)
+			}
 		}
 		if ts.N == 0 {
 			ts.N = 100
@@ -180,12 +190,6 @@ func readTCPFrames(t *testing.T, conn net.Conn) (tuples []stream.Tuple, terminal
 				t.Fatal(err)
 			}
 			tuples = append(tuples, tp)
-		case FrameColBatch:
-			ts, err := DecodeColumnBatch(f.Batch, schema)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tuples = append(tuples, ts...)
 		case FrameEOF, FrameError:
 			return tuples, f
 		}

@@ -57,10 +57,10 @@ const (
 	FrameTuple = "tuple"
 	// FrameLog carries one pollution-log entry (log channel).
 	FrameLog = "log"
-	// FrameColBatch carries a columnar micro-batch of tuples (dirty
-	// channel in columnar serving mode). One frame consumes one sequence
-	// number regardless of its row count; clients explode it back into
-	// tuples locally.
+	// FrameColBatch carries a column-major batch of tuples under one
+	// sequence number. No server emits it any more; clients and the HTTP
+	// edge still decode it, because a WAL an older build wrote may hold
+	// it.
 	FrameColBatch = "colbatch"
 	// FrameEOF is terminal: the pipeline completed normally.
 	FrameEOF = "eof"
@@ -187,6 +187,9 @@ type WireColumnBatch struct {
 // EncodeColumnBatch renders every row of b for the wire, by the same
 // rule as EncodeTuple. Nothing in the result aliases b, so the caller
 // may Reset and reuse it.
+//
+// Deprecated: no server emits the frame; the encoder stays only
+// because bench/ times it, and ROADMAP.md item 1(b) deletes it.
 func EncodeColumnBatch(b *stream.ColumnBatch) *WireColumnBatch {
 	return mustView(appendColumnBatch(nil, 0, "", b)).Batch
 }
@@ -208,16 +211,6 @@ func (wb *WireColumnBatch) check() error {
 		}
 	}
 	return nil
-}
-
-// DecodeColumnBatch rebuilds the batch's rows as tuples against schema,
-// in row order, by the same rule as DecodeTuple: a colbatch frame and the
-// equivalent run of tuple frames produce byte-identical tuples.
-func DecodeColumnBatch(wb *WireColumnBatch, schema *stream.Schema) ([]stream.Tuple, error) {
-	if wb == nil {
-		return nil, fmt.Errorf("netstream: nil column batch payload")
-	}
-	return decodeView(&Frame{Type: FrameColBatch, Batch: wb}, schema)
 }
 
 // SchemaDocument renders schema as the wire schemafile document carried

@@ -199,7 +199,7 @@ func checkCodec(t *testing.T, cc codecCase) {
 		}
 	}
 	viewRoundTrip(t, "colbatch", direct, f)
-	want, wantErr := DecodeColumnBatch(EncodeColumnBatch(batch), schema)
+	want, wantErr := decodeColumnBatch(EncodeColumnBatch(batch), schema)
 	sameDecoded(t, "colbatch", got, gotErr, want, wantErr)
 }
 

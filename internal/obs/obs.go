@@ -517,20 +517,6 @@ func (r *Registry) ObserveSpan(stage StageID, tupleID uint64, d time.Duration) {
 	r.traces.add(Span{TupleID: tupleID, Stage: stageNames[stage], DurNs: int64(d)})
 }
 
-// ObserveBatchSpan records one batch-granular stage timing: the
-// duration lands in the stage's latency histogram and a Span tagged
-// with the batch row count is appended to the trace ring buffer. This
-// is the columnar runner's span shape — one span per kernel invocation
-// over a batch, identified by the first tuple ID of the batch, instead
-// of one span per tuple.
-func (r *Registry) ObserveBatchSpan(stage StageID, firstTupleID uint64, rows int, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.hists[stage].Observe(d)
-	r.traces.add(Span{TupleID: firstTupleID, Stage: stageNames[stage], DurNs: int64(d), Rows: rows})
-}
-
 // ObserveStage records one stage duration in the latency histogram
 // without a trace span (rare, non-per-tuple stages: checkpoints).
 func (r *Registry) ObserveStage(stage StageID, d time.Duration) {

@@ -18,11 +18,6 @@ type Span struct {
 	TupleID uint64 `json:"tuple_id"`
 	Stage   string `json:"stage"`
 	DurNs   int64  `json:"dur_ns"`
-	// Rows is the batch row count of a batch-granular span (columnar
-	// kernels time one invocation over many rows); zero — and omitted —
-	// for ordinary per-tuple spans, so existing JSON goldens are
-	// unchanged.
-	Rows int `json:"rows,omitempty"`
 }
 
 // Snapshot is a point-in-time copy of every metric in a Registry, the

@@ -1,6 +1,6 @@
 // Package plot renders small ASCII charts so the experiment binaries can
 // draw their figures directly in the terminal: multi-series line charts
-// (Figures 4, 6 and 7), bar charts, and box plots (Figure 8). The
+// (Figures 4, 6 and 7) and box plots (Figure 8). The
 // renderer is deliberately simple — fixed-size character grid, one glyph
 // per series — but sufficient to eyeball shapes against the paper.
 package plot
@@ -74,38 +74,6 @@ func Lines(title string, series []Series, width, height int) string {
 		legend = append(legend, fmt.Sprintf("%c %s", seriesGlyphs[si%len(seriesGlyphs)], s.Name))
 	}
 	fmt.Fprintf(&b, "%*s %s\n", yLabelW, "", strings.Join(legend, "   "))
-	return b.String()
-}
-
-// Bars renders a labelled horizontal bar chart.
-func Bars(title string, labels []string, values []float64, width int) string {
-	if width < 10 {
-		width = 10
-	}
-	var b strings.Builder
-	if title != "" {
-		fmt.Fprintf(&b, "%s\n", title)
-	}
-	maxV := 0.0
-	maxLabel := 0
-	for i, v := range values {
-		if v > maxV {
-			maxV = v
-		}
-		if len(labels[i]) > maxLabel {
-			maxLabel = len(labels[i])
-		}
-	}
-	if maxV <= 0 {
-		maxV = 1
-	}
-	for i, v := range values {
-		n := int(math.Round(v / maxV * float64(width)))
-		if v > 0 && n == 0 {
-			n = 1
-		}
-		fmt.Fprintf(&b, "%-*s |%s %.2f\n", maxLabel, labels[i], strings.Repeat("#", n), v)
-	}
 	return b.String()
 }
 

@@ -50,32 +50,6 @@ func TestLinesHandlesEdgeCases(t *testing.T) {
 	_ = Lines("", nil, 20, 5)
 }
 
-func TestBars(t *testing.T) {
-	out := Bars("counts", []string{"aa", "b"}, []float64{10, 5}, 20)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("%d lines", len(lines))
-	}
-	longBar := strings.Count(lines[1], "#")
-	shortBar := strings.Count(lines[2], "#")
-	if longBar != 20 || shortBar != 10 {
-		t.Fatalf("bar lengths %d, %d:\n%s", longBar, shortBar, out)
-	}
-	// Zero and tiny values: zero draws nothing, the (relative) maximum
-	// fills the width, and a tiny-but-positive bar still gets one glyph.
-	out = Bars("", []string{"zero", "tiny", "big"}, []float64{0, 0.0001, 1}, 10)
-	rows := strings.Split(out, "\n")
-	if strings.Count(rows[0], "#") != 0 {
-		t.Fatal("zero bar drawn")
-	}
-	if strings.Count(rows[1], "#") != 1 {
-		t.Fatal("tiny bar not rounded up to one glyph")
-	}
-	if strings.Count(rows[2], "#") != 10 {
-		t.Fatal("max bar not full width")
-	}
-}
-
 func TestBoxes(t *testing.T) {
 	out := Boxes("runtimes", []Box{
 		{Label: "fast", Min: 1, Q1: 2, Median: 3, Q3: 4, Max: 5},

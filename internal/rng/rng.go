@@ -100,36 +100,6 @@ func (s *Stream) Float64() float64 {
 	return float64(float64(s.Uint64()>>11) / (1 << 53))
 }
 
-// Fill writes the next len(dst) values of the sequence into dst — the
-// batch-level draw-ahead primitive of the columnar hot path. One Fill
-// call is exactly equivalent to len(dst) consecutive Uint64 calls: a
-// consumer that pre-counts its draws for a micro-batch and fills once
-// observes the same sequence as per-row drawing, keeping columnar
-// execution byte-identical to tuple-wise execution. The generator state
-// is loaded into locals for the duration of the sweep, so the per-draw
-// cost drops to pure register arithmetic.
-func (s *Stream) Fill(dst []uint64) {
-	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
-	for i := range dst {
-		dst[i] = rotl(s1*5, 7) * 9
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = rotl(s3, 45)
-	}
-	s.s[0], s.s[1], s.s[2], s.s[3] = s0, s1, s2, s3
-}
-
-// ToFloat64 maps one Uint64 draw to the uniform [0, 1) value Float64
-// would have produced from it, so draw-ahead consumers convert filled
-// words without touching generator state.
-func ToFloat64(u uint64) float64 {
-	return float64(u>>11) / (1 << 53)
-}
-
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (s *Stream) Intn(n int) int {
 	if n <= 0 {
@@ -183,17 +153,4 @@ func (s *Stream) Normal(mean, stddev float64) float64 {
 	s.spare = v * f
 	s.hasSpare = true
 	return mean + float64(stddev*u*f)
-}
-
-// Perm returns a deterministic pseudo-random permutation of [0, n).
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }

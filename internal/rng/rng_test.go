@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -162,28 +161,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 	if math.Abs(variance-4) > 0.15 {
 		t.Fatalf("Normal variance %g far from 4", variance)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(10)
-	check := func(n uint8) bool {
-		size := int(n%50) + 1
-		p := s.Perm(size)
-		if len(p) != size {
-			return false
-		}
-		seen := make([]bool, size)
-		for _, v := range p {
-			if v < 0 || v >= size || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

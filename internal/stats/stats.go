@@ -1,7 +1,7 @@
 // Package stats provides the small statistics toolkit the experiments
 // need: descriptive statistics, quantiles and box-plot summaries (Figure
 // 8), ordinary least squares (ARIMAX's regression component and
-// Hannan-Rissanen style fitting), and autocorrelations.
+// Hannan-Rissanen style fitting).
 package stats
 
 import (
@@ -139,27 +139,6 @@ func NewBoxPlot(xs []float64) BoxPlot {
 func (b BoxPlot) String() string {
 	return fmt.Sprintf("n=%d min=%.3f q1=%.3f med=%.3f q3=%.3f max=%.3f whiskers=[%.3f, %.3f] outliers=%d",
 		b.N, b.Min, b.Q1, b.Median, b.Q3, b.Max, b.WhiskerLow, b.WhiskerHigh, len(b.Outliers))
-}
-
-// Autocorrelation returns the lag-k autocorrelation of xs.
-func Autocorrelation(xs []float64, lag int) float64 {
-	n := len(xs)
-	if lag < 0 || lag >= n {
-		return 0
-	}
-	m := Mean(xs)
-	var num, den float64
-	for i := 0; i < n; i++ {
-		d := xs[i] - m
-		den += d * d
-	}
-	if den == 0 {
-		return 0
-	}
-	for i := 0; i+lag < n; i++ {
-		num += (xs[i] - m) * (xs[i+lag] - m)
-	}
-	return num / den
 }
 
 // OLS solves the least-squares problem y ≈ X·β via normal equations with

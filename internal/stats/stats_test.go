@@ -127,26 +127,6 @@ func TestBoxPlotNoOutliers(t *testing.T) {
 	}
 }
 
-func TestAutocorrelation(t *testing.T) {
-	// Perfect alternation: lag-1 ACF strongly negative, lag-2 positive.
-	xs := []float64{1, -1, 1, -1, 1, -1, 1, -1}
-	if a := Autocorrelation(xs, 0); !almost(a, 1, 1e-12) {
-		t.Fatalf("lag-0 %g", a)
-	}
-	if a := Autocorrelation(xs, 1); a >= 0 {
-		t.Fatalf("lag-1 %g not negative", a)
-	}
-	if a := Autocorrelation(xs, 2); a <= 0 {
-		t.Fatalf("lag-2 %g not positive", a)
-	}
-	if Autocorrelation(xs, -1) != 0 || Autocorrelation(xs, 99) != 0 {
-		t.Fatal("invalid lags should be 0")
-	}
-	if Autocorrelation([]float64{5, 5, 5}, 1) != 0 {
-		t.Fatal("constant series ACF should be 0")
-	}
-}
-
 func TestOLSRecoversCoefficients(t *testing.T) {
 	// y = 3 + 2·a - 0.5·b, exactly.
 	var x [][]float64

@@ -23,6 +23,8 @@ func colBatchStream(n int) (*Schema, []Tuple) {
 	return schema, tuples
 }
 
+// TestColumnBatchRoundTrip: a batch keeps every row it is given — cells
+// of any kind, IDs, sub-streams, event and arrival times — in order.
 func TestColumnBatchRoundTrip(t *testing.T) {
 	schema, tuples := colBatchStream(10)
 	prepared, err := Drain(NewPrepare(NewSliceSource(schema, tuples), 1))
@@ -32,34 +34,27 @@ func TestColumnBatchRoundTrip(t *testing.T) {
 	// Pollute a few cells with mixed kinds, as pollution would.
 	prepared[3].Set("v", Null())
 	prepared[5].Set("v", Str("oops"))
-	prepared[7].Dropped = true
+	prepared[6].SubStream = 2
 	prepared[8].Arrival = prepared[8].Arrival.Add(time.Hour)
 
-	var batches []*ColumnBatch
-	for i, tp := range prepared {
-		if i%4 == 0 {
-			batches = append(batches, NewColumnBatch(schema, 4))
-		}
-		if err := batches[i/4].AppendTuple(tp); err != nil {
+	b := NewColumnBatch(schema, 4)
+	for _, tp := range prepared {
+		if err := b.AppendTuple(tp); err != nil {
 			t.Fatal(err)
 		}
 	}
-	out, err := Drain(NewBatchSliceReader(schema, batches))
-	if err != nil {
-		t.Fatal(err)
+	if b.Len() != len(prepared) {
+		t.Fatalf("batch holds %d rows, want %d", b.Len(), len(prepared))
 	}
-	if len(out) != len(prepared) {
-		t.Fatalf("round trip lost rows: %d != %d", len(out), len(prepared))
-	}
-	for i := range out {
-		a, b := prepared[i], out[i]
-		if !a.Equal(b) {
-			t.Fatalf("row %d values differ: %v vs %v", i, a, b)
+	for r, tp := range prepared {
+		for c := 0; c < schema.Len(); c++ {
+			if got, want := b.Value(r, c), tp.At(c); got.Kind() != want.Kind() || got.String() != want.String() {
+				t.Fatalf("cell (%d, %d) = %v, want %v", r, c, got, want)
+			}
 		}
-		if a.ID != b.ID || a.SubStream != b.SubStream || a.Dropped != b.Dropped ||
-			a.Quarantined != b.Quarantined || !a.EventTime.Equal(b.EventTime) ||
-			!a.Arrival.Equal(b.Arrival) {
-			t.Fatalf("row %d metadata differs", i)
+		if b.IDs()[r] != tp.ID || int(b.SubStreams()[r]) != tp.SubStream ||
+			!b.EventTimes()[r].Equal(tp.EventTime) || !b.Arrivals()[r].Equal(tp.Arrival) {
+			t.Fatalf("row %d metadata differs", r)
 		}
 	}
 }
@@ -75,9 +70,8 @@ func TestColumnBatchResetReuse(t *testing.T) {
 	if b.Len() != 8 {
 		t.Fatalf("len = %d", b.Len())
 	}
-	payload, kinds := b.Floats(1)
-	if len(payload) != 8 || kinds[0] != KindFloat || payload[2] != 1.0 {
-		t.Fatalf("columnar float access wrong: %v %v", payload, kinds)
+	if got := b.Value(2, 1).MustFloat(); got != 1.0 {
+		t.Fatalf("cell (2, 1) = %v", got)
 	}
 	b.Reset()
 	if b.Len() != 0 {
@@ -88,29 +82,6 @@ func TestColumnBatchResetReuse(t *testing.T) {
 	}
 	if got := b.Value(0, 1).MustFloat(); got != 0 {
 		t.Fatalf("reused batch row wrong: %v", got)
-	}
-}
-
-// SetRow writes a cell of a different kind than the column's schema
-// kind (a shimmed error function may store a string or NULL anywhere).
-func TestColumnBatchSetRowMixedKinds(t *testing.T) {
-	schema, tuples := colBatchStream(2)
-	b := NewColumnBatch(schema, 2)
-	for _, tp := range tuples {
-		if err := b.AppendTuple(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for row, v := range []Value{Str("polluted"), Null()} {
-		tp := b.Row(row)
-		tp.SetAt(1, v)
-		b.SetRow(row, tp)
-	}
-	if s, _ := b.Value(0, 1).AsString(); s != "polluted" {
-		t.Fatalf("cell (0,1) = %v", b.Value(0, 1))
-	}
-	if !b.Value(1, 1).IsNull() {
-		t.Fatalf("cell (1,1) = %v, want NULL", b.Value(1, 1))
 	}
 }
 

@@ -1,7 +1,6 @@
 // Package timeseries provides the time-series utilities the forecasting
 // experiment relies on: a series container, forward/backward fill
-// imputation (the pandas ffill step of §3.2.1), resampling to a coarser
-// granularity (the wearable HRTable re-sampling of §3), cyclical
+// imputation (the pandas ffill step of §3.2.1), cyclical
 // sine/cosine time encodings (ARIMAX inputs), and the Table 2 data
 // splits.
 package timeseries
@@ -86,53 +85,6 @@ func (s *Series) IndexAtOrAfter(t time.Time) int {
 	return sort.Search(len(s.Times), func(i int) bool {
 		return !s.Times[i].Before(t)
 	})
-}
-
-// Resample aggregates the series into buckets of the given width using
-// the mean of each bucket, dropping empty buckets. Bucket boundaries are
-// aligned to the first timestamp. This reproduces the re-sampling of the
-// wearable HRTable onto the MainTable granularity.
-func (s *Series) Resample(width time.Duration) *Series {
-	if s.Len() == 0 || width <= 0 {
-		return s.Clone()
-	}
-	start := s.Times[0]
-	out := &Series{}
-	var bucket []float64
-	bucketIdx := int64(0)
-	flush := func() {
-		if len(bucket) == 0 {
-			return
-		}
-		sum := 0.0
-		n := 0
-		for _, v := range bucket {
-			if math.IsNaN(v) {
-				continue
-			}
-			sum += v
-			n++
-		}
-		t := start.Add(time.Duration(bucketIdx) * width)
-		if n == 0 {
-			out.Times = append(out.Times, t)
-			out.Values = append(out.Values, math.NaN())
-			return
-		}
-		out.Times = append(out.Times, t)
-		out.Values = append(out.Values, sum/float64(n))
-	}
-	for i := range s.Times {
-		idx := int64(s.Times[i].Sub(start) / width)
-		if idx != bucketIdx {
-			flush()
-			bucket = bucket[:0]
-			bucketIdx = idx
-		}
-		bucket = append(bucket, s.Values[i])
-	}
-	flush()
-	return out
 }
 
 // HourSinCos returns the cyclical encoding of the hour of day:

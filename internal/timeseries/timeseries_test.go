@@ -87,49 +87,6 @@ func TestIndexAtOrAfter(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	// 15-minute data resampled to the hour.
-	times := make([]time.Time, 8)
-	values := make([]float64, 8)
-	for i := range times {
-		times[i] = t0.Add(time.Duration(i) * 15 * time.Minute)
-		values[i] = float64(i)
-	}
-	s := New(times, values)
-	r := s.Resample(time.Hour)
-	if r.Len() != 2 {
-		t.Fatalf("resample length %d", r.Len())
-	}
-	if r.Values[0] != 1.5 || r.Values[1] != 5.5 {
-		t.Fatalf("resampled values %v", r.Values)
-	}
-	if !r.Times[0].Equal(t0) || !r.Times[1].Equal(t0.Add(time.Hour)) {
-		t.Fatalf("resampled times %v", r.Times)
-	}
-}
-
-func TestResampleSkipsNaN(t *testing.T) {
-	s := New(
-		[]time.Time{t0, t0.Add(15 * time.Minute)},
-		[]float64{math.NaN(), 4},
-	)
-	r := s.Resample(time.Hour)
-	if r.Len() != 1 || r.Values[0] != 4 {
-		t.Fatalf("NaN handling: %v", r.Values)
-	}
-}
-
-func TestResampleDegenerate(t *testing.T) {
-	s := hourly(t0, []float64{1, 2})
-	if r := s.Resample(0); r.Len() != 2 {
-		t.Fatal("non-positive width should clone")
-	}
-	empty := &Series{}
-	if r := empty.Resample(time.Hour); r.Len() != 0 {
-		t.Fatal("empty resample")
-	}
-}
-
 func TestSinCosEncodings(t *testing.T) {
 	sin, cos := HourSinCos(time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC))
 	if math.Abs(sin) > 1e-9 || math.Abs(cos-1) > 1e-9 {

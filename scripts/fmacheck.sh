@@ -7,13 +7,16 @@
 # amd64. Writing float64(x*y) + z forbids the fusion.
 #
 # The script cross-compiles cmd/icewafl, cmd/gendata and cmd/paper
-# (which links all six experiments) for arm64 and riscv64 and fails on
-# any FMADD/FMSUB/FNMADD/FNMSUB instruction (D or S form) in a symbol of
+# (which links all six experiments) for arm64, riscv64, ppc64le and
+# s390x and fails on any fused multiply-add in a symbol of
 # icewafl/internal/core, rng, config, dataset, experiments or synth —
 # the packages that decide stream bytes and the experiment tables
 # TestExperimentGoldens pins. An inlined callee counts against its
 # caller's symbol, which is how stats.SampleVariance is held (inlined
-# into experiments.RunExp1Random).
+# into experiments.RunExp1Random). The mnemonics, as `go tool objdump`
+# prints them: FMADD/FMSUB/FNMADD/FNMSUB with a D or S suffix on arm64
+# and riscv64, FMADD/FMSUB/FNMADD/FNMSUB (optionally S) on ppc64le, and
+# MADB/MSDB/MAEB/MSEB (optionally R) on s390x.
 # Still left out:
 #   - internal/forecast, stats, anomaly and clean on their own: they
 #     consume benchmark data rather than produce it;
@@ -27,12 +30,12 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 status=0
-for arch in arm64 riscv64; do
+for arch in arm64 riscv64 ppc64le s390x; do
 	for cmd in icewafl gendata paper; do
 		GOOS=linux GOARCH=$arch CGO_ENABLED=0 "$GO" build -o "$tmp/$cmd.$arch" ./cmd/$cmd
 		hits=$("$GO" tool objdump "$tmp/$cmd.$arch" | awk '
 			/^TEXT / { sym = $2; next }
-			sym ~ /^icewafl\/internal\/(core|rng|config|dataset|experiments|synth)\./ && /[[:space:]]F(N)?M(ADD|SUB)/ { n[sym]++ }
+			sym ~ /^icewafl\/internal\/(core|rng|config|dataset|experiments|synth)\./ && /[[:space:]](F(N)?M(ADD|SUB)|M[AS][DE]BR?[[:space:]])/ { n[sym]++ }
 			END { for (s in n) printf "  %s (%d)\n", s, n[s] }' | sort)
 		if [ -n "$hits" ]; then
 			echo "fmacheck: fused multiply-adds in cmd/$cmd on $arch:"
@@ -41,5 +44,5 @@ for arch in arm64 riscv64; do
 		fi
 	done
 done
-[ "$status" -eq 0 ] && echo "fmacheck: no fused multiply-adds in core, rng, config, dataset, experiments or synth (arm64, riscv64)"
+[ "$status" -eq 0 ] && echo "fmacheck: no fused multiply-adds in core, rng, config, dataset, experiments or synth (arm64, riscv64, ppc64le, s390x)"
 exit "$status"
