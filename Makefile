@@ -41,10 +41,11 @@ lint:
 fmacheck:
 	@GO=$(GO) bash scripts/fmacheck.sh
 
-# The experiment goldens, the engine and the golden CLI run with a
-# 32-bit int (GOARCH=386 runs natively on amd64, no emulator needed).
+# The experiment goldens, the engine, the golden CLI and rng's Normal
+# digest run with a 32-bit int and the pure-Go math (GOARCH=386 runs
+# natively on amd64, no emulator needed).
 test386:
-	GOARCH=386 $(GO) test ./internal/experiments ./internal/core ./cmd/icewafl
+	GOARCH=386 $(GO) test ./internal/experiments ./internal/core ./internal/rng ./cmd/icewafl
 
 race:
 	$(GO) test -race ./...

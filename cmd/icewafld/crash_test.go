@@ -1,6 +1,6 @@
 // Kill-and-recover end-to-end tests: the real icewafld binary is
-// SIGKILLed mid-stream and restarted over the same WAL directory and
-// checkpoint; a client resuming at its last acked sequence must observe
+// SIGKILLed mid-stream and restarted over the same -state-dir (WAL and
+// checkpoint); a client resuming at its last acked sequence must observe
 // a stream byte-identical to an uninterrupted run — directly, and
 // through a fault-injecting chaos proxy.
 package main
@@ -127,23 +127,17 @@ func writeBigCSV(t *testing.T, path string, rows int) {
 }
 
 // crashArgs returns the shared flag set for a run over the generated
-// input; withWAL adds the durability flags rooted at dir.
-func crashArgs(in string, dir string, withWAL bool) []string {
+// input. Its serve block runs at reorder 1, the checkpointable shape;
+// withWAL adds -state-dir <dir>/state, which makes the run durable.
+func crashArgs(t *testing.T, in string, dir string, withWAL bool) []string {
 	ex := filepath.Join("..", "..", "examples", "cli")
 	args := []string{
 		"-schema", filepath.Join(ex, "schema.json"),
-		"-config", filepath.Join(ex, "pollution.json"),
+		"-config", withServe(t, `"replay": 65536, "reorder": 1, "checkpoint_every": 64, "wal_fsync_every": 16`),
 		"-in", in,
-		"-replay", "65536",
-		"-reorder", "1",
 	}
 	if withWAL {
-		args = append(args,
-			"-wal", filepath.Join(dir, "wal"),
-			"-checkpoint", filepath.Join(dir, "ck.json"),
-			"-checkpoint-every", "64",
-			"-wal-fsync-every", "16",
-		)
+		args = append(args, "-state-dir", filepath.Join(dir, "state"))
 	}
 	return args
 }
@@ -177,8 +171,9 @@ func sameWire(t *testing.T, label string, got, want []stream.Tuple) {
 	}
 }
 
-// TestDaemonCrashRecoverySIGKILL: golden run → WAL-backed run killed
-// with SIGKILL mid-stream → restart on the same WAL and checkpoint →
+// TestDaemonCrashRecoverySIGKILL: golden run → durable run killed with
+// SIGKILL mid-stream → restart on the same state dir, resuming from its
+// checkpoint →
 // a client resuming at its last acked sequence observes the exact
 // golden stream, and a fresh full drain of the clean channel matches
 // the uninterrupted run too.
@@ -193,7 +188,7 @@ func TestDaemonCrashRecoverySIGKILL(t *testing.T) {
 	writeBigCSV(t, in, rows)
 
 	// Uninterrupted reference run (no WAL).
-	ref := launchDaemon(t, bin, crashArgs(in, dir, false)...)
+	ref := launchDaemon(t, bin, crashArgs(t, in, dir, false)...)
 	golden := drainChannel(t, ref.tcpAddr, netstream.ChannelDirty)
 	goldenClean := drainChannel(t, ref.tcpAddr, netstream.ChannelClean)
 	ref.terminate()
@@ -203,7 +198,7 @@ func TestDaemonCrashRecoverySIGKILL(t *testing.T) {
 
 	// Durable run, SIGKILLed after the client acked readBeforeKill
 	// tuples.
-	crash := launchDaemon(t, bin, crashArgs(in, dir, true)...)
+	crash := launchDaemon(t, bin, crashArgs(t, in, dir, true)...)
 	cs, err := netstream.Dial(crash.tcpAddr, netstream.ChannelDirty)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +209,7 @@ func TestDaemonCrashRecoverySIGKILL(t *testing.T) {
 
 	// The crash must land mid-stream for the resume to mean anything:
 	// the durable dirty log ends short of the full run.
-	dirtyWAL, err := netstream.OpenWAL(filepath.Join(dir, "wal", netstream.ChannelDirty), netstream.WALOptions{})
+	dirtyWAL, err := netstream.OpenWAL(filepath.Join(dir, "state", "wal", netstream.ChannelDirty), netstream.WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,10 +219,14 @@ func TestDaemonCrashRecoverySIGKILL(t *testing.T) {
 		t.Fatalf("pipeline already finished before SIGKILL (durable max seq %d); enlarge the input", durableMax)
 	}
 	t.Logf("killed mid-stream: durable dirty seq %d of %d", durableMax, rows)
+	// At reorder 1 the run checkpoints, so the restart resumes there.
+	if _, err := os.Stat(filepath.Join(dir, "state", "checkpoint", "ck.json")); err != nil {
+		t.Fatalf("no checkpoint under the state dir after the kill: %v", err)
+	}
 
-	// Restart over the same WAL directory and checkpoint; resume at the
-	// last acked sequence.
-	again := launchDaemon(t, bin, crashArgs(in, dir, true)...)
+	// Restart over the same state dir; resume at the last acked
+	// sequence.
+	again := launchDaemon(t, bin, crashArgs(t, in, dir, true)...)
 	rc, err := netstream.DialFrom(again.tcpAddr, netstream.ChannelDirty, uint64(readBeforeKill)+1, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +259,7 @@ func TestDaemonCrashRecoveryChaosProxy(t *testing.T) {
 	in := filepath.Join(dir, "big.csv")
 	writeBigCSV(t, in, rows)
 
-	ref := launchDaemon(t, bin, crashArgs(in, dir, false)...)
+	ref := launchDaemon(t, bin, crashArgs(t, in, dir, false)...)
 	golden := drainChannel(t, ref.tcpAddr, netstream.ChannelDirty)
 	ref.terminate()
 
@@ -293,7 +292,7 @@ func TestDaemonCrashRecoveryChaosProxy(t *testing.T) {
 	}
 	retryPolicy := stream.RetryPolicy{MaxRetries: 10, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond}
 
-	crash := launchDaemon(t, bin, crashArgs(in, dir, true)...)
+	crash := launchDaemon(t, bin, crashArgs(t, in, dir, true)...)
 	proxy := newProxy(crash.tcpAddr)
 	cs := dialVia(proxy.Addr(), 0)
 	first := readN(t, stream.NewRetrySource(cs, retryPolicy), readBeforeKill)
@@ -302,7 +301,7 @@ func TestDaemonCrashRecoveryChaosProxy(t *testing.T) {
 	kills := proxy.Kills()
 	proxy.Close()
 
-	again := launchDaemon(t, bin, crashArgs(in, dir, true)...)
+	again := launchDaemon(t, bin, crashArgs(t, in, dir, true)...)
 	proxy2 := newProxy(again.tcpAddr)
 	defer proxy2.Close()
 	rc := dialVia(proxy2.Addr(), uint64(readBeforeKill)+1)

@@ -10,11 +10,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
@@ -288,17 +291,54 @@ func TestDaemonLinger(t *testing.T) {
 	}
 }
 
+// withServe writes examples/cli/pollution.json with serve as its serve
+// block and returns the copy's path.
+func withServe(t *testing.T, serve string) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "..", "examples", "cli", "pollution.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["serve"] = json.RawMessage("{" + serve + "}")
+	out, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "pollution.json")
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestDaemonUsageErrors: invalid invocations exit with usage status 2.
+// An engine knob is set in the -config serve block, so its range checks
+// are config.Normalize's; the daemon reports them as usage errors.
 func TestDaemonUsageErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binary")
 	}
 	bin := buildDaemon(t)
 	ex := filepath.Join("..", "..", "examples", "cli")
-	base := []string{
-		"-schema", filepath.Join(ex, "schema.json"),
-		"-config", filepath.Join(ex, "pollution.json"),
-		"-in", filepath.Join(ex, "clean.csv"),
+	run := func(cfg string, extra ...string) []string {
+		return append([]string{
+			"-schema", filepath.Join(ex, "schema.json"),
+			"-config", cfg,
+			"-in", filepath.Join(ex, "clean.csv"),
+		}, extra...)
+	}
+	base := run(filepath.Join(ex, "pollution.json"))
+	serve := func(block string) []string { return run(withServe(t, block)) }
+	// A state dir an older build's -wal wrote: channel logs at the top.
+	oldState := t.TempDir()
+	for _, ch := range netstream.Channels() {
+		if err := os.Mkdir(filepath.Join(oldState, ch), 0o755); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cases := []struct {
 		name string
@@ -306,17 +346,19 @@ func TestDaemonUsageErrors(t *testing.T) {
 		want string
 	}{
 		{"missing required", nil, "required"},
-		{"bad policy", append(base, "-policy", "bogus"), "unknown backpressure policy"},
-		{"negative buffer", append(base, "-buffer", "-1"), "-buffer must be positive"},
+		{"bad policy", serve(`"policy": "bogus"`), "serve.policy \"bogus\""},
+		{"negative buffer", serve(`"buffer": -1`), "serve.buffer must be positive"},
 		{"both listeners off", append(base, "-listen", "off", "-http", "off"), "both listeners disabled"},
-		{"checkpoint without wal", append(base, "-checkpoint", "ck.json"), "-checkpoint requires -wal"},
-		{"negative wal segment", append(base, "-wal-segment-bytes", "-1"), "-wal-segment-bytes must be positive"},
-		{"negative restart budget", append(base, "-restart-budget", "-1"), "-restart-budget must be positive"},
-		{"negative checkpoint every", append(base, "-checkpoint-every", "-1"), "-checkpoint-every must be positive"},
+		{"negative wal segment", serve(`"wal_segment_bytes": -1`), "serve.wal_segment_bytes must be positive"},
+		{"negative restart budget", serve(`"restart_budget": -1`), "serve.restart_budget must be positive"},
+		{"negative checkpoint every", serve(`"checkpoint_every": -1`), "serve.checkpoint_every must be positive"},
 		// The shape rules are core.StreamSpec's; the daemon surfaces them.
-		{"invalid shape", append(base, "-wal", "w", "-checkpoint", "ck.json", "-shards", "4", "-shard-key", "BPM"), "core: checkpointing is incompatible with shards > 1"},
+		{"invalid shape", serve(`"shards": 4, "shard_key": "Nope"`), `core: shard key attribute "Nope" not in schema`},
 		// Session mode takes each pipeline from its spec, not from flags.
-		{"pipeline flags with sessions", []string{"-sessions", "-http", "off", "-in", "x.csv", "-wal", "w"}, "-in -wal do not apply to -sessions mode"},
+		{"pipeline flags with sessions", []string{"-sessions", "-http", "off", "-schema", "s.json", "-in", "x.csv"}, "-in -schema do not apply to -sessions mode"},
+		{"archive without state dir", []string{"-sessions", "-archive-deleted"}, "-archive-deleted requires -state-dir"},
+		{"old wal layout", append(base, "-state-dir", oldState),
+			fmt.Sprintf("mkdir %[1]s/wal && mv %[1]s/dirty %[1]s/clean %[1]s/log %[1]s/wal/", oldState)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -332,5 +374,36 @@ func TestDaemonUsageErrors(t *testing.T) {
 				t.Errorf("diagnostic missing %q:\n%s", tc.want, out)
 			}
 		})
+	}
+}
+
+// TestDaemonFlagSurface pins the command line: deployment only. -h lists
+// exactly these flags, and every flag that used to restate a serve key
+// (or spell the old -wal/-checkpoint layout) is now undefined.
+func TestDaemonFlagSurface(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildDaemon(t)
+	out, _ := exec.Command(bin, "-h").CombinedOutput()
+	var got []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(string(out), -1) {
+		got = append(got, m[1])
+	}
+	want := []string{"archive-deleted", "config", "http", "in", "linger", "listen", "schema", "sessions", "state-dir", "trace-sample"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("-h lists %v, want %v\n%s", got, want, out)
+	}
+	for _, flag := range []string{
+		"policy", "buffer", "replay", "reorder", "shards", "shard-key", "drain-timeout",
+		"wal-segment-bytes", "wal-retain-bytes", "wal-retain-age", "wal-fsync-every",
+		"checkpoint-every", "supervise", "restart-budget", "restart-window", "restart-backoff",
+		"wal", "checkpoint",
+	} {
+		out, err := exec.Command(bin, "-"+flag).CombinedOutput()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: -"+flag) {
+			t.Errorf("-%s: err = %v, want exit 2 and an undefined-flag diagnostic\n%s", flag, err, out)
+		}
 	}
 }

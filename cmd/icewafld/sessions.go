@@ -50,8 +50,8 @@ func sessionBuilder(reg *obs.Registry) func(raw json.RawMessage) (netstream.Conf
 		if err != nil {
 			return netstream.Config{}, err
 		}
-		if ss.WALDir != "" || ss.Checkpoint != "" {
-			return netstream.Config{}, fmt.Errorf("session specs cannot choose wal_dir/checkpoint paths on the daemon's filesystem; run icewafld -sessions -state-dir to give every session its own durable WAL and checkpoint")
+		if len(ss.Tenants) > 0 {
+			return netstream.Config{}, fmt.Errorf("session config: serve.tenants is the daemon's own -config setting, not a session's")
 		}
 		csv := spec.CSV
 		return pipelineConfig(schema, doc, ss, func() (io.Reader, error) { return strings.NewReader(csv), nil }, reg)

@@ -9,8 +9,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -76,6 +78,17 @@ func launchSessionsDaemon(t *testing.T, bin string, args ...string) *sessionsPro
 		}
 	})
 	return d
+}
+
+// serveOnly writes a -sessions daemon's -config: a document whose serve
+// block holds keys, and returns its path.
+func serveOnly(t *testing.T, keys string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "serve.json")
+	if err := os.WriteFile(path, []byte(`{"serve": {`+keys+`}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // crashSessionSpec renders one POST /v1/sessions body: a minimal
@@ -174,9 +187,11 @@ func TestSessionsCrashRecoverySIGKILL(t *testing.T) {
 		t.Fatalf("golden run produced %d dirty tuples, want %d", len(golden), rows)
 	}
 
-	// Durable fleet; frequent fsync keeps every pipeline mid-stream long
-	// enough for the kill to land.
-	crash := launchSessionsDaemon(t, bin, "-state-dir", stateDir, "-wal-fsync-every", "16")
+	// Durable fleet; frequent fsync (the daemon's serve block sets every
+	// session's default) keeps every pipeline mid-stream long enough for
+	// the kill to land.
+	daemonArgs := []string{"-state-dir", stateDir, "-config", serveOnly(t, `"wal_fsync_every": 16`)}
+	crash := launchSessionsDaemon(t, bin, daemonArgs...)
 	for _, tenant := range tenants {
 		for _, name := range names {
 			createCrashSession(t, crash.httpAddr, tenant, name, spec)
@@ -214,10 +229,15 @@ func TestSessionsCrashRecoverySIGKILL(t *testing.T) {
 		t.Fatalf("alpha/s0 already finished before SIGKILL (durable max seq %d); enlarge the input", durableMax)
 	}
 	t.Logf("killed mid-stream: alpha/s0 durable dirty seq %d of %d", durableMax, rows)
+	// The spec runs at the default reorder window, which no checkpoint can
+	// cover: recovery is the WAL-only deterministic re-run.
+	if _, err := os.Stat(filepath.Join(stateDir, "alpha", "s0", "checkpoint")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a reorder-64 session made a checkpoint dir (stat err %v)", err)
+	}
 
 	// Restart over the same state dir: Recover runs before the listeners
 	// come up, so the announcement implies the fleet is back.
-	again := launchSessionsDaemon(t, bin, "-state-dir", stateDir, "-wal-fsync-every", "16")
+	again := launchSessionsDaemon(t, bin, daemonArgs...)
 	resp, err := http.Get("http://" + again.httpAddr + "/healthz")
 	if err != nil {
 		t.Fatal(err)

@@ -110,7 +110,11 @@ func TestLoadHarnessRestartDigestsMatch(t *testing.T) {
 	const rows, sessions, subs = 150, 4, 4
 	bin := buildDaemon(t)
 	stateDir := filepath.Join(t.TempDir(), "state")
-	daemonArgs := []string{"-state-dir", stateDir, "-wal-fsync-every", "32"}
+	serveCfg := filepath.Join(t.TempDir(), "serve.json")
+	if err := os.WriteFile(serveCfg, []byte(`{"serve": {"wal_fsync_every": 32}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	daemonArgs := []string{"-state-dir", stateDir, "-config", serveCfg}
 
 	first := startKillableSessionDaemon(t, bin, daemonArgs...)
 	res1, err := Run(Options{

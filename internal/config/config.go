@@ -33,27 +33,24 @@ type Document struct {
 	Fault *FaultPolicySpec `json:"fault_policy,omitempty"`
 	// Pipelines holds one pollution pipeline per sub-stream.
 	Pipelines []PipelineSpec `json:"pipelines"`
-	// Serve configures the networked service (cmd/icewafld): where to
-	// listen and how to treat slow subscribers. Ignored by the
-	// single-process CLI.
+	// Serve sets the engine knobs of a served run (cmd/icewafld): replay,
+	// backpressure, execution shape, WAL tuning and supervision. Where
+	// the daemon listens and keeps its state is its command line's.
+	// Ignored by the single-process CLI.
 	Serve *ServeSpec `json:"serve,omitempty"`
 }
 
-// ServeSpec is the JSON form of the service-layer knobs consumed by
-// cmd/icewafld. Flags override every field.
+// ServeSpec is the JSON form of a served run's engine knobs, consumed by
+// cmd/icewafld. Each setting has this one spelling: the daemon has no
+// flag that restates a key, and deployment (listeners, the state
+// directory) is set only by its flags.
 type ServeSpec struct {
-	// Listen is the raw-TCP address serving length-prefixed frames
-	// (default ":7077").
-	Listen string `json:"listen,omitempty"`
-	// HTTP is the HTTP address serving NDJSON streams and /metrics
-	// ("" disables HTTP).
-	HTTP string `json:"http,omitempty"`
 	// Buffer is the per-subscriber send queue capacity in frames
 	// (default 256).
 	Buffer int `json:"buffer,omitempty"`
 	// Replay is the number of frames a memory-only session retains per
-	// channel for late subscribers and reconnects (default 65536); with
-	// a WAL the log serves replay instead.
+	// channel for late subscribers and reconnects (default 65536); a
+	// durable session serves replay from its WAL instead.
 	Replay int `json:"replay,omitempty"`
 	// Policy selects the backpressure behaviour towards slow
 	// subscribers: "block" (default), "drop-oldest" or
@@ -64,17 +61,17 @@ type ServeSpec struct {
 	Reorder int `json:"reorder,omitempty"`
 	// Shards partitions the keyed pollution hot path across this many
 	// parallel workers (default 1 = sequential). Which combinations of
-	// reorder, shards and checkpoint are valid is core.StreamSpec's call.
+	// reorder and shards are valid, and which a durable run can
+	// checkpoint, is core.StreamSpec's call.
 	Shards int `json:"shards,omitempty"`
 	// ShardKey names the attribute whose value routes tuples to shards.
 	ShardKey string `json:"shard_key,omitempty"`
 	// DrainTimeout bounds the graceful drain on SIGTERM (Go duration,
 	// default "5s").
 	DrainTimeout string `json:"drain_timeout,omitempty"`
-	// WALDir enables the durable write-ahead log that then serves all
-	// replay: one sub-directory per channel ("" = in-memory ring only,
-	// replay does not survive restarts).
-	WALDir string `json:"wal_dir,omitempty"`
+	// WALSegmentBytes, WALRetainBytes, WALRetainAge and WALFsyncEvery
+	// tune the write-ahead log of a durable run (icewafld -state-dir).
+	//
 	// WALSegmentBytes rotates WAL segments at this size (0 = the
 	// netstream default, 8 MiB).
 	WALSegmentBytes int64 `json:"wal_segment_bytes,omitempty"`
@@ -87,11 +84,9 @@ type ServeSpec struct {
 	// WALFsyncEvery batches fsync to one per this many appends (0 = the
 	// netstream default, 64).
 	WALFsyncEvery int `json:"wal_fsync_every,omitempty"`
-	// Checkpoint is the path of the durable pipeline checkpoint enabling
-	// resume-after-crash (requires wal_dir; "" disables).
-	Checkpoint string `json:"checkpoint,omitempty"`
 	// CheckpointEvery captures a checkpoint every this many emitted
-	// tuples (default 256).
+	// tuples (default 256). A durable run checkpoints exactly when its
+	// shape is checkpointable (reorder 1, one shard).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// Supervise restarts the pipeline session after a panic or fatal
 	// error instead of leaving the daemon serving a dead stream.
@@ -105,19 +100,10 @@ type ServeSpec struct {
 	// RestartBackoff is the base exponential backoff between restarts
 	// (Go duration, default "100ms").
 	RestartBackoff string `json:"restart_backoff,omitempty"`
-	// Tenants configures per-tenant quotas for session mode
-	// (icewafld -sessions). Tenants not listed get the zero quota
-	// (unlimited). Ignored in single-pipeline mode.
+	// Tenants configures per-tenant quotas for session mode, read from
+	// the daemon's own -config (icewafld -sessions). Tenants not listed
+	// get the zero quota (unlimited). A session spec may not set it.
 	Tenants []TenantSpec `json:"tenants,omitempty"`
-	// StateDir enables the durable multi-tenant store in session mode:
-	// every session gets its own WAL + checkpoint directory under
-	// <state_dir>/<tenant>/<session>, persisted specs are resurrected on
-	// daemon start, and per-tenant max_wal_bytes budgets apply. Ignored
-	// in single-pipeline mode (use wal_dir there).
-	StateDir string `json:"state_dir,omitempty"`
-	// ArchiveDeleted moves a deleted session's state directory under
-	// <state_dir>/.deleted instead of removing it (session mode).
-	ArchiveDeleted bool `json:"archive_deleted,omitempty"`
 }
 
 // TenantSpec is one tenant's quota configuration for session mode.
@@ -137,7 +123,7 @@ type TenantSpec struct {
 	// bytes_per_sec).
 	Burst int64 `json:"burst,omitempty"`
 	// MaxWALBytes caps the tenant's total durable WAL bytes across its
-	// sessions (session mode with state_dir): the retention sweep drops
+	// sessions (session mode with -state-dir): the retention sweep drops
 	// the tenant's oldest closed segments over the cap, and creates are
 	// rejected while the tenant is at or over budget.
 	MaxWALBytes int64 `json:"max_wal_bytes,omitempty"`
@@ -145,14 +131,14 @@ type TenantSpec struct {
 
 // Shape is the execution shape the block describes.
 func (s ServeSpec) Shape() core.StreamSpec {
-	return core.StreamSpec{Reorder: s.Reorder, Shards: s.Shards, ShardKey: s.ShardKey, Checkpoint: s.Checkpoint != ""}
+	return core.StreamSpec{Reorder: s.Reorder, Shards: s.Shards, ShardKey: s.ShardKey}
 }
 
 // Normalize applies the documented defaults and validates the spec. It
 // is nil-safe: a nil spec yields the full default configuration.
 func (s *ServeSpec) Normalize() (ServeSpec, error) {
 	out := ServeSpec{
-		Listen: ":7077", Buffer: 256, Replay: 65536, Policy: "block",
+		Buffer: 256, Replay: 65536, Policy: "block",
 		Reorder: 64, Shards: 1, DrainTimeout: "5s",
 		CheckpointEvery: 256,
 		RestartBudget:   3, RestartWindow: "1m", RestartBackoff: "100ms",
@@ -160,10 +146,6 @@ func (s *ServeSpec) Normalize() (ServeSpec, error) {
 	if s == nil {
 		return out, nil
 	}
-	if s.Listen != "" {
-		out.Listen = s.Listen
-	}
-	out.HTTP = s.HTTP
 	var err error
 	positive(&err, "buffer", s.Buffer, &out.Buffer)
 	positive(&err, "replay", s.Replay, &out.Replay)
@@ -182,7 +164,6 @@ func (s *ServeSpec) Normalize() (ServeSpec, error) {
 	positive(&err, "shards", s.Shards, &out.Shards)
 	out.ShardKey = s.ShardKey
 	positiveDuration(&err, "drain_timeout", s.DrainTimeout, &out.DrainTimeout)
-	out.WALDir = s.WALDir
 	positive(&err, "wal_segment_bytes", s.WALSegmentBytes, &out.WALSegmentBytes)
 	positive(&err, "wal_retain_bytes", s.WALRetainBytes, &out.WALRetainBytes)
 	positiveDuration(&err, "wal_retain_age", s.WALRetainAge, &out.WALRetainAge)
@@ -190,16 +171,7 @@ func (s *ServeSpec) Normalize() (ServeSpec, error) {
 	if err != nil {
 		return out, err
 	}
-	out.Checkpoint = s.Checkpoint
-	if out.Checkpoint != "" && out.WALDir == "" {
-		return out, fmt.Errorf("config: serve.checkpoint requires serve.wal_dir (a checkpoint without a durable log cannot resume)")
-	}
-	// The block's own statement of the execution shape must be valid. An
-	// unset reorder stays 0 here: the daemon's flags may still replace
-	// the default window before it validates the final shape.
-	shape := out.Shape()
-	shape.Reorder = s.Reorder
-	if err := shape.Validate(nil); err != nil {
+	if err := out.Shape().Validate(nil); err != nil {
 		return out, fmt.Errorf("config: serve: %w", err)
 	}
 	positive(&err, "checkpoint_every", s.CheckpointEvery, &out.CheckpointEvery)
@@ -227,11 +199,6 @@ func (s *ServeSpec) Normalize() (ServeSpec, error) {
 		}
 		out.Tenants = append(out.Tenants, t)
 	}
-	// archive_deleted-requires-state_dir is validated by the daemon after
-	// flag overrides: a state dir supplied via -state-dir must be able to
-	// combine with a config-file archive_deleted.
-	out.StateDir = s.StateDir
-	out.ArchiveDeleted = s.ArchiveDeleted
 	return out, nil
 }
 

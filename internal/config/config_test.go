@@ -340,6 +340,9 @@ func TestConfigRejectsSilentlyWrongParams(t *testing.T) {
 	clamp := func(lo, hi string) string {
 		return polluter(`"error": {"type": "clamp", "clamp_lo": ` + lo + `, "clamp_hi": ` + hi + `}`)
 	}
+	serveDoc := func(keys string) string {
+		return `{"seed": 1, "pipelines": [{"polluters": [{"name": "p", "error": {"type": "missing_value"}}]}], "serve": {` + keys + `}}`
+	}
 	for _, tc := range []struct{ name, doc, want string }{
 		{"from_hour above 23", cond(`{"type": "time_of_day", "from_hour": 24, "to_hour": 3}`),
 			"config: time_of_day at pipeline[0]/0:p/cond: from_hour 24 outside 0-23"},
@@ -379,8 +382,16 @@ func TestConfigRejectsSilentlyWrongParams(t *testing.T) {
 			`config: always at pipeline[0]/0:p/cond/not: unknown key "hold"`},
 		// The columnar engine is gone: a document that still asks for it
 		// fails instead of running the one engine silently.
-		{"columnar serve key", `{"seed": 1, "pipelines": [{"polluters": [{"name": "p", "error": {"type": "missing_value"}}]}], "serve": {"columnar": true, "columnar_batch": 64}}`,
+		{"columnar serve key", serveDoc(`"columnar": true, "columnar_batch": 64`),
 			`config: parse: json: unknown field "columnar"`},
+		// Deployment is the daemon's command line (-listen, -http,
+		// -state-dir, -archive-deleted); no serve key spells it.
+		{"listen serve key", serveDoc(`"listen": ":7077"`), `config: parse: json: unknown field "listen"`},
+		{"http serve key", serveDoc(`"http": ":7078"`), `config: parse: json: unknown field "http"`},
+		{"wal_dir serve key", serveDoc(`"wal_dir": "w"`), `config: parse: json: unknown field "wal_dir"`},
+		{"checkpoint serve key", serveDoc(`"checkpoint": "ck.json"`), `config: parse: json: unknown field "checkpoint"`},
+		{"state_dir serve key", serveDoc(`"state_dir": "s"`), `config: parse: json: unknown field "state_dir"`},
+		{"archive_deleted serve key", serveDoc(`"archive_deleted": true`), `config: parse: json: unknown field "archive_deleted"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Load(strings.NewReader(tc.doc))

@@ -10,7 +10,7 @@ import (
 // documented defaults.
 func TestServeSpecDefaults(t *testing.T) {
 	want := ServeSpec{
-		Listen: ":7077", Buffer: 256, Replay: 65536, Policy: "block",
+		Buffer: 256, Replay: 65536, Policy: "block",
 		Reorder: 64, Shards: 1, DrainTimeout: "5s",
 		CheckpointEvery: 256,
 		RestartBudget:   3, RestartWindow: "1m", RestartBackoff: "100ms",
@@ -36,8 +36,6 @@ func TestServeSpecDefaults(t *testing.T) {
 // are rejected with a field-naming error.
 func TestServeSpecOverridesAndValidation(t *testing.T) {
 	got, err := (&ServeSpec{
-		Listen:       ":9999",
-		HTTP:         ":9998",
 		Buffer:       8,
 		Replay:       1024,
 		Policy:       "disconnect-slow",
@@ -50,7 +48,7 @@ func TestServeSpecOverridesAndValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ServeSpec{
-		Listen: ":9999", HTTP: ":9998", Buffer: 8, Replay: 1024,
+		Buffer: 8, Replay: 1024,
 		Policy: "disconnect-slow", Reorder: 1, Shards: 8,
 		ShardKey: "sensor", DrainTimeout: "250ms",
 		CheckpointEvery: 256, RestartBudget: 3,
@@ -76,9 +74,8 @@ func TestServeSpecOverridesAndValidation(t *testing.T) {
 		{ServeSpec{DrainTimeout: "-1s"}, "serve.drain_timeout"},
 		{ServeSpec{WALSegmentBytes: -1}, "serve.wal_segment_bytes"},
 		{ServeSpec{WALRetainBytes: -1}, "serve.wal_retain_bytes"},
-		{ServeSpec{WALDir: "d", WALRetainAge: "never"}, "serve.wal_retain_age"},
-		{ServeSpec{WALDir: "d", WALFsyncEvery: -1}, "serve.wal_fsync_every"},
-		{ServeSpec{Checkpoint: "ck.json"}, "serve.checkpoint"},
+		{ServeSpec{WALRetainAge: "never"}, "serve.wal_retain_age"},
+		{ServeSpec{WALFsyncEvery: -1}, "serve.wal_fsync_every"},
 		{ServeSpec{CheckpointEvery: -5}, "serve.checkpoint_every"},
 		{ServeSpec{RestartBudget: -1}, "serve.restart_budget"},
 		{ServeSpec{RestartWindow: "-1m"}, "serve.restart_window"},
@@ -102,7 +99,7 @@ func TestServeBlockParses(t *testing.T) {
 		"pipelines": [{"name": "p", "polluters": [
 			{"name": "x", "error": {"type": "missing_value"}, "attrs": ["v"]}
 		]}],
-		"serve": {"listen": ":7171", "policy": "drop-oldest", "buffer": 32}
+		"serve": {"policy": "drop-oldest", "buffer": 32}
 	}`))
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +111,7 @@ func TestServeBlockParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Listen != ":7171" || spec.Policy != "drop-oldest" || spec.Buffer != 32 {
+	if spec.Policy != "drop-oldest" || spec.Buffer != 32 {
 		t.Errorf("unexpected spec %+v", spec)
 	}
 	if spec.Replay != 65536 || spec.Reorder != 64 {
@@ -122,19 +119,17 @@ func TestServeBlockParses(t *testing.T) {
 	}
 }
 
-// TestServeSpecDurability: the WAL/checkpoint/supervision fields parse
-// from JSON, normalize with their documented defaults, and the
-// checkpoint-requires-wal coupling is enforced.
+// TestServeSpecDurability: the WAL tuning, checkpoint cadence and
+// supervision fields parse from JSON and normalize with their documented
+// defaults. Where the state lives is the daemon's -state-dir, not a key.
 func TestServeSpecDurability(t *testing.T) {
 	doc, err := Parse(strings.NewReader(`{
 		"pipelines": [{"name": "p", "polluters": [
 			{"name": "x", "error": {"type": "missing_value"}, "attrs": ["v"]}
 		]}],
 		"serve": {
-			"wal_dir": "/var/lib/icewafl/wal",
 			"wal_segment_bytes": 1048576,
 			"wal_fsync_every": 8,
-			"checkpoint": "/var/lib/icewafl/ck.json",
 			"checkpoint_every": 64,
 			"supervise": true,
 			"restart_budget": 5,
@@ -149,10 +144,10 @@ func TestServeSpecDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.WALDir != "/var/lib/icewafl/wal" || spec.WALSegmentBytes != 1048576 || spec.WALFsyncEvery != 8 {
+	if spec.WALSegmentBytes != 1048576 || spec.WALFsyncEvery != 8 {
 		t.Errorf("WAL fields not normalized: %+v", spec)
 	}
-	if spec.Checkpoint != "/var/lib/icewafl/ck.json" || spec.CheckpointEvery != 64 {
+	if spec.CheckpointEvery != 64 {
 		t.Errorf("checkpoint fields not normalized: %+v", spec)
 	}
 	if !spec.Supervise || spec.RestartBudget != 5 || spec.RestartWindow != "30s" || spec.RestartBackoff != "50ms" {

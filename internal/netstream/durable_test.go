@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -146,6 +147,55 @@ func TestServiceDurableArchiveDeleted(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(stateDir, "t", "a")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("live state dir survives archive: %v", err)
+	}
+}
+
+// TestServiceUnnamedSessionStateDir: the unnamed session is made
+// durable by the service's StateDir, as a named one is, with the one
+// layout at the state dir's top: wal/<channel> and, at reorder 1,
+// checkpoint/ck.json. Delete stops it but never removes or archives that
+// state, even under ArchiveDeleted.
+func TestServiceUnnamedSessionStateDir(t *testing.T) {
+	if _, ok := reflect.TypeOf(Config{}).FieldByName("StateDir"); !ok {
+		t.Fatal("Config has no StateDir")
+	}
+	for _, gone := range []string{"WALDir", "CheckpointPath"} {
+		if _, ok := reflect.TypeOf(Config{}).FieldByName(gone); ok {
+			t.Errorf("Config still has %s: StateDir is the one durable layout", gone)
+		}
+	}
+	const seed, n = 21, 80
+	stateDir := t.TempDir()
+	svc, tcpAddr, _ := startService(t, ServiceConfig{StateDir: stateDir, ArchiveDeleted: true})
+	cfg := serverConfig(t, seed, n)
+	cfg.CheckpointEvery = 16
+	sess, err := svc.Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitPipelineDone(t, sess.Server())
+	if st := sess.status(); !st.Durable || st.State != "done" {
+		t.Fatalf("unnamed session status %+v, want durable and done", st)
+	}
+	refDirty, _, _ := referenceRun(t, seed, n, 1)
+	c, err := Dial(tcpAddr, ChannelDirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTuples(t, "unnamed durable session", drainClient(t, c), refDirty)
+	if err := svc.Delete("", ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{
+		filepath.Join("wal", ChannelDirty), filepath.Join("wal", ChannelClean), filepath.Join("wal", ChannelLog),
+		filepath.Join("checkpoint", "ck.json"),
+	} {
+		if _, err := os.Stat(filepath.Join(stateDir, p)); err != nil {
+			t.Errorf("%s after Delete: %v", p, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(stateDir, ".deleted")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("the unnamed session's state was archived: %v", err)
 	}
 }
 

@@ -100,7 +100,7 @@ func TestHTTPEdgeMatchesJSONBuild(t *testing.T) {
 				return &gatedSource{Source: testSource(wireSchema(t), n), gate: gate}, nil
 			}
 			if tc.wal {
-				cfg.WALDir = t.TempDir()
+				cfg.StateDir = t.TempDir()
 			}
 			srv, _, httpAddr := startServer(t, cfg)
 			want := map[string][]string{
@@ -162,7 +162,8 @@ func TestRecoverJSONStateDir(t *testing.T) {
 		ChannelClean: parentLines(t, ChannelClean, clean, nil),
 		ChannelLog:   parentLines(t, ChannelLog, nil, plog.Entries),
 	}
-	walDir := t.TempDir()
+	stateDir := t.TempDir()
+	walDir := filepath.Join(stateDir, "wal")
 	old := map[string]int{ChannelDirty: n / 2, ChannelClean: n/2 + 7, ChannelLog: len(plog.Entries) / 3}
 	for ch, k := range old {
 		w, err := OpenWAL(filepath.Join(walDir, ch), WALOptions{})
@@ -180,7 +181,7 @@ func TestRecoverJSONStateDir(t *testing.T) {
 	}
 
 	cfg := serverConfig(t, seed, n)
-	cfg.WALDir = walDir
+	cfg.StateDir = stateDir
 	srv, tcpAddr, httpAddr := startServer(t, cfg)
 	waitPipelineDone(t, srv)
 	if got, want := srv.Hub().Recovered(), uint64(old[ChannelDirty]+old[ChannelClean]+old[ChannelLog]); got != want {

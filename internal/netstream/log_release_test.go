@@ -56,15 +56,14 @@ func (p *logProbe) Pollute(t *stream.Tuple, tau time.Time, log *core.Log) {
 func TestServerReleasesPublishedLogEntries(t *testing.T) {
 	const n, every = 2000, 64
 	dir := t.TempDir()
-	probe := &logProbe{t: t, every: every, ckptPath: filepath.Join(dir, "ckpt.json")}
+	probe := &logProbe{t: t, every: every, ckptPath: filepath.Join(dir, "checkpoint", "ck.json")}
 	schema := wireSchema(t)
 	srv, _, _ := startServer(t, Config{
 		Proc:            &core.Process{Pipelines: []*core.Pipeline{core.NewPipeline(probe)}, FirstID: 1},
 		NewSource:       func() (stream.Source, error) { return testSource(schema, n), nil },
 		Reorder:         1,
 		Buffer:          64,
-		WALDir:          filepath.Join(dir, "wal"),
-		CheckpointPath:  probe.ckptPath,
+		StateDir:        dir,
 		CheckpointEvery: every,
 	})
 	select {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -145,11 +146,11 @@ func waitPipelineDone(t *testing.T, srv *Server) {
 // mid-stream from_seq resumes.
 func TestServerWALReplayAcrossRestart(t *testing.T) {
 	const seed, n = 41, 200
-	walDir := t.TempDir()
+	stateDir := t.TempDir()
 	refDirty, refClean, refLog := referenceRun(t, seed, n, 1)
 
 	cfg := serverConfig(t, seed, n)
-	cfg.WALDir = walDir
+	cfg.StateDir = stateDir
 	srv1, addr1, _, stop1 := startStoppableServer(t, cfg)
 	waitPipelineDone(t, srv1)
 	if err := srv1.PipelineErr(); err != nil {
@@ -165,7 +166,7 @@ func TestServerWALReplayAcrossRestart(t *testing.T) {
 	// The restarted server must never re-run the pipeline: a completed
 	// durable run serves from the log alone.
 	cfg2 := serverConfig(t, seed, n)
-	cfg2.WALDir = walDir
+	cfg2.StateDir = stateDir
 	cfg2.NewSource = func() (stream.Source, error) {
 		return nil, errors.New("pipeline must not re-run over a terminal wal")
 	}
@@ -217,13 +218,11 @@ func TestServerWALReplayAcrossRestart(t *testing.T) {
 func TestServerCheckpointResumeMidRun(t *testing.T) {
 	const seed, n, dieAt = 43, 160, 70
 	stateDir := t.TempDir()
-	walDir := stateDir + "/wal"
-	ckPath := stateDir + "/checkpoint.json"
+	ckPath := filepath.Join(stateDir, "checkpoint", "ck.json")
 	refDirty, refClean, refLog := referenceRun(t, seed, n, 1)
 
 	cfg := serverConfig(t, seed, n)
-	cfg.WALDir = walDir
-	cfg.CheckpointPath = ckPath
+	cfg.StateDir = stateDir
 	cfg.CheckpointEvery = 16
 	cfg.WAL = WALOptions{FsyncEvery: 8}
 	src := cfg.NewSource
@@ -250,8 +249,7 @@ func TestServerCheckpointResumeMidRun(t *testing.T) {
 	}
 
 	cfg2 := serverConfig(t, seed, n)
-	cfg2.WALDir = walDir
-	cfg2.CheckpointPath = ckPath
+	cfg2.StateDir = stateDir
 	cfg2.CheckpointEvery = 16
 	cfg2.WAL = WALOptions{FsyncEvery: 8}
 	srv2, addr2, _, _ := startStoppableServer(t, cfg2)
@@ -291,7 +289,7 @@ func TestServerCheckpointResumeMidRun(t *testing.T) {
 	}
 }
 
-// TestServerSuperviseRestartsSession: under -supervise a fatal session
+// TestServerSuperviseRestartsSession: under Supervise a fatal session
 // failure restarts the pipeline in-process; with the WAL and checkpoint
 // armed the restarted session continues the stream seamlessly and the
 // restart is counted.
@@ -301,8 +299,7 @@ func TestServerSuperviseRestartsSession(t *testing.T) {
 	refDirty, _, _ := referenceRun(t, seed, n, 1)
 
 	cfg := serverConfig(t, seed, n)
-	cfg.WALDir = stateDir + "/wal"
-	cfg.CheckpointPath = stateDir + "/checkpoint.json"
+	cfg.StateDir = stateDir
 	cfg.CheckpointEvery = 8
 	cfg.Supervise = true
 	cfg.RestartBudget = 3
@@ -365,7 +362,7 @@ func TestServerSuperviseRestartsSession(t *testing.T) {
 func TestServerQuarantineOnRestartBudget(t *testing.T) {
 	const seed, n = 53, 100
 	cfg := serverConfig(t, seed, n)
-	cfg.WALDir = t.TempDir()
+	cfg.StateDir = t.TempDir()
 	cfg.Supervise = true
 	cfg.RestartBudget = 2
 	cfg.RestartWindow = time.Minute

@@ -33,9 +33,9 @@ type Config struct {
 	Proc *core.Process
 	// NewSource opens the input stream for the run.
 	NewSource func() (stream.Source, error)
-	// Reorder, Shards, ShardKey and CheckpointPath are the run's
-	// execution shape (see shape); core.StreamSpec decides which
-	// combinations are valid.
+	// Reorder, Shards and ShardKey are the run's execution shape (see
+	// shape); core.StreamSpec decides which combinations are valid and
+	// whether a durable run checkpoints.
 	//
 	// Reorder is the bounded reordering window of the streaming runner.
 	Reorder int
@@ -47,8 +47,8 @@ type Config struct {
 	// Buffer is the per-subscriber send queue capacity (frames).
 	Buffer int
 	// Replay is the number of frames a memory-only server retains per
-	// channel for late subscribers and reconnects; with WALDir the log is
-	// the only replay path and Replay is unused.
+	// channel for late subscribers and reconnects; with StateDir the log
+	// is the only replay path and Replay is unused.
 	Replay int
 	// Policy selects the backpressure behaviour for slow subscribers.
 	Policy Policy
@@ -58,19 +58,18 @@ type Config struct {
 	// connected, their connections are force-closed and DrainExpired
 	// reports true.
 	DrainTimeout time.Duration
-	// WALDir enables durable replay: every published frame is persisted
-	// to a per-channel write-ahead log under WALDir/<channel>, so
-	// from_seq resume survives daemon restarts and ErrGap only occurs
-	// past the log's retention. Empty = memory-only (the replay ring).
-	WALDir string
+	// StateDir makes the session durable. Every published frame is
+	// persisted to a per-channel write-ahead log under
+	// StateDir/wal/<channel>, so from_seq resume survives daemon restarts
+	// and ErrGap only occurs past the log's retention. When the shape is
+	// checkpointable, pipeline state is also captured at
+	// StateDir/checkpoint/ck.json every CheckpointEvery emitted tuples, so
+	// a restarted daemon resumes the run there instead of re-running the
+	// whole input. Empty = memory-only (the replay ring).
+	StateDir string
 	// WAL tunes the write-ahead logs (zero value = defaults); only
-	// meaningful with WALDir.
+	// meaningful with StateDir.
 	WAL WALOptions
-	// CheckpointPath enables checkpointed sessions (requires WALDir):
-	// pipeline state is captured there every CheckpointEvery emitted
-	// tuples, so a restarted daemon resumes the run from the checkpoint
-	// instead of replaying the whole input.
-	CheckpointPath string
 	// CheckpointEvery is the capture cadence in emitted tuples (default
 	// 256).
 	CheckpointEvery int
@@ -91,7 +90,7 @@ type Config struct {
 
 // shape is the execution shape the flat fields describe.
 func (c Config) shape() core.StreamSpec {
-	return core.StreamSpec{Reorder: c.Reorder, Shards: c.Shards, ShardKey: c.ShardKey, Checkpoint: c.CheckpointPath != ""}
+	return core.StreamSpec{Reorder: c.Reorder, Shards: c.Shards, ShardKey: c.ShardKey}
 }
 
 // chanName pairs a channel's local identity (dirty/clean/log — the WAL
@@ -112,6 +111,9 @@ type Server struct {
 	sup  *Supervisor
 	reg  *obs.Registry
 	logf func(format string, args ...any)
+
+	// ckPath is the run's checkpoint file ("" when it takes none).
+	ckPath string
 
 	// chans maps the standard channels to their wire names; chDirty,
 	// chClean and chLog are the wire names used on the hot paths.
@@ -154,9 +156,13 @@ func newServer(cfg Config, namespace string, reg *obs.Registry, logf func(format
 	if err := cfg.shape().Validate(cfg.Schema); err != nil {
 		return nil, fmt.Errorf("netstream: %w", err)
 	}
-	if cfg.CheckpointPath != "" {
-		if cfg.WALDir == "" {
-			return nil, fmt.Errorf("netstream: checkpointed sessions require a wal directory")
+	// A durable run checkpoints exactly when its shape can be captured;
+	// the others are WAL-only (deterministic re-run + suppression).
+	var ckPath string
+	if cfg.StateDir != "" && cfg.shape().Checkpointable() {
+		ckPath = filepath.Join(cfg.StateDir, "checkpoint", "ck.json")
+		if err := os.MkdirAll(filepath.Dir(ckPath), 0o755); err != nil {
+			return nil, fmt.Errorf("netstream: checkpoint dir: %w", err)
 		}
 		if cfg.CheckpointEvery <= 0 {
 			cfg.CheckpointEvery = 256
@@ -164,6 +170,7 @@ func newServer(cfg Config, namespace string, reg *obs.Registry, logf func(format
 	}
 	s := &Server{
 		cfg:          cfg,
+		ckPath:       ckPath,
 		reg:          reg,
 		logf:         logf,
 		conns:        make(map[io.Closer]struct{}),
@@ -184,7 +191,7 @@ func newServer(cfg Config, namespace string, reg *obs.Registry, logf func(format
 	if namespace == "" {
 		s.hub.registerGauges()
 	}
-	if cfg.WALDir != "" {
+	if cfg.StateDir != "" {
 		var opened []*WAL
 		walFail := func(err error) (*Server, error) {
 			// Detach the already-opened logs from the tenant's byte ledger:
@@ -196,7 +203,7 @@ func newServer(cfg Config, namespace string, reg *obs.Registry, logf func(format
 			return nil, err
 		}
 		for _, cn := range s.chans {
-			w, err := OpenWAL(filepath.Join(cfg.WALDir, cn.local), cfg.WAL)
+			w, err := OpenWAL(filepath.Join(cfg.StateDir, "wal", cn.local), cfg.WAL)
 			if err != nil {
 				return walFail(err)
 			}
@@ -282,7 +289,7 @@ func (s *Server) captureCheckpoint(ckr *core.Checkpointer) error {
 	for _, cn := range s.chans {
 		ck.Offsets["net."+cn.local] = int64(s.hub.Seq(cn.full))
 	}
-	return core.WriteCheckpoint(s.cfg.CheckpointPath, ck)
+	return core.WriteCheckpoint(s.ckPath, ck)
 }
 
 // runPipeline executes the pollution process once, publishing every
@@ -292,22 +299,22 @@ func (s *Server) captureCheckpoint(ckr *core.Checkpointer) error {
 // policy), while source-side faults keep the PR-1 contract — quarantine
 // and DLQ work unchanged under the server runner.
 //
-// In durable mode (WALDir) each run first arms the hub's recovery
+// In durable mode (StateDir) each run first arms the hub's recovery
 // suppression: frames the deterministic (re-)run regenerates below the
 // durable maximum consume their sequence numbers silently, so a
-// restarted daemon resumes the stream with no duplicates or gaps. With
-// CheckpointPath the run additionally resumes pipeline state from the
-// last checkpoint instead of replaying the whole input.
+// restarted daemon resumes the stream with no duplicates or gaps. A
+// checkpointed run additionally resumes pipeline state from the last
+// checkpoint instead of replaying the whole input.
 func (s *Server) runPipeline(ctx context.Context) error {
 	proc := s.cfg.Proc
-	durable := s.cfg.WALDir != ""
+	durable := s.cfg.StateDir != ""
 	if durable && s.allTerminal() {
 		s.logf("durable run already complete; serving from wal")
 		return nil
 	}
 	var resume *core.Checkpoint
-	if s.cfg.CheckpointPath != "" {
-		ck, err := core.ReadCheckpoint(s.cfg.CheckpointPath)
+	if s.ckPath != "" {
+		ck, err := core.ReadCheckpoint(s.ckPath)
 		switch {
 		case err == nil:
 			resume = ck
@@ -354,7 +361,7 @@ func (s *Server) runPipeline(ctx context.Context) error {
 	// publish loop below fully encodes each tuple into its frame before
 	// the next Next call.
 	shape := s.cfg.shape()
-	shape.Resume = resume
+	shape.Checkpoint, shape.Resume = s.ckPath != "", resume
 	run, err := proc.Stream(stream.WithContext(ctx, src), shape)
 	if err != nil {
 		return fail(err)

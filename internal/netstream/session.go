@@ -85,12 +85,13 @@ type ServiceConfig struct {
 	Reg *obs.Registry
 	// Logf, when set, receives service diagnostics.
 	Logf func(format string, args ...any)
-	// StateDir enables the durable multi-tenant store: every session gets
-	// its own WAL (and, for checkpointable shapes, checkpoint) directory
-	// under <StateDir>/<tenant>/<session>, its spec is persisted alongside
-	// so Recover can resurrect it after a restart, and per-tenant WAL-byte
-	// budgets (TenantQuota.MaxWALBytes) are enforced across the tenant's
-	// logs. Empty = memory-only sessions (the replay ring).
+	// StateDir makes every session durable. A named session keeps its
+	// Config.StateDir at <StateDir>/<tenant>/<session>, with its spec
+	// persisted alongside so Recover can resurrect it after a restart, and
+	// per-tenant WAL-byte budgets (TenantQuota.MaxWALBytes) are enforced
+	// across the tenant's logs. The unnamed session (Start) keeps its
+	// state at <StateDir> itself. Empty = memory-only sessions (the replay
+	// ring).
 	StateDir string
 	// WAL sets the service-wide durable-log tuning defaults (segment
 	// size, retention, fsync cadence); a session's built Config may
@@ -184,7 +185,7 @@ func (sess *Session) status() SessionStatus {
 	for _, cn := range srv.chans {
 		st.Channels = append(st.Channels, cn.full)
 	}
-	st.Durable = srv.cfg.WALDir != ""
+	st.Durable = srv.cfg.StateDir != ""
 	st.Resumed = sess.resumed
 	st.Recovered = srv.hub.Recovered()
 	select {
@@ -373,10 +374,7 @@ func (s *Service) create(req SessionRequest, resumed bool) (*Session, error) {
 	sess := &Session{tenant: req.Tenant, name: req.Name, resumed: resumed}
 	if durable {
 		sess.stateDir = filepath.Join(s.cfg.StateDir, req.Tenant, req.Name)
-		if err := s.wireDurable(&cfg, ts, sess.stateDir); err != nil {
-			ts.releaseSession()
-			return nil, err
-		}
+		s.wireDurable(&cfg, ts.walBudget, sess.stateDir)
 		if !resumed {
 			if err := writeSpecFile(filepath.Join(sess.stateDir, "spec.json"), req); err != nil {
 				ts.releaseSession()
@@ -405,13 +403,17 @@ var errNoBuild = errors.New("netstream: this service runs one fixed pipeline and
 // single-pipeline daemon's one run. Its channels keep the bare
 // dirty|clean|log names, so a subscriber reaches it with a channel that
 // has no '/' (an empty channel means dirty). It has no tenant, hence no
-// quota, throttle or tenant-labelled metrics, and no state directory:
-// cfg's WALDir and CheckpointPath decide whether it is durable. A
+// quota, throttle or tenant-labelled metrics. With a service state dir it
+// is durable at <StateDir> itself, wired as a named session is, but it
+// has no spec file and Delete never removes or archives its state. A
 // service hosts at most one: a second Start fails with ErrSessionExists
 // before it builds a server, so the first keeps its fixed-name gauges.
 func (s *Service) Start(cfg Config) (*Session, error) {
 	if _, dup := s.Get("", ""); dup {
 		return nil, fmt.Errorf("%w: the unnamed session", ErrSessionExists)
+	}
+	if s.cfg.StateDir != "" {
+		s.wireDurable(&cfg, nil, s.cfg.StateDir)
 	}
 	sess := &Session{}
 	if err := s.start(sess, cfg); err != nil {
@@ -452,11 +454,11 @@ func (s *Service) start(sess *Session, cfg Config) error {
 	return nil
 }
 
-// wireDurable points cfg's WAL (and, for checkpointable shapes, the
-// checkpoint) into the session's state directory and attaches the
-// tenant's byte budget. Service-wide WAL tuning applies as defaults
-// beneath whatever the built config already set field-wise.
-func (s *Service) wireDurable(cfg *Config, ts *tenantState, stateDir string) error {
+// wireDurable roots cfg's durable state at stateDir and attaches the
+// tenant's byte budget (nil for the unnamed session). Service-wide WAL
+// tuning applies as defaults beneath whatever the built config already
+// set field-wise.
+func (s *Service) wireDurable(cfg *Config, budget *WALBudget, stateDir string) {
 	w := s.cfg.WAL
 	if cfg.WAL.SegmentBytes > 0 {
 		w.SegmentBytes = cfg.WAL.SegmentBytes
@@ -470,19 +472,9 @@ func (s *Service) wireDurable(cfg *Config, ts *tenantState, stateDir string) err
 	if cfg.WAL.FsyncEvery > 0 {
 		w.FsyncEvery = cfg.WAL.FsyncEvery
 	}
-	w.Budget = ts.walBudget
+	w.Budget = budget
 	cfg.WAL = w
-	cfg.WALDir = filepath.Join(stateDir, "wal")
-	// Shapes that cannot be checkpointed are WAL-only (deterministic
-	// re-run + suppression).
-	if cfg.shape().Checkpointable() {
-		ckDir := filepath.Join(stateDir, "checkpoint")
-		if err := os.MkdirAll(ckDir, 0o755); err != nil {
-			return fmt.Errorf("netstream: checkpoint dir: %w", err)
-		}
-		cfg.CheckpointPath = filepath.Join(ckDir, "ck.json")
-	}
-	return nil
+	cfg.StateDir = stateDir
 }
 
 // releaseWALs detaches a session's logs from the tenant byte ledger and

@@ -35,9 +35,10 @@ func (c *readCountFS) OpenFile(name string, flag int, perm os.FileMode) (File, e
 // scan; nothing re-reads the log to build a second replay path.
 func TestNewServerReadsEachWALSegmentOnce(t *testing.T) {
 	const seed, n = 7, 400
-	walDir := t.TempDir()
+	stateDir := t.TempDir()
+	walDir := filepath.Join(stateDir, "wal")
 	cfg := serverConfig(t, seed, n)
-	cfg.WALDir = walDir
+	cfg.StateDir = stateDir
 	cfg.WAL = WALOptions{SegmentBytes: 4 << 10}
 	srv1, _, _, stop1 := startStoppableServer(t, cfg)
 	waitPipelineDone(t, srv1)
@@ -48,7 +49,7 @@ func TestNewServerReadsEachWALSegmentOnce(t *testing.T) {
 
 	fs := &readCountFS{FS: OSFS(), reads: make(map[string]int)}
 	cfg2 := serverConfig(t, seed, n)
-	cfg2.WALDir = walDir
+	cfg2.StateDir = stateDir
 	cfg2.WAL = WALOptions{SegmentBytes: 4 << 10, FS: fs}
 	srv2, err := newServer(cfg2, "", nil, t.Logf)
 	if err != nil {

@@ -1,6 +1,9 @@
 package rng
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 )
@@ -176,5 +179,24 @@ func TestBoolIsFair(t *testing.T) {
 	freq := float64(trues) / n
 	if math.Abs(freq-0.5) > 0.01 {
 		t.Fatalf("Bool true-frequency %g", freq)
+	}
+}
+
+// TestNormalDigest pins the bits of 2^20 Normal draws. Normal's only
+// transcendental inputs are its own log and math.Sqrt (correctly
+// rounded everywhere), so every architecture must reproduce amd64's
+// draws exactly; a fused multiply-add or a platform log would move this
+// digest (GOARCH=386 runs it in make test386).
+func TestNormalDigest(t *testing.T) {
+	const want = "387a16bf29c71186961b904d99666504be2defc79e41f6aa3dddfcc962f3f409"
+	s := New(20160226)
+	h := sha256.New()
+	var b [8]byte
+	for i := 0; i < 1<<20; i++ {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(s.Normal(3, 2)))
+		h.Write(b[:])
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("digest of 2^20 Normal draws = %s, want %s", got, want)
 	}
 }

@@ -21,7 +21,14 @@
 #   - internal/forecast, stats, anomaly and clean on their own: they
 #     consume benchmark data rather than produce it;
 #   - internal/plot, stream.RetryPolicy.delay and netstream's token
-#     bucket: a chart, a retry back-off and a rate limit, no stream bytes.
+#     bucket: a chart, a retry back-off and a rate limit, no stream bytes;
+#   - the standard library's pure-Go math, which the scan cannot see
+#     because it matches icewafl/... symbols only. On arm64 `go tool
+#     objdump` counts 16 fused ops in each of math.sin and math.cos and 1
+#     in math.pow. Their callers decide stream bytes: core's sinusoid
+#     parameter (math.Cos), round_precision (math.Pow) and dataset's
+#     air-quality simulator (math.Sin/math.Cos). math.log (10) is no
+#     longer among them: rng.Normal carries its own rounded log.
 set -euo pipefail
 
 cd "$(git rev-parse --show-toplevel)"
