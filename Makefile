@@ -99,9 +99,11 @@ chaos:
 # twenty times over, to flush teardown races a single run only loses
 # occasionally (the delete-while-running error race hid at ~1 run in 3).
 # The single-pipeline tests run as a service's unnamed session, so they
-# tear down through the same Service.Close.
+# tear down through the same Service.Close. The sharded runner's
+# channel handoff and ticket merge get the same treatment.
 stress:
 	$(GO) test -count=20 ./internal/netstream/ -run 'TestService|TestHub|TestServer'
+	$(GO) test -count=20 ./internal/core/ -run 'Shard|RunnerLogEquivalence'
 
 # bench/ is its own module, so the root `go test ./...` never compiles
 # it; vet and test it here so an API rename in core or netstream cannot

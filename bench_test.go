@@ -7,13 +7,19 @@
 package icewafl
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"io"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"icewafl/internal/anomaly"
+	"icewafl/internal/config"
 	"icewafl/internal/core"
+	"icewafl/internal/csvio"
 	"icewafl/internal/dataset"
 	"icewafl/internal/dq"
 	"icewafl/internal/experiments"
@@ -142,8 +148,8 @@ func keyedBenchPipeline(seed int64) *core.Pipeline {
 // recycled per-shard value blocks, so the shared tuple slice needs no
 // defensive Clone stage and the steady state allocates nothing per
 // tuple; shards=1 is the sequential engine, which pollutes in place, so
-// that anchor point runs over a block clone of the input. Ungated: no
-// BENCHMARK.json workload is sharded yet.
+// that anchor point runs over a block clone of the input, made with the
+// timer stopped. Ungated: no BENCHMARK.json workload is sharded yet.
 func BenchmarkShardedKeyed(b *testing.B) {
 	schema, tuples := benchKeyedStream(20000, 64)
 	for _, shards := range []int{1, 2, 4, 8} {
@@ -155,7 +161,9 @@ func BenchmarkShardedKeyed(b *testing.B) {
 				proc.DisableLog = true
 				in := tuples
 				if shards == 1 {
+					b.StopTimer()
 					in = cloneBlock(tuples)
+					b.StartTimer()
 				}
 				run, err := proc.Stream(stream.NewSliceSource(schema, in), core.StreamSpec{Shards: shards, ShardKey: "sensor"})
 				if err != nil {
@@ -166,6 +174,70 @@ func BenchmarkShardedKeyed(b *testing.B) {
 				}
 			}
 			b.SetBytes(20000)
+		})
+	}
+}
+
+// shardedFileConfig is the benchmark workload file_mixed's four value
+// polluters, each keyed by wind direction so the sharded runner can
+// take them.
+const shardedFileConfig = `{"seed": 1, "pipelines": [{"name": "keyed", "polluters": [
+  {"name": "noise TEMP", "type": "keyed", "key_attr": "wd", "template": {"name": "noise TEMP", "attrs": ["TEMP"],
+   "error": {"type": "gaussian_noise", "stddev": 2}, "condition": {"type": "random", "p": 0.2}}},
+  {"name": "scale PRES", "type": "keyed", "key_attr": "wd", "template": {"name": "scale PRES", "attrs": ["PRES"],
+   "error": {"type": "scale_by_factor", "factor": 0.1}, "condition": {"type": "random", "p": 0.05}}},
+  {"name": "null NO2", "type": "keyed", "key_attr": "wd", "template": {"name": "null NO2", "attrs": ["NO2"],
+   "error": {"type": "missing_value"}, "condition": {"type": "random", "p": 0.1}}},
+  {"name": "wrong wd", "type": "keyed", "key_attr": "wd", "template": {"name": "wrong wd", "attrs": ["wd"],
+   "error": {"type": "incorrect_category", "categories": ["N", "E", "S", "W"]}, "condition": {"type": "random", "p": 0.05}}}
+]}]}`
+
+// BenchmarkShardedFile is the sharded runner end to end, the way
+// icewafl -stream -shards N runs it: 100 000 generated air-quality rows
+// parsed from CSV, polluted by shardedFileConfig and written back as
+// CSV, at 1, 2 and 4 shards. Every shard count must write the bytes
+// shards=1 writes.
+func BenchmarkShardedFile(b *testing.B) {
+	schema := dataset.AirQualitySchema()
+	var in bytes.Buffer
+	if err := csvio.WriteAll(&in, schema, dataset.AirQuality(dataset.RegionGucheng, 1, dataset.AirQualityOptions{Tuples: 100_000})); err != nil {
+		b.Fatal(err)
+	}
+	run := func(shards int, w io.Writer) {
+		doc, err := config.Parse(strings.NewReader(shardedFileConfig))
+		if err != nil {
+			b.Fatal(err)
+		}
+		proc, err := config.Build(doc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src, err := csvio.NewReader(bytes.NewReader(in.Bytes()), schema)
+		if err != nil {
+			b.Fatal(err)
+		}
+		polluted, err := proc.Stream(src, core.StreamSpec{Reorder: 1, Shards: shards, ShardKey: "wd"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := stream.Copy(csvio.NewWriter(w, schema), polluted.Source); err != nil {
+			b.Fatal(err)
+		}
+	}
+	want := sha256.New()
+	run(1, want)
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			got := sha256.New()
+			run(shards, got)
+			if !bytes.Equal(got.Sum(nil), want.Sum(nil)) {
+				b.Fatalf("shards=%d writes other bytes than shards=1", shards)
+			}
+			b.SetBytes(int64(in.Len()))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(shards, io.Discard)
+			}
 		})
 	}
 }

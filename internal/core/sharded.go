@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"icewafl/internal/obs"
 	"icewafl/internal/stream"
@@ -21,15 +20,14 @@ import (
 // exactly the prepared input order.
 //
 // Handoff architecture. The feeder accumulates routed tuples into
-// per-shard batches and hands each batch to its worker over a lock-free
-// SPSC ring (stream.SPSC); the worker pollutes the batch in place and
-// hands it to the merger over a second SPSC ring; the merger returns
-// exhausted batches through a third ring so batch buffers (items, log
-// entries, value arenas) recycle without allocation. Every
-// synchronisation cost — two ring operations and a couple of counter
-// updates — is paid once per batch (cfg.BatchSize tuples), not once per
-// tuple, which is what makes the parallelism win back more than the
-// fan-out/fan-in costs.
+// per-shard batches and sends each to its worker over a buffered
+// channel; the worker pollutes it in place and sends it on to the
+// merger; the merger returns exhausted batches over a third channel,
+// so batch buffers (items, log entries, value arenas) recycle without
+// allocation. With each batch the feeder sends its shard on the
+// tickets channel, which tells the merger where the next sequence
+// number is. Synchronisation is paid once per batch (cfg.BatchSize
+// tuples), not once per tuple.
 //
 // Determinism argument. A keyed pipeline whose per-key instances derive
 // ALL their state and randomness from the key (KeyedPolluter with a
@@ -40,19 +38,24 @@ import (
 // to the sequential run, and the merge (by prepared sequence number)
 // re-serialises tuples, log entries and dead letters into the
 // sequential order. The output is byte-identical to RunStream —
-// property-tested for 2/4/8 shards under -race. Batch boundaries are a
-// function of the deterministic routing alone, and the merge never
-// depends on them, so batching does not perturb the guarantee.
+// property-tested for 2/4/8 shards under -race. Batch boundaries never
+// reach the output, so neither batching nor early flushes perturb the
+// guarantee.
 //
-// Deadlock-freedom of the bounded merge. The merger holds at most one
-// in-progress batch per shard and consumes strictly in sequence order,
-// so it can stall only while the next sequence number is still inside
-// the feeder's accumulators. The feeder therefore flushes accumulators
-// oldest-first (by their first pending sequence number): whenever it
-// blocks pushing a batch B, every sequence number below B's first is
-// already in the rings, the merger drains them (per-shard ring order is
-// sequence order), reaches B's first, and by then has emptied the very
-// ring B is blocked on. No cycle, bounded memory.
+// Tickets and deadlock-freedom. The feeder dispatches batches
+// oldest-first (by first sequence number), so tickets arrive in that
+// order. Everything below nextSeq has been emitted, so when no batch
+// the merger holds carries nextSeq, the next ticket is the batch that
+// starts at it, and the merger blocks only on the batch it needs. A
+// feeder blocked sending batch B has already ticketed everything below
+// B's first sequence number; the merger drains those, and with them
+// the channel B waits on. No cycle, bounded memory.
+//
+// Live sources. A merger that finds no ticket sets the waiting flag and
+// flushes the pending accumulators itself if the feeder does not hold
+// them; otherwise the feeder sees the flag once it lets them go and
+// flushes before it reads the source again. A tuple therefore never
+// waits for its batch to fill while the source blocks.
 
 // shardConfig configures runStreamSharded. Stream sets KeyAttr and
 // Shards from the spec; the remaining knobs exist for the in-package
@@ -64,12 +67,11 @@ type shardConfig struct {
 	// Shards is the number of parallel workers (Stream dispatches here
 	// only for Shards > 1; RunStream is the sequential engine).
 	Shards int
-	// BatchSize is the number of tuples per ring handoff (default 128).
-	// Larger batches amortise the fan-out/fan-in synchronisation
-	// further at the cost of latency and per-shard memory.
+	// BatchSize is the number of tuples per handoff (default 128).
+	// Larger batches amortise synchronisation further, costing memory.
 	BatchSize int
 	// Buffer is the per-shard in-flight tuple budget (default
-	// 2*BatchSize). Tuples travel in batches over rings of
+	// 2*BatchSize). Tuples travel in batches over channels of
 	// Buffer/BatchSize slots (minimum 2), so Buffer bounds memory and
 	// sets how far a fast shard may run ahead of the merge.
 	Buffer int
@@ -106,10 +108,7 @@ func (pr *Process) runStreamSharded(src stream.Source, reorderWindow int, cfg sh
 	if buffer <= 0 {
 		buffer = 2 * batch
 	}
-	depth := buffer / batch
-	if depth < 2 {
-		depth = 2
-	}
+	depth := max(buffer/batch, 2)
 	in := pr.openStream(src, 0)
 	// A shard's step has no dead-letter queue, so it returns its dead
 	// letters for the merger to book in prepared order.
@@ -138,7 +137,6 @@ func (pr *Process) runStreamSharded(src stream.Source, reorderWindow int, cfg sh
 		in.log.Obs = nil
 	}
 	pr.Obs.SetShards(cfg.Shards)
-	wrapped := reorderWindow > 1
 	sh := &shardedSource{
 		src:    pr.tapped(in.prep),
 		schema: src.Schema(),
@@ -154,7 +152,7 @@ func (pr *Process) runStreamSharded(src stream.Source, reorderWindow int, cfg sh
 		// heavily delayed tuple stays buffered while arbitrarily many
 		// later arrivals stream past it), so under a reorder window
 		// retired batches are left to the GC instead of recycled.
-		recycle: !wrapped,
+		recycle: reorderWindow <= 1,
 		log:     in.log,
 		dlq:     in.dlq,
 		reg:     pr.Obs,
@@ -173,7 +171,7 @@ type shardItem struct {
 // pollution-log entries the worker recorded (a flat arena indexed by
 // per-item offsets, replacing a per-tuple entry-slice allocation), any
 // dead letters, and the value block backing the polluted tuples.
-// Batches recycle through a per-shard free ring, so the steady state
+// Batches recycle through a per-shard free channel, so the steady state
 // allocates nothing.
 type shardBatch struct {
 	items    []shardItem
@@ -192,21 +190,19 @@ func (b *shardBatch) reset() {
 	b.items = b.items[:0]
 	b.entryBuf = b.entryBuf[:0]
 	b.entryOff = b.entryOff[:0]
-	b.dls = nil
-	b.err = nil
-	b.errSeq = 0
+	b.dls, b.err, b.errSeq = nil, nil, 0
 }
 
 // retiredBatch is an exhausted arena batch awaiting recycling; mark is
-// the merger's emission count at retirement (see shardedSource.margin).
+// the merger's emission count at retirement (see arenaMargin).
 type retiredBatch struct {
 	shard int
 	b     *shardBatch
 	mark  uint64
 }
 
-// shardedSource fans prepared tuples out to shard workers over SPSC
-// rings and merges the results back by sequence number. It is a
+// shardedSource fans prepared tuples out to shard workers over
+// channels and merges the results back by sequence number. It is a
 // consumer-driven state machine: lazily started, stopping promptly on
 // the first fatal error, releasing all goroutines on Stop.
 type shardedSource struct {
@@ -226,21 +222,27 @@ type shardedSource struct {
 	done     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-	ins      []*stream.SPSC[*shardBatch] // feeder -> worker
-	outs     []*stream.SPSC[*shardBatch] // worker -> merger
-	frees    []*stream.SPSC[*shardBatch] // merger -> feeder (recycling)
-	srcErr   error                       // feeder's fatal source error; written before ins close
+	ins      []chan *shardBatch // feeder -> worker
+	outs     []chan *shardBatch // worker -> merger
+	frees    []chan *shardBatch // merger -> feeder (recycling)
+	tickets  chan int           // shard of each dispatched batch, oldest first
+	srcErr   error              // feeder's fatal source error; written before tickets close
+
+	// pending accumulators, flushed by the feeder or a starved merger
+	mu      sync.Mutex
+	acc     []*shardBatch
+	first   []uint64 // first[sh] is acc[sh]'s first sequence number
+	order   []int    // flush scratch
+	waiting atomic.Bool
 
 	// merger state; touched by the consumer goroutine only
-	cur      []*shardBatch
-	pos      []int
-	finished []bool
-	nFin     int
-	nextSeq  uint64
-	emitted  uint64
-	retired  []retiredBatch
-	err      error
-	closed   bool
+	cur     []*shardBatch
+	pos     []int
+	nextSeq uint64
+	emitted uint64
+	retired []retiredBatch
+	err     error
+	closed  bool
 }
 
 // Schema implements stream.Source.
@@ -250,98 +252,51 @@ func (s *shardedSource) start() {
 	s.started = true
 	n := len(s.steps)
 	s.done = make(chan struct{})
-	s.ins = make([]*stream.SPSC[*shardBatch], n)
-	s.outs = make([]*stream.SPSC[*shardBatch], n)
-	s.frees = make([]*stream.SPSC[*shardBatch], n)
-	for i := 0; i < n; i++ {
-		s.ins[i] = stream.NewSPSC[*shardBatch](s.depth)
-		s.outs[i] = stream.NewSPSC[*shardBatch](s.depth)
-		// The free ring must absorb every batch the other two rings,
-		// the feeder, the merger and the retirement margin can hold.
-		s.frees[i] = stream.NewSPSC[*shardBatch](3*s.depth + 2)
-	}
-	s.cur = make([]*shardBatch, n)
-	s.pos = make([]int, n)
-	s.finished = make([]bool, n)
-	for i := 0; i < n; i++ {
-		in, out := s.ins[i], s.outs[i]
+	s.ins, s.outs, s.frees = make([]chan *shardBatch, n), make([]chan *shardBatch, n), make([]chan *shardBatch, n)
+	// Until the merger takes its ticket, a dispatched batch sits in ins,
+	// its worker or outs, so live workers never fill the tickets channel.
+	s.tickets = make(chan int, n*(2*s.depth+1))
+	for i := range n {
+		in, out := make(chan *shardBatch, s.depth), make(chan *shardBatch, s.depth)
+		s.ins[i], s.outs[i] = in, out
+		// Room for every batch the others, feeder, merger and margin hold.
+		s.frees[i] = make(chan *shardBatch, 3*s.depth+2)
 		s.reg.RegisterFunc(fmt.Sprintf("shard%d_in_ring_occupancy", i),
-			func() uint64 { return uint64(in.Len()) })
+			func() uint64 { return uint64(len(in)) })
 		s.reg.RegisterFunc(fmt.Sprintf("shard%d_out_ring_occupancy", i),
-			func() uint64 { return uint64(out.Len()) })
+			func() uint64 { return uint64(len(out)) })
 	}
+	s.acc, s.first, s.order = make([]*shardBatch, n), make([]uint64, n), make([]int, 0, n)
+	s.cur, s.pos = make([]*shardBatch, n), make([]int, n)
 	s.wg.Add(n + 1)
-	for w := 0; w < n; w++ {
+	for w := range n {
 		go s.worker(w)
 	}
 	go s.feed()
 }
 
 // grab returns a recycled batch for a shard, or a fresh one when the
-// free ring is empty (startup, or the merger is holding everything).
+// free channel is empty (startup, or the merger is holding everything).
 func (s *shardedSource) grab(shard int) *shardBatch {
-	if b, ok := s.frees[shard].TryPop(); ok {
+	select {
+	case b := <-s.frees[shard]:
 		return b
+	default:
+		return &shardBatch{items: make([]shardItem, 0, s.batch)}
 	}
-	return &shardBatch{items: make([]shardItem, 0, s.batch)}
 }
 
 // feed routes prepared tuples into per-shard batch accumulators and
-// dispatches full batches to the workers. Accumulators are flushed
-// oldest-first by their first pending sequence number — the invariant
-// the merge's deadlock-freedom rests on (see the file comment).
+// dispatches full batches to the workers, and every pending one when
+// the merger is waiting (see the file comment).
 func (s *shardedSource) feed() {
 	defer s.wg.Done()
-	n := len(s.steps)
-	acc := make([]*shardBatch, n)
-	first := make([]uint64, n)
-	order := make([]int, 0, n)
-	var seq uint64
-
-	dispatch := func(shard int) bool {
-		b := acc[shard]
-		acc[shard] = nil
-		s.reg.Add(obs.CTuplesIn, uint64(len(b.items)))
-		s.reg.AddShard(shard, uint64(len(b.items)))
-		if !s.ins[shard].Push(b, s.done) {
-			// An abandoned ring means the worker hit a fatal error:
-			// every sequence number still routed here lies beyond the
-			// failure point, so the batch is discarded and feeding
-			// continues for the other shards. A done close means the
-			// whole run is stopping.
-			return s.ins[shard].Abandoned()
-		}
-		return true
-	}
-	// flushUpTo dispatches every accumulator whose first pending
-	// sequence number is <= limit, oldest first.
-	flushUpTo := func(limit uint64) bool {
-		order = order[:0]
-		for sh, b := range acc {
-			if b != nil && len(b.items) > 0 && first[sh] <= limit {
-				order = append(order, sh)
-			}
-		}
-		// Insertion sort by first pending seq: n is tiny and this
-		// avoids a sort.Slice closure allocation per flush.
-		for i := 1; i < len(order); i++ {
-			for j := i; j > 0 && first[order[j]] < first[order[j-1]]; j-- {
-				order[j], order[j-1] = order[j-1], order[j]
-			}
-		}
-		for _, sh := range order {
-			if !dispatch(sh) {
-				return false
-			}
-		}
-		return true
-	}
-
-feed:
-	for {
+	n, seq := uint64(len(s.steps)), uint64(0)
+	for ok := true; ok; {
 		select {
 		case <-s.done:
-			break feed
+			ok = false
+			continue
 		default:
 		}
 		t, err := s.src.Next()
@@ -351,23 +306,72 @@ feed:
 			}
 			break
 		}
-		shard := int(hashKey(t.At(s.keyIdx)) % uint64(n))
-		b := acc[shard]
+		shard := int(hashKey(t.At(s.keyIdx)) % n)
+		s.mu.Lock()
+		b := s.acc[shard]
 		if b == nil {
 			b = s.grab(shard)
-			acc[shard] = b
-			first[shard] = seq
+			s.acc[shard], s.first[shard] = b, seq
 		}
 		b.items = append(b.items, shardItem{seq: seq, t: t})
 		seq++
-		if len(b.items) >= s.batch && !flushUpTo(first[shard]) {
-			break feed
+		ok = len(b.items) < s.batch || s.flushUpTo(s.first[shard])
+		s.mu.Unlock()
+		// The merger may have asked while the lock was held.
+		if ok && s.waiting.Load() {
+			s.mu.Lock()
+			ok = s.flushUpTo(math.MaxUint64)
+			s.mu.Unlock()
 		}
 	}
-	flushUpTo(seq)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.flushUpTo(math.MaxUint64)
+	clear(s.acc)
 	for _, in := range s.ins {
-		in.Close()
+		close(in)
 	}
+	close(s.tickets)
+}
+
+// flushUpTo dispatches every accumulator whose first pending sequence
+// number is <= limit, oldest first. The caller holds s.mu across the
+// sends: the merger only ever TryLocks it, so a feeder blocked here
+// holds up no one who could unblock it.
+func (s *shardedSource) flushUpTo(limit uint64) bool {
+	s.order = s.order[:0]
+	for sh, b := range s.acc {
+		if b != nil && s.first[sh] <= limit {
+			s.order = append(s.order, sh)
+		}
+	}
+	// Insertion sort by first pending seq: n is tiny and this avoids a
+	// sort.Slice closure allocation per flush.
+	for i := 1; i < len(s.order); i++ {
+		for j := i; j > 0 && s.first[s.order[j]] < s.first[s.order[j-1]]; j-- {
+			s.order[j], s.order[j-1] = s.order[j-1], s.order[j]
+		}
+	}
+	for _, sh := range s.order {
+		b := s.acc[sh]
+		s.acc[sh] = nil
+		s.reg.Add(obs.CTuplesIn, uint64(len(b.items)))
+		s.reg.AddShard(sh, uint64(len(b.items)))
+		// Cleared before the ticket goes out, so a request the merger
+		// makes after taking it cannot be lost.
+		s.waiting.Store(false)
+		select {
+		case s.ins[sh] <- b:
+		case <-s.done:
+			return false
+		}
+		select {
+		case s.tickets <- sh:
+		case <-s.done:
+			return false
+		}
+	}
+	return true
 }
 
 // worker pollutes the batches of one shard in place through the shard's
@@ -376,17 +380,23 @@ feed:
 // written, and the step's scratch log records straight into the batch's
 // flat entry arena. On a fatal error it ships the batch's valid prefix
 // with the error attached, so the merge stops exactly where the
-// sequential run would, abandons its inbound ring so the feeder stops
-// queueing for it, and exits.
+// sequential run would, and drops every later batch: they lie beyond
+// the failure, and the merge fails before it asks for them.
 func (s *shardedSource) worker(shard int) {
 	defer s.wg.Done()
 	in, out := s.ins[shard], s.outs[shard]
-	defer out.Close()
 	step := &s.steps[shard]
-	for {
-		b, ok := in.Pop(s.done)
-		if !ok {
+	for dead := false; ; {
+		var b *shardBatch
+		select {
+		case b = <-in:
+		case <-s.done:
+		}
+		if b == nil {
 			return
+		}
+		if dead {
+			continue
 		}
 		if need := len(b.items) * s.width; cap(b.vals) < need {
 			b.vals = make([]stream.Value, need)
@@ -414,12 +424,10 @@ func (s *shardedSource) worker(shard int) {
 		if step.log != nil {
 			b.entryBuf = step.log.Entries
 		}
-		fatal := b.err != nil
-		if !out.Push(b, s.done) {
-			return
-		}
-		if fatal {
-			in.Abandon()
+		dead = b.err != nil
+		select {
+		case out <- b:
+		case <-s.done:
 			return
 		}
 	}
@@ -428,10 +436,10 @@ func (s *shardedSource) worker(shard int) {
 // Next implements stream.Source: the merge. It restores prepared order
 // by scanning the <= Shards current batch heads for the next sequence
 // number (each prepared seq is owned by exactly one shard and per-shard
-// output is seq-ordered, so the scan is exact), appends the per-tuple
-// log entries and dead letters in emission order, filters dropped and
-// quarantined tuples, and — after the first fatal error — consistently
-// returns that error.
+// output is seq-ordered, so the scan is exact), takes the next ticket's
+// batch when none holds it, appends the per-tuple log entries and dead
+// letters in emission order, filters dropped and quarantined tuples,
+// and — after the first fatal error — consistently returns that error.
 func (s *shardedSource) Next() (stream.Tuple, error) {
 	if !s.started {
 		if s.err != nil {
@@ -440,89 +448,37 @@ func (s *shardedSource) Next() (stream.Tuple, error) {
 		s.start()
 	}
 	s.recycleRetired()
-	for spins := 0; ; {
-		if s.err != nil {
-			return stream.Tuple{}, s.err
-		}
-		if s.closed {
-			return stream.Tuple{}, io.EOF
-		}
-		progress := s.advance()
-		t, emitted, consumed := s.serve()
-		if emitted {
+	for s.err == nil && !s.closed {
+		if t, emitted, consumed := s.serve(); emitted {
 			return t, nil
-		}
-		if consumed {
-			spins = 0
-			continue
-		}
-		if s.nFin == len(s.cur) {
-			// All workers done and everything merged.
-			if s.srcErr != nil {
-				s.fail(s.srcErr)
-				continue
-			}
-			s.closed = true
-			continue
-		}
-		if progress {
-			spins = 0
-			continue
-		}
-		// Starved: the next batch is still being polluted. Yield
-		// briefly, then park in short sleeps — flooding the scheduler
-		// with spins is counterproductive when shards exceed cores.
-		spins++
-		if spins < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(50 * time.Microsecond)
+		} else if !consumed {
+			s.take()
 		}
 	}
-}
-
-// advance retires exhausted current batches and pulls newly available
-// ones from the out rings, reporting whether anything changed. A batch
-// carrying a fatal error is held after exhaustion until the merge
-// reaches its error position.
-func (s *shardedSource) advance() bool {
-	progress := false
-	for sh := range s.cur {
-		b := s.cur[sh]
-		if b != nil && s.pos[sh] >= len(b.items) && b.err == nil {
-			s.retire(sh)
-			b = nil
-			progress = true
-		}
-		if b == nil && !s.finished[sh] {
-			if nb, ok := s.outs[sh].TryPop(); ok {
-				s.cur[sh], s.pos[sh] = nb, 0
-				progress = true
-			} else if s.outs[sh].Drained() {
-				s.finished[sh] = true
-				s.nFin++
-				progress = true
-			}
-		}
+	if s.err != nil {
+		return stream.Tuple{}, s.err
 	}
-	return progress
+	return stream.Tuple{}, io.EOF
 }
 
-// serve consumes the item carrying the next sequence number, if it is
-// available. Returns the tuple (when one was emitted), whether a
-// tuple was emitted, and whether any item was consumed.
+// serve consumes the item carrying the next sequence number, if a
+// current batch holds it, retiring exhausted batches on the way.
+// Returns the tuple (when one was emitted), whether a tuple was
+// emitted, and whether any item was consumed. A batch carrying a fatal
+// error is held after exhaustion until the merge reaches its error
+// position.
 func (s *shardedSource) serve() (stream.Tuple, bool, bool) {
-	for sh := range s.cur {
-		b := s.cur[sh]
-		if b == nil {
-			continue
-		}
-		if s.pos[sh] < len(b.items) {
+	for sh, b := range s.cur {
+		switch {
+		case b == nil:
+		case s.pos[sh] < len(b.items):
 			if b.items[s.pos[sh]].seq == s.nextSeq {
 				t, ok := s.consume(sh)
 				return t, ok, true
 			}
-		} else if b.err != nil && b.errSeq == s.nextSeq {
+		case b.err == nil:
+			s.retire(sh)
+		case b.errSeq == s.nextSeq:
 			// Every sequence number below the failure has been
 			// emitted; surface the error at exactly its position.
 			s.fail(b.err)
@@ -530,6 +486,47 @@ func (s *shardedSource) serve() (stream.Tuple, bool, bool) {
 		}
 	}
 	return stream.Tuple{}, false, false
+}
+
+// take receives the batch that starts at nextSeq: it takes the next
+// ticket and waits on that shard's out channel. Finding no ticket, it
+// asks the feeder for its pending accumulators, flushing them itself
+// when the feeder does not hold the lock (it is reading the source).
+// With nothing in flight the tickets channel is empty, every channel is
+// drained, and that flush cannot block. Closed tickets end the stream.
+func (s *shardedSource) take() {
+	var sh int
+	var ok bool
+	select {
+	case sh, ok = <-s.tickets:
+	default:
+		s.waiting.Store(true)
+		if s.mu.TryLock() {
+			if len(s.tickets) == 0 {
+				s.flushUpTo(math.MaxUint64)
+			}
+			s.mu.Unlock()
+		}
+		select {
+		case sh, ok = <-s.tickets:
+		case <-s.done:
+			s.fail(stream.ErrStopped)
+			return
+		}
+	}
+	if !ok {
+		s.closed = true
+		if s.srcErr != nil {
+			s.fail(s.srcErr)
+		}
+		return
+	}
+	select {
+	case s.cur[sh] = <-s.outs[sh]:
+		s.pos[sh] = 0
+	case <-s.done:
+		s.fail(stream.ErrStopped)
+	}
 }
 
 // consume takes the current item of shard sh: books its log entries
@@ -585,8 +582,8 @@ func (s *shardedSource) retire(sh int) {
 }
 
 // recycleRetired returns arena batches whose retirement margin has
-// passed to their shard's free ring. Called at the top of Next, when
-// the consumer has relinquished the previously loaned tuple.
+// passed to their shard's free channel. Called at the top of Next,
+// when the consumer has relinquished the previously loaned tuple.
 func (s *shardedSource) recycleRetired() {
 	n := 0
 	for _, rb := range s.retired {
@@ -594,7 +591,10 @@ func (s *shardedSource) recycleRetired() {
 			break
 		}
 		rb.b.reset()
-		s.frees[rb.shard].TryPush(rb.b) // a full free ring drops the batch to the GC
+		select {
+		case s.frees[rb.shard] <- rb.b:
+		default: // a full free channel drops the batch to the GC
+		}
 		n++
 	}
 	if n > 0 {

@@ -11,9 +11,10 @@ import (
 	"icewafl/internal/stream"
 )
 
-// Adversarial coverage of the SPSC batch handoff and sequence merge:
-// key skew (every tuple on one shard), empty input, one-tuple batches,
-// and the arena clone path.
+// Adversarial coverage of the batch handoff and sequence merge: key
+// skew (every tuple on one shard), empty input, one-tuple batches, a
+// source that blocks until its last tuple came out, and the arena
+// clone path.
 
 // runShardedWith runs a keyed pipeline factory with an explicit
 // shardConfig and returns the rendered output and log. Shards <= 1 is
@@ -101,6 +102,64 @@ func TestShardedSingleTupleBatches(t *testing.T) {
 		}
 		if gotLog != wantLog {
 			t.Errorf("shards=%d batch=1: log differs from sequential", shards)
+		}
+	}
+}
+
+// lockstepSource is a live source that never runs ahead of its
+// consumer: it hands over tuple k only once tuple k-1 has come out of
+// the polluted stream (a token on out), and gives up after 5s.
+type lockstepSource struct {
+	stream.Source
+	i   int
+	out chan struct{}
+}
+
+func (l *lockstepSource) Next() (stream.Tuple, error) {
+	if l.i > 0 {
+		select {
+		case <-l.out:
+		case <-time.After(5 * time.Second):
+			return stream.Tuple{}, fmt.Errorf("tuple %d still held back after 5s", l.i-1)
+		}
+	}
+	l.i++
+	return l.Source.Next()
+}
+
+// TestShardedDeliversBeforeBatchFills drives the runner the way a live
+// pipe does: the source blocks until the tuple it last handed over has
+// been emitted, so a runner that holds tuples back until a batch fills
+// never gets the next one.
+func TestShardedDeliversBeforeBatchFills(t *testing.T) {
+	const n, keys = 300, 16
+	schema := shardedTestSchema()
+	factory := func(int) *Pipeline {
+		return NewPipeline(NewKeyedPolluter("keyed", "sensor", func(key string) Polluter {
+			return NewStandard("noise",
+				&GaussianNoise{Stddev: Const(1), Rand: rng.Derive(4, "noise/"+key)},
+				NewRandomConst(0.5, rng.Derive(4, "cond/"+key)), "v")
+		}))
+	}
+	for _, shards := range []int{2, 4} {
+		src := &lockstepSource{Source: shardedTestSource(schema, n, keys), out: make(chan struct{}, 1)}
+		proc := &Process{Pipelines: []*Pipeline{factory(0)}, DisableLog: true}
+		out, _, err := proc.runStreamSharded(src, 1, shardConfig{KeyAttr: "sensor", Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < n; k++ {
+			tu, err := out.Next()
+			if err != nil {
+				t.Fatalf("shards=%d: tuple %d: %v", shards, k, err)
+			}
+			if tu.ID != uint64(k+1) {
+				t.Fatalf("shards=%d: tuple %d has ID %d", shards, k, tu.ID)
+			}
+			src.out <- struct{}{}
+		}
+		if _, err := out.Next(); err != io.EOF {
+			t.Fatalf("shards=%d: after the last tuple: %v, want EOF", shards, err)
 		}
 	}
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -183,16 +185,32 @@ func TestShardedRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestShardedStopReleasesGoroutines exercises early abandonment.
+// TestShardedStopReleasesGoroutines verifies that every way a sharded
+// run ends — Stop, a fail-fast pipeline panic, a source error —
+// returns the feeder and the workers, leaving the goroutine count at
+// its baseline.
 func TestShardedStopReleasesGoroutines(t *testing.T) {
 	schema := shardedTestSchema()
-	factory := keyedStickyTemporalFactory(3)
-	proc := &Process{Pipelines: []*Pipeline{factory(0)}}
-	out, _, err := proc.runStreamSharded(shardedTestSource(schema, 5000, 11), 1,
-		shardConfig{KeyAttr: "sensor", Shards: 4})
-	if err != nil {
-		t.Fatal(err)
+	open := func(factory func(int) *Pipeline, src stream.Source) stream.Source {
+		proc := &Process{Pipelines: []*Pipeline{factory(0)}}
+		out, _, err := proc.runStreamSharded(src, 1, shardConfig{KeyAttr: "sensor", Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
+	released := func(what string, before int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, want the baseline %d", what, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	before := runtime.NumGoroutine()
+	out := open(keyedStickyTemporalFactory(3), shardedTestSource(schema, 5000, 11))
 	for i := 0; i < 10; i++ {
 		if _, err := out.Next(); err != nil {
 			t.Fatal(err)
@@ -202,6 +220,39 @@ func TestShardedStopReleasesGoroutines(t *testing.T) {
 	if _, err := out.Next(); err != stream.ErrStopped {
 		t.Fatalf("Next after Stop = %v, want ErrStopped", err)
 	}
+	released("after Stop", before)
+
+	panics := func(int) *Pipeline {
+		return NewPipeline(NewKeyedPolluter("keyed", "sensor", func(string) Polluter {
+			return &panicEvery{mod: 300, inner: NewStandard("noop", DelayTuple{}, Never{}, "v")}
+		}))
+	}
+	if _, err := stream.Drain(open(panics, shardedTestSource(schema, 5000, 11))); err == nil {
+		t.Fatal("panicking pipeline drained without error")
+	}
+	released("after a pipeline panic", before)
+
+	srcErr := errors.New("source broke")
+	broken := &failingSource{Source: shardedTestSource(schema, 5000, 11), at: 700, err: srcErr}
+	if _, err := stream.Drain(open(keyedStickyTemporalFactory(3), broken)); !errors.Is(err, srcErr) {
+		t.Fatalf("drain = %v, want %v", err, srcErr)
+	}
+	released("after a source error", before)
+}
+
+// failingSource returns err in place of its at-th tuple.
+type failingSource struct {
+	stream.Source
+	at, n int
+	err   error
+}
+
+func (f *failingSource) Next() (stream.Tuple, error) {
+	if f.n == f.at {
+		return stream.Tuple{}, f.err
+	}
+	f.n++
+	return f.Source.Next()
 }
 
 // panicEvery is a per-key polluter that panics on a deterministic subset

@@ -131,7 +131,7 @@ func (c *Counter) Value() uint64 {
 
 // GaugeFunc reads an externally maintained value at snapshot time —
 // the zero-hot-path-cost hook for components that already keep their
-// own statistics (ring occupancy, DLQ depth).
+// own statistics (shard channel occupancy, DLQ depth).
 type GaugeFunc func() uint64
 
 // Registry is the per-run metrics registry wired through every runner.

@@ -4,8 +4,7 @@
 // subset of that machinery the pollution process needs: typed values and
 // tuples over a schema with event and arrival time, pull-based sources and
 // sinks, sub-stream splitting (Algorithm 1, step 1), the sort, k-way and
-// bounded-reorder merges (step 3), the SPSC queue the sharded engine
-// hands tuples through, event-time windows, the
+// bounded-reorder merges (step 3), event-time windows, the
 // per-tuple fault layer (TupleError, quarantine, retry, fault-injecting
 // sources) and source/sink metrics.
 package stream
