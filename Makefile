@@ -35,9 +35,10 @@ lint:
 	fi
 
 # Same float bits on every architecture: cross-compiles cmd/icewafl,
-# cmd/gendata and cmd/paper (every experiment) for arm64 and riscv64 and
-# fails on a fused multiply-add in core, rng, config, dataset,
-# experiments or synth (see the script's header for what is left out).
+# cmd/gendata and cmd/paper (every experiment) for arm64, riscv64,
+# ppc64le and s390x and fails on a fused multiply-add in core, rng,
+# config, dataset, experiments, synth or timeseries (see the script's
+# header for what is left out).
 fmacheck:
 	@GO=$(GO) bash scripts/fmacheck.sh
 

@@ -193,10 +193,10 @@ const shardedFileConfig = `{"seed": 1, "pipelines": [{"name": "keyed", "polluter
 ]}]}`
 
 // BenchmarkShardedFile is the sharded runner end to end, the way
-// icewafl -stream -shards N runs it: 100 000 generated air-quality rows
-// parsed from CSV, polluted by shardedFileConfig and written back as
-// CSV, at 1, 2 and 4 shards. Every shard count must write the bytes
-// shards=1 writes.
+// icewafl -stream runs it under "serve": {"shards": N}: 100 000
+// generated air-quality rows parsed from CSV, polluted by
+// shardedFileConfig and written back as CSV, at 1, 2 and 4 shards.
+// Every shard count must write the bytes shards=1 writes.
 func BenchmarkShardedFile(b *testing.B) {
 	schema := dataset.AirQualitySchema()
 	var in bytes.Buffer

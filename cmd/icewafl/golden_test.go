@@ -12,6 +12,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"os/exec"
@@ -47,6 +48,31 @@ func runCLI(t *testing.T, bin string, args ...string) {
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("icewafl %v: %v\n%s", args, err, out)
 	}
+}
+
+// configWith writes a copy of the configuration at path with the
+// top-level key set to the raw JSON value, so a test states its run's
+// shape in the document, the way a user does, and returns the copy's
+// path.
+func configWith(t *testing.T, path, key, value string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc[key] = json.RawMessage(value)
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	copyPath := filepath.Join(t.TempDir(), filepath.Base(path))
+	if err := os.WriteFile(copyPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return copyPath
 }
 
 // checkGolden compares a produced file against testdata/<name>, or
@@ -108,19 +134,20 @@ func TestCLIGolden(t *testing.T) {
 	checkGolden(t, logOut, "log.jsonl.golden")
 	checkGolden(t, metrics, "metrics.json.golden")
 
-	// Streaming mode: same config, Prometheus exposition. The pollution
-	// log is written and released every 7 tuples — some 150 slices that
-	// must concatenate to the batch run's log.
+	// Streaming mode: same pipelines, Prometheus exposition. The
+	// pollution log is written and released every 7 tuples
+	// (serve.checkpoint_every) — some 150 slices that must concatenate to
+	// the batch run's log.
 	streamDirty := filepath.Join(tmp, "dirty-stream.csv")
 	streamLog := filepath.Join(tmp, "log-stream.jsonl")
 	streamProm := filepath.Join(tmp, "metrics.prom")
 	runCLI(t, bin,
 		"-schema", filepath.Join(ex, "schema.json"),
-		"-config", filepath.Join(ex, "pollution.json"),
+		"-config", configWith(t, filepath.Join(ex, "pollution.json"), "serve", `{"checkpoint_every": 7}`),
 		"-in", filepath.Join(ex, "clean.csv"),
 		"-out", streamDirty,
 		"-log", streamLog,
-		"-stream", "-checkpoint-interval", "7",
+		"-stream",
 		"-metrics", streamProm,
 		"-metrics-format", "prom",
 	)
@@ -154,15 +181,15 @@ func TestCLIKillAndResume(t *testing.T) {
 	bin := buildCLI(t)
 	ex := filepath.Join("..", "..", "examples", "cli")
 	tmp := t.TempDir()
+	config := configWith(t, filepath.Join(ex, "pollution.json"), "serve", `{"reorder": 1, "checkpoint_every": 50}`)
 	args := func(in, tag string) []string {
 		return []string{
 			"-schema", filepath.Join(ex, "schema.json"),
-			"-config", filepath.Join(ex, "pollution.json"),
+			"-config", config,
 			"-in", in,
 			"-out", filepath.Join(tmp, tag+".csv"),
 			"-log", filepath.Join(tmp, tag+".jsonl"),
-			"-stream", "-reorder", "1",
-			"-checkpoint", filepath.Join(tmp, tag+".ckpt"), "-checkpoint-interval", "50",
+			"-stream", "-checkpoint", filepath.Join(tmp, tag+".ckpt"),
 		}
 	}
 	input := filepath.Join(ex, "clean.csv")

@@ -14,11 +14,13 @@
 //	 "fields": [{"name": "Time", "kind": "time"},
 //	            {"name": "BPM", "kind": "float"}]}
 //
-// Fault tolerance: the configuration's fault_policy section enables
-// source retrying and dead-letter quarantine. In streaming mode,
-// -checkpoint periodically snapshots the run so that a killed process
-// can continue with -resume, producing output byte-identical to an
-// uninterrupted run.
+// The configuration states the whole run: its fault_policy section
+// enables source retrying and dead-letter quarantine, and its serve
+// section sets the -stream shape (reorder, shards, shard_key,
+// checkpoint_every) as icewafld reads it. With -checkpoint, a streaming
+// run snapshots itself every checkpoint_every tuples so that a killed
+// process can continue with -resume, producing output byte-identical to
+// an uninterrupted run.
 package main
 
 import (
@@ -65,13 +67,9 @@ func main() {
 	logOut := flag.String("log", "", "optional pollution log output (JSON lines)")
 	meta := flag.Bool("meta", false, "emit Algorithm 1's (_id, _substream, …) columns in the outputs")
 	reportOut := flag.String("report", "", "optional Markdown report output documenting the run")
-	streaming := flag.Bool("stream", false, "tuple-wise constant-memory execution for unbounded inputs (no -clean-out/-report; bounded reordering)")
-	reorder := flag.Int("reorder", 64, "streaming mode: bounded reordering window in tuples (which of -reorder/-shards/-checkpoint combine: core.StreamSpec, DESIGN.md §6)")
-	shards := flag.Int("shards", 1, "streaming mode: partition the keyed hot path across N parallel workers, routed by -shard-key")
-	shardKey := flag.String("shard-key", "", "attribute whose value routes tuples to shards")
-	checkpointPath := flag.String("checkpoint", "", "streaming mode: checkpoint file; the run snapshots its state periodically so it can be resumed")
+	streaming := flag.Bool("stream", false, "tuple-wise constant-memory execution for unbounded inputs, in the config's serve shape (no -clean-out/-report)")
+	checkpointPath := flag.String("checkpoint", "", "streaming mode: checkpoint file; the run snapshots its state every serve.checkpoint_every tuples so it can be resumed")
 	resume := flag.Bool("resume", false, "continue an interrupted run from the -checkpoint file")
-	checkpointEvery := flag.Int("checkpoint-interval", 0, "tuples between pollution-log flushes of a -stream run, and checkpoints with -checkpoint (0 = fault_policy's checkpoint_interval, default 5000)")
 	deadOut := flag.String("dead-letters", "", "optional JSON-lines output for quarantined tuples (requires fault_policy.quarantine)")
 	metricsOut := flag.String("metrics", "", "optional metrics snapshot output; written atomically when the run finishes (and periodically with -metrics-interval)")
 	metricsFormat := flag.String("metrics-format", "json", "metrics encoding: json or prom (Prometheus text exposition)")
@@ -84,12 +82,6 @@ func main() {
 	}
 	// Flag range and combination validation happens before any I/O so a
 	// bad invocation never partially creates output files.
-	if *reorder < 1 {
-		fatalUsage("-reorder must be at least 1, got %d", *reorder)
-	}
-	if *checkpointEvery < 0 {
-		fatalUsage("-checkpoint-interval must be non-negative, got %d", *checkpointEvery)
-	}
 	if *metricsInterval < 0 {
 		fatalUsage("-metrics-interval must be non-negative, got %v", *metricsInterval)
 	}
@@ -108,18 +100,6 @@ func main() {
 	if *streaming && (*cleanOut != "" || *reportOut != "") {
 		fatalUsage("-stream cannot materialise -clean-out or -report; drop those flags")
 	}
-	if *shards < 1 {
-		fatalUsage("-shards must be at least 1, got %d", *shards)
-	}
-	// The execution shape is validated by the one rulebook, still before
-	// any I/O; the shard key's schema membership is re-checked by Stream.
-	shape := core.StreamSpec{Reorder: *reorder, Shards: *shards, ShardKey: *shardKey, Checkpoint: *checkpointPath != ""}
-	if !*streaming && (shape.Shards > 1 || shape.Checkpoint) {
-		fatalUsage("-shards and -checkpoint require -stream")
-	}
-	if err := shape.Validate(nil); err != nil {
-		fatalUsage("%v", err)
-	}
 
 	schema, err := schemafile.Load(*schemaPath)
 	if err != nil {
@@ -134,6 +114,20 @@ func main() {
 	cf.Close()
 	if err != nil {
 		log.Fatal(err)
+	}
+	// The serve block states the shape, validated as icewafld does and
+	// before any output file is opened.
+	serve, err := doc.Serve.Normalize()
+	if err != nil {
+		fatalUsage("%v", err)
+	}
+	shape := serve.Shape()
+	shape.Checkpoint = *checkpointPath != ""
+	if !*streaming && (shape.Shards > 1 || shape.Checkpoint) {
+		fatalUsage("serve.shards > 1 and -checkpoint require -stream")
+	}
+	if err := shape.Validate(schema); err != nil {
+		fatalUsage("%v", err)
 	}
 	proc, err := config.Build(doc)
 	if err != nil {
@@ -168,10 +162,6 @@ func main() {
 
 	if *streaming {
 		metrics.start()
-		interval := *checkpointEvery
-		if interval <= 0 {
-			interval = doc.Fault.Interval()
-		}
 		runStreaming(proc, src, schema, shape, streamingRun{
 			outPath:  *outPath,
 			logOut:   *logOut,
@@ -179,7 +169,7 @@ func main() {
 			meta:     *meta,
 			ckptPath: *checkpointPath,
 			resume:   *resume,
-			interval: interval,
+			interval: serve.CheckpointEvery,
 		})
 		metrics.finish()
 		return

@@ -1,7 +1,6 @@
-// End-to-end test of the sharded streaming flags: the real binary run
-// with -shards N must produce byte-identical polluted CSV and pollution
-// log to the sequential run in strict order, and the same multiset of
-// rows in relaxed order.
+// End-to-end test of the sharded streaming shape: the real binary run
+// with serve.shards N must produce byte-identical polluted CSV and
+// pollution log to the sequential run.
 package main
 
 import (
@@ -63,17 +62,13 @@ func writeFile(t *testing.T, path, content string) {
 
 // runShardedCLI executes one streaming run and returns the produced
 // polluted CSV and pollution log bytes.
-func runShardedCLI(t *testing.T, bin, schema, config, input string, extra ...string) (csv, plog string) {
+func runShardedCLI(t *testing.T, bin, schema, config, input string) (csv, plog string) {
 	t.Helper()
 	tmp := t.TempDir()
 	out := filepath.Join(tmp, "dirty.csv")
 	logOut := filepath.Join(tmp, "log.jsonl")
-	args := []string{
-		"-schema", schema, "-config", config, "-in", input,
-		"-out", out, "-log", logOut, "-stream",
-	}
-	args = append(args, extra...)
-	runCLI(t, bin, args...)
+	runCLI(t, bin, "-schema", schema, "-config", config, "-in", input,
+		"-out", out, "-log", logOut, "-stream")
 	csvB, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +95,8 @@ func TestCLISharded(t *testing.T) {
 	}
 
 	for _, shards := range []int{2, 4, 8} {
-		csv, plog := runShardedCLI(t, bin, schema, config, input,
-			"-shards", fmt.Sprint(shards), "-shard-key", "sensor")
+		sharded := configWith(t, config, "serve", fmt.Sprintf(`{"shards": %d, "shard_key": "sensor"}`, shards))
+		csv, plog := runShardedCLI(t, bin, schema, sharded, input)
 		if csv != seqCSV {
 			t.Errorf("shards=%d CSV differs from sequential run", shards)
 		}

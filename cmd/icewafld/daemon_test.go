@@ -18,12 +18,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"icewafl/internal/config"
 	"icewafl/internal/core"
 	"icewafl/internal/csvio"
 	"icewafl/internal/netstream"
@@ -378,8 +380,9 @@ func TestDaemonUsageErrors(t *testing.T) {
 }
 
 // TestDaemonFlagSurface pins the command line: deployment only. -h lists
-// exactly these flags, and every flag that used to restate a serve key
-// (or spell the old -wal/-checkpoint layout) is now undefined.
+// exactly these flags, none of them spells a serve key, and every flag
+// that used to restate one (or spell the old -wal/-checkpoint layout)
+// is now undefined.
 func TestDaemonFlagSurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binary")
@@ -393,6 +396,13 @@ func TestDaemonFlagSurface(t *testing.T) {
 	want := []string{"archive-deleted", "config", "http", "in", "linger", "listen", "schema", "sessions", "state-dir", "trace-sample"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("-h lists %v, want %v\n%s", got, want, out)
+	}
+	rt := reflect.TypeOf(config.ServeSpec{})
+	for i := 0; i < rt.NumField(); i++ {
+		key, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+		if flag := strings.ReplaceAll(key, "_", "-"); slices.Contains(got, flag) {
+			t.Errorf("-%s restates the serve key %q", flag, key)
+		}
 	}
 	for _, flag := range []string{
 		"policy", "buffer", "replay", "reorder", "shards", "shard-key", "drain-timeout",

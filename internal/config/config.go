@@ -33,17 +33,16 @@ type Document struct {
 	Fault *FaultPolicySpec `json:"fault_policy,omitempty"`
 	// Pipelines holds one pollution pipeline per sub-stream.
 	Pipelines []PipelineSpec `json:"pipelines"`
-	// Serve sets the engine knobs of a served run (cmd/icewafld): replay,
-	// backpressure, execution shape, WAL tuning and supervision. Where
-	// the daemon listens and keeps its state is its command line's.
-	// Ignored by the single-process CLI.
+	// Serve sets the engine knobs: the execution shape and checkpoint
+	// cadence (read by cmd/icewafl -stream too), and a served run's
+	// replay, backpressure, WAL tuning and supervision (cmd/icewafld).
 	Serve *ServeSpec `json:"serve,omitempty"`
 }
 
-// ServeSpec is the JSON form of a served run's engine knobs, consumed by
-// cmd/icewafld. Each setting has this one spelling: the daemon has no
-// flag that restates a key, and deployment (listeners, the state
-// directory) is set only by its flags.
+// ServeSpec is the JSON form of a run's engine knobs, consumed by
+// cmd/icewafld and cmd/icewafl -stream. Each setting has this one
+// spelling: no flag of either binary restates a key, and deployment
+// (files, listeners, the state directory) is set only by their flags.
 type ServeSpec struct {
 	// Buffer is the per-subscriber send queue capacity in frames
 	// (default 256).
@@ -86,7 +85,8 @@ type ServeSpec struct {
 	WALFsyncEvery int `json:"wal_fsync_every,omitempty"`
 	// CheckpointEvery captures a checkpoint every this many emitted
 	// tuples (default 256). A durable run checkpoints exactly when its
-	// shape is checkpointable (reorder 1, one shard).
+	// shape is checkpointable (reorder 1, one shard); icewafl -stream
+	// also flushes its pollution log at this cadence.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// Supervise restarts the pipeline session after a panic or fatal
 	// error instead of leaving the daemon serving a dead stream.
@@ -249,9 +249,6 @@ type FaultPolicySpec struct {
 	// AttemptTimeout bounds one source attempt (Go duration, default
 	// unbounded).
 	AttemptTimeout string `json:"attempt_timeout,omitempty"`
-	// CheckpointInterval is the number of emitted tuples between
-	// checkpoints when the harness enables checkpointing (default 5000).
-	CheckpointInterval int `json:"checkpoint_interval,omitempty"`
 }
 
 // Policy compiles the quarantine knobs into a core fault policy.
@@ -286,14 +283,6 @@ func (f *FaultPolicySpec) RetryPolicy() (stream.RetryPolicy, bool, error) {
 		}
 	}
 	return p, true, nil
-}
-
-// Interval returns the effective checkpoint interval in tuples.
-func (f *FaultPolicySpec) Interval() int {
-	if f == nil || f.CheckpointInterval <= 0 {
-		return 5000
-	}
-	return f.CheckpointInterval
 }
 
 // PipelineSpec is one pollution pipeline.

@@ -251,7 +251,7 @@ var components = []Component{
 		},
 		walk: randAt(func(c any) *rng.Stream { return c.(*IncorrectCategory).Rand })},
 	{Name: "round_precision", Role: RoleError, of: RoundPrecision{},
-		Keys:  []Key{opt("digits", KeyInt)},
+		Keys:  []Key{opt("digits", KeyInt).in(Range{Lo: -22, Hi: 22})},
 		build: func(a *args) any { return RoundPrecision{Digits: arg[int](a, "digits")} }},
 	{Name: "outlier", Role: RoleError, of: (*Outlier)(nil),
 		Keys:  []Key{need("magnitude", KeyParam)},

@@ -171,12 +171,25 @@ func (*IncorrectCategory) Kind() string { return "incorrect_category" }
 // digits — the reduced-precision error of the CaloriesBurned attribute in
 // the software-update scenario.
 type RoundPrecision struct {
+	// Digits is in [-22, 22]; a negative count rounds to tens, hundreds, …
 	Digits int
 }
 
+// pow10 holds the powers of ten a float64 represents exactly. A table
+// keeps round_precision's scale off math.Pow, whose pure-Go form fuses
+// multiply-adds on some architectures, so the rounding is the same bits
+// on every build.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
 // Apply implements ErrorFunc.
 func (e RoundPrecision) Apply(t *stream.Tuple, attrs []string, _ time.Time) {
-	pow := math.Pow(10, float64(e.Digits))
+	if e.Digits < 0 {
+		pow := pow10[-e.Digits]
+		applyNumeric(t, attrs, func(v float64) float64 { return math.Round(v/pow) * pow })
+		return
+	}
+	pow := pow10[e.Digits]
 	applyNumeric(t, attrs, func(v float64) float64 {
 		return math.Round(v*pow) / pow
 	})

@@ -1,7 +1,12 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
+	"math/big"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -190,6 +195,39 @@ func TestRoundPrecision(t *testing.T) {
 	RoundPrecision{Digits: -2}.Apply(&tp2, []string{"x"}, tp2.EventTime)
 	if !tp2.MustGet("x").Equal(stream.Float(1200)) {
 		t.Errorf("negative digits: %v", tp2.MustGet("x"))
+	}
+}
+
+// TestRoundPrecisionPowersOfTen: round_precision scales by a table, not
+// by math.Pow. Every entry is its power of ten exactly (and what
+// math.Pow returns on amd64), the table spans the digits key's range in
+// both directions, and a digits value outside it is a configuration
+// error.
+func TestRoundPrecisionPowersOfTen(t *testing.T) {
+	p := big.NewInt(1)
+	for d, v := range pow10 {
+		if f, acc := new(big.Float).SetInt(p).Float64(); f != v || acc != big.Exact {
+			t.Errorf("pow10[%d] = %g, want exactly %s", d, v, p)
+		}
+		if runtime.GOARCH == "amd64" && v != math.Pow(10, float64(d)) {
+			t.Errorf("pow10[%d] = %g, math.Pow = %g", d, v, math.Pow(10, float64(d)))
+		}
+		p.Mul(p, big.NewInt(10))
+	}
+	build := func(digits string) error {
+		_, err := Build(RoleError, Bag{"type": json.RawMessage(`"round_precision"`), "digits": json.RawMessage(digits)}, 1, "p")
+		return err
+	}
+	hi := len(pow10) - 1
+	for _, digits := range []int{-hi, hi} {
+		if err := build(strconv.Itoa(digits)); err != nil {
+			t.Errorf("digits %d: %v", digits, err)
+		}
+	}
+	for _, digits := range []string{strconv.Itoa(-hi - 1), strconv.Itoa(hi + 1)} {
+		if err := build(digits); err == nil || !strings.Contains(err.Error(), "digits") {
+			t.Errorf("digits %s: err = %v, want a range error naming the key", digits, err)
+		}
 	}
 }
 

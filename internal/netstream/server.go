@@ -296,8 +296,9 @@ func (s *Server) captureCheckpoint(ckr *core.Checkpointer) error {
 // output to the hub, and finishes each channel with a terminal frame.
 // Client-side failures never reach the pipeline: a disconnected or slow
 // subscriber only affects its own subscription (per the backpressure
-// policy), while source-side faults keep the PR-1 contract — quarantine
-// and DLQ work unchanged under the server runner.
+// policy), while source-side faults follow the process's fault policy
+// as in-process: a malformed row is a dead letter under quarantine and
+// ends the run without it.
 //
 // In durable mode (StateDir) each run first arms the hub's recovery
 // suppression: frames the deterministic (re-)run regenerates below the
@@ -390,12 +391,6 @@ func (s *Server) runPipeline(ctx context.Context) error {
 			break
 		}
 		if err != nil {
-			if _, ok := stream.AsTupleError(err); ok {
-				// Tuple-level failure without quarantine: skip the tuple,
-				// the stream remains usable (Source error contract).
-				s.logf("tuple error: %v", err)
-				continue
-			}
 			return fail(err)
 		}
 		// The log trails the polluted stream by at most the reorder

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"icewafl/internal/core"
+	"icewafl/internal/csvio"
 	"icewafl/internal/rng"
 	"icewafl/internal/stream"
 )
@@ -150,6 +151,70 @@ func TestServerEquivalence(t *testing.T) {
 		if string(g) != string(w) {
 			t.Fatalf("log entry %d differs:\ngot  %s\nwant %s", i, g, w)
 		}
+	}
+}
+
+// TestServerMalformedRowFollowsFaultPolicy: a served session treats a
+// malformed input row as the in-process runner does, by the process's
+// fault policy. Without quarantine the session fails with the row's
+// error; with it the row becomes exactly one dead letter and the dirty
+// channel carries the in-process Stream's tuples.
+func TestServerMalformedRowFollowsFaultPolicy(t *testing.T) {
+	const seed, n, bad = 77, 60, 23
+	schema := wireSchema(t)
+	var b strings.Builder
+	b.WriteString("ts,v,sensor\n")
+	for i := 0; i < n; i++ {
+		v := fmt.Sprint(i)
+		if i == bad {
+			v = "not-a-number"
+		}
+		fmt.Fprintf(&b, "2021-06-01T%02d:%02d:00Z,%s,s%d\n", i/60, i%60, v, i%3)
+	}
+	input := b.String()
+	newSource := func() (stream.Source, error) { return csvio.NewReader(strings.NewReader(input), schema) }
+
+	for _, quarantine := range []bool{false, true} {
+		t.Run(fmt.Sprintf("quarantine=%v", quarantine), func(t *testing.T) {
+			ref := testProcess(seed)
+			ref.Fault = core.FaultPolicy{Quarantine: quarantine, DLQ: stream.NewDeadLetterQueue()}
+			src, err := newSource()
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := ref.Stream(src, core.StreamSpec{Reorder: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, refErr := stream.Drain(run.Source)
+
+			proc := testProcess(seed)
+			proc.Fault = core.FaultPolicy{Quarantine: quarantine, DLQ: stream.NewDeadLetterQueue()}
+			srv, tcpAddr, _ := startServer(t, Config{Proc: proc, NewSource: newSource, Reorder: 1, Buffer: 64, Replay: 1 << 16})
+			waitPipelineDone(t, srv)
+			err = srv.PipelineErr()
+			if !quarantine {
+				if _, ok := stream.AsTupleError(refErr); !ok {
+					t.Fatalf("in-process run: err = %v, want the malformed row's tuple error", refErr)
+				}
+				if err == nil || !strings.Contains(err.Error(), refErr.Error()) {
+					t.Fatalf("session err = %v, want the malformed row's error %q", err, refErr)
+				}
+				return
+			}
+			if refErr != nil || err != nil {
+				t.Fatalf("in-process err = %v, session err = %v; want both nil under quarantine", refErr, err)
+			}
+			dirty, err := Dial(tcpAddr, ChannelDirty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dirty.Stop()
+			sameTuples(t, "dirty", drainClient(t, dirty), want)
+			if got, want := proc.Fault.DLQ.Len(), ref.Fault.DLQ.Len(); got != 1 || want != 1 {
+				t.Fatalf("dead letters: session %d, in-process %d; want 1 each", got, want)
+			}
+		})
 	}
 }
 

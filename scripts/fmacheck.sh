@@ -9,9 +9,10 @@
 # The script cross-compiles cmd/icewafl, cmd/gendata and cmd/paper
 # (which links all six experiments) for arm64, riscv64, ppc64le and
 # s390x and fails on any fused multiply-add in a symbol of
-# icewafl/internal/core, rng, config, dataset, experiments or synth —
-# the packages that decide stream bytes and the experiment tables
-# TestExperimentGoldens pins. An inlined callee counts against its
+# icewafl/internal/core, rng, config, dataset, experiments, synth or
+# timeseries — the packages that decide stream bytes and the experiment
+# tables TestExperimentGoldens pins (timeseries builds Exp 2's time
+# encodings). An inlined callee counts against its
 # caller's symbol, which is how stats.SampleVariance is held (inlined
 # into experiments.RunExp1Random). The mnemonics, as `go tool objdump`
 # prints them: FMADD/FMSUB/FNMADD/FNMSUB with a D or S suffix on arm64
@@ -24,11 +25,12 @@
 #     bucket: a chart, a retry back-off and a rate limit, no stream bytes;
 #   - the standard library's pure-Go math, which the scan cannot see
 #     because it matches icewafl/... symbols only. On arm64 `go tool
-#     objdump` counts 16 fused ops in each of math.sin and math.cos and 1
-#     in math.pow. Their callers decide stream bytes: core's sinusoid
-#     parameter (math.Cos), round_precision (math.Pow) and dataset's
-#     air-quality simulator (math.Sin/math.Cos). math.log (10) is no
-#     longer among them: rng.Normal carries its own rounded log.
+#     objdump` counts 16 fused ops in each of math.sin and math.cos. Their
+#     callers decide stream bytes: core's sinusoid parameter (math.Cos),
+#     dataset's air-quality simulator (math.Sin/math.Cos) and Exp 2's
+#     sine/cosine time encodings in timeseries. math.log and math.pow
+#     are no longer among them: rng.Normal carries its own rounded log,
+#     and round_precision scales by a table of exact powers of ten.
 set -euo pipefail
 
 cd "$(git rev-parse --show-toplevel)"
@@ -42,7 +44,7 @@ for arch in arm64 riscv64 ppc64le s390x; do
 		GOOS=linux GOARCH=$arch CGO_ENABLED=0 "$GO" build -o "$tmp/$cmd.$arch" ./cmd/$cmd
 		hits=$("$GO" tool objdump "$tmp/$cmd.$arch" | awk '
 			/^TEXT / { sym = $2; next }
-			sym ~ /^icewafl\/internal\/(core|rng|config|dataset|experiments|synth)\./ && /[[:space:]](F(N)?M(ADD|SUB)|M[AS][DE]BR?[[:space:]])/ { n[sym]++ }
+			sym ~ /^icewafl\/internal\/(core|rng|config|dataset|experiments|synth|timeseries)\./ && /[[:space:]](F(N)?M(ADD|SUB)|M[AS][DE]BR?[[:space:]])/ { n[sym]++ }
 			END { for (s in n) printf "  %s (%d)\n", s, n[s] }' | sort)
 		if [ -n "$hits" ]; then
 			echo "fmacheck: fused multiply-adds in cmd/$cmd on $arch:"
@@ -51,5 +53,5 @@ for arch in arm64 riscv64 ppc64le s390x; do
 		fi
 	done
 done
-[ "$status" -eq 0 ] && echo "fmacheck: no fused multiply-adds in core, rng, config, dataset, experiments or synth (arm64, riscv64, ppc64le, s390x)"
+[ "$status" -eq 0 ] && echo "fmacheck: no fused multiply-adds in core, rng, config, dataset, experiments, synth or timeseries (arm64, riscv64, ppc64le, s390x)"
 exit "$status"
