@@ -91,9 +91,12 @@ loadtest-restart:
 # multi-tenant session fleet) under the race detector with a short
 # schedule — every run crosses real SIGKILLs, torn WAL tails and
 # mid-frame connection kills, and the icewafload leg re-verifies a
-# restarted session daemon digest-for-digest.
+# restarted session daemon digest-for-digest. The netstream leg runs the
+# session log's truncation sweep (a restart on the log cut at every
+# record boundary and inside every record) and the recovery suites.
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/ ./cmd/icewafld/ -run 'Chaos|Proxy|FaultFS|CrashRecovery|WAL'
+	$(GO) test -race -count=1 ./internal/netstream/ -run 'SessionLog|Recover|Checkpoint'
 	$(GO) test -race -count=1 ./cmd/icewafload/ -run 'Restart'
 
 # Stress pass: the session-service, hub and single-pipeline suites
@@ -134,9 +137,11 @@ perfgate:
 
 # Short fuzz pass over every fuzz target (value parsing, the quarantine
 # of malformed tuples, the CSV writer against encoding/csv, the metrics,
-# WAL and frame codecs (the colbatch frame codec stays while older WALs
-# may still hold such frames), the log entry renderer against encoding/json,
-# and generated pollution documents through every execution shape).
+# WAL and frame codecs (the colbatch frame codec stays while the
+# benchmark's budget layer still encodes such frames), the session log's
+# per-channel index against a model, the log entry renderer against
+# encoding/json, and generated pollution documents through every
+# execution shape).
 # Extend FUZZTIME for deeper runs.
 FUZZTIME ?= 15s
 
@@ -149,6 +154,7 @@ fuzz:
 	$(GO) test ./internal/dq/ -run '^$$' -fuzz FuzzSuiteJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netstream/ -run '^$$' -fuzz FuzzWALRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netstream/ -run '^$$' -fuzz FuzzWALTornTail -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/netstream/ -run '^$$' -fuzz FuzzSessionLogIndex -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netstream/ -run '^$$' -fuzz FuzzColumnarFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netstream/ -run '^$$' -fuzz FuzzColumnarTornFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netstream/ -run '^$$' -fuzz FuzzFrameCodec -fuzztime $(FUZZTIME)

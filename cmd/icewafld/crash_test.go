@@ -209,19 +209,23 @@ func TestDaemonCrashRecoverySIGKILL(t *testing.T) {
 
 	// The crash must land mid-stream for the resume to mean anything:
 	// the durable dirty log ends short of the full run.
-	dirtyWAL, err := netstream.OpenWAL(filepath.Join(dir, "state", "wal", netstream.ChannelDirty), netstream.WALOptions{})
+	sessionLog, err := netstream.OpenWAL(filepath.Join(dir, "state", "wal"), netstream.WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	durableMax := dirtyWAL.MaxSeq()
-	dirtyWAL.Close()
+	durableMax := sessionLog.Channel(netstream.ChannelDirty).Max
+	ck, ckErr := sessionLog.Checkpoint()
+	sessionLog.Close()
+	if durableMax < readBeforeKill {
+		t.Fatalf("the log holds dirty frames through seq %d, but the client received %d", durableMax, readBeforeKill)
+	}
 	if durableMax >= uint64(rows) {
 		t.Fatalf("pipeline already finished before SIGKILL (durable max seq %d); enlarge the input", durableMax)
 	}
 	t.Logf("killed mid-stream: durable dirty seq %d of %d", durableMax, rows)
 	// At reorder 1 the run checkpoints, so the restart resumes there.
-	if _, err := os.Stat(filepath.Join(dir, "state", "checkpoint", "ck.json")); err != nil {
-		t.Fatalf("no checkpoint under the state dir after the kill: %v", err)
+	if ck == nil || ckErr != nil {
+		t.Fatalf("no checkpoint in the session log after the kill: %v", ckErr)
 	}
 
 	// Restart over the same state dir; resume at the last acked

@@ -335,10 +335,14 @@ func TestDaemonUsageErrors(t *testing.T) {
 	}
 	base := run(filepath.Join(ex, "pollution.json"))
 	serve := func(block string) []string { return run(withServe(t, block)) }
-	// A state dir an older build's -wal wrote: channel logs at the top.
-	oldState := t.TempDir()
+	// A state dir an older build's -wal wrote: channel logs at the top;
+	// and one an older -state-dir wrote: one log per channel under wal/.
+	oldState, perChannel := t.TempDir(), t.TempDir()
 	for _, ch := range netstream.Channels() {
 		if err := os.Mkdir(filepath.Join(oldState, ch), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Join(perChannel, "wal", ch), 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -360,7 +364,9 @@ func TestDaemonUsageErrors(t *testing.T) {
 		{"pipeline flags with sessions", []string{"-sessions", "-http", "off", "-schema", "s.json", "-in", "x.csv"}, "-in -schema do not apply to -sessions mode"},
 		{"archive without state dir", []string{"-sessions", "-archive-deleted"}, "-archive-deleted requires -state-dir"},
 		{"old wal layout", append(base, "-state-dir", oldState),
-			fmt.Sprintf("mkdir %[1]s/wal && mv %[1]s/dirty %[1]s/clean %[1]s/log %[1]s/wal/", oldState)},
+			fmt.Sprintf("%s holds %s; finish that run with the build that wrote it", oldState, filepath.Join(oldState, netstream.ChannelDirty))},
+		{"per-channel state dir", append(base, "-state-dir", perChannel),
+			fmt.Sprintf("%s holds %s; finish that run with the build that wrote it", perChannel, filepath.Join(perChannel, "wal", netstream.ChannelDirty))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

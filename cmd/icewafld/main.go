@@ -25,13 +25,16 @@
 // (config.ServeSpec). No flag restates a serve key.
 //
 // -state-dir makes the daemon durable, with one layout in both modes:
-// write-ahead logs under <dir>/wal/<channel> and, when the shape is
-// checkpointable (reorder 1, one shard), a checkpoint at
-// <dir>/checkpoint/ck.json. In -sessions mode each session keeps that
-// layout under <dir>/<tenant>/<session>, next to its persisted spec, and
-// is resurrected on restart. Replay is then served from the log, so
-// from_seq resume survives restarts; a killed run resumes from its
-// checkpoint, or re-runs deterministically under the log without one.
+// one write-ahead log under <dir>/wal holding all three channels and,
+// when the shape is checkpointable (reorder 1, one shard), the run's
+// checkpoints as records in the same log. In -sessions mode each session
+// keeps that layout under <dir>/<tenant>/<session>, next to its
+// persisted spec, and is resurrected on restart. Replay is then served
+// from the log, so from_seq resume survives restarts; a killed run
+// resumes from its newest checkpoint, or re-runs deterministically under
+// the log without one. A state dir an older build wrote (one log per
+// channel, a checkpoint file) is refused: finish that run with the build
+// that wrote it.
 //
 // The single pipeline runs once; the daemon keeps serving results and
 // drains gracefully on SIGINT/SIGTERM. With -linger > 0 it exits that
@@ -51,6 +54,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -58,7 +62,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -93,7 +96,7 @@ func main() {
 	inPath := flag.String("in", "", "input CSV (required without -sessions)")
 	listen := flag.String("listen", ":7077", "raw-TCP listen address (\"off\" disables)")
 	httpAddr := flag.String("http", "", "HTTP listen address for NDJSON, /metrics, /healthz and the control plane (\"\" or \"off\" disables; -sessions defaults to \":7078\")")
-	stateDir := flag.String("state-dir", "", "durable state root: write-ahead logs under <dir>/wal, the checkpoint under <dir>/checkpoint; with -sessions one such tree per <dir>/<tenant>/<session>, resurrected on restart")
+	stateDir := flag.String("state-dir", "", "durable state root: the session's write-ahead log, checkpoints included, under <dir>/wal; with -sessions one such tree per <dir>/<tenant>/<session>, resurrected on restart")
 	archiveDeleted := flag.Bool("archive-deleted", false, "sessions mode: archive deleted sessions' state under <state-dir>/.deleted instead of removing it")
 	linger := flag.Duration("linger", 0, "exit this long after the pipeline completes (0 = serve until SIGTERM)")
 	traceSample := flag.Uint64("trace-sample", 0, "deterministically trace 1 in N tuples (0 = off)")
@@ -172,8 +175,6 @@ func main() {
 				MaxWALBytes:    t.MaxWALBytes,
 			}
 		}
-	} else if *stateDir != "" {
-		refuseOldLayout(*stateDir)
 	}
 	svc, err := netstream.NewService(svcCfg)
 	if err != nil {
@@ -204,6 +205,9 @@ func main() {
 		log.Fatal(err)
 	}
 	sess, err := svc.Start(cfg)
+	if errors.Is(err, netstream.ErrOldStateDir) {
+		fatalUsage("-state-dir: %v", err)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -234,18 +238,6 @@ func main() {
 
 // disabled reports whether a listen address turns its listener off.
 func disabled(addr string) bool { return addr == "" || addr == "off" }
-
-// refuseOldLayout stops a single pipeline whose state dir holds channel
-// logs where an older build's -wal put them, at the top level: this
-// layout reads them under wal/, so the run would silently restart at
-// seq 1.
-func refuseOldLayout(dir string) {
-	for _, ch := range netstream.Channels() {
-		if fi, err := os.Stat(filepath.Join(dir, ch)); err == nil && fi.IsDir() {
-			fatalUsage("-state-dir %[1]s holds channel logs in the old -wal layout; the logs now live under %[1]s/wal: mkdir %[1]s/wal && mv %[1]s/dirty %[1]s/clean %[1]s/log %[1]s/wal/", dir)
-		}
-	}
-}
 
 // serve opens the listeners, announces the bound addresses, and runs svc
 // until SIGINT, SIGTERM or stop.

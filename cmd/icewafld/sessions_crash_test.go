@@ -9,7 +9,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -219,20 +218,24 @@ func TestSessionsCrashRecoverySIGKILL(t *testing.T) {
 	proxy.Close()
 
 	// The kill must land mid-stream for recovery to mean anything.
-	dirtyWAL, err := netstream.OpenWAL(filepath.Join(stateDir, "alpha", "s0", "wal", netstream.ChannelDirty), netstream.WALOptions{})
+	sessionLog, err := netstream.OpenWAL(filepath.Join(stateDir, "alpha", "s0", "wal"), netstream.WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	durableMax := dirtyWAL.MaxSeq()
-	dirtyWAL.Close()
+	durableMax := sessionLog.Channel("alpha/s0/" + netstream.ChannelDirty).Max
+	ck, ckErr := sessionLog.Checkpoint()
+	sessionLog.Close()
+	if durableMax < readBeforeKill {
+		t.Fatalf("alpha/s0's log holds dirty frames through seq %d, but the client received %d", durableMax, readBeforeKill)
+	}
 	if durableMax >= uint64(rows) {
 		t.Fatalf("alpha/s0 already finished before SIGKILL (durable max seq %d); enlarge the input", durableMax)
 	}
 	t.Logf("killed mid-stream: alpha/s0 durable dirty seq %d of %d", durableMax, rows)
 	// The spec runs at the default reorder window, which no checkpoint can
 	// cover: recovery is the WAL-only deterministic re-run.
-	if _, err := os.Stat(filepath.Join(stateDir, "alpha", "s0", "checkpoint")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("a reorder-64 session made a checkpoint dir (stat err %v)", err)
+	if ck != nil || ckErr != nil {
+		t.Fatalf("a reorder-64 session logged a checkpoint (%+v, %v)", ck, ckErr)
 	}
 
 	// Restart over the same state dir: Recover runs before the listeners

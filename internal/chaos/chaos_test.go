@@ -242,6 +242,32 @@ func TestFaultFSSyncFailureRetrySameSeq(t *testing.T) {
 	}
 }
 
+// TestFaultFSSyncDirFailure: a failed directory fsync of a new segment
+// fails the append that would put the first record in it, before any
+// byte of the record is written; once the fault clears, the retry lands.
+func TestFaultFSSyncDirFailure(t *testing.T) {
+	ffs := &FaultFS{SyncFailEvery: 1}
+	w, err := netstream.OpenWAL(t.TempDir(), netstream.WALOptions{FS: ffs, FsyncEvery: 1000})
+	if err != nil {
+		t.Fatalf("OpenWAL: %v", err)
+	}
+	defer w.Close()
+	if err := w.Append(1, false, []byte("first")); err == nil {
+		t.Fatal("append into a segment whose directory sync failed succeeded")
+	}
+	if ffs.SyncFails() != 1 || w.MaxSeq() != 0 || w.SizeBytes() != 8 {
+		t.Fatalf("after the failed directory sync: %d sync failures, max seq %d, %d bytes; want 1, 0 and the bare magic",
+			ffs.SyncFails(), w.MaxSeq(), w.SizeBytes())
+	}
+	ffs.SyncFailEvery = 0
+	if err := w.Append(1, false, []byte("first")); err != nil {
+		t.Fatalf("retry after the fault cleared: %v", err)
+	}
+	if w.MaxSeq() != 1 {
+		t.Fatalf("MaxSeq = %d after the retry, want 1", w.MaxSeq())
+	}
+}
+
 func TestFaultFSENOSPC(t *testing.T) {
 	dir := t.TempDir()
 	ffs := &FaultFS{FailAfterBytes: 400}

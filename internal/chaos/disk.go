@@ -40,8 +40,9 @@ type FaultFS struct {
 	// ShortWriteEvery makes every Nth write deliver only half its bytes
 	// and report io.ErrShortWrite (0 = never).
 	ShortWriteEvery int
-	// SyncFailEvery makes every Nth fsync fail (0 = never). The data is
-	// still on the file; only the durability barrier is denied.
+	// SyncFailEvery makes every Nth fsync fail (0 = never), directory
+	// fsyncs (SyncDir) included. The data is still on the file; only the
+	// durability barrier is denied.
 	SyncFailEvery int
 	// FailAfterBytes is a total write budget: once this many bytes have
 	// been written through the FS, further writes fail with ErrDiskFull
@@ -93,8 +94,27 @@ func (f *FaultFS) MkdirAll(name string, perm os.FileMode) error {
 	return f.inner().MkdirAll(name, perm)
 }
 
-// Stat implements netstream.FS.
-func (f *FaultFS) Stat(name string) (os.FileInfo, error) { return f.inner().Stat(name) }
+// SyncDir implements netstream.FS, on the same failure schedule as a
+// file's Sync.
+func (f *FaultFS) SyncDir(name string) error {
+	if f.failSync() {
+		return errInjectedSync
+	}
+	return f.inner().SyncDir(name)
+}
+
+// failSync advances the fsync schedule and reports whether this fsync
+// is the one to fail.
+func (f *FaultFS) failSync() bool {
+	f.mu.Lock()
+	f.syncs++
+	fail := f.SyncFailEvery > 0 && f.syncs%int64(f.SyncFailEvery) == 0
+	f.mu.Unlock()
+	if fail {
+		f.syncFails.Add(1)
+	}
+	return fail
+}
 
 // faultFile intercepts Write and Sync; everything else passes through.
 type faultFile struct {
@@ -138,13 +158,7 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 }
 
 func (ff *faultFile) Sync() error {
-	fs := ff.fs
-	fs.mu.Lock()
-	fs.syncs++
-	fail := fs.SyncFailEvery > 0 && fs.syncs%int64(fs.SyncFailEvery) == 0
-	fs.mu.Unlock()
-	if fail {
-		fs.syncFails.Add(1)
+	if ff.fs.failSync() {
 		return errInjectedSync
 	}
 	return ff.inner.Sync()

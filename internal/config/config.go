@@ -69,19 +69,21 @@ type ServeSpec struct {
 	// default "5s").
 	DrainTimeout string `json:"drain_timeout,omitempty"`
 	// WALSegmentBytes, WALRetainBytes, WALRetainAge and WALFsyncEvery
-	// tune the write-ahead log of a durable run (icewafld -state-dir).
+	// tune the write-ahead log of a durable run (icewafld -state-dir):
+	// one session log holding all three channels and the checkpoints.
 	//
 	// WALSegmentBytes rotates WAL segments at this size (0 = the
 	// netstream default, 8 MiB).
 	WALSegmentBytes int64 `json:"wal_segment_bytes,omitempty"`
-	// WALRetainBytes caps the closed WAL segments kept per channel
-	// (0 = the netstream default, 256 MiB).
+	// WALRetainBytes caps the session log's size; the oldest closed
+	// segments go first (0 = the netstream default, 256 MiB).
 	WALRetainBytes int64 `json:"wal_retain_bytes,omitempty"`
 	// WALRetainAge drops WAL segments older than this Go duration
 	// ("" = keep regardless of age).
 	WALRetainAge string `json:"wal_retain_age,omitempty"`
-	// WALFsyncEvery batches fsync to one per this many appends (0 = the
-	// netstream default, 64).
+	// WALFsyncEvery bounds the frames of one channel written but not yet
+	// durable: the log fsyncs once a channel has this many, and that one
+	// fsync covers every channel (0 = the netstream default, 64).
 	WALFsyncEvery int `json:"wal_fsync_every,omitempty"`
 	// CheckpointEvery captures a checkpoint every this many emitted
 	// tuples (default 256). A durable run checkpoints exactly when its

@@ -41,9 +41,9 @@ type ClientSource struct {
 	nextSeq uint64 // sequence number of the next expected tuple frame
 	eof     bool
 	// pending holds rows of a multi-row frame not yet handed out: a
-	// colbatch frame (only WALs older builds wrote hold one) consumes one
-	// sequence number, so its rows are queued locally and served by
-	// subsequent Next calls.
+	// colbatch frame (no server emits one; the benchmark's budget layer
+	// still encodes them) consumes one sequence number, so its rows are
+	// queued locally and served by subsequent Next calls.
 	pending []stream.Tuple
 	// readBuf is the frame read buffer, rows the array pending is cut
 	// from and meta the batch scratch — all reused across frames;
@@ -283,13 +283,6 @@ func (c *ClientSource) Next() (stream.Tuple, error) {
 			case FrameError:
 				c.disconnect()
 				return stream.Tuple{}, fmt.Errorf("netstream: server error: %s", f.Error)
-			case FrameTuple, FrameColBatch:
-				// A data frame in JSON is a record of a WAL an older build
-				// wrote; re-encoded, it takes the one decode path below.
-				if payload, err = appendFrame(nil, f); err != nil {
-					c.disconnect()
-					return stream.Tuple{}, err
-				}
 			default:
 				c.disconnect()
 				return stream.Tuple{}, fmt.Errorf("netstream: unexpected frame type %q on tuple channel", f.Type)

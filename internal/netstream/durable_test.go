@@ -152,9 +152,9 @@ func TestServiceDurableArchiveDeleted(t *testing.T) {
 
 // TestServiceUnnamedSessionStateDir: the unnamed session is made
 // durable by the service's StateDir, as a named one is, with the one
-// layout at the state dir's top: wal/<channel> and, at reorder 1,
-// checkpoint/ck.json. Delete stops it but never removes or archives that
-// state, even under ArchiveDeleted.
+// layout at the state dir's top: the session log under wal/, holding
+// every channel and, at reorder 1, the checkpoints. Delete stops it but
+// never removes or archives that state, even under ArchiveDeleted.
 func TestServiceUnnamedSessionStateDir(t *testing.T) {
 	if _, ok := reflect.TypeOf(Config{}).FieldByName("StateDir"); !ok {
 		t.Fatal("Config has no StateDir")
@@ -186,12 +186,12 @@ func TestServiceUnnamedSessionStateDir(t *testing.T) {
 	if err := svc.Delete("", ""); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{
-		filepath.Join("wal", ChannelDirty), filepath.Join("wal", ChannelClean), filepath.Join("wal", ChannelLog),
-		filepath.Join("checkpoint", "ck.json"),
-	} {
-		if _, err := os.Stat(filepath.Join(stateDir, p)); err != nil {
-			t.Errorf("%s after Delete: %v", p, err)
+	if ck, err := sessionLogCheckpoint(t, stateDir); err != nil || ck == nil {
+		t.Errorf("no checkpoint in the session log after Delete: %v", err)
+	}
+	for _, p := range []string{filepath.Join("wal", ChannelDirty), "checkpoint"} {
+		if _, err := os.Stat(filepath.Join(stateDir, p)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s exists: the session log is the one durable file set (%v)", p, err)
 		}
 	}
 	if _, err := os.Stat(filepath.Join(stateDir, ".deleted")); !errors.Is(err, os.ErrNotExist) {

@@ -12,8 +12,10 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -149,70 +151,90 @@ func TestHTTPEdgeMatchesJSONBuild(t *testing.T) {
 	}
 }
 
-// TestRecoverJSONStateDir: a WAL directory written by the JSON build
-// (records are json.Marshal payloads) is recovered by this one. The run
-// resumes behind the old records with binary ones, and a from_seq=1 TCP
-// client and an NDJSON subscriber both see one gapless stream, digest
-// unchanged.
+// TestRecoverJSONStateDir: a state dir in the layout of older builds —
+// one log per channel under wal/<channel> (whose records may be JSON),
+// or checkpoint/ck.json — is refused, not read or converted. The
+// unnamed session fails to start with ErrOldStateDir naming the
+// directory, Recover logs and skips such a named session, a create of
+// the same name is refused too, and none of them touches the old files.
 func TestRecoverJSONStateDir(t *testing.T) {
 	const seed, n = 33, 200
-	dirty, clean, plog := referenceRun(t, seed, n, 1)
-	want := map[string][]string{
-		ChannelDirty: parentLines(t, ChannelDirty, dirty, nil),
-		ChannelClean: parentLines(t, ChannelClean, clean, nil),
-		ChannelLog:   parentLines(t, ChannelLog, nil, plog.Entries),
-	}
-	stateDir := t.TempDir()
-	walDir := filepath.Join(stateDir, "wal")
-	old := map[string]int{ChannelDirty: n / 2, ChannelClean: n/2 + 7, ChannelLog: len(plog.Entries) / 3}
-	for ch, k := range old {
-		w, err := OpenWAL(filepath.Join(walDir, ch), WALOptions{})
+	oldLog := func(t *testing.T, dir string) string {
+		w, err := OpenWAL(filepath.Join(dir, "wal", ChannelDirty), WALOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for seq := 1; seq <= k; seq++ {
-			if err := w.Append(uint64(seq), false, []byte(want[ch][seq])); err != nil {
-				t.Fatal(err)
-			}
+		if err := w.Append(1, false, []byte(`{"type":"tuple","channel":"dirty","seq":1}`)); err != nil {
+			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
+		return filepath.Join(dir, "wal", ChannelDirty, fmt.Sprintf("%020d%s", 1, walSuffix))
 	}
-
-	cfg := serverConfig(t, seed, n)
-	cfg.StateDir = stateDir
-	srv, tcpAddr, httpAddr := startServer(t, cfg)
-	waitPipelineDone(t, srv)
-	if got, want := srv.Hub().Recovered(), uint64(old[ChannelDirty]+old[ChannelClean]+old[ChannelLog]); got != want {
-		t.Errorf("recovery absorbed %d regenerated frames, want %d", got, want)
-	}
-
-	c, err := DialFrom(tcpAddr, ChannelDirty, 1, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTuples(t, "tcp client over a mixed wal", drainClient(t, c), dirty)
-	for _, ch := range Channels() {
-		sameLines(t, "ndjson over a mixed wal: "+ch, streamLines(t, "http://"+httpAddr+"/stream?channel="+ch), want[ch])
-	}
-
-	// The old records were not rewritten: the log still opens with JSON
-	// and continues in binary.
-	r, err := srv.Hub().WAL(ChannelDirty).ReadFrom(uint64(old[ChannelDirty]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	for i, wantJSON := range []bool{true, false} {
-		rec, err := r.Next()
-		if err != nil {
+	oldCheckpoint := func(t *testing.T, dir string) string {
+		path := filepath.Join(dir, "checkpoint", "ck.json")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if isJSON := rec.Payload[0] == '{'; isJSON != wantJSON {
-			t.Errorf("record %d after the seam: json=%v, want %v", i, isJSON, wantJSON)
+		if err := core.WriteCheckpoint(path, &core.Checkpoint{Version: core.CheckpointVersion}); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	refused := func(t *testing.T, err error, dir, kept string) {
+		t.Helper()
+		if !errors.Is(err, ErrOldStateDir) || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "build that wrote it") {
+			t.Fatalf("err = %v, want ErrOldStateDir naming %s and the build that wrote it", err, dir)
+		}
+		if _, serr := os.Stat(kept); serr != nil {
+			t.Fatalf("the refused state was touched: %v", serr)
 		}
 	}
+	for name, write := range map[string]func(*testing.T, string) string{"wal": oldLog, "checkpoint": oldCheckpoint} {
+		t.Run("unnamed/"+name, func(t *testing.T) {
+			stateDir := t.TempDir()
+			kept := write(t, stateDir)
+			svc, err := NewService(ServiceConfig{StateDir: stateDir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			_, err = svc.Start(serverConfig(t, seed, n))
+			refused(t, err, stateDir, kept)
+		})
+	}
+	t.Run("named", func(t *testing.T) {
+		stateDir := t.TempDir()
+		sessDir := filepath.Join(stateDir, "alpha", "old")
+		kept := oldLog(t, sessDir)
+		req := durableRequest(t, "alpha", "old", seed, n)
+		if err := writeSpecFile(nil, filepath.Join(sessDir, "spec.json"), req); err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		var logs []string
+		svc, _, _ := startService(t, ServiceConfig{StateDir: stateDir, Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		}})
+		ids, err := svc.Recover()
+		if err != nil || len(ids) != 0 {
+			t.Fatalf("Recover = %v, %v; want the old session skipped", ids, err)
+		}
+		mu.Lock()
+		logged := strings.Join(logs, "\n")
+		mu.Unlock()
+		if !strings.Contains(logged, "recover: session alpha/old") || !strings.Contains(logged, ErrOldStateDir.Error()) {
+			t.Fatalf("no logged refusal for alpha/old:\n%s", logged)
+		}
+		_, err = svc.Create(req)
+		refused(t, err, sessDir, kept)
+		if _, err := os.Stat(filepath.Join(sessDir, "spec.json")); err != nil {
+			t.Fatalf("the refused session's spec was removed: %v", err)
+		}
+	})
 }
 
 // coalesceServer serves srv's dirty channel to one TCP subscriber

@@ -27,9 +27,7 @@ func walBackedServer(t *testing.T, n int) *Server {
 		t.Fatal(err)
 	}
 	hub := srv.Hub()
-	if err := hub.AttachWAL(ChannelDirty, w); err != nil {
-		t.Fatal(err)
-	}
+	hub.attachLog(w)
 	for i := 1; i <= n; i++ {
 		if err := hub.Publish(ChannelDirty, &Frame{Type: FrameTuple, Tuple: &WireTuple{ID: uint64(i)}}); err != nil {
 			t.Fatal(err)

@@ -136,8 +136,8 @@ type channel struct {
 	name string
 	seq  uint64
 	// ring retains the most recent frames of a memory-only channel for
-	// replay, oldest first. A channel with a WAL keeps no ring: the log is
-	// its one replay path.
+	// replay, oldest first. A durable hub keeps no ring: the log is its one
+	// replay path.
 	ring []savedFrame
 	// hello is the channel's opening frame, replayed to every new
 	// subscriber (it is not part of the sequence space).
@@ -151,10 +151,6 @@ type channel struct {
 	scratch []byte
 	// done is set once a terminal frame was published.
 	done bool
-	// wal, when attached, durably persists every published frame (except
-	// error frames, which are live-delivery only so a crashed run can
-	// resume after restart) and serves every replay.
-	wal *WAL
 	// recoverMax is the recovery suppression boundary: while seq <=
 	// recoverMax, the deterministic re-run is regenerating frames that
 	// were already durably published before a restart, so Publish assigns
@@ -176,8 +172,8 @@ type Hub struct {
 	// resumable marks the hub as backing a restartable session
 	// (supervised): error frames are then live-delivery only — they
 	// consume no sequence number and never mark a channel done, so a
-	// restarted session continues the sequence with no gap. Channels with
-	// a WAL behave that way regardless.
+	// restarted session continues the sequence with no gap. A durable hub
+	// behaves that way regardless. Set before serving traffic.
 	resumable bool
 	// trackDelivery stamps published frames with the publish time and
 	// observes publish→Recv pickup into StageDeliver (the service's
@@ -188,6 +184,9 @@ type Hub struct {
 	// on the registry (the unnamed session). Named session hubs leave it
 	// off: thousands of subscribers would swamp /metrics.
 	perSubGauges bool
+	// wal, when attached, is the session log: it persists every channel's
+	// frames (error frames are live-delivery only) and serves every replay.
+	wal *WAL
 
 	nextSubID atomic.Uint64
 
@@ -204,14 +203,19 @@ type Hub struct {
 // registerGauges turns on per-subscriber gauges and registers the hub's
 // own counters under fixed names — so at most one hub per registry may
 // call it: the unnamed session's, whose service already aggregates
-// subscribers and frames sent across every session.
+// subscribers and frames sent across every session. A durable hub calls
+// it after attaching its log.
 func (h *Hub) registerGauges() {
 	h.perSubGauges = true
 	h.reg.RegisterFunc("net_frames_dropped_total", h.framesDropped.Load)
 	h.reg.RegisterFunc("net_slow_disconnects_total", h.slowDisconnects.Load)
 	h.reg.RegisterFunc("net_recovery_frames_replayed_total", h.recovered.Load)
-	h.reg.RegisterFunc("net_wal_fsyncs_total", h.walFsyncs)
-	h.reg.RegisterFunc("net_wal_appends_total", h.walAppends)
+	fsyncs, appends := func() uint64 { return 0 }, func() uint64 { return 0 }
+	if h.wal != nil {
+		fsyncs, appends = h.wal.Fsyncs, h.wal.Appends
+	}
+	h.reg.RegisterFunc("net_wal_fsyncs_total", fsyncs)
+	h.reg.RegisterFunc("net_wal_appends_total", appends)
 }
 
 // NewHubNamed builds a hub carrying exactly the given channels (the
@@ -219,9 +223,8 @@ func (h *Hub) registerGauges() {
 // buffer is the per-subscriber queue capacity (64 when below 1), replay
 // the number of frames a memory-only channel retains for late
 // subscribers and reconnects (minimum buffer). It registers no gauges on
-// reg:
-// session hubs share one registry per daemon process, so a second hub
-// would clobber the first's registrations — the service layer
+// reg: session hubs share one registry per daemon process, so a second
+// hub would clobber the first's registrations — the service layer
 // aggregates across hubs under per-tenant families instead.
 func NewHubNamed(channelNames []string, buffer, replay int, policy Policy, reg *obs.Registry) *Hub {
 	if buffer < 1 {
@@ -249,63 +252,30 @@ func (h *Hub) FramesSent() uint64 { return h.framesSent.Load() }
 // SubscriberCount returns the number of open subscriptions.
 func (h *Hub) SubscriberCount() int64 { return h.subscribers.Load() }
 
-// walFsyncs sums fsync counts across the attached channel WALs.
-func (h *Hub) walFsyncs() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var n uint64
-	for _, ch := range h.channels {
-		if ch.wal != nil {
-			n += ch.wal.Fsyncs()
-		}
-	}
-	return n
-}
-
-// walAppends sums append counts across the attached channel WALs.
-func (h *Hub) walAppends() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var n uint64
-	for _, ch := range h.channels {
-		if ch.wal != nil {
-			n += ch.wal.Appends()
-		}
-	}
-	return n
-}
-
 // Recovered returns how many regenerated frames the recovery suppression
 // boundary absorbed (frames already durable before a restart).
 func (h *Hub) Recovered() uint64 { return h.recovered.Load() }
 
-// AttachWAL backs the named channel with a durable log, which from then
-// on is the channel's only replay path (no ring is kept beside it). The
-// channel's sequence cursor advances to the log's newest record and a
-// durably-terminal log marks the channel done. Attach before serving
-// traffic (it does not retrofit already-published frames).
-func (h *Hub) AttachWAL(channelName string, w *WAL) error {
+// attachLog makes the session log w every channel's one replay path and
+// advances each channel to its newest frame there (done if terminal).
+// Attach before publishing anything.
+func (h *Hub) attachLog(w *WAL) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	ch, ok := h.channels[channelName]
-	if !ok {
-		return &UnknownChannelError{Channel: channelName}
+	h.wal = w
+	for name, ch := range h.channels {
+		r := w.Channel(name)
+		ch.seq, ch.done = r.Max, r.Terminal
 	}
-	if ch.seq != 0 || ch.wal != nil {
-		return fmt.Errorf("netstream: channel %q already has frames or a wal", channelName)
-	}
-	ch.wal = w
-	ch.seq = w.MaxSeq()
-	ch.done = w.Terminal()
-	return nil
 }
 
-// WAL returns the channel's attached log (nil when memory-only).
+// WAL returns the session log, the same for every channel the hub
+// carries (nil when memory-only or the channel is unknown).
 func (h *Hub) WAL(channelName string) *WAL {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if ch, ok := h.channels[channelName]; ok {
-		return ch.wal
+	if _, ok := h.channels[channelName]; ok {
+		return h.wal
 	}
 	return nil
 }
@@ -330,19 +300,6 @@ func (h *Hub) BeginRecovery(channelName string, cursor uint64) error {
 	ch.recoverMax = ch.seq
 	ch.seq = cursor
 	return nil
-}
-
-// Policy returns the hub's backpressure policy.
-func (h *Hub) Policy() Policy { return h.policy }
-
-// SetResumable marks the hub as backing a restartable session: error
-// frames become live-delivery only (no sequence number, no retention,
-// no terminal marking), so a restarted session continues each channel's
-// sequence with no duplicates or gaps. Set before serving traffic.
-func (h *Hub) SetResumable(v bool) {
-	h.mu.Lock()
-	h.resumable = v
-	h.mu.Unlock()
 }
 
 // SetHello stores the channel's opening frame, delivered to every new
@@ -401,7 +358,7 @@ func (h *Hub) publish(channelName, typ string, encode func(dst []byte, seq uint6
 		h.mu.Unlock()
 		return &UnknownChannelError{Channel: channelName}
 	}
-	if typ == FrameError && (h.resumable || ch.wal != nil || ch.seq < ch.recoverMax) {
+	if typ == FrameError && (h.resumable || h.wal != nil || ch.seq < ch.recoverMax) {
 		// A restartable session failed (or the re-run died inside the
 		// recovery window). The error is not part of the durable stream, so
 		// it takes no sequence number, is never persisted or retained, and
@@ -445,14 +402,18 @@ func (h *Hub) publish(channelName, typ string, encode func(dst []byte, seq uint6
 	// The one allocation a frame costs: the exact-size payload the ring,
 	// the WAL append and every subscriber queue share.
 	data := append([]byte(nil), scratch...)
-	if ch.wal != nil {
-		// Error frames never reach here (live-delivery only, above), so
-		// only eof is durably terminal.
+	if terminal {
+		ch.done = true
+	}
+	if h.wal != nil {
+		// Only eof is durably terminal (error frames are live-only, above).
+		// The eof that finishes the last channel fsyncs all three.
 		t0 := time.Now()
-		werr := ch.wal.Append(ch.seq, typ == FrameEOF, data)
+		werr := h.wal.AppendFrame(channelName, ch.seq, terminal, terminal && h.allDoneLocked(), data)
 		h.reg.ObserveStage(obs.StageWALAppend, time.Since(t0))
 		if werr != nil {
 			ch.seq--
+			ch.done = false
 			h.mu.Unlock()
 			return fmt.Errorf("netstream: durable publish on %q: %w", channelName, werr)
 		}
@@ -461,15 +422,12 @@ func (h *Hub) publish(channelName, typ string, encode func(dst []byte, seq uint6
 	if h.trackDelivery {
 		sf.at = time.Now()
 	}
-	if ch.wal == nil {
+	if h.wal == nil {
 		ch.ring = append(ch.ring, sf)
 		if len(ch.ring) > h.replay {
 			// Plain sliding eviction, oldest first.
 			ch.ring = ch.ring[len(ch.ring)-h.replay:]
 		}
-	}
-	if terminal {
-		ch.done = true
 	}
 	subs := ch.subs
 	h.mu.Unlock()
@@ -478,6 +436,16 @@ func (h *Hub) publish(channelName, typ string, encode func(dst []byte, seq uint6
 		h.deliver(s, sf)
 	}
 	return nil
+}
+
+// allDoneLocked reports whether every channel is done.
+func (h *Hub) allDoneLocked() bool {
+	for _, ch := range h.channels {
+		if !ch.done {
+			return false
+		}
+	}
+	return true
 }
 
 // deliver hands one frame to one subscriber under the backpressure
@@ -577,16 +545,15 @@ func (h *Hub) Subscribe(channelName string, fromSeq uint64) (*Subscriber, error)
 	}
 	var walIter *WALReader
 	var replay []savedFrame
-	if ch.wal != nil {
+	if h.wal != nil {
 		// Durable replay: the log holds every frame published so far (the
 		// append happens under h.mu, before delivery), so the reader covers
-		// [start, walMax] and live delivery everything after.
-		walMin, walMax := ch.wal.MinSeq(), ch.wal.MaxSeq()
-		if walMax >= start {
-			if walMin > start {
-				return nil, &GapError{Channel: channelName, Requested: start, LastAcked: lastAcked, ServerMin: walMin}
+		// [start, the channel's max] and live delivery everything after.
+		if r := h.wal.Channel(channelName); r.Max >= start {
+			if r.Min > start {
+				return nil, &GapError{Channel: channelName, Requested: start, LastAcked: lastAcked, ServerMin: r.Min}
 			}
-			iter, err := ch.wal.ReadFrom(start)
+			iter, err := h.wal.ReadChannel(channelName, start)
 			if err != nil {
 				return nil, err
 			}

@@ -1,7 +1,6 @@
 package netstream
 
 import (
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -13,12 +12,12 @@ import (
 // and, being handed the run's log on every call, watches what the
 // served session retains. It runs on the pipeline goroutine, the same
 // one that flushes the log and captures checkpoints between Next calls,
-// so the checkpoint file it reads is the one written after the previous
-// tuple.
+// so the newest checkpoint in the session log it reads is the one
+// appended after the previous tuple.
 type logProbe struct {
-	t        *testing.T
-	every    int
-	ckptPath string
+	t     *testing.T
+	every int
+	wal   *WAL // the session log, set before the first tuple
 
 	recorded    int // entries recorded so far, released or not
 	maxRetained int
@@ -29,8 +28,10 @@ func (p *logProbe) Name() string { return "probe" }
 
 func (p *logProbe) Pollute(t *stream.Tuple, tau time.Time, log *core.Log) {
 	if p.recorded > 0 && p.recorded%p.every == 0 {
-		ck, err := core.ReadCheckpoint(p.ckptPath)
-		if err != nil {
+		ck, err := p.wal.Checkpoint()
+		if err == nil && ck == nil {
+			p.t.Errorf("after %d tuples: no checkpoint in the session log", p.recorded)
+		} else if err != nil {
 			p.t.Errorf("after %d tuples: %v", p.recorded, err)
 		} else {
 			p.checkpoints++
@@ -56,16 +57,21 @@ func (p *logProbe) Pollute(t *stream.Tuple, tau time.Time, log *core.Log) {
 func TestServerReleasesPublishedLogEntries(t *testing.T) {
 	const n, every = 2000, 64
 	dir := t.TempDir()
-	probe := &logProbe{t: t, every: every, ckptPath: filepath.Join(dir, "checkpoint", "ck.json")}
+	probe := &logProbe{t: t, every: every}
 	schema := wireSchema(t)
+	gate := make(chan struct{})
 	srv, _, _ := startServer(t, Config{
-		Proc:            &core.Process{Pipelines: []*core.Pipeline{core.NewPipeline(probe)}, FirstID: 1},
-		NewSource:       func() (stream.Source, error) { return testSource(schema, n), nil },
+		Proc: &core.Process{Pipelines: []*core.Pipeline{core.NewPipeline(probe)}, FirstID: 1},
+		NewSource: func() (stream.Source, error) {
+			return &gatedSource{Source: testSource(schema, n), gate: gate}, nil
+		},
 		Reorder:         1,
 		Buffer:          64,
 		StateDir:        dir,
 		CheckpointEvery: every,
 	})
+	probe.wal = srv.Hub().WAL(ChannelLog)
+	close(gate)
 	select {
 	case <-srv.PipelineDone():
 	case <-time.After(30 * time.Second):

@@ -130,6 +130,18 @@ func frameSeqs(t *testing.T, addr, channel string, fromSeq uint64) []uint64 {
 	}
 }
 
+// sessionLogCheckpoint opens the session log of a stopped server's state
+// dir and returns its newest checkpoint.
+func sessionLogCheckpoint(t *testing.T, stateDir string) (*core.Checkpoint, error) {
+	t.Helper()
+	w, err := OpenWAL(filepath.Join(stateDir, "wal"), WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	return w.Checkpoint()
+}
+
 // waitPipelineDone blocks until the server's pipeline run finishes.
 func waitPipelineDone(t *testing.T, srv *Server) {
 	t.Helper()
@@ -218,7 +230,6 @@ func TestServerWALReplayAcrossRestart(t *testing.T) {
 func TestServerCheckpointResumeMidRun(t *testing.T) {
 	const seed, n, dieAt = 43, 160, 70
 	stateDir := t.TempDir()
-	ckPath := filepath.Join(stateDir, "checkpoint", "ck.json")
 	refDirty, refClean, refLog := referenceRun(t, seed, n, 1)
 
 	cfg := serverConfig(t, seed, n)
@@ -240,8 +251,8 @@ func TestServerCheckpointResumeMidRun(t *testing.T) {
 	}
 	stop1()
 
-	ck, err := core.ReadCheckpoint(ckPath)
-	if err != nil {
+	ck, err := sessionLogCheckpoint(t, stateDir)
+	if err != nil || ck == nil {
 		t.Fatalf("no checkpoint survived the crash: %v", err)
 	}
 	if ck.Offsets["net."+ChannelDirty] == 0 {

@@ -58,17 +58,14 @@ type Config struct {
 	// connected, their connections are force-closed and DrainExpired
 	// reports true.
 	DrainTimeout time.Duration
-	// StateDir makes the session durable. Every published frame is
-	// persisted to a per-channel write-ahead log under
-	// StateDir/wal/<channel>, so from_seq resume survives daemon restarts
-	// and ErrGap only occurs past the log's retention. When the shape is
-	// checkpointable, pipeline state is also captured at
-	// StateDir/checkpoint/ck.json every CheckpointEvery emitted tuples, so
-	// a restarted daemon resumes the run there instead of re-running the
-	// whole input. Empty = memory-only (the replay ring).
+	// StateDir makes the session durable: every channel's frames go to
+	// one write-ahead log, the session log, under StateDir/wal, so from_seq
+	// resume survives restarts. A checkpointable shape also appends a
+	// checkpoint record every CheckpointEvery emitted tuples, where a
+	// restarted daemon resumes the run. Empty = memory-only (the ring).
 	StateDir string
-	// WAL tunes the write-ahead logs (zero value = defaults); only
-	// meaningful with StateDir.
+	// WAL tunes the session log (zero value = defaults); only meaningful
+	// with StateDir.
 	WAL WALOptions
 	// CheckpointEvery is the capture cadence in emitted tuples (default
 	// 256).
@@ -93,9 +90,8 @@ func (c Config) shape() core.StreamSpec {
 	return core.StreamSpec{Reorder: c.Reorder, Shards: c.Shards, ShardKey: c.ShardKey}
 }
 
-// chanName pairs a channel's local identity (dirty/clean/log — the WAL
-// sub-directory and checkpoint-offset key) with its full, possibly
-// namespaced wire name.
+// chanName pairs a channel's local identity (dirty/clean/log — the
+// checkpoint-offset key) with its full, possibly namespaced wire name.
 type chanName struct {
 	local string
 	full  string
@@ -111,9 +107,6 @@ type Server struct {
 	sup  *Supervisor
 	reg  *obs.Registry
 	logf func(format string, args ...any)
-
-	// ckPath is the run's checkpoint file ("" when it takes none).
-	ckPath string
 
 	// chans maps the standard channels to their wire names; chDirty,
 	// chClean and chLog are the wire names used on the hot paths.
@@ -158,19 +151,14 @@ func newServer(cfg Config, namespace string, reg *obs.Registry, logf func(format
 	}
 	// A durable run checkpoints exactly when its shape can be captured;
 	// the others are WAL-only (deterministic re-run + suppression).
-	var ckPath string
-	if cfg.StateDir != "" && cfg.shape().Checkpointable() {
-		ckPath = filepath.Join(cfg.StateDir, "checkpoint", "ck.json")
-		if err := os.MkdirAll(filepath.Dir(ckPath), 0o755); err != nil {
-			return nil, fmt.Errorf("netstream: checkpoint dir: %w", err)
-		}
-		if cfg.CheckpointEvery <= 0 {
-			cfg.CheckpointEvery = 256
-		}
+	switch {
+	case cfg.StateDir == "" || !cfg.shape().Checkpointable():
+		cfg.CheckpointEvery = 0
+	case cfg.CheckpointEvery <= 0:
+		cfg.CheckpointEvery = 256
 	}
 	s := &Server{
 		cfg:          cfg,
-		ckPath:       ckPath,
 		reg:          reg,
 		logf:         logf,
 		conns:        make(map[io.Closer]struct{}),
@@ -188,33 +176,21 @@ func newServer(cfg Config, namespace string, reg *obs.Registry, logf func(format
 	s.chDirty, s.chClean, s.chLog = s.chans[0].full, s.chans[1].full, s.chans[2].full
 	s.hub = NewHubNamed(names, cfg.Buffer, cfg.Replay, cfg.Policy, reg)
 	s.hub.trackDelivery = true
+	if cfg.StateDir != "" {
+		if err := checkStateDir(cfg.StateDir); err != nil {
+			return nil, err
+		}
+		w, err := OpenWAL(filepath.Join(cfg.StateDir, "wal"), cfg.WAL)
+		if err != nil {
+			return nil, err
+		}
+		s.hub.attachLog(w)
+	}
 	if namespace == "" {
 		s.hub.registerGauges()
 	}
-	if cfg.StateDir != "" {
-		var opened []*WAL
-		walFail := func(err error) (*Server, error) {
-			// Detach the already-opened logs from the tenant's byte ledger:
-			// a failed constructor must not leave phantom budget usage.
-			for _, w := range opened {
-				w.ReleaseBudget()
-				w.Close()
-			}
-			return nil, err
-		}
-		for _, cn := range s.chans {
-			w, err := OpenWAL(filepath.Join(cfg.StateDir, "wal", cn.local), cfg.WAL)
-			if err != nil {
-				return walFail(err)
-			}
-			opened = append(opened, w)
-			if err := s.hub.AttachWAL(cn.full, w); err != nil {
-				return walFail(err)
-			}
-		}
-	}
 	if cfg.Supervise {
-		s.hub.SetResumable(true)
+		s.hub.resumable = true
 		s.sup = NewSupervisor(cfg.RestartBudget, cfg.RestartWindow, cfg.RestartBackoff, logf)
 		if namespace == "" {
 			reg.RegisterFunc("net_session_restarts", s.sup.Restarts)
@@ -240,12 +216,26 @@ func (s *Server) DrainExpired() bool { return s.drainExpired.Load() }
 // Hub exposes the server's broadcast hub (tests and embedders).
 func (s *Server) Hub() *Hub { return s.hub }
 
-// allTerminal reports whether every channel's durable log ends in a
-// terminal frame (a previous run completed durably — nothing to rerun).
+// ErrOldStateDir refuses a state dir in an older build's layout: a log
+// per channel (wal/<channel> or <channel>) or checkpoint/ck.json.
+var ErrOldStateDir = errors.New("netstream: state dir written by an older build")
+
+// checkStateDir refuses dir if it holds the older layout.
+func checkStateDir(dir string) error {
+	for _, old := range []string{"checkpoint/ck.json", "wal/dirty", "wal/clean", "wal/log", "dirty", "clean", "log"} {
+		p := filepath.Join(dir, old)
+		if _, err := os.Stat(p); err == nil {
+			return fmt.Errorf("%w: %s holds %s; finish that run with the build that wrote it, or use a fresh state dir", ErrOldStateDir, dir, p)
+		}
+	}
+	return nil
+}
+
+// allTerminal reports whether every channel ends durably in a terminal
+// frame (a previous run completed — nothing to rerun).
 func (s *Server) allTerminal() bool {
 	for _, cn := range s.chans {
-		w := s.hub.WAL(cn.full)
-		if w == nil || !w.Terminal() {
+		if !s.hub.wal.Channel(cn.full).Terminal {
 			return false
 		}
 	}
@@ -271,17 +261,9 @@ func (s *Server) armRecovery(resume *core.Checkpoint) error {
 	return nil
 }
 
-// captureCheckpoint persists a consistent run snapshot. The logs are
-// synced first so the durable checkpoint never runs ahead of the
-// durable frames it references.
+// captureCheckpoint appends a consistent run snapshot to the session
+// log, after every frame it references.
 func (s *Server) captureCheckpoint(ckr *core.Checkpointer) error {
-	for _, cn := range s.chans {
-		if w := s.hub.WAL(cn.full); w != nil {
-			if err := w.Sync(); err != nil {
-				return err
-			}
-		}
-	}
 	ck, err := ckr.Capture()
 	if err != nil {
 		return err
@@ -289,7 +271,7 @@ func (s *Server) captureCheckpoint(ckr *core.Checkpointer) error {
 	for _, cn := range s.chans {
 		ck.Offsets["net."+cn.local] = int64(s.hub.Seq(cn.full))
 	}
-	return core.WriteCheckpoint(s.ckPath, ck)
+	return s.hub.wal.AppendCheckpoint(ck)
 }
 
 // runPipeline executes the pollution process once, publishing every
@@ -314,15 +296,14 @@ func (s *Server) runPipeline(ctx context.Context) error {
 		return nil
 	}
 	var resume *core.Checkpoint
-	if s.ckPath != "" {
-		ck, err := core.ReadCheckpoint(s.ckPath)
+	if s.cfg.CheckpointEvery > 0 {
+		ck, err := s.hub.wal.Checkpoint()
 		switch {
-		case err == nil:
+		case err != nil:
+			s.logf("checkpoint unreadable, replaying from scratch: %v", err)
+		case ck != nil:
 			resume = ck
 			s.logf("resuming from checkpoint: %d tuples in, %d out", ck.TuplesIn, ck.TuplesOut)
-		case errors.Is(err, os.ErrNotExist):
-		default:
-			s.logf("checkpoint unreadable, replaying from scratch: %v", err)
 		}
 	}
 
@@ -362,7 +343,7 @@ func (s *Server) runPipeline(ctx context.Context) error {
 	// publish loop below fully encodes each tuple into its frame before
 	// the next Next call.
 	shape := s.cfg.shape()
-	shape.Checkpoint, shape.Resume = s.ckPath != "", resume
+	shape.Checkpoint, shape.Resume = s.cfg.CheckpointEvery > 0, resume
 	run, err := proc.Stream(stream.WithContext(ctx, src), shape)
 	if err != nil {
 		return fail(err)
@@ -475,14 +456,18 @@ func (s *Server) drainAndClose(pipeRes <-chan error) error {
 	// hub.Close above released any Publish still blocked on a stuck
 	// subscriber, so the pipeline goroutine finishes promptly.
 	err := <-pipeRes
-	for _, cn := range s.chans {
-		if w := s.hub.WAL(cn.full); w != nil {
-			if cerr := w.Close(); cerr != nil {
-				s.logf("wal close %s: %v", cn.full, cerr)
-			}
+	s.closeLog()
+	return err
+}
+
+// closeLog releases the session log from its tenant's budget and closes it.
+func (s *Server) closeLog() {
+	if w := s.hub.wal; w != nil {
+		w.ReleaseBudget()
+		if err := w.Close(); err != nil {
+			s.logf("wal close: %v", err)
 		}
 	}
-	return err
 }
 
 // trackConn registers a subscriber connection (or closer) for
@@ -640,8 +625,8 @@ func (s *Server) streamHTTP(w http.ResponseWriter, r *http.Request, channel stri
 		}
 		if len(data) > 0 && data[0] != '{' {
 			// The HTTP edge is where a binary payload becomes the JSON a
-			// browser reads; JSON payloads (control frames, records of an
-			// older build's WAL) pass through untouched.
+			// browser reads; JSON payloads (control frames) pass through
+			// untouched.
 			f, derr := decodeBinary(data)
 			if derr == nil {
 				data, derr = json.Marshal(f)
@@ -704,9 +689,9 @@ func (s *Server) writeHTTPError(w http.ResponseWriter, flusher http.Flusher, err
 
 // writeHTTPFrame writes one frame as an NDJSON line.
 func (s *Server) writeHTTPFrame(w http.ResponseWriter, flusher http.Flusher, data []byte) bool {
-	// Two writes, never append: JSON frames replayed from the WAL alias
-	// the reader's internal buffer, and appending in place would clobber
-	// the next record's length prefix.
+	// Two writes, never append: frames replayed from the WAL alias the
+	// reader's internal buffer, and appending in place would clobber the
+	// next record's length prefix.
 	if _, err := w.Write(data); err != nil {
 		return false
 	}

@@ -54,7 +54,7 @@ type SessionStatus struct {
 	Error    string   `json:"error,omitempty"`
 	Channels []string `json:"channels"`
 	// Durable reports that the session persists its channels to a WAL
-	// (and possibly a checkpoint).
+	// (checkpoints included, when its shape takes them).
 	Durable bool `json:"durable,omitempty"`
 	// Resumed reports that this incarnation was resurrected from a
 	// persisted spec by Service.Recover rather than created over the
@@ -330,7 +330,7 @@ func validName(name string) bool {
 // Create builds, registers and starts a session. Quota violations
 // return a typed *QuotaError (counted in the tenant's rejection
 // family); duplicate names return ErrSessionExists. With a state dir
-// the session is durable: its WAL/checkpoint live under
+// the session is durable: its session log lives under
 // <StateDir>/<tenant>/<name> and its spec is persisted for Recover.
 func (s *Service) Create(req SessionRequest) (*Session, error) {
 	return s.create(req, false)
@@ -376,7 +376,13 @@ func (s *Service) create(req SessionRequest, resumed bool) (*Session, error) {
 		sess.stateDir = filepath.Join(s.cfg.StateDir, req.Tenant, req.Name)
 		s.wireDurable(&cfg, ts.walBudget, sess.stateDir)
 		if !resumed {
-			if err := writeSpecFile(filepath.Join(sess.stateDir, "spec.json"), req); err != nil {
+			// An older build's state under the same name is refused before
+			// the new spec could overwrite it.
+			err := checkStateDir(sess.stateDir)
+			if err == nil {
+				err = writeSpecFile(cfg.WAL.FS, filepath.Join(sess.stateDir, "spec.json"), req)
+			}
+			if err != nil {
 				ts.releaseSession()
 				return nil, err
 			}
@@ -447,7 +453,7 @@ func (s *Service) start(sess *Session, cfg Config) error {
 	s.mu.Unlock()
 	if err != nil {
 		sess.cancel()
-		s.releaseWALs(sess, false)
+		srv.closeLog()
 		return err
 	}
 	sess.pipeRes = srv.startPipeline(sess.ctx)
@@ -477,50 +483,43 @@ func (s *Service) wireDurable(cfg *Config, budget *WALBudget, stateDir string) {
 	cfg.StateDir = stateDir
 }
 
-// releaseWALs detaches a session's logs from the tenant byte ledger and
-// closes them (close errors only logged when wantLog).
-func (s *Service) releaseWALs(sess *Session, wantLog bool) {
-	for _, cn := range sess.srv.chans {
-		if w := sess.srv.hub.WAL(cn.full); w != nil {
-			w.ReleaseBudget()
-			if err := w.Close(); err != nil && wantLog {
-				s.logf("wal close %s: %v", cn.full, err)
-			}
+// writeSpecFile atomically persists the session request next to its WAL
+// so Recover can resurrect the session; a directory fsync through fs
+// (nil = the real filesystem) makes the rename durable.
+func writeSpecFile(fs FS, path string, req SessionRequest) error {
+	if fs == nil {
+		fs = osFS{}
+	}
+	dir, tmp := filepath.Dir(path), path+".tmp"
+	data, err := json.MarshalIndent(req, "", "  ")
+	if err == nil {
+		err = os.MkdirAll(dir, 0o755)
+	}
+	var f *os.File
+	if err == nil {
+		f, err = os.Create(tmp)
+	}
+	if err == nil {
+		_, err = f.Write(append(data, '\n'))
+		if err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			err = os.Rename(tmp, path)
+		}
+		if err != nil {
+			os.Remove(tmp)
 		}
 	}
-}
-
-// writeSpecFile atomically persists the session request next to its WAL
-// so Recover can resurrect the session after a daemon restart.
-func writeSpecFile(path string, req SessionRequest) error {
-	data, err := json.MarshalIndent(req, "", "  ")
+	if err == nil {
+		if err = fs.SyncDir(dir); err != nil {
+			os.Remove(path) // not durable: no spec for Recover to find
+		}
+	}
 	if err != nil {
-		return fmt.Errorf("netstream: marshal session spec: %w", err)
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("netstream: session state dir: %w", err)
-	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("netstream: persist session spec: %w", err)
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("netstream: persist session spec: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("netstream: persist session spec: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("netstream: persist session spec: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("netstream: persist session spec: %w", err)
 	}
 	return nil
@@ -587,10 +586,8 @@ func (s *Service) Delete(tenant, name string) error {
 	}
 	err := sess.stop()
 	if sess.stateDir != "" {
-		// stop() already closed the logs through drainAndClose; releasing
-		// the budget afterwards detaches their bytes from the tenant ledger
-		// before the files go away.
-		s.releaseWALs(sess, true)
+		// stop() already closed the log and released its bytes from the
+		// tenant ledger, so the files can go.
 		if rerr := s.removeState(sess); rerr != nil {
 			s.logf("session %s state teardown: %v", id, rerr)
 		}
@@ -642,55 +639,37 @@ func (s *Service) Recover() ([]string, error) {
 	if s.cfg.StateDir == "" {
 		return nil, nil
 	}
-	tenants, err := os.ReadDir(s.cfg.StateDir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
+	// A session directory without a spec is a half-provisioned create or
+	// foreign debris, and dot-prefixed entries (.deleted archives) are not
+	// tenants: both are left alone.
+	specs, err := filepath.Glob(filepath.Join(s.cfg.StateDir, "*", "*", "spec.json"))
 	if err != nil {
 		return nil, fmt.Errorf("netstream: scan state dir: %w", err)
 	}
 	var recovered []string
-	for _, td := range tenants {
-		// Dot-prefixed entries (.deleted archives) are not tenants.
-		if !td.IsDir() || strings.HasPrefix(td.Name(), ".") {
+	for _, specPath := range specs {
+		name := filepath.Base(filepath.Dir(specPath))
+		tenant := filepath.Base(filepath.Dir(filepath.Dir(specPath)))
+		id := tenant + "/" + name
+		if strings.HasPrefix(tenant, ".") || strings.HasPrefix(name, ".") {
 			continue
 		}
-		tenantDir := filepath.Join(s.cfg.StateDir, td.Name())
-		names, err := os.ReadDir(tenantDir)
-		if err != nil {
-			s.logf("recover: tenant %s: %v", td.Name(), err)
-			continue
+		var req SessionRequest
+		data, err := os.ReadFile(specPath)
+		if err == nil {
+			err = json.Unmarshal(data, &req)
 		}
-		for _, nd := range names {
-			if !nd.IsDir() || strings.HasPrefix(nd.Name(), ".") {
-				continue
-			}
-			id := td.Name() + "/" + nd.Name()
-			specPath := filepath.Join(tenantDir, nd.Name(), "spec.json")
-			data, err := os.ReadFile(specPath)
-			if errors.Is(err, os.ErrNotExist) {
-				// A directory without a spec is a half-provisioned create or
-				// foreign debris; leave it alone.
-				continue
-			}
-			if err != nil {
-				s.logf("recover: session %s: %v", id, err)
-				continue
-			}
-			var req SessionRequest
-			if err := json.Unmarshal(data, &req); err != nil {
-				s.logf("recover: session %s: bad spec: %v", id, err)
-				continue
-			}
-			if req.Tenant != td.Name() || req.Name != nd.Name() {
-				s.logf("recover: session %s: spec names %s/%s; skipping", id, req.Tenant, req.Name)
-				continue
-			}
+		switch {
+		case err != nil:
+			s.logf("recover: session %s: bad spec: %v", id, err)
+		case req.Tenant != tenant || req.Name != name:
+			s.logf("recover: session %s: spec names %s/%s; skipping", id, req.Tenant, req.Name)
+		default:
 			if _, err := s.create(req, true); err != nil {
 				s.logf("recover: session %s: %v", id, err)
-				continue
+			} else {
+				recovered = append(recovered, id)
 			}
-			recovered = append(recovered, id)
 		}
 	}
 	sort.Strings(recovered)

@@ -1,34 +1,37 @@
 package netstream
 
-// This file is the durability layer of the service: a segmented,
-// checksummed write-ahead log that backs the Hub's replay ring, so a
-// subscriber's from_seq resume survives daemon restarts and ErrGap only
-// occurs past the configured retention.
-//
-// On-disk layout: one directory per channel, holding segment files named
-// after the sequence number of their first record
-// (00000000000000000001.wal, ...). A segment starts with an 8-byte magic
-// and carries length-prefixed records:
+// This file is the durability layer: a segmented, checksummed
+// write-ahead log. A durable session keeps one, the session log, for its
+// three channels and its checkpoints (DESIGN.md §12). Segment files are
+// named after the log position of their first record (%020d.wal); each
+// starts with an 8-byte magic and carries records:
 //
 //	[4B big-endian payload length n]
 //	[4B CRC32C over seq|flags|payload]
-//	[8B big-endian sequence number]
-//	[1B flags (bit0 = terminal)]
+//	[8B big-endian log position (seq)]
+//	[1B flags (bit0 = terminal, bit1 = checkpoint)]
 //	[n payload bytes]
 //
-// Appends are single-Write calls (readers never observe a half-visible
-// record boundary inside a fully appended record) and fsync is batched:
-// every FsyncEvery appends plus explicit Sync calls at checkpoints and
-// terminal frames. A crash can therefore tear at most the record being
-// appended; OpenWAL scans the last segment and truncates the torn tail.
-// Retention deletes whole closed segments, oldest first, once the log
-// exceeds RetainBytes or a segment's records are older than RetainAge.
+// A frame's payload header names its channel and channel sequence
+// number (wire.go); OpenWAL's one validation scan indexes them per
+// segment. A checkpoint record (a core.Checkpoint as JSON) follows the
+// frames it references and takes no fsync of its own, so the newest one
+// to survive a crash is never ahead of the surviving frames.
 //
-// All file I/O goes through the FS interface so the chaos harness can
-// inject short writes, fsync errors and ENOSPC (internal/chaos.FaultFS).
+// Each append is one Write. A frame append fsyncs once its channel has
+// FsyncEvery frames not yet durable, covering every channel. A crash
+// tears at most the record being appended; OpenWAL truncates it. A new
+// segment's directory entry is fsynced before its first record, a
+// deleted one's after the removal. Retention deletes whole closed
+// segments, oldest first; each new segment opens with a copy of the
+// newest checkpoint, so retention never drops it. Append and ReadFrom
+// serve a plain stream of records outside the index. All file I/O goes
+// through FS, so internal/chaos.FaultFS can inject disk faults.
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -41,6 +44,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"icewafl/internal/core"
 )
 
 // File is the subset of *os.File the WAL needs. Writes must report the
@@ -62,7 +67,9 @@ type FS interface {
 	ReadDir(name string) ([]os.DirEntry, error)
 	Remove(name string) error
 	MkdirAll(name string, perm os.FileMode) error
-	Stat(name string) (os.FileInfo, error)
+	// SyncDir fsyncs a directory, making the creation, rename or removal
+	// of its entries durable.
+	SyncDir(name string) error
 }
 
 // osFS is the real filesystem.
@@ -76,52 +83,59 @@ func (osFS) Remove(name string) error                   { return os.Remove(name)
 func (osFS) MkdirAll(name string, perm os.FileMode) error {
 	return os.MkdirAll(name, perm)
 }
-func (osFS) Stat(name string) (os.FileInfo, error) { return os.Stat(name) }
+func (osFS) SyncDir(name string) error {
+	d, err := os.Open(name)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
 
 // OSFS returns the real-filesystem implementation of FS.
 func OSFS() FS { return osFS{} }
 
 // Segment file format constants.
 const (
-	walMagic      = "IWFLWAL1"
-	walHeaderLen  = len(walMagic)
-	recHeaderLen  = 4 + 4 + 8 + 1 // length, crc, seq, flags
-	walSuffix     = ".wal"
-	flagTerminal  = 0x01
-	walFileDigits = 20
+	walMagic       = "IWFLWAL1"
+	walHeaderLen   = len(walMagic)
+	recHeaderLen   = 4 + 4 + 8 + 1 // length, crc, seq, flags
+	walSuffix      = ".wal"
+	flagTerminal   = 0x01
+	flagCheckpoint = 0x02
+	walFileDigits  = 20
 )
 
 // crcTable is the Castagnoli polynomial (CRC32C), the checksum used by
 // most storage systems for its hardware support.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// WALOptions tunes one channel's log. The zero value applies the
-// documented defaults.
+// WALOptions tunes one log. The zero value applies the documented
+// defaults.
 type WALOptions struct {
 	// SegmentBytes rotates the active segment once it grows past this
 	// size (default 8 MiB).
 	SegmentBytes int64
-	// RetainBytes caps the total size of closed segments; the oldest are
-	// deleted first (default 256 MiB; the active segment never counts).
+	// RetainBytes caps the log's size: closed segments are deleted,
+	// oldest first, while the total exceeds it (default 256 MiB; the
+	// active segment is never deleted).
 	RetainBytes int64
 	// RetainAge deletes closed segments whose newest record is older
 	// (0 = keep regardless of age).
 	RetainAge time.Duration
-	// FsyncEvery batches fsync: one sync per this many appends (default
-	// 64; 1 = sync every append). Sync is also forced explicitly at
-	// checkpoints and terminal frames.
+	// FsyncEvery batches fsync: a frame append syncs once its channel, a
+	// plain Append once the log, has this many not yet durable (default
+	// 64; 1 = every append). A plain terminal Append also syncs.
 	FsyncEvery int
 	// FS is the filesystem (default: the real one).
 	FS FS
 	// Now is the clock used for retention decisions (default time.Now).
 	Now func() time.Time
 	// Budget, when set, shares a byte ledger across several WALs — the
-	// session service gives every tenant one budget spanning all of its
-	// sessions' logs. The WAL keeps the ledger in step with its on-disk
-	// segment bytes, and the retention sweep additionally drops closed
-	// segments, oldest first, while the shared total exceeds the budget's
-	// limit — so one tenant's sessions compete with each other for
-	// retention instead of with the whole daemon.
+	// session service gives every tenant one spanning its sessions' logs.
+	// Each WAL settles its on-disk bytes into it, and retention also drops
+	// closed segments while the shared total exceeds the limit, so a
+	// tenant's sessions compete for retention with each other only.
 	Budget *WALBudget
 }
 
@@ -143,9 +157,6 @@ func NewWALBudget(limit int64) *WALBudget {
 	}
 	return &WALBudget{limit: limit}
 }
-
-// Limit returns the configured ceiling (0 = unlimited).
-func (b *WALBudget) Limit() int64 { return b.limit }
 
 // Used returns the bytes currently accounted against the budget.
 func (b *WALBudget) Used() int64 {
@@ -185,22 +196,37 @@ func (o WALOptions) withDefaults() WALOptions {
 	return o
 }
 
-// WALRecord is one decoded log record.
+// WALRecord is one decoded log record. A channel reader's records carry
+// the channel sequence number as Seq; a plain reader's the log position.
 type WALRecord struct {
-	Seq      uint64
-	Terminal bool
-	Payload  []byte
+	Seq        uint64
+	Terminal   bool
+	Checkpoint bool
+	Payload    []byte
 }
 
-// AppendRecord encodes one record and appends it to buf (the wire-level
-// codec, exported for the fuzz fixed-point suite).
+// AppendRecord encodes one frame record and appends it to buf (the
+// wire-level codec, exported for the fuzz fixed-point suite).
 func AppendRecord(buf []byte, seq uint64, terminal bool, payload []byte) []byte {
+	return appendRecord(buf, seq, recordFlags(terminal, false), payload)
+}
+
+// recordFlags is the flags byte of a record.
+func recordFlags(terminal, checkpoint bool) (f byte) {
+	if terminal {
+		f = flagTerminal
+	}
+	if checkpoint {
+		f |= flagCheckpoint
+	}
+	return f
+}
+
+func appendRecord(buf []byte, seq uint64, flags byte, payload []byte) []byte {
 	var hdr [recHeaderLen]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint64(hdr[8:16], seq)
-	if terminal {
-		hdr[16] = flagTerminal
-	}
+	hdr[16] = flags
 	crc := crc32.Update(0, crcTable, hdr[8:17])
 	crc = crc32.Update(crc, crcTable, payload)
 	binary.BigEndian.PutUint32(hdr[4:8], crc)
@@ -233,35 +259,88 @@ func DecodeRecord(b []byte) (WALRecord, int, error) {
 	if crc != binary.BigEndian.Uint32(b[4:8]) {
 		return WALRecord{}, 0, fmt.Errorf("%w: checksum mismatch", ErrWALCorrupt)
 	}
+	if b[16]&^(flagTerminal|flagCheckpoint) != 0 {
+		return WALRecord{}, 0, fmt.Errorf("%w: unknown flags %#x", ErrWALCorrupt, b[16])
+	}
 	return WALRecord{
-		Seq:      binary.BigEndian.Uint64(b[8:16]),
-		Terminal: b[16]&flagTerminal != 0,
-		Payload:  b[recHeaderLen:total],
+		Seq:        binary.BigEndian.Uint64(b[8:16]),
+		Terminal:   b[16]&flagTerminal != 0,
+		Checkpoint: b[16]&flagCheckpoint != 0,
+		Payload:    b[recHeaderLen:total],
 	}, total, nil
+}
+
+// frameHeader reads the channel and channel sequence number a frame
+// payload opens with, binary data frames (wire.go's header) and JSON
+// control frames alike. ok is false for any other payload.
+func frameHeader(payload []byte) (channel []byte, seq uint64, ok bool) {
+	if len(payload) > 0 && payload[0] == '{' {
+		f, err := DecodeFrame(payload)
+		if err != nil || f.Channel == "" {
+			return nil, 0, false
+		}
+		return []byte(f.Channel), f.Seq, true
+	}
+	if len(payload) < 2 || payload[0] != wireVersion {
+		return nil, 0, false
+	}
+	b := payload[2:]
+	seq, n := binary.Uvarint(b)
+	if n <= 0 {
+		return nil, 0, false
+	}
+	b = b[n:]
+	l, n := binary.Uvarint(b)
+	if n <= 0 || l == 0 || l > uint64(len(b)-n) {
+		return nil, 0, false
+	}
+	return b[n : n+int(l)], seq, true
 }
 
 // segment is one on-disk segment file's index entry.
 type segment struct {
 	path     string
-	firstSeq uint64 // sequence of the first record (also the file name)
+	firstSeq uint64 // log position of the first record (also the file name)
 	lastSeq  uint64 // 0 while empty
 	bytes    int64
-	terminal bool      // last record is terminal
 	newest   time.Time // write time of the newest record (retention clock)
+	chans    []segChan // the per-channel index: one entry per channel here
 }
 
-// WAL is one channel's durable frame log. Append and Sync are safe for
-// one writer; ReadFrom readers run concurrently with the writer.
+// segChan is one channel's frames within one segment.
+type segChan struct {
+	name        string
+	first, last uint64 // channel sequence numbers of its first and last frame here
+	firstPos    uint64 // log position of the first
+	terminal    bool   // the last is terminal
+}
+
+// indexFrame records a frame of channel at log position pos in s.
+func indexFrame[S string | []byte](s *segment, channel S, seq, pos uint64, terminal bool) {
+	for i := range s.chans {
+		if c := &s.chans[i]; c.name == string(channel) {
+			c.last, c.terminal = seq, terminal
+			return
+		}
+	}
+	s.chans = append(s.chans, segChan{name: string(channel), first: seq, last: seq, firstPos: pos, terminal: terminal})
+}
+
+// WAL is a durable log: a session's frames and checkpoints, or a plain
+// stream of records. Readers run concurrently with the writer.
 type WAL struct {
 	dir  string
 	opts WALOptions
 
-	mu        sync.Mutex
-	segments  []segment // closed segments plus the active one (last)
-	active    File      // handle of segments[len-1]
-	sinceSync int
-	broken    bool  // active handle is suspect; recover before next append
-	accounted int64 // bytes this log has settled into opts.Budget
+	mu          sync.Mutex
+	segments    []segment      // closed segments plus the active one (last)
+	active      File           // handle of segments[len-1]
+	sinceSync   int            // records appended since the last fsync
+	unsynced    map[string]int // frames per channel appended since the last fsync
+	ck          []byte         // payload of the newest checkpoint record (nil = none)
+	broken      bool           // active handle is suspect; recover before next append
+	dirUnsynced bool           // a new segment awaits the directory sync due before its first record
+	accounted   int64          // bytes this log has settled into opts.Budget
 
 	encBuf []byte // reusable append encoding buffer
 
@@ -270,15 +349,14 @@ type WAL struct {
 	truncated atomic.Uint64 // torn bytes dropped across opens/recoveries
 }
 
-// OpenWAL opens (or creates) the log under dir, validating every
-// segment and truncating a torn tail on the last one. The returned WAL
-// is positioned to append the next sequence number after MaxSeq.
+// OpenWAL opens (or creates) the log under dir: one read of each segment
+// validates it, indexes it and truncates a torn tail on the last one.
 func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	opts = opts.withDefaults()
 	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("netstream: wal mkdir: %w", err)
 	}
-	w := &WAL{dir: dir, opts: opts}
+	w := &WAL{dir: dir, opts: opts, unsynced: make(map[string]int)}
 	if err := w.load(); err != nil {
 		return nil, err
 	}
@@ -295,18 +373,23 @@ func (w *WAL) settleBudgetLocked() {
 	if w.opts.Budget == nil {
 		return
 	}
-	var total int64
-	for i := range w.segments {
-		total += w.segments[i].bytes
-	}
+	total := w.sizeLocked()
 	w.opts.Budget.add(total - w.accounted)
 	w.accounted = total
 }
 
+func (w *WAL) sizeLocked() int64 {
+	var n int64
+	for i := range w.segments {
+		n += w.segments[i].bytes
+	}
+	return n
+}
+
 // ReleaseBudget returns this log's accounted bytes to the shared budget
-// and detaches from it. The durable delete path calls it just before
-// removing the session's state directory, so the tenant's budget
-// reflects the reclaimed disk immediately.
+// and detaches from it. A session calls it as it closes its log, so a
+// deleted session's bytes leave the tenant's budget before its state
+// directory goes.
 func (w *WAL) ReleaseBudget() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -364,8 +447,9 @@ func (w *WAL) load() error {
 	return nil
 }
 
-// scanSegment validates one segment. For the last segment a torn tail is
-// truncated away; for earlier segments any invalid record is corruption.
+// scanSegment validates one segment and rebuilds its index entry. For
+// the last segment a torn tail is truncated away; for earlier segments
+// any invalid record is corruption.
 func (w *WAL) scanSegment(s *segment, last bool) error {
 	// The retention-age clock for recovered segments starts at open time,
 	// not at the file's mtime: segments inherited from a previous process
@@ -374,16 +458,25 @@ func (w *WAL) scanSegment(s *segment, last bool) error {
 	// post-restart rotation mass-drop the whole log before anyone could
 	// resume. They age out RetainAge after the reopen instead.
 	s.newest = w.opts.Now()
+	s.lastSeq, s.chans = 0, s.chans[:0]
 	f, err := w.opts.FS.OpenFile(s.path, os.O_RDONLY, 0)
 	if err != nil {
 		return fmt.Errorf("netstream: wal open %s: %w", s.path, err)
 	}
-	data, err := io.ReadAll(f)
+	// One read of the whole segment, sized up front.
+	size, err := f.Seek(0, io.SeekEnd)
+	data := make([]byte, max(size, 0))
+	if err == nil {
+		if _, err = f.Seek(0, io.SeekStart); err == nil {
+			_, err = io.ReadFull(f, data)
+		}
+	}
 	f.Close()
 	if err != nil {
 		return fmt.Errorf("netstream: wal read %s: %w", s.path, err)
 	}
 	valid := 0
+	var ck []byte
 	if len(data) < walHeaderLen || string(data[:walHeaderLen]) != walMagic {
 		if !last {
 			return fmt.Errorf("netstream: wal segment %s: bad magic", s.path)
@@ -408,42 +501,43 @@ func (w *WAL) scanSegment(s *segment, last bool) error {
 				break
 			}
 			s.lastSeq = rec.Seq
-			s.terminal = rec.Terminal
+			if rec.Checkpoint {
+				ck = rec.Payload
+			} else if channel, seq, ok := frameHeader(rec.Payload); ok {
+				indexFrame(s, channel, seq, rec.Seq, rec.Terminal)
+			}
 			next = rec.Seq + 1
 			off += n
 			valid = off
 		}
 	}
-	s.bytes = int64(valid)
-	if int64(valid) != int64(len(data)) {
-		w.truncated.Add(uint64(len(data) - valid))
-		tf, err := w.opts.FS.OpenFile(s.path, os.O_RDWR, 0o644)
-		if err != nil {
-			return fmt.Errorf("netstream: wal truncate open %s: %w", s.path, err)
+	if ck != nil {
+		w.ck = bytes.Clone(ck)
+	}
+	s.bytes = int64(max(valid, walHeaderLen))
+	if valid == len(data) && valid >= walHeaderLen {
+		return nil
+	}
+	w.truncated.Add(uint64(len(data) - valid))
+	tf, err := w.opts.FS.OpenFile(s.path, os.O_RDWR, 0o644)
+	if err != nil {
+		return fmt.Errorf("netstream: wal truncate open %s: %w", s.path, err)
+	}
+	defer tf.Close()
+	if valid < walHeaderLen {
+		// The magic itself was torn: rewrite it so the segment stays
+		// appendable.
+		if err = tf.Truncate(0); err == nil {
+			_, err = tf.Write([]byte(walMagic))
 		}
-		if valid < walHeaderLen {
-			// The magic itself was torn: rewrite it so the segment stays
-			// appendable.
-			if err := tf.Truncate(0); err == nil {
-				if _, werr := tf.Write([]byte(walMagic)); werr == nil {
-					s.bytes = int64(walHeaderLen)
-				} else {
-					tf.Close()
-					return fmt.Errorf("netstream: wal rewrite magic %s: %w", s.path, werr)
-				}
-			} else {
-				tf.Close()
-				return fmt.Errorf("netstream: wal truncate %s: %w", s.path, err)
-			}
-		} else if err := tf.Truncate(int64(valid)); err != nil {
-			tf.Close()
-			return fmt.Errorf("netstream: wal truncate %s: %w", s.path, err)
-		}
-		serr := tf.Sync()
-		tf.Close()
-		if serr != nil {
-			return fmt.Errorf("netstream: wal truncate sync %s: %w", s.path, serr)
-		}
+	} else {
+		err = tf.Truncate(int64(valid))
+	}
+	if err == nil {
+		err = tf.Sync()
+	}
+	if err != nil {
+		return fmt.Errorf("netstream: wal truncate %s: %w", s.path, err)
 	}
 	return nil
 }
@@ -462,6 +556,7 @@ func (w *WAL) startSegmentLocked(firstSeq uint64) error {
 		w.opts.FS.Remove(path)
 		return fmt.Errorf("netstream: wal segment header: %w", err)
 	}
+	w.dirUnsynced = true
 	if w.active != nil {
 		w.active.Sync()
 		w.active.Close()
@@ -471,19 +566,7 @@ func (w *WAL) startSegmentLocked(firstSeq uint64) error {
 	return nil
 }
 
-// MinSeq returns the oldest retained sequence number (0 when empty).
-func (w *WAL) MinSeq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for i := range w.segments {
-		if w.segments[i].lastSeq != 0 {
-			return w.segments[i].firstSeq
-		}
-	}
-	return 0
-}
-
-// MaxSeq returns the newest retained sequence number (0 when empty).
+// MaxSeq returns the newest retained log position (0 when empty).
 func (w *WAL) MaxSeq() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -499,17 +582,61 @@ func (w *WAL) maxSeqLocked() uint64 {
 	return 0
 }
 
-// Terminal reports whether the newest retained record is terminal (the
-// stream completed durably).
-func (w *WAL) Terminal() bool {
+// nextSeqLocked is the log position the next record takes.
+func (w *WAL) nextSeqLocked() uint64 {
+	act := &w.segments[len(w.segments)-1]
+	if act.lastSeq == 0 {
+		return act.firstSeq
+	}
+	return act.lastSeq + 1
+}
+
+// ChannelRange is one channel's part of a session log: its oldest and
+// newest retained sequence numbers (0 when it has none) and whether the
+// newest is terminal, the channel completed durably.
+type ChannelRange struct {
+	Min, Max uint64
+	Terminal bool
+}
+
+// Channel returns the named channel's range from the log's index.
+func (w *WAL) Channel(name string) ChannelRange {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for i := len(w.segments) - 1; i >= 0; i-- {
-		if w.segments[i].lastSeq != 0 {
-			return w.segments[i].terminal
+	return w.channelLocked(name)
+}
+
+func (w *WAL) channelLocked(name string) ChannelRange {
+	var r ChannelRange
+	for i := range w.segments {
+		for _, c := range w.segments[i].chans {
+			if c.name == name {
+				if r.Min == 0 {
+					r.Min = c.first
+				}
+				r.Max, r.Terminal = c.last, c.terminal
+			}
 		}
 	}
-	return false
+	return r
+}
+
+// Checkpoint decodes the newest checkpoint record (nil when none).
+func (w *WAL) Checkpoint() (*core.Checkpoint, error) {
+	w.mu.Lock()
+	data := w.ck
+	w.mu.Unlock()
+	if data == nil {
+		return nil, nil
+	}
+	var ck core.Checkpoint
+	if err := json.Unmarshal(data, &ck); err != nil {
+		return nil, fmt.Errorf("netstream: wal checkpoint: %w", err)
+	}
+	if ck.Version != core.CheckpointVersion {
+		return nil, fmt.Errorf("netstream: wal checkpoint has version %d, want %d", ck.Version, core.CheckpointVersion)
+	}
+	return &ck, nil
 }
 
 // Fsyncs returns the number of fsync calls issued so far.
@@ -525,11 +652,7 @@ func (w *WAL) TruncatedBytes() uint64 { return w.truncated.Load() }
 func (w *WAL) SizeBytes() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var n int64
-	for i := range w.segments {
-		n += w.segments[i].bytes
-	}
-	return n
+	return w.sizeLocked()
 }
 
 // Segments returns the number of retained segment files.
@@ -539,12 +662,34 @@ func (w *WAL) Segments() int {
 	return len(w.segments)
 }
 
-// Append durably adds one record. Sequence numbers must be contiguous
-// (MaxSeq+1); anything else is a programming error upstream. On an I/O
-// failure the append is rolled back (the torn tail truncated) so a
-// subsequent Append with the same sequence can succeed once the fault
-// clears.
+// Append durably adds one plain record at log position seq, outside the
+// per-channel index. Positions run contiguously from 1; anything else is
+// a programming error upstream. A terminal record fsyncs.
 func (w *WAL) Append(seq uint64, terminal bool, payload []byte) error {
+	return w.add("", seq, recordFlags(terminal, false), terminal, payload)
+}
+
+// AppendFrame appends and indexes one published frame of channel with
+// channel sequence number seq (its header carries both). It fsyncs, for
+// every channel, once the channel has FsyncEvery frames not yet durable
+// or when sync is set.
+func (w *WAL) AppendFrame(channel string, seq uint64, terminal, sync bool, payload []byte) error {
+	return w.add(channel, seq, recordFlags(terminal, false), sync, payload)
+}
+
+// AppendCheckpoint appends ck as a checkpoint record, after every frame
+// it references; it takes no fsync of its own.
+func (w *WAL) AppendCheckpoint(ck *core.Checkpoint) error {
+	data, err := json.Marshal(ck)
+	if err != nil {
+		return fmt.Errorf("netstream: marshal checkpoint: %w", err)
+	}
+	return w.add("", 0, flagCheckpoint, false, data)
+}
+
+// add appends one record at the next log position. An I/O failure rolls
+// the append back, so a retry of the same record succeeds later.
+func (w *WAL) add(channel string, seq uint64, flags byte, sync bool, payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	// Settle whatever this append did to the on-disk size — record bytes,
@@ -558,37 +703,62 @@ func (w *WAL) Append(seq uint64, terminal bool, payload []byte) error {
 		if err := w.recoverLocked(); err != nil {
 			return err
 		}
-		// A failed fsync leaves the previous append complete in the file;
-		// the caller retries the same sequence (publishing is
-		// deterministic across recovery), which after rescan is already
-		// the tail of the log — finish it idempotently by supplying the
-		// missing durability barrier.
-		if max := w.maxSeqLocked(); max != 0 && seq == max {
+		// A failed fsync leaves the previous append complete in the file:
+		// when the retried record is already the log's tail, finish it
+		// idempotently by supplying the missing durability barrier.
+		tail := w.maxSeqLocked()
+		if channel != "" {
+			tail = w.channelLocked(channel).Max
+		}
+		if seq != 0 && seq == tail {
 			return w.syncLocked()
 		}
 	}
-	if max := w.maxSeqLocked(); max != 0 && seq != max+1 {
-		return fmt.Errorf("netstream: wal append seq %d, want %d", seq, max+1)
+	pos := w.nextSeqLocked()
+	if channel == "" && flags&flagCheckpoint == 0 && seq != pos {
+		return fmt.Errorf("netstream: wal append seq %d, want %d", seq, pos)
 	}
-	act := &w.segments[len(w.segments)-1]
-	if act.lastSeq == 0 && seq != act.firstSeq {
-		// Empty active segment: its name pins the first sequence. A
-		// mismatch can only happen on the very first append of a fresh
-		// log resuming at a later seq; restart the segment at seq.
-		if act.bytes == int64(walHeaderLen) && len(w.segments) == 1 {
-			w.active.Close()
-			w.opts.FS.Remove(act.path)
-			w.segments = w.segments[:0]
-			w.active = nil
-			if err := w.startSegmentLocked(seq); err != nil {
+	if err := w.writeLocked(pos, flags, payload); err != nil {
+		return err
+	}
+	switch {
+	case flags&flagCheckpoint != 0:
+		w.ck = payload
+	case channel != "":
+		indexFrame(&w.segments[len(w.segments)-1], channel, seq, pos, flags&flagTerminal != 0)
+	}
+	if flags&flagCheckpoint == 0 {
+		if w.unsynced[channel]++; w.unsynced[channel] >= w.opts.FsyncEvery || sync {
+			if err := w.syncLocked(); err != nil {
 				return err
 			}
-			act = &w.segments[len(w.segments)-1]
-		} else {
-			return fmt.Errorf("netstream: wal append seq %d into segment starting at %d", seq, act.firstSeq)
 		}
 	}
-	w.encBuf = AppendRecord(w.encBuf[:0], seq, terminal, payload)
+	if w.segments[len(w.segments)-1].bytes < w.opts.SegmentBytes {
+		return nil
+	}
+	// A failed rotation leaves the record that filled the segment in the
+	// log; marked suspect, the log completes the caller's retry of it.
+	if err := w.rotateLocked(); err != nil {
+		w.broken = true
+		return err
+	}
+	return nil
+}
+
+// writeLocked writes one record at log position seq into the active
+// segment as a single Write, rolling a torn write back.
+func (w *WAL) writeLocked(seq uint64, flags byte, payload []byte) error {
+	// A new segment's directory entry is made durable before the first
+	// record in it.
+	if w.dirUnsynced {
+		if err := w.opts.FS.SyncDir(w.dir); err != nil {
+			return fmt.Errorf("netstream: wal segment dir sync: %w", err)
+		}
+		w.dirUnsynced = false
+	}
+	act := &w.segments[len(w.segments)-1]
+	w.encBuf = appendRecord(w.encBuf[:0], seq, flags, payload)
 	n, err := w.active.Write(w.encBuf)
 	if err != nil || n != len(w.encBuf) {
 		// Torn append: roll the partial record back so the segment stays
@@ -609,20 +779,9 @@ func (w *WAL) Append(seq uint64, terminal bool, payload []byte) error {
 	}
 	act.bytes += int64(n)
 	act.lastSeq = seq
-	act.terminal = terminal
 	act.newest = w.opts.Now()
 	w.appends.Add(1)
 	w.sinceSync++
-	if terminal || w.sinceSync >= w.opts.FsyncEvery {
-		if err := w.syncLocked(); err != nil {
-			return err
-		}
-	}
-	if act.bytes >= w.opts.SegmentBytes {
-		if err := w.rotateLocked(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -650,15 +809,12 @@ func (w *WAL) recoverLocked() error {
 	return nil
 }
 
-// Sync forces an fsync of the active segment (checkpoints call this so
-// a durable checkpoint never runs ahead of the durable log).
+// Sync forces an fsync of the active segment when anything appended is
+// not yet durable.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.active == nil {
-		return nil
-	}
-	if w.sinceSync == 0 {
+	if w.active == nil || w.sinceSync == 0 {
 		return nil
 	}
 	return w.syncLocked()
@@ -671,17 +827,14 @@ func (w *WAL) syncLocked() error {
 	}
 	w.fsyncs.Add(1)
 	w.sinceSync = 0
+	clear(w.unsynced)
 	return nil
 }
 
-// rotateLocked closes the active segment, starts the next one, and
-// applies retention.
+// rotateLocked closes the active segment, starts the next one — opening
+// it with a copy of the newest checkpoint — and applies retention.
 func (w *WAL) rotateLocked() error {
-	act := &w.segments[len(w.segments)-1]
-	next := act.lastSeq + 1
-	if act.lastSeq == 0 {
-		next = act.firstSeq
-	}
+	next := w.nextSeqLocked()
 	if w.sinceSync > 0 {
 		if err := w.syncLocked(); err != nil {
 			return err
@@ -689,6 +842,11 @@ func (w *WAL) rotateLocked() error {
 	}
 	if err := w.startSegmentLocked(next); err != nil {
 		return err
+	}
+	if w.ck != nil {
+		if err := w.writeLocked(next, flagCheckpoint, w.ck); err != nil {
+			return err
+		}
 	}
 	w.retainLocked()
 	return nil
@@ -699,17 +857,11 @@ func (w *WAL) rotateLocked() error {
 // tenant's total across all of its logs exceeds that budget. The active
 // segment is never deleted.
 func (w *WAL) retainLocked() {
-	var total int64
-	for i := range w.segments {
-		total += w.segments[i].bytes
-	}
 	// Settle before consulting the shared budget, so the sweep sees the
 	// rotation that triggered it; decrement per dropped segment so
 	// sibling logs sweeping concurrently observe the reclaimed space.
-	if w.opts.Budget != nil {
-		w.opts.Budget.add(total - w.accounted)
-		w.accounted = total
-	}
+	w.settleBudgetLocked()
+	total := w.sizeLocked()
 	now := w.opts.Now()
 	drop := 0
 	for drop < len(w.segments)-1 {
@@ -731,6 +883,9 @@ func (w *WAL) retainLocked() {
 	}
 	if drop > 0 {
 		w.segments = append(w.segments[:0], w.segments[drop:]...)
+		// Best effort: a removal that is lost in a crash only brings back
+		// an old segment, which the next open indexes like any other.
+		w.opts.FS.SyncDir(w.dir)
 	}
 }
 
@@ -753,49 +908,71 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// WALReader iterates records with Seq >= the requested start, in
-// sequence order, validating checksums as it reads. It is safe to use
-// concurrently with the writer: it never reads past the max sequence
-// captured when the reader was created.
+// WALReader iterates a log in order, validating checksums: a plain
+// reader every record, a channel reader one channel's frames. It never
+// reads past the log position captured when it was created.
 type WALReader struct {
-	wal   *WAL
-	next  uint64 // next sequence to deliver
-	until uint64 // snapshot of MaxSeq at creation
-	f     File
-	buf   []byte
-	off   int
-	fill  int
+	wal     *WAL
+	channel string // "" = a plain reader
+	pos     uint64 // next log position to read
+	last    uint64 // snapshot of MaxSeq at creation
+	next    uint64 // next sequence to deliver (pos for a plain reader)
+	until   uint64 // last sequence to deliver
+	f       File
+	buf     []byte
+	off     int
+	fill    int
 }
 
-// ReadFrom returns a reader positioned at the first retained record with
-// sequence >= start. Reading past the newest record at creation time
-// returns io.EOF (late records are the live hub's business).
-func (w *WAL) ReadFrom(start uint64) (*WALReader, error) {
-	if start == 0 {
-		start = 1
-	}
+// ReadFrom returns a plain reader from log position start through the
+// newest record at creation (later ones are the live hub's business).
+func (w *WAL) ReadFrom(start uint64) (*WALReader, error) { return w.ReadChannel("", start) }
+
+// ReadChannel returns a reader over the named channel's frames from
+// sequence number from through its newest at creation ("" = a plain
+// reader), starting at the channel's first frame in the segment holding
+// from. A from the log no longer retains fails with ErrGap.
+func (w *WAL) ReadChannel(channel string, from uint64) (*WALReader, error) {
+	from = max(from, 1)
 	w.mu.Lock()
-	until := w.maxSeqLocked()
-	w.mu.Unlock()
-	return &WALReader{wal: w, next: start, until: until}, nil
+	defer w.mu.Unlock()
+	r := &WALReader{wal: w, channel: channel, last: w.maxSeqLocked(), next: from}
+	if channel == "" {
+		r.pos, r.until = from, r.last
+	}
+	for i := range w.segments {
+		for _, c := range w.segments[i].chans {
+			if c.name != channel {
+				continue
+			}
+			if r.pos == 0 && c.last >= from {
+				if c.first > from {
+					return nil, fmt.Errorf("%w: channel %q retains from seq %d, requested %d", ErrGap, channel, c.first, from)
+				}
+				r.pos = c.firstPos
+			}
+			r.until = c.last
+		}
+	}
+	return r, nil
 }
 
 // Next returns the next record. The payload is valid until the
 // following Next call. Returns io.EOF past the creation-time snapshot.
 func (r *WALReader) Next() (WALRecord, error) {
 	for {
-		if r.next > r.until || r.until == 0 {
+		if r.next > r.until || r.pos > r.last {
 			r.Close()
 			return WALRecord{}, io.EOF
 		}
 		if r.f == nil {
-			if err := r.openSegmentFor(r.next); err != nil {
+			if err := r.openSegmentFor(r.pos); err != nil {
 				return WALRecord{}, err
 			}
 		}
-		rec, err := r.readRecord()
+		full, err := r.readRecord()
 		if err == io.EOF {
-			// Segment exhausted; move to the one holding r.next.
+			// Segment exhausted; move to the one holding r.pos.
 			r.f.Close()
 			r.f = nil
 			continue
@@ -804,14 +981,38 @@ func (r *WALReader) Next() (WALRecord, error) {
 			r.Close()
 			return WALRecord{}, err
 		}
-		if rec.Seq < r.next {
-			continue // skipping toward start inside the first segment
-		}
-		if rec.Seq != r.next {
+		if seq := binary.BigEndian.Uint64(full[8:16]); seq != r.pos {
+			if seq < r.pos {
+				continue // skipping toward pos inside the first segment
+			}
 			r.Close()
-			return WALRecord{}, fmt.Errorf("%w: reader at seq %d found %d", ErrWALCorrupt, r.next, rec.Seq)
+			return WALRecord{}, fmt.Errorf("%w: reader at seq %d found %d", ErrWALCorrupt, r.pos, seq)
 		}
-		r.next = rec.Seq + 1
+		r.pos++
+		// A channel reader passes over checkpoints and the other channels'
+		// frames on their headers; it checksums the frames it returns.
+		var seq uint64
+		if r.channel != "" {
+			channel, s, ok := frameHeader(full[recHeaderLen:])
+			if full[16]&flagCheckpoint != 0 || !ok || string(channel) != r.channel || s < r.next {
+				continue
+			}
+			seq = s
+		}
+		rec, _, err := DecodeRecord(full)
+		if err != nil {
+			r.Close()
+			return WALRecord{}, err
+		}
+		if r.channel == "" {
+			r.next = r.pos
+			return rec, nil
+		}
+		if seq != r.next {
+			r.Close()
+			return WALRecord{}, fmt.Errorf("%w: channel %q reader at seq %d found %d", ErrWALCorrupt, r.channel, r.next, seq)
+		}
+		r.next, rec.Seq = seq+1, seq
 		return rec, nil
 	}
 }
@@ -831,16 +1032,9 @@ func (r *WALReader) openSegmentFor(seq uint64) error {
 			break
 		}
 	}
-	minSeq := uint64(0)
-	for i := range r.wal.segments {
-		if r.wal.segments[i].lastSeq != 0 {
-			minSeq = r.wal.segments[i].firstSeq
-			break
-		}
-	}
 	r.wal.mu.Unlock()
 	if path == "" {
-		return fmt.Errorf("%w: wal retains from seq %d, requested %d", ErrGap, minSeq, seq)
+		return fmt.Errorf("%w: wal no longer retains seq %d", ErrGap, seq)
 	}
 	f, err := r.wal.opts.FS.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
@@ -856,26 +1050,23 @@ func (r *WALReader) openSegmentFor(seq uint64) error {
 	return nil
 }
 
-// readRecord reads one record from the current segment file.
-func (r *WALReader) readRecord() (WALRecord, error) {
+// readRecord reads the bytes of the current segment file's next record,
+// unverified.
+func (r *WALReader) readRecord() ([]byte, error) {
 	hdr, err := r.peek(recHeaderLen)
 	if err != nil {
-		return WALRecord{}, err
+		return nil, err
 	}
 	n := int(binary.BigEndian.Uint32(hdr[0:4]))
 	if n > MaxFrameBytes {
-		return WALRecord{}, fmt.Errorf("%w: reader payload length %d", ErrWALCorrupt, n)
+		return nil, fmt.Errorf("%w: reader payload length %d", ErrWALCorrupt, n)
 	}
 	full, err := r.peek(recHeaderLen + n)
 	if err != nil {
-		return WALRecord{}, err
+		return nil, err
 	}
-	rec, used, derr := DecodeRecord(full)
-	if derr != nil {
-		return WALRecord{}, derr
-	}
-	r.off += used
-	return rec, nil
+	r.off += len(full)
+	return full, nil
 }
 
 // peek ensures at least n bytes are buffered at r.off and returns them.

@@ -30,7 +30,7 @@ func FuzzWALRecord(f *testing.F) {
 		if n <= 0 || n > len(data) {
 			t.Fatalf("decode consumed %d of %d bytes", n, len(data))
 		}
-		enc := AppendRecord(nil, rec.Seq, rec.Terminal, rec.Payload)
+		enc := appendRecord(nil, rec.Seq, recordFlags(rec.Terminal, rec.Checkpoint), rec.Payload)
 		if !bytes.Equal(enc, data[:n]) {
 			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", enc, data[:n])
 		}
@@ -38,7 +38,7 @@ func FuzzWALRecord(f *testing.F) {
 		if err != nil || n2 != n {
 			t.Fatalf("re-decode: n=%d err=%v", n2, err)
 		}
-		if rec2.Seq != rec.Seq || rec2.Terminal != rec.Terminal || !bytes.Equal(rec2.Payload, rec.Payload) {
+		if rec2.Seq != rec.Seq || rec2.Terminal != rec.Terminal || rec2.Checkpoint != rec.Checkpoint || !bytes.Equal(rec2.Payload, rec.Payload) {
 			t.Fatal("re-decode record mismatch")
 		}
 	})

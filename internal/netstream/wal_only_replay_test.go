@@ -1,8 +1,8 @@
 package netstream
 
-// A channel with a WAL attached has one replay path, the log: it keeps
-// no ring beside it, opening it reads each segment once, and nothing a
-// subscriber can observe depended on the second copy.
+// A hub with a session log attached has one replay path, the log: it
+// keeps no ring beside it, opening it reads each segment once, and
+// nothing a subscriber can observe depended on the second copy.
 
 import (
 	"fmt"
@@ -55,39 +55,33 @@ func TestNewServerReadsEachWALSegmentOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		for _, name := range Channels() {
-			srv2.Hub().WAL(name).Close()
-		}
-	}()
+	defer srv2.Hub().WAL(ChannelDirty).Close()
 
+	entries, err := os.ReadDir(walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	segments, bad := 0, []string(nil)
-	for _, name := range Channels() {
-		entries, err := os.ReadDir(filepath.Join(walDir, name))
-		if err != nil {
-			t.Fatal(err)
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), walSuffix) {
+			continue
 		}
-		for _, e := range entries {
-			if !strings.HasSuffix(e.Name(), walSuffix) {
-				continue
-			}
-			segments++
-			path := filepath.Join(walDir, name, e.Name())
-			if got := fs.reads[path]; got != 1 {
-				bad = append(bad, fmt.Sprintf("%s: %d times", path, got))
-			}
+		segments++
+		path := filepath.Join(walDir, e.Name())
+		if got := fs.reads[path]; got != 1 {
+			bad = append(bad, fmt.Sprintf("%s: %d times", path, got))
 		}
 	}
 	if len(bad) > 0 {
 		t.Errorf("%d of %d segments not opened for reading exactly once, e.g. %s", len(bad), segments, bad[0])
 	}
 	if segments < 6 {
-		t.Fatalf("only %d segments on disk; the run should have rotated every channel", segments)
+		t.Fatalf("only %d segments on disk; the run should have rotated the session log", segments)
 	}
 }
 
-// walHub returns a block-policy hub whose dirty channel is WAL-backed,
-// with a small buffer and ring capacity.
+// walHub returns a block-policy hub backed by a session log, with a
+// small buffer and ring capacity.
 func walHub(t *testing.T, replay int) *Hub {
 	t.Helper()
 	w, err := OpenWAL(t.TempDir(), WALOptions{})
@@ -96,9 +90,7 @@ func walHub(t *testing.T, replay int) *Hub {
 	}
 	t.Cleanup(func() { w.Close() })
 	h := NewHubNamed(Channels(), 8, replay, PolicyBlock, nil)
-	if err := h.AttachWAL(ChannelDirty, w); err != nil {
-		t.Fatal(err)
-	}
+	h.attachLog(w)
 	return h
 }
 

@@ -12,9 +12,8 @@
 // frames (tuple, log, colbatch; DESIGN.md §10 has the bytes), one JSON
 // object for the rare control frames (hello, eof, error). The first byte
 // tells them apart — a binary payload opens with a version byte that is
-// never '{' — so JSON data frames (a line from /stream, a WAL record of
-// an older build) still decode. JSON for data frames is rendered only at
-// the HTTP edge. On TCP each payload is preceded by a 4-byte big-endian
+// never '{' — so a JSON data frame (a line from /stream) still decodes.
+// JSON for data frames is rendered only at the HTTP edge. On TCP each payload is preceded by a 4-byte big-endian
 // length; on HTTP each frame is one JSON line (NDJSON). The first frame
 // of every subscription is a hello carrying the stream schema; data
 // frames follow in sequence order; an eof or error frame is terminal.
@@ -59,8 +58,8 @@ const (
 	FrameLog = "log"
 	// FrameColBatch carries a column-major batch of tuples under one
 	// sequence number. No server emits it any more; clients and the HTTP
-	// edge still decode it, because a WAL an older build wrote may hold
-	// it.
+	// edge still decode it, because the benchmark's budget layer still
+	// encodes it.
 	FrameColBatch = "colbatch"
 	// FrameEOF is terminal: the pipeline completed normally.
 	FrameEOF = "eof"
@@ -686,8 +685,8 @@ func decodeBinary(payload []byte) (*Frame, error) {
 }
 
 // DecodeFrame decodes one frame payload into its Frame view. The first
-// byte tells binary data frames from JSON ones: control frames, NDJSON
-// lines, and the WAL records of builds that predate the binary layout.
+// byte tells binary data frames from JSON ones: control frames and
+// NDJSON lines.
 func DecodeFrame(payload []byte) (*Frame, error) {
 	if len(payload) > 0 && payload[0] != '{' {
 		return decodeBinary(payload)
