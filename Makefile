@@ -53,7 +53,7 @@ race:
 
 # Focused race pass over the concurrent hot paths the observability
 # layer instruments (lock-free counters under sharded workers) plus the
-# service runtime's hub/WAL/supervisor machinery and the chaos harness
+# service runtime's hub/WAL/session machinery and the chaos harness
 # that hammers it. Runs with -count=2 so the second pass exercises
 # warmed per-worker cells.
 racehot:

@@ -319,7 +319,8 @@ func withServe(t *testing.T, serve string) string {
 
 // TestDaemonUsageErrors: invalid invocations exit with usage status 2.
 // An engine knob is set in the -config serve block, so its range checks
-// are config.Normalize's; the daemon reports them as usage errors.
+// are config.Normalize's; the daemon reports them as usage errors. A key
+// the serve block does not know fails the parse instead (status 1).
 func TestDaemonUsageErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binary")
@@ -356,7 +357,8 @@ func TestDaemonUsageErrors(t *testing.T) {
 		{"negative buffer", serve(`"buffer": -1`), "serve.buffer must be positive"},
 		{"both listeners off", append(base, "-listen", "off", "-http", "off"), "both listeners disabled"},
 		{"negative wal segment", serve(`"wal_segment_bytes": -1`), "serve.wal_segment_bytes must be positive"},
-		{"negative restart budget", serve(`"restart_budget": -1`), "serve.restart_budget must be positive"},
+		// The serve block has no restart budget: the key is unknown.
+		{"negative restart budget", serve(`"restart_budget": -1`), `unknown field "restart_budget"`},
 		{"negative checkpoint every", serve(`"checkpoint_every": -1`), "serve.checkpoint_every must be positive"},
 		// The shape rules are core.StreamSpec's; the daemon surfaces them.
 		{"invalid shape", serve(`"shards": 4, "shard_key": "Nope"`), `core: shard key attribute "Nope" not in schema`},
@@ -375,8 +377,12 @@ func TestDaemonUsageErrors(t *testing.T) {
 			if !ok {
 				t.Fatalf("expected non-zero exit, got %v\n%s", err, out)
 			}
-			if ee.ExitCode() != 2 {
-				t.Errorf("exit code = %d, want 2\n%s", ee.ExitCode(), out)
+			code := 2
+			if strings.HasPrefix(tc.want, "unknown field") {
+				code = 1 // the parse failed: not a usage error
+			}
+			if ee.ExitCode() != code {
+				t.Errorf("exit code = %d, want %d\n%s", ee.ExitCode(), code, out)
 			}
 			if !strings.Contains(string(out), tc.want) {
 				t.Errorf("diagnostic missing %q:\n%s", tc.want, out)

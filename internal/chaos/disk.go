@@ -89,6 +89,9 @@ func (f *FaultFS) ReadDir(name string) ([]os.DirEntry, error) { return f.inner()
 // Remove implements netstream.FS.
 func (f *FaultFS) Remove(name string) error { return f.inner().Remove(name) }
 
+// Rename implements netstream.FS.
+func (f *FaultFS) Rename(oldname, newname string) error { return f.inner().Rename(oldname, newname) }
+
 // MkdirAll implements netstream.FS.
 func (f *FaultFS) MkdirAll(name string, perm os.FileMode) error {
 	return f.inner().MkdirAll(name, perm)

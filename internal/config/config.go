@@ -35,7 +35,7 @@ type Document struct {
 	Pipelines []PipelineSpec `json:"pipelines"`
 	// Serve sets the engine knobs: the execution shape and checkpoint
 	// cadence (read by cmd/icewafl -stream too), and a served run's
-	// replay, backpressure, WAL tuning and supervision (cmd/icewafld).
+	// replay, backpressure, drain and WAL tuning (cmd/icewafld).
 	Serve *ServeSpec `json:"serve,omitempty"`
 }
 
@@ -90,18 +90,6 @@ type ServeSpec struct {
 	// shape is checkpointable (reorder 1, one shard); icewafl -stream
 	// also flushes its pollution log at this cadence.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-	// Supervise restarts the pipeline session after a panic or fatal
-	// error instead of leaving the daemon serving a dead stream.
-	Supervise bool `json:"supervise,omitempty"`
-	// RestartBudget quarantines the session after this many restarts
-	// within restart_window (default 3).
-	RestartBudget int `json:"restart_budget,omitempty"`
-	// RestartWindow is the sliding window for the restart budget (Go
-	// duration, default "1m").
-	RestartWindow string `json:"restart_window,omitempty"`
-	// RestartBackoff is the base exponential backoff between restarts
-	// (Go duration, default "100ms").
-	RestartBackoff string `json:"restart_backoff,omitempty"`
 	// Tenants configures per-tenant quotas for session mode, read from
 	// the daemon's own -config (icewafld -sessions). Tenants not listed
 	// get the zero quota (unlimited). A session spec may not set it.
@@ -143,7 +131,6 @@ func (s *ServeSpec) Normalize() (ServeSpec, error) {
 		Buffer: 256, Replay: 65536, Policy: "block",
 		Reorder: 64, Shards: 1, DrainTimeout: "5s",
 		CheckpointEvery: 256,
-		RestartBudget:   3, RestartWindow: "1m", RestartBackoff: "100ms",
 	}
 	if s == nil {
 		return out, nil
@@ -177,10 +164,6 @@ func (s *ServeSpec) Normalize() (ServeSpec, error) {
 		return out, fmt.Errorf("config: serve: %w", err)
 	}
 	positive(&err, "checkpoint_every", s.CheckpointEvery, &out.CheckpointEvery)
-	out.Supervise = s.Supervise
-	positive(&err, "restart_budget", s.RestartBudget, &out.RestartBudget)
-	positiveDuration(&err, "restart_window", s.RestartWindow, &out.RestartWindow)
-	positiveDuration(&err, "restart_backoff", s.RestartBackoff, &out.RestartBackoff)
 	if err != nil {
 		return out, err
 	}

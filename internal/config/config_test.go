@@ -392,6 +392,12 @@ func TestConfigRejectsSilentlyWrongParams(t *testing.T) {
 		{"checkpoint serve key", serveDoc(`"checkpoint": "ck.json"`), `config: parse: json: unknown field "checkpoint"`},
 		{"state_dir serve key", serveDoc(`"state_dir": "s"`), `config: parse: json: unknown field "state_dir"`},
 		{"archive_deleted serve key", serveDoc(`"archive_deleted": true`), `config: parse: json: unknown field "archive_deleted"`},
+		// A failed session stays failed until the daemon restarts and
+		// recovers it: no key asks for in-process restarts.
+		{"supervise serve key", serveDoc(`"supervise": true`), `config: parse: json: unknown field "supervise"`},
+		{"restart_budget serve key", serveDoc(`"restart_budget": 3`), `config: parse: json: unknown field "restart_budget"`},
+		{"restart_window serve key", serveDoc(`"restart_window": "1m"`), `config: parse: json: unknown field "restart_window"`},
+		{"restart_backoff serve key", serveDoc(`"restart_backoff": "100ms"`), `config: parse: json: unknown field "restart_backoff"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Load(strings.NewReader(tc.doc))

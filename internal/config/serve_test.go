@@ -13,7 +13,6 @@ func TestServeSpecDefaults(t *testing.T) {
 		Buffer: 256, Replay: 65536, Policy: "block",
 		Reorder: 64, Shards: 1, DrainTimeout: "5s",
 		CheckpointEvery: 256,
-		RestartBudget:   3, RestartWindow: "1m", RestartBackoff: "100ms",
 	}
 	var nilSpec *ServeSpec
 	got, err := nilSpec.Normalize()
@@ -51,8 +50,7 @@ func TestServeSpecOverridesAndValidation(t *testing.T) {
 		Buffer: 8, Replay: 1024,
 		Policy: "disconnect-slow", Reorder: 1, Shards: 8,
 		ShardKey: "sensor", DrainTimeout: "250ms",
-		CheckpointEvery: 256, RestartBudget: 3,
-		RestartWindow: "1m", RestartBackoff: "100ms",
+		CheckpointEvery: 256,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("got %+v, want %+v", got, want)
@@ -77,9 +75,6 @@ func TestServeSpecOverridesAndValidation(t *testing.T) {
 		{ServeSpec{WALRetainAge: "never"}, "serve.wal_retain_age"},
 		{ServeSpec{WALFsyncEvery: -1}, "serve.wal_fsync_every"},
 		{ServeSpec{CheckpointEvery: -5}, "serve.checkpoint_every"},
-		{ServeSpec{RestartBudget: -1}, "serve.restart_budget"},
-		{ServeSpec{RestartWindow: "-1m"}, "serve.restart_window"},
-		{ServeSpec{RestartBackoff: "soon"}, "serve.restart_backoff"},
 		{ServeSpec{Tenants: []TenantSpec{{}}}, "needs a name"},
 		{ServeSpec{Tenants: []TenantSpec{{Name: "a"}, {Name: "a"}}}, "duplicate name"},
 		{ServeSpec{Tenants: []TenantSpec{{Name: "a", MaxSessions: -1}}}, "non-negative"},
@@ -119,9 +114,9 @@ func TestServeBlockParses(t *testing.T) {
 	}
 }
 
-// TestServeSpecDurability: the WAL tuning, checkpoint cadence and
-// supervision fields parse from JSON and normalize with their documented
-// defaults. Where the state lives is the daemon's -state-dir, not a key.
+// TestServeSpecDurability: the WAL tuning and checkpoint cadence fields
+// parse from JSON and normalize with their documented defaults. Where
+// the state lives is the daemon's -state-dir, not a key.
 func TestServeSpecDurability(t *testing.T) {
 	doc, err := Parse(strings.NewReader(`{
 		"pipelines": [{"name": "p", "polluters": [
@@ -130,11 +125,7 @@ func TestServeSpecDurability(t *testing.T) {
 		"serve": {
 			"wal_segment_bytes": 1048576,
 			"wal_fsync_every": 8,
-			"checkpoint_every": 64,
-			"supervise": true,
-			"restart_budget": 5,
-			"restart_window": "30s",
-			"restart_backoff": "50ms"
+			"checkpoint_every": 64
 		}
 	}`))
 	if err != nil {
@@ -149,8 +140,5 @@ func TestServeSpecDurability(t *testing.T) {
 	}
 	if spec.CheckpointEvery != 64 {
 		t.Errorf("checkpoint fields not normalized: %+v", spec)
-	}
-	if !spec.Supervise || spec.RestartBudget != 5 || spec.RestartWindow != "30s" || spec.RestartBackoff != "50ms" {
-		t.Errorf("supervision fields not normalized: %+v", spec)
 	}
 }

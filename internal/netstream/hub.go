@@ -169,12 +169,6 @@ type Hub struct {
 	replay   int
 	policy   Policy
 	closed   bool
-	// resumable marks the hub as backing a restartable session
-	// (supervised): error frames are then live-delivery only — they
-	// consume no sequence number and never mark a channel done, so a
-	// restarted session continues the sequence with no gap. A durable hub
-	// behaves that way regardless. Set before serving traffic.
-	resumable bool
 	// trackDelivery stamps published frames with the publish time and
 	// observes publish→Recv pickup into StageDeliver (the service's
 	// p50/p99 source). Every session's hub sets it; a bare hub leaves it
@@ -283,10 +277,10 @@ func (h *Hub) WAL(channelName string) *WAL {
 // BeginRecovery rewinds the named channel's publish cursor to a
 // checkpoint's frame count and arms the suppression boundary at the
 // current maximum: the deterministic re-run between cursor and the
-// boundary regenerates frames that are already durable (or already in
-// the ring), so Publish consumes their sequence numbers silently —
-// subscribers never see a duplicate, and the first genuinely new frame
-// continues the sequence with no gap.
+// boundary regenerates frames that are already durable, so Publish
+// consumes their sequence numbers silently — subscribers never see a
+// duplicate, and the first genuinely new frame continues the sequence
+// with no gap.
 func (h *Hub) BeginRecovery(channelName string, cursor uint64) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -358,13 +352,12 @@ func (h *Hub) publish(channelName, typ string, encode func(dst []byte, seq uint6
 		h.mu.Unlock()
 		return &UnknownChannelError{Channel: channelName}
 	}
-	if typ == FrameError && (h.resumable || h.wal != nil || ch.seq < ch.recoverMax) {
-		// A restartable session failed (or the re-run died inside the
-		// recovery window). The error is not part of the durable stream, so
-		// it takes no sequence number, is never persisted or retained, and
+	if typ == FrameError && h.wal != nil {
+		// A durable session failed. The error is not part of the durable
+		// stream, so it takes no sequence number, is never persisted, and
 		// does not mark the channel done — connected subscribers learn the
-		// session failed, while the sequence stays resumable for the next
-		// restart.
+		// session failed, while the log stays resumable for the next
+		// daemon start.
 		data, err := encode(nil, 0)
 		subs := ch.subs
 		h.mu.Unlock()

@@ -1,8 +1,7 @@
 // Crash-recovery tests for the durable service runtime: WAL-backed
 // replay across server restarts, checkpoint resume of an interrupted
-// pipeline with no duplicated or skipped sequence numbers, supervised
-// in-process session restarts, quarantine reporting, and the bounded
-// drain under a stuck subscriber.
+// pipeline with no duplicated or skipped sequence numbers, a panicking
+// session failing alone, and the bounded drain under a stuck subscriber.
 package netstream
 
 import (
@@ -15,6 +14,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,6 +91,21 @@ func (f *failAfterSource) Next() (stream.Tuple, error) {
 	}
 	f.left--
 	return f.Source.Next()
+}
+
+// panicSource emits left tuples of the wrapped source, then panics in
+// Next.
+type panicSource struct {
+	stream.Source
+	left int
+}
+
+func (p *panicSource) Next() (stream.Tuple, error) {
+	if p.left == 0 {
+		panic("injected source panic")
+	}
+	p.left--
+	return p.Source.Next()
 }
 
 // frameSeqs subscribes raw from fromSeq and returns the sequence
@@ -300,114 +315,66 @@ func TestServerCheckpointResumeMidRun(t *testing.T) {
 	}
 }
 
-// TestServerSuperviseRestartsSession: under Supervise a fatal session
-// failure restarts the pipeline in-process; with the WAL and checkpoint
-// armed the restarted session continues the stream seamlessly and the
-// restart is counted.
-func TestServerSuperviseRestartsSession(t *testing.T) {
-	const seed, n, dieAt = 47, 120, 50
-	stateDir := t.TempDir()
+// TestServiceSessionPanicFailsAlone: a source that panics in Next fails
+// its own session — state failed with the panic as its error, an error
+// frame to its subscriber, /healthz degraded — while a sibling session
+// of the same service drains byte-identical to its reference, and the
+// process survives.
+func TestServiceSessionPanicFailsAlone(t *testing.T) {
+	const seed, n = 59, 200
+	svc, tcpAddr, baseURL := startService(t, ServiceConfig{})
+	for name, spec := range map[string]testSessionSpec{
+		"steady": {Seed: seed, N: n},
+		"boom":   {Seed: seed, N: n, PanicAt: 50},
+	} {
+		if status, body := createSession(t, baseURL, "alpha", name, specJSON(t, spec)); status != http.StatusCreated {
+			t.Fatalf("create alpha/%s: HTTP %d: %v", name, status, body)
+		}
+	}
+
+	conn := subscribeTCP(t, tcpAddr, "alpha/boom/"+ChannelDirty, 0)
+	tuples, terminal := readTCPFrames(t, conn)
+	conn.Close()
+	if terminal.Type != FrameError || !strings.Contains(terminal.Error, "panic") {
+		t.Fatalf("panicking session ended with %q frame %q, want an error frame naming the panic", terminal.Type, terminal.Error)
+	}
+	if len(tuples) != 50 {
+		t.Fatalf("panicking session delivered %d tuples, want the 50 before the panic", len(tuples))
+	}
+
 	refDirty, _, _ := referenceRun(t, seed, n, 1)
+	conn = subscribeTCP(t, tcpAddr, "alpha/steady/"+ChannelDirty, 0)
+	tuples, terminal = readTCPFrames(t, conn)
+	conn.Close()
+	if terminal.Type != FrameEOF {
+		t.Fatalf("sibling session ended with %q: %s", terminal.Type, terminal.Error)
+	}
+	sameTuples(t, "sibling of a panicking session", tuples, refDirty)
 
-	cfg := serverConfig(t, seed, n)
-	cfg.StateDir = stateDir
-	cfg.CheckpointEvery = 8
-	cfg.Supervise = true
-	cfg.RestartBudget = 3
-	cfg.RestartWindow = time.Minute
-	cfg.RestartBackoff = time.Millisecond
-	src := cfg.NewSource
-	attempts := 0
-	cfg.NewSource = func() (stream.Source, error) {
-		attempts++
-		inner, err := src()
-		if err != nil {
-			return nil, err
+	for _, name := range []string{"boom", "steady"} {
+		sess, ok := svc.Get("alpha", name)
+		if !ok {
+			t.Fatalf("alpha/%s gone", name)
 		}
-		if attempts == 1 {
-			return &failAfterSource{Source: inner, left: dieAt}, nil
-		}
-		return inner, nil
+		waitPipelineDone(t, sess.Server())
 	}
-	srv, addr, httpAddr, _ := startStoppableServer(t, cfg)
-	waitPipelineDone(t, srv)
-	if err := srv.PipelineErr(); err != nil {
-		t.Fatalf("supervised run did not recover: %v", err)
-	}
-	if got := srv.Supervisor().Restarts(); got != 1 {
-		t.Fatalf("Restarts() = %d, want 1", got)
-	}
-	if srv.Supervisor().Quarantined() {
-		t.Fatal("session quarantined despite recovering")
-	}
-
-	c, err := Dial(addr, ChannelDirty)
+	resp, err := http.Get(baseURL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameTuples(t, "dirty across supervised restart", drainClient(t, c), refDirty)
-
-	resp, err := http.Get("http://" + httpAddr + "/healthz")
+	var health struct {
+		State    string                   `json:"state"`
+		Sessions map[string]SessionStatus `json:"sessions"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&health)
+	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var body struct {
-		Sessions map[string]map[string]any `json:"sessions"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	health := body.Sessions[""]
-	if health["restarts"] != float64(1) {
-		t.Fatalf("healthz restarts = %v, want 1 (%v)", health["restarts"], health)
-	}
-	if health["state"] == "quarantined" {
-		t.Fatalf("healthz reports quarantine on a recovered session: %v", health)
-	}
-}
-
-// TestServerQuarantineOnRestartBudget: a session that keeps dying
-// exhausts its restart budget, is quarantined instead of crash-looping,
-// and /healthz reports it.
-func TestServerQuarantineOnRestartBudget(t *testing.T) {
-	const seed, n = 53, 100
-	cfg := serverConfig(t, seed, n)
-	cfg.StateDir = t.TempDir()
-	cfg.Supervise = true
-	cfg.RestartBudget = 2
-	cfg.RestartWindow = time.Minute
-	cfg.RestartBackoff = time.Millisecond
-	cfg.NewSource = func() (stream.Source, error) {
-		return nil, errors.New("source permanently broken")
-	}
-	srv, _, httpAddr, _ := startStoppableServer(t, cfg)
-	waitPipelineDone(t, srv)
-	err := srv.PipelineErr()
-	if err == nil || !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("pipeline error = %v, want quarantine", err)
-	}
-	if !srv.Supervisor().Quarantined() {
-		t.Fatal("Quarantined() = false after budget exhaustion")
-	}
-	if got := srv.Supervisor().Restarts(); got != 2 {
-		t.Fatalf("Restarts() = %d, want 2", got)
-	}
-
-	resp, err := http.Get("http://" + httpAddr + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Sessions map[string]map[string]any `json:"sessions"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	health := body.Sessions[""]
-	if health["state"] != "quarantined" {
-		t.Fatalf("healthz state = %v, want quarantined (%v)", health["state"], health)
+	boom, steady := health.Sessions["alpha/boom"], health.Sessions["alpha/steady"]
+	if health.State != "degraded" || boom.State != "failed" || !strings.Contains(boom.Error, "panic") || steady.State != "done" {
+		t.Fatalf("healthz: state %s, boom %s (%s), steady %s; want degraded, failed with the panic, done",
+			health.State, boom.State, boom.Error, steady.State)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -70,19 +71,6 @@ type Config struct {
 	// CheckpointEvery is the capture cadence in emitted tuples (default
 	// 256).
 	CheckpointEvery int
-	// Supervise runs the pipeline as a restartable session: a failed or
-	// panicked run is restarted with exponential backoff until the
-	// restart budget is exhausted, then quarantined (surfaced on
-	// /healthz).
-	Supervise bool
-	// RestartBudget is the number of restarts tolerated per
-	// RestartWindow before quarantine (default 3).
-	RestartBudget int
-	// RestartWindow is the sliding restart-budget window (default 1m).
-	RestartWindow time.Duration
-	// RestartBackoff is the base restart delay, doubled per consecutive
-	// failure (default 100ms).
-	RestartBackoff time.Duration
 }
 
 // shape is the execution shape the flat fields describe.
@@ -104,7 +92,6 @@ type chanName struct {
 type Server struct {
 	cfg  Config
 	hub  *Hub
-	sup  *Supervisor
 	reg  *obs.Registry
 	logf func(format string, args ...any)
 
@@ -189,13 +176,6 @@ func newServer(cfg Config, namespace string, reg *obs.Registry, logf func(format
 	if namespace == "" {
 		s.hub.registerGauges()
 	}
-	if cfg.Supervise {
-		s.hub.resumable = true
-		s.sup = NewSupervisor(cfg.RestartBudget, cfg.RestartWindow, cfg.RestartBackoff, logf)
-		if namespace == "" {
-			reg.RegisterFunc("net_session_restarts", s.sup.Restarts)
-		}
-	}
 	doc := SchemaDocument(cfg.Schema)
 	for _, cn := range s.chans {
 		if err := s.hub.SetHello(cn.full, &Frame{Type: FrameHello, Channel: cn.full, Schema: doc}); err != nil {
@@ -204,9 +184,6 @@ func newServer(cfg Config, namespace string, reg *obs.Registry, logf func(format
 	}
 	return s, nil
 }
-
-// Supervisor returns the session supervisor (nil unless Supervise).
-func (s *Server) Supervisor() *Supervisor { return s.sup }
 
 // DrainExpired reports whether the shutdown drain deadline fired with
 // subscribers still connected (their connections were force-closed; the
@@ -280,15 +257,33 @@ func (s *Server) captureCheckpoint(ckr *core.Checkpointer) error {
 // subscriber only affects its own subscription (per the backpressure
 // policy), while source-side faults follow the process's fault policy
 // as in-process: a malformed row is a dead letter under quarantine and
-// ends the run without it.
+// ends the run without it. Any other failure ends the run, and every
+// channel's subscribers get an error frame; a panic on the run's
+// goroutine (a source's Next included) is such a failure, so it fails
+// this session instead of taking the daemon down.
 //
-// In durable mode (StateDir) each run first arms the hub's recovery
-// suppression: frames the deterministic (re-)run regenerates below the
+// In durable mode (StateDir) the run first arms the hub's recovery
+// suppression: frames the deterministic re-run regenerates below the
 // durable maximum consume their sequence numbers silently, so a
 // restarted daemon resumes the stream with no duplicates or gaps. A
 // checkpointed run additionally resumes pipeline state from the last
 // checkpoint instead of replaying the whole input.
-func (s *Server) runPipeline(ctx context.Context) error {
+func (s *Server) runPipeline(ctx context.Context) (err error) {
+	fail := func(err error) error {
+		msg := err.Error()
+		for _, cn := range s.chans {
+			if perr := s.hub.Publish(cn.full, &Frame{Type: FrameError, Error: msg}); perr != nil && !errors.Is(perr, ErrHubClosed) {
+				s.logf("error publish on %s: %v", cn.full, perr)
+			}
+		}
+		return err
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fail(fmt.Errorf("netstream: session panic: %v\n%s", r, debug.Stack()))
+		}
+	}()
+
 	proc := s.cfg.Proc
 	durable := s.cfg.StateDir != ""
 	if durable && s.allTerminal() {
@@ -307,27 +302,25 @@ func (s *Server) runPipeline(ctx context.Context) error {
 		}
 	}
 
+	// The tap cannot return an error, so a clean frame the hub refuses
+	// fails the run at the next tuple; the tap publishes nothing after
+	// it, or the following clean frames would take the refused frame's
+	// sequence number.
+	var tapErr atomic.Pointer[error]
 	proc.CleanTap = func(t stream.Tuple) {
+		if tapErr.Load() != nil {
+			return
+		}
 		if err := s.hub.PublishTuple(s.chClean, t); err != nil {
-			s.logf("clean publish: %v", err)
+			refused := err // escapes only on this path, not per tuple
+			tapErr.Store(&refused)
 		}
 	}
 	defer func() { proc.CleanTap = nil }()
 
-	fail := func(err error) error {
-		msg := err.Error()
-		for _, cn := range s.chans {
-			if perr := s.hub.Publish(cn.full, &Frame{Type: FrameError, Error: msg}); perr != nil && !errors.Is(perr, ErrHubClosed) {
-				s.logf("error publish on %s: %v", cn.full, perr)
-			}
-		}
-		return err
-	}
-
-	if durable || s.cfg.Supervise {
-		// Arm recovery on every attempt: the first run of a fresh log is a
-		// no-op (cursor and boundary both zero), later runs replay into the
-		// suppressed region.
+	if durable {
+		// The first run of a fresh log arms a no-op (cursor and boundary
+		// both zero); a restarted one replays into the suppressed region.
 		if err := s.armRecovery(resume); err != nil {
 			return fail(err)
 		}
@@ -368,6 +361,9 @@ func (s *Server) runPipeline(ctx context.Context) error {
 	emitted := 0
 	for {
 		t, err := polluted.Next()
+		if p := tapErr.Load(); p != nil {
+			return fail(*p)
+		}
 		if err == io.EOF {
 			break
 		}
@@ -412,17 +408,12 @@ func stopSource(src stream.Source) {
 	}
 }
 
-// startPipeline launches the pollution run (supervised when configured)
-// and returns a one-shot channel carrying its terminal error.
+// startPipeline launches the pollution run and returns a one-shot
+// channel carrying its terminal error.
 func (s *Server) startPipeline(ctx context.Context) <-chan error {
 	pipeRes := make(chan error, 1)
 	go func() {
-		var err error
-		if s.sup != nil {
-			err = s.sup.Run(ctx, s.runPipeline)
-		} else {
-			err = s.runPipeline(ctx)
-		}
+		err := s.runPipeline(ctx)
 		s.mu.Lock()
 		s.pipelineErr = err
 		s.mu.Unlock()

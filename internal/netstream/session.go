@@ -44,13 +44,12 @@ type SessionRequest struct {
 type SessionStatus struct {
 	Tenant string `json:"tenant"`
 	Name   string `json:"name"`
-	// State is running, done, failed or quarantined.
+	// State is running, done or failed.
 	State    string   `json:"state"`
 	DirtySeq uint64   `json:"dirty_seq"`
 	CleanSeq uint64   `json:"clean_seq"`
 	LogSeq   uint64   `json:"log_seq"`
 	Subs     int64    `json:"subscribers"`
-	Restarts uint64   `json:"restarts"`
 	Error    string   `json:"error,omitempty"`
 	Channels []string `json:"channels"`
 	// Durable reports that the session persists its channels to a WAL
@@ -102,9 +101,9 @@ type ServiceConfig struct {
 	ArchiveDeleted bool
 }
 
-// Session is one supervised pipeline run inside a Service: a Server
-// whose channels are <tenant>/<name>/dirty|clean|log — or, for the
-// unnamed session (empty tenant and name), the bare dirty|clean|log.
+// Session is one pipeline run inside a Service: a Server whose
+// channels are <tenant>/<name>/dirty|clean|log — or, for the unnamed
+// session (empty tenant and name), the bare dirty|clean|log.
 type Session struct {
 	tenant string
 	name   string
@@ -196,12 +195,6 @@ func (sess *Session) status() SessionStatus {
 			st.State = "done"
 		}
 	default:
-	}
-	if sup := srv.Supervisor(); sup != nil {
-		st.Restarts = sup.Restarts()
-		if sup.Quarantined() {
-			st.State = "quarantined"
-		}
 	}
 	return st
 }
@@ -484,8 +477,8 @@ func (s *Service) wireDurable(cfg *Config, budget *WALBudget, stateDir string) {
 }
 
 // writeSpecFile atomically persists the session request next to its WAL
-// so Recover can resurrect the session; a directory fsync through fs
-// (nil = the real filesystem) makes the rename durable.
+// so Recover can resurrect the session. Every step goes through fs (nil =
+// the real filesystem), and a directory fsync makes the rename durable.
 func writeSpecFile(fs FS, path string, req SessionRequest) error {
 	if fs == nil {
 		fs = osFS{}
@@ -493,11 +486,11 @@ func writeSpecFile(fs FS, path string, req SessionRequest) error {
 	dir, tmp := filepath.Dir(path), path+".tmp"
 	data, err := json.MarshalIndent(req, "", "  ")
 	if err == nil {
-		err = os.MkdirAll(dir, 0o755)
+		err = fs.MkdirAll(dir, 0o755)
 	}
-	var f *os.File
+	var f File
 	if err == nil {
-		f, err = os.Create(tmp)
+		f, err = fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	}
 	if err == nil {
 		_, err = f.Write(append(data, '\n'))
@@ -508,15 +501,15 @@ func writeSpecFile(fs FS, path string, req SessionRequest) error {
 			err = cerr
 		}
 		if err == nil {
-			err = os.Rename(tmp, path)
+			err = fs.Rename(tmp, path)
 		}
 		if err != nil {
-			os.Remove(tmp)
+			fs.Remove(tmp)
 		}
 	}
 	if err == nil {
 		if err = fs.SyncDir(dir); err != nil {
-			os.Remove(path) // not durable: no spec for Recover to find
+			fs.Remove(path) // not durable: no spec for Recover to find
 		}
 	}
 	if err != nil {
@@ -904,7 +897,7 @@ func (s *Service) HTTPHandler() http.Handler {
 		state := "ok"
 		for _, st := range statuses {
 			sessions[sessionID(st.Tenant, st.Name)] = st
-			if st.State == "failed" || st.State == "quarantined" {
+			if st.State == "failed" {
 				state = "degraded"
 			}
 		}

@@ -25,6 +25,9 @@ type testSessionSpec struct {
 	Buffer  int    `json:"buffer,omitempty"`
 	Policy  string `json:"policy,omitempty"`
 	DrainMS int    `json:"drain_ms,omitempty"`
+	// PanicAt, when set, makes the session's source panic in Next after
+	// this many tuples.
+	PanicAt int `json:"panic_at,omitempty"`
 	// Config, when set, is a pollution configuration the hook parses as
 	// icewafld's does, so a spec an older build persisted meets today's
 	// rejection of a key it no longer knows.
@@ -62,6 +65,9 @@ func testServiceBuild(t *testing.T) func(json.RawMessage) (Config, error) {
 			Schema: schema,
 			Proc:   testProcess(ts.Seed),
 			NewSource: func() (stream.Source, error) {
+				if ts.PanicAt > 0 {
+					return &panicSource{Source: testSource(schema, ts.N), left: ts.PanicAt}, nil
+				}
 				return testSource(schema, ts.N), nil
 			},
 			Reorder: 1,

@@ -66,6 +66,7 @@ type FS interface {
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	ReadDir(name string) ([]os.DirEntry, error)
 	Remove(name string) error
+	Rename(oldname, newname string) error
 	MkdirAll(name string, perm os.FileMode) error
 	// SyncDir fsyncs a directory, making the creation, rename or removal
 	// of its entries durable.
@@ -80,6 +81,7 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 }
 func (osFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
 func (osFS) Remove(name string) error                   { return os.Remove(name) }
+func (osFS) Rename(oldname, newname string) error       { return os.Rename(oldname, newname) }
 func (osFS) MkdirAll(name string, perm os.FileMode) error {
 	return os.MkdirAll(name, perm)
 }
