@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"icewafl/internal/obs"
@@ -67,8 +68,9 @@ type Checkpoint struct {
 }
 
 // WriteCheckpoint atomically persists c at path (write to a temp file in
-// the same directory, fsync, rename), so a crash mid-write never
-// corrupts the previous checkpoint.
+// the same directory, fsync, rename, fsync the directory), so a crash
+// mid-write never corrupts the previous checkpoint, and a checkpoint
+// that returned survives a crash.
 func WriteCheckpoint(path string, c *Checkpoint) error {
 	data, err := json.Marshal(c)
 	if err != nil {
@@ -96,6 +98,14 @@ func WriteCheckpoint(path string, c *Checkpoint) error {
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("core: checkpoint: %w", err)
+	}
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return fmt.Errorf("core: checkpoint dir sync: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("core: checkpoint dir sync: %w", err)
 	}
 	return nil
 }

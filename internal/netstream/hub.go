@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,14 +132,61 @@ type savedFrame struct {
 	at time.Time
 }
 
+// ringBlock is the number of frames in one block of a replay ring
+// (256 × 64 B = 16 KiB).
+const ringBlock = 256
+
+// frameRing is a memory-only channel's replay ring: the newest frames,
+// oldest first, in fixed-size blocks. Eviction zeroes the oldest entry,
+// releasing its payload, and a block whose entries are all evicted moves
+// to the end for the next entries, so a full ring allocates nothing.
+type frameRing struct {
+	blocks  [][]savedFrame
+	head, n int // blocks[0][head] is the oldest of the n entries held
+}
+
+// at returns the i-th oldest entry.
+func (r *frameRing) at(i int) *savedFrame {
+	p := r.head + i
+	return &r.blocks[p/ringBlock][p%ringBlock]
+}
+
+// push appends sf, first evicting the oldest entry when limit are held.
+func (r *frameRing) push(sf savedFrame, limit int) {
+	if r.n == limit {
+		*r.at(0) = savedFrame{}
+		r.head, r.n = r.head+1, r.n-1
+		if r.head == ringBlock {
+			b := r.blocks[0]
+			r.blocks = append(r.blocks[:copy(r.blocks, r.blocks[1:])], b)
+			r.head = 0
+		}
+	}
+	if (r.head+r.n)/ringBlock == len(r.blocks) {
+		r.blocks = append(r.blocks, make([]savedFrame, ringBlock))
+	}
+	*r.at(r.n) = sf
+	r.n++
+}
+
+// since returns a copy of the entries whose seq is at least start.
+func (r *frameRing) since(start uint64) []savedFrame {
+	i := sort.Search(r.n, func(i int) bool { return r.at(i).seq >= start })
+	out := make([]savedFrame, r.n-i)
+	for j := range out {
+		out[j] = *r.at(i + j)
+	}
+	return out
+}
+
 // channel is one named broadcast stream inside the hub.
 type channel struct {
 	name string
 	seq  uint64
-	// ring retains the most recent frames of a memory-only channel for
-	// replay, oldest first. A durable hub keeps no ring: the log is its one
-	// replay path.
-	ring []savedFrame
+	// ring retains the newest Hub.replay frames of a memory-only channel,
+	// oldest first. A durable hub keeps no ring: the log is its one replay
+	// path.
+	ring frameRing
 	// hello is the channel's opening frame, replayed to every new
 	// subscriber (it is not part of the sequence space).
 	hello []byte
@@ -392,8 +440,9 @@ func (h *Hub) publish(channelName, typ string, encode func(dst []byte, seq uint6
 		return err
 	}
 	ch.scratch = scratch
-	// The one allocation a frame costs: the exact-size payload the ring,
-	// the WAL append and every subscriber queue share.
+	// The one allocation a frame costs once the ring is full: the
+	// exact-size payload the ring, the WAL append and every subscriber
+	// queue share.
 	data := append([]byte(nil), scratch...)
 	if terminal {
 		ch.done = true
@@ -416,11 +465,7 @@ func (h *Hub) publish(channelName, typ string, encode func(dst []byte, seq uint6
 		sf.at = time.Now()
 	}
 	if h.wal == nil {
-		ch.ring = append(ch.ring, sf)
-		if len(ch.ring) > h.replay {
-			// Plain sliding eviction, oldest first.
-			ch.ring = ch.ring[len(ch.ring)-h.replay:]
-		}
+		ch.ring.push(sf, h.replay)
 	}
 	subs := ch.subs
 	h.mu.Unlock()
@@ -553,17 +598,13 @@ func (h *Hub) Subscribe(channelName string, fromSeq uint64) (*Subscriber, error)
 			walIter = iter
 		}
 	} else {
-		if len(ch.ring) > 0 && ch.ring[0].seq > start {
-			return nil, &GapError{Channel: channelName, Requested: start, LastAcked: lastAcked, ServerMin: ch.ring[0].seq}
+		if ch.ring.n > 0 && ch.ring.at(0).seq > start {
+			return nil, &GapError{Channel: channelName, Requested: start, LastAcked: lastAcked, ServerMin: ch.ring.at(0).seq}
 		}
-		if len(ch.ring) == 0 && ch.seq >= start {
+		if ch.ring.n == 0 && ch.seq >= start {
 			return nil, &GapError{Channel: channelName, Requested: start, LastAcked: lastAcked}
 		}
-		for _, sf := range ch.ring {
-			if sf.seq >= start {
-				replay = append(replay, sf)
-			}
-		}
+		replay = ch.ring.since(start)
 	}
 	s := &Subscriber{
 		id:      h.nextSubID.Add(1),

@@ -1,0 +1,117 @@
+package netstream
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"testing"
+)
+
+// ringPayloads counts the ring entries, in every block, that still hold
+// a payload.
+func ringPayloads(r *frameRing) int {
+	n := 0
+	for _, b := range r.blocks {
+		for _, sf := range b {
+			if sf.data != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestHubRingRetention pins the replay ring's contract around the block
+// size: it keeps exactly the last replay frames, oldest first, reports
+// the oldest as a gap's ServerMin, and releases every evicted payload.
+func TestHubRingRetention(t *testing.T) {
+	const B = ringBlock
+	for _, replay := range []int{B - 1, B, B + 1, 3*B + 7} {
+		for _, k := range []int{0, 1, B, 2 * replay} {
+			t.Run(fmt.Sprintf("replay=%d/k=%d", replay, k), func(t *testing.T) {
+				h := NewHubNamed(Channels(), 8, replay, PolicyBlock, nil)
+				ring := &h.channels[ChannelDirty].ring
+				for i := 1; i <= replay+k; i++ {
+					publishN(t, h, ChannelDirty, 1)
+					if got := ringPayloads(ring); got != min(i, replay) {
+						t.Fatalf("after %d frames %d ring entries hold a payload, want %d", i, got, min(i, replay))
+					}
+				}
+
+				// The model: the ring holds seqs k+1 .. replay+k.
+				oldest := uint64(k + 1)
+				var gap *GapError
+				sub, err := h.Subscribe(ChannelDirty, 0)
+				switch {
+				case k == 0 && err != nil:
+					t.Fatalf("Subscribe(0) with nothing evicted: %v", err)
+				case k == 0:
+					sub.Close()
+				case !errors.As(err, &gap) || gap.ServerMin != oldest:
+					t.Fatalf("Subscribe(0) = %v, want a gap with ServerMin %d", err, oldest)
+				}
+				if k > 0 {
+					if _, err := h.Subscribe(ChannelDirty, oldest-1); !errors.As(err, &gap) || gap.ServerMin != oldest {
+						t.Fatalf("Subscribe(%d) = %v, want a gap with ServerMin %d", oldest-1, err, oldest)
+					}
+				}
+
+				sub, err = h.Subscribe(ChannelDirty, oldest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sub.Close()
+				if err := h.Publish(ChannelDirty, &Frame{Type: FrameEOF}); err != nil {
+					t.Fatal(err)
+				}
+				eof := uint64(replay + k + 1)
+				for want := oldest; want <= eof; want++ {
+					data, terminal, err := sub.Recv()
+					if err != nil {
+						t.Fatal(err)
+					}
+					f, err := DecodeFrame(data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if f.Seq != want || terminal != (want == eof) {
+						t.Fatalf("got seq %d terminal %v, want seq %d terminal %v", f.Seq, terminal, want, want == eof)
+					}
+				}
+				if got := ringPayloads(ring); got != replay {
+					t.Fatalf("after the eof %d ring entries hold a payload, want %d", got, replay)
+				}
+			})
+		}
+	}
+}
+
+// TestHubRingSteadyStateBytes: once the ring is full, a published frame
+// costs its payload and no ring growth.
+func TestHubRingSteadyStateBytes(t *testing.T) {
+	const replay, frames = 4096, 10 * 4096
+	tu := codecCases[0].tuple(fuzzSchema(), 0)
+	h := NewHubNamed([]string{ChannelDirty}, 8, replay, PolicyBlock, nil)
+	publish := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := h.PublishTuple(ChannelDirty, tu); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	publish(replay)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	publish(frames)
+	runtime.ReadMemStats(&after)
+
+	ring := &h.channels[ChannelDirty].ring
+	// The newest payload has the longest seq varint, so its capacity is
+	// the largest size class a frame of the run was allocated in.
+	sizeClass := cap(ring.at(ring.n - 1).data)
+	perFrame := float64(after.TotalAlloc-before.TotalAlloc) / frames
+	t.Logf("%.1f B per frame, payload size class %d", perFrame, sizeClass)
+	if perFrame > float64(sizeClass+16) {
+		t.Errorf("a full ring allocates %.1f B per frame, want <= %d (payload size class %d + 16)", perFrame, sizeClass+16, sizeClass)
+	}
+}

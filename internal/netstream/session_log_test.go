@@ -52,6 +52,13 @@ func (c *countingFS) OpenFile(name string, flag int, perm os.FileMode) (File, er
 	return &countingFile{File: f, fs: c, name: name}, nil
 }
 
+func (c *countingFS) MkdirAll(name string, perm os.FileMode) error {
+	c.mu.Lock()
+	c.events = append(c.events, "mkdir "+name)
+	c.mu.Unlock()
+	return c.FS.MkdirAll(name, perm)
+}
+
 func (c *countingFS) SyncDir(name string) error {
 	c.mu.Lock()
 	c.events = append(c.events, "syncdir "+name)
@@ -159,8 +166,10 @@ func TestSessionLogFsyncPolicy(t *testing.T) {
 }
 
 // TestSessionLogSyncsDirectories: creating a segment of the session log
-// fsyncs the log directory before any record lands in it, and a durable
-// create fsyncs the session directory after the spec's rename.
+// fsyncs the log directory before any record lands in it, creating the
+// log directory fsyncs the session directory before the first record,
+// and a durable create fsyncs the session directory after the spec's
+// rename.
 func TestSessionLogSyncsDirectories(t *testing.T) {
 	fs := newCountingFS()
 	stateDir := t.TempDir()
@@ -177,6 +186,19 @@ func TestSessionLogSyncsDirectories(t *testing.T) {
 	fs.mu.Unlock()
 	if !specSynced {
 		t.Errorf("no directory sync of %s after the spec's rename", sessDir)
+	}
+	mkdir := slices.Index(events, "mkdir "+walDir)
+	if mkdir < 0 {
+		t.Fatalf("no mkdir of %s", walDir)
+	}
+	parentSynced := false
+	for _, next := range events[mkdir+1:] {
+		if parentSynced = next == "syncdir "+sessDir; parentSynced || strings.HasPrefix(next, "write "+walDir) {
+			break
+		}
+	}
+	if !parentSynced {
+		t.Errorf("no directory sync of %s between the creation of %s and its first record", sessDir, walDir)
 	}
 	segments := 0
 	for i, ev := range events {

@@ -21,8 +21,9 @@ package netstream
 // Each append is one Write. A frame append fsyncs once its channel has
 // FsyncEvery frames not yet durable, covering every channel. A crash
 // tears at most the record being appended; OpenWAL truncates it. A new
-// segment's directory entry is fsynced before its first record, a
-// deleted one's after the removal. Retention deletes whole closed
+// segment's directory entry is fsynced before its first record, and so
+// is the log directory's own entry when OpenWAL creates it; a deleted
+// segment's is fsynced after the removal. Retention deletes whole closed
 // segments, oldest first; each new segment opens with a copy of the
 // newest checkpoint, so retention never drops it. Append and ReadFrom
 // serve a plain stream of records outside the index. All file I/O goes
@@ -341,7 +342,7 @@ type WAL struct {
 	unsynced    map[string]int // frames per channel appended since the last fsync
 	ck          []byte         // payload of the newest checkpoint record (nil = none)
 	broken      bool           // active handle is suspect; recover before next append
-	dirUnsynced bool           // a new segment awaits the directory sync due before its first record
+	dirsPending []string       // directories whose new entry (segment or log dir) awaits a sync before the next record
 	accounted   int64          // bytes this log has settled into opts.Budget
 
 	encBuf []byte // reusable append encoding buffer
@@ -355,10 +356,13 @@ type WAL struct {
 // validates it, indexes it and truncates a torn tail on the last one.
 func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	opts = opts.withDefaults()
+	w := &WAL{dir: dir, opts: opts, unsynced: make(map[string]int)}
+	if _, err := opts.FS.ReadDir(dir); errors.Is(err, os.ErrNotExist) {
+		w.dirsPending = []string{filepath.Dir(dir)}
+	}
 	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("netstream: wal mkdir: %w", err)
 	}
-	w := &WAL{dir: dir, opts: opts, unsynced: make(map[string]int)}
 	if err := w.load(); err != nil {
 		return nil, err
 	}
@@ -558,7 +562,7 @@ func (w *WAL) startSegmentLocked(firstSeq uint64) error {
 		w.opts.FS.Remove(path)
 		return fmt.Errorf("netstream: wal segment header: %w", err)
 	}
-	w.dirUnsynced = true
+	w.dirsPending = append(w.dirsPending, w.dir)
 	if w.active != nil {
 		w.active.Sync()
 		w.active.Close()
@@ -751,14 +755,14 @@ func (w *WAL) add(channel string, seq uint64, flags byte, sync bool, payload []b
 // writeLocked writes one record at log position seq into the active
 // segment as a single Write, rolling a torn write back.
 func (w *WAL) writeLocked(seq uint64, flags byte, payload []byte) error {
-	// A new segment's directory entry is made durable before the first
-	// record in it.
-	if w.dirUnsynced {
-		if err := w.opts.FS.SyncDir(w.dir); err != nil {
-			return fmt.Errorf("netstream: wal segment dir sync: %w", err)
+	// A new segment's directory entry, and a new log directory's entry
+	// in its parent, are made durable before the first record in it.
+	for _, dir := range w.dirsPending {
+		if err := w.opts.FS.SyncDir(dir); err != nil {
+			return fmt.Errorf("netstream: wal dir sync: %w", err)
 		}
-		w.dirUnsynced = false
 	}
+	w.dirsPending = w.dirsPending[:0]
 	act := &w.segments[len(w.segments)-1]
 	w.encBuf = appendRecord(w.encBuf[:0], seq, flags, payload)
 	n, err := w.active.Write(w.encBuf)

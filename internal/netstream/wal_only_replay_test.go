@@ -127,7 +127,7 @@ func TestHubWALChannelKeepsNoRing(t *testing.T) {
 	publishN(t, h, ChannelDirty, 3*replay)
 
 	h.mu.Lock()
-	retained := len(h.channels[ChannelDirty].ring)
+	retained := h.channels[ChannelDirty].ring.n
 	h.mu.Unlock()
 	if retained != 0 {
 		t.Fatalf("wal-backed channel retains %d ring frames, want 0", retained)
