@@ -346,11 +346,9 @@ func pipelineConfig(schema *stream.Schema, doc *config.Document, ss config.Serve
 
 // walOptions is a serve block's WAL tuning.
 func walOptions(ss config.ServeSpec) netstream.WALOptions {
-	age, _ := time.ParseDuration(ss.WALRetainAge)
 	return netstream.WALOptions{
 		SegmentBytes: ss.WALSegmentBytes,
 		RetainBytes:  ss.WALRetainBytes,
-		RetainAge:    age,
 		FsyncEvery:   ss.WALFsyncEvery,
 	}
 }

@@ -63,7 +63,7 @@ func (o *Options) defaults() {
 }
 
 // TenantStat is one tenant's served totals, read back from the
-// daemon's /metrics families.
+// daemon's /metrics snapshot.
 type TenantStat struct {
 	Frames          uint64
 	Bytes           uint64
@@ -85,8 +85,9 @@ type Result struct {
 	// subscribers.
 	Frames uint64
 	Bytes  uint64
-	// GapErrors counts replay-gap rejections (must be zero: every
-	// subscriber starts from seq 0 against a fully retained ring).
+	// GapErrors counts replay-gap rejections, a 410 on subscribe or a
+	// gap error frame (must be zero: every subscriber starts from seq 0
+	// against a fully retained ring).
 	GapErrors int
 	// Errors collects unexpected subscriber or control-plane failures.
 	Errors []string
@@ -338,11 +339,15 @@ func streamDirty(ctx context.Context, client *http.Client, baseURL, channel stri
 		return o
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusTooManyRequests {
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusTooManyRequests:
 		o.quota = true
 		return o
-	}
-	if resp.StatusCode != http.StatusOK {
+	case http.StatusGone:
+		o.gap = true
+		return o
+	default:
 		o.err = fmt.Errorf("subscribe %s: HTTP %d", channel, resp.StatusCode)
 		return o
 	}
@@ -395,9 +400,9 @@ func streamDirty(ctx context.Context, client *http.Client, baseURL, channel stri
 	return o
 }
 
-// scrapeMetrics fetches and parses the daemon's Prometheus exposition.
+// scrapeMetrics fetches and decodes the daemon's obs snapshot.
 func scrapeMetrics(ctx context.Context, client *http.Client, baseURL string) (*obs.Snapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/metrics", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/metrics?format=json", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -409,5 +414,6 @@ func scrapeMetrics(ctx context.Context, client *http.Client, baseURL string) (*o
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("GET /metrics: HTTP %d", resp.StatusCode)
 	}
-	return obs.ParsePrometheus(resp.Body)
+	snap := new(obs.Snapshot)
+	return snap, json.NewDecoder(resp.Body).Decode(snap)
 }

@@ -9,6 +9,9 @@ package main
 
 import (
 	"bufio"
+	"context"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -167,5 +170,19 @@ func TestLoadHarnessScaledDown(t *testing.T) {
 		if st.QuotaRejections != 1 {
 			t.Fatalf("tenant %s quota rejections = %d, want exactly 1", tenant, st.QuotaRejections)
 		}
+	}
+}
+
+// TestStreamDirtyGoneIsGap: a subscribe answered 410 Gone (the replay
+// window no longer reaches seq 0) counts as a gap error, not a generic
+// failure.
+func TestStreamDirtyGoneIsGap(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "netstream: replay gap", http.StatusGone)
+	}))
+	defer srv.Close()
+	o := streamDirty(context.Background(), srv.Client(), srv.URL, "alpha/s0000/dirty")
+	if !o.gap || o.err != nil || o.quota {
+		t.Fatalf("410 outcome = %+v, want gap only", o)
 	}
 }

@@ -3,7 +3,8 @@
 // through the REST control plane, fans thousands of subscribers out
 // over the namespaced channels, and reports end-to-end delivery
 // latency (p50/p99 from the daemon's obs histograms) plus per-tenant
-// throughput and quota-rejection counts from the /metrics families.
+// throughput and quota-rejection counts, all read from the obs
+// snapshot that GET /metrics?format=json returns.
 //
 // Usage:
 //

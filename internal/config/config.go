@@ -68,9 +68,9 @@ type ServeSpec struct {
 	// DrainTimeout bounds the graceful drain on SIGTERM (Go duration,
 	// default "5s").
 	DrainTimeout string `json:"drain_timeout,omitempty"`
-	// WALSegmentBytes, WALRetainBytes, WALRetainAge and WALFsyncEvery
-	// tune the write-ahead log of a durable run (icewafld -state-dir):
-	// one session log holding all three channels and the checkpoints.
+	// WALSegmentBytes, WALRetainBytes and WALFsyncEvery tune the
+	// write-ahead log of a durable run (icewafld -state-dir): one session
+	// log holding all three channels and the checkpoints.
 	//
 	// WALSegmentBytes rotates WAL segments at this size (0 = the
 	// netstream default, 8 MiB).
@@ -78,9 +78,6 @@ type ServeSpec struct {
 	// WALRetainBytes caps the session log's size; the oldest closed
 	// segments go first (0 = the netstream default, 256 MiB).
 	WALRetainBytes int64 `json:"wal_retain_bytes,omitempty"`
-	// WALRetainAge drops WAL segments older than this Go duration
-	// ("" = keep regardless of age).
-	WALRetainAge string `json:"wal_retain_age,omitempty"`
 	// WALFsyncEvery bounds the frames of one channel written but not yet
 	// durable: the log fsyncs once a channel has this many, and that one
 	// fsync covers every channel (0 = the netstream default, 64).
@@ -155,7 +152,6 @@ func (s *ServeSpec) Normalize() (ServeSpec, error) {
 	positiveDuration(&err, "drain_timeout", s.DrainTimeout, &out.DrainTimeout)
 	positive(&err, "wal_segment_bytes", s.WALSegmentBytes, &out.WALSegmentBytes)
 	positive(&err, "wal_retain_bytes", s.WALRetainBytes, &out.WALRetainBytes)
-	positiveDuration(&err, "wal_retain_age", s.WALRetainAge, &out.WALRetainAge)
 	positive(&err, "wal_fsync_every", s.WALFsyncEvery, &out.WALFsyncEvery)
 	if err != nil {
 		return out, err

@@ -398,6 +398,9 @@ func TestConfigRejectsSilentlyWrongParams(t *testing.T) {
 		{"restart_budget serve key", serveDoc(`"restart_budget": 3`), `config: parse: json: unknown field "restart_budget"`},
 		{"restart_window serve key", serveDoc(`"restart_window": "1m"`), `config: parse: json: unknown field "restart_window"`},
 		{"restart_backoff serve key", serveDoc(`"restart_backoff": "100ms"`), `config: parse: json: unknown field "restart_backoff"`},
+		// WAL retention is the log's byte cap plus the tenant budget;
+		// segments do not age out.
+		{"wal_retain_age serve key", serveDoc(`"wal_retain_age": "1h"`), `config: parse: json: unknown field "wal_retain_age"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Load(strings.NewReader(tc.doc))

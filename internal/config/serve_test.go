@@ -72,7 +72,6 @@ func TestServeSpecOverridesAndValidation(t *testing.T) {
 		{ServeSpec{DrainTimeout: "-1s"}, "serve.drain_timeout"},
 		{ServeSpec{WALSegmentBytes: -1}, "serve.wal_segment_bytes"},
 		{ServeSpec{WALRetainBytes: -1}, "serve.wal_retain_bytes"},
-		{ServeSpec{WALRetainAge: "never"}, "serve.wal_retain_age"},
 		{ServeSpec{WALFsyncEvery: -1}, "serve.wal_fsync_every"},
 		{ServeSpec{CheckpointEvery: -5}, "serve.checkpoint_every"},
 		{ServeSpec{Tenants: []TenantSpec{{}}}, "needs a name"},

@@ -707,6 +707,18 @@ func TestServerHTTP(t *testing.T) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
 	}
+	// The same snapshot as JSON; any other format is refused.
+	if snap := metricsJSON(t, base); snap.Gauges["icewafl_net_sessions"] != 1 {
+		t.Errorf("metrics JSON gauges = %v, want one session", snap.Gauges)
+	}
+	resp7, err := http.Get(base + "/metrics?format=xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp7.Body.Close()
+	if resp7.StatusCode != http.StatusBadRequest {
+		t.Errorf("/metrics?format=xml: HTTP %d, want 400", resp7.StatusCode)
+	}
 }
 
 func mustFrame(t *testing.T, line string) *Frame {

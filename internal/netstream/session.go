@@ -465,9 +465,6 @@ func (s *Service) wireDurable(cfg *Config, budget *WALBudget, stateDir string) {
 	if cfg.WAL.RetainBytes > 0 {
 		w.RetainBytes = cfg.WAL.RetainBytes
 	}
-	if cfg.WAL.RetainAge > 0 {
-		w.RetainAge = cfg.WAL.RetainAge
-	}
 	if cfg.WAL.FsyncEvery > 0 {
 		w.FsyncEvery = cfg.WAL.FsyncEvery
 	}
@@ -849,7 +846,8 @@ func writeConnError(conn net.Conn, err error) {
 //	DELETE /v1/sessions/{tenant}/{name}      — stop a session (bounded drain)
 //	GET    /stream?channel=t/s/dirty&from_seq=N — NDJSON stream (a bare
 //	                                           channel is the unnamed session's)
-//	GET    /metrics                          — Prometheus text (per-tenant families)
+//	GET    /metrics[?format=json]            — Prometheus text, or the obs
+//	                                           snapshot as JSON (spans included)
 //	GET    /healthz                          — per-session states
 func (s *Service) HTTPHandler() http.Handler {
 	mux := http.NewServeMux()
@@ -886,8 +884,18 @@ func (s *Service) HTTPHandler() http.Handler {
 			http.Error(w, "metrics disabled", http.StatusNotFound)
 			return
 		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := snap.WritePrometheus(w); err != nil {
+		write := snap.WritePrometheus
+		switch format := r.URL.Query().Get("format"); format {
+		case "":
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		case "json":
+			w.Header().Set("Content-Type", "application/json")
+			write = snap.WriteJSON
+		default:
+			http.Error(w, fmt.Sprintf("unknown metrics format %q (want json, or none for Prometheus text)", format), http.StatusBadRequest)
+			return
+		}
+		if err := write(w); err != nil {
 			s.logf("metrics: %v", err)
 		}
 	})

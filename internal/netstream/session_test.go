@@ -154,6 +154,24 @@ func createSession(t *testing.T, baseURL, tenant, name string, spec json.RawMess
 	return resp.StatusCode, out
 }
 
+// metricsJSON fetches /metrics?format=json and decodes the snapshot.
+func metricsJSON(t *testing.T, baseURL string) *obs.Snapshot {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/metrics?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics?format=json: HTTP %d", resp.StatusCode)
+	}
+	snap := new(obs.Snapshot)
+	if err := json.NewDecoder(resp.Body).Decode(snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
 // subscribeTCP opens a raw TCP subscription to a namespaced channel and
 // returns the connection (caller reads frames).
 func subscribeTCP(t *testing.T, addr, channel string, fromSeq uint64) net.Conn {
@@ -284,16 +302,8 @@ func TestServiceMultiTenantSessions(t *testing.T) {
 		t.Fatalf("quota payload = %+v", qerr)
 	}
 
-	// /metrics carries the per-tenant families round-trippably.
-	resp, err = http.Get(baseURL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := obs.ParsePrometheus(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// /metrics carries the per-tenant families.
+	snap := metricsJSON(t, baseURL)
 	for _, tenant := range tenants {
 		if snap.TenantFrames[tenant] == 0 || snap.TenantBytes[tenant] == 0 {
 			t.Fatalf("tenant %s missing from delivery families: frames=%v bytes=%v",

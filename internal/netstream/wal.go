@@ -24,8 +24,9 @@ package netstream
 // segment's directory entry is fsynced before its first record, and so
 // is the log directory's own entry when OpenWAL creates it; a deleted
 // segment's is fsynced after the removal. Retention deletes whole closed
-// segments, oldest first; each new segment opens with a copy of the
-// newest checkpoint, so retention never drops it. Append and ReadFrom
+// segments, oldest first, while the log is over its byte cap or its
+// tenant over budget; each new segment opens with a copy of the newest
+// checkpoint, so retention never drops it. Append and ReadFrom
 // serve a plain stream of records outside the index. All file I/O goes
 // through FS, so internal/chaos.FaultFS can inject disk faults.
 
@@ -44,7 +45,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"icewafl/internal/core"
 )
@@ -123,17 +123,12 @@ type WALOptions struct {
 	// oldest first, while the total exceeds it (default 256 MiB; the
 	// active segment is never deleted).
 	RetainBytes int64
-	// RetainAge deletes closed segments whose newest record is older
-	// (0 = keep regardless of age).
-	RetainAge time.Duration
 	// FsyncEvery batches fsync: a frame append syncs once its channel, a
 	// plain Append once the log, has this many not yet durable (default
 	// 64; 1 = every append). A plain terminal Append also syncs.
 	FsyncEvery int
 	// FS is the filesystem (default: the real one).
 	FS FS
-	// Now is the clock used for retention decisions (default time.Now).
-	Now func() time.Time
 	// Budget, when set, shares a byte ledger across several WALs — the
 	// session service gives every tenant one spanning its sessions' logs.
 	// Each WAL settles its on-disk bytes into it, and retention also drops
@@ -192,9 +187,6 @@ func (o WALOptions) withDefaults() WALOptions {
 	}
 	if o.FS == nil {
 		o.FS = osFS{}
-	}
-	if o.Now == nil {
-		o.Now = time.Now
 	}
 	return o
 }
@@ -306,7 +298,6 @@ type segment struct {
 	firstSeq uint64 // log position of the first record (also the file name)
 	lastSeq  uint64 // 0 while empty
 	bytes    int64
-	newest   time.Time // write time of the newest record (retention clock)
 	chans    []segChan // the per-channel index: one entry per channel here
 }
 
@@ -457,13 +448,6 @@ func (w *WAL) load() error {
 // the last segment a torn tail is truncated away; for earlier segments
 // any invalid record is corruption.
 func (w *WAL) scanSegment(s *segment, last bool) error {
-	// The retention-age clock for recovered segments starts at open time,
-	// not at the file's mtime: segments inherited from a previous process
-	// are exactly the replay window a resuming subscriber depends on, and
-	// aging them by mtime would let a long-idle session's first
-	// post-restart rotation mass-drop the whole log before anyone could
-	// resume. They age out RetainAge after the reopen instead.
-	s.newest = w.opts.Now()
 	s.lastSeq, s.chans = 0, s.chans[:0]
 	f, err := w.opts.FS.OpenFile(s.path, os.O_RDONLY, 0)
 	if err != nil {
@@ -568,7 +552,7 @@ func (w *WAL) startSegmentLocked(firstSeq uint64) error {
 		w.active.Close()
 	}
 	w.active = f
-	w.segments = append(w.segments, segment{path: path, firstSeq: firstSeq, bytes: int64(walHeaderLen), newest: w.opts.Now()})
+	w.segments = append(w.segments, segment{path: path, firstSeq: firstSeq, bytes: int64(walHeaderLen)})
 	return nil
 }
 
@@ -785,7 +769,6 @@ func (w *WAL) writeLocked(seq uint64, flags byte, payload []byte) error {
 	}
 	act.bytes += int64(n)
 	act.lastSeq = seq
-	act.newest = w.opts.Now()
 	w.appends.Add(1)
 	w.sinceSync++
 	return nil
@@ -858,8 +841,8 @@ func (w *WAL) rotateLocked() error {
 	return nil
 }
 
-// retainLocked deletes the oldest closed segments past the byte and age
-// budgets — and, when a shared tenant budget is attached, while the
+// retainLocked deletes the oldest closed segments past the byte budget —
+// and, when a shared tenant budget is attached, while the
 // tenant's total across all of its logs exceeds that budget. The active
 // segment is never deleted.
 func (w *WAL) retainLocked() {
@@ -868,13 +851,10 @@ func (w *WAL) retainLocked() {
 	// sibling logs sweeping concurrently observe the reclaimed space.
 	w.settleBudgetLocked()
 	total := w.sizeLocked()
-	now := w.opts.Now()
 	drop := 0
 	for drop < len(w.segments)-1 {
 		s := &w.segments[drop]
-		overBytes := total > w.opts.RetainBytes
-		overAge := w.opts.RetainAge > 0 && now.Sub(s.newest) > w.opts.RetainAge
-		if !overBytes && !overAge && !w.opts.Budget.over() {
+		if total <= w.opts.RetainBytes && !w.opts.Budget.over() {
 			break
 		}
 		if err := w.opts.FS.Remove(s.path); err != nil {

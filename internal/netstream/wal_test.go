@@ -244,35 +244,15 @@ func TestWALRetentionByBytes(t *testing.T) {
 	}
 }
 
-func TestWALRetentionByAge(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	w, err := OpenWAL(t.TempDir(), WALOptions{SegmentBytes: 512, RetainAge: time.Hour, Now: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	appendN(t, w, 1, 40)
-	before := w.Segments()
-	now = now.Add(2 * time.Hour) // everything ages out
-	appendN(t, w, 41, 80)        // rotations apply retention
-	if w.Segments() >= before+3 {
-		t.Errorf("age retention kept %d segments (was %d)", w.Segments(), before)
-	}
-	if minSeq(w) == 1 {
-		t.Error("age retention never dropped the oldest segment")
-	}
-}
-
-// TestWALRetentionAgeClockStartsAtOpen is the restart-retention
-// regression: segments recovered at OpenWAL must age out RetainAge
-// after the reopen, not RetainAge after their file mtime. A long-idle
-// session's first post-restart rotation previously mass-dropped the
-// whole recovered log — exactly the replay window a resuming
-// subscriber was about to ask for.
-func TestWALRetentionAgeClockStartsAtOpen(t *testing.T) {
+// TestWALRestartKeepsRecoveredLog is the restart-retention regression:
+// a log reopened after a long idle (every segment file's mtime days old)
+// keeps the whole recovered log through its first post-restart
+// rotations. That log is exactly the replay window a resuming
+// subscriber is about to ask for; retention is the byte cap and the
+// tenant budget, never a segment's age.
+func TestWALRestartKeepsRecoveredLog(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, WALOptions{SegmentBytes: 512, RetainAge: time.Hour})
+	w, err := OpenWAL(dir, WALOptions{SegmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,8 +264,7 @@ func TestWALRetentionAgeClockStartsAtOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The daemon was down for two days: every segment file's mtime is
-	// far past RetainAge by the time it restarts.
+	// The daemon was down for two days.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +276,7 @@ func TestWALRetentionAgeClockStartsAtOpen(t *testing.T) {
 		}
 	}
 
-	w2, err := OpenWAL(dir, WALOptions{SegmentBytes: 512, RetainAge: time.Hour})
+	w2, err := OpenWAL(dir, WALOptions{SegmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,8 @@ import (
 	"testing"
 	"time"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
 
 func TestNilRegistryIsSafe(t *testing.T) {
 	var r *Registry
@@ -213,49 +216,53 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPrometheusRoundTrip(t *testing.T) {
+// expositionRegistry populates every family WritePrometheus emits:
+// counters, a gauge, polluted_by (with a label value that needs every
+// escape), both dq families, shards, the tenant counters and WAL gauge,
+// and two stage histograms. Its spans are JSON-only. FuzzMetricsJSON
+// seeds its corpus from the same registry.
+func expositionRegistry() *Registry {
 	r := NewRegistry()
 	r.Add(CTuplesIn, 100)
 	r.Add(CTuplesOut, 97)
+	r.AddPolluted("noise", 12)
 	r.AddPolluted(`we"ird\name`+"\n", 3)
+	r.AddDQ("bpm_in_range", 100, 4)
+	r.AddDQ("steps_not_null", 100, 0)
 	r.SetShards(2)
 	r.AddShard(0, 60)
 	r.AddShard(1, 40)
+	r.AddTenantDelivery("alpha", 30, 2048)
+	r.AddTenantDelivery("beta", 5, 300)
+	r.AddTenantQuotaRejection("beta")
+	r.RegisterTenantWALBytes("alpha", func() uint64 { return 4096 })
 	r.RegisterFunc("dlq_depth", func() uint64 { return 4 })
 	r.SetTraceSampling(1, 8)
 	r.ObserveSpan(StagePollute, 1, 7*time.Nanosecond)
 	r.ObserveSpan(StagePollute, 2, 900*time.Nanosecond)
 	r.ObserveStage(StageCheckpoint, time.Microsecond)
-
-	s := r.Snapshot()
-	var buf bytes.Buffer
-	if err := s.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParsePrometheus(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("parse exposition: %v\n%s", err, buf.String())
-	}
-	// Spans are JSON-only; everything else must round-trip.
-	s.Spans = nil
-	if !reflect.DeepEqual(s, back) {
-		t.Fatalf("Prometheus round trip mismatch:\n got %+v\nwant %+v", back, s)
-	}
+	return r
 }
 
-func TestParsePrometheusRejectsGarbage(t *testing.T) {
-	bad := []string{
-		"icewafl_mystery_total 5\n",                          // no TYPE
-		"# TYPE other_metric counter\nother_metric 1\n",      // unknown family
-		"icewafl_stage_latency_ns_sum 1\n",                   // missing stage label
-		"icewafl_polluted_tuples_total{polluter=\"x\"} -1\n", // negative
-		"icewafl_shard_tuples_total{shard=\"x\"} 1\n",        // bad shard
-		"junk\n",
+// TestPrometheusExposition pins the text format byte for byte; -update
+// rewrites the golden.
+func TestPrometheusExposition(t *testing.T) {
+	var buf bytes.Buffer
+	if err := expositionRegistry().Snapshot().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
 	}
-	for _, in := range bad {
-		if _, err := ParsePrometheus(bytes.NewReader([]byte(in))); err == nil {
-			t.Fatalf("ParsePrometheus accepted %q", in)
+	golden := filepath.Join("testdata", "exposition.prom.golden")
+	if *update {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("exposition differs from %s:\n got:\n%s\nwant:\n%s", golden, buf.Bytes(), want)
 	}
 }
 
@@ -344,10 +351,12 @@ func TestFileSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back, err = ParsePrometheus(bytes.NewReader(data)); err != nil {
+	var want bytes.Buffer
+	if err := r.Snapshot().WritePrometheus(&want); err != nil {
 		t.Fatal(err)
-	} else if back.Counters[CounterName(CTuplesIn)] != 5 {
-		t.Fatalf("file sink prom counters = %v", back.Counters)
+	}
+	if !bytes.Equal(data, want.Bytes()) {
+		t.Fatalf("file sink prom =\n%s\nwant\n%s", data, want.Bytes())
 	}
 
 	if _, err := FileSink("x", "xml"); err == nil {
