@@ -95,7 +95,7 @@ loadtest-restart:
 # session log's truncation sweep (a restart on the log cut at every
 # record boundary and inside every record) and the recovery suites.
 chaos:
-	$(GO) test -race -count=1 ./internal/chaos/ ./cmd/icewafld/ -run 'Chaos|Proxy|FaultFS|CrashRecovery|WAL'
+	$(GO) test -race -count=1 ./internal/chaos/ ./cmd/icewafld/ -run 'Chaos|Proxy|FaultFS|CrashRecovery|WAL|MidFrameKills|PartialWriteKill'
 	$(GO) test -race -count=1 ./internal/netstream/ -run 'SessionLog|Recover|Checkpoint'
 	$(GO) test -race -count=1 ./cmd/icewafload/ -run 'Restart'
 

@@ -317,11 +317,11 @@ func runWindowed(suite *dq.Suite, src stream.Source, window, slide time.Duration
 
 // runFollow subscribes to a live icewafld dirty channel and streams one
 // NDJSON verdict per closed window. The subscription survives
-// connection loss: the ClientSource resumes at the next sequence number
-// and RetrySource adds backoff between attempts. A replay gap (resume
-// point past the server's retention) is permanent and ends the run,
-// unless resumePolicy is "restart", which re-subscribes at the server's
-// oldest retained frame and keeps monitoring.
+// connection loss: the ClientSource re-dials with backoff and resumes
+// at the next sequence number. A replay gap (resume point past the
+// server's retention) ends the run, unless resumePolicy is "restart",
+// which re-subscribes at the server's oldest retained frame and keeps
+// monitoring.
 func runFollow(suite *dq.Suite, addr string, window, slide time.Duration, truthLive bool, metricsOut, resumePolicy string) {
 	m := newMonitor(suite, window, slide)
 	reg := obs.NewRegistry()
@@ -332,15 +332,9 @@ func runFollow(suite *dq.Suite, addr string, window, slide time.Duration, truthL
 		log.Fatal(err)
 	}
 	defer cs.Stop()
-	retry := stream.NewRetrySource(cs, stream.RetryPolicy{
-		MaxRetries: 10,
-		BaseDelay:  50 * time.Millisecond,
-		MaxDelay:   2 * time.Second,
-	})
-	retry.Instrument(reg)
-	var src stream.Source = retry
+	var src stream.Source = cs
 	if resumePolicy == "restart" {
-		src = &gapRestartSource{Source: retry, cs: cs}
+		src = &gapRestartSource{ClientSource: cs}
 	}
 
 	out := bufio.NewWriter(os.Stdout)
@@ -373,20 +367,19 @@ func runFollow(suite *dq.Suite, addr string, window, slide time.Duration, truthL
 	writeMetrics(reg, metricsOut)
 }
 
-// gapRestartSource implements -resume-policy restart: when the wrapped
-// follow chain fails with a permanent replay gap, it moves the
-// subscription to the server's oldest retained frame and keeps going.
+// gapRestartSource implements -resume-policy restart: when the client
+// fails with a replay gap, it moves the subscription to the server's
+// oldest retained frame and keeps going.
 // The frames between the last acked and the server minimum are lost —
 // that trade is the policy's point, so each restart is logged.
 type gapRestartSource struct {
-	stream.Source
-	cs       *netstream.ClientSource
+	*netstream.ClientSource
 	restarts int
 }
 
 func (g *gapRestartSource) Next() (stream.Tuple, error) {
 	for {
-		t, err := g.Source.Next()
+		t, err := g.ClientSource.Next()
 		var gap *netstream.GapError
 		if err == nil || !errors.As(err, &gap) {
 			return t, err
@@ -394,7 +387,7 @@ func (g *gapRestartSource) Next() (stream.Tuple, error) {
 		g.restarts++
 		log.Printf("replay gap on %s (last acked seq %d, server retains from %d): restarting at server minimum (restart %d)",
 			gap.Channel, gap.LastAcked, gap.ServerMin, g.restarts)
-		g.cs.RestartAt(gap.ServerMin)
+		g.RestartAt(gap.ServerMin)
 	}
 }
 

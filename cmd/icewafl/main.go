@@ -15,12 +15,12 @@
 //	            {"name": "BPM", "kind": "float"}]}
 //
 // The configuration states the whole run: its fault_policy section
-// enables source retrying and dead-letter quarantine, and its serve
-// section sets the -stream shape (reorder, shards, shard_key,
-// checkpoint_every) as icewafld reads it. With -checkpoint, a streaming
-// run snapshots itself every checkpoint_every tuples so that a killed
-// process can continue with -resume, producing output byte-identical to
-// an uninterrupted run.
+// enables dead-letter quarantine, and its serve section sets the
+// -stream shape (reorder, shards, shard_key, checkpoint_every) as
+// icewafld reads it. With -checkpoint, a streaming run snapshots itself
+// every checkpoint_every tuples so that a killed process can continue
+// with -resume, producing output byte-identical to an uninterrupted
+// run.
 package main
 
 import (
@@ -154,11 +154,10 @@ func main() {
 		}
 		defer in.Close()
 	}
-	reader, err := csvio.NewReader(in, schema)
+	src, err := csvio.NewReader(in, schema)
 	if err != nil {
 		log.Fatal(err)
 	}
-	src := withRetry(reader, doc, metrics.registry())
 
 	if *streaming {
 		metrics.start()
@@ -309,21 +308,6 @@ func (m *metricsExport) finish() {
 	if err := m.fn(m.reg.Snapshot()); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// withRetry wraps src in a RetrySource when the configuration enables
-// source retrying, instrumenting it against the run's registry.
-func withRetry(src stream.Source, doc *config.Document, reg *obs.Registry) stream.Source {
-	policy, ok, err := doc.Fault.RetryPolicy()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if !ok {
-		return src
-	}
-	rs := stream.NewRetrySource(src, policy)
-	rs.Instrument(reg)
-	return rs
 }
 
 // writeDeadLetters persists quarantined tuples as JSON lines.

@@ -251,8 +251,8 @@ func TestDaemonCrashRecoverySIGKILL(t *testing.T) {
 
 // TestDaemonCrashRecoveryChaosProxy is the same kill-and-recover flow
 // with every client byte crossing a chaos proxy that adds latency,
-// jitter, and mid-frame connection kills; retry-wrapped clients must
-// still assemble the exact golden stream.
+// jitter, and mid-frame connection kills; clients, reconnecting on their
+// own, must still assemble the exact golden stream.
 func TestDaemonCrashRecoveryChaosProxy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binary")
@@ -294,12 +294,11 @@ func TestDaemonCrashRecoveryChaosProxy(t *testing.T) {
 		t.Fatalf("dial through chaos proxy: %v", last)
 		return nil
 	}
-	retryPolicy := stream.RetryPolicy{MaxRetries: 10, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond}
 
 	crash := launchDaemon(t, bin, crashArgs(t, in, dir, true)...)
 	proxy := newProxy(crash.tcpAddr)
 	cs := dialVia(proxy.Addr(), 0)
-	first := readN(t, stream.NewRetrySource(cs, retryPolicy), readBeforeKill)
+	first := readN(t, cs, readBeforeKill)
 	crash.kill()
 	cs.Stop()
 	kills := proxy.Kills()
@@ -310,7 +309,7 @@ func TestDaemonCrashRecoveryChaosProxy(t *testing.T) {
 	defer proxy2.Close()
 	rc := dialVia(proxy2.Addr(), uint64(readBeforeKill)+1)
 	defer rc.Stop()
-	rest, err := stream.Drain(stream.NewRetrySource(rc, retryPolicy))
+	rest, err := stream.Drain(rc)
 	if err != nil {
 		t.Fatal(err)
 	}

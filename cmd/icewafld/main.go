@@ -48,8 +48,8 @@
 // max subscribers, bytes/sec, WAL bytes); quota violations answer with
 // typed errors on the wire. See cmd/icewafload for a load harness.
 //
-// Remote pipelines consume the service with netstream.ClientSource
-// (wrapped in stream.RetrySource for reconnect-with-backoff).
+// Remote pipelines consume the service with netstream.ClientSource,
+// which reconnects with backoff and resumes at its next sequence number.
 package main
 
 import (
@@ -302,12 +302,6 @@ func pipelineConfig(schema *stream.Schema, doc *config.Document, ss config.Serve
 	if err != nil {
 		return netstream.Config{}, err
 	}
-	// Surface a broken retry policy now, not from inside the running
-	// session's source factory.
-	retry, retryOK, err := doc.Fault.RetryPolicy()
-	if err != nil {
-		return netstream.Config{}, err
-	}
 	newSource := func() (stream.Source, error) {
 		r, err := open()
 		if err != nil {
@@ -320,12 +314,7 @@ func pipelineConfig(schema *stream.Schema, doc *config.Document, ss config.Serve
 			}
 			return nil, err
 		}
-		if !retryOK {
-			return src, nil
-		}
-		rs := stream.NewRetrySource(src, retry)
-		rs.Instrument(reg)
-		return rs, nil
+		return src, nil
 	}
 	drainTimeout, _ := time.ParseDuration(ss.DrainTimeout)
 	return netstream.Config{

@@ -232,9 +232,9 @@ func TestDisconnectSlowThroughThrottledProxy(t *testing.T) {
 }
 
 // TestClientResumeAcrossMidFrameKills: the proxy hard-kills every
-// connection part-way through a frame; a ClientSource wrapped in
-// RetrySource must reconnect with from_seq resume and still observe
-// the complete stream with no duplicates and no gaps.
+// connection part-way through a frame; a ClientSource must reconnect
+// with from_seq resume and still observe the complete stream with no
+// duplicates and no gaps.
 func TestClientResumeAcrossMidFrameKills(t *testing.T) {
 	const seed, n = 73, 3000
 	want := itReference(t, seed, n)
@@ -256,12 +256,7 @@ func TestClientResumeAcrossMidFrameKills(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cs.Stop()
-	retry := stream.NewRetrySource(cs, stream.RetryPolicy{
-		MaxRetries: 8,
-		BaseDelay:  time.Millisecond,
-		MaxDelay:   10 * time.Millisecond,
-	})
-	got, err := stream.Drain(retry)
+	got, err := stream.Drain(cs)
 	if err != nil {
 		t.Fatalf("drain through killing proxy: %v", err)
 	}
@@ -274,10 +269,9 @@ func TestClientResumeAcrossMidFrameKills(t *testing.T) {
 	}
 }
 
-// TestPartialWriteKillDuringSubscribe: kills that land inside the hello
-// frame itself (budget smaller than the handshake) surface as retryable
-// connect errors, and the retry layer eventually gets through when the
-// path heals.
+// TestPartialWriteKillDuringSubscribe: a kill that lands inside the
+// hello frame itself (budget smaller than the handshake) fails Dial,
+// which makes one attempt, and a dial gets through once the path heals.
 func TestPartialWriteKillDuringSubscribe(t *testing.T) {
 	const seed, n = 79, 200
 	want := itReference(t, seed, n)

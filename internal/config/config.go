@@ -208,28 +208,13 @@ func positiveDuration(err *error, name, v string, out *string) {
 }
 
 // FaultPolicySpec is the JSON form of the fault-tolerance knobs: how a
-// run reacts to malformed tuples, panicking operators, flaky sources,
-// and interruptions.
+// run reacts to malformed tuples and panicking operators.
 type FaultPolicySpec struct {
 	// Quarantine skips failing tuples (dead-letter queue) instead of
 	// aborting the run.
 	Quarantine bool `json:"quarantine,omitempty"`
 	// MaxQuarantined caps the dead-letter queue (0 = unlimited).
 	MaxQuarantined int `json:"max_quarantined,omitempty"`
-	// Retries is the number of re-attempts for transient source errors
-	// (0 disables retrying).
-	Retries int `json:"retries,omitempty"`
-	// Backoff is the base delay before the first retry (Go duration,
-	// default "10ms"); each retry doubles it.
-	Backoff string `json:"backoff,omitempty"`
-	// MaxBackoff caps the exponential backoff (default "1s").
-	MaxBackoff string `json:"max_backoff,omitempty"`
-	// Jitter is the symmetric randomisation fraction of the backoff
-	// (default 0.5).
-	Jitter float64 `json:"jitter,omitempty"`
-	// AttemptTimeout bounds one source attempt (Go duration, default
-	// unbounded).
-	AttemptTimeout string `json:"attempt_timeout,omitempty"`
 }
 
 // Policy compiles the quarantine knobs into a core fault policy.
@@ -238,32 +223,6 @@ func (f *FaultPolicySpec) Policy() core.FaultPolicy {
 		return core.FaultPolicy{}
 	}
 	return core.FaultPolicy{Quarantine: f.Quarantine, MaxQuarantined: f.MaxQuarantined}
-}
-
-// RetryPolicy compiles the retry knobs into a stream retry policy; ok
-// is false when retrying is disabled.
-func (f *FaultPolicySpec) RetryPolicy() (stream.RetryPolicy, bool, error) {
-	if f == nil || f.Retries <= 0 {
-		return stream.RetryPolicy{}, false, nil
-	}
-	p := stream.RetryPolicy{MaxRetries: f.Retries, Jitter: f.Jitter}
-	var err error
-	if f.Backoff != "" {
-		if p.BaseDelay, err = time.ParseDuration(f.Backoff); err != nil {
-			return p, false, fmt.Errorf("config: fault_policy: bad backoff: %w", err)
-		}
-	}
-	if f.MaxBackoff != "" {
-		if p.MaxDelay, err = time.ParseDuration(f.MaxBackoff); err != nil {
-			return p, false, fmt.Errorf("config: fault_policy: bad max_backoff: %w", err)
-		}
-	}
-	if f.AttemptTimeout != "" {
-		if p.AttemptTimeout, err = time.ParseDuration(f.AttemptTimeout); err != nil {
-			return p, false, fmt.Errorf("config: fault_policy: bad attempt_timeout: %w", err)
-		}
-	}
-	return p, true, nil
 }
 
 // PipelineSpec is one pollution pipeline.

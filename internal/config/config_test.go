@@ -343,6 +343,9 @@ func TestConfigRejectsSilentlyWrongParams(t *testing.T) {
 	serveDoc := func(keys string) string {
 		return `{"seed": 1, "pipelines": [{"polluters": [{"name": "p", "error": {"type": "missing_value"}}]}], "serve": {` + keys + `}}`
 	}
+	faultDoc := func(keys string) string {
+		return `{"seed": 1, "pipelines": [{"polluters": [{"name": "p", "error": {"type": "missing_value"}}]}], "fault_policy": {` + keys + `}}`
+	}
 	for _, tc := range []struct{ name, doc, want string }{
 		{"from_hour above 23", cond(`{"type": "time_of_day", "from_hour": 24, "to_hour": 3}`),
 			"config: time_of_day at pipeline[0]/0:p/cond: from_hour 24 outside 0-23"},
@@ -401,6 +404,13 @@ func TestConfigRejectsSilentlyWrongParams(t *testing.T) {
 		// WAL retention is the log's byte cap plus the tenant budget;
 		// segments do not age out.
 		{"wal_retain_age serve key", serveDoc(`"wal_retain_age": "1h"`), `config: parse: json: unknown field "wal_retain_age"`},
+		// A file source never fails transiently and a network client
+		// reconnects by itself: fault_policy has no retry keys.
+		{"retries fault key", faultDoc(`"retries": 3`), `config: parse: json: unknown field "retries"`},
+		{"backoff fault key", faultDoc(`"backoff": "50ms"`), `config: parse: json: unknown field "backoff"`},
+		{"max_backoff fault key", faultDoc(`"max_backoff": "2s"`), `config: parse: json: unknown field "max_backoff"`},
+		{"jitter fault key", faultDoc(`"jitter": 0.2`), `config: parse: json: unknown field "jitter"`},
+		{"attempt_timeout fault key", faultDoc(`"attempt_timeout": "1s"`), `config: parse: json: unknown field "attempt_timeout"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Load(strings.NewReader(tc.doc))

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -250,23 +249,17 @@ func (p *panicPolluter) Pollute(t *stream.Tuple, tau time.Time, log *Log) {
 }
 
 // TestChaosPipelineQuarantinesPoisonedTuples is the chaos acceptance
-// test: a flaky source plus a panicking operator, run under retry +
-// quarantine, completes and quarantines exactly the poisoned tuples.
+// test: a panicking operator, run under quarantine, completes and
+// quarantines exactly the poisoned tuples.
 func TestChaosPipelineQuarantinesPoisonedTuples(t *testing.T) {
 	schema := ckptSchema()
 	const n = 300
-	transient := errors.New("transient network blip")
-	flaky := stream.NewFlakySource(ckptSource(schema, n), stream.FailEveryN(17, transient))
-	retried := stream.NewRetrySource(flaky, stream.RetryPolicy{
-		MaxRetries: 5,
-		Sleep:      func(time.Duration) {},
-	})
 
 	proc := ckptProcess(42)
 	proc.Fault = FaultPolicy{Quarantine: true}
 	proc.Pipelines[0].Polluters = append(proc.Pipelines[0].Polluters, &panicPolluter{every: 50})
 
-	res, err := proc.RunContext(context.Background(), retried)
+	res, err := proc.RunContext(context.Background(), ckptSource(schema, n))
 	if err != nil {
 		t.Fatalf("chaos run failed: %v", err)
 	}

@@ -58,34 +58,34 @@ func (r *Reader) Schema() *stream.Schema { return r.schema }
 // record or an unparseable cell — are returned as *stream.TupleError, and
 // the reader remains usable: the next call continues with the following
 // row. This lets stream.Quarantine divert poisoned rows to a dead-letter
-// queue instead of aborting the whole run.
+// queue instead of aborting the whole run. A failure of the underlying
+// reader is fatal: there is no row to skip.
 func (r *Reader) Next() (stream.Tuple, error) {
 	rec, err := r.csv.Read()
 	if err == io.EOF {
 		return stream.Tuple{}, io.EOF
 	}
-	if err != nil {
-		r.row++
-		return stream.Tuple{}, &stream.TupleError{
-			Offset: uint64(r.row),
-			Stage:  "csv-decode",
-			Err:    fmt.Errorf("csvio: row %d: %w", r.row, err),
-		}
-	}
 	r.row++
+	if err != nil {
+		if _, malformed := err.(*csv.ParseError); !malformed {
+			return stream.Tuple{}, fmt.Errorf("csvio: read row %d: %w", r.row, err)
+		}
+		return stream.Tuple{}, r.decodeError(fmt.Errorf("csvio: row %d: %w", r.row, err))
+	}
 	values := make([]stream.Value, r.schema.Len())
 	for i := range values {
 		v, err := stream.ParseValue(rec[i], r.schema.Field(i).Kind)
 		if err != nil {
-			return stream.Tuple{}, &stream.TupleError{
-				Offset: uint64(r.row),
-				Stage:  "csv-decode",
-				Err:    fmt.Errorf("csvio: row %d column %q: %w", r.row, r.schema.Field(i).Name, err),
-			}
+			return stream.Tuple{}, r.decodeError(fmt.Errorf("csvio: row %d column %q: %w", r.row, r.schema.Field(i).Name, err))
 		}
 		values[i] = v
 	}
 	return stream.NewTuple(r.schema, values), nil
+}
+
+// decodeError reports err as the failure of the current row.
+func (r *Reader) decodeError(err error) error {
+	return &stream.TupleError{Offset: uint64(r.row), Stage: "csv-decode", Err: err}
 }
 
 // Writer is a stream.Sink encoding tuples as CSV rows, byte for byte as

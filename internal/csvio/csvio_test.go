@@ -2,6 +2,8 @@ package csvio
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -103,6 +105,61 @@ func TestWrongColumnCount(t *testing.T) {
 	}
 	if _, err := r.Next(); err == nil {
 		t.Fatal("short row accepted")
+	}
+}
+
+// failingReader serves prefix, then fails every later Read with err
+// until abort is closed, when it reports io.EOF.
+type failingReader struct {
+	prefix *strings.Reader
+	err    error
+	abort  chan struct{}
+}
+
+func (f *failingReader) Read(p []byte) (int, error) {
+	if f.prefix.Len() > 0 {
+		return f.prefix.Read(p)
+	}
+	select {
+	case <-f.abort:
+		return 0, io.EOF
+	default:
+		return 0, f.err
+	}
+}
+
+// TestReadErrorIsFatal: a failing underlying reader is not a malformed
+// row. Under quarantine with no cap the run must end with the read
+// error, not quarantine it forever.
+func TestReadErrorIsFatal(t *testing.T) {
+	errDisk := errors.New("disk read failed")
+	fr := &failingReader{
+		prefix: strings.NewReader("ts,value,count,label,ok\n2020-05-01T00:00:00Z,1.5,1,x,true\n"),
+		err:    errDisk,
+		abort:  make(chan struct{}),
+	}
+	r, err := NewReader(fr, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := stream.NewDeadLetterQueue()
+	done := make(chan error, 1)
+	go func() {
+		_, err := stream.Drain(stream.Quarantine(r, q, 0))
+		done <- err
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(2 * time.Second):
+		close(fr.abort)
+		<-done
+		t.Fatalf("quarantine kept running on a failing reader: %d dead letters", q.Len())
+	}
+	if _, isTuple := stream.AsTupleError(err); !errors.Is(err, errDisk) || isTuple {
+		t.Fatalf("Drain = %v, want the read error, not a tuple error", err)
+	}
+	if q.Len() != 0 {
+		t.Errorf("quarantined %d read failures", q.Len())
 	}
 }
 

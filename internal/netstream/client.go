@@ -19,14 +19,14 @@ import (
 // a server's dirty (or clean) channel as their input.
 //
 // Fault behaviour follows the Source error contract: the end of the
-// remote stream is io.EOF, Stop cancels the source (stream.ErrStopped),
-// and network failures are ordinary (retryable) errors — the source
-// remembers the last delivered sequence number and transparently
-// re-subscribes with from_seq on the next call, so wrapping a
-// ClientSource in stream.RetrySource yields reconnect-with-backoff
-// against a flapping server without duplicating or losing tuples (as
-// long as the server's replay ring still covers the gap; when it does
-// not, the server reports a terminal replay-gap error).
+// remote stream is io.EOF and Stop cancels the source
+// (stream.ErrStopped). A transport failure does not end the stream: Next
+// re-dials with exponential backoff and re-subscribes with from_seq at
+// the next undelivered sequence number, so a flapping server costs no
+// duplicated or lost tuples (as long as its replay ring or WAL still
+// covers the gap; when it does not, Next returns a GapError). The
+// server's answers — an error frame, a gap, a changed schema — end the
+// call at once.
 //
 // Like every Source, a ClientSource is single-consumer: Next must be
 // called from one goroutine. Stop is safe to call concurrently.
@@ -40,6 +40,8 @@ type ClientSource struct {
 	br      *bufio.Reader
 	nextSeq uint64 // sequence number of the next expected tuple frame
 	eof     bool
+	// failures counts transport failures since the last delivered frame.
+	failures int
 	// pending holds rows of a multi-row frame not yet handed out: a
 	// colbatch frame (no server emits one; the benchmark's budget layer
 	// still encodes them) consumes one sequence number, so its rows are
@@ -62,8 +64,19 @@ type ClientSource struct {
 	conn   net.Conn
 
 	stopped    atomic.Bool
+	done       chan struct{} // closed by Stop; cuts a backoff wait short
 	reconnects atomic.Uint64
 }
+
+// The reconnect policy: after a transport failure Next waits
+// reconnectBase, doubling per consecutive failure up to reconnectMax,
+// before each of at most reconnectAttempts re-dials. Variables only so
+// tests can set them.
+var (
+	reconnectAttempts = 10
+	reconnectBase     = 50 * time.Millisecond
+	reconnectMax      = 2 * time.Second
+)
 
 // Dial connects to an icewafld server at addr and subscribes to channel
 // (ChannelDirty or ChannelClean, or a session-namespaced
@@ -93,71 +106,70 @@ func DialFrom(addr, channel string, fromSeq uint64, timeout time.Duration) (*Cli
 	if base := channel[strings.LastIndexByte(channel, '/')+1:]; base != ChannelDirty && base != ChannelClean {
 		return nil, fmt.Errorf("netstream: ClientSource reads tuple channels (dirty, clean), not %q", channel)
 	}
-	c := &ClientSource{addr: addr, channel: channel, dialTimeout: timeout, nextSeq: fromSeq}
-	if err := c.connect(); err != nil {
+	c := &ClientSource{addr: addr, channel: channel, dialTimeout: timeout, nextSeq: fromSeq, done: make(chan struct{})}
+	if _, err := c.connect(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
 // connect (re-)establishes the subscription, resuming at c.nextSeq.
-// Called from the consumer goroutine (and once from DialTimeout).
-func (c *ClientSource) connect() error {
+// Called from the consumer goroutine (and once from DialFrom). retry
+// reports a transport failure, which a re-dial may get past; any other
+// error is the server's answer or Stop.
+func (c *ClientSource) connect() (retry bool, err error) {
 	conn, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
 	if err != nil {
-		return fmt.Errorf("netstream: dial %s: %w", c.addr, err)
+		return true, fmt.Errorf("netstream: dial %s: %w", c.addr, err)
 	}
 	req, err := json.Marshal(SubscribeRequest{Channel: c.channel, FromSeq: c.nextSeq})
 	if err != nil {
 		conn.Close()
-		return err
+		return false, err
 	}
 	_ = conn.SetDeadline(time.Now().Add(c.dialTimeout))
 	if err := WriteFrame(conn, req); err != nil {
 		conn.Close()
-		return fmt.Errorf("netstream: subscribe: %w", err)
+		return true, fmt.Errorf("netstream: subscribe: %w", err)
 	}
 	br := bufio.NewReader(conn)
 	payload, err := ReadFrame(br)
 	if err != nil {
 		conn.Close()
-		return fmt.Errorf("netstream: read hello: %w", err)
+		return true, fmt.Errorf("netstream: read hello: %w", err)
 	}
 	f, err := DecodeFrame(payload)
 	if err != nil {
 		conn.Close()
-		return err
+		return false, err
 	}
 	switch f.Type {
 	case FrameHello:
 	case FrameError:
 		conn.Close()
 		if f.Gap != nil {
-			// A replay gap is permanent for this from_seq: retrying the
-			// same resume point can never succeed, so surface a typed,
-			// non-retryable error (stream.PermanentError) instead of
-			// letting a retry layer loop forever.
+			// Re-dialing the same resume point can never succeed.
 			lastAcked := uint64(0)
 			if c.nextSeq > 0 {
 				lastAcked = c.nextSeq - 1
 			}
-			return &GapError{Channel: c.channel, Requested: f.Gap.Requested, LastAcked: lastAcked, ServerMin: f.Gap.ServerMin}
+			return false, &GapError{Channel: c.channel, Requested: f.Gap.Requested, LastAcked: lastAcked, ServerMin: f.Gap.ServerMin}
 		}
-		return fmt.Errorf("netstream: server rejected subscription: %s", f.Error)
+		return false, fmt.Errorf("netstream: server rejected subscription: %s", f.Error)
 	default:
 		conn.Close()
-		return fmt.Errorf("netstream: expected hello frame, got %q", f.Type)
+		return false, fmt.Errorf("netstream: expected hello frame, got %q", f.Type)
 	}
 	schema, err := SchemaFromDocument(f.Schema)
 	if err != nil {
 		conn.Close()
-		return err
+		return false, err
 	}
 	c.schemaMu.Lock()
 	if c.schema != nil && !sameSchema(c.schema, schema) {
 		c.schemaMu.Unlock()
 		conn.Close()
-		return fmt.Errorf("netstream: server schema changed across reconnect")
+		return false, fmt.Errorf("netstream: server schema changed across reconnect")
 	}
 	if c.schema != nil {
 		c.reconnects.Add(1)
@@ -170,12 +182,28 @@ func (c *ClientSource) connect() error {
 	if c.stopped.Load() {
 		c.connMu.Unlock()
 		conn.Close()
-		return stream.ErrStopped
+		return false, stream.ErrStopped
 	}
 	c.conn = conn
 	c.connMu.Unlock()
 	c.br = br
-	return nil
+	return false, nil
+}
+
+// backoff waits out the delay before the next re-dial, or until Stop. It
+// reports false once reconnectAttempts re-dials have failed in a row.
+func (c *ClientSource) backoff() bool {
+	if c.failures >= reconnectAttempts {
+		return false
+	}
+	t := time.NewTimer(min(reconnectBase<<c.failures, reconnectMax))
+	defer t.Stop()
+	c.failures++
+	select {
+	case <-t.C:
+	case <-c.done:
+	}
+	return true
 }
 
 // sameSchema compares two schemas structurally.
@@ -235,10 +263,9 @@ func (c *ClientSource) connected() bool {
 	return c.conn != nil
 }
 
-// Next implements stream.Source. Connection failures return a retryable
-// error; the following call re-subscribes at the last delivered
-// sequence number, which composes with stream.RetrySource for automatic
-// reconnect-with-backoff.
+// Next implements stream.Source. A transport failure re-dials with
+// backoff and re-subscribes after the last delivered sequence number;
+// the last failure is returned once the re-dial budget is spent.
 func (c *ClientSource) Next() (stream.Tuple, error) {
 	for {
 		if c.stopped.Load() {
@@ -254,8 +281,11 @@ func (c *ClientSource) Next() (stream.Tuple, error) {
 			return stream.Tuple{}, io.EOF
 		}
 		if !c.connected() {
-			if err := c.connect(); err != nil {
-				return stream.Tuple{}, err
+			if retry, err := c.connect(); err != nil {
+				if !retry || !c.backoff() {
+					return stream.Tuple{}, err
+				}
+				continue
 			}
 		}
 		payload, err := readFrameInto(c.br, c.readBuf, MaxFrameBytes)
@@ -264,8 +294,12 @@ func (c *ClientSource) Next() (stream.Tuple, error) {
 			if c.stopped.Load() {
 				return stream.Tuple{}, stream.ErrStopped
 			}
-			return stream.Tuple{}, fmt.Errorf("netstream: read frame: %w", err)
+			if !c.backoff() {
+				return stream.Tuple{}, fmt.Errorf("netstream: read frame: %w", err)
+			}
+			continue
 		}
+		c.failures = 0
 		c.readBuf = payload[:0]
 		if len(payload) > 0 && payload[0] == '{' {
 			f, err := DecodeFrame(payload)
@@ -307,9 +341,12 @@ func (c *ClientSource) Next() (stream.Tuple, error) {
 
 // Stop implements stream.Stopper: it cancels the subscription; Next
 // returns stream.ErrStopped afterwards. Safe to call concurrently with
-// Next (closing the connection unblocks a Next stuck reading).
+// Next: closing the connection unblocks a Next stuck reading, closing
+// done one waiting to re-dial.
 func (c *ClientSource) Stop() {
-	c.stopped.Store(true)
+	if !c.stopped.Swap(true) {
+		close(c.done)
+	}
 	c.connMu.Lock()
 	if c.conn != nil {
 		c.conn.Close()

@@ -70,9 +70,8 @@ var ErrSlowClient = errors.New("netstream: subscriber too slow, disconnected by 
 var ErrGap = errors.New("netstream: requested sequence no longer retained (replay gap)")
 
 // GapError is the typed form of ErrGap: the requested resume point fell
-// behind the server's retention. It is permanent — retrying the same
-// from_seq can never succeed — so retry layers (stream.RetrySource)
-// must surface it instead of looping.
+// behind the server's retention. Re-dialing the same from_seq can never
+// succeed, so ClientSource returns it at once instead of reconnecting.
 type GapError struct {
 	// Channel is the subscribed channel.
 	Channel string
@@ -93,9 +92,6 @@ func (e *GapError) Error() string {
 // Unwrap makes errors.Is(err, ErrGap) hold.
 func (e *GapError) Unwrap() error { return ErrGap }
 
-// Permanent marks the error non-retryable (stream.PermanentError).
-func (e *GapError) Permanent() bool { return true }
-
 // ErrHubClosed reports that the hub shut down (graceful drain finished).
 var ErrHubClosed = errors.New("netstream: hub closed")
 
@@ -104,9 +100,9 @@ var ErrHubClosed = errors.New("netstream: hub closed")
 // subscribe addressed at a deleted or never-created session.
 var ErrUnknownChannel = errors.New("netstream: unknown channel")
 
-// UnknownChannelError is the typed form of ErrUnknownChannel. It is
-// permanent — the hub's channel set is fixed at construction, so
-// retrying the same name can never succeed.
+// UnknownChannelError is the typed form of ErrUnknownChannel. The hub's
+// channel set is fixed at construction, so retrying the same name can
+// never succeed.
 type UnknownChannelError struct {
 	// Channel is the requested channel name.
 	Channel string
@@ -118,9 +114,6 @@ func (e *UnknownChannelError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrUnknownChannel) hold.
 func (e *UnknownChannelError) Unwrap() error { return ErrUnknownChannel }
-
-// Permanent marks the error non-retryable (stream.PermanentError).
-func (e *UnknownChannelError) Permanent() bool { return true }
 
 // savedFrame is one published, already-encoded frame.
 type savedFrame struct {

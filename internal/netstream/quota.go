@@ -13,11 +13,10 @@ import (
 var ErrQuota = errors.New("netstream: tenant quota exceeded")
 
 // QuotaError is the typed form of ErrQuota: which tenant hit which
-// ceiling. Like GapError it is permanent — retrying the identical
-// request against the same configuration cannot succeed — so retry
-// layers surface it instead of hammering the control plane. The wire
-// form is Frame.Quota (TCP/stream subscriptions) or the JSON error body
-// of a 429 (control plane).
+// ceiling. Retrying the identical request against the same
+// configuration cannot succeed. The wire form is Frame.Quota
+// (TCP/stream subscriptions) or the JSON error body of a 429 (control
+// plane).
 type QuotaError struct {
 	// Tenant is the tenant the quota applies to.
 	Tenant string
@@ -37,9 +36,6 @@ func (e *QuotaError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrQuota) hold.
 func (e *QuotaError) Unwrap() error { return ErrQuota }
-
-// Permanent marks the error non-retryable (stream.PermanentError).
-func (e *QuotaError) Permanent() bool { return true }
 
 // Info renders the machine-readable wire payload.
 func (e *QuotaError) Info() *QuotaInfo {

@@ -15,6 +15,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -429,41 +431,143 @@ func TestServerDrainExpiredOnStuckSubscriber(t *testing.T) {
 	}
 }
 
-// gapSource always fails with a replay gap and counts the attempts.
-type gapSource struct {
-	schema *stream.Schema
-	calls  int
-}
-
-func (g *gapSource) Schema() *stream.Schema { return g.schema }
-func (g *gapSource) Next() (stream.Tuple, error) {
-	g.calls++
-	return stream.Tuple{}, fmt.Errorf("wrapped: %w", &GapError{Channel: ChannelDirty, Requested: 3, LastAcked: 2, ServerMin: 90})
-}
-
-// TestGapErrorTyped: the client maps a server-side replay gap to the
-// typed, permanent GapError carrying both resume coordinates, and the
-// retry layer refuses to retry it.
+// TestGapErrorTyped: a replay gap is typed, carries both resume
+// coordinates, and unwraps to ErrGap.
 func TestGapErrorTyped(t *testing.T) {
-	gap := &GapError{Channel: ChannelDirty, Requested: 3, LastAcked: 2, ServerMin: 90}
-	if !errors.Is(gap, ErrGap) {
+	var err error = fmt.Errorf("wrapped: %w", &GapError{Channel: ChannelDirty, Requested: 3, LastAcked: 2, ServerMin: 90})
+	if !errors.Is(err, ErrGap) {
 		t.Fatal("GapError does not unwrap to ErrGap")
 	}
-	if !stream.IsPermanent(gap) {
-		t.Fatal("GapError is not permanent")
+	var gap *GapError
+	if !errors.As(err, &gap) || gap.Requested != 3 || gap.LastAcked != 2 || gap.ServerMin != 90 {
+		t.Fatalf("GapError through wrapping = %+v", gap)
+	}
+}
+
+// scriptedServer answers the i-th subscription on a loopback listener
+// with the frames of script[i] and then drops the connection; any later
+// subscription is dropped at once. It returns the listener and the count
+// of accepted connections.
+func scriptedServer(t *testing.T, script ...[]*Frame) (net.Listener, *atomic.Int32) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var accepted atomic.Int32
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			i := int(accepted.Add(1)) - 1
+			if _, err := ReadFrame(conn); err == nil && i < len(script) {
+				for _, f := range script[i] {
+					payload, err := EncodeFrame(f)
+					if err != nil || WriteFrame(conn, payload) != nil {
+						break
+					}
+				}
+			}
+			conn.Close()
+		}
+	}()
+	return ln, &accepted
+}
+
+// setReconnectWaits sets the client's backoff waits for one test.
+func setReconnectWaits(t *testing.T, base, max time.Duration) {
+	oldBase, oldMax := reconnectBase, reconnectMax
+	reconnectBase, reconnectMax = base, max
+	t.Cleanup(func() { reconnectBase, reconnectMax = oldBase, oldMax })
+}
+
+// TestClientSourceServerAnswerEndsNext: an error frame and a replay gap
+// are the server's answers, not transport failures — Next returns them
+// on the first attempt, without a reconnect.
+func TestClientSourceServerAnswerEndsNext(t *testing.T) {
+	hello := &Frame{Type: FrameHello, Channel: ChannelDirty, Schema: SchemaDocument(wireSchema(t))}
+
+	ln, accepted := scriptedServer(t, []*Frame{hello, {Type: FrameError, Error: "pipeline failed"}})
+	c, err := Dial(ln.Addr().String(), ChannelDirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	if _, err := c.Next(); err == nil || !strings.Contains(err.Error(), "server error: pipeline failed") {
+		t.Fatalf("Next after an error frame = %v", err)
+	}
+	if c.Reconnects() != 0 || accepted.Load() != 1 {
+		t.Fatalf("error frame: %d reconnects, %d connections, want 0 and 1", c.Reconnects(), accepted.Load())
 	}
 
-	// The default retry policy must surface the permanent error on the
-	// first attempt instead of burning its retry budget.
-	src := &gapSource{schema: wireSchema(t)}
-	rs := stream.NewRetrySource(src, stream.RetryPolicy{MaxRetries: 5, Sleep: func(time.Duration) {}})
-	_, err := rs.Next()
-	var got *GapError
-	if !errors.As(err, &got) {
-		t.Fatalf("RetrySource returned %v, want the GapError", err)
+	// The first connection drops after its hello; the re-dial is answered
+	// with a gap, which ends Next instead of spending the budget.
+	ln, accepted = scriptedServer(t, []*Frame{hello}, []*Frame{{Type: FrameError, Error: "gap", Gap: &GapInfo{Requested: 1, ServerMin: 5}}})
+	c, err = Dial(ln.Addr().String(), ChannelDirty)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if src.calls != 1 {
-		t.Fatalf("permanent gap was attempted %d times, want 1", src.calls)
+	defer c.Stop()
+	_, err = c.Next()
+	var gap *GapError
+	if !errors.As(err, &gap) || gap.ServerMin != 5 {
+		t.Fatalf("Next after a gap answer = %v, want the GapError", err)
+	}
+	if c.Reconnects() != 0 || accepted.Load() != 2 {
+		t.Fatalf("gap: %d reconnects, %d connections, want 0 and 2", c.Reconnects(), accepted.Load())
+	}
+}
+
+// TestClientSourceStopCutsBackoff: Stop ends a Next that is waiting to
+// re-dial with ErrStopped at once, not after the wait.
+func TestClientSourceStopCutsBackoff(t *testing.T) {
+	setReconnectWaits(t, time.Minute, time.Minute) // lengthened: the wait must be cut
+	ln, _ := scriptedServer(t, []*Frame{{Type: FrameHello, Channel: ChannelDirty, Schema: SchemaDocument(wireSchema(t))}})
+	c, err := Dial(ln.Addr().String(), ChannelDirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Next()
+		done <- err
+	}()
+	time.Sleep(50 * time.Millisecond) // the connection drops; Next waits
+	stopped := time.Now()
+	c.Stop()
+	select {
+	case err := <-done:
+		if err != stream.ErrStopped {
+			t.Fatalf("Next after Stop = %v, want ErrStopped", err)
+		}
+		if d := time.Since(stopped); d > 100*time.Millisecond {
+			t.Fatalf("Next returned %v after Stop", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop did not cut the backoff short")
+	}
+}
+
+// TestClientSourceReconnectBudget: against a closed port the re-dials
+// run out and Next returns the last dial error.
+func TestClientSourceReconnectBudget(t *testing.T) {
+	setReconnectWaits(t, time.Millisecond, 2*time.Millisecond)
+	ln, accepted := scriptedServer(t, []*Frame{{Type: FrameHello, Channel: ChannelDirty, Schema: SchemaDocument(wireSchema(t))}})
+	c, err := Dial(ln.Addr().String(), ChannelDirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	ln.Close()
+	_, err = c.Next()
+	if !errors.Is(err, syscall.ECONNREFUSED) || !strings.Contains(err.Error(), "netstream: dial") {
+		t.Fatalf("Next against a closed port = %v, want the dial error", err)
+	}
+	if c.Reconnects() != 0 || accepted.Load() != 1 {
+		t.Fatalf("%d reconnects, %d connections, want 0 and 1", c.Reconnects(), accepted.Load())
 	}
 }
 
@@ -487,9 +591,6 @@ func TestClientSourceGapError(t *testing.T) {
 	}
 	if gap.Channel != ChannelDirty {
 		t.Fatalf("GapError.Channel = %q", gap.Channel)
-	}
-	if !stream.IsPermanent(gap) {
-		t.Fatal("wire GapError is not permanent")
 	}
 
 	// The recovery hook: restart the subscription at the server minimum.

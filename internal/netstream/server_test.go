@@ -552,9 +552,9 @@ func (p *flappingProxy) relay(client net.Conn, backend string, limit int64) {
 	p.mu.Unlock()
 }
 
-// TestClientSourceReconnect: a ClientSource wrapped in RetrySource reads
-// the complete stream exactly once through a proxy that kills the
-// connection every few KB — reconnect-with-backoff plus from_seq resume.
+// TestClientSourceReconnect: a ClientSource reads the complete stream
+// exactly once through a proxy that kills the connection every few KB —
+// reconnect-with-backoff plus from_seq resume.
 func TestClientSourceReconnect(t *testing.T) {
 	const seed, n = 99, 600
 	_, tcpAddr, _ := startServer(t, serverConfig(t, seed, n))
@@ -565,12 +565,7 @@ func TestClientSourceReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Stop()
-	retry := stream.NewRetrySource(client, stream.RetryPolicy{
-		MaxRetries: 1000,
-		Sleep:      func(time.Duration) {},
-	})
-
-	got, err := stream.Drain(retry)
+	got, err := stream.Drain(client)
 	if err != nil {
 		t.Fatalf("drain through flapping proxy: %v", err)
 	}

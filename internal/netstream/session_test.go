@@ -406,7 +406,7 @@ func TestServiceSubscribeDeletedSessionTypedError(t *testing.T) {
 
 // TestServiceSubscriberQuotaTypedOnWire pins that a subscriber over the
 // tenant's MaxSubscribers ceiling is rejected with a typed quota error
-// frame that round-trips to a permanent QuotaError.
+// frame that round-trips to a QuotaError.
 func TestServiceSubscriberQuotaTypedOnWire(t *testing.T) {
 	_, tcpAddr, baseURL := startService(t, ServiceConfig{
 		Quotas: map[string]TenantQuota{"gamma": {MaxSubscribers: 1}},
@@ -443,7 +443,7 @@ func TestServiceSubscriberQuotaTypedOnWire(t *testing.T) {
 		t.Fatalf("second subscriber got %+v, want typed quota error frame", f)
 	}
 	qerr := QuotaFromInfo(f.Quota)
-	if !errors.Is(qerr, ErrQuota) || qerr.Resource != "subscribers" || !qerr.Permanent() {
+	if !errors.Is(qerr, ErrQuota) || qerr.Resource != "subscribers" {
 		t.Fatalf("wire quota error = %+v", qerr)
 	}
 
@@ -592,14 +592,14 @@ func TestHubSubscribeCloseRace(t *testing.T) {
 
 // TestHubSubscribeTypedErrors pins the typed error contract of
 // Subscribe: closed hub → ErrHubClosed, unknown channel →
-// UnknownChannelError (errors.As-able, permanent).
+// UnknownChannelError (errors.As-able).
 func TestHubSubscribeTypedErrors(t *testing.T) {
 	hub := NewHubNamed(Channels(), 4, 16, PolicyBlock, nil)
 	if _, err := hub.Subscribe("t/missing/dirty", 0); err == nil {
 		t.Fatal("subscribe to unknown channel succeeded")
 	} else {
 		var uce *UnknownChannelError
-		if !errors.As(err, &uce) || uce.Channel != "t/missing/dirty" || !uce.Permanent() {
+		if !errors.As(err, &uce) || uce.Channel != "t/missing/dirty" {
 			t.Fatalf("unknown channel error = %v", err)
 		}
 	}

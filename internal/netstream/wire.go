@@ -4,8 +4,7 @@
 // log — to any number of subscribed clients, over raw TCP
 // (length-prefixed frames) or HTTP (NDJSON chunks). A ClientSource
 // implements stream.Source over the wire, so pipelines can chain across
-// processes and compose with stream.RetrySource for
-// reconnect-with-backoff.
+// processes; it reconnects with backoff and resumes where it left off.
 //
 // A frame payload has one encoding wherever it travels — hub, replay
 // ring, WAL record, TCP socket: a compact binary layout for the data

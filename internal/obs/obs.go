@@ -54,10 +54,6 @@ const (
 	// CCondHits / CCondMisses count polluter-gate condition evaluations.
 	CCondHits
 	CCondMisses
-	// CRetryAttempts counts underlying source Next attempts of a
-	// RetrySource; CRetries counts re-attempts after failures.
-	CRetryAttempts
-	CRetries
 	// CCheckpointWrites counts captured checkpoints.
 	CCheckpointWrites
 	// CSinkWrites counts tuples written by an observed sink.
@@ -79,8 +75,6 @@ var counterNames = [NumCounters]string{
 	"icewafl_log_entries_total",
 	"icewafl_condition_hits_total",
 	"icewafl_condition_misses_total",
-	"icewafl_retry_attempts_total",
-	"icewafl_retries_total",
 	"icewafl_checkpoint_writes_total",
 	"icewafl_sink_writes_total",
 }

@@ -6,6 +6,7 @@
 package obs_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -35,6 +36,29 @@ func invSource(s *stream.Schema, n, sensors int) stream.Source {
 			stream.Float(float64(i)),
 		})
 	})
+}
+
+// poisonSource reports each tuple of its source as a tuple-level
+// failure (a malformed row) with probability rate; the draws are
+// seeded, so a failing seed reproduces exactly.
+type poisonSource struct {
+	stream.Source
+	rate   float64
+	rand   *rng.Stream
+	offset uint64
+}
+
+func (p *poisonSource) Next() (stream.Tuple, error) {
+	t, err := p.Source.Next()
+	if err != nil {
+		return t, err
+	}
+	off := p.offset
+	p.offset++
+	if p.rand.Bernoulli(p.rate) {
+		return stream.Tuple{}, &stream.TupleError{Tuple: t, Offset: off, Stage: "chaos", Err: errors.New("injected malformed row")}
+	}
+	return t, nil
 }
 
 // panicky is a polluter that panics on every tuple whose ID is a
@@ -122,10 +146,7 @@ func TestObsConservationLaws(t *testing.T) {
 				Fault:     core.FaultPolicy{Quarantine: true},
 				Obs:       reg,
 			}
-			src := stream.NewChaosSource(invSource(schema, n, 16), stream.ChaosOptions{
-				TupleErrorRate: 0.04,
-				Seed:           seed,
-			})
+			src := &poisonSource{Source: invSource(schema, n, 16), rate: 0.04, rand: rng.Derive(seed, "stream/chaos")}
 			out, log, err := proc.RunStream(src, 1)
 			if err != nil {
 				t.Fatal(err)

@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"icewafl/internal/obs"
-	"icewafl/internal/rng"
 )
 
 // This file is the fault-tolerance layer of the stream engine. The
@@ -261,315 +259,4 @@ func stopSource(src Source) {
 	if st, ok := src.(Stopper); ok {
 		st.Stop()
 	}
-}
-
-// PermanentError marks an error as non-transient: retrying the failed
-// operation can never succeed (e.g. a replay gap — the server no longer
-// retains the requested resume point). Retry layers must surface such
-// errors instead of looping on them.
-type PermanentError interface {
-	error
-	// Permanent reports that no retry can succeed.
-	Permanent() bool
-}
-
-// IsPermanent reports whether any error in err's chain is marked
-// permanent.
-func IsPermanent(err error) bool {
-	var pe PermanentError
-	return errors.As(err, &pe) && pe.Permanent()
-}
-
-// RetryPolicy configures RetrySource. The zero value retries 3 times
-// with a 10ms base delay, doubling per attempt up to 1s, with ±50%
-// deterministic jitter and no per-attempt timeout.
-type RetryPolicy struct {
-	// MaxRetries is the number of re-attempts after the initial failure
-	// (so MaxRetries = 3 means up to 4 attempts). Values < 0 disable
-	// retrying entirely.
-	MaxRetries int
-	// BaseDelay is the delay before the first retry; each subsequent
-	// retry doubles it (exponential backoff).
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff.
-	MaxDelay time.Duration
-	// Jitter is the fraction of the delay randomised symmetrically
-	// around it (0.5 → delay drawn from [0.5d, 1.5d)). Values outside
-	// [0, 1] are clamped.
-	Jitter float64
-	// AttemptTimeout bounds how long one Next attempt may block (0 = no
-	// bound). A timed-out attempt counts as a failure; because sources
-	// are single-consumer, the in-flight call is not abandoned — the
-	// next attempt resumes waiting for it.
-	AttemptTimeout time.Duration
-	// Retryable decides whether an error is transient. nil retries every
-	// error except end-of-stream, tuple-level errors (which callers
-	// handle via Quarantine instead), and errors marked permanent via
-	// PermanentError.
-	Retryable func(error) bool
-	// Sleep replaces time.Sleep, letting tests run without real delays.
-	Sleep func(time.Duration)
-	// Rand drives the jitter; nil derives a fixed-seed stream, keeping
-	// retry timing deterministic for a given policy.
-	Rand *rng.Stream
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxRetries == 0 {
-		p.MaxRetries = 3
-	}
-	if p.BaseDelay == 0 {
-		p.BaseDelay = 10 * time.Millisecond
-	}
-	if p.MaxDelay == 0 {
-		p.MaxDelay = time.Second
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.5
-	}
-	if p.Jitter < 0 {
-		p.Jitter = 0
-	}
-	if p.Jitter > 1 {
-		p.Jitter = 1
-	}
-	if p.Retryable == nil {
-		p.Retryable = func(err error) bool {
-			if IsEndOfStream(err) {
-				return false
-			}
-			if IsPermanent(err) {
-				return false
-			}
-			_, isTuple := AsTupleError(err)
-			return !isTuple
-		}
-	}
-	if p.Sleep == nil {
-		p.Sleep = time.Sleep
-	}
-	if p.Rand == nil {
-		p.Rand = rng.Derive(0x1ce3af1, "stream/retry")
-	}
-	return p
-}
-
-// delay returns the backoff before retry attempt i (0-based), with
-// exponential growth and symmetric jitter.
-func (p RetryPolicy) delay(attempt int) time.Duration {
-	d := p.BaseDelay << uint(attempt)
-	if d <= 0 || d > p.MaxDelay {
-		d = p.MaxDelay
-	}
-	if p.Jitter > 0 {
-		spread := p.Jitter * float64(d)
-		d = time.Duration(float64(d) + spread*(2*p.Rand.Float64()-1))
-		if d < 0 {
-			d = 0
-		}
-	}
-	return d
-}
-
-// ErrAttemptTimeout is wrapped into the error returned when a source
-// attempt exceeds RetryPolicy.AttemptTimeout.
-var ErrAttemptTimeout = errors.New("stream: source attempt timed out")
-
-// RetrySource wraps a flaky source, retrying transient Next failures
-// with exponential backoff and jitter. End-of-stream conditions and
-// tuple-level errors pass through untouched; only errors the policy
-// deems retryable are re-attempted. If all attempts fail, the last error
-// is returned (wrapped with the attempt count).
-type RetrySource struct {
-	src    Source
-	policy RetryPolicy
-
-	// pending holds the result channel of an in-flight Next call that
-	// previously timed out; the next attempt resumes waiting on it
-	// because sources are single-consumer.
-	pending chan retryResult
-	// Attempts counts total underlying Next invocations (observability).
-	attempts uint64
-	retries  uint64
-	reg      *obs.Registry
-}
-
-type retryResult struct {
-	t   Tuple
-	err error
-}
-
-// NewRetrySource wraps src with the given retry policy.
-func NewRetrySource(src Source, policy RetryPolicy) *RetrySource {
-	return &RetrySource{src: src, policy: policy.withDefaults()}
-}
-
-// Schema implements Source.
-func (r *RetrySource) Schema() *Schema { return r.src.Schema() }
-
-// Attempts returns the number of underlying Next invocations so far.
-func (r *RetrySource) Attempts() uint64 { return r.attempts }
-
-// Retries returns the number of re-attempts performed so far.
-func (r *RetrySource) Retries() uint64 { return r.retries }
-
-// Instrument wires the source into a metrics registry: underlying Next
-// attempts count toward retry_attempts_total, re-attempts toward
-// retries_total. Call before the run starts.
-func (r *RetrySource) Instrument(reg *obs.Registry) { r.reg = reg }
-
-// Next implements Source.
-func (r *RetrySource) Next() (Tuple, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > r.policy.MaxRetries {
-			return Tuple{}, fmt.Errorf("stream: source failed after %d attempts: %w", attempt, lastErr)
-		}
-		if attempt > 0 {
-			r.retries++
-			r.reg.Inc(obs.CRetries)
-			r.policy.Sleep(r.policy.delay(attempt - 1))
-		}
-		t, err := r.attemptNext()
-		if err == nil {
-			return t, nil
-		}
-		if !r.policy.Retryable(err) {
-			return Tuple{}, err
-		}
-		lastErr = err
-	}
-}
-
-// attemptNext performs one underlying Next call, bounded by the
-// per-attempt timeout when configured.
-func (r *RetrySource) attemptNext() (Tuple, error) {
-	if r.policy.AttemptTimeout <= 0 {
-		r.attempts++
-		r.reg.Inc(obs.CRetryAttempts)
-		return r.src.Next()
-	}
-	ch := r.pending
-	if ch == nil {
-		ch = make(chan retryResult, 1)
-		r.attempts++
-		r.reg.Inc(obs.CRetryAttempts)
-		go func(ch chan retryResult) {
-			t, err := r.src.Next()
-			ch <- retryResult{t: t, err: err}
-		}(ch)
-		r.pending = ch
-	}
-	timer := time.NewTimer(r.policy.AttemptTimeout)
-	defer timer.Stop()
-	select {
-	case res := <-ch:
-		r.pending = nil
-		return res.t, res.err
-	case <-timer.C:
-		return Tuple{}, ErrAttemptTimeout
-	}
-}
-
-// FlakySource injects failures into a source according to a
-// deterministic plan — the unit-testable half of the fault-injection
-// harness. plan is consulted once per Next call with the 0-based call
-// index; a non-nil return is injected as a transient error (the
-// underlying source is not advanced), nil delegates to the real source.
-type FlakySource struct {
-	src  Source
-	plan func(call uint64) error
-	call uint64
-}
-
-// NewFlakySource wraps src with the failure plan.
-func NewFlakySource(src Source, plan func(call uint64) error) *FlakySource {
-	return &FlakySource{src: src, plan: plan}
-}
-
-// FailEveryN returns a plan failing every n-th call (1-based phase) with
-// err.
-func FailEveryN(n uint64, err error) func(uint64) error {
-	return func(call uint64) error {
-		if n > 0 && (call+1)%n == 0 {
-			return err
-		}
-		return nil
-	}
-}
-
-// FailFirstN returns a plan failing the first n calls with err — the
-// "source still warming up" shape that exercises backoff.
-func FailFirstN(n uint64, err error) func(uint64) error {
-	return func(call uint64) error {
-		if call < n {
-			return err
-		}
-		return nil
-	}
-}
-
-// Schema implements Source.
-func (f *FlakySource) Schema() *Schema { return f.src.Schema() }
-
-// Next implements Source.
-func (f *FlakySource) Next() (Tuple, error) {
-	call := f.call
-	f.call++
-	if f.plan != nil {
-		if err := f.plan(call); err != nil {
-			return Tuple{}, err
-		}
-	}
-	return f.src.Next()
-}
-
-// ChaosOptions configures ChaosSource.
-type ChaosOptions struct {
-	// ErrorRate is the per-call probability of a transient error.
-	ErrorRate float64
-	// TupleErrorRate is the per-tuple probability of a tuple-level
-	// failure (*TupleError): the tuple is consumed from the underlying
-	// source and reported as poisoned.
-	TupleErrorRate float64
-	// Seed drives the chaos deterministically.
-	Seed int64
-}
-
-// ChaosSource injects random transient and tuple-level failures — the
-// probabilistic half of the fault-injection harness. All chaos is
-// derived from the seed, so a failing test reproduces exactly.
-type ChaosSource struct {
-	src    Source
-	opts   ChaosOptions
-	rand   *rng.Stream
-	offset uint64
-}
-
-// NewChaosSource wraps src with seeded random fault injection.
-func NewChaosSource(src Source, opts ChaosOptions) *ChaosSource {
-	return &ChaosSource{src: src, opts: opts, rand: rng.Derive(opts.Seed, "stream/chaos")}
-}
-
-// ErrChaos is the transient error injected by ChaosSource.
-var ErrChaos = errors.New("stream: injected chaos failure")
-
-// Schema implements Source.
-func (c *ChaosSource) Schema() *Schema { return c.src.Schema() }
-
-// Next implements Source.
-func (c *ChaosSource) Next() (Tuple, error) {
-	if c.rand.Bernoulli(c.opts.ErrorRate) {
-		return Tuple{}, ErrChaos
-	}
-	t, err := c.src.Next()
-	if err != nil {
-		return t, err
-	}
-	off := c.offset
-	c.offset++
-	if c.rand.Bernoulli(c.opts.TupleErrorRate) {
-		return Tuple{}, &TupleError{Tuple: t, Offset: off, Stage: "chaos", Err: ErrChaos}
-	}
-	return t, nil
 }

@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"icewafl/internal/rng"
 )
 
 // --- TupleError / DeadLetterQueue -----------------------------------
@@ -142,7 +144,27 @@ func TestQuarantineOverflow(t *testing.T) {
 
 // --- Tuple-level failures from a live source ------------------------
 
-// tupleErrorAt is a FlakySource plan reporting a tuple-level failure on
+// flakySource injects failures into a source by plan: plan is consulted
+// once per Next call with the 0-based call index; a non-nil return is
+// reported instead of advancing the underlying source.
+type flakySource struct {
+	src  Source
+	plan func(call uint64) error
+	call uint64
+}
+
+func (f *flakySource) Schema() *Schema { return f.src.Schema() }
+
+func (f *flakySource) Next() (Tuple, error) {
+	call := f.call
+	f.call++
+	if err := f.plan(call); err != nil {
+		return Tuple{}, err
+	}
+	return f.src.Next()
+}
+
+// tupleErrorAt is a flakySource plan reporting a tuple-level failure on
 // the given calls.
 func tupleErrorAt(calls ...uint64) func(uint64) error {
 	return func(call uint64) error {
@@ -157,7 +179,7 @@ func tupleErrorAt(calls ...uint64) func(uint64) error {
 
 func TestTupleErrorLeavesSourceUsable(t *testing.T) {
 	s := testSchema(t)
-	src := NewFlakySource(NewSliceSource(s, makeTuples(s, 4)), tupleErrorAt(2))
+	src := &flakySource{src: NewSliceSource(s, makeTuples(s, 4)), plan: tupleErrorAt(2)}
 	var delivered int
 	var tupleErrs int
 	for {
@@ -186,7 +208,7 @@ func TestTupleErrorLeavesSourceUsable(t *testing.T) {
 func TestFlakySourceWithQuarantine(t *testing.T) {
 	s := testSchema(t)
 	q := NewDeadLetterQueue()
-	pipeline := Quarantine(NewFlakySource(NewSliceSource(s, makeTuples(s, 10)), tupleErrorAt(3, 7)), q, 0)
+	pipeline := Quarantine(&flakySource{src: NewSliceSource(s, makeTuples(s, 10)), plan: tupleErrorAt(3, 7)}, q, 0)
 	got, err := Drain(pipeline)
 	if err != nil {
 		t.Fatal(err)
@@ -325,228 +347,88 @@ func assertNoGoroutineLeak(t *testing.T, before int) {
 	}
 }
 
-// --- RetrySource -----------------------------------------------------
-
-func TestRetrySourceRecoverTransient(t *testing.T) {
-	s := testSchema(t)
-	transient := errors.New("transient")
-	flaky := NewFlakySource(NewSliceSource(s, makeTuples(s, 5)), FailEveryN(3, transient))
-	var slept []time.Duration
-	rs := NewRetrySource(flaky, RetryPolicy{
-		MaxRetries: 3,
-		Sleep:      func(d time.Duration) { slept = append(slept, d) },
-	})
-	got, err := Drain(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 5 {
-		t.Errorf("delivered %d tuples, want 5", len(got))
-	}
-	if rs.Retries() == 0 || len(slept) == 0 {
-		t.Error("no retries performed")
-	}
-}
-
-func TestRetrySourceExhaustsRetries(t *testing.T) {
-	s := testSchema(t)
-	transient := errors.New("always down")
-	flaky := NewFlakySource(NewSliceSource(s, makeTuples(s, 1)), func(uint64) error { return transient })
-	rs := NewRetrySource(flaky, RetryPolicy{MaxRetries: 2, Sleep: func(time.Duration) {}})
-	_, err := rs.Next()
-	if !errors.Is(err, transient) {
-		t.Errorf("err = %v, want wrapped transient", err)
-	}
-	if rs.Attempts() != 3 { // initial + 2 retries
-		t.Errorf("attempts = %d, want 3", rs.Attempts())
-	}
-}
-
-func TestRetrySourceDoesNotRetryEOFOrTupleErrors(t *testing.T) {
-	s := testSchema(t)
-	te := &TupleError{Offset: 0, Err: errors.New("bad row")}
-	src := &faultySource{schema: s, script: []any{te}}
-	rs := NewRetrySource(src, RetryPolicy{Sleep: func(time.Duration) {}})
-	if _, err := rs.Next(); !errors.Is(err, te.Err) {
-		t.Errorf("tuple error not passed through: %v", err)
-	}
-	if _, err := rs.Next(); err != io.EOF {
-		t.Errorf("EOF not passed through: %v", err)
-	}
-	if rs.Retries() != 0 {
-		t.Errorf("retried %d times on non-retryable errors", rs.Retries())
-	}
-}
-
-func TestRetryPolicyBackoffGrowsAndCaps(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, Jitter: -1}.withDefaults()
-	// Jitter clamped to 0 → pure exponential.
-	var prev time.Duration
-	for i := 0; i < 8; i++ {
-		d := p.delay(i)
-		if d < prev {
-			t.Errorf("delay(%d) = %v < previous %v", i, d, prev)
-		}
-		if d > 80*time.Millisecond {
-			t.Errorf("delay(%d) = %v exceeds cap", i, d)
-		}
-		prev = d
-	}
-	if p.delay(0) != 10*time.Millisecond {
-		t.Errorf("delay(0) = %v", p.delay(0))
-	}
-	if p.delay(20) != 80*time.Millisecond { // shift overflow guarded
-		t.Errorf("delay(20) = %v, want cap", p.delay(20))
-	}
-}
-
-func TestRetryJitterDeterministic(t *testing.T) {
-	mk := func() []time.Duration {
-		p := RetryPolicy{}.withDefaults()
-		out := make([]time.Duration, 5)
-		for i := range out {
-			out[i] = p.delay(i)
-		}
-		return out
-	}
-	a, b := mk(), mk()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("jitter not deterministic: %v vs %v", a, b)
-		}
-	}
-}
-
-// slowSource blocks for d on the scripted calls.
-type slowSource struct {
-	schema *Schema
-	tuples []Tuple
-	pos    int
-	slow   map[int]time.Duration
-}
-
-func (s *slowSource) Schema() *Schema { return s.schema }
-
-func (s *slowSource) Next() (Tuple, error) {
-	call := s.pos
-	if d, ok := s.slow[call]; ok {
-		time.Sleep(d)
-	}
-	if s.pos >= len(s.tuples) {
-		return Tuple{}, io.EOF
-	}
-	t := s.tuples[s.pos]
-	s.pos++
-	return t, nil
-}
-
-func TestRetrySourceAttemptTimeout(t *testing.T) {
-	s := testSchema(t)
-	src := &slowSource{schema: s, tuples: makeTuples(s, 3), slow: map[int]time.Duration{1: 100 * time.Millisecond}}
-	rs := NewRetrySource(src, RetryPolicy{
-		MaxRetries:     20,
-		AttemptTimeout: 20 * time.Millisecond,
-		Sleep:          func(time.Duration) {},
-		Retryable:      func(err error) bool { return errors.Is(err, ErrAttemptTimeout) },
-	})
-	got, err := Drain(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Errorf("delivered %d tuples, want 3", len(got))
-	}
-	// The slow call timed out at least once but its in-flight result was
-	// resumed, not re-issued: the source must have advanced exactly once
-	// per tuple.
-	if rs.Retries() == 0 {
-		t.Error("expected at least one timeout retry")
-	}
-	for i, tp := range got {
-		if v, _ := tp.GetFloat("v"); v != float64(i) {
-			t.Errorf("tuple %d has v=%v: in-flight call was re-issued, not resumed", i, v)
-		}
-	}
-}
-
 // --- Fault-injection harness ----------------------------------------
 
-func TestFlakySourcePlans(t *testing.T) {
-	errX := errors.New("x")
-	plan := FailFirstN(2, errX)
-	for i := uint64(0); i < 2; i++ {
-		if plan(i) == nil {
-			t.Errorf("FailFirstN(2) call %d did not fail", i)
-		}
+// errChaos is the cause chaosSource reports.
+var errChaos = errors.New("stream: injected chaos failure")
+
+// chaosSource reports each tuple of src as a tuple-level failure with
+// probability rate; the draws come from seed, so a failing test
+// reproduces exactly.
+type chaosSource struct {
+	src    Source
+	rate   float64
+	rand   *rng.Stream
+	offset uint64
+}
+
+func newChaosSource(src Source, rate float64, seed int64) *chaosSource {
+	return &chaosSource{src: src, rate: rate, rand: rng.Derive(seed, "stream/chaos")}
+}
+
+func (c *chaosSource) Schema() *Schema { return c.src.Schema() }
+
+func (c *chaosSource) Next() (Tuple, error) {
+	t, err := c.src.Next()
+	if err != nil {
+		return t, err
 	}
-	if plan(2) != nil {
-		t.Error("FailFirstN(2) failed call 2")
+	off := c.offset
+	c.offset++
+	if c.rand.Bernoulli(c.rate) {
+		return Tuple{}, &TupleError{Tuple: t, Offset: off, Stage: "chaos", Err: errChaos}
 	}
-	every := FailEveryN(3, errX)
-	fails := 0
-	for i := uint64(0); i < 9; i++ {
-		if every(i) != nil {
-			fails++
-		}
-	}
-	if fails != 3 {
-		t.Errorf("FailEveryN(3) failed %d of 9 calls", fails)
-	}
+	return t, nil
 }
 
 func TestChaosSourceDeterministic(t *testing.T) {
 	s := testSchema(t)
-	run := func() (int, int, int) {
-		src := NewChaosSource(NewSliceSource(s, makeTuples(s, 200)),
-			ChaosOptions{ErrorRate: 0.05, TupleErrorRate: 0.05, Seed: 7})
-		tuples, transients, tupleErrs := 0, 0, 0
+	run := func() (int, int) {
+		src := newChaosSource(NewSliceSource(s, makeTuples(s, 200)), 0.05, 7)
+		tuples, tupleErrs := 0, 0
 		for {
 			_, err := src.Next()
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
-				if _, ok := AsTupleError(err); ok {
-					tupleErrs++
-				} else {
-					transients++
+				if _, ok := AsTupleError(err); !ok {
+					t.Fatalf("fatal error: %v", err)
 				}
+				tupleErrs++
 				continue
 			}
 			tuples++
 		}
-		return tuples, transients, tupleErrs
+		return tuples, tupleErrs
 	}
-	t1, e1, te1 := run()
-	t2, e2, te2 := run()
-	if t1 != t2 || e1 != e2 || te1 != te2 {
-		t.Fatalf("chaos not deterministic: (%d,%d,%d) vs (%d,%d,%d)", t1, e1, te1, t2, e2, te2)
+	t1, te1 := run()
+	t2, te2 := run()
+	if t1 != t2 || te1 != te2 {
+		t.Fatalf("chaos not deterministic: (%d,%d) vs (%d,%d)", t1, te1, t2, te2)
 	}
-	if e1 == 0 || te1 == 0 {
-		t.Errorf("chaos injected nothing: transients=%d tupleErrs=%d", e1, te1)
+	if te1 == 0 {
+		t.Error("chaos injected nothing")
 	}
 	if t1+te1 != 200 {
 		t.Errorf("tuples+tupleErrs = %d, want 200 (tuple errors consume a tuple)", t1+te1)
 	}
 }
 
-// End-to-end: chaos + retry + quarantine survives everything and
-// delivers exactly the non-poisoned tuples.
-func TestChaosRetryQuarantinePipeline(t *testing.T) {
+// End-to-end: chaos + quarantine delivers exactly the non-poisoned
+// tuples, in order.
+func TestChaosQuarantinePipeline(t *testing.T) {
 	s := testSchema(t)
 	const n = 500
-	chaos := NewChaosSource(NewSliceSource(s, makeTuples(s, n)),
-		ChaosOptions{ErrorRate: 0.1, TupleErrorRate: 0.02, Seed: 99})
-	rs := NewRetrySource(chaos, RetryPolicy{MaxRetries: 50, Sleep: func(time.Duration) {}})
+	chaos := newChaosSource(NewSliceSource(s, makeTuples(s, n)), 0.02, 99)
 	q := NewDeadLetterQueue()
-	got, err := Drain(Quarantine(rs, q, 0))
+	got, err := Drain(Quarantine(chaos, q, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got)+q.Len() != n {
-		t.Errorf("delivered %d + quarantined %d != %d", len(got), q.Len(), n)
+	if q.Len() == 0 || len(got)+q.Len() != n {
+		t.Errorf("delivered %d + quarantined %d, want %d with some quarantined", len(got), q.Len(), n)
 	}
-	// Delivered tuples stay in order.
 	prev := -1.0
 	for _, tp := range got {
 		v, _ := tp.GetFloat("v")
