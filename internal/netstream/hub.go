@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,18 +114,26 @@ func (e *UnknownChannelError) Error() string {
 // Unwrap makes errors.Is(err, ErrUnknownChannel) hold.
 func (e *UnknownChannelError) Unwrap() error { return ErrUnknownChannel }
 
-// savedFrame is one published, already-encoded frame.
+// savedFrame is one published, already-encoded frame, as the replay
+// ring holds it: its seq is its position in the ring, and only the
+// newest frame of a done channel is terminal.
 type savedFrame struct {
-	seq      uint64
-	data     []byte
+	data []byte
+	// at is the publish time in nanoseconds since the hub's epoch, stamped
+	// only when the hub tracks delivery latency (every session's hub
+	// does); 0 when unstamped.
+	at int64
+}
+
+// delivery is a frame queued to one subscriber.
+type delivery struct {
+	savedFrame
 	terminal bool
-	// at is the publish time, stamped only when the hub tracks delivery
-	// latency (every session's hub does); zero otherwise.
-	at time.Time
 }
 
 // ringBlock is the number of frames in one block of a replay ring
-// (256 × 64 B = 16 KiB).
+// (256 × 32 B = 8 KiB, held in the 9.25 KiB size class once the
+// allocator adds its 8-byte header for an object with pointers).
 const ringBlock = 256
 
 // frameRing is a memory-only channel's replay ring: the newest frames,
@@ -135,7 +142,8 @@ const ringBlock = 256
 // to the end for the next entries, so a full ring allocates nothing.
 type frameRing struct {
 	blocks  [][]savedFrame
-	head, n int // blocks[0][head] is the oldest of the n entries held
+	head, n int    // blocks[0][head] is the oldest of the n entries held
+	first   uint64 // the oldest entry's seq; the i-th oldest has first+i
 }
 
 // at returns the i-th oldest entry.
@@ -144,11 +152,15 @@ func (r *frameRing) at(i int) *savedFrame {
 	return &r.blocks[p/ringBlock][p%ringBlock]
 }
 
-// push appends sf, first evicting the oldest entry when limit are held.
-func (r *frameRing) push(sf savedFrame, limit int) {
+// push appends sf as frame seq, which follows the newest entry, first
+// evicting the oldest entry when limit are held.
+func (r *frameRing) push(seq uint64, sf savedFrame, limit int) {
+	if r.n == 0 {
+		r.first = seq
+	}
 	if r.n == limit {
 		*r.at(0) = savedFrame{}
-		r.head, r.n = r.head+1, r.n-1
+		r.head, r.n, r.first = r.head+1, r.n-1, r.first+1
 		if r.head == ringBlock {
 			b := r.blocks[0]
 			r.blocks = append(r.blocks[:copy(r.blocks, r.blocks[1:])], b)
@@ -162,12 +174,16 @@ func (r *frameRing) push(sf savedFrame, limit int) {
 	r.n++
 }
 
-// since returns a copy of the entries whose seq is at least start.
-func (r *frameRing) since(start uint64) []savedFrame {
-	i := sort.Search(r.n, func(i int) bool { return r.at(i).seq >= start })
-	out := make([]savedFrame, r.n-i)
+// since returns the entries from seq start (at least first) on, as
+// deliveries: the newest is terminal when the channel is done.
+func (r *frameRing) since(start uint64, done bool) []delivery {
+	i := int(min(start-r.first, uint64(r.n)))
+	out := make([]delivery, r.n-i)
 	for j := range out {
-		out[j] = *r.at(i + j)
+		out[j].savedFrame = *r.at(i + j)
+	}
+	if done && len(out) > 0 {
+		out[len(out)-1].terminal = true
 	}
 	return out
 }
@@ -215,6 +231,8 @@ type Hub struct {
 	// p50/p99 source). Every session's hub sets it; a bare hub leaves it
 	// off and never reads the clock per frame.
 	trackDelivery bool
+	// epoch is the monotonic origin of the frames' publish stamps.
+	epoch time.Time
 	// perSubGauges registers per-subscriber queue-depth/dropped gauges
 	// on the registry (the unnamed session). Named session hubs leave it
 	// off: thousands of subscribers would swamp /metrics.
@@ -274,6 +292,7 @@ func NewHubNamed(channelNames []string, buffer, replay int, policy Policy, reg *
 		replay:   replay,
 		policy:   policy,
 		reg:      reg,
+		epoch:    time.Now(),
 	}
 	for _, name := range channelNames {
 		h.channels[name] = &channel{name: name}
@@ -406,7 +425,7 @@ func (h *Hub) publish(channelName, typ string, encode func(dst []byte, seq uint6
 			return err
 		}
 		for _, s := range subs {
-			h.deliver(s, savedFrame{data: data, terminal: true})
+			h.deliver(s, delivery{savedFrame{data: data}, true})
 		}
 		return nil
 	}
@@ -453,18 +472,18 @@ func (h *Hub) publish(channelName, typ string, encode func(dst []byte, seq uint6
 			return fmt.Errorf("netstream: durable publish on %q: %w", channelName, werr)
 		}
 	}
-	sf := savedFrame{seq: ch.seq, data: data, terminal: terminal}
+	d := delivery{savedFrame{data: data}, terminal}
 	if h.trackDelivery {
-		sf.at = time.Now()
+		d.at = max(int64(time.Since(h.epoch)), 1)
 	}
 	if h.wal == nil {
-		ch.ring.push(sf, h.replay)
+		ch.ring.push(ch.seq, d.savedFrame, h.replay)
 	}
 	subs := ch.subs
 	h.mu.Unlock()
 
 	for _, s := range subs {
-		h.deliver(s, sf)
+		h.deliver(s, d)
 	}
 	return nil
 }
@@ -481,24 +500,24 @@ func (h *Hub) allDoneLocked() bool {
 
 // deliver hands one frame to one subscriber under the backpressure
 // policy.
-func (h *Hub) deliver(s *Subscriber, sf savedFrame) {
+func (h *Hub) deliver(s *Subscriber, d delivery) {
 	switch h.policy {
 	case PolicyBlock:
 		select {
-		case s.ch <- sf: // room in the queue needs no multi-way wait
+		case s.ch <- d: // room in the queue needs no multi-way wait
 			h.framesSent.Add(1)
 			return
 		default:
 		}
 		select {
-		case s.ch <- sf:
+		case s.ch <- d:
 			h.framesSent.Add(1)
 		case <-s.closed:
 		}
 	case PolicyDropOldest:
 		for {
 			select {
-			case s.ch <- sf:
+			case s.ch <- d:
 				h.framesSent.Add(1)
 				return
 			case <-s.closed:
@@ -514,7 +533,7 @@ func (h *Hub) deliver(s *Subscriber, sf savedFrame) {
 		}
 	case PolicyDisconnectSlow:
 		select {
-		case s.ch <- sf:
+		case s.ch <- d:
 			h.framesSent.Add(1)
 		case <-s.closed:
 		default:
@@ -530,7 +549,7 @@ type Subscriber struct {
 	id        uint64
 	hub       *Hub
 	channel   string
-	ch        chan savedFrame
+	ch        chan delivery
 	closed    chan struct{}
 	once      sync.Once
 	closeOnce sync.Once
@@ -542,7 +561,7 @@ type Subscriber struct {
 	// are consumed by the single Recv goroutine.
 	hello   []byte
 	walIter *WALReader
-	replay  []savedFrame
+	replay  []delivery
 	// replayN mirrors len(replay) for the queue-depth gauge, which runs
 	// on the snapshot goroutine while the Recv goroutine pops replay.
 	replayN atomic.Int64
@@ -575,7 +594,7 @@ func (h *Hub) Subscribe(channelName string, fromSeq uint64) (*Subscriber, error)
 		lastAcked = fromSeq - 1
 	}
 	var walIter *WALReader
-	var replay []savedFrame
+	var replay []delivery
 	if h.wal != nil {
 		// Durable replay: the log holds every frame published so far (the
 		// append happens under h.mu, before delivery), so the reader covers
@@ -591,19 +610,19 @@ func (h *Hub) Subscribe(channelName string, fromSeq uint64) (*Subscriber, error)
 			walIter = iter
 		}
 	} else {
-		if ch.ring.n > 0 && ch.ring.at(0).seq > start {
-			return nil, &GapError{Channel: channelName, Requested: start, LastAcked: lastAcked, ServerMin: ch.ring.at(0).seq}
+		if ch.ring.n > 0 && ch.ring.first > start {
+			return nil, &GapError{Channel: channelName, Requested: start, LastAcked: lastAcked, ServerMin: ch.ring.first}
 		}
 		if ch.ring.n == 0 && ch.seq >= start {
 			return nil, &GapError{Channel: channelName, Requested: start, LastAcked: lastAcked}
 		}
-		replay = ch.ring.since(start)
+		replay = ch.ring.since(start, ch.done)
 	}
 	s := &Subscriber{
 		id:      h.nextSubID.Add(1),
 		hub:     h,
 		channel: channelName,
-		ch:      make(chan savedFrame, h.buffer),
+		ch:      make(chan delivery, h.buffer),
 		closed:  make(chan struct{}),
 		hello:   ch.hello,
 		walIter: walIter,
@@ -712,11 +731,11 @@ func (s *Subscriber) pending() (data []byte, terminal bool, ok bool, err error) 
 		}
 	}
 	if len(s.replay) > 0 {
-		sf := s.replay[0]
+		d := s.replay[0]
 		s.replay = s.replay[1:]
 		s.replayN.Add(-1)
-		s.observeDeliver(sf)
-		return sf.data, sf.terminal, true, nil
+		s.observeDeliver(d)
+		return d.data, d.terminal, true, nil
 	}
 	return nil, false, false, nil
 }
@@ -742,9 +761,9 @@ func (s *Subscriber) more() bool {
 // is the end-to-end delivery latency a subscriber experienced,
 // whichever path the frame took (WAL-recovered frames carry no
 // publish stamp and are skipped).
-func (s *Subscriber) observeDeliver(sf savedFrame) {
-	if !sf.at.IsZero() {
-		s.hub.reg.ObserveStage(obs.StageDeliver, time.Since(sf.at))
+func (s *Subscriber) observeDeliver(d delivery) {
+	if d.at != 0 {
+		s.hub.reg.ObserveStage(obs.StageDeliver, time.Since(s.hub.epoch)-time.Duration(d.at))
 	}
 }
 
@@ -756,20 +775,20 @@ func (s *Subscriber) RecvContext(ctx context.Context) (data []byte, terminal boo
 		return data, terminal, err
 	}
 	select {
-	case sf := <-s.ch: // a queued frame needs no multi-way wait
-		s.observeDeliver(sf)
-		return sf.data, sf.terminal, nil
+	case d := <-s.ch: // a queued frame needs no multi-way wait
+		s.observeDeliver(d)
+		return d.data, d.terminal, nil
 	default:
 	}
 	select {
-	case sf := <-s.ch:
-		s.observeDeliver(sf)
-		return sf.data, sf.terminal, nil
+	case d := <-s.ch:
+		s.observeDeliver(d)
+		return d.data, d.terminal, nil
 	case <-s.closed:
 		select {
-		case sf := <-s.ch:
-			s.observeDeliver(sf)
-			return sf.data, sf.terminal, nil
+		case d := <-s.ch:
+			s.observeDeliver(d)
+			return d.data, d.terminal, nil
 		default:
 			return nil, false, s.termErr()
 		}

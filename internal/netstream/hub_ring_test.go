@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // ringPayloads counts the ring entries, in every block, that still hold
@@ -113,5 +114,115 @@ func TestHubRingSteadyStateBytes(t *testing.T) {
 	t.Logf("%.1f B per frame, payload size class %d", perFrame, sizeClass)
 	if perFrame > float64(sizeClass+16) {
 		t.Errorf("a full ring allocates %.1f B per frame, want <= %d (payload size class %d + 16)", perFrame, sizeClass+16, sizeClass)
+	}
+}
+
+// TestHubRingFillBytes: while the ring fills, a frame costs its payload's
+// size class, its 32-byte entry, the entry's 5 B share of its block's
+// rounding up to the 9 472 B size class (8 KiB plus the allocator's
+// 8-byte header), and under 2 B of block index.
+func TestHubRingFillBytes(t *testing.T) {
+	if unsafe.Sizeof([]byte(nil)) != 24 {
+		t.Skip("the entry size is stated for 64-bit slices")
+	}
+	const frames = 64 * ringBlock
+	tu := codecCases[0].tuple(fuzzSchema(), 0)
+	h := NewHubNamed([]string{ChannelDirty}, 8, frames, PolicyBlock, nil)
+	h.trackDelivery = true // a stamped entry is no larger
+	if err := h.PublishTuple(ChannelDirty, tu); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i < frames; i++ {
+		if err := h.PublishTuple(ChannelDirty, tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+
+	ring := &h.channels[ChannelDirty].ring
+	sizeClass := cap(ring.at(ring.n - 1).data)
+	perFrame := float64(after.TotalAlloc-before.TotalAlloc) / (frames - 1)
+	t.Logf("%.1f B per frame, payload size class %d", perFrame, sizeClass)
+	if limit := float64(sizeClass + 32 + 5 + 2); perFrame > limit {
+		t.Errorf("a filling ring allocates %.1f B per frame, want <= %.0f (payload size class %d + 32 B entry + 5 B block rounding + 2 B index)", perFrame, limit, sizeClass)
+	}
+}
+
+// TestHubRingDerivedSeq: an entry's seq is its position, so after any
+// number of evictions the ring's first seq is the oldest payload's own,
+// and a gap reports it as ServerMin.
+func TestHubRingDerivedSeq(t *testing.T) {
+	const replay = ringBlock + 3
+	h := NewHubNamed([]string{ChannelDirty}, 8, replay, PolicyBlock, nil)
+	ring := &h.channels[ChannelDirty].ring
+	for _, total := range []int{1, replay, replay + 1, 3*ringBlock + 5} {
+		publishN(t, h, ChannelDirty, total-int(h.Seq(ChannelDirty)))
+		for i := 0; i < ring.n; i++ {
+			f, err := DecodeFrame(ring.at(i).data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ring.first + uint64(i); f.Seq != want {
+				t.Fatalf("after %d frames entry %d holds seq %d, its position says %d", total, i, f.Seq, want)
+			}
+		}
+		oldest, err := DecodeFrame(ring.at(0).data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := h.Subscribe(ChannelDirty, 0)
+		if total <= replay {
+			if err != nil {
+				t.Fatalf("after %d frames, nothing evicted: %v", total, err)
+			}
+			sub.Close()
+			continue
+		}
+		var gap *GapError
+		if !errors.As(err, &gap) || gap.ServerMin != oldest.Seq || gap.ServerMin != uint64(total-replay+1) {
+			t.Fatalf("after %d frames Subscribe(0) = %v, want a gap with ServerMin %d", total, err, oldest.Seq)
+		}
+	}
+}
+
+// TestHubRingReplayTerminal: a subscriber that comes after the end is
+// served the whole channel from the ring, and only the last frame it
+// gets is terminal — after an eof and after a memory-only error.
+func TestHubRingReplayTerminal(t *testing.T) {
+	for _, end := range []*Frame{{Type: FrameEOF}, {Type: FrameError, Error: "boom"}} {
+		t.Run(end.Type, func(t *testing.T) {
+			const frames = ringBlock + 2
+			h := NewHubNamed([]string{ChannelDirty}, 8, 2*ringBlock, PolicyBlock, nil)
+			publishN(t, h, ChannelDirty, frames)
+			if err := h.Publish(ChannelDirty, end); err != nil {
+				t.Fatal(err)
+			}
+			for _, from := range []uint64{0, frames, frames + 1} {
+				sub, err := h.Subscribe(ChannelDirty, from)
+				if err != nil {
+					t.Fatal(err)
+				}
+				last := uint64(frames + 1)
+				for want := max(from, 1); want <= last; want++ {
+					data, terminal, err := sub.Recv()
+					if err != nil {
+						t.Fatalf("from %d, seq %d: %v", from, want, err)
+					}
+					f, err := DecodeFrame(data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if f.Seq != want || terminal != (want == last) || terminal != (f.Type == end.Type) {
+						t.Fatalf("from %d: got %s seq %d terminal %v, want seq %d terminal %v", from, f.Type, f.Seq, terminal, want, want == last)
+					}
+				}
+				if sub.more() {
+					t.Fatalf("from %d: frames left after the terminal one", from)
+				}
+				sub.Close()
+			}
+		})
 	}
 }

@@ -529,6 +529,7 @@ func (s *Server) streamTCP(conn net.Conn, channel string, fromSeq uint64, thrott
 	}
 	defer sub.Close()
 	bw := bufio.NewWriter(conn)
+	flush := bw.Flush // one method value per connection, not one per frame
 	for {
 		data, terminal, err := sub.Recv()
 		if err != nil {
@@ -539,7 +540,7 @@ func (s *Server) streamTCP(conn net.Conn, channel string, fromSeq uint64, thrott
 			return
 		}
 		if throttle != nil {
-			if terr := throttle(len(data), bw.Flush); terr != nil {
+			if terr := throttle(len(data), flush); terr != nil {
 				if bw.Flush() == nil {
 					writeConnError(conn, terr)
 				}

@@ -22,6 +22,7 @@
 package netstream
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -260,14 +261,19 @@ const maxSubscribeBytes = 4 << 10
 // errFrameTooLarge marks a length prefix above the reader's limit.
 var errFrameTooLarge = errors.New("exceeds limit")
 
-// WriteFrame writes one length-prefixed payload.
+// WriteFrame writes one length-prefixed payload. Into a *bufio.Writer
+// with room for it, the prefix is built in the writer's own buffer and
+// costs no allocation.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrameBytes {
 		return fmt.Errorf("netstream: frame of %d bytes exceeds limit", len(payload))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	var hdr []byte
+	if bw, ok := w.(*bufio.Writer); ok && bw.Available() >= 4 {
+		hdr = bw.AvailableBuffer()
+	}
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(payload)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -277,14 +283,16 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // ReadFrame reads one length-prefixed payload.
 func ReadFrame(r io.Reader) ([]byte, error) { return readFrameInto(r, nil, MaxFrameBytes) }
 
-// readFrameInto is ReadFrame into buf's backing array when it is large
-// enough, refusing a length prefix above limit before allocating.
+// readFrameInto is ReadFrame, prefix included, into buf's backing array
+// when it is large enough, refusing a prefix above limit before allocating.
 func readFrameInto(r io.Reader, buf []byte, limit uint32) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(buf[:4])
 	if n > limit {
 		return nil, fmt.Errorf("netstream: frame of %d bytes %w", n, errFrameTooLarge)
 	}
@@ -495,12 +503,12 @@ func EncodeFrame(f *Frame) ([]byte, error) {
 	return append([]byte(nil), data...), nil
 }
 
-// wireCursor walks a binary payload: b for the varints, s — one string
-// copy of the same bytes — for the text, so that cells and names are
-// substrings, not allocations. Every read is bounded by the bytes that
-// remain; the first malformed read sticks (bad) and exhausts the cursor,
-// so later reads return zero values and loops sized by a count end at
-// once.
+// wireCursor walks a binary payload b. The Frame view sets s, one string
+// copy of the same bytes, so that its names and cells are substrings, not
+// allocations; the tuple sink reads its text from b in place. Every read
+// is bounded by the bytes that remain; the first malformed read sticks
+// (bad) and exhausts the cursor, so later reads return zero values and
+// loops sized by a count end at once.
 type wireCursor struct {
 	b   []byte
 	s   string
@@ -550,6 +558,14 @@ func (c *wireCursor) count() int {
 	return int(n)
 }
 
+// text reads a length-prefixed string in place.
+func (c *wireCursor) text() []byte {
+	n := c.count()
+	c.off += n
+	return c.b[c.off-n : c.off]
+}
+
+// str is text as a substring of s.
 func (c *wireCursor) str() string {
 	n := c.count()
 	c.off += n
@@ -619,14 +635,13 @@ func (c *wireCursor) batchMeta(m *batchMeta) {
 	m.cols = int(cols)
 }
 
-// openBinary checks the version byte and reads the frame header.
-func openBinary(payload []byte) (c wireCursor, tag byte, seq uint64, channel string, err error) {
+// openBinary checks the version byte and reads the header up to the channel.
+func openBinary(payload []byte) (c wireCursor, tag byte, seq uint64, err error) {
 	if len(payload) < 2 || payload[0] != wireVersion {
-		return c, 0, 0, "", fmt.Errorf("netstream: decode frame: unknown encoding")
+		return c, 0, 0, fmt.Errorf("netstream: decode frame: unknown encoding")
 	}
-	c = wireCursor{b: payload, s: string(payload), off: 2}
-	seq, channel = c.uvarint(), c.str()
-	return c, payload[1], seq, channel, nil
+	c = wireCursor{b: payload, off: 2}
+	return c, payload[1], c.uvarint(), nil
 }
 
 // done is the cursor's verdict once a sink has consumed the body.
@@ -648,13 +663,14 @@ func (c *wireCursor) strs(n int) []string {
 }
 
 // decodeBinary is the cursor's Frame sink: the view of a binary payload
-// that tools, tests and the HTTP edge read.
+// that tools, tests and the HTTP edge read. It owns its strings.
 func decodeBinary(payload []byte) (*Frame, error) {
-	c, tag, seq, channel, err := openBinary(payload)
+	c, tag, seq, err := openBinary(payload)
 	if err != nil {
 		return nil, err
 	}
-	f := &Frame{Channel: channel, Seq: seq}
+	c.s = string(payload)
+	f := &Frame{Channel: c.str(), Seq: seq}
 	stamp := func(t time.Time) string { return t.Format(wireTime) }
 	switch tag {
 	case tagTuple:
@@ -699,15 +715,17 @@ func DecodeFrame(payload []byte) (*Frame, error) {
 
 // decodeTuples is the cursor's stream.Tuple sink, ClientSource's: a
 // tuple or colbatch payload becomes tuples with no Frame, WireTuple or
-// rendered timestamp in between, each cell parsed from its text against
-// the schema kind. The tuples own their value slices and one copy of the
-// payload (string cells alias it); m is scratch. It returns the
-// payload's sequence number and its rows appended to dst.
+// rendered timestamp in between, each cell parsed in place from its text
+// against the schema kind. The tuples own their value slices and a copy
+// of each string cell, and alias nothing of payload, which the caller
+// may reuse; m is scratch. It returns the payload's sequence number and
+// its rows appended to dst.
 func decodeTuples(dst []stream.Tuple, payload []byte, schema *stream.Schema, m *batchMeta) (uint64, []stream.Tuple, error) {
-	c, tag, seq, _, err := openBinary(payload)
+	c, tag, seq, err := openBinary(payload)
 	if err != nil {
 		return 0, dst, err
 	}
+	c.text() // the channel name, which the subscription already knows
 	switch tag {
 	case tagTuple: // a batch of one row, its metadata inline
 		m.ids, m.subs = append(m.ids[:0], c.uvarint()), append(m.subs[:0], c.int())
@@ -735,7 +753,7 @@ func decodeTuples(dst []stream.Tuple, payload []byte, schema *stream.Schema, m *
 	}
 	for col := 0; col < m.cols; col++ {
 		for r, id := range m.ids {
-			v, err := stream.ParseValue(c.str(), schema.Field(col).Kind)
+			v, err := stream.ParseValueBytes(c.text(), schema.Field(col).Kind)
 			if err != nil {
 				return seq, dst[:base], fmt.Errorf("netstream: tuple %d (row %d) attr %q: %w", id, r, schema.Field(col).Name, err)
 			}

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"net"
 	"reflect"
@@ -112,6 +114,18 @@ func viewRoundTrip(t *testing.T, label string, payload []byte, f *Frame) {
 	}
 }
 
+// decodeScribbled is decodeTuples on a copy of payload that it then
+// overwrites, as a client's next frame overwrites its read buffer: a
+// decoded cell that aliased its input no longer compares equal.
+func decodeScribbled(payload []byte, schema *stream.Schema, m *batchMeta) (uint64, []stream.Tuple, error) {
+	buf := bytes.Clone(payload)
+	seq, rows, err := decodeTuples(nil, buf, schema, m)
+	for i := range buf {
+		buf[i] = ^buf[i]
+	}
+	return seq, rows, err
+}
+
 // checkCodec is the codec's spec for one generated case.
 func checkCodec(t *testing.T, cc codecCase) {
 	schema := fuzzSchema()
@@ -121,7 +135,7 @@ func checkCodec(t *testing.T, cc codecCase) {
 	// Tuple frame.
 	tu := cc.tuple(schema, 0)
 	direct := appendTuple(nil, seq, channel, &tu)
-	seqGot, got, gotErr := decodeTuples(nil, direct, schema, &meta)
+	seqGot, got, gotErr := decodeScribbled(direct, schema, &meta)
 	if gotErr == nil && (seqGot != seq || len(got) != 1) {
 		t.Fatalf("client sink: seq %d, %d tuples", seqGot, len(got))
 	}
@@ -178,7 +192,7 @@ func checkCodec(t *testing.T, cc codecCase) {
 		inRange = inRange && inRFC3339(row.EventTime) && inRFC3339(row.Arrival)
 	}
 	direct = appendColumnBatch(nil, seq, channel, batch)
-	seqGot, got, gotErr = decodeTuples(nil, direct, schema, &meta)
+	seqGot, got, gotErr = decodeScribbled(direct, schema, &meta)
 	if gotErr == nil && (seqGot != seq || len(got) != n) {
 		t.Fatalf("client sink: batch seq %d, %d rows, want %d", seqGot, len(got), n)
 	}
@@ -305,50 +319,164 @@ func TestEncodeFrameAllocs(t *testing.T) {
 	}
 }
 
-// TestClientNextAllocs: ClientSource.Next allocates what the tuple it
-// returns owns — its values and one copy of the payload text — from a
-// stream of tuple frames and, amortised, from colbatch frames.
-func TestClientNextAllocs(t *testing.T) {
-	schema := fuzzSchema()
-	const n = 512
-	var wire bytes.Buffer
-	batch := stream.NewColumnBatch(schema, 64)
-	for i := 0; i < n; i++ {
-		tu := codecCases[0].tuple(schema, i)
-		if err := WriteFrame(&wire, appendTuple(nil, uint64(i+1), ChannelDirty, &tu)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if err := batch.AppendTuple(codecCases[0].tuple(schema, i)); err != nil {
-			t.Fatal(err)
-		}
-		if batch.Len() == 64 {
-			if err := WriteFrame(&wire, appendColumnBatch(nil, uint64(n+1+i/64), ChannelDirty, batch)); err != nil {
-				t.Fatal(err)
-			}
-			batch.Reset()
-		}
-	}
+// clientOver is a ClientSource reading the given frames, already
+// subscribed on schema.
+func clientOver(t *testing.T, schema *stream.Schema, wire io.Reader) *ClientSource {
 	local, remote := net.Pipe()
-	defer local.Close()
-	defer remote.Close()
-	c := &ClientSource{channel: ChannelDirty, conn: local, br: bufio.NewReader(&wire), cur: schema, schema: schema}
-	next := func(k int) func() {
-		return func() {
-			for i := 0; i < k; i++ {
-				if _, err := c.Next(); err != nil {
+	t.Cleanup(func() { local.Close(); remote.Close() })
+	return &ClientSource{channel: ChannelDirty, conn: local, br: bufio.NewReader(wire), cur: schema, schema: schema}
+}
+
+// TestClientNextAllocs: ClientSource.Next allocates only what the tuple
+// it returns owns — its values slice and a copy of each string cell —
+// from a stream of tuple frames and, amortised, from colbatch frames.
+func TestClientNextAllocs(t *testing.T) {
+	numeric := stream.MustSchema("Time", // the serve workloads' schema
+		stream.Field{Name: "Time", Kind: stream.KindTime},
+		stream.Field{Name: "V", Kind: stream.KindFloat},
+		stream.Field{Name: "K", Kind: stream.KindInt},
+	)
+	mixed := fuzzSchema()
+	for _, c := range []struct {
+		name   string
+		schema *stream.Schema
+		tuple  func(i int) stream.Tuple
+		want   float64
+	}{
+		{"numeric", numeric, func(i int) stream.Tuple {
+			at := time.Date(2021, 6, 1, 0, 0, i, 0, time.UTC)
+			tu := stream.NewTuple(numeric, []stream.Value{stream.Time(at), stream.Float(float64(i) / 8), stream.Int(int64(i) * 1e6)})
+			tu.ID, tu.EventTime, tu.Arrival = uint64(i+1), at, at
+			return tu
+		}, 1},
+		// A one-byte string is one of the runtime's static strings, so the
+		// cell is longer: the values slice and the one string cell.
+		{"fuzzSchema", mixed, func(i int) stream.Tuple {
+			cc := codecCases[0]
+			cc.cell = fmt.Sprintf("sensor-%03d", i%1000)
+			return cc.tuple(mixed, i)
+		}, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// AllocsPerRun counts every goroutine's allocations, so each phase
+			// runs long enough (399 tuples, 40 batches) that stragglers from
+			// earlier tests cannot add a whole allocation per run.
+			const n, batches = 512, 48
+			var wire bytes.Buffer
+			batch := stream.NewColumnBatch(c.schema, 64)
+			for i := 0; i < n; i++ {
+				tu := c.tuple(i)
+				if err := WriteFrame(&wire, appendTuple(nil, uint64(i+1), ChannelDirty, &tu)); err != nil {
 					t.Fatal(err)
 				}
 			}
+			for i := 0; i < 64*batches; i++ {
+				if err := batch.AppendTuple(c.tuple(i)); err != nil {
+					t.Fatal(err)
+				}
+				if batch.Len() == 64 {
+					if err := WriteFrame(&wire, appendColumnBatch(nil, uint64(n+1+i/64), ChannelDirty, batch)); err != nil {
+						t.Fatal(err)
+					}
+					batch.Reset()
+				}
+			}
+			cs := clientOver(t, c.schema, &wire)
+			next := func(k int) func() {
+				return func() {
+					for i := 0; i < k; i++ {
+						if _, err := cs.Next(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			next(8)() // warm the reused buffers
+			if perTuple := testing.AllocsPerRun(399, next(1)); perTuple != c.want {
+				t.Errorf("tuple frames: %.2f allocs per tuple, want %v", perTuple, c.want)
+			}
+			next(n - 8 - 400 + 64)() // the rest of the tuple frames and the first batch
+			if perTuple := testing.AllocsPerRun(40, next(64)) / 64; perTuple != c.want {
+				t.Errorf("colbatch frames: %.2f allocs per tuple, want %v", perTuple, c.want)
+			}
+		})
+	}
+}
+
+// TestDecodedCellsOwnTheirBytes: the client reads every frame into one
+// reused buffer, so a tuple it returned must not change when the next
+// frame overwrites that buffer.
+func TestDecodedCellsOwnTheirBytes(t *testing.T) {
+	schema := stream.MustSchema("ts",
+		stream.Field{Name: "ts", Kind: stream.KindTime},
+		stream.Field{Name: "v", Kind: stream.KindFloat},
+		stream.Field{Name: "k", Kind: stream.KindInt},
+		stream.Field{Name: "s", Kind: stream.KindString},
+	)
+	frame := func(seq uint64, at time.Time, v float64, k int64, s string) []byte {
+		tu := stream.NewTuple(schema, []stream.Value{stream.Time(at), stream.Float(v), stream.Int(k), stream.Str(s)})
+		tu.ID, tu.EventTime, tu.Arrival = seq, at, at
+		return appendTuple(nil, seq, ChannelDirty, &tu)
+	}
+	// Same lengths, so the second frame overwrites every byte of the first.
+	first := frame(1, time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC), 1.25, 1111, "alpha")
+	second := frame(2, time.Date(2029, 9, 9, 9, 9, 9, 0, time.UTC), 8.75, 9999, "omega")
+	if len(first) != len(second) {
+		t.Fatalf("frames of %d and %d bytes", len(first), len(second))
+	}
+	var wire bytes.Buffer
+	for _, p := range [][]byte{first, second} {
+		if err := WriteFrame(&wire, p); err != nil {
+			t.Fatal(err)
 		}
 	}
-	next(8)() // warm the reused buffers
-	if perTuple := testing.AllocsPerRun(399, next(1)); perTuple > 3 {
-		t.Errorf("tuple frames: %.2f allocs per tuple, want <= 3", perTuple)
+	cs := clientOver(t, schema, &wire)
+	got, err := cs.Next()
+	if err != nil {
+		t.Fatal(err)
 	}
-	next(n - 8 - 400 + 64)() // the rest of the tuple frames and the first batch
-	if perTuple := testing.AllocsPerRun(5, next(64)) / 64; perTuple > 3 {
-		t.Errorf("colbatch frames: %.2f allocs per tuple, want <= 3", perTuple)
+	want := EncodeTuple(got).Values
+	if _, err := cs.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cs.readBuf[:len(second)], second) {
+		t.Fatal("the second frame was not read into the first's buffer")
+	}
+	if after := EncodeTuple(got).Values; !reflect.DeepEqual(after, want) {
+		t.Fatalf("the first tuple changed when the next frame was read: %q, was %q", after, want)
+	}
+}
+
+// TestFrameLengthPrefixAllocs: the length prefix costs no allocation on
+// either end — built in a bufio.Writer's buffer, read into the reused
+// frame buffer.
+func TestFrameLengthPrefixAllocs(t *testing.T) {
+	tu := codecCases[0].tuple(fuzzSchema(), 0)
+	payload := appendTuple(nil, 1, ChannelDirty, &tu)
+	bw := bufio.NewWriter(io.Discard)
+	if n := testing.AllocsPerRun(500, func() {
+		if err := WriteFrame(bw, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("WriteFrame into a bufio.Writer: %v allocs, want 0", n)
+	}
+	var wire bytes.Buffer
+	for i := 0; i < 600; i++ {
+		if err := WriteFrame(&wire, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	br := bufio.NewReader(&wire)
+	buf, err := readFrameInto(br, nil, MaxFrameBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(500, func() {
+		if buf, err = readFrameInto(br, buf[:0], MaxFrameBytes); err != nil || !bytes.Equal(buf, payload) {
+			t.Fatalf("read %q, %v", buf, err)
+		}
+	}); n != 0 {
+		t.Errorf("readFrameInto with a warmed buffer: %v allocs, want 0", n)
 	}
 }

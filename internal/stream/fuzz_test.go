@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// FuzzParseValue checks that ParseValue never panics and that values it
-// accepts round-trip through String for every kind.
+// FuzzParseValue checks that ParseValue never panics, that values it
+// accepts round-trip through String for every kind, and that
+// ParseValueBytes agrees with it on every input.
 func FuzzParseValue(f *testing.F) {
 	seeds := []string{"", "1.5", "-7", "true", "hello", "2020-01-01T00:00:00Z", "NaN", "1e308", "0x10", "  3 "}
 	for _, s := range seeds {
@@ -16,6 +17,12 @@ func FuzzParseValue(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
 		for _, k := range kinds {
 			v, err := ParseValue(s, k)
+			vb, errb := ParseValueBytes([]byte(s), k)
+			f, _ := v.AsFloat()
+			if (err != nil) != (errb != nil) || vb.Kind() != v.Kind() || vb.String() != v.String() ||
+				!vb.Equal(v) && !math.IsNaN(f) {
+				t.Fatalf("%q as %v: ParseValueBytes = %v, %v; ParseValue = %v, %v", s, k, vb, errb, v, err)
+			}
 			if err != nil {
 				continue
 			}
@@ -44,4 +51,27 @@ func FuzzParseValue(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestParseValueBytesAllocs: the bytes form of a non-string cell
+// allocates nothing.
+func TestParseValueBytesAllocs(t *testing.T) {
+	for _, c := range []struct {
+		text string
+		kind Kind
+	}{
+		{"-12.375e-3", KindFloat},
+		{"-9223372036854775808", KindInt},
+		{"true", KindBool},
+		{"2021-06-01T12:34:56Z", KindTime}, // String renders UTC; an offset costs time.Parse a zone
+	} {
+		b := []byte(c.text)
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := ParseValueBytes(b, c.kind); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("ParseValueBytes(%q, %v): %v allocs, want 0", c.text, c.kind, n)
+		}
+	}
 }

@@ -328,37 +328,46 @@ func (v Value) AppendString(dst []byte) []byte {
 // ParseValue parses the textual representation produced by String back
 // into a Value of the requested kind. The empty string parses as NULL for
 // every kind, matching how missing values appear in CSV files.
-func ParseValue(s string, kind Kind) (Value, error) {
-	if s == "" {
+func ParseValue(s string, kind Kind) (Value, error) { return parseValue(s, kind) }
+
+// ParseValueBytes is ParseValue of b's text. The value retains none of b:
+// a string cell is a copy, and no other kind allocates.
+func ParseValueBytes(b []byte, kind Kind) (Value, error) { return parseValue(b, kind) }
+
+// parseValue is the one parse rule behind both forms. string(s) is free
+// for a string and, for a []byte, stays off the heap wherever it does
+// not escape; the error paths quote a copy.
+func parseValue[T string | []byte](s T, kind Kind) (Value, error) {
+	if len(s) == 0 {
 		return Null(), nil
 	}
 	switch kind {
 	case KindNull:
 		return Null(), nil
 	case KindFloat:
-		f, err := strconv.ParseFloat(s, 64)
+		f, err := strconv.ParseFloat(string(s), 64)
 		if err != nil {
-			return Null(), fmt.Errorf("stream: parse float %q: %w", s, err)
+			return Null(), fmt.Errorf("stream: parse float %q: %w", string(s), err)
 		}
 		return Float(f), nil
 	case KindInt:
-		i, err := strconv.ParseInt(s, 10, 64)
+		i, err := strconv.ParseInt(string(s), 10, 64)
 		if err != nil {
-			return Null(), fmt.Errorf("stream: parse int %q: %w", s, err)
+			return Null(), fmt.Errorf("stream: parse int %q: %w", string(s), err)
 		}
 		return Int(i), nil
 	case KindString:
-		return Str(s), nil
+		return Str(string(s)), nil
 	case KindBool:
-		b, err := strconv.ParseBool(s)
+		b, err := strconv.ParseBool(string(s))
 		if err != nil {
-			return Null(), fmt.Errorf("stream: parse bool %q: %w", s, err)
+			return Null(), fmt.Errorf("stream: parse bool %q: %w", string(s), err)
 		}
 		return Bool(b), nil
 	case KindTime:
-		t, err := time.Parse(time.RFC3339, s)
+		t, err := time.Parse(time.RFC3339, string(s))
 		if err != nil {
-			return Null(), fmt.Errorf("stream: parse time %q: %w", s, err)
+			return Null(), fmt.Errorf("stream: parse time %q: %w", string(s), err)
 		}
 		return Time(t), nil
 	}
