@@ -27,11 +27,20 @@ fmt:
 # Panic lint: the hot-path packages must not panic except where a
 # `lint:allowpanic` marker documents a deliberate Must*/constructor
 # contract. Everything else returns errors.
+# Filesystem-seam lint: internal/netstream's state-dir I/O goes through
+# netstream.FS (so chaos.FaultFS can fail it); only osFS's methods call
+# the os filesystem functions.
 lint:
 	@bad=$$(grep -n 'panic(' internal/stream/*.go internal/core/*.go \
 		| grep -v '_test.go' | grep -v 'lint:allowpanic' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "lint: unannotated panic() in hot-path packages:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(awk '/^func \(osFS\)/ { osfs = 1 } \
+		!osfs && /(^|[^A-Za-z0-9_])os\.(Stat|Open|OpenFile|ReadFile|WriteFile|Remove|RemoveAll|Rename|Mkdir|MkdirAll)\(/ { print FILENAME ":" FNR ": " $$0 } \
+		/^}/ || /^func .*}$$/ { osfs = 0 }' $$(ls internal/netstream/*.go | grep -v '_test.go')); \
+	if [ -n "$$bad" ]; then \
+		echo "lint: os filesystem call outside osFS in internal/netstream (use netstream.FS):"; echo "$$bad"; exit 1; \
 	fi
 
 # Same float bits on every architecture: cross-compiles cmd/icewafl,

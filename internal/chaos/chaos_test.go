@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"icewafl/internal/core"
 	"icewafl/internal/netstream"
 )
 
@@ -143,184 +144,93 @@ func TestProxyThrottle(t *testing.T) {
 	}
 }
 
-func TestFaultFSShortWriteRecovery(t *testing.T) {
-	ffs := &FaultFS{ShortWriteEvery: 2}
-	w, err := netstream.OpenWAL(t.TempDir(), netstream.WALOptions{FS: ffs, FsyncEvery: 1000})
-	if err != nil {
-		t.Fatalf("OpenWAL: %v", err)
+// TestWALFailStop: the first failed write, fsync or rotation stops the
+// log. The failing call returns the injected error, every later append
+// and sync returns it too without writing a byte, and a reopen on a
+// healthy filesystem reads back every acknowledged record plus at most
+// the whole record of the failed call, never a torn one.
+func TestWALFailStop(t *testing.T) {
+	cases := []struct {
+		name  string
+		fs    *FaultFS
+		opts  netstream.WALOptions
+		want  error
+		acked uint64 // appends that succeed before the failing one
+		kept  uint64 // records a reopen reads back
+	}{
+		// Write 1 is the segment's magic, write k+1 record k.
+		{"short write", &FaultFS{ShortWriteEvery: 5}, netstream.WALOptions{FsyncEvery: 1000}, io.ErrShortWrite, 3, 3},
+		// 8 + 6×33 bytes land; the seventh record finds the budget spent.
+		{"ENOSPC", &FaultFS{FailAfterBytes: 200}, netstream.WALOptions{FsyncEvery: 1000}, syscall.ENOSPC, 6, 6},
+		// Sync 1 is the new segment's directory, sync 3 record 2's fsync.
+		{"file fsync", &FaultFS{SyncFailEvery: 3}, netstream.WALOptions{FsyncEvery: 1}, errInjectedSync, 1, 2},
+		// Record 3 fills the first segment (sync 2); the second
+		// segment's directory sync (3) precedes record 4.
+		{"directory fsync of a new segment", &FaultFS{SyncFailEvery: 3}, netstream.WALOptions{FsyncEvery: 1000, SegmentBytes: 100}, errInjectedSync, 3, 3},
+		// Record 3 fills the first segment; the rotation's fsync fails.
+		{"fsync at a rotation", &FaultFS{SyncFailEvery: 2}, netstream.WALOptions{FsyncEvery: 1000, SegmentBytes: 100}, errInjectedSync, 2, 3},
 	}
-	defer w.Close()
-
-	const n = 20
-	for seq := uint64(1); seq <= n; seq++ {
-		payload := []byte{byte(seq)}
-		// Every short write tears the append; the WAL rolls it back, so
-		// retrying the same sequence must succeed once the fault clears.
-		var lastErr error
-		ok := false
-		for attempt := 0; attempt < 5; attempt++ {
-			if lastErr = w.Append(seq, false, payload); lastErr == nil {
-				ok = true
-				break
+	payload := func(seq uint64) []byte { return bytes.Repeat([]byte{byte(seq)}, 16) }
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.opts.FS = tc.fs
+			w, err := netstream.OpenWAL(dir, tc.opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if !ok {
-			t.Fatalf("append seq %d never succeeded: %v", seq, lastErr)
-		}
-	}
-	if ffs.ShortWrites() == 0 {
-		t.Fatal("fault schedule injected no short writes")
-	}
-	if got := w.MaxSeq(); got != n {
-		t.Fatalf("MaxSeq = %d, want %d", got, n)
-	}
-
-	r, err := w.ReadFrom(1)
-	if err != nil {
-		t.Fatalf("ReadFrom: %v", err)
-	}
-	defer r.Close()
-	for seq := uint64(1); seq <= n; seq++ {
-		rec, err := r.Next()
-		if err != nil {
-			t.Fatalf("Next at seq %d: %v", seq, err)
-		}
-		if rec.Seq != seq || len(rec.Payload) != 1 || rec.Payload[0] != byte(seq) {
-			t.Fatalf("record %d corrupted after short-write recovery: %+v", seq, rec)
-		}
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("expected EOF after %d records, got %v", n, err)
-	}
-}
-
-func TestFaultFSSyncFailureRetrySameSeq(t *testing.T) {
-	// FsyncEvery=1 syncs each append; sync #3 fails, leaving the record
-	// in the file but not durable. The retry of the same sequence must
-	// complete idempotently (supplying the missing fsync), not wedge on
-	// the contiguity check.
-	ffs := &FaultFS{SyncFailEvery: 3}
-	w, err := netstream.OpenWAL(t.TempDir(), netstream.WALOptions{FS: ffs, FsyncEvery: 1})
-	if err != nil {
-		t.Fatalf("OpenWAL: %v", err)
-	}
-	defer w.Close()
-
-	for seq := uint64(1); seq <= 6; seq++ {
-		var lastErr error
-		ok := false
-		for attempt := 0; attempt < 5; attempt++ {
-			if lastErr = w.Append(seq, false, []byte{byte(seq)}); lastErr == nil {
-				ok = true
-				break
+			seq := uint64(1)
+			for ; seq <= 20; seq++ {
+				if err = w.Append(seq, false, payload(seq)); err != nil {
+					break
+				}
 			}
-		}
-		if !ok {
-			t.Fatalf("append seq %d never succeeded: %v", seq, lastErr)
-		}
-	}
-	if ffs.SyncFails() == 0 {
-		t.Fatal("fault schedule injected no sync failures")
-	}
-	if got := w.MaxSeq(); got != 6 {
-		t.Fatalf("MaxSeq = %d, want 6 (duplicate or lost append across sync failure)", got)
-	}
-
-	r, err := w.ReadFrom(1)
-	if err != nil {
-		t.Fatalf("ReadFrom: %v", err)
-	}
-	defer r.Close()
-	for seq := uint64(1); seq <= 6; seq++ {
-		rec, err := r.Next()
-		if err != nil {
-			t.Fatalf("Next at seq %d: %v", seq, err)
-		}
-		if rec.Seq != seq {
-			t.Fatalf("record out of order: got seq %d, want %d", rec.Seq, seq)
-		}
-	}
-}
-
-// TestFaultFSSyncDirFailure: a failed directory fsync of a new segment
-// fails the append that would put the first record in it, before any
-// byte of the record is written; once the fault clears, the retry lands.
-func TestFaultFSSyncDirFailure(t *testing.T) {
-	ffs := &FaultFS{SyncFailEvery: 1}
-	w, err := netstream.OpenWAL(t.TempDir(), netstream.WALOptions{FS: ffs, FsyncEvery: 1000})
-	if err != nil {
-		t.Fatalf("OpenWAL: %v", err)
-	}
-	defer w.Close()
-	if err := w.Append(1, false, []byte("first")); err == nil {
-		t.Fatal("append into a segment whose directory sync failed succeeded")
-	}
-	if ffs.SyncFails() != 1 || w.MaxSeq() != 0 || w.SizeBytes() != 8 {
-		t.Fatalf("after the failed directory sync: %d sync failures, max seq %d, %d bytes; want 1, 0 and the bare magic",
-			ffs.SyncFails(), w.MaxSeq(), w.SizeBytes())
-	}
-	ffs.SyncFailEvery = 0
-	if err := w.Append(1, false, []byte("first")); err != nil {
-		t.Fatalf("retry after the fault cleared: %v", err)
-	}
-	if w.MaxSeq() != 1 {
-		t.Fatalf("MaxSeq = %d after the retry, want 1", w.MaxSeq())
-	}
-}
-
-func TestFaultFSENOSPC(t *testing.T) {
-	dir := t.TempDir()
-	ffs := &FaultFS{FailAfterBytes: 400}
-	w, err := netstream.OpenWAL(dir, netstream.WALOptions{FS: ffs, FsyncEvery: 1})
-	if err != nil {
-		t.Fatalf("OpenWAL: %v", err)
-	}
-
-	var full bool
-	var landed uint64
-	for seq := uint64(1); seq <= 100; seq++ {
-		if err := w.Append(seq, false, bytes.Repeat([]byte{byte(seq)}, 16)); err != nil {
-			if !errors.Is(err, syscall.ENOSPC) {
-				t.Fatalf("append seq %d: error does not wrap ENOSPC: %v", seq, err)
+			if seq-1 != tc.acked || !errors.Is(err, tc.want) {
+				t.Fatalf("append %d failed with %v; want append %d to fail with %v", seq, err, tc.acked+1, tc.want)
 			}
-			full = true
-			break
-		}
-		landed = seq
-	}
-	if !full {
-		t.Fatal("400-byte budget never filled")
-	}
-	if landed == 0 {
-		t.Fatal("no appends landed before the disk filled")
-	}
-	if ffs.ENOSPCs() == 0 {
-		t.Fatal("ENOSPCs() = 0 after a disk-full error")
-	}
-	w.Close()
+			writes := func() int64 {
+				tc.fs.mu.Lock()
+				defer tc.fs.mu.Unlock()
+				return tc.fs.writes
+			}
+			before := writes()
+			later := map[string]func() error{
+				"Append":           func() error { return w.Append(seq, false, payload(seq)) },
+				"Append next":      func() error { return w.Append(seq+1, false, payload(seq+1)) },
+				"AppendFrame":      func() error { return w.AppendFrame("c", 1, false, true, payload(seq)) },
+				"AppendCheckpoint": func() error { return w.AppendCheckpoint(&core.Checkpoint{Version: core.CheckpointVersion}) },
+				"Sync":             w.Sync,
+			}
+			for name, call := range later {
+				if err := call(); !errors.Is(err, tc.want) {
+					t.Errorf("%s after the failure: %v, want %v", name, err, tc.want)
+				}
+			}
+			if after := writes(); after != before {
+				t.Errorf("the stopped log wrote %d more times", after-before)
+			}
+			if err := w.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
 
-	// Everything appended before the disk filled survives a reopen on a
-	// healthy filesystem.
-	w2, err := netstream.OpenWAL(dir, netstream.WALOptions{})
-	if err != nil {
-		t.Fatalf("reopen after ENOSPC: %v", err)
-	}
-	defer w2.Close()
-	if got := w2.MaxSeq(); got != landed {
-		t.Fatalf("MaxSeq after reopen = %d, want %d", got, landed)
-	}
-	r, err := w2.ReadFrom(1)
-	if err != nil {
-		t.Fatalf("ReadFrom: %v", err)
-	}
-	defer r.Close()
-	for seq := uint64(1); seq <= landed; seq++ {
-		rec, err := r.Next()
-		if err != nil {
-			t.Fatalf("Next at seq %d: %v", seq, err)
-		}
-		if rec.Seq != seq || !bytes.Equal(rec.Payload, bytes.Repeat([]byte{byte(seq)}, 16)) {
-			t.Fatalf("record %d corrupted by disk-full: %+v", seq, rec)
-		}
+			w2, err := netstream.OpenWAL(dir, netstream.WALOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w2.Close()
+			if got := w2.MaxSeq(); got != tc.kept {
+				t.Fatalf("reopened log ends at %d, want %d", got, tc.kept)
+			}
+			r, err := w2.ReadFrom(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			for seq := uint64(1); seq <= tc.kept; seq++ {
+				if rec, err := r.Next(); err != nil || rec.Seq != seq || !bytes.Equal(rec.Payload, payload(seq)) {
+					t.Fatalf("record %d after reopen: %+v, %v", seq, rec, err)
+				}
+			}
+		})
 	}
 }

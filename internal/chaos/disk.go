@@ -27,9 +27,9 @@ var errInjectedSync = errors.New("chaos: injected fsync failure")
 // FaultFS wraps a netstream.FS (the real filesystem by default) and
 // injects disk faults on a deterministic schedule: periodic short
 // writes, periodic fsync failures, and a total write budget after which
-// every write fails with ENOSPC. It exercises the WAL's self-healing
-// append path (truncate-and-retry after a short write, recovery after a
-// failed sync) without needing a faulty disk.
+// every write fails with ENOSPC. It exercises the WAL's fail-stop rule
+// (the first failed write or fsync stops the log until it is reopened)
+// without needing a faulty disk.
 //
 // The schedule is shared across every file the FS opens, so "every Nth
 // write" counts writes globally — matching how a single WAL channel
@@ -86,8 +86,17 @@ func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (netstream.F
 // ReadDir implements netstream.FS.
 func (f *FaultFS) ReadDir(name string) ([]os.DirEntry, error) { return f.inner().ReadDir(name) }
 
+// ReadFile implements netstream.FS.
+func (f *FaultFS) ReadFile(name string) ([]byte, error) { return f.inner().ReadFile(name) }
+
+// Stat implements netstream.FS.
+func (f *FaultFS) Stat(name string) (os.FileInfo, error) { return f.inner().Stat(name) }
+
 // Remove implements netstream.FS.
 func (f *FaultFS) Remove(name string) error { return f.inner().Remove(name) }
+
+// RemoveAll implements netstream.FS.
+func (f *FaultFS) RemoveAll(name string) error { return f.inner().RemoveAll(name) }
 
 // Rename implements netstream.FS.
 func (f *FaultFS) Rename(oldname, newname string) error { return f.inner().Rename(oldname, newname) }

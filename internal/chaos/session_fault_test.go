@@ -1,11 +1,11 @@
 package chaos
 
 // The failure model of a durable session, one fault at a time: the
-// source dies mid-run, the disk fills under the session log, or an
-// fsync is denied. Each fault must leave the session failed with
-// nothing terminal in its log, and a fresh service over the same state
-// directory must Recover it into streams byte-identical to a run that
-// never failed.
+// source dies mid-run, the disk fills under the session log, a write
+// to it is torn, or an fsync is denied. Each fault must leave the
+// session failed with nothing terminal in its log, and a fresh service
+// over the same state directory must Recover it into streams
+// byte-identical to a run that never failed.
 
 import (
 	"bufio"
@@ -249,6 +249,7 @@ func TestFaultFSSessionFailsThenRecovers(t *testing.T) {
 		}},
 		{name: "ENOSPC on the session log", fs: &FaultFS{FailAfterBytes: 24 << 10}},
 		{name: "fsync denied", fs: &FaultFS{SyncFailEvery: 10}},
+		{name: "short write on the session log", fs: &FaultFS{ShortWriteEvery: 50}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

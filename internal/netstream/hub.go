@@ -466,8 +466,7 @@ func (h *Hub) publish(channelName, typ string, encode func(dst []byte, seq uint6
 		werr := h.wal.AppendFrame(channelName, ch.seq, terminal, terminal && h.allDoneLocked(), data)
 		h.reg.ObserveStage(obs.StageWALAppend, time.Since(t0))
 		if werr != nil {
-			ch.seq--
-			ch.done = false
+			// The log is stopped: the run fails, and a reopen resumes it.
 			h.mu.Unlock()
 			return fmt.Errorf("netstream: durable publish on %q: %w", channelName, werr)
 		}

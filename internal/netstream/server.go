@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"path/filepath"
 	"runtime/debug"
 	"strconv"
@@ -164,7 +163,7 @@ func newServer(cfg Config, namespace string, reg *obs.Registry, logf func(format
 	s.hub = NewHubNamed(names, cfg.Buffer, cfg.Replay, cfg.Policy, reg)
 	s.hub.trackDelivery = true
 	if cfg.StateDir != "" {
-		if err := checkStateDir(cfg.StateDir); err != nil {
+		if err := checkStateDir(cfg.WAL.withDefaults().FS, cfg.StateDir); err != nil {
 			return nil, err
 		}
 		w, err := OpenWAL(filepath.Join(cfg.StateDir, "wal"), cfg.WAL)
@@ -198,10 +197,10 @@ func (s *Server) Hub() *Hub { return s.hub }
 var ErrOldStateDir = errors.New("netstream: state dir written by an older build")
 
 // checkStateDir refuses dir if it holds the older layout.
-func checkStateDir(dir string) error {
+func checkStateDir(fs FS, dir string) error {
 	for _, old := range []string{"checkpoint/ck.json", "wal/dirty", "wal/clean", "wal/log", "dirty", "clean", "log"} {
 		p := filepath.Join(dir, old)
-		if _, err := os.Stat(p); err == nil {
+		if _, err := fs.Stat(p); err == nil {
 			return fmt.Errorf("%w: %s holds %s; finish that run with the build that wrote it, or use a fresh state dir", ErrOldStateDir, dir, p)
 		}
 	}
@@ -239,7 +238,8 @@ func (s *Server) armRecovery(resume *core.Checkpoint) error {
 }
 
 // captureCheckpoint appends a consistent run snapshot to the session
-// log, after every frame it references.
+// log, after every frame it references. A failed append stops the log,
+// so the run fails at its next publish and Recover takes over.
 func (s *Server) captureCheckpoint(ckr *core.Checkpointer) error {
 	ck, err := ckr.Capture()
 	if err != nil {
@@ -383,8 +383,7 @@ func (s *Server) runPipeline(ctx context.Context) (err error) {
 		emitted++
 		if ckr != nil && emitted%s.cfg.CheckpointEvery == 0 {
 			// Capture between Next calls, when no tuple is in flight; a
-			// failed capture only widens the replay window of the next
-			// restart, it does not corrupt the run.
+			// failed Capture (no I/O) only widens the next replay window.
 			if cerr := s.captureCheckpoint(ckr); cerr != nil {
 				s.logf("checkpoint: %v", cerr)
 			}

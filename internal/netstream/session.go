@@ -94,7 +94,8 @@ type ServiceConfig struct {
 	StateDir string
 	// WAL sets the service-wide durable-log tuning defaults (segment
 	// size, retention, fsync cadence); a session's built Config may
-	// override field-wise. Only meaningful with StateDir.
+	// override field-wise. Its FS (nil = the real filesystem) carries
+	// every state-dir operation. Only meaningful with StateDir.
 	WAL WALOptions
 	// ArchiveDeleted moves a deleted session's state directory under
 	// <StateDir>/.deleted/<tenant>/<session> instead of removing it.
@@ -229,8 +230,11 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 5 * time.Second
 	}
+	if cfg.WAL.FS == nil {
+		cfg.WAL.FS = OSFS()
+	}
 	if cfg.StateDir != "" {
-		if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
+		if err := cfg.WAL.FS.MkdirAll(cfg.StateDir, 0o755); err != nil {
 			return nil, fmt.Errorf("netstream: state dir: %w", err)
 		}
 	}
@@ -371,7 +375,7 @@ func (s *Service) create(req SessionRequest, resumed bool) (*Session, error) {
 		if !resumed {
 			// An older build's state under the same name is refused before
 			// the new spec could overwrite it.
-			err := checkStateDir(sess.stateDir)
+			err := checkStateDir(cfg.WAL.FS, sess.stateDir)
 			if err == nil {
 				err = writeSpecFile(cfg.WAL.FS, filepath.Join(sess.stateDir, "spec.json"), req)
 			}
@@ -386,7 +390,7 @@ func (s *Service) create(req SessionRequest, resumed bool) (*Session, error) {
 		if durable && !resumed && sess.srv == nil {
 			// A fresh durable create that never produced a server leaves no
 			// state behind (the spec file was just written above).
-			os.RemoveAll(sess.stateDir)
+			s.cfg.WAL.FS.RemoveAll(sess.stateDir)
 		}
 		return nil, err
 	}
@@ -596,25 +600,35 @@ func (s *Service) Delete(tenant, name string) error {
 }
 
 // removeState deletes (or archives) a durable session's state
-// directory.
+// directory, fsyncing the directories it changes.
 func (s *Service) removeState(sess *Session) error {
+	fs, tenantDir := s.cfg.WAL.FS, filepath.Dir(sess.stateDir)
 	if !s.cfg.ArchiveDeleted {
-		return os.RemoveAll(sess.stateDir)
+		if err := fs.RemoveAll(sess.stateDir); err != nil {
+			return err
+		}
+		return fs.SyncDir(tenantDir)
 	}
 	dst := filepath.Join(s.cfg.StateDir, ".deleted", sess.tenant, sess.name)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+	if err := fs.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return err
 	}
 	// A session deleted and recreated repeatedly archives under numbered
 	// suffixes rather than clobbering the earlier archive.
 	candidate := dst
 	for i := 1; ; i++ {
-		if _, err := os.Stat(candidate); errors.Is(err, os.ErrNotExist) {
+		if _, err := fs.Stat(candidate); errors.Is(err, os.ErrNotExist) {
 			break
 		}
 		candidate = fmt.Sprintf("%s.%d", dst, i)
 	}
-	return os.Rename(sess.stateDir, candidate)
+	if err := fs.Rename(sess.stateDir, candidate); err != nil {
+		return err
+	}
+	if err := fs.SyncDir(filepath.Dir(dst)); err != nil {
+		return err
+	}
+	return fs.SyncDir(tenantDir)
 }
 
 // Recover scans the state directory and resurrects every persisted
@@ -645,7 +659,7 @@ func (s *Service) Recover() ([]string, error) {
 			continue
 		}
 		var req SessionRequest
-		data, err := os.ReadFile(specPath)
+		data, err := s.cfg.WAL.FS.ReadFile(specPath)
 		if err == nil {
 			err = json.Unmarshal(data, &req)
 		}

@@ -45,18 +45,38 @@ func (c *countingFS) OpenFile(name string, flag int, perm os.FileMode) (File, er
 		return nil, err
 	}
 	if flag&os.O_CREATE != 0 {
-		c.mu.Lock()
-		c.events = append(c.events, "create "+name)
-		c.mu.Unlock()
+		c.record("create " + name)
 	}
 	return &countingFile{File: f, fs: c, name: name}, nil
 }
 
-func (c *countingFS) MkdirAll(name string, perm os.FileMode) error {
+func (c *countingFS) record(event string) {
 	c.mu.Lock()
-	c.events = append(c.events, "mkdir "+name)
+	c.events = append(c.events, event)
 	c.mu.Unlock()
+}
+
+// follows reports whether event b was recorded after event a.
+func (c *countingFS) follows(a, b string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i := slices.Index(c.events, a)
+	return i >= 0 && slices.Contains(c.events[i+1:], b)
+}
+
+func (c *countingFS) MkdirAll(name string, perm os.FileMode) error {
+	c.record("mkdir " + name)
 	return c.FS.MkdirAll(name, perm)
+}
+
+func (c *countingFS) RemoveAll(name string) error {
+	c.record("removeall " + name)
+	return c.FS.RemoveAll(name)
+}
+
+func (c *countingFS) Rename(oldname, newname string) error {
+	c.record("rename " + oldname + " " + newname)
+	return c.FS.Rename(oldname, newname)
 }
 
 func (c *countingFS) SyncDir(name string) error {
@@ -168,7 +188,9 @@ func TestSessionLogFsyncPolicy(t *testing.T) {
 // TestSessionLogSyncsDirectories: creating a segment of the session log
 // fsyncs the log directory before any record lands in it, creating the
 // log directory fsyncs the session directory before the first record,
-// and a durable create fsyncs the session directory after the spec's
+// a durable create fsyncs the session directory after the spec's
+// rename, a delete the tenant directory after the removal, and an
+// archiving delete the archive's and the tenant's directory after the
 // rename.
 func TestSessionLogSyncsDirectories(t *testing.T) {
 	fs := newCountingFS()
@@ -222,6 +244,29 @@ func TestSessionLogSyncsDirectories(t *testing.T) {
 	}
 	if segments < 3 {
 		t.Fatalf("only %d segments created; the run should have rotated", segments)
+	}
+
+	if err := svc.Delete("alpha", "s"); err != nil {
+		t.Fatal(err)
+	}
+	if tenantDir := filepath.Dir(sessDir); !fs.follows("removeall "+sessDir, "syncdir "+tenantDir) {
+		t.Errorf("no directory sync of %s after the removal of %s", tenantDir, sessDir)
+	}
+
+	archFS, archState := newCountingFS(), t.TempDir()
+	archSvc, archAddr, _ := startService(t, ServiceConfig{StateDir: archState, ArchiveDeleted: true, WAL: WALOptions{FS: archFS}})
+	if _, err := archSvc.Create(durableRequest(t, "alpha", "s", 3, 20)); err != nil {
+		t.Fatal(err)
+	}
+	drainSession(t, archAddr, "alpha", "s")
+	if err := archSvc.Delete("alpha", "s"); err != nil {
+		t.Fatal(err)
+	}
+	rename := "rename " + filepath.Join(archState, "alpha", "s") + " " + filepath.Join(archState, ".deleted", "alpha", "s")
+	for _, dir := range []string{filepath.Join(archState, ".deleted", "alpha"), filepath.Join(archState, "alpha")} {
+		if !archFS.follows(rename, "syncdir "+dir) {
+			t.Errorf("no directory sync of %s after the archive's rename", dir)
+		}
 	}
 }
 

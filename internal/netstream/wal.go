@@ -20,7 +20,10 @@ package netstream
 //
 // Each append is one Write. A frame append fsyncs once its channel has
 // FsyncEvery frames not yet durable, covering every channel. A crash
-// tears at most the record being appended; OpenWAL truncates it. A new
+// tears at most the record being appended; OpenWAL truncates it. The
+// log is fail-stop: after its first failed write, fsync or rotation,
+// every append and sync returns that error until the log is reopened
+// (DESIGN.md §12 gives the fsync reason). A new
 // segment's directory entry is fsynced before its first record, and so
 // is the log directory's own entry when OpenWAL creates it; a deleted
 // segment's is fsynced after the removal. Retention deletes whole closed
@@ -50,8 +53,8 @@ import (
 )
 
 // File is the subset of *os.File the WAL needs. Writes must report the
-// number of bytes actually written (short writes leave a torn tail that
-// the self-healing append path truncates).
+// number of bytes actually written (a short write leaves a torn tail
+// that the next OpenWAL truncates).
 type File interface {
 	io.Reader
 	io.Writer
@@ -66,7 +69,10 @@ type File interface {
 type FS interface {
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	ReadDir(name string) ([]os.DirEntry, error)
+	ReadFile(name string) ([]byte, error)
+	Stat(name string) (os.FileInfo, error)
 	Remove(name string) error
+	RemoveAll(name string) error
 	Rename(oldname, newname string) error
 	MkdirAll(name string, perm os.FileMode) error
 	// SyncDir fsyncs a directory, making the creation, rename or removal
@@ -81,7 +87,10 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
 func (osFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
+func (osFS) ReadFile(name string) ([]byte, error)       { return os.ReadFile(name) }
+func (osFS) Stat(name string) (os.FileInfo, error)      { return os.Stat(name) }
 func (osFS) Remove(name string) error                   { return os.Remove(name) }
+func (osFS) RemoveAll(name string) error                { return os.RemoveAll(name) }
 func (osFS) Rename(oldname, newname string) error       { return os.Rename(oldname, newname) }
 func (osFS) MkdirAll(name string, perm os.FileMode) error {
 	return os.MkdirAll(name, perm)
@@ -332,7 +341,7 @@ type WAL struct {
 	sinceSync   int            // records appended since the last fsync
 	unsynced    map[string]int // frames per channel appended since the last fsync
 	ck          []byte         // payload of the newest checkpoint record (nil = none)
-	broken      bool           // active handle is suspect; recover before next append
+	err         error          // first write, fsync or rotation failure: the log is stopped
 	dirsPending []string       // directories whose new entry (segment or log dir) awaits a sync before the next record
 	accounted   int64          // bytes this log has settled into opts.Budget
 
@@ -340,7 +349,7 @@ type WAL struct {
 
 	fsyncs    atomic.Uint64
 	appends   atomic.Uint64
-	truncated atomic.Uint64 // torn bytes dropped across opens/recoveries
+	truncated atomic.Uint64 // torn bytes dropped across opens
 }
 
 // OpenWAL opens (or creates) the log under dir: one read of each segment
@@ -548,7 +557,6 @@ func (w *WAL) startSegmentLocked(firstSeq uint64) error {
 	}
 	w.dirsPending = append(w.dirsPending, w.dir)
 	if w.active != nil {
-		w.active.Sync()
 		w.active.Close()
 	}
 	w.active = f
@@ -593,10 +601,6 @@ type ChannelRange struct {
 func (w *WAL) Channel(name string) ChannelRange {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.channelLocked(name)
-}
-
-func (w *WAL) channelLocked(name string) ChannelRange {
 	var r ChannelRange
 	for i := range w.segments {
 		for _, c := range w.segments[i].chans {
@@ -677,32 +681,19 @@ func (w *WAL) AppendCheckpoint(ck *core.Checkpoint) error {
 	return w.add("", 0, flagCheckpoint, false, data)
 }
 
-// add appends one record at the next log position. An I/O failure rolls
-// the append back, so a retry of the same record succeeds later.
+// add appends one record at the next log position. An I/O failure stops
+// the log.
 func (w *WAL) add(channel string, seq uint64, flags byte, sync bool, payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	// Settle whatever this append did to the on-disk size — record bytes,
-	// rotation, retention, torn-tail rollback — into the shared budget on
-	// every exit path.
+	// rotation, retention — into the shared budget on every exit path.
 	defer w.settleBudgetLocked()
 	if w.active == nil || len(w.segments) == 0 {
 		return fmt.Errorf("netstream: wal closed")
 	}
-	if w.broken {
-		if err := w.recoverLocked(); err != nil {
-			return err
-		}
-		// A failed fsync leaves the previous append complete in the file:
-		// when the retried record is already the log's tail, finish it
-		// idempotently by supplying the missing durability barrier.
-		tail := w.maxSeqLocked()
-		if channel != "" {
-			tail = w.channelLocked(channel).Max
-		}
-		if seq != 0 && seq == tail {
-			return w.syncLocked()
-		}
+	if w.err != nil {
+		return w.err
 	}
 	pos := w.nextSeqLocked()
 	if channel == "" && flags&flagCheckpoint == 0 && seq != pos {
@@ -727,45 +718,31 @@ func (w *WAL) add(channel string, seq uint64, flags byte, sync bool, payload []b
 	if w.segments[len(w.segments)-1].bytes < w.opts.SegmentBytes {
 		return nil
 	}
-	// A failed rotation leaves the record that filled the segment in the
-	// log; marked suspect, the log completes the caller's retry of it.
-	if err := w.rotateLocked(); err != nil {
-		w.broken = true
-		return err
-	}
-	return nil
+	return w.rotateLocked()
 }
 
 // writeLocked writes one record at log position seq into the active
-// segment as a single Write, rolling a torn write back.
+// segment as a single Write. A torn record stays in the file until the
+// next OpenWAL truncates it.
 func (w *WAL) writeLocked(seq uint64, flags byte, payload []byte) error {
 	// A new segment's directory entry, and a new log directory's entry
 	// in its parent, are made durable before the first record in it.
 	for _, dir := range w.dirsPending {
 		if err := w.opts.FS.SyncDir(dir); err != nil {
-			return fmt.Errorf("netstream: wal dir sync: %w", err)
+			w.err = fmt.Errorf("netstream: wal dir sync: %w", err)
+			return w.err
 		}
 	}
 	w.dirsPending = w.dirsPending[:0]
 	act := &w.segments[len(w.segments)-1]
 	w.encBuf = appendRecord(w.encBuf[:0], seq, flags, payload)
 	n, err := w.active.Write(w.encBuf)
-	if err != nil || n != len(w.encBuf) {
-		// Torn append: roll the partial record back so the segment stays
-		// valid and the caller may retry the same sequence.
-		if n > 0 {
-			if terr := w.active.Truncate(act.bytes); terr != nil {
-				w.broken = true
-			} else if _, serr := w.active.Seek(act.bytes, io.SeekStart); serr != nil {
-				w.broken = true
-			} else {
-				w.truncated.Add(uint64(n))
-			}
-		}
-		if err == nil {
-			err = io.ErrShortWrite
-		}
-		return fmt.Errorf("netstream: wal append: %w", err)
+	if err == nil && n != len(w.encBuf) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		w.err = fmt.Errorf("netstream: wal append: %w", err)
+		return w.err
 	}
 	act.bytes += int64(n)
 	act.lastSeq = seq
@@ -774,35 +751,14 @@ func (w *WAL) writeLocked(seq uint64, flags byte, payload []byte) error {
 	return nil
 }
 
-// recoverLocked reopens the active segment after a suspect failure,
-// truncating any torn tail.
-func (w *WAL) recoverLocked() error {
-	act := &w.segments[len(w.segments)-1]
-	if w.active != nil {
-		w.active.Close()
-		w.active = nil
-	}
-	if err := w.scanSegment(act, true); err != nil {
-		return err
-	}
-	f, err := w.opts.FS.OpenFile(act.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("netstream: wal recover reopen: %w", err)
-	}
-	if _, err := f.Seek(act.bytes, io.SeekStart); err != nil {
-		f.Close()
-		return fmt.Errorf("netstream: wal recover seek: %w", err)
-	}
-	w.active = f
-	w.broken = false
-	return nil
-}
-
 // Sync forces an fsync of the active segment when anything appended is
 // not yet durable.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.err != nil {
+		return w.err
+	}
 	if w.active == nil || w.sinceSync == 0 {
 		return nil
 	}
@@ -811,8 +767,8 @@ func (w *WAL) Sync() error {
 
 func (w *WAL) syncLocked() error {
 	if err := w.active.Sync(); err != nil {
-		w.broken = true
-		return fmt.Errorf("netstream: wal fsync: %w", err)
+		w.err = fmt.Errorf("netstream: wal fsync: %w", err)
+		return w.err
 	}
 	w.fsyncs.Add(1)
 	w.sinceSync = 0
@@ -830,6 +786,7 @@ func (w *WAL) rotateLocked() error {
 		}
 	}
 	if err := w.startSegmentLocked(next); err != nil {
+		w.err = err
 		return err
 	}
 	if w.ck != nil {
@@ -875,7 +832,8 @@ func (w *WAL) retainLocked() {
 	}
 }
 
-// Close releases the active segment (a final sync included).
+// Close releases the active segment (a final sync included, unless the
+// log is stopped).
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -883,7 +841,7 @@ func (w *WAL) Close() error {
 		return nil
 	}
 	var err error
-	if w.sinceSync > 0 && !w.broken {
+	if w.sinceSync > 0 && w.err == nil {
 		err = w.syncLocked()
 	}
 	cerr := w.active.Close()
