@@ -147,8 +147,11 @@ func TestProxyThrottle(t *testing.T) {
 // TestWALFailStop: the first failed write, fsync or rotation stops the
 // log. The failing call returns the injected error, every later append
 // and sync returns it too without writing a byte, and a reopen on a
-// healthy filesystem reads back every acknowledged record plus at most
-// the whole record of the failed call, never a torn one.
+// healthy filesystem reads back every record written before the
+// failure, never a torn one. An append is written with its fsync group,
+// so at FsyncEvery 1 that is every acknowledged record plus at most the
+// whole record of the failed call, and at FsyncEvery 4 every record of
+// the groups before the failed one.
 func TestWALFailStop(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -159,9 +162,13 @@ func TestWALFailStop(t *testing.T) {
 		kept  uint64 // records a reopen reads back
 	}{
 		// Write 1 is the segment's magic, write k+1 record k.
-		{"short write", &FaultFS{ShortWriteEvery: 5}, netstream.WALOptions{FsyncEvery: 1000}, io.ErrShortWrite, 3, 3},
+		{"short write", &FaultFS{ShortWriteEvery: 5}, netstream.WALOptions{FsyncEvery: 1}, io.ErrShortWrite, 3, 3},
 		// 8 + 6×33 bytes land; the seventh record finds the budget spent.
-		{"ENOSPC", &FaultFS{FailAfterBytes: 200}, netstream.WALOptions{FsyncEvery: 1000}, syscall.ENOSPC, 6, 6},
+		{"ENOSPC", &FaultFS{FailAfterBytes: 200}, netstream.WALOptions{FsyncEvery: 1}, syscall.ENOSPC, 6, 6},
+		// Write 2 is the first group, records 1–4 (8 + 4×33 bytes in
+		// all); the second group's write, at append 8, finds the budget
+		// spent, and its records 5–7 were never written.
+		{"write of a group", &FaultFS{FailAfterBytes: 100}, netstream.WALOptions{FsyncEvery: 4}, syscall.ENOSPC, 7, 4},
 		// Sync 1 is the new segment's directory, sync 3 record 2's fsync.
 		{"file fsync", &FaultFS{SyncFailEvery: 3}, netstream.WALOptions{FsyncEvery: 1}, errInjectedSync, 1, 2},
 		// Record 3 fills the first segment (sync 2); the second

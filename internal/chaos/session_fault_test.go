@@ -249,7 +249,7 @@ func TestFaultFSSessionFailsThenRecovers(t *testing.T) {
 		}},
 		{name: "ENOSPC on the session log", fs: &FaultFS{FailAfterBytes: 24 << 10}},
 		{name: "fsync denied", fs: &FaultFS{SyncFailEvery: 10}},
-		{name: "short write on the session log", fs: &FaultFS{ShortWriteEvery: 50}},
+		{name: "short write on the session log", fs: &FaultFS{ShortWriteEvery: 5}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -131,10 +131,10 @@ type delivery struct {
 	terminal bool
 }
 
-// ringBlock is the number of frames in one block of a replay ring
-// (256 × 32 B = 8 KiB, held in the 9.25 KiB size class once the
-// allocator adds its 8-byte header for an object with pointers).
-const ringBlock = 256
+// ringBlock is the number of frames in one block of a replay ring: 255 ×
+// 32 B and the allocator's 8-byte header for an object with pointers fill
+// the 8 KiB size class (256 entries would round up to 9 472 B).
+const ringBlock = 255
 
 // frameRing is a memory-only channel's replay ring: the newest frames,
 // oldest first, in fixed-size blocks. Eviction zeroes the oldest entry,

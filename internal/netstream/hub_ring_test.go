@@ -25,10 +25,13 @@ func ringPayloads(r *frameRing) int {
 // TestHubRingRetention pins the replay ring's contract around the block
 // size: it keeps exactly the last replay frames, oldest first, reports
 // the oldest as a gap's ServerMin, and releases every evicted payload.
+// The ring is one short of a block, a block, one or two past it, or
+// several blocks ending 7 or 10 entries into the last; k evicts
+// nothing, one frame, a block, a block and one, or twice the ring.
 func TestHubRingRetention(t *testing.T) {
 	const B = ringBlock
-	for _, replay := range []int{B - 1, B, B + 1, 3*B + 7} {
-		for _, k := range []int{0, 1, B, 2 * replay} {
+	for _, replay := range []int{B - 1, B, B + 1, B + 2, 3*B + 7, 3*B + 10} {
+		for _, k := range []int{0, 1, B, B + 1, 2 * replay} {
 			t.Run(fmt.Sprintf("replay=%d/k=%d", replay, k), func(t *testing.T) {
 				h := NewHubNamed(Channels(), 8, replay, PolicyBlock, nil)
 				ring := &h.channels[ChannelDirty].ring
@@ -118,9 +121,9 @@ func TestHubRingSteadyStateBytes(t *testing.T) {
 }
 
 // TestHubRingFillBytes: while the ring fills, a frame costs its payload's
-// size class, its 32-byte entry, the entry's 5 B share of its block's
-// rounding up to the 9 472 B size class (8 KiB plus the allocator's
-// 8-byte header), and under 2 B of block index.
+// size class, its 32-byte entry, under 1 B share of its block's
+// allocator header and rounding (255 entries fill the 8 KiB size
+// class), and under 2 B of block index.
 func TestHubRingFillBytes(t *testing.T) {
 	if unsafe.Sizeof([]byte(nil)) != 24 {
 		t.Skip("the entry size is stated for 64-bit slices")
@@ -145,8 +148,8 @@ func TestHubRingFillBytes(t *testing.T) {
 	sizeClass := cap(ring.at(ring.n - 1).data)
 	perFrame := float64(after.TotalAlloc-before.TotalAlloc) / (frames - 1)
 	t.Logf("%.1f B per frame, payload size class %d", perFrame, sizeClass)
-	if limit := float64(sizeClass + 32 + 5 + 2); perFrame > limit {
-		t.Errorf("a filling ring allocates %.1f B per frame, want <= %.0f (payload size class %d + 32 B entry + 5 B block rounding + 2 B index)", perFrame, limit, sizeClass)
+	if limit := float64(sizeClass + 32 + 1 + 2); perFrame > limit {
+		t.Errorf("a filling ring allocates %.1f B per frame, want <= %.0f (payload size class %d + 32 B entry + 1 B block rounding + 2 B index)", perFrame, limit, sizeClass)
 	}
 }
 

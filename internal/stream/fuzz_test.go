@@ -9,7 +9,8 @@ import (
 // accepts round-trip through String for every kind, and that
 // ParseValueBytes agrees with it on every input.
 func FuzzParseValue(f *testing.F) {
-	seeds := []string{"", "1.5", "-7", "true", "hello", "2020-01-01T00:00:00Z", "NaN", "1e308", "0x10", "  3 "}
+	seeds := []string{"", "1.5", "-7", "true", "hello", "2020-01-01T00:00:00Z", "NaN", "1e308", "0x10", "  3 ",
+		"0000-01-01T00:00:00+00:01", "9999-12-31T23:59:59-00:01"}
 	for _, s := range seeds {
 		f.Add(s)
 	}

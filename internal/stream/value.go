@@ -369,6 +369,11 @@ func parseValue[T string | []byte](s T, kind Kind) (Value, error) {
 		if err != nil {
 			return Null(), fmt.Errorf("stream: parse time %q: %w", string(s), err)
 		}
+		// String renders the UTC instant, which RFC 3339 can write only
+		// within years 0000–9999.
+		if y := t.UTC().Year(); y < 0 || y > 9999 {
+			return Null(), fmt.Errorf("stream: parse time %q: UTC year %d outside 0000–9999", string(s), y)
+		}
 		return Time(t), nil
 	}
 	return Null(), fmt.Errorf("stream: cannot parse into kind %v", kind)

@@ -172,6 +172,12 @@ func TestParseValueErrors(t *testing.T) {
 	if _, err := ParseValue("not-a-time", KindTime); err == nil {
 		t.Error("parsing 'not-a-time' as time succeeded")
 	}
+	// Valid RFC 3339 whose UTC instant String could not write back.
+	for _, s := range []string{"0000-01-01T00:00:00+00:01", "9999-12-31T23:59:59-00:01"} {
+		if v, err := ParseValue(s, KindTime); err == nil {
+			t.Errorf("parsing %q as time succeeded: %v", s, v)
+		}
+	}
 }
 
 func TestParseKind(t *testing.T) {
