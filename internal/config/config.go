@@ -78,7 +78,7 @@ type ServeSpec struct {
 	// WALRetainBytes caps the session log's size; the oldest closed
 	// segments go first (0 = the netstream default, 256 MiB).
 	WALRetainBytes int64 `json:"wal_retain_bytes,omitempty"`
-	// WALFsyncEvery bounds the frames of one channel written but not yet
+	// WALFsyncEvery bounds the frames of one channel appended but not yet
 	// durable: the log fsyncs once a channel has this many, and that one
 	// fsync covers every channel (0 = the netstream default, 64).
 	WALFsyncEvery int `json:"wal_fsync_every,omitempty"`

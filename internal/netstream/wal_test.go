@@ -395,6 +395,32 @@ func TestWALFsyncBatching(t *testing.T) {
 	}
 }
 
+// TestWALBufferKeepsBounded: a fsync group larger than walBufKeep is
+// buffered whole and written in one flush, and the log then drops the
+// buffer, so an idle log keeps at most walBufKeep bytes of it.
+func TestWALBufferKeepsBounded(t *testing.T) {
+	w, err := OpenWAL(t.TempDir(), WALOptions{FsyncEvery: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	payload := make([]byte, 1<<10)
+	for seq := uint64(1); seq <= 2*walBufKeep>>10; seq++ {
+		if err := w.Append(seq, false, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(w.buf); got <= walBufKeep {
+		t.Fatalf("the group buffered %d bytes, want more than %d", got, walBufKeep)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := cap(w.buf); got > walBufKeep {
+		t.Errorf("after the flush the log keeps a %d-byte buffer, want at most %d", got, walBufKeep)
+	}
+}
+
 func TestWALRejectsOutOfOrderAppend(t *testing.T) {
 	w, err := OpenWAL(t.TempDir(), WALOptions{})
 	if err != nil {
