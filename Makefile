@@ -145,7 +145,7 @@ perfgate:
 	bash scripts/perfgate.sh
 
 # Short fuzz pass over every fuzz target (value parsing, the quarantine
-# of malformed tuples, the CSV writer against encoding/csv, the metrics,
+# of malformed tuples, the CSV writer and reader against encoding/csv, the metrics,
 # WAL and frame codecs (the colbatch frame codec stays while the
 # benchmark's budget layer still encodes such frames), the session log's
 # per-channel index against a model, the log entry renderer against
@@ -158,6 +158,7 @@ fuzz:
 	$(GO) test ./internal/stream/ -run '^$$' -fuzz FuzzParseValue -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/csvio/ -run '^$$' -fuzz FuzzQuarantine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/csvio/ -run '^$$' -fuzz FuzzWriterMatchesEncodingCSV -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/csvio/ -run '^$$' -fuzz FuzzReaderMatchesEncodingCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzMetricsJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dq/ -run '^$$' -fuzz FuzzSuiteJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netstream/ -run '^$$' -fuzz FuzzWALRecord -fuzztime $(FUZZTIME)

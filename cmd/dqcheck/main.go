@@ -422,7 +422,7 @@ func readServedLog(addr string) (*core.Log, error) {
 		switch f.Type {
 		case netstream.FrameHello:
 		case netstream.FrameLog:
-			plog.Entries = append(plog.Entries, *f.Entry)
+			plog.Record(*f.Entry)
 		case netstream.FrameEOF:
 			return plog, nil
 		case netstream.FrameError:

@@ -196,7 +196,10 @@ func TestDaemonServesGoldenPipeline(t *testing.T) {
 	// Log channel: entries identical to the CLI's pollution log golden.
 	entries := readLog(t, tcpAddr)
 	var logBuf bytes.Buffer
-	l := &core.Log{Entries: entries}
+	l := core.NewLog()
+	for _, e := range entries {
+		l.Record(e)
+	}
 	if err := l.WriteJSON(&logBuf); err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func renderRun(t *testing.T, schema *stream.Schema, tuples []stream.Tuple, entri
 		t.Fatal(err)
 	}
 	var logBuf bytes.Buffer
-	l := &Log{Entries: entries}
+	l := logOf(entries...)
 	if err := l.WriteJSON(&logBuf); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCSV, refLogJSON := renderRun(t, schema, refTuples, refLog.Entries)
+	refCSV, refLogJSON := renderRun(t, schema, refTuples, entriesOf(refLog))
 
 	for _, kill := range []int{1, 37, 200, 399} {
 		t.Run(fmt.Sprintf("kill-at-%d", kill), func(t *testing.T) {
@@ -132,7 +132,7 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			headLogLen := len(log1.Entries)
+			headLogLen := log1.Len()
 			if ckpt.LogLen != headLogLen {
 				t.Errorf("checkpoint LogLen = %d, log has %d", ckpt.LogLen, headLogLen)
 			}
@@ -162,7 +162,7 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 			}
 
 			combined := append(append([]stream.Tuple{}, head...), tail...)
-			entries := append(append([]Entry{}, log1.Entries[:headLogLen]...), log2.Entries...)
+			entries := append(entriesOf(log1)[:headLogLen], entriesOf(log2)...)
 			gotCSV, gotLogJSON := renderRun(t, schema, combined, entries)
 
 			if !bytes.Equal(gotCSV, refCSV) {
@@ -181,8 +181,8 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 			if final.TuplesOut != uint64(n) {
 				t.Errorf("final TuplesOut = %d, want %d", final.TuplesOut, n)
 			}
-			if final.LogLen != len(refLog.Entries) {
-				t.Errorf("final LogLen = %d, want %d", final.LogLen, len(refLog.Entries))
+			if final.LogLen != refLog.Len() {
+				t.Errorf("final LogLen = %d, want %d", final.LogLen, refLog.Len())
 			}
 		})
 	}
@@ -284,7 +284,7 @@ func TestChaosPipelineQuarantinesPoisonedTuples(t *testing.T) {
 	}
 	// The quarantined tuples' partial log entries must have been rolled
 	// back: no "pre-panic" entry for a poisoned ID survives.
-	for _, e := range res.Log.Entries {
+	for _, e := range entriesOf(res.Log) {
 		if e.Error == "pre-panic" && e.TupleID%50 == 0 {
 			t.Errorf("log kept entry for quarantined tuple %d", e.TupleID)
 		}

@@ -24,10 +24,34 @@ type Entry struct {
 	Attrs     []string  `json:"attrs,omitempty"`
 }
 
+// logBlock is the number of entries in one block of a log: 85 × 96 B
+// and the allocator's 8-byte header for an object with pointers fill the
+// 8 KiB size class.
+const logBlock = 85
+
+// entryBlocks holds entries in fixed blocks, so recording one never
+// copies those already held. Blocks past n are kept for reuse.
+type entryBlocks struct {
+	blocks []*[logBlock]Entry
+	n      int
+}
+
+// at returns the i-th entry.
+func (b *entryBlocks) at(i int) *Entry { return &b.blocks[i/logBlock][i%logBlock] }
+
+// push appends e.
+func (b *entryBlocks) push(e *Entry) {
+	if b.n == len(b.blocks)*logBlock {
+		b.blocks = append(b.blocks, new([logBlock]Entry))
+	}
+	*b.at(b.n) = *e
+	b.n++
+}
+
 // Log accumulates pollution entries. It is not safe for concurrent use;
 // a run keeps one log, and each entry names its sub-stream.
 type Log struct {
-	Entries []Entry
+	entries entryBlocks
 	// Obs, when set, mirrors the log's ground truth into metrics:
 	// Record counts log_entries_total and the per-polluter pollution
 	// counters, Truncate unwinds them, and the polluters report their
@@ -47,7 +71,7 @@ func (l *Log) Record(e Entry) {
 	if l == nil {
 		return
 	}
-	l.Entries = append(l.Entries, e)
+	l.entries.push(&e)
 	if l.Obs != nil {
 		l.Obs.Inc(obs.CLogEntries)
 		l.Obs.AddPolluted(e.Polluter, 1)
@@ -60,31 +84,36 @@ func (l *Log) Record(e Entry) {
 // ground truth only describes delivered tuples. Attached metrics are
 // unwound symmetrically.
 func (l *Log) Truncate(mark int) {
-	if l == nil || mark < 0 || mark >= len(l.Entries) {
+	if l == nil || mark < 0 || mark >= l.entries.n {
 		return
 	}
 	if l.Obs != nil {
-		l.Obs.Sub(obs.CLogEntries, uint64(len(l.Entries)-mark))
-		for i := mark; i < len(l.Entries); i++ {
-			l.Obs.AddPolluted(l.Entries[i].Polluter, -1)
+		l.Obs.Sub(obs.CLogEntries, uint64(l.entries.n-mark))
+		for i := mark; i < l.entries.n; i++ {
+			l.Obs.AddPolluted(l.entries.at(i).Polluter, -1)
 		}
 	}
-	l.Entries = l.Entries[:mark]
+	l.entries.n = mark
 }
 
 // Release drops every recorded entry, for a consumer that has handed
 // them on (published, written) and must not retain a stream's whole
 // history. Call it between Next calls of the run, when no entry can
-// still be rolled back. The backing array is reused; Total keeps
-// counting the released entries.
+// still be rolled back. The first block is kept for the next entries,
+// so a consumer that releases after every few entries allocates
+// nothing; Total keeps counting the released entries.
 func (l *Log) Release() {
-	l.released += len(l.Entries)
-	l.Entries = l.Entries[:0]
+	l.released += l.entries.n
+	l.entries.n = 0
+	if len(l.entries.blocks) > 1 {
+		clear(l.entries.blocks[1:])
+		l.entries.blocks = l.entries.blocks[:1]
+	}
 }
 
 // Total returns the number of entries recorded over the log's life,
 // released or not.
-func (l *Log) Total() int { return l.released + len(l.Entries) }
+func (l *Log) Total() int { return l.released + l.entries.n }
 
 // condHit / condMiss count polluter-gate condition evaluations. They
 // ride on the log because the log is the one object already threaded
@@ -107,34 +136,62 @@ func (l *Log) Len() int {
 	if l == nil {
 		return 0
 	}
-	return len(l.Entries)
+	return l.entries.n
+}
+
+// At returns the i-th recorded entry, 0 <= i < Len(). The pointer is
+// valid until Truncate or Release drops the entry.
+func (l *Log) At(i int) *Entry {
+	if i < 0 || i >= l.Len() {
+		panic(fmt.Sprintf("core: log entry %d of %d", i, l.Len())) // lint:allowpanic — an index out of range, as on a slice
+	}
+	return l.entries.at(i)
+}
+
+// All returns an iterator over the recorded entries in order, with
+// their indices (a nil log has none).
+func (l *Log) All() func(yield func(int, *Entry) bool) {
+	return func(yield func(int, *Entry) bool) {
+		n := l.Len()
+		for b := 0; b*logBlock < n; b++ {
+			blk := l.entries.blocks[b]
+			for j := range min(logBlock, n-b*logBlock) {
+				if !yield(b*logBlock+j, &blk[j]) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // PollutedTuples returns the set of tuple IDs that received at least one
 // error.
 func (l *Log) PollutedTuples() map[uint64]bool {
 	out := make(map[uint64]bool)
-	for _, e := range l.Entries {
+	l.All()(func(_ int, e *Entry) bool {
 		out[e.TupleID] = true
-	}
+		return true
+	})
 	return out
 }
 
 // CountByPolluter tallies entries per polluter name.
 func (l *Log) CountByPolluter() map[string]int {
 	out := make(map[string]int)
-	for _, e := range l.Entries {
+	l.All()(func(_ int, e *Entry) bool {
 		out[e.Polluter]++
-	}
+		return true
+	})
 	return out
 }
 
 // CountByError tallies entries per error kind.
 func (l *Log) CountByError() map[string]int {
 	out := make(map[string]int)
-	for _, e := range l.Entries {
+	l.All()(func(_ int, e *Entry) bool {
 		out[e.Error]++
-	}
+		return true
+	})
 	return out
 }
 
@@ -142,9 +199,10 @@ func (l *Log) CountByError() map[string]int {
 // histogram behind Figure 4.
 func (l *Log) CountByHour() [24]int {
 	var out [24]int
-	for _, e := range l.Entries {
+	l.All()(func(_ int, e *Entry) bool {
 		out[e.EventTime.Hour()]++
-	}
+		return true
+	})
 	return out
 }
 
@@ -241,17 +299,20 @@ const logChunk = 32 << 10
 // buffered whole.
 func (l *Log) WriteJSON(w io.Writer) error {
 	var buf []byte
-	for i := range l.Entries {
-		buf = append(l.Entries[i].AppendJSON(buf), '\n')
-		if len(buf) < logChunk && i < len(l.Entries)-1 {
-			continue
+	var err error
+	l.All()(func(i int, e *Entry) bool {
+		buf = append(e.AppendJSON(buf), '\n')
+		if len(buf) < logChunk && i < l.Len()-1 {
+			return true
 		}
-		if _, err := w.Write(buf); err != nil {
-			return fmt.Errorf("core: write log entry %d: %w", i, err)
+		if _, werr := w.Write(buf); werr != nil {
+			err = fmt.Errorf("core: write log entry %d: %w", i, werr)
+			return false
 		}
 		buf = buf[:0]
-	}
-	return nil
+		return true
+	})
+	return err
 }
 
 // ReadLogJSON parses a JSON-lines log written by WriteJSON.
@@ -265,6 +326,6 @@ func ReadLogJSON(r io.Reader) (*Log, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("core: read log: %w", err)
 		}
-		l.Entries = append(l.Entries, e)
+		l.Record(e)
 	}
 }

@@ -37,7 +37,7 @@ func FuzzEntryJSON(f *testing.F) {
 			t.Fatalf("AppendJSON differs from encoding/json:\ngot  %s\nwant %s", got, want)
 		}
 		var buf bytes.Buffer
-		if err := (&Log{Entries: []Entry{e, e}}).WriteJSON(&buf); err != nil {
+		if err := logOf(e, e).WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if line := append(append([]byte{}, want...), '\n'); !bytes.Equal(buf.Bytes(), append(line, line...)) {
@@ -51,8 +51,8 @@ func FuzzEntryJSON(f *testing.F) {
 		if err := json.Unmarshal(want, &viaJSON); err != nil {
 			t.Fatal(err)
 		}
-		if len(back.Entries) != 2 || !reflect.DeepEqual(back.Entries[0], viaJSON) {
-			t.Fatalf("round trip changed the entry:\ngot  %+v\nwant %+v", back.Entries, viaJSON)
+		if back.Len() != 2 || !reflect.DeepEqual(*back.At(0), viaJSON) {
+			t.Fatalf("round trip changed the entry:\ngot  %+v\nwant %+v", entriesOf(back), viaJSON)
 		}
 	})
 }
@@ -75,7 +75,7 @@ func TestWriteJSONChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back.Entries, l.Entries) {
+	if !reflect.DeepEqual(entriesOf(back), entriesOf(l)) {
 		t.Fatal("chunked log does not read back equal")
 	}
 }

@@ -201,7 +201,7 @@ func (s *rowStep) pollute(t *stream.Tuple) (*stream.DeadLetter, error) {
 	if s.sub != 0 {
 		t.SubStream = s.sub
 		for i := mark; i < s.log.Len(); i++ {
-			s.log.Entries[i].SubStream = s.sub
+			s.log.At(i).SubStream = s.sub
 		}
 	}
 	return nil, nil

@@ -381,7 +381,7 @@ func TestRunStreamMatchesBatch(t *testing.T) {
 func TestRunNeverMutatesInput(t *testing.T) {
 	s := procSchema()
 	render := func(res *Result) string {
-		return fmt.Sprintf("%v|%v|%+v|%d", res.Polluted, res.Clean, res.Log.Entries, res.DroppedTuples)
+		return fmt.Sprintf("%v|%v|%+v|%d", res.Polluted, res.Clean, entriesOf(res.Log), res.DroppedTuples)
 	}
 	for _, m := range []int{1, 2} {
 		for _, keep := range []bool{false, true} {
@@ -455,8 +455,8 @@ func TestLogQueriesAndSerialisation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != 3 || back.Entries[0].Polluter != "a" {
-		t.Fatalf("round trip: %+v", back.Entries)
+	if back.Len() != 3 || back.At(0).Polluter != "a" {
+		t.Fatalf("round trip: %+v", entriesOf(back))
 	}
 
 	// Release drops the entries but keeps counting them; a rollback after
@@ -497,9 +497,9 @@ func TestRunStreamSubStreamsMatchBatch(t *testing.T) {
 	inStreamOrder := func(t *testing.T, log *Log) {
 		t.Helper()
 		subs := map[int]int{}
-		for i, e := range log.Entries {
-			if i > 0 && e.TupleID < log.Entries[i-1].TupleID {
-				t.Fatalf("log entry %d (tuple %d) follows tuple %d: not in stream order", i, e.TupleID, log.Entries[i-1].TupleID)
+		for i, e := range entriesOf(log) {
+			if i > 0 && e.TupleID < log.At(i-1).TupleID {
+				t.Fatalf("log entry %d (tuple %d) follows tuple %d: not in stream order", i, e.TupleID, log.At(i-1).TupleID)
 			}
 			subs[e.SubStream]++
 		}
@@ -519,7 +519,7 @@ func TestRunStreamSubStreamsMatchBatch(t *testing.T) {
 		}
 		inStreamOrder(t, res.Log)
 		logged := map[int]map[uint64]bool{0: {}, 1: {}}
-		for _, e := range res.Log.Entries {
+		for _, e := range entriesOf(res.Log) {
 			if want := []string{"a", "b"}[e.SubStream]; e.Polluter != want {
 				t.Fatalf("sub-stream %d logged polluter %q, want %q", e.SubStream, e.Polluter, want)
 			}
@@ -571,7 +571,7 @@ func TestRunStreamSubStreamsMatchBatch(t *testing.T) {
 		if len(letters) != len(failing) {
 			t.Fatalf("%d dead letters, want %d", len(letters), len(failing))
 		}
-		for _, e := range res.Log.Entries {
+		for _, e := range entriesOf(res.Log) {
 			if e.SubStream == 1 && failing[e.TupleID] {
 				t.Fatalf("log keeps entry %+v of a quarantined tuple", e)
 			}

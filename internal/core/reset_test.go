@@ -44,7 +44,7 @@ func TestRunTwiceByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		csv, logJSON := renderRun(t, schema, res.Polluted, res.Log.Entries)
+		csv, logJSON := renderRun(t, schema, res.Polluted, entriesOf(res.Log))
 		return csv, logJSON
 	}
 	runStreaming := func(pr *Process) ([]byte, []byte) {
@@ -56,7 +56,7 @@ func TestRunTwiceByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		csv, logJSON := renderRun(t, schema, tuples, log.Entries)
+		csv, logJSON := renderRun(t, schema, tuples, entriesOf(log))
 		return csv, logJSON
 	}
 	runCheckpointed := func(pr *Process) ([]byte, []byte) {
@@ -68,7 +68,7 @@ func TestRunTwiceByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		csv, logJSON := renderRun(t, schema, tuples, log.Entries)
+		csv, logJSON := renderRun(t, schema, tuples, entriesOf(log))
 		return csv, logJSON
 	}
 	for _, tc := range []struct {
@@ -143,8 +143,8 @@ func TestResetPipelineIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	csv1, log1 := renderRun(t, schema, res1.Polluted, res1.Log.Entries)
-	csv2, log2 := renderRun(t, schema, res2.Polluted, res2.Log.Entries)
+	csv1, log1 := renderRun(t, schema, res1.Polluted, entriesOf(res1.Log))
+	csv2, log2 := renderRun(t, schema, res2.Polluted, entriesOf(res2.Log))
 	if !bytes.Equal(csv1, csv2) || !bytes.Equal(log1, log2) {
 		t.Error("reset of a never-run pipeline changed its output")
 	}

@@ -143,7 +143,7 @@ func TestCondKernelsMatchScalar(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			log := stepRows(t, NewStandard(tc.name, touch{}, tc.mk(), "v"), adversarialRows(s))
 			var hits []uint64
-			for _, e := range log.Entries {
+			for _, e := range entriesOf(log) {
 				hits = append(hits, e.TupleID)
 			}
 			scalar := tc.mk()
@@ -243,7 +243,7 @@ func TestErrKernelsMatchScalar(t *testing.T) {
 					}
 				}
 				var gotIDs []uint64
-				for _, e := range log.Entries {
+				for _, e := range entriesOf(log) {
 					gotIDs = append(gotIDs, e.TupleID)
 				}
 				if fmt.Sprint(gotIDs) != fmt.Sprint(wantIDs) {

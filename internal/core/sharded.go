@@ -168,14 +168,14 @@ type shardItem struct {
 
 // shardBatch is the unit of handoff between the feeder, one worker and
 // the merger. It carries the routed tuples, their sequence numbers, the
-// pollution-log entries the worker recorded (a flat arena indexed by
+// pollution-log entries the worker recorded (entry blocks indexed by
 // per-item offsets, replacing a per-tuple entry-slice allocation), any
 // dead letters, and the value block backing the polluted tuples.
 // Batches recycle through a per-shard free channel, so the steady state
 // allocates nothing.
 type shardBatch struct {
 	items    []shardItem
-	entryBuf []Entry              // flat log-entry arena for the whole batch
+	entries  entryBlocks          // log-entry arena for the whole batch
 	entryOff []int32              // entryOff[i]..entryOff[i+1] are item i's entries
 	dls      []*stream.DeadLetter // per-item dead letters (nil when none in batch)
 	vals     []stream.Value       // arena block backing the cloned tuples
@@ -188,7 +188,7 @@ type shardBatch struct {
 // anyway.
 func (b *shardBatch) reset() {
 	b.items = b.items[:0]
-	b.entryBuf = b.entryBuf[:0]
+	b.entries.n = 0
 	b.entryOff = b.entryOff[:0]
 	b.dls, b.err, b.errSeq = nil, nil, 0
 }
@@ -378,7 +378,7 @@ func (s *shardedSource) flushUpTo(limit uint64) bool {
 // row step, then forwards them to the merger. Each tuple is first cloned
 // into the batch's value block, so the source's buffers are never
 // written, and the step's scratch log records straight into the batch's
-// flat entry arena. On a fatal error it ships the batch's valid prefix
+// entry arena. On a fatal error it ships the batch's valid prefix
 // with the error attached, so the merge stops exactly where the
 // sequential run would, and drops every later batch: they lie beyond
 // the failure, and the merge fails before it asks for them.
@@ -402,7 +402,8 @@ func (s *shardedSource) worker(shard int) {
 			b.vals = make([]stream.Value, need)
 		}
 		if step.log != nil {
-			step.log.Entries = b.entryBuf[:0]
+			step.log.entries = b.entries
+			step.log.entries.n = 0
 		}
 		b.entryOff = append(b.entryOff[:0], 0)
 		for i := range b.items {
@@ -422,7 +423,7 @@ func (s *shardedSource) worker(shard int) {
 			b.entryOff = append(b.entryOff, int32(step.log.Len()))
 		}
 		if step.log != nil {
-			b.entryBuf = step.log.Entries
+			b.entries = step.log.entries
 		}
 		dead = b.err != nil
 		select {
@@ -539,9 +540,8 @@ func (s *shardedSource) consume(sh int) (stream.Tuple, bool) {
 	s.pos[sh] = i + 1
 	s.nextSeq = it.seq + 1
 	if s.log != nil && len(b.entryOff) > i+1 {
-		lo, hi := b.entryOff[i], b.entryOff[i+1]
-		if hi > lo {
-			s.log.Entries = append(s.log.Entries, b.entryBuf[lo:hi]...)
+		for k := b.entryOff[i]; k < b.entryOff[i+1]; k++ {
+			s.log.entries.push(b.entries.at(int(k)))
 		}
 	}
 	if b.dls != nil && b.dls[i] != nil {

@@ -322,8 +322,8 @@ type CascadeCondition struct {
 func (c *CascadeCondition) Eval(t stream.Tuple, _ time.Time) bool {
 	fire := false
 	if c.run.HasPrev {
-		for i := len(c.Log.Entries) - 1; i >= 0; i-- {
-			e := c.Log.Entries[i]
+		for i := c.Log.Len() - 1; i >= 0; i-- {
+			e := c.Log.At(i)
 			if e.TupleID < c.run.PrevID {
 				break
 			}

@@ -6,9 +6,9 @@ package csvio
 
 import (
 	"bufio"
-	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -16,20 +16,20 @@ import (
 	"icewafl/internal/stream"
 )
 
-// Reader is a stream.Source decoding CSV rows into tuples.
+// Reader is a stream.Source decoding CSV rows into tuples. A row
+// allocates its cell array and a copy of each multi-byte string cell,
+// and nothing else.
 type Reader struct {
 	schema *stream.Schema
-	csv    *csv.Reader
+	rec    *recordReader
 	row    int
 }
 
 // NewReader wraps r, validating that the CSV header matches the schema's
 // attribute names in order.
 func NewReader(r io.Reader, schema *stream.Schema) (*Reader, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = schema.Len()
-	cr.ReuseRecord = true
-	header, err := cr.Read()
+	rec := newRecordReader(r, schema.Len())
+	header, err := rec.readStrings()
 	if err != nil {
 		return nil, fmt.Errorf("csvio: read header: %w", err)
 	}
@@ -39,7 +39,7 @@ func NewReader(r io.Reader, schema *stream.Schema) (*Reader, error) {
 			return nil, fmt.Errorf("csvio: header column %d is %q, schema expects %q", i, header[i], name)
 		}
 	}
-	return &Reader{schema: schema, csv: cr, row: 1}, nil
+	return &Reader{schema: schema, rec: rec, row: 1}, nil
 }
 
 // NewColumnReader is NewReader.
@@ -61,24 +61,39 @@ func (r *Reader) Schema() *stream.Schema { return r.schema }
 // queue instead of aborting the whole run. A failure of the underlying
 // reader is fatal: there is no row to skip.
 func (r *Reader) Next() (stream.Tuple, error) {
-	rec, err := r.csv.Read()
-	if err == io.EOF {
-		return stream.Tuple{}, io.EOF
+	if err := r.rec.begin(); err != nil {
+		return stream.Tuple{}, err
 	}
 	r.row++
-	if err != nil {
-		if _, malformed := err.(*csv.ParseError); !malformed {
+	// Each cell is parsed as it is split; a malformed record outranks a
+	// bad cell, as it would if the record were split first.
+	var values []stream.Value
+	var cellErr error
+	for i := 0; ; i++ {
+		f, ok := r.rec.field()
+		if !ok {
+			break
+		}
+		if i >= r.schema.Len() || cellErr != nil {
+			continue
+		}
+		if values == nil {
+			values = make([]stream.Value, r.schema.Len())
+		}
+		v, err := stream.ParseValueBytes(f, r.schema.Field(i).Kind)
+		if err != nil {
+			cellErr = fmt.Errorf("csvio: row %d column %q: %w", r.row, r.schema.Field(i).Name, err)
+		}
+		values[i] = v
+	}
+	if err := r.rec.end(); err != nil {
+		if _, malformed := err.(*parseError); !malformed {
 			return stream.Tuple{}, fmt.Errorf("csvio: read row %d: %w", r.row, err)
 		}
 		return stream.Tuple{}, r.decodeError(fmt.Errorf("csvio: row %d: %w", r.row, err))
 	}
-	values := make([]stream.Value, r.schema.Len())
-	for i := range values {
-		v, err := stream.ParseValue(rec[i], r.schema.Field(i).Kind)
-		if err != nil {
-			return stream.Tuple{}, r.decodeError(fmt.Errorf("csvio: row %d column %q: %w", r.row, r.schema.Field(i).Name, err))
-		}
-		values[i] = v
+	if cellErr != nil {
+		return stream.Tuple{}, r.decodeError(cellErr)
 	}
 	return stream.NewTuple(r.schema, values), nil
 }
@@ -97,6 +112,7 @@ type Writer struct {
 	w      *bufio.Writer
 	row    []byte
 	wrote  bool
+	lead   []string // header names of MetaWriter's leading columns
 }
 
 // NewWriter wraps w. The header row is written lazily with the first
@@ -111,7 +127,7 @@ func (w *Writer) writeHeader() error {
 	}
 	w.wrote = true
 	b := w.row[:0]
-	for i, name := range w.schema.Names() {
+	for i, name := range slices.Concat(w.lead, w.schema.Names()) {
 		if i > 0 {
 			b = append(b, ',')
 		}
@@ -179,7 +195,14 @@ func (w *Writer) Write(t stream.Tuple) error {
 	if err := w.writeHeader(); err != nil {
 		return fmt.Errorf("csvio: write header: %w", err)
 	}
-	b := w.row[:0]
+	if err := w.endRow(appendCells(w.row[:0], t)); err != nil {
+		return fmt.Errorf("csvio: write row: %w", err)
+	}
+	return nil
+}
+
+// appendCells appends t's cells as one row's fields.
+func appendCells(b []byte, t stream.Tuple) []byte {
 	for i := 0; i < t.Len(); i++ {
 		if i > 0 {
 			b = append(b, ',')
@@ -191,10 +214,7 @@ func (w *Writer) Write(t stream.Tuple) error {
 			b = v.AppendString(b)
 		}
 	}
-	if err := w.endRow(b); err != nil {
-		return fmt.Errorf("csvio: write row: %w", err)
-	}
-	return nil
+	return b
 }
 
 // Close implements stream.Sink, flushing buffered rows.

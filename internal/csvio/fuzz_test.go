@@ -8,6 +8,26 @@ import (
 	"icewafl/internal/stream"
 )
 
+// quarantineSeeds are CSV bodies under quarantineSchema's header, most
+// of them malformed.
+var quarantineSeeds = []string{
+	"2020-01-01T00:00:00Z,1.5,a\n2020-01-01T01:00:00Z,2.5,b\n",
+	"not-a-time,1,a\n2020-01-01T00:00:00Z,2,b\n",
+	"2020-01-01T00:00:00Z,NaN,x\n",
+	"\"unterminated,1,a\n",
+	"too,few\n",
+	"a,b,c,d,e\n",
+	",,\n,,\n",
+	"2020-01-01T00:00:00Z,\x00,a\n",
+	strings.Repeat("garbage\n", 20),
+}
+
+var quarantineSchema = stream.MustSchema("ts",
+	stream.Field{Name: "ts", Kind: stream.KindTime},
+	stream.Field{Name: "v", Kind: stream.KindFloat},
+	stream.Field{Name: "tag", Kind: stream.KindString},
+)
+
 // FuzzQuarantine feeds arbitrary (usually malformed) CSV bodies through a
 // quarantined reader and checks the fault-tolerance invariants:
 //
@@ -17,23 +37,11 @@ import (
 //   - the reader stays row-resumable: a malformed row must not make
 //     subsequent valid rows unreadable.
 func FuzzQuarantine(f *testing.F) {
-	f.Add("2020-01-01T00:00:00Z,1.5,a\n2020-01-01T01:00:00Z,2.5,b\n")
-	f.Add("not-a-time,1,a\n2020-01-01T00:00:00Z,2,b\n")
-	f.Add("2020-01-01T00:00:00Z,NaN,x\n")
-	f.Add("\"unterminated,1,a\n")
-	f.Add("too,few\n")
-	f.Add("a,b,c,d,e\n")
-	f.Add(",,\n,,\n")
-	f.Add("2020-01-01T00:00:00Z,\x00,a\n")
-	f.Add(strings.Repeat("garbage\n", 20))
-
-	schema := stream.MustSchema("ts",
-		stream.Field{Name: "ts", Kind: stream.KindTime},
-		stream.Field{Name: "v", Kind: stream.KindFloat},
-		stream.Field{Name: "tag", Kind: stream.KindString},
-	)
-
+	for _, body := range quarantineSeeds {
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, body string) {
+		schema := quarantineSchema
 		input := "ts,v,tag\n" + body
 		r, err := NewReader(strings.NewReader(input), schema)
 		if err != nil {

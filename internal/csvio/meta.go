@@ -1,9 +1,10 @@
 package csvio
 
 import (
-	"encoding/csv"
+	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"time"
 
@@ -32,43 +33,31 @@ const ArrivalColumn = "_arrival"
 // netstream wire format so round trips are exact.
 const arrivalTime = time.RFC3339Nano
 
-// MetaWriter encodes tuples with their identity metadata.
+// MetaWriter encodes tuples with their identity metadata, rendering
+// rows as Writer does.
 type MetaWriter struct {
-	schema  *stream.Schema
-	csv     *csv.Writer
-	wrote   bool
+	w       Writer
 	arrival bool
 }
 
 // NewMetaWriter wraps w.
 func NewMetaWriter(w io.Writer, schema *stream.Schema) *MetaWriter {
-	return &MetaWriter{schema: schema, csv: csv.NewWriter(w)}
+	return &MetaWriter{w: Writer{schema: schema, w: bufio.NewWriter(w), lead: MetaColumns}}
 }
 
 // IncludeArrival adds the `_arrival` column so delayed arrivals survive
 // the round trip. Must be called before the first Write.
-func (w *MetaWriter) IncludeArrival() { w.arrival = true }
-
-func (w *MetaWriter) writeHeader() error {
-	if w.wrote {
-		return nil
-	}
-	w.wrote = true
-	header := append([]string{}, MetaColumns...)
-	if w.arrival {
-		header = append(header, ArrivalColumn)
-	}
-	header = append(header, w.schema.Names()...)
-	return w.csv.Write(header)
+func (w *MetaWriter) IncludeArrival() {
+	w.arrival = true
+	w.w.lead = slices.Concat(MetaColumns, []string{ArrivalColumn})
 }
 
 // OmitHeader marks the header as already written (checkpoint resume).
-func (w *MetaWriter) OmitHeader() { w.wrote = true }
+func (w *MetaWriter) OmitHeader() { w.w.OmitHeader() }
 
 // Flush pushes buffered rows to the underlying writer.
 func (w *MetaWriter) Flush() error {
-	w.csv.Flush()
-	if err := w.csv.Error(); err != nil {
+	if err := w.w.w.Flush(); err != nil {
 		return fmt.Errorf("csvio: flush meta: %w", err)
 	}
 	return nil
@@ -76,21 +65,18 @@ func (w *MetaWriter) Flush() error {
 
 // Write implements stream.Sink.
 func (w *MetaWriter) Write(t stream.Tuple) error {
-	if err := w.writeHeader(); err != nil {
+	if err := w.w.writeHeader(); err != nil {
 		return fmt.Errorf("csvio: write meta header: %w", err)
 	}
-	rec := make([]string, 0, t.Len()+3)
-	rec = append(rec,
-		strconv.FormatUint(t.ID, 10),
-		strconv.Itoa(t.SubStream),
-	)
+	b := strconv.AppendUint(w.w.row[:0], t.ID, 10)
+	b = strconv.AppendInt(append(b, ','), int64(t.SubStream), 10)
 	if w.arrival {
-		rec = append(rec, t.Arrival.UTC().Format(arrivalTime))
+		b = t.Arrival.UTC().AppendFormat(append(b, ','), arrivalTime)
 	}
-	for i := 0; i < t.Len(); i++ {
-		rec = append(rec, t.At(i).String())
+	if t.Len() > 0 {
+		b = appendCells(append(b, ','), t)
 	}
-	if err := w.csv.Write(rec); err != nil {
+	if err := w.w.endRow(b); err != nil {
 		return fmt.Errorf("csvio: write meta row: %w", err)
 	}
 	return nil
@@ -98,14 +84,10 @@ func (w *MetaWriter) Write(t stream.Tuple) error {
 
 // Close implements stream.Sink.
 func (w *MetaWriter) Close() error {
-	if err := w.writeHeader(); err != nil {
+	if err := w.w.writeHeader(); err != nil {
 		return err
 	}
-	w.csv.Flush()
-	if err := w.csv.Error(); err != nil {
-		return fmt.Errorf("csvio: flush meta: %w", err)
-	}
-	return nil
+	return w.Flush()
 }
 
 // MetaReader decodes the metadata format back into tuples with ID and
@@ -114,7 +96,7 @@ func (w *MetaWriter) Close() error {
 // are re-derived from the timestamp attribute.
 type MetaReader struct {
 	schema  *stream.Schema
-	csv     *csv.Reader
+	rec     *recordReader
 	row     int
 	arrival bool
 }
@@ -122,8 +104,8 @@ type MetaReader struct {
 // NewMetaReader wraps r, validating the header (the `_arrival` column
 // is detected from it).
 func NewMetaReader(r io.Reader, schema *stream.Schema) (*MetaReader, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
+	rec := newRecordReader(r, 0)
+	header, err := rec.readStrings()
 	if err != nil {
 		return nil, fmt.Errorf("csvio: read meta header: %w", err)
 	}
@@ -148,47 +130,70 @@ func NewMetaReader(r io.Reader, schema *stream.Schema) (*MetaReader, error) {
 		}
 	}
 	// Every data row must match the header's shape.
-	cr.FieldsPerRecord = meta + schema.Len()
-	return &MetaReader{schema: schema, csv: cr, row: 1, arrival: arrival}, nil
+	rec.want = meta + schema.Len()
+	return &MetaReader{schema: schema, rec: rec, row: 1, arrival: arrival}, nil
 }
 
 // Schema implements stream.Source.
 func (r *MetaReader) Schema() *stream.Schema { return r.schema }
 
-// Next implements stream.Source.
+// Next implements stream.Source. Each field is parsed as it is split;
+// a malformed record outranks a bad field, and the first bad field
+// outranks the later ones.
 func (r *MetaReader) Next() (stream.Tuple, error) {
-	rec, err := r.csv.Read()
-	if err == io.EOF {
-		return stream.Tuple{}, io.EOF
+	if err := r.rec.begin(); err != nil {
+		return stream.Tuple{}, err
 	}
-	if err != nil {
-		return stream.Tuple{}, fmt.Errorf("csvio: meta row %d: %w", r.row+1, err)
-	}
-	r.row++
-	id, err := strconv.ParseUint(rec[0], 10, 64)
-	if err != nil {
-		return stream.Tuple{}, fmt.Errorf("csvio: meta row %d: bad _id %q: %w", r.row, rec[0], err)
-	}
-	sub, err := strconv.Atoi(rec[1])
-	if err != nil {
-		return stream.Tuple{}, fmt.Errorf("csvio: meta row %d: bad _substream %q: %w", r.row, rec[1], err)
-	}
+	row := r.row + 1
 	meta := len(MetaColumns)
-	var arrival time.Time
 	if r.arrival {
-		arrival, err = time.Parse(arrivalTime, rec[meta])
-		if err != nil {
-			return stream.Tuple{}, fmt.Errorf("csvio: meta row %d: bad %s %q: %w", r.row, ArrivalColumn, rec[meta], err)
-		}
 		meta++
 	}
-	values := make([]stream.Value, r.schema.Len())
-	for i := range values {
-		v, err := stream.ParseValue(rec[meta+i], r.schema.Field(i).Kind)
-		if err != nil {
-			return stream.Tuple{}, fmt.Errorf("csvio: meta row %d column %q: %w", r.row, r.schema.Field(i).Name, err)
+	var (
+		id      uint64
+		sub     int
+		arrival time.Time
+		values  []stream.Value
+		bad     error
+	)
+	for i := 0; ; i++ {
+		f, ok := r.rec.field()
+		if !ok {
+			break
 		}
-		values[i] = v
+		if bad != nil || i >= meta+r.schema.Len() {
+			continue
+		}
+		var err error
+		switch {
+		case i == 0:
+			if id, err = strconv.ParseUint(string(f), 10, 64); err != nil {
+				bad = fmt.Errorf("csvio: meta row %d: bad _id %q: %w", row, f, err)
+			}
+		case i == 1:
+			if sub, err = strconv.Atoi(string(f)); err != nil {
+				bad = fmt.Errorf("csvio: meta row %d: bad _substream %q: %w", row, f, err)
+			}
+		case i < meta:
+			if arrival, err = time.Parse(arrivalTime, string(f)); err != nil {
+				bad = fmt.Errorf("csvio: meta row %d: bad %s %q: %w", row, ArrivalColumn, f, err)
+			}
+		default:
+			if values == nil {
+				values = make([]stream.Value, r.schema.Len())
+			}
+			c := i - meta
+			if values[c], err = stream.ParseValueBytes(f, r.schema.Field(c).Kind); err != nil {
+				bad = fmt.Errorf("csvio: meta row %d column %q: %w", row, r.schema.Field(c).Name, err)
+			}
+		}
+	}
+	if err := r.rec.end(); err != nil {
+		return stream.Tuple{}, fmt.Errorf("csvio: meta row %d: %w", row, err)
+	}
+	r.row = row
+	if bad != nil {
+		return stream.Tuple{}, bad
 	}
 	t := stream.NewTuple(r.schema, values)
 	t.ID = id

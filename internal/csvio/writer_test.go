@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"io"
 	"math"
+	"strconv"
 	"testing"
 	"time"
 
@@ -65,6 +66,37 @@ func FuzzWriterMatchesEncodingCSV(f *testing.F) {
 		ref.Flush()
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("Writer wrote\n%q\nencoding/csv wrote\n%q", got.Bytes(), want.Bytes())
+		}
+
+		// MetaWriter renders the same cells behind its metadata columns.
+		got.Reset()
+		want.Reset()
+		mw := NewMetaWriter(&got, schema)
+		mw.IncludeArrival()
+		ref = csv.NewWriter(&want)
+		if err := ref.Write(append(append(append([]string{}, MetaColumns...), ArrivalColumn), schema.Names()...)); err != nil {
+			t.Fatal(err)
+		}
+		for i, vals := range rows {
+			tp := stream.NewTuple(schema, vals)
+			tp.ID, tp.SubStream, tp.Arrival = uint64(sec)+uint64(i), int(sec)-i, time.Unix(sec, int64(i)).In(time.FixedZone("", 3600))
+			if err := mw.Write(tp); err != nil {
+				t.Fatal(err)
+			}
+			rec := []string{strconv.FormatUint(tp.ID, 10), strconv.Itoa(tp.SubStream), tp.Arrival.UTC().Format(time.RFC3339Nano)}
+			for _, v := range vals {
+				rec = append(rec, v.String())
+			}
+			if err := ref.Write(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := mw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ref.Flush()
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("MetaWriter wrote\n%q\nencoding/csv wrote\n%q", got.Bytes(), want.Bytes())
 		}
 	})
 }

@@ -27,6 +27,16 @@ import (
 // parentLines is a channel's stream as the JSON build put it on the
 // wire: json.Marshal of the hello, of every data frame built the old
 // way (the reference views of wire_test.go, &Entry), and of the eof.
+// logEntries copies l's entries out, in order.
+func logEntries(l *core.Log) []core.Entry {
+	var out []core.Entry
+	l.All()(func(_ int, e *core.Entry) bool {
+		out = append(out, *e)
+		return true
+	})
+	return out
+}
+
 func parentLines(t *testing.T, channel string, tuples []stream.Tuple, entries []core.Entry) []string {
 	t.Helper()
 	schema := wireSchema(t)
@@ -108,7 +118,7 @@ func TestHTTPEdgeMatchesJSONBuild(t *testing.T) {
 			want := map[string][]string{
 				ChannelDirty: parentLines(t, ChannelDirty, dirty, nil),
 				ChannelClean: parentLines(t, ChannelClean, clean, nil),
-				ChannelLog:   parentLines(t, ChannelLog, nil, plog.Entries),
+				ChannelLog:   parentLines(t, ChannelLog, nil, logEntries(plog)),
 			}
 
 			// Live: subscribed before the first publish.

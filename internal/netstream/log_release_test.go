@@ -45,7 +45,7 @@ func (p *logProbe) Pollute(t *stream.Tuple, tau time.Time, log *core.Log) {
 	}
 	log.Record(core.Entry{TupleID: t.ID, EventTime: tau, Polluter: "probe", Error: "probe"})
 	p.recorded++
-	if n := len(log.Entries); n > p.maxRetained {
+	if n := log.Len(); n > p.maxRetained {
 		p.maxRetained = n
 	}
 }

@@ -216,12 +216,12 @@ func TestServerWALReplayAcrossRestart(t *testing.T) {
 	}
 	sameTuples(t, "clean after restart", drainClient(t, cc), refClean)
 	entries := readLogChannel(t, addr2)
-	if len(entries) != len(refLog.Entries) {
-		t.Fatalf("log after restart: %d entries, want %d", len(entries), len(refLog.Entries))
+	if len(entries) != refLog.Len() {
+		t.Fatalf("log after restart: %d entries, want %d", len(entries), refLog.Len())
 	}
 	for i := range entries {
-		if !reflect.DeepEqual(entries[i], refLog.Entries[i]) {
-			t.Fatalf("log entry %d differs after restart:\ngot  %+v\nwant %+v", i, entries[i], refLog.Entries[i])
+		if !reflect.DeepEqual(entries[i], *refLog.At(i)) {
+			t.Fatalf("log entry %d differs after restart:\ngot  %+v\nwant %+v", i, entries[i], *refLog.At(i))
 		}
 	}
 
@@ -300,8 +300,8 @@ func TestServerCheckpointResumeMidRun(t *testing.T) {
 	}
 	sameTuples(t, "clean across crash", drainClient(t, cc), refClean)
 	entries := readLogChannel(t, addr2)
-	if len(entries) != len(refLog.Entries) {
-		t.Fatalf("log across crash: %d entries, want %d", len(entries), len(refLog.Entries))
+	if len(entries) != refLog.Len() {
+		t.Fatalf("log across crash: %d entries, want %d", len(entries), refLog.Len())
 	}
 
 	// Never double-serve or skip a sequence: the full dirty frame

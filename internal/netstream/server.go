@@ -350,8 +350,8 @@ func (s *Server) runPipeline(ctx context.Context) (err error) {
 		if plog == nil {
 			return nil
 		}
-		for i := range plog.Entries {
-			if err := s.hub.PublishEntry(s.chLog, &plog.Entries[i]); err != nil {
+		for i := range plog.Len() {
+			if err := s.hub.PublishEntry(s.chLog, plog.At(i)); err != nil {
 				return err
 			}
 		}

@@ -142,12 +142,12 @@ func TestServerEquivalence(t *testing.T) {
 
 	// The log channel carries the ground-truth entries in order.
 	entries := readLogChannel(t, tcpAddr)
-	if len(entries) != len(refLog.Entries) {
-		t.Fatalf("log: got %d entries, want %d", len(entries), len(refLog.Entries))
+	if len(entries) != refLog.Len() {
+		t.Fatalf("log: got %d entries, want %d", len(entries), refLog.Len())
 	}
 	for i := range entries {
 		g, _ := json.Marshal(entries[i])
-		w, _ := json.Marshal(refLog.Entries[i])
+		w, _ := json.Marshal(*refLog.At(i))
 		if string(g) != string(w) {
 			t.Fatalf("log entry %d differs:\ngot  %s\nwant %s", i, g, w)
 		}
@@ -362,6 +362,12 @@ func subscribeRaw(t *testing.T, addr, channel string) net.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return subscribeConn(t, conn, channel)
+}
+
+// subscribeConn subscribes conn to channel and reads the hello.
+func subscribeConn(t *testing.T, conn net.Conn, channel string) net.Conn {
+	t.Helper()
 	req, _ := json.Marshal(SubscribeRequest{Channel: channel})
 	if err := WriteFrame(conn, req); err != nil {
 		t.Fatal(err)
@@ -401,8 +407,17 @@ func TestServerSlowClientDisconnect(t *testing.T) {
 
 	// Slow client: subscribed before the pipeline starts, never reads
 	// past the hello — the server-side writer blocks once the kernel
-	// buffers fill and its hub queue overflows.
-	slowConn := subscribeRaw(t, tcpAddr, ChannelDirty)
+	// buffers fill and its hub queue overflows. Its small receive buffer
+	// keeps the kernel from taking the whole ~580 KB stream, which would
+	// leave the policy nothing to cut.
+	conn, err := net.Dial("tcp", tcpAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).SetReadBuffer(4 << 10); err != nil {
+		t.Fatal(err)
+	}
+	slowConn := subscribeConn(t, conn, ChannelDirty)
 	defer slowConn.Close()
 	close(gate)
 

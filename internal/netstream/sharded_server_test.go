@@ -78,12 +78,12 @@ func TestServerSharded(t *testing.T) {
 	sameTuples(t, "clean", drainClient(t, cleanC), refClean)
 
 	entries := readLogChannel(t, tcpAddr)
-	if len(entries) != len(refLog.Entries) {
-		t.Fatalf("log: got %d entries, want %d", len(entries), len(refLog.Entries))
+	if len(entries) != refLog.Len() {
+		t.Fatalf("log: got %d entries, want %d", len(entries), refLog.Len())
 	}
 	for i := range entries {
-		if entries[i].TupleID != refLog.Entries[i].TupleID || entries[i].Polluter != refLog.Entries[i].Polluter {
-			t.Fatalf("log entry %d differs: got %+v, want %+v", i, entries[i], refLog.Entries[i])
+		if entries[i].TupleID != refLog.At(i).TupleID || entries[i].Polluter != refLog.At(i).Polluter {
+			t.Fatalf("log entry %d differs: got %+v, want %+v", i, entries[i], *refLog.At(i))
 		}
 	}
 }

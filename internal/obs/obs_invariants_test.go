@@ -105,7 +105,7 @@ func counterVec(reg *obs.Registry) map[obs.CounterID]uint64 {
 }
 
 // assertLogLaws checks sum(polluted_by) == log_entries_total ==
-// len(log.Entries) — the law that survives fault rollback only because
+// log.Len() — the law that survives fault rollback only because
 // Log.Record and Log.Truncate keep the registry in lockstep.
 func assertLogLaws(t *testing.T, reg *obs.Registry, log *core.Log) {
 	t.Helper()
@@ -120,8 +120,8 @@ func assertLogLaws(t *testing.T, reg *obs.Registry, log *core.Log) {
 	if sum != entries {
 		t.Errorf("sum(polluted_by) = %d, log_entries_total = %d; want equal", sum, entries)
 	}
-	if log != nil && entries != uint64(len(log.Entries)) {
-		t.Errorf("log_entries_total = %d, len(log.Entries) = %d; want equal", entries, len(log.Entries))
+	if log != nil && entries != uint64(log.Len()) {
+		t.Errorf("log_entries_total = %d, log.Len() = %d; want equal", entries, log.Len())
 	}
 }
 
@@ -132,7 +132,7 @@ func assertLogLaws(t *testing.T, reg *obs.Registry, log *core.Log) {
 //
 //	source_rows == tuples_out + tuples_dropped + dead_letters_total
 //	tuples_in   == tuples_out + tuples_dropped + (dead_letters_total - source_errors)
-//	sum(polluted_by) == log_entries_total == len(log.Entries)
+//	sum(polluted_by) == log_entries_total == log.Len()
 func TestObsConservationLaws(t *testing.T) {
 	schema := invSchema()
 	const n = 3000
@@ -190,11 +190,12 @@ func TestObsConservationLaws(t *testing.T) {
 			if got := reg.PollutedCounts()["panicky"]; got != 0 {
 				t.Errorf("polluted_by[panicky] = %d, want 0 (rollback must unwind the pre-panic entry)", got)
 			}
-			for _, e := range log.Entries {
+			log.All()(func(_ int, e *core.Entry) bool {
 				if e.Polluter == "panicky" {
-					t.Fatalf("log retains a rolled-back entry: %+v", e)
+					t.Fatalf("log retains a rolled-back entry: %+v", *e)
 				}
-			}
+				return true
+			})
 		})
 	}
 }

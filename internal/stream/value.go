@@ -123,8 +123,13 @@ func Bool(v bool) Value {
 // Time returns a timestamp value.
 func Time(v time.Time) Value {
 	_, off := v.Zone()
+	return timeAt(v, off)
+}
+
+// timeAt is the time value of v's instant at UTC offset off seconds.
+func timeAt(v time.Time, off int) Value {
 	if off < -offBias || off >= offBias {
-		v, off = v.UTC(), 0
+		off = 0
 	}
 	return Value{
 		x:    uint64(v.Unix() + unixToYearOne),
@@ -365,7 +370,7 @@ func parseValue[T string | []byte](s T, kind Kind) (Value, error) {
 		}
 		return Bool(b), nil
 	case KindTime:
-		t, err := time.Parse(time.RFC3339, string(s))
+		t, off, err := parseTime(s)
 		if err != nil {
 			return Null(), fmt.Errorf("stream: parse time %q: %w", string(s), err)
 		}
@@ -374,7 +379,40 @@ func parseValue[T string | []byte](s T, kind Kind) (Value, error) {
 		if y := t.UTC().Year(); y < 0 || y > 9999 {
 			return Null(), fmt.Errorf("stream: parse time %q: UTC year %d outside 0000–9999", string(s), y)
 		}
-		return Time(t), nil
+		return timeAt(t, off), nil
 	}
 	return Null(), fmt.Errorf("stream: cannot parse into kind %v", kind)
+}
+
+// parseTime is time.Parse(time.RFC3339, s) and the parsed offset in
+// seconds. A stamp ending in a valid ±hh:mm offset is parsed in its Z
+// form from a stack copy, so the offset costs no time.FixedZone; any
+// other stamp, and every error, comes from time.Parse of s itself.
+func parseTime[T string | []byte](s T) (time.Time, int, error) {
+	if n := len(s) - 6; n > 0 && n < 64 && (s[n] == '+' || s[n] == '-') && s[n+3] == ':' {
+		hh, mm := twoDigits(s[n+1], s[n+2]), twoDigits(s[n+4], s[n+5])
+		if hh <= 23 && mm <= 59 {
+			var buf [64]byte
+			z := append(append(buf[:0], s[:n]...), 'Z')
+			if t, err := time.Parse(time.RFC3339, string(z)); err == nil {
+				off := (hh*60 + mm) * 60
+				if s[n] == '-' {
+					off = -off
+				}
+				return t.Add(-time.Duration(off) * time.Second), off, nil
+			}
+		}
+	}
+	t, err := time.Parse(time.RFC3339, string(s))
+	_, off := t.Zone()
+	return t, off, err
+}
+
+// twoDigits is the number a and b spell, or 100 when either is not a
+// decimal digit.
+func twoDigits(a, b byte) int {
+	if a < '0' || a > '9' || b < '0' || b > '9' {
+		return 100
+	}
+	return int(a-'0')*10 + int(b-'0')
 }
