@@ -63,10 +63,11 @@ race:
 # Focused race pass over the concurrent hot paths the observability
 # layer instruments (lock-free counters under sharded workers) plus the
 # service runtime's hub/WAL/session machinery and the chaos harness
-# that hammers it. Runs with -count=2 so the second pass exercises
-# warmed per-worker cells.
+# that hammers it, and the CSV reader whose cell arrays a run hands
+# back. Runs with -count=2 so the second pass exercises warmed
+# per-worker cells.
 racehot:
-	$(GO) test -race -count=2 ./internal/obs/ ./internal/core/ ./internal/stream/ ./internal/dq/ ./internal/netstream/ ./internal/chaos/
+	$(GO) test -race -count=2 ./internal/obs/ ./internal/core/ ./internal/stream/ ./internal/csvio/ ./internal/dq/ ./internal/netstream/ ./internal/chaos/
 
 # Service-layer integration pass: the netstream hub/server/client suite
 # plus the real icewafld binary serving the golden examples/cli pipeline

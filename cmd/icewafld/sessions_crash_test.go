@@ -169,10 +169,9 @@ func TestSessionsCrashRecoverySIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binary")
 	}
-	// alpha/s0 runs while the other five sessions are created, so under
-	// -race the kill lands at 60–90 % of these rows (at 12 000 it
-	// sometimes landed after the last).
-	const rows, readBeforeKill = 24000, 400
+	// The kill waits for alpha/s0 to publish killAt dirty frames, an
+	// eighth of its rows, and for the observer to read readBeforeKill.
+	const rows, readBeforeKill, killAt = 24000, 400, 3000
 	tenants := []string{"alpha", "beta"}
 	names := []string{"s0", "s1", "s2"}
 	bin := buildDaemon(t)
@@ -194,14 +193,20 @@ func TestSessionsCrashRecoverySIGKILL(t *testing.T) {
 	// the kill to land.
 	daemonArgs := []string{"-state-dir", stateDir, "-config", serveOnly(t, `"wal_fsync_every": 16`)}
 	crash := launchSessionsDaemon(t, bin, daemonArgs...)
+	// alpha/s0, the session the kill is gated on, is created last, so the
+	// other five do not run it on before the gate is polled.
 	for _, tenant := range tenants {
 		for _, name := range names {
-			createCrashSession(t, crash.httpAddr, tenant, name, spec)
+			if tenant+"/"+name != "alpha/s0" {
+				createCrashSession(t, crash.httpAddr, tenant, name, spec)
+			}
 		}
 	}
-	// The observing subscriber reads through a fault-injecting chaos
-	// proxy (latency + jitter) until the fleet is provably mid-stream,
-	// then the daemon dies hard.
+	createCrashSession(t, crash.httpAddr, "alpha", "s0", spec)
+	// The observing subscriber reads readBeforeKill tuples through a
+	// fault-injecting chaos proxy (latency + jitter) while alpha/s0's
+	// session status is polled; the daemon dies hard once both the read
+	// and the session's killAt dirty frames are done.
 	proxy, err := chaos.NewProxy("127.0.0.1:0", chaos.ProxyConfig{
 		Target:  crash.tcpAddr,
 		Seed:    41,
@@ -215,7 +220,20 @@ func TestSessionsCrashRecoverySIGKILL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	readN(t, cs, readBeforeKill)
+	observed := make(chan error, 1)
+	go func() {
+		for n := range readBeforeKill {
+			if _, err := cs.Next(); err != nil {
+				observed <- fmt.Errorf("observer read tuple %d: %w", n+1, err)
+				return
+			}
+		}
+		observed <- nil
+	}()
+	waitDirtySeq(t, crash.httpAddr, "alpha/s0", killAt)
+	if err := <-observed; err != nil {
+		t.Fatal(err)
+	}
 	crash.kill()
 	cs.Stop()
 	proxy.Close()
@@ -289,4 +307,32 @@ func TestSessionsCrashRecoverySIGKILL(t *testing.T) {
 	}
 	sameWire(t, "alpha/s0 resumed tail", rest, golden[readBeforeKill:])
 	again.terminate()
+}
+
+// waitDirtySeq polls session id's status until it has published at
+// least seq dirty frames. A session that stops running first fails the
+// test: the kill it gates would not land mid-stream.
+func waitDirtySeq(t *testing.T, httpAddr, id string, seq uint64) {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for {
+		resp, err := http.Get("http://" + httpAddr + "/v1/sessions/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st netstream.SessionStatus
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		switch {
+		case err != nil:
+			t.Fatal(err)
+		case st.DirtySeq >= seq:
+			return
+		case st.State != "running":
+			t.Fatalf("session %s is %s at dirty seq %d, before the kill gate at %d", id, st.State, st.DirtySeq, seq)
+		case time.Now().After(deadline):
+			t.Fatalf("session %s still at dirty seq %d after a minute, want %d", id, st.DirtySeq, seq)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

@@ -265,11 +265,13 @@ func (c *CascadeCondition) RestoreState(raw json.RawMessage) error {
 	return json.Unmarshal(raw, &c.run)
 }
 
-// valueState serialises a stream.Value losslessly (RFC3339Nano for
-// timestamps, distinguishing NULL from the empty string).
+// valueState serialises a stream.Value losslessly (RFC3339Nano in UTC
+// and the UTC offset in seconds for timestamps, distinguishing NULL from
+// the empty string).
 type valueState struct {
-	Kind string `json:"kind"`
-	Text string `json:"text,omitempty"`
+	Kind   string `json:"kind"`
+	Text   string `json:"text,omitempty"`
+	Offset int    `json:"offset,omitempty"`
 }
 
 func encodeValue(v stream.Value) valueState {
@@ -277,7 +279,8 @@ func encodeValue(v stream.Value) valueState {
 		return valueState{Kind: "null"}
 	}
 	if t, ok := v.AsTime(); ok && v.Kind() == stream.KindTime {
-		return valueState{Kind: "time", Text: t.UTC().Format(time.RFC3339Nano)}
+		_, off := t.Zone()
+		return valueState{Kind: "time", Text: t.UTC().Format(time.RFC3339Nano), Offset: off}
 	}
 	return valueState{Kind: v.Kind().String(), Text: v.String()}
 }
@@ -296,6 +299,9 @@ func decodeValue(s valueState) (stream.Value, error) {
 		t, err := time.Parse(time.RFC3339Nano, s.Text)
 		if err != nil {
 			return stream.Null(), err
+		}
+		if s.Offset != 0 {
+			t = t.In(time.FixedZone("", s.Offset))
 		}
 		return stream.Time(t), nil
 	default:

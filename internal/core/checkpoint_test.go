@@ -436,8 +436,8 @@ func TestKeyedPolluterCheckpointRebuildsInstances(t *testing.T) {
 }
 
 // TestCheckpointValueTimeRoundTrip pins that a time cell survives the
-// checkpoint's value codec as the same instant, whatever its zone, over
-// the years RFC 3339 can write.
+// checkpoint's value codec with the same bits — instant, fraction and
+// offset — whatever its zone, over the years RFC 3339 can write.
 func TestCheckpointValueTimeRoundTrip(t *testing.T) {
 	zones := []*time.Location{time.UTC, time.FixedZone("", 8*3600), time.FixedZone("", -(3*3600 + 1800)), time.Local}
 	times := []time.Time{
@@ -451,9 +451,70 @@ func TestCheckpointValueTimeRoundTrip(t *testing.T) {
 		for _, ts := range times {
 			v := stream.Time(ts.In(loc))
 			back, err := decodeValue(encodeValue(v))
-			if err != nil || !back.Equal(v) {
+			if err != nil || back != v {
 				t.Errorf("%v: decodeValue(encodeValue) = %v, %v", ts.In(loc), back, err)
 			}
 		}
 	}
+}
+
+// TestCheckpointResumeKeepsFrozenTimeOffset: a time cell frozen before
+// the checkpoint renders after the resume as the uninterrupted run
+// renders it, in its own offset and with its fraction.
+func TestCheckpointResumeKeepsFrozenTimeOffset(t *testing.T) {
+	schema := stream.MustSchema("ts",
+		stream.Field{Name: "ts", Kind: stream.KindTime},
+		stream.Field{Name: "seen", Kind: stream.KindTime},
+	)
+	var in strings.Builder
+	in.WriteString("ts,seen\n")
+	base := time.Date(2021, 6, 1, 12, 0, 0, 500_000_000, time.FixedZone("", 5*3600+1800))
+	for i := range 20 {
+		fmt.Fprintf(&in, "%s,%s\n", base.Add(time.Duration(i)*time.Minute).UTC().Format(time.RFC3339),
+			base.Add(time.Duration(i)*time.Second).Format(time.RFC3339Nano))
+	}
+	process := func() *Process {
+		return &Process{Pipelines: []*Pipeline{NewPipeline(NewStandard("freeze", NewFrozenValue(), Always{}, "seen"))}, FirstID: 1}
+	}
+	source := func() stream.Source {
+		r, err := csvio.NewReader(strings.NewReader(in.String()), schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	want := runLent(t, process(), source(), StreamSpec{Checkpoint: true})
+	if n := strings.Count(want.dirty, ",2021-06-01T12:00:00.5+05:30\n"); n != 20 {
+		t.Fatalf("the uninterrupted run froze %d of 20 cells at their first value:\n%s", n, want.dirty)
+	}
+
+	var dirty bytes.Buffer
+	w := csvio.NewWriter(&dirty, schema)
+	run1, err := process().Stream(source(), StreamSpec{Checkpoint: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainLent(t, w, run1.Source, 5)
+	ck, err := run1.Checkpointer.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ck.json")
+	if err := WriteCheckpoint(path, ck); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run2, err := process().Stream(source(), StreamSpec{Resume: loaded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainLent(t, w, run2.Source, -1)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := render(t, &dirty, append(entriesOf(run1.Log), entriesOf(run2.Log)...), nil)
+	assertSameRun(t, got, want)
 }

@@ -239,10 +239,10 @@ func deadLetterFor(t stream.Tuple, stage string, cause error) stream.DeadLetter 
 // reference engine every other execution shape is compared against. It
 // is Stream's plain tuple-wise shape.
 //
-// Streaming mode pollutes tuples in place, taking ownership of whatever
-// the source emits. Readers and generators mint a fresh tuple per Next
-// call and are safe; to stream over a shared []Tuple slice whose contents
-// must survive, clone the tuples first (batch Run does this for you).
+// Streaming mode pollutes the source's tuples in place, and an emitted
+// tuple is a loan until the consumer's next Next (see Stream). To stream
+// over a shared []Tuple slice whose contents must survive, clone the
+// tuples first (batch Run does this for you).
 func (pr *Process) RunStream(src stream.Source, reorderWindow int) (stream.Source, *Log, error) {
 	run, err := pr.Stream(src, StreamSpec{Reorder: reorderWindow})
 	if err != nil {
@@ -267,8 +267,11 @@ func (pr *Process) RunStreamColumnar(src stream.Source, reorderWindow int) (stre
 // bounded window. Dropped tuples are filtered out and, when dropped is
 // non-nil, counted there. The log (nil under DisableLog) is complete once
 // the returned source is exhausted. When the spec asks for a checkpointed
-// run (m = 1, no window), it also returns the run's Checkpointer.
+// run (m = 1, no window), it also returns the run's Checkpointer. With
+// one pipeline over a stream.Recycler, every tuple's values go back to
+// src once the run or its consumer is done with them.
 func (pr *Process) runStream(src stream.Source, spec StreamSpec, dropped *int) (stream.Source, *Log, *Checkpointer, error) {
+	rec, _ := src.(stream.Recycler)
 	var ck *Checkpointer
 	var firstID uint64
 	if spec.checkpointed() {
@@ -288,7 +291,12 @@ func (pr *Process) runStream(src stream.Source, spec StreamSpec, dropped *int) (
 				return nil, nil, nil, err
 			}
 		}
-		return reordered(r, spec.Reorder), in.log, ck, nil
+		out := reordered(r, spec.Reorder)
+		if rec != nil {
+			r.recycle = rec
+			out = &lentSource{Source: out, rec: rec}
+		}
+		return out, in.log, ck, nil
 	}
 	route := pr.Route
 	if route == nil {
@@ -353,13 +361,37 @@ func (s *tapSource) Next() (stream.Tuple, error) {
 	return t, err
 }
 
+// lentSource hands the previous tuple's values back to rec at the start
+// of each Next. It sits after the reorder window, so a buffered tuple is
+// never handed back.
+type lentSource struct {
+	stream.Source
+	rec  stream.Recycler
+	lent []stream.Value
+}
+
+// Next implements stream.Source.
+func (s *lentSource) Next() (stream.Tuple, error) {
+	if s.lent != nil {
+		s.rec.Recycle(s.lent)
+		s.lent = nil
+	}
+	t, err := s.Source.Next()
+	if err == nil {
+		s.lent = t.Values()
+	}
+	return t, err
+}
+
 // streamRunner is the pollute → drop-filter operator of streaming mode:
 // the whole single-pipeline run (checkpointed or not) and one branch of a
-// multi-pipeline run.
+// multi-pipeline run. recycle, when set, takes back the values of the
+// tuples it drops or quarantines.
 type streamRunner struct {
 	src stream.Source
 	rowStep
 	dropped *int
+	recycle stream.Recycler
 	// emitted counts the delivered tuples: a checkpoint's output position.
 	emitted uint64
 	err     error // the sticky fatal error
@@ -385,6 +417,7 @@ func (r *streamRunner) Next() (stream.Tuple, error) {
 		r.reg.Inc(obs.CTuplesIn)
 		var dl *stream.DeadLetter
 		if dl, r.err = r.pollute(&r.cur); r.err != nil || dl != nil {
+			r.skip()
 			continue
 		}
 		if r.cur.Dropped {
@@ -392,6 +425,7 @@ func (r *streamRunner) Next() (stream.Tuple, error) {
 			if r.dropped != nil {
 				*r.dropped++
 			}
+			r.skip()
 			continue
 		}
 		r.reg.Inc(obs.CTuplesOut)
@@ -399,6 +433,13 @@ func (r *streamRunner) Next() (stream.Tuple, error) {
 		return r.cur, nil
 	}
 	return stream.Tuple{}, r.err
+}
+
+// skip hands the values of a tuple the runner does not emit back.
+func (r *streamRunner) skip() {
+	if r.recycle != nil {
+		r.recycle.Recycle(r.cur.Values())
+	}
 }
 
 // record books a dead letter into the run's queue and enforces the

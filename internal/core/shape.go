@@ -91,10 +91,11 @@ type StreamRun struct {
 // the sticky error "core: pollute tuple N: panic: …", after exactly the
 // tuples before N have been polluted and logged.
 //
-// Sharded runs use per-shard value arenas, so emitted tuples are loans:
-// the consumer must be done with a tuple before its next Next call
-// (stream.Copy and the CLI and server sinks are; buffering consumers
-// must Clone).
+// In every shape an emitted tuple is a loan until the consumer's next
+// Next call: a consumer that keeps a tuple longer must Clone it
+// (stream.Copy and the CLI and server sinks keep none). Sharded runs
+// reuse per-shard value arenas, and a one-pipeline tuple-wise run over a
+// stream.Recycler hands each tuple's values back to its source.
 func (pr *Process) Stream(src stream.Source, spec StreamSpec) (*StreamRun, error) {
 	return pr.start(src, spec, nil)
 }

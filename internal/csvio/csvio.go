@@ -16,13 +16,14 @@ import (
 	"icewafl/internal/stream"
 )
 
-// Reader is a stream.Source decoding CSV rows into tuples. A row
-// allocates its cell array and a copy of each multi-byte string cell,
-// and nothing else.
+// Reader is a stream.Recycler decoding CSV rows into tuples. A row
+// allocates a copy of each multi-byte string cell, and a cell array only
+// when none handed back through Recycle is free.
 type Reader struct {
 	schema *stream.Schema
 	rec    *recordReader
 	row    int
+	spare  []stream.Value // the cell array last handed back, if any
 }
 
 // NewReader wraps r, validating that the CSV header matches the schema's
@@ -78,7 +79,11 @@ func (r *Reader) Next() (stream.Tuple, error) {
 			continue
 		}
 		if values == nil {
-			values = make([]stream.Value, r.schema.Len())
+			// The spare array, else a new one: a row that parses
+			// overwrites every cell.
+			if values, r.spare = r.spare, nil; values == nil {
+				values = make([]stream.Value, r.schema.Len())
+			}
 		}
 		v, err := stream.ParseValueBytes(f, r.schema.Field(i).Kind)
 		if err != nil {
@@ -86,16 +91,28 @@ func (r *Reader) Next() (stream.Tuple, error) {
 		}
 		values[i] = v
 	}
-	if err := r.rec.end(); err != nil {
-		if _, malformed := err.(*parseError); !malformed {
-			return stream.Tuple{}, fmt.Errorf("csvio: read row %d: %w", r.row, err)
-		}
-		return stream.Tuple{}, r.decodeError(fmt.Errorf("csvio: row %d: %w", r.row, err))
+	err := r.rec.end()
+	if err == nil && cellErr == nil {
+		return stream.NewTuple(r.schema, values), nil
 	}
-	if cellErr != nil {
+	r.Recycle(values)
+	if err == nil {
 		return stream.Tuple{}, r.decodeError(cellErr)
 	}
-	return stream.NewTuple(r.schema, values), nil
+	if _, malformed := err.(*parseError); !malformed {
+		return stream.Tuple{}, fmt.Errorf("csvio: read row %d: %w", r.row, err)
+	}
+	return stream.Tuple{}, r.decodeError(fmt.Errorf("csvio: row %d: %w", r.row, err))
+}
+
+// Recycle implements stream.Recycler. The reader keeps one array, since
+// a recycling consumer hands back at most one between two reads. An array
+// of another width, or one handed back while the spare is taken, is left
+// to the garbage collector.
+func (r *Reader) Recycle(values []stream.Value) {
+	if len(values) == r.schema.Len() && r.spare == nil {
+		r.spare = values
+	}
 }
 
 // decodeError reports err as the failure of the current row.

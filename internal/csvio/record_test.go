@@ -172,7 +172,8 @@ func TestReaderMatchesEncodingCSV(t *testing.T) {
 }
 
 // TestReaderNextAllocs: a row of numeric and time cells allocates its
-// cell array and nothing else.
+// cell array and nothing else, and nothing at all once the consumer
+// hands each row's array back.
 func TestReaderNextAllocs(t *testing.T) {
 	schema := stream.MustSchema("ts",
 		stream.Field{Name: "ts", Kind: stream.KindTime},
@@ -189,15 +190,27 @@ func TestReaderNextAllocs(t *testing.T) {
 		fmt.Fprintf(&b, "%s,%g,%d,%t,\"%s\"\r\n", start.Add(time.Duration(i)*time.Minute).Format(time.RFC3339),
 			float64(i)/8, -i, i%2 == 0, start.Add(time.Duration(i)*time.Second).In(time.FixedZone("", 19800)).Format(time.RFC3339))
 	}
-	r, err := NewReader(strings.NewReader(b.String()), schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(rows-1, func() {
-		if _, err := r.Next(); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 1 {
-		t.Fatalf("Next allocates %v times per row, want 1", n)
+	for _, recycle := range []bool{false, true} {
+		t.Run(fmt.Sprintf("recycle=%v", recycle), func(t *testing.T) {
+			r, err := NewReader(strings.NewReader(b.String()), schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 1.0
+			if recycle {
+				want = 0
+			}
+			if n := testing.AllocsPerRun(rows-1, func() {
+				tp, err := r.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if recycle {
+					r.Recycle(tp.Values())
+				}
+			}); n != want {
+				t.Fatalf("Next allocates %v times per row, want %v", n, want)
+			}
+		})
 	}
 }

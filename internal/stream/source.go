@@ -27,6 +27,15 @@ type Source interface {
 	Next() (Tuple, error)
 }
 
+// Recycler is a Source that can reuse the value arrays of the tuples it
+// emits. A consumer done with a tuple may hand its Values back through
+// Recycle, and must then hold no view of them; one that never recycles
+// may keep every tuple.
+type Recycler interface {
+	Source
+	Recycle(values []Value)
+}
+
 // ErrStopped is returned by sources that were cancelled mid-stream. It is
 // the cancellation half of the Source error contract: once a source is
 // cancelled, every subsequent Next returns ErrStopped (never io.EOF).

@@ -296,6 +296,8 @@ func (v Value) Compare(o Value) (int, bool) {
 
 // String renders the value for logs and CSV output. NULL renders as the
 // empty string so that polluted missing values round-trip through CSV.
+// A time renders as RFC3339Nano in its own offset, so ParseValue reads
+// back the same bits.
 func (v Value) String() string {
 	switch v.Kind() {
 	case KindNull:
@@ -309,7 +311,8 @@ func (v Value) String() string {
 	case KindBool:
 		return strconv.FormatBool(v.x != 0)
 	case KindTime:
-		return v.utc().Format(time.RFC3339)
+		t, _ := v.AsTime()
+		return t.Format(time.RFC3339Nano)
 	}
 	return fmt.Sprintf("Value(kind=%d)", int(v.Kind()))
 }
@@ -325,7 +328,8 @@ func (v Value) AppendString(dst []byte) []byte {
 	case KindBool:
 		return strconv.AppendBool(dst, v.x != 0)
 	case KindTime:
-		return v.utc().AppendFormat(dst, time.RFC3339)
+		t, _ := v.AsTime()
+		return t.AppendFormat(dst, time.RFC3339Nano)
 	}
 	return append(dst, v.String()...)
 }
@@ -374,8 +378,8 @@ func parseValue[T string | []byte](s T, kind Kind) (Value, error) {
 		if err != nil {
 			return Null(), fmt.Errorf("stream: parse time %q: %w", string(s), err)
 		}
-		// String renders the UTC instant, which RFC 3339 can write only
-		// within years 0000–9999.
+		// The checkpoint writes the UTC instant, which RFC 3339 can
+		// write only within years 0000–9999.
 		if y := t.UTC().Year(); y < 0 || y > 9999 {
 			return Null(), fmt.Errorf("stream: parse time %q: UTC year %d outside 0000–9999", string(s), y)
 		}

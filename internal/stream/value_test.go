@@ -246,7 +246,7 @@ func TestValueTimeRoundTrip(t *testing.T) {
 		if _, off := got.Zone(); off != wantOff || got.Hour() != want.Hour() {
 			t.Errorf("Time(%v): offset %d hour %d, want %d and %d", want, off, got.Hour(), wantOff, want.Hour())
 		}
-		if s := want.UTC().Format(time.RFC3339); v.String() != s || string(v.AppendString(nil)) != s {
+		if s := want.Format(time.RFC3339Nano); v.String() != s || string(v.AppendString(nil)) != s {
 			t.Errorf("Time(%v) renders %q / %q, want %q", want, v.String(), v.AppendString(nil), s)
 		}
 		for _, other := range all {
