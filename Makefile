@@ -46,16 +46,17 @@ lint:
 # Same float bits on every architecture: cross-compiles cmd/icewafl,
 # cmd/gendata and cmd/paper (every experiment) for arm64, riscv64,
 # ppc64le and s390x and fails on a fused multiply-add in core, rng,
-# config, dataset, experiments, synth or timeseries (see the script's
-# header for what is left out).
+# config, dataset, experiments, synth, timeseries or stream (see the
+# script's header for what is left out).
 fmacheck:
 	@GO=$(GO) bash scripts/fmacheck.sh
 
-# The experiment goldens, the engine, the golden CLI and rng's Normal
-# digest run with a 32-bit int and the pure-Go math (GOARCH=386 runs
-# natively on amd64, no emulator needed).
+# The experiment goldens, the engine, the golden CLI, rng's Normal
+# digest and the float text kernel's oracle against strconv (stream's
+# fuzz seeds) run with a 32-bit int and the pure-Go math (GOARCH=386
+# runs natively on amd64, no emulator needed).
 test386:
-	GOARCH=386 $(GO) test ./internal/experiments ./internal/core ./internal/rng ./cmd/icewafl
+	GOARCH=386 $(GO) test ./internal/experiments ./internal/core ./internal/rng ./internal/stream ./cmd/icewafl
 
 race:
 	$(GO) test -race ./...
@@ -145,8 +146,9 @@ cover:
 perfgate:
 	bash scripts/perfgate.sh
 
-# Short fuzz pass over every fuzz target (value parsing, the quarantine
-# of malformed tuples, the CSV writer and reader against encoding/csv, the metrics,
+# Short fuzz pass over every fuzz target (value parsing, the float text
+# kernel against strconv, the quarantine of malformed tuples, the CSV
+# writer and reader against encoding/csv, the metrics,
 # WAL and frame codecs (the colbatch frame codec stays while the
 # benchmark's budget layer still encodes such frames), the session log's
 # per-channel index against a model, the log entry renderer against
@@ -157,6 +159,7 @@ FUZZTIME ?= 15s
 
 fuzz:
 	$(GO) test ./internal/stream/ -run '^$$' -fuzz FuzzParseValue -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stream/ -run '^$$' -fuzz FuzzFloatText -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/csvio/ -run '^$$' -fuzz FuzzQuarantine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/csvio/ -run '^$$' -fuzz FuzzWriterMatchesEncodingCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/csvio/ -run '^$$' -fuzz FuzzReaderMatchesEncodingCSV -fuzztime $(FUZZTIME)

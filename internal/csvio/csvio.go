@@ -212,19 +212,18 @@ func (w *Writer) Write(t stream.Tuple) error {
 	if err := w.writeHeader(); err != nil {
 		return fmt.Errorf("csvio: write header: %w", err)
 	}
-	if err := w.endRow(appendCells(w.row[:0], t)); err != nil {
+	if err := w.endRow(appendCells(w.row[:0], t.Values())); err != nil {
 		return fmt.Errorf("csvio: write row: %w", err)
 	}
 	return nil
 }
 
-// appendCells appends t's cells as one row's fields.
-func appendCells(b []byte, t stream.Tuple) []byte {
-	for i := 0; i < t.Len(); i++ {
+// appendCells appends cells as one row's fields.
+func appendCells(b []byte, cells []stream.Value) []byte {
+	for i, v := range cells {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		v := t.At(i)
 		if s, ok := v.AsString(); ok {
 			b = appendField(b, s)
 		} else {

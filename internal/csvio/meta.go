@@ -74,7 +74,7 @@ func (w *MetaWriter) Write(t stream.Tuple) error {
 		b = t.Arrival.UTC().AppendFormat(append(b, ','), arrivalTime)
 	}
 	if t.Len() > 0 {
-		b = appendCells(append(b, ','), t)
+		b = appendCells(append(b, ','), t.Values())
 	}
 	if err := w.w.endRow(b); err != nil {
 		return fmt.Errorf("csvio: write meta row: %w", err)

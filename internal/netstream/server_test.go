@@ -7,7 +7,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -375,12 +377,6 @@ func subscribeRaw(t *testing.T, addr, channel string) net.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return subscribeConn(t, conn, channel)
-}
-
-// subscribeConn subscribes conn to channel and reads the hello.
-func subscribeConn(t *testing.T, conn net.Conn, channel string) net.Conn {
-	t.Helper()
 	req, _ := json.Marshal(SubscribeRequest{Channel: channel})
 	if err := WriteFrame(conn, req); err != nil {
 		t.Fatal(err)
@@ -398,12 +394,50 @@ func subscribeConn(t *testing.T, conn net.Conn, channel string) net.Conn {
 	return conn
 }
 
-// TestServerSlowClientDisconnect: under disconnect-slow, a stalled TCP
-// reader is cut by the backpressure policy while the pipeline finishes
-// and other clients receive the complete stream.
-func TestServerSlowClientDisconnect(t *testing.T) {
-	const seed, n = 11, 8000
-	gate := make(chan struct{})
+// tcpBufMax is the largest buffer TCP autotuning gives one side of a
+// socket on this host: the last field of /proc/sys/net/ipv4/<name>
+// (tcp_wmem or tcp_rmem), or 16 MiB where the file cannot be read.
+func tcpBufMax(t *testing.T, name string) int {
+	t.Helper()
+	b, err := os.ReadFile("/proc/sys/net/ipv4/" + name)
+	f := strings.Fields(string(b))
+	if err != nil || len(f) != 3 {
+		t.Logf("%s unreadable (%v): assuming 16 MiB", name, err)
+		return 16 << 20
+	}
+	n, err := strconv.Atoi(f[2])
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return n
+}
+
+// padSource sets every tuple's sensor cell to pad.
+type padSource struct {
+	stream.Source
+	pad stream.Value
+}
+
+func (p padSource) Next() (stream.Tuple, error) {
+	t, err := p.Source.Next()
+	if err == nil {
+		t.SetAt(2, p.pad)
+	}
+	return t, err
+}
+
+// slowClientConfig is serverConfig for a test whose stalled subscriber
+// a backpressure policy must act on: the pipeline waits for gate, and
+// the hub queue holds 8 frames. A policy acts only once the server's
+// writer blocks and the queue behind it overflows, so the stream must
+// be larger than the server's send buffer and the client's receive
+// buffer can ever hold together. A padded sensor cell makes each frame
+// longer than 1/(n-64) of the two autotuning maxima, so that at least
+// 64 frames, more than the queue and the writer's bufio hold, are left
+// when both kernel buffers are full.
+func slowClientConfig(t *testing.T, seed int64, n int, gate <-chan struct{}) Config {
+	t.Helper()
+	pad := stream.Str(strings.Repeat("s", (tcpBufMax(t, "tcp_wmem")+tcpBufMax(t, "tcp_rmem"))/(n-64)+1))
 	cfg := serverConfig(t, seed, n)
 	inner := cfg.NewSource
 	cfg.NewSource = func() (stream.Source, error) {
@@ -411,26 +445,27 @@ func TestServerSlowClientDisconnect(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return &gatedSource{Source: src, gate: gate}, nil
+		return &gatedSource{Source: padSource{src, pad}, gate: gate}, nil
 	}
-	cfg.Policy = PolicyDisconnectSlow
 	cfg.Buffer = 8
 	cfg.Replay = 1 << 16
+	return cfg
+}
+
+// TestServerSlowClientDisconnect: under disconnect-slow, a stalled TCP
+// reader is cut by the backpressure policy while the pipeline finishes
+// and other clients receive the complete stream.
+func TestServerSlowClientDisconnect(t *testing.T) {
+	const seed, n = 11, 8000
+	gate := make(chan struct{})
+	cfg := slowClientConfig(t, seed, n, gate)
+	cfg.Policy = PolicyDisconnectSlow
 	srv, tcpAddr, _ := startServer(t, cfg)
 
 	// Slow client: subscribed before the pipeline starts, never reads
 	// past the hello — the server-side writer blocks once the kernel
-	// buffers fill and its hub queue overflows. Its small receive buffer
-	// keeps the kernel from taking the whole ~580 KB stream, which would
-	// leave the policy nothing to cut.
-	conn, err := net.Dial("tcp", tcpAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.(*net.TCPConn).SetReadBuffer(4 << 10); err != nil {
-		t.Fatal(err)
-	}
-	slowConn := subscribeConn(t, conn, ChannelDirty)
+	// buffers fill and its hub queue overflows.
+	slowConn := subscribeRaw(t, tcpAddr, ChannelDirty)
 	defer slowConn.Close()
 	close(gate)
 
@@ -466,18 +501,8 @@ func TestServerSlowClientDisconnect(t *testing.T) {
 func TestServerSlowClientDropOldest(t *testing.T) {
 	const seed, n = 13, 8000
 	gate := make(chan struct{})
-	cfg := serverConfig(t, seed, n)
-	inner := cfg.NewSource
-	cfg.NewSource = func() (stream.Source, error) {
-		src, err := inner()
-		if err != nil {
-			return nil, err
-		}
-		return &gatedSource{Source: src, gate: gate}, nil
-	}
+	cfg := slowClientConfig(t, seed, n, gate)
 	cfg.Policy = PolicyDropOldest
-	cfg.Buffer = 8
-	cfg.Replay = 1 << 16
 	srv, tcpAddr, _ := startServer(t, cfg)
 
 	slowConn := subscribeRaw(t, tcpAddr, ChannelDirty)

@@ -1,8 +1,10 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -98,6 +100,7 @@ func TestParseValueBytesAllocs(t *testing.T) {
 		kind Kind
 	}{
 		{"-12.375e-3", KindFloat},
+		{"-1015.5", KindFloat},
 		{"-9223372036854775808", KindInt},
 		{"true", KindBool},
 		{"2021-06-01T12:34:56Z", KindTime},
@@ -111,6 +114,55 @@ func TestParseValueBytesAllocs(t *testing.T) {
 			}
 		}); n != 0 {
 			t.Errorf("ParseValueBytes(%q, %v): %v allocs, want 0", c.text, c.kind, n)
+		}
+	}
+}
+
+// FuzzFloatText holds the float text kernel to strconv: appendFloat of
+// any bit pattern is strconv.AppendFloat's 'g', -1 text, and whenever
+// parseShortFloat accepts a text (the fuzzed one, or a rendering) it
+// has strconv.ParseFloat's bits and strconv finds no error.
+func FuzzFloatText(f *testing.F) {
+	for _, x := range []float64{math.Copysign(0, -1), 0, math.Nextafter(1e-4, 0), 1e-4, math.Nextafter(1e-4, 1),
+		math.Nextafter(1e6, 0), 1e6, math.Nextafter(1e6, 2e6), 999999.9999999999, 0.1, 0.3, 0.7, 0.07, 1.13, -0.4,
+		54.8, 1015.5, 0.05, 1000, 123456.789012345, 12345.67890123456, math.NaN(), math.Inf(-1), 5e-324} {
+		f.Add(math.Float64bits(x), strconv.FormatFloat(x, 'g', -1, 64))
+	}
+	for _, s := range []string{"-0", "0", "00012.5", "-.5", "12.", "+1", "1_0", "0x1p3", "NaN", "Inf",
+		"5e-324", "999999.9999999999", "123456789012345", "1234567890123456", "-0.000", "1.50", "-", "."} {
+		f.Add(uint64(0), s)
+	}
+	f.Fuzz(func(t *testing.T, bits uint64, s string) {
+		x := math.Float64frombits(bits)
+		got, want := appendFloat(nil, x), strconv.AppendFloat(nil, x, 'g', -1, 64)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("appendFloat(%#x) = %q, strconv says %q", bits, got, want)
+		}
+		for _, text := range []string{s, string(got)} {
+			fast, ok := parseShortFloat(text)
+			if !ok {
+				continue
+			}
+			slow, err := strconv.ParseFloat(text, 64)
+			if err != nil || math.Float64bits(fast) != math.Float64bits(slow) {
+				t.Fatalf("parseShortFloat(%q) = %v (%#x); strconv.ParseFloat = %v (%#x), %v",
+					text, fast, math.Float64bits(fast), slow, math.Float64bits(slow), err)
+			}
+			if b, ok := parseShortFloat([]byte(text)); !ok || math.Float64bits(b) != math.Float64bits(fast) {
+				t.Fatalf("parseShortFloat of %q's bytes = %v, %v; of the string %v", text, b, ok, fast)
+			}
+		}
+	})
+}
+
+// TestAppendFloatAllocs: a float cell renders into a buffer with room
+// without allocating, on the kernel's integer path and on strconv's.
+func TestAppendFloatAllocs(t *testing.T) {
+	buf := make([]byte, 0, 64)
+	for _, x := range []float64{54.8, -0.4, 0.0001, 0.1 + 0.2, 1e21, math.NaN(), 5e-324} {
+		v := Float(x)
+		if n := testing.AllocsPerRun(100, func() { buf = v.AppendString(buf[:0]) }); n != 0 {
+			t.Errorf("Float(%v).AppendString: %v allocs, want 0", x, n)
 		}
 	}
 }

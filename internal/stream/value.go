@@ -303,7 +303,8 @@ func (v Value) String() string {
 	case KindNull:
 		return ""
 	case KindFloat:
-		return strconv.FormatFloat(v.float(), 'g', -1, 64)
+		var buf [32]byte
+		return string(appendFloat(buf[:0], v.float()))
 	case KindInt:
 		return strconv.FormatInt(int64(v.x), 10)
 	case KindString:
@@ -322,7 +323,7 @@ func (v Value) String() string {
 func (v Value) AppendString(dst []byte) []byte {
 	switch v.Kind() {
 	case KindFloat:
-		return strconv.AppendFloat(dst, v.float(), 'g', -1, 64)
+		return appendFloat(dst, v.float())
 	case KindInt:
 		return strconv.AppendInt(dst, int64(v.x), 10)
 	case KindBool:
@@ -332,6 +333,92 @@ func (v Value) AppendString(dst []byte) []byte {
 		return t.AppendFormat(dst, time.RFC3339Nano)
 	}
 	return append(dst, v.String()...)
+}
+
+// pow10 holds 10^0 … 10^18, every one an exact double.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18}
+
+// appendFloat appends strconv.AppendFloat(dst, f, 'g', -1, 64). Zero
+// and |f| in [1e-4, 1e6) print without an exponent. For these it takes
+// the first k where t = |f|·10^k is an integer m < 10^15 that
+// float64(m)/10^k, a correctly rounded division of exact doubles, maps
+// back to |f|, so m·10^-k rounds to f. A decimal of at most 15 digits
+// (DBL_DIG) in f's rounding interval is unique, so m's digits without
+// trailing zeros are strconv's shortest digits. Any other f, or one
+// with no such m, goes to strconv.
+func appendFloat(dst []byte, f float64) []byte {
+	a := math.Abs(f)
+	if a == 0 || a >= 1e-4 && a < 1e6 {
+		for k := 0; k < len(pow10); k++ {
+			t := a * pow10[k]
+			if t >= 1e15 {
+				break
+			}
+			if m := int64(t); float64(m) == t && float64(m)/pow10[k] == a {
+				return appendDecimal(dst, math.Signbit(f), uint64(m), k)
+			}
+		}
+	}
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
+}
+
+// appendDecimal appends m·10^-k without trailing fraction zeros, one
+// digit at a time from the right, and at least one before the point.
+func appendDecimal(dst []byte, neg bool, m uint64, k int) []byte {
+	for k > 0 && m%10 == 0 {
+		m, k = m/10, k-1
+	}
+	var buf [24]byte
+	i := len(buf)
+	for j := 0; j <= k || m > 0; j++ {
+		if j == k && k > 0 {
+			i--
+			buf[i] = '.'
+		}
+		i--
+		buf[i], m = byte('0'+m%10), m/10
+	}
+	if neg {
+		i--
+		buf[i] = '-'
+	}
+	return append(dst, buf[i:]...)
+}
+
+// parseShortFloat is strconv.ParseFloat(s, 64) of a text -?D+(.D+)?
+// with at most 15 digits, and ok=false for any other text. Such a text
+// is m·10^-k with m < 2^53, so float64(m)/10^k is one correctly rounded
+// division of exact doubles: strconv's own exact path, bit for bit.
+func parseShortFloat[T string | []byte](s T) (f float64, ok bool) {
+	i, neg := 0, len(s) > 0 && s[0] == '-'
+	if neg {
+		i = 1
+	}
+	var m uint64
+	digits, k := 0, -1 // k counts the digits after the point, -1 before one
+	for ; i < len(s); i++ {
+		switch c := s[i]; {
+		case '0' <= c && c <= '9':
+			m = m*10 + uint64(c-'0')
+			digits++
+			if k >= 0 {
+				k++
+			}
+		case c == '.' && k < 0 && digits > 0:
+			k = 0
+		default:
+			return 0, false
+		}
+	}
+	if digits == 0 || digits > 15 || k == 0 {
+		return 0, false
+	}
+	f = float64(m)
+	if neg {
+		f = -f
+	}
+	return f / pow10[max(k, 0)], true
 }
 
 // ParseValue parses the textual representation produced by String back
@@ -354,6 +441,9 @@ func parseValue[T string | []byte](s T, kind Kind) (Value, error) {
 	case KindNull:
 		return Null(), nil
 	case KindFloat:
+		if f, ok := parseShortFloat(s); ok {
+			return Float(f), nil
+		}
 		f, err := strconv.ParseFloat(string(s), 64)
 		if err != nil {
 			return Null(), fmt.Errorf("stream: parse float %q: %w", string(s), err)
