@@ -163,6 +163,7 @@ fuzz:
 	$(GO) test ./internal/csvio/ -run '^$$' -fuzz FuzzQuarantine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/csvio/ -run '^$$' -fuzz FuzzWriterMatchesEncodingCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/csvio/ -run '^$$' -fuzz FuzzReaderMatchesEncodingCSV -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/csvio/ -run '^$$' -fuzz FuzzCanonicalCellText -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzMetricsJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dq/ -run '^$$' -fuzz FuzzSuiteJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netstream/ -run '^$$' -fuzz FuzzWALRecord -fuzztime $(FUZZTIME)

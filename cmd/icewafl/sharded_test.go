@@ -106,3 +106,81 @@ func TestCLISharded(t *testing.T) {
 	}
 
 }
+
+// TestCLISpellingsAcrossShapes feeds input in spellings Writer does not
+// write (1.50, +5, 007, 1e3, .5, +00:00, .500Z, a leading space),
+// quoted numeric cells and strings across lines through the sequential
+// -stream run, whose recycled rows copy their unchanged canonical cells,
+// and through batch mode and serve.shards 2, which format every cell:
+// the polluted CSV and the log must be the same bytes in every shape,
+// with and without -meta.
+func TestCLISpellingsAcrossShapes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	schema, config, _ := writeShardedScenario(t, dir, 0)
+	input := filepath.Join(dir, "spelled.csv")
+	values := []string{"1.5", "1.50", "+5", "007", "1e3", ".5", "-0.0", `"54.8"`, "2", "-0.4", "1015.5"}
+	sensors := []string{"s0", "s1", " s2", `"s,3"`, "\"s\n4\"", "s5", `\.`}
+	var b strings.Builder
+	b.WriteString("Time,sensor,v\n")
+	for i := 0; i < 240; i++ {
+		ts := fmt.Sprintf("2024-01-01T00:%02d:%02d", i/60, i%60)
+		switch i % 5 {
+		case 1:
+			ts += "+00:00"
+		case 2:
+			ts += ".500Z"
+		case 3:
+			ts = fmt.Sprintf(`"%sZ"`, ts)
+		default:
+			ts += "Z"
+		}
+		fmt.Fprintf(&b, "%s,%s,%s\n", ts, sensors[i%len(sensors)], values[i%len(values)])
+	}
+	writeFile(t, input, b.String())
+	sharded := configWith(t, config, "serve", `{"shards": 2, "shard_key": "sensor"}`)
+
+	for _, meta := range []bool{false, true} {
+		run := func(config string, stream bool) (string, string) {
+			t.Helper()
+			tmp := t.TempDir()
+			out, logOut := filepath.Join(tmp, "dirty.csv"), filepath.Join(tmp, "log.jsonl")
+			args := []string{"-schema", schema, "-config", config, "-in", input, "-out", out, "-log", logOut}
+			if stream {
+				args = append(args, "-stream")
+			}
+			if meta {
+				args = append(args, "-meta")
+			}
+			runCLI(t, bin, args...)
+			csvB, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			logB, err := os.ReadFile(logOut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(csvB), string(logB)
+		}
+		seqCSV, seqLog := run(config, true)
+		if !strings.Contains(seqLog, "scale_by_factor") || !strings.Contains(seqCSV, "\"s\n4\"") {
+			t.Fatalf("meta=%v: the run polluted nothing or lost the multi-line cell:\n%.400s", meta, seqCSV)
+		}
+		for name, shape := range map[string]struct {
+			config string
+			stream bool
+		}{"batch": {config, false}, "shards=2": {sharded, true}} {
+			csv, plog := run(shape.config, shape.stream)
+			if csv != seqCSV {
+				t.Errorf("meta=%v: %s CSV differs from the sequential -stream run", meta, name)
+			}
+			if plog != seqLog {
+				t.Errorf("meta=%v: %s log differs from the sequential -stream run", meta, name)
+			}
+		}
+	}
+}

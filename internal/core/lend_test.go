@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -20,18 +21,49 @@ import (
 // dirty CSV, log and dead letters, or a tuple was reused while something
 // still held it.
 
-// lendInput renders n rows over ckptSchema from seed. With bad set, one
-// row in about 40 is malformed (a bare quote) or has a cell that does
-// not parse.
+// lendInput renders n rows over ckptSchema from seed. Most cells are in
+// the canonical form Writer writes, so a recycled row copies them; about
+// one in three is spelled otherwise (1.50, +5, 007, 1e3, .5, +00:00,
+// .000, a leading space, \.), quoted, or a quoted string across lines.
+// With bad set, one row in about 40 is malformed (a bare quote) or has a
+// cell that does not parse.
 func lendInput(seed int64, n int, bad bool) string {
 	r := rand.New(rand.NewSource(seed))
 	base := time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
 	var b strings.Builder
 	b.WriteString("ts,v,sensor\n")
 	for i := range n {
-		ts := base.Add(time.Duration(i) * time.Minute).Format(time.RFC3339)
-		v := fmt.Sprint(r.Float64() * 100)
-		sensor := []string{"s0", "sensör-1", "s2", ""}[r.Intn(4)]
+		at := base.Add(time.Duration(i) * time.Minute)
+		ts := at.Format(time.RFC3339)
+		switch r.Intn(12) {
+		case 0:
+			ts = strings.TrimSuffix(ts, "Z") + "+00:00"
+		case 1:
+			ts = strings.TrimSuffix(ts, "Z") + ".000Z"
+		case 2:
+			ts = at.In(time.FixedZone("", 19800)).Format(time.RFC3339)
+		case 3:
+			ts = `"` + ts + `"`
+		}
+		f := float64(r.Intn(20001)-10000) / 100
+		v := strconv.FormatFloat(f, 'f', -1, 64)
+		switch r.Intn(16) {
+		case 0:
+			v = fmt.Sprint(r.Float64() * 100) // 16–17 digits
+		case 1:
+			v = strconv.FormatFloat(f, 'f', 3, 64) // 1.500
+		case 2:
+			v = strconv.FormatFloat(f, 'e', -1, 64) // 1.5e+00
+		case 3:
+			v = "00" + strings.TrimPrefix(v, "-")
+		case 4:
+			v = "+" + strings.TrimPrefix(v, "-")
+		case 5:
+			v = strings.Replace(v, "0.", ".", 1)
+		case 6:
+			v = `"` + v + `"`
+		}
+		sensor := []string{"s0", "sensör-1", "s2", "", " s3", `\.`, `"s,4"`, "\"s\n5\"", `"s""6"`}[r.Intn(9)]
 		switch k := r.Intn(40); {
 		case bad && k == 0:
 			v = `1"2`

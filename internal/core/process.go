@@ -199,7 +199,7 @@ func (s *rowStep) pollute(t *stream.Tuple) (*stream.DeadLetter, error) {
 		return &dl, s.fault.record(s.dlq, dl)
 	}
 	if s.sub != 0 {
-		t.SubStream = s.sub
+		t.SubStream = int32(s.sub)
 		for i := mark; i < s.log.Len(); i++ {
 			s.log.At(i).SubStream = s.sub
 		}
@@ -268,8 +268,8 @@ func (pr *Process) RunStreamColumnar(src stream.Source, reorderWindow int) (stre
 // non-nil, counted there. The log (nil under DisableLog) is complete once
 // the returned source is exhausted. When the spec asks for a checkpointed
 // run (m = 1, no window), it also returns the run's Checkpointer. With
-// one pipeline over a stream.Recycler, every tuple's values go back to
-// src once the run or its consumer is done with them.
+// one pipeline over a stream.Recycler, every tuple's values and text go
+// back to src once the run or its consumer is done with them.
 func (pr *Process) runStream(src stream.Source, spec StreamSpec, dropped *int) (stream.Source, *Log, *Checkpointer, error) {
 	rec, _ := src.(stream.Recycler)
 	var ck *Checkpointer
@@ -361,32 +361,33 @@ func (s *tapSource) Next() (stream.Tuple, error) {
 	return t, err
 }
 
-// lentSource hands the previous tuple's values back to rec at the start
-// of each Next. It sits after the reorder window, so a buffered tuple is
-// never handed back.
+// lentSource hands the previous tuple's values and text back to rec at
+// the start of each Next. It sits after the reorder window, so a
+// buffered tuple is never handed back.
 type lentSource struct {
 	stream.Source
 	rec  stream.Recycler
 	lent []stream.Value
+	text *stream.Text
 }
 
 // Next implements stream.Source.
 func (s *lentSource) Next() (stream.Tuple, error) {
 	if s.lent != nil {
-		s.rec.Recycle(s.lent)
-		s.lent = nil
+		s.rec.Recycle(s.lent, s.text)
+		s.lent, s.text = nil, nil
 	}
 	t, err := s.Source.Next()
 	if err == nil {
-		s.lent = t.Values()
+		s.lent, s.text = t.Values(), t.Text()
 	}
 	return t, err
 }
 
 // streamRunner is the pollute → drop-filter operator of streaming mode:
 // the whole single-pipeline run (checkpointed or not) and one branch of a
-// multi-pipeline run. recycle, when set, takes back the values of the
-// tuples it drops or quarantines.
+// multi-pipeline run. recycle, when set, takes back the values and text
+// of the tuples it drops or quarantines.
 type streamRunner struct {
 	src stream.Source
 	rowStep
@@ -435,10 +436,10 @@ func (r *streamRunner) Next() (stream.Tuple, error) {
 	return stream.Tuple{}, r.err
 }
 
-// skip hands the values of a tuple the runner does not emit back.
+// skip hands back the values and text of a tuple the runner does not emit.
 func (r *streamRunner) skip() {
 	if r.recycle != nil {
-		r.recycle.Recycle(r.cur.Values())
+		r.recycle.Recycle(r.cur.Values(), r.cur.Text())
 	}
 }
 

@@ -226,7 +226,7 @@ func TestProcessMultiplePipelinesOverlap(t *testing.T) {
 	if len(res.Polluted) != 8 {
 		t.Fatalf("polluted size %d, want 8", len(res.Polluted))
 	}
-	perSub := map[int]int{}
+	perSub := map[int32]int{}
 	for _, tp := range res.Polluted {
 		perSub[tp.SubStream]++
 	}
@@ -530,7 +530,7 @@ func TestRunStreamSubStreamsMatchBatch(t *testing.T) {
 		}
 		for i, tp := range res.Polluted {
 			sub, orig := i%2, float64(i)
-			if tp.ID != uint64(i+1) || tp.SubStream != sub {
+			if tp.ID != uint64(i+1) || tp.SubStream != int32(sub) {
 				t.Fatalf("position %d holds tuple %d of sub-stream %d", i, tp.ID, tp.SubStream)
 			}
 			v := tp.MustGet("v").MustFloat()

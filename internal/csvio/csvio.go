@@ -6,6 +6,7 @@ package csvio
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -18,12 +19,15 @@ import (
 
 // Reader is a stream.Recycler decoding CSV rows into tuples. A row
 // allocates a copy of each multi-byte string cell, and a cell array only
-// when none handed back through Recycle is free.
+// when none handed back through Recycle is free. A row read into an
+// array that came back carries a stream.Text of its line, unless a field
+// is quoted, so that Writer copies the cells no one changed.
 type Reader struct {
-	schema *stream.Schema
-	rec    *recordReader
-	row    int
-	spare  []stream.Value // the cell array last handed back, if any
+	schema    *stream.Schema
+	rec       *recordReader
+	row       int
+	spare     []stream.Value // the cell array last handed back, if any
+	spareText *stream.Text   // the Text that came back with it
 }
 
 // NewReader wraps r, validating that the CSV header matches the schema's
@@ -61,14 +65,17 @@ func (r *Reader) Schema() *stream.Schema { return r.schema }
 // row. This lets stream.Quarantine divert poisoned rows to a dead-letter
 // queue instead of aborting the whole run. A failure of the underlying
 // reader is fatal: there is no row to skip.
-func (r *Reader) Next() (stream.Tuple, error) {
+func (r *Reader) Next() (t stream.Tuple, err error) {
 	if err := r.rec.begin(); err != nil {
 		return stream.Tuple{}, err
 	}
+	line := r.rec.line // the record's first line
 	r.row++
 	// Each cell is parsed as it is split; a malformed record outranks a
 	// bad cell, as it would if the record were split first.
 	var values []stream.Value
+	var text *stream.Text
+	var odd uint64 // bit i: field i is not the text Writer would write
 	var cellErr error
 	for i := 0; ; i++ {
 		f, ok := r.rec.field()
@@ -79,23 +86,43 @@ func (r *Reader) Next() (stream.Tuple, error) {
 			continue
 		}
 		if values == nil {
-			// The spare array, else a new one: a row that parses
-			// overwrites every cell.
-			if values, r.spare = r.spare, nil; values == nil {
+			// The spare array and its text, else a new array: a row
+			// that parses overwrites every cell. A row of more than 64
+			// cells, beyond odd's bits, gets no text.
+			values, text, r.spare, r.spareText = r.spare, r.spareText, nil, nil
+			if values == nil {
 				values = make([]stream.Value, r.schema.Len())
+			} else if text == nil && len(values) <= 64 {
+				text = new(stream.Text)
 			}
 		}
-		v, err := stream.ParseValueBytes(f, r.schema.Field(i).Kind)
+		v, canonical, err := stream.ParseValueBytes(f, r.schema.Field(i).Kind)
 		if err != nil {
 			cellErr = fmt.Errorf("csvio: row %d column %q: %w", r.row, r.schema.Field(i).Name, err)
 		}
 		values[i] = v
+		// Writer writes f back if it is canonical and, for a string,
+		// needs no quotes.
+		if str, isStr := v.AsString(); text != nil && (!canonical || isStr && needsQuotes(str)) {
+			odd |= 1 << i
+		}
 	}
-	err := r.rec.end()
-	if err == nil && cellErr == nil {
-		return stream.NewTuple(r.schema, values), nil
+	if err = r.rec.end(); err == nil && cellErr == nil {
+		// t is the result itself, so attaching the text copies no tuple.
+		t = stream.NewTuple(r.schema, values)
+		if text != nil {
+			// A record with no quoted field is its first line.
+			if !r.rec.plain {
+				line = line[:0]
+			}
+			text.SetLine(line[:len(line)-lengthNL(line)], values, odd)
+			t.SetText(text)
+		}
+		return t, nil
 	}
-	r.Recycle(values)
+	if values != nil {
+		r.spare, r.spareText = values, text
+	}
 	if err == nil {
 		return stream.Tuple{}, r.decodeError(cellErr)
 	}
@@ -105,13 +132,13 @@ func (r *Reader) Next() (stream.Tuple, error) {
 	return stream.Tuple{}, r.decodeError(fmt.Errorf("csvio: row %d: %w", r.row, err))
 }
 
-// Recycle implements stream.Recycler. The reader keeps one array, since
-// a recycling consumer hands back at most one between two reads. An array
-// of another width, or one handed back while the spare is taken, is left
-// to the garbage collector.
-func (r *Reader) Recycle(values []stream.Value) {
+// Recycle implements stream.Recycler. The reader keeps one array and
+// its text, since a recycling consumer hands back at most one between
+// two reads. An array of another width, or one handed back while the
+// spare is taken, is left to the garbage collector.
+func (r *Reader) Recycle(values []stream.Value, text *stream.Text) {
 	if len(values) == r.schema.Len() && r.spare == nil {
-		r.spare = values
+		r.spare, r.spareText = values, text
 	}
 }
 
@@ -167,8 +194,13 @@ func needsQuotes(s string) bool {
 	if s == "" {
 		return false
 	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == '"' || c == ',' || c == '\r' || c == '\n' {
+			return true
+		}
+	}
 	r, _ := utf8.DecodeRuneInString(s)
-	return s == `\.` || strings.ContainsAny(s, "\",\r\n") || unicode.IsSpace(r)
+	return s == `\.` || unicode.IsSpace(r)
 }
 
 // appendField appends s as one CSV field, quoted when needsQuotes says
@@ -212,25 +244,54 @@ func (w *Writer) Write(t stream.Tuple) error {
 	if err := w.writeHeader(); err != nil {
 		return fmt.Errorf("csvio: write header: %w", err)
 	}
-	if err := w.endRow(appendCells(w.row[:0], t.Values())); err != nil {
+	if err := w.endRow(appendCells(w.row[:0], t.Values(), t.Text())); err != nil {
 		return fmt.Errorf("csvio: write row: %w", err)
 	}
 	return nil
 }
 
-// appendCells appends cells as one row's fields.
-func appendCells(b []byte, cells []stream.Value) []byte {
-	for i, v := range cells {
-		if i > 0 {
-			b = append(b, ',')
+// appendCells appends cells as one row's fields. Where text holds the
+// row's line, a run of cells that still hold the values their fields
+// parsed to is copied from it in one append; every other cell is
+// formatted.
+func appendCells(b []byte, cells []stream.Value, text *stream.Text) []byte {
+	line, parsed := text.Line(len(cells))
+	if line == nil {
+		for i, v := range cells {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendCell(b, v)
 		}
-		if s, ok := v.AsString(); ok {
-			b = appendField(b, s)
-		} else {
-			b = v.AppendString(b)
-		}
+		return b
 	}
-	return b
+	// run is where the pending run of copied text starts in line: at a
+	// field, or at the comma after a formatted one. The line's commas
+	// are its n-1 separators; at is where field f starts.
+	run, at, f := 0, 0, 0
+	for i, v := range cells {
+		if v == parsed[i] {
+			continue
+		}
+		for ; f < i; f++ {
+			at += bytes.IndexByte(line[at:], ',') + 1
+		}
+		end := len(line)
+		if j := bytes.IndexByte(line[at:], ','); j >= 0 {
+			end = at + j
+		}
+		b = appendCell(append(b, line[run:at]...), v)
+		run, at, f = end, end+1, i+1
+	}
+	return append(b, line[run:]...)
+}
+
+// appendCell appends v as one field.
+func appendCell(b []byte, v stream.Value) []byte {
+	if s, ok := v.AsString(); ok {
+		return appendField(b, s)
+	}
+	return v.AppendString(b)
 }
 
 // Close implements stream.Sink, flushing buffered rows.

@@ -230,7 +230,7 @@ func TestMetaRoundTrip(t *testing.T) {
 	tuples := sample()
 	for i := range tuples {
 		tuples[i].ID = uint64(100 + i)
-		tuples[i].SubStream = i % 2
+		tuples[i].SubStream = int32(i % 2)
 	}
 	var buf bytes.Buffer
 	if err := WriteAllMeta(&buf, schema, tuples); err != nil {

@@ -119,3 +119,66 @@ func TestQuarantinedReaderSkipsMalformedRows(t *testing.T) {
 		}
 	}
 }
+
+// canonicalSeeds are cell texts of every kind: canonical ones, and
+// spellings a parser accepts that Writer would not write back.
+var canonicalSeeds = []string{
+	"", "54.8", "-0.4", "1015.5", "0", "-0", "0.0001", "100000", "7", "-12", "true", "false", "s0", "sensör-1",
+	"2021-06-01T12:34:56Z", "2021-06-01T12:34:56.5+05:30", "2021-06-01T12:34:56.123456789-08:00",
+	"1.50", "+5", "007", "0.0", "1e3", ".5", "0.00001", "1000000", "TRUE", "t", "1",
+	"2021-06-01T12:34:56+00:00", "2021-06-01T12:34:56-00:00", "2021-06-01T12:34:56.500Z",
+	"2021-06-01T12:34:56,5Z", "2021-06-01T12:34:56.1234567891Z", "2021-06-01T1:34:56Z",
+	"0000-01-01T01:00:00+00:60", "2021-06-01T12:34:56+24:00",
+	" lead", `\.`, "a\rb", `"`,
+}
+
+// lentCell reads s as the cell of kind after a time cell in two rows,
+// through a reader whose first row is handed back, so the second row
+// carries its text. It returns the second row as Writer writes it from
+// the row's text and from the values alone, and whether s was copied;
+// ok is false when s is no cell of kind.
+func lentCell(t testing.TB, s string, kind stream.Kind) (copied, formatted string, fromText, ok bool) {
+	t.Helper()
+	two := stream.MustSchema("ts", stream.Field{Name: "ts", Kind: stream.KindTime}, stream.Field{Name: "c", Kind: kind})
+	row := "2021-06-01T00:00:00Z," + s + "\n"
+	r, err := NewReader(strings.NewReader("ts,c\n"+row+row), two)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := r.Next()
+	if err != nil {
+		return "", "", false, false
+	}
+	r.Recycle(first.Values(), first.Text())
+	tp, err := r.Next()
+	if err != nil {
+		return "", "", false, false
+	}
+	line, parsed := tp.Text().Line(2)
+	return string(appendCells(nil, tp.Values(), tp.Text())), string(appendCells(nil, tp.Values(), nil)),
+		line != nil && tp.At(1) == parsed[1], true
+}
+
+// FuzzCanonicalCellText: a cell Writer copies from a recycled row's text
+// has the bytes Writer formats from its value, and it is copied only
+// where those bytes are the cell's own, for every kind: the parser's
+// canonical flag and the CSV quoting rule together.
+func FuzzCanonicalCellText(f *testing.F) {
+	for _, s := range canonicalSeeds {
+		f.Add(s)
+	}
+	kinds := []stream.Kind{stream.KindNull, stream.KindFloat, stream.KindInt, stream.KindString, stream.KindBool, stream.KindTime}
+	f.Fuzz(func(t *testing.T, s string) {
+		// The row's cell is s itself only in a line of its own, unquoted.
+		plain := !strings.ContainsAny(s, "\n\",") && !strings.HasSuffix(s, "\r")
+		for _, kind := range kinds {
+			copied, formatted, fromText, ok := lentCell(t, s, kind)
+			if ok && copied != formatted {
+				t.Fatalf("%q as %v: Writer copies %q from the text, formats %q", s, kind, copied, formatted)
+			}
+			if plain && fromText && formatted != "2021-06-01T00:00:00Z,"+s {
+				t.Fatalf("%q as %v is copied, but Writer formats it as %q", s, kind, formatted)
+			}
+		}
+	})
+}

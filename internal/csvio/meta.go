@@ -74,7 +74,7 @@ func (w *MetaWriter) Write(t stream.Tuple) error {
 		b = t.Arrival.UTC().AppendFormat(append(b, ','), arrivalTime)
 	}
 	if t.Len() > 0 {
-		b = appendCells(append(b, ','), t.Values())
+		b = appendCells(append(b, ','), t.Values(), t.Text())
 	}
 	if err := w.w.endRow(b); err != nil {
 		return fmt.Errorf("csvio: write meta row: %w", err)
@@ -151,7 +151,7 @@ func (r *MetaReader) Next() (stream.Tuple, error) {
 	}
 	var (
 		id      uint64
-		sub     int
+		sub     int64
 		arrival time.Time
 		values  []stream.Value
 		bad     error
@@ -171,7 +171,7 @@ func (r *MetaReader) Next() (stream.Tuple, error) {
 				bad = fmt.Errorf("csvio: meta row %d: bad _id %q: %w", row, f, err)
 			}
 		case i == 1:
-			if sub, err = strconv.Atoi(string(f)); err != nil {
+			if sub, err = strconv.ParseInt(string(f), 10, 32); err != nil {
 				bad = fmt.Errorf("csvio: meta row %d: bad _substream %q: %w", row, f, err)
 			}
 		case i < meta:
@@ -183,7 +183,7 @@ func (r *MetaReader) Next() (stream.Tuple, error) {
 				values = make([]stream.Value, r.schema.Len())
 			}
 			c := i - meta
-			if values[c], err = stream.ParseValueBytes(f, r.schema.Field(c).Kind); err != nil {
+			if values[c], _, err = stream.ParseValueBytes(f, r.schema.Field(c).Kind); err != nil {
 				bad = fmt.Errorf("csvio: meta row %d column %q: %w", row, r.schema.Field(c).Name, err)
 			}
 		}
@@ -197,7 +197,7 @@ func (r *MetaReader) Next() (stream.Tuple, error) {
 	}
 	t := stream.NewTuple(r.schema, values)
 	t.ID = id
-	t.SubStream = sub
+	t.SubStream = int32(sub)
 	if ts, ok := t.Timestamp(); ok {
 		t.EventTime = ts
 		t.Arrival = ts

@@ -54,6 +54,7 @@ type recordReader struct {
 	quoted  []byte // the current quoted field, unescaped
 
 	// The record being read.
+	plain   bool   // no field so far is quoted, so the record is one line
 	line    []byte // the rest of the current line
 	errRead error  // the read error that ends the record, if any
 	recLine int    // the line the record starts on
@@ -119,7 +120,7 @@ func (r *recordReader) begin() error {
 	if err == io.EOF {
 		return io.EOF
 	}
-	r.line, r.errRead = line, err
+	r.plain, r.line, r.errRead = true, line, err
 	r.recLine, r.posLine, r.col = r.numLine, r.numLine, 1
 	r.fields, r.done, r.err = 0, false, nil
 	return nil
@@ -152,7 +153,7 @@ func (r *recordReader) field() ([]byte, bool) {
 		r.fields++
 		return f, true
 	}
-	r.quoted = r.quoted[:0]
+	r.quoted, r.plain = r.quoted[:0], false
 	line = line[1:]
 	r.col++
 	for {

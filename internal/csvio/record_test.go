@@ -173,7 +173,8 @@ func TestReaderMatchesEncodingCSV(t *testing.T) {
 
 // TestReaderNextAllocs: a row of numeric and time cells allocates its
 // cell array and nothing else, and nothing at all once the consumer
-// hands each row's array back.
+// hands each row back, whether the row keeps its text or, quoted, does
+// not.
 func TestReaderNextAllocs(t *testing.T) {
 	schema := stream.MustSchema("ts",
 		stream.Field{Name: "ts", Kind: stream.KindTime},
@@ -187,8 +188,12 @@ func TestReaderNextAllocs(t *testing.T) {
 	b.WriteString("ts,v,n,ok,local\r\n")
 	start := time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
 	for i := range rows {
-		fmt.Fprintf(&b, "%s,%g,%d,%t,\"%s\"\r\n", start.Add(time.Duration(i)*time.Minute).Format(time.RFC3339),
-			float64(i)/8, -i, i%2 == 0, start.Add(time.Duration(i)*time.Second).In(time.FixedZone("", 19800)).Format(time.RFC3339))
+		local := start.Add(time.Duration(i) * time.Second).In(time.FixedZone("", 19800)).Format(time.RFC3339)
+		if i%2 == 0 {
+			local = `"` + local + `"`
+		}
+		fmt.Fprintf(&b, "%s,%g,%d,%t,%s\r\n", start.Add(time.Duration(i)*time.Minute).Format(time.RFC3339),
+			float64(i)/8, -i, i%2 == 0, local)
 	}
 	for _, recycle := range []bool{false, true} {
 		t.Run(fmt.Sprintf("recycle=%v", recycle), func(t *testing.T) {
@@ -206,7 +211,7 @@ func TestReaderNextAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 				if recycle {
-					r.Recycle(tp.Values())
+					r.Recycle(tp.Values(), tp.Text())
 				}
 			}); n != want {
 				t.Fatalf("Next allocates %v times per row, want %v", n, want)

@@ -79,11 +79,11 @@ func FuzzWriterMatchesEncodingCSV(f *testing.F) {
 		}
 		for i, vals := range rows {
 			tp := stream.NewTuple(schema, vals)
-			tp.ID, tp.SubStream, tp.Arrival = uint64(sec)+uint64(i), int(sec)-i, time.Unix(sec, int64(i)).In(time.FixedZone("", 3600))
+			tp.ID, tp.SubStream, tp.Arrival = uint64(sec)+uint64(i), int32(int(sec)-i), time.Unix(sec, int64(i)).In(time.FixedZone("", 3600))
 			if err := mw.Write(tp); err != nil {
 				t.Fatal(err)
 			}
-			rec := []string{strconv.FormatUint(tp.ID, 10), strconv.Itoa(tp.SubStream), tp.Arrival.UTC().Format(time.RFC3339Nano)}
+			rec := []string{strconv.FormatUint(tp.ID, 10), strconv.Itoa(int(tp.SubStream)), tp.Arrival.UTC().Format(time.RFC3339Nano)}
 			for _, v := range vals {
 				rec = append(rec, v.String())
 			}

@@ -36,7 +36,7 @@ func fuzzBatchFrame(tb testing.TB, n int, seq uint64) []byte {
 		}
 		tu := stream.NewTuple(schema, vals)
 		tu.ID = uint64(i + 1)
-		tu.SubStream = i % 2
+		tu.SubStream = int32(i % 2)
 		tu.EventTime = base.Add(time.Duration(i) * time.Second)
 		tu.Arrival = tu.EventTime.Add(time.Millisecond)
 		wb.AppendTuple(tu)

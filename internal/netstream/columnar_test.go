@@ -44,7 +44,7 @@ func TestColumnBatchRoundTrip(t *testing.T) {
 		}
 		tu := stream.NewTuple(schema, vals)
 		tu.ID = uint64(i + 1)
-		tu.SubStream = i % 2
+		tu.SubStream = int32(i % 2)
 		tu.EventTime = base.Add(time.Duration(i) * time.Minute)
 		tu.Arrival = tu.EventTime.Add(17 * time.Millisecond)
 		rows = append(rows, tu)

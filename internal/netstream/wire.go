@@ -538,10 +538,10 @@ func (c *wireCursor) varint() int64 {
 	return v
 }
 
-// int reads a varint that must fit an int.
+// int reads a sub-stream or a zone offset: a varint that fits an int32.
 func (c *wireCursor) int() int {
 	v := c.varint()
-	if int64(int(v)) != v {
+	if int64(int32(v)) != v {
 		c.fail()
 	}
 	return int(v)
@@ -747,13 +747,13 @@ func decodeTuples(dst []stream.Tuple, payload []byte, schema *stream.Schema, m *
 		t := stream.NewTuple(schema, make([]stream.Value, m.cols))
 		t.ID, t.EventTime, t.Arrival = id, m.events[r], m.arrivals[r]
 		if len(m.subs) > 0 {
-			t.SubStream = m.subs[r]
+			t.SubStream = int32(m.subs[r])
 		}
 		dst = append(dst, t)
 	}
 	for col := 0; col < m.cols; col++ {
 		for r, id := range m.ids {
-			v, err := stream.ParseValueBytes(c.text(), schema.Field(col).Kind)
+			v, _, err := stream.ParseValueBytes(c.text(), schema.Field(col).Kind)
 			if err != nil {
 				return seq, dst[:base], fmt.Errorf("netstream: tuple %d (row %d) attr %q: %w", id, r, schema.Field(col).Name, err)
 			}

@@ -3,6 +3,7 @@ package netstream
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -67,9 +68,9 @@ func (cc codecCase) tuple(schema *stream.Schema, row int) stream.Tuple {
 		vals[2] = stream.Null()
 	}
 	t := stream.NewTuple(schema, vals)
-	t.ID, t.SubStream, t.EventTime, t.Arrival = cc.id+uint64(row), cc.sub, event, event.Add(time.Duration(cc.lagNs))
+	t.ID, t.SubStream, t.EventTime, t.Arrival = cc.id+uint64(row), int32(cc.sub), event, event.Add(time.Duration(cc.lagNs))
 	if cc.shape&shapeRowSubs != 0 {
-		t.SubStream = row % 2
+		t.SubStream = int32(row % 2)
 	}
 	return t
 }
@@ -281,7 +282,43 @@ func TestFrameCodecProperty(t *testing.T) {
 	}
 }
 
+// subStreamFrames is a tuple frame and a colbatch frame, each of one
+// row of empty cells over fuzzSchema on sub-stream sub.
+func subStreamFrames(sub int64) [][]byte {
+	tuple := append(appendHeader(nil, tagTuple, 1, ChannelDirty), 1) // id
+	tuple = append(binary.AppendVarint(tuple, sub), 0, 0, 0, 0, 3, 0, 0, 0)
+	batch := append(appendHeader(nil, tagColBatch, 2, ChannelDirty), 1, 1, 1) // rows, id, hasSubs
+	batch = append(binary.AppendVarint(batch, sub), 0, 0, 0, 0, 3, 0, 0, 0)
+	return [][]byte{tuple, batch}
+}
+
+// TestWireRejectsWideSubStream: a sub-stream outside int32, which a
+// stream.Tuple cannot hold, fails the frame in both decoders, as a
+// _substream outside it fails a MetaReader row; int32's ends decode.
+func TestWireRejectsWideSubStream(t *testing.T) {
+	for _, c := range []struct {
+		sub int64
+		ok  bool
+	}{{math.MaxInt32, true}, {math.MinInt32, true}, {math.MaxInt32 + 1, false}, {1<<32 + 1, false}, {math.MinInt32 - 1, false}} {
+		for i, payload := range subStreamFrames(c.sub) {
+			_, errView := DecodeFrame(payload)
+			_, rows, errRows := decodeTuples(nil, payload, fuzzSchema(), new(batchMeta))
+			if (errView == nil) != c.ok || (errRows == nil) != c.ok {
+				t.Fatalf("frame %d on sub-stream %d: DecodeFrame err %v, decodeTuples err %v; want accepted %v", i, c.sub, errView, errRows, c.ok)
+			}
+			if c.ok && (len(rows) != 1 || int64(rows[0].SubStream) != c.sub) {
+				t.Fatalf("frame %d on sub-stream %d decoded as %+v", i, c.sub, rows)
+			}
+		}
+	}
+}
+
 func FuzzFrameCodec(f *testing.F) {
+	for _, sub := range []int64{math.MaxInt32 + 1, 1<<32 + 1} {
+		for _, payload := range subStreamFrames(sub) {
+			f.Add(payload, uint64(1), 0, int64(0), uint32(0), int64(0), uint64(0), "", uint16(0), uint8(0))
+		}
+	}
 	for _, cc := range codecCases {
 		tu := cc.tuple(fuzzSchema(), 0)
 		f.Add(appendTuple(nil, 1, "dirty", &tu), cc.id, cc.sub, cc.evSec, cc.evNs, cc.lagNs, cc.fbits, cc.cell, cc.shape, cc.rows)

@@ -160,7 +160,7 @@ func frameJSON(t testing.TB, payload []byte) []byte {
 func jsonBuildTuple(t stream.Tuple) *WireTuple {
 	wt := &WireTuple{
 		ID:      t.ID,
-		Sub:     t.SubStream,
+		Sub:     int(t.SubStream),
 		Event:   t.EventTime.UTC().Format(wireTime),
 		Arrival: t.Arrival.UTC().Format(wireTime),
 		Values:  make([]string, t.Len()),
@@ -186,7 +186,7 @@ func (wb *WireColumnBatch) AppendTuple(t stream.Tuple) {
 		for len(wb.Subs) < wb.Count {
 			wb.Subs = append(wb.Subs, 0)
 		}
-		wb.Subs = append(wb.Subs, t.SubStream)
+		wb.Subs = append(wb.Subs, int(t.SubStream))
 	}
 	wb.Events = append(wb.Events, t.EventTime.UTC().Format(wireTime))
 	wb.Arrivals = append(wb.Arrivals, t.Arrival.UTC().Format(wireTime))

@@ -67,7 +67,7 @@ func (b *ColumnBatch) AppendTuple(t Tuple) error {
 		b.cols[i] = append(b.cols[i], t.At(i))
 	}
 	b.ids = append(b.ids, t.ID)
-	b.subStreams = append(b.subStreams, int32(t.SubStream))
+	b.subStreams = append(b.subStreams, t.SubStream)
 	b.eventTimes = append(b.eventTimes, t.EventTime)
 	b.arrivals = append(b.arrivals, t.Arrival)
 	return nil

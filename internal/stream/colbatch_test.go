@@ -52,7 +52,7 @@ func TestColumnBatchRoundTrip(t *testing.T) {
 				t.Fatalf("cell (%d, %d) = %v, want %v", r, c, got, want)
 			}
 		}
-		if b.IDs()[r] != tp.ID || int(b.SubStreams()[r]) != tp.SubStream ||
+		if b.IDs()[r] != tp.ID || b.SubStreams()[r] != tp.SubStream ||
 			!b.EventTimes()[r].Equal(tp.EventTime) || !b.Arrivals()[r].Equal(tp.Arrival) {
 			t.Fatalf("row %d metadata differs", r)
 		}

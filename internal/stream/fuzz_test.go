@@ -25,7 +25,7 @@ func FuzzParseValue(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
 		for _, k := range kinds {
 			v, err := ParseValue(s, k)
-			vb, errb := ParseValueBytes([]byte(s), k)
+			vb, _, errb := ParseValueBytes([]byte(s), k)
 			f, _ := v.AsFloat()
 			if (err != nil) != (errb != nil) || vb.Kind() != v.Kind() || vb.String() != v.String() ||
 				!vb.Equal(v) && !math.IsNaN(f) {
@@ -109,7 +109,7 @@ func TestParseValueBytesAllocs(t *testing.T) {
 	} {
 		b := []byte(c.text)
 		if n := testing.AllocsPerRun(100, func() {
-			if _, err := ParseValueBytes(b, c.kind); err != nil {
+			if _, _, err := ParseValueBytes(b, c.kind); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {
@@ -139,7 +139,7 @@ func FuzzFloatText(f *testing.F) {
 			t.Fatalf("appendFloat(%#x) = %q, strconv says %q", bits, got, want)
 		}
 		for _, text := range []string{s, string(got)} {
-			fast, ok := parseShortFloat(text)
+			fast, _, ok := parseShortFloat(text)
 			if !ok {
 				continue
 			}
@@ -148,7 +148,7 @@ func FuzzFloatText(f *testing.F) {
 				t.Fatalf("parseShortFloat(%q) = %v (%#x); strconv.ParseFloat = %v (%#x), %v",
 					text, fast, math.Float64bits(fast), slow, math.Float64bits(slow), err)
 			}
-			if b, ok := parseShortFloat([]byte(text)); !ok || math.Float64bits(b) != math.Float64bits(fast) {
+			if b, _, ok := parseShortFloat([]byte(text)); !ok || math.Float64bits(b) != math.Float64bits(fast) {
 				t.Fatalf("parseShortFloat of %q's bytes = %v, %v; of the string %v", text, b, ok, fast)
 			}
 		}

@@ -23,7 +23,7 @@ func SortMerge(subs []Source) ([]Tuple, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.SubStream = i
+			t.SubStream = int32(i)
 			all = append(all, t)
 		}
 	}
@@ -91,7 +91,7 @@ func (m *KWayMerge) advance(i int) error {
 	if err != nil {
 		return err
 	}
-	t.SubStream = i
+	t.SubStream = int32(i)
 	if !m.live[i] {
 		m.live[i] = true
 		m.open++

@@ -28,12 +28,12 @@ type Source interface {
 }
 
 // Recycler is a Source that can reuse the value arrays of the tuples it
-// emits. A consumer done with a tuple may hand its Values back through
-// Recycle, and must then hold no view of them; one that never recycles
-// may keep every tuple.
+// emits, and the Text it lends with each. A consumer done with a tuple
+// may hand its Values and Text back through Recycle, and must then hold
+// no view of them; one that never recycles may keep every tuple.
 type Recycler interface {
 	Source
-	Recycle(values []Value)
+	Recycle(values []Value, text *Text)
 }
 
 // ErrStopped is returned by sources that were cancelled mid-stream. It is

@@ -15,9 +15,6 @@ import (
 type Tuple struct {
 	// ID uniquely identifies the tuple across the whole pollution run.
 	ID uint64
-	// SubStream identifies which pollution sub-pipeline processed the
-	// tuple; it is attached during integration (Algorithm 1, step 3).
-	SubStream int
 	// EventTime is τ, the pollution-immune replica of the original
 	// timestamp, used as event time throughout the pollution process.
 	EventTime time.Time
@@ -28,6 +25,9 @@ type Tuple struct {
 	// the delayed tuple appears late and its timestamp attribute breaks
 	// the increasing order — exactly how the paper detects delays.
 	Arrival time.Time
+	// SubStream identifies which pollution sub-pipeline processed the
+	// tuple; it is attached during integration (Algorithm 1, step 3).
+	SubStream int32
 	// Dropped marks the tuple as removed from the stream by a tuple-loss
 	// error. Dropped tuples are excluded from the polluted output but
 	// still appear in the pollution log as ground truth.
@@ -40,6 +40,7 @@ type Tuple struct {
 
 	schema *Schema
 	values []Value
+	text   *Text // the source text, while a Recycler lends values
 }
 
 // NewTuple creates a tuple over schema with the given attribute values.
@@ -126,6 +127,7 @@ func (t *Tuple) SetTimestamp(ts time.Time) {
 func (t Tuple) Clone() Tuple {
 	c := t
 	c.values = append([]Value(nil), t.values...)
+	c.text = nil
 	return c
 }
 
@@ -134,6 +136,7 @@ func (t Tuple) Clone() Tuple {
 // Clone without the per-tuple allocation. The caller owns buf and must
 // not alias it with t's current values.
 func (t *Tuple) CloneValuesInto(buf []Value) {
+	t.text = nil
 	if cap(buf) >= len(t.values) {
 		buf = buf[:len(t.values)]
 		copy(buf, t.values)
@@ -142,6 +145,12 @@ func (t *Tuple) CloneValuesInto(buf []Value) {
 	}
 	t.values = append([]Value(nil), t.values...)
 }
+
+// Text returns the text a Recycler lent with the tuple's values, or nil.
+func (t Tuple) Text() *Text { return t.text }
+
+// SetText attaches x as the tuple's source text.
+func (t *Tuple) SetText(x *Text) { t.text = x }
 
 // Values returns the underlying value slice. Callers must not mutate it
 // unless they own the tuple.

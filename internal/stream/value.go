@@ -390,11 +390,16 @@ func appendDecimal(dst []byte, neg bool, m uint64, k int) []byte {
 // with at most 15 digits, and ok=false for any other text. Such a text
 // is m·10^-k with m < 2^53, so float64(m)/10^k is one correctly rounded
 // division of exact doubles: strconv's own exact path, bit for bit.
-func parseShortFloat[T string | []byte](s T) (f float64, ok bool) {
+// canonical reports whether appendFloat writes f back as s, the only
+// decimal of at most 15 digits in f's rounding interval: no leading zero
+// but a lone one before the point, no trailing zero after it, and f zero
+// or in [1e-4, 1e6), where no exponent is written.
+func parseShortFloat[T string | []byte](s T) (f float64, canonical, ok bool) {
 	i, neg := 0, len(s) > 0 && s[0] == '-'
 	if neg {
 		i = 1
 	}
+	first := i
 	var m uint64
 	digits, k := 0, -1 // k counts the digits after the point, -1 before one
 	for ; i < len(s); i++ {
@@ -408,74 +413,107 @@ func parseShortFloat[T string | []byte](s T) (f float64, ok bool) {
 		case c == '.' && k < 0 && digits > 0:
 			k = 0
 		default:
-			return 0, false
+			return 0, false, false
 		}
 	}
 	if digits == 0 || digits > 15 || k == 0 {
-		return 0, false
+		return 0, false, false
 	}
 	f = float64(m)
 	if neg {
 		f = -f
 	}
-	return f / pow10[max(k, 0)], true
+	f /= pow10[max(k, 0)]
+	// |f| in [1, 1e6) by the digits before the point alone; only a text
+	// below 1 waits for the division.
+	ip := digits - max(k, 0)
+	canonical = (k < 0 || s[len(s)-1] != '0') &&
+		(s[first] != '0' && ip <= 6 || ip == 1 && (m == 0 || math.Abs(f) >= 1e-4))
+	return f, canonical, true
 }
 
 // ParseValue parses the textual representation produced by String back
 // into a Value of the requested kind. The empty string parses as NULL for
 // every kind, matching how missing values appear in CSV files.
-func ParseValue(s string, kind Kind) (Value, error) { return parseValue(s, kind) }
+func ParseValue(s string, kind Kind) (Value, error) { v, _, err := parseValue(s, kind); return v, err }
 
-// ParseValueBytes is ParseValue of b's text. The value retains none of b:
-// a string cell is a copy, and no other kind allocates.
-func ParseValueBytes(b []byte, kind Kind) (Value, error) { return parseValue(b, kind) }
+// ParseValueBytes is ParseValue of b's text, and reports whether b is
+// canonical, the text AppendString writes for the value: maybe not for
+// such a text, never for another. The value retains none of b: a string
+// cell is a copy, and no other kind allocates.
+func ParseValueBytes(b []byte, kind Kind) (v Value, canonical bool, err error) {
+	return parseValue(b, kind)
+}
 
-// parseValue is the one parse rule behind both forms. string(s) is free
-// for a string and, for a []byte, stays off the heap wherever it does
-// not escape; the error paths quote a copy.
-func parseValue[T string | []byte](s T, kind Kind) (Value, error) {
+// parseValue is the one parse rule behind both forms, each kind's
+// canonical check folded into its parse. string(s) is free for a string
+// and, for a []byte, stays off the heap wherever it does not escape; the
+// error paths quote a copy.
+func parseValue[T string | []byte](s T, kind Kind) (Value, bool, error) {
 	if len(s) == 0 {
-		return Null(), nil
+		return Null(), true, nil
 	}
 	switch kind {
 	case KindNull:
-		return Null(), nil
+		return Null(), false, nil
 	case KindFloat:
-		if f, ok := parseShortFloat(s); ok {
-			return Float(f), nil
+		if f, canonical, ok := parseShortFloat(s); ok {
+			return Float(f), canonical, nil
 		}
 		f, err := strconv.ParseFloat(string(s), 64)
 		if err != nil {
-			return Null(), fmt.Errorf("stream: parse float %q: %w", string(s), err)
+			return Null(), false, fmt.Errorf("stream: parse float %q: %w", string(s), err)
 		}
-		return Float(f), nil
+		return Float(f), false, nil
 	case KindInt:
 		i, err := strconv.ParseInt(string(s), 10, 64)
 		if err != nil {
-			return Null(), fmt.Errorf("stream: parse int %q: %w", string(s), err)
+			return Null(), false, fmt.Errorf("stream: parse int %q: %w", string(s), err)
 		}
-		return Int(i), nil
+		// No '+', and no leading zero but in "0" itself.
+		return Int(i), s[0] != '+' && (s[0] != '0' || len(s) == 1) && (s[0] != '-' || s[1] != '0'), nil
 	case KindString:
-		return Str(string(s)), nil
+		return Str(string(s)), true, nil
 	case KindBool:
 		b, err := strconv.ParseBool(string(s))
 		if err != nil {
-			return Null(), fmt.Errorf("stream: parse bool %q: %w", string(s), err)
+			return Null(), false, fmt.Errorf("stream: parse bool %q: %w", string(s), err)
 		}
-		return Bool(b), nil
+		return Bool(b), string(s) == "true" || string(s) == "false", nil
 	case KindTime:
 		t, off, err := parseTime(s)
 		if err != nil {
-			return Null(), fmt.Errorf("stream: parse time %q: %w", string(s), err)
+			return Null(), false, fmt.Errorf("stream: parse time %q: %w", string(s), err)
 		}
 		// The checkpoint writes the UTC instant, which RFC 3339 can
 		// write only within years 0000–9999.
 		if y := t.UTC().Year(); y < 0 || y > 9999 {
-			return Null(), fmt.Errorf("stream: parse time %q: UTC year %d outside 0000–9999", string(s), y)
+			return Null(), false, fmt.Errorf("stream: parse time %q: UTC year %d outside 0000–9999", string(s), y)
 		}
-		return timeAt(t, off), nil
+		return timeAt(t, off), canonicalTime(s), nil
 	}
-	return Null(), fmt.Errorf("stream: cannot parse into kind %v", kind)
+	return Null(), false, fmt.Errorf("stream: cannot parse into kind %v", kind)
+}
+
+// canonicalTime reports whether the stamp s, which parsed, is what
+// AppendString writes: RFC3339Nano's separators in place (time.Parse
+// then read fixed-width fields), a fraction of 1–9 digits without a
+// trailing zero or none, and Z for offset 0, else one within ±23:59.
+func canonicalTime[T string | []byte](s T) bool {
+	n := len(s)
+	if n < 20 || s[4] != '-' || s[7] != '-' || s[10] != 'T' || s[13] != ':' || s[16] != ':' {
+		return false
+	}
+	zone := n - 1
+	if s[zone] != 'Z' {
+		// time.Parse takes minutes past 59 in a ±hh:mm offset.
+		zone = n - 6
+		if hh, mm := twoDigits(s[zone+1], s[zone+2]), twoDigits(s[zone+4], s[zone+5]); zone < 19 || hh > 23 || mm > 59 || hh+mm == 0 {
+			return false
+		}
+	}
+	frac := s[19:zone]
+	return len(frac) == 0 || frac[0] == '.' && len(frac) >= 2 && len(frac) <= 10 && frac[len(frac)-1] != '0'
 }
 
 // parseTime is time.Parse(time.RFC3339, s) and the parsed offset in

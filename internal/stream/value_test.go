@@ -207,6 +207,15 @@ func TestValueSize(t *testing.T) {
 	}
 }
 
+// TestTupleSize: every tuple is copied through Source.Next and
+// Sink.Write, and a consumer that keeps tuples keeps 104 B each; the
+// Text handle fits beside an int32 SubStream.
+func TestTupleSize(t *testing.T) {
+	if n := unsafe.Sizeof(Tuple{}); n > 104 {
+		t.Fatalf("unsafe.Sizeof(Tuple{}) = %d, want <= 104", n)
+	}
+}
+
 // roundTripTimes spans time.Time's range: the zero time, years 1 to 9999
 // and beyond, sub-second nanoseconds, negative Unix seconds, both ends of
 // the int64 Unix second counter, and a time below it.
